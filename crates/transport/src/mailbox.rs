@@ -1,13 +1,13 @@
 //! Per-rank mailboxes with MPI-style (source, tag) matching.
 //!
-//! Frames arrive through [`Mailbox::accept_frame`], which verifies the
-//! checksum, suppresses duplicate sequence numbers, and reassembles each
-//! (source, tag) channel into order before exposing payloads to the
-//! matching interface — the receiver half of the retransmitting wire
-//! protocol.
+//! Frames arrive through [`Mailbox::accept`] (already verified) or
+//! [`Mailbox::accept_frame`] (encoded: verified first), which suppress
+//! duplicate sequence numbers and reassemble each (source, tag) channel
+//! into order before exposing payloads to the matching interface — the
+//! receiver half of the retransmitting wire protocol.
 
 use crate::ids::RankId;
-use crate::wire::{self, FrameError};
+use crate::wire::{self, Frame, FrameError};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
@@ -125,15 +125,20 @@ impl Mailbox {
         self.cv.notify_all();
     }
 
-    /// Accept one encoded link frame: verify the checksum, suppress
-    /// duplicates, buffer out-of-order arrivals, and release every in-order
-    /// payload to the matching interface. The return value is the link-layer
-    /// ack the sender's retransmission loop acts on.
+    /// Accept one encoded link frame: verify the checksum
+    /// ([`wire::decode_frame`]), then [`Mailbox::accept`] it. The return
+    /// value is the link-layer ack the sender's retransmission loop acts on.
     pub fn accept_frame(&self, bytes: &[u8]) -> FrameAck {
-        let frame = match wire::decode_frame(bytes) {
-            Ok(f) => f,
-            Err(e) => return FrameAck::Corrupt(e),
-        };
+        match wire::decode_frame(bytes) {
+            Ok(frame) => self.accept(frame),
+            Err(e) => FrameAck::Corrupt(e),
+        }
+    }
+
+    /// Accept one already-verified frame: suppress duplicates, buffer
+    /// out-of-order arrivals, and release every in-order payload to the
+    /// matching interface. Never returns [`FrameAck::Corrupt`].
+    pub fn accept(&self, frame: Frame) -> FrameAck {
         let mut inner = self.inner.lock();
         let key = (frame.src, frame.tag);
         let ch = inner.channels.entry(key).or_default();
@@ -187,7 +192,7 @@ impl Mailbox {
     /// 4. source death;
     /// 5. the optional deadline.
     ///
-    /// Waits are precise: every producer path (`push`, `accept_frame`,
+    /// Waits are precise: every producer path (`push`, `accept`,
     /// `wake_waiters`) takes the inner lock before notifying, so a waiter
     /// that observed "nothing to do" under the lock is guaranteed to be
     /// registered on the condvar before any state change can complete — no

@@ -14,6 +14,7 @@
 //! passes that point, which lets tests perturb only the phase under study.
 
 use crate::ids::RankId;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -260,9 +261,10 @@ impl PerturbPlan {
 }
 
 /// One scheduled delivery of (possibly mangled) frame bytes.
-pub struct Delivery {
-    /// Encoded frame bytes as they arrive on the wire.
-    pub bytes: Vec<u8>,
+pub struct Delivery<'a> {
+    /// Encoded frame bytes as they arrive on the wire: the caller's own
+    /// buffer unless the adversary had to mangle or hold a copy.
+    pub bytes: Cow<'a, [u8]>,
     /// Sender-side propagation delay to apply before delivery.
     pub delay: Option<Duration>,
     /// Is this a copy of the frame being transmitted now (as opposed to a
@@ -272,9 +274,9 @@ pub struct Delivery {
 
 /// What the adversary decided for one transmission.
 #[derive(Default)]
-pub struct Verdict {
+pub struct Verdict<'a> {
     /// Deliveries to perform, in arrival order.
-    pub deliveries: Vec<Delivery>,
+    pub deliveries: Vec<Delivery<'a>>,
     /// The current frame was dropped.
     pub dropped: bool,
     /// The current frame had a bit flipped.
@@ -351,37 +353,25 @@ impl Perturber {
     /// Returns the deliveries to perform in order. The current frame is
     /// acknowledged only if a copy of it actually reaches the receiver (the
     /// caller learns that from the receiver's accept result, not from us).
-    pub fn transmit(&self, src: RankId, dst: RankId, frame: &[u8]) -> Verdict {
+    pub fn transmit<'a>(&self, src: RankId, dst: RankId, frame: &'a [u8]) -> Verdict<'a> {
         let Some(spec) = self
             .active
             .load(Ordering::SeqCst)
             .then(|| self.plan.spec_for(src, dst))
             .flatten()
         else {
-            // Clean link: deliver verbatim, but still flush any frame stashed
-            // while the plan was active so nothing is lost forever.
-            let mut v = Verdict::default();
-            if let Some(stashed) = self
-                .links
-                .lock()
-                .get_mut(&(src, dst))
-                .and_then(|s| s.stash.take())
-            {
-                v.deliveries.push(Delivery {
-                    bytes: stashed,
-                    delay: None,
-                    current: false,
-                });
-            }
-            v.deliveries.insert(
-                0,
-                Delivery {
-                    bytes: frame.to_vec(),
+            // Clean link: deliver the caller's bytes verbatim. Nothing can be
+            // stashed here — a link only ever stashes under its own spec,
+            // and a gated plan never goes back to inactive — so no per-link
+            // state is consulted.
+            return Verdict {
+                deliveries: vec![Delivery {
+                    bytes: Cow::Borrowed(frame),
                     delay: None,
                     current: true,
-                },
-            );
-            return v;
+                }],
+                ..Verdict::default()
+            };
         };
 
         let mut links = self.links.lock();
@@ -401,10 +391,10 @@ impl Perturber {
         if rng.chance(spec.drop) {
             v.dropped = true;
         } else {
-            let mut bytes = frame.to_vec();
+            let mut bytes = Cow::Borrowed(frame);
             if rng.chance(spec.corrupt) {
-                let bit = rng.next_u64() as usize % (bytes.len() * 8);
-                bytes[bit / 8] ^= 1 << (bit % 8);
+                let bit = rng.next_u64() as usize % (frame.len() * 8);
+                bytes.to_mut()[bit / 8] ^= 1 << (bit % 8);
                 v.corrupted = true;
             }
             let delay = rng.chance(spec.delay).then(|| {
@@ -414,29 +404,28 @@ impl Perturber {
             if !flush && !v.corrupted && rng.chance(spec.reorder) {
                 // Hold the frame back; it arrives after the next transmission
                 // on this link (the sender's retransmission heals the gap).
-                st.stash = Some(bytes);
+                st.stash = Some(bytes.into_owned());
                 v.reordered = true;
             } else {
                 v.duplicated = rng.chance(spec.duplicate);
-                v.deliveries.push(Delivery {
+                let copy = v.duplicated.then(|| Delivery {
                     bytes: bytes.clone(),
+                    delay: None,
+                    current: true,
+                });
+                v.deliveries.push(Delivery {
+                    bytes,
                     delay,
                     current: true,
                 });
-                if v.duplicated {
-                    v.deliveries.push(Delivery {
-                        bytes,
-                        delay: None,
-                        current: true,
-                    });
-                }
+                v.deliveries.extend(copy);
             }
         }
 
         if flush {
             if let Some(stashed) = st.stash.take() {
                 v.deliveries.push(Delivery {
-                    bytes: stashed,
+                    bytes: Cow::Owned(stashed),
                     delay: None,
                     current: false,
                 });
@@ -461,15 +450,17 @@ mod tests {
         let v = p.transmit(RankId(0), RankId(1), &f);
         assert_eq!(v.deliveries.len(), 1);
         assert!(v.deliveries[0].current);
-        assert_eq!(v.deliveries[0].bytes, f);
+        // The caller's own bytes, not a copy of them.
+        assert!(matches!(v.deliveries[0].bytes, Cow::Borrowed(b) if std::ptr::eq(b, &f[..])));
         assert!(!v.dropped && !v.corrupted && !v.duplicated && !v.reordered);
     }
 
     #[test]
     fn drop_rate_one_never_delivers() {
         let p = Perturber::new(PerturbPlan::seeded(7).all_links(LinkPerturb::clean().drop(1.0)));
+        let f = frame();
         for _ in 0..10 {
-            let v = p.transmit(RankId(0), RankId(1), &frame());
+            let v = p.transmit(RankId(0), RankId(1), &f);
             assert!(v.dropped);
             assert!(v.deliveries.is_empty());
         }
@@ -479,7 +470,8 @@ mod tests {
     fn duplicate_rate_one_delivers_twice() {
         let p =
             Perturber::new(PerturbPlan::seeded(7).all_links(LinkPerturb::clean().duplicate(1.0)));
-        let v = p.transmit(RankId(0), RankId(1), &frame());
+        let f = frame();
+        let v = p.transmit(RankId(0), RankId(1), &f);
         assert!(v.duplicated);
         assert_eq!(v.deliveries.len(), 2);
         assert_eq!(v.deliveries[0].bytes, v.deliveries[1].bytes);
@@ -548,9 +540,12 @@ mod tests {
             .link(RankId(0), RankId(1), LinkPerturb::clean());
         // The explicit clean link wins over the lossy default.
         let p = Perturber::new(plan);
-        let v = p.transmit(RankId(0), RankId(1), &frame());
+        let f = frame();
+        let v = p.transmit(RankId(0), RankId(1), &f);
         assert_eq!(v.deliveries.len(), 1);
-        let v = p.transmit(RankId(1), RankId(0), &frame());
+        // An explicitly clean link inside a lossy plan copies nothing either.
+        assert!(matches!(v.deliveries[0].bytes, Cow::Borrowed(_)));
+        let v = p.transmit(RankId(1), RankId(0), &f);
         assert!(v.dropped);
     }
 

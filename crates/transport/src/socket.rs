@@ -50,11 +50,12 @@ use crate::fault::FaultInjector;
 use crate::ids::{RankId, Topology};
 use crate::mailbox::{FrameAck, Mailbox, RecvOutcome};
 use crate::perturb::{PerturbPlan, Perturber};
-use crate::stream::{encode_envelope, StreamDecoder, StreamEnvelope, StreamKind};
+use crate::stream::{encode_envelope, envelope_header, StreamDecoder, StreamKind, ENVELOPE_HEADER};
 use crate::wire;
 use parking_lot::{Condvar, Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -75,7 +76,9 @@ fn trace(msg: impl FnOnce() -> String) {
 /// unlike the in-process fabric, where delivery is a function call, a
 /// loopback round-trip through two service threads has real latency, and
 /// without the floor the default 100µs first backoff would retransmit
-/// almost every frame.
+/// almost every frame. The wait it extends only runs once the frame's
+/// bytes have left (see [`SocketBackend::wait_ack`]), so it covers the
+/// round trip, not the time a large frame takes to write.
 const ACK_GRACE: Duration = Duration::from_millis(1);
 
 /// How long a freshly-accepted connection gets to present its `Hello`.
@@ -173,6 +176,52 @@ impl Stream {
             Stream::Unix(s) => s.write_all(buf),
         }
     }
+
+    /// Write `head` then `body` as one byte sequence (one `writev` while
+    /// both have bytes left, so a small frame still leaves in one segment),
+    /// adding every byte to `written` as it leaves.
+    fn write_counted(&mut self, head: &[u8], body: &[u8], written: &AtomicU64) -> io::Result<()> {
+        let mut done = 0;
+        while done < head.len() + body.len() {
+            let bufs = [
+                IoSlice::new(&head[done.min(head.len())..]),
+                IoSlice::new(&body[done.saturating_sub(head.len())..]),
+            ];
+            let n = match self {
+                Stream::Tcp(s) => s.write_vectored(&bufs),
+                Stream::Unix(s) => s.write_vectored(&bufs),
+            };
+            match n {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    done += n;
+                    written.fetch_add(n as u64, Ordering::SeqCst);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One item of a link's outbound queue.
+enum Outbound {
+    /// A ready-made control envelope (ack, signal, die, bye).
+    Control(Vec<u8>),
+    /// A wire frame, shared with the `send` that may have to retransmit it;
+    /// the writer puts the `Data` envelope header in front.
+    Data(Arc<Vec<u8>>),
+}
+
+impl Outbound {
+    /// Bytes this item occupies on the stream.
+    fn stream_len(&self) -> usize {
+        match self {
+            Outbound::Control(env) => env.len(),
+            Outbound::Data(frame) => ENVELOPE_HEADER + frame.len(),
+        }
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -190,7 +239,9 @@ enum LinkPhase {
 
 struct LinkState {
     phase: LinkPhase,
-    queue: VecDeque<Vec<u8>>,
+    queue: VecDeque<Outbound>,
+    /// Stream bytes ever queued on this link (cleared items included).
+    enqueued: u64,
     /// Handle kept for shutdown; the reader/writer threads own clones.
     stream: Option<Stream>,
 }
@@ -198,6 +249,10 @@ struct LinkState {
 struct Link {
     state: Mutex<LinkState>,
     cv: Condvar,
+    /// Stream bytes the writer thread has handed to the socket so far. An
+    /// item queued at `enqueued == e` has left once `written >= e`, and a
+    /// growing count means the peer is still reading.
+    written: AtomicU64,
 }
 
 impl Link {
@@ -206,9 +261,11 @@ impl Link {
             state: Mutex::new(LinkState {
                 phase: LinkPhase::Pending,
                 queue: VecDeque::new(),
+                enqueued: 0,
                 stream: None,
             }),
             cv: Condvar::new(),
+            written: AtomicU64::new(0),
         }
     }
 }
@@ -746,9 +803,9 @@ impl SocketBackend {
             // Drain before reading: the handshake may have handed us a
             // decoder that already holds complete frames.
             loop {
-                match dec.next_envelope() {
-                    Ok(Some(env)) => {
-                        if !self.handle_envelope(peer, env) {
+                match dec.next_borrowed() {
+                    Ok(Some((kind, payload))) => {
+                        if !self.handle_envelope(peer, kind, payload) {
                             return;
                         }
                     }
@@ -786,11 +843,25 @@ impl SocketBackend {
                 }
             };
             match item {
-                Some(bytes) => {
-                    if stream.write_all_bytes(&bytes).is_err() {
+                Some(item) => {
+                    let written = &slot.link.written;
+                    let res = match &item {
+                        Outbound::Control(env) => stream.write_counted(env, &[], written),
+                        Outbound::Data(frame) => {
+                            let head = envelope_header(StreamKind::Data, frame.len());
+                            stream.write_counted(&head, frame, written)
+                        }
+                    };
+                    if res.is_err() {
                         // Connection is gone; the reader observes it too.
                         self.close_link(peer, false);
                         return;
+                    }
+                    if matches!(item, Outbound::Data(_)) {
+                        // The frame's last byte has left: its sender's ack
+                        // clock starts now.
+                        let _g = self.acks.lock();
+                        self.ack_cv.notify_all();
                     }
                 }
                 None => {
@@ -836,31 +907,41 @@ impl SocketBackend {
         link.cv.notify_all();
     }
 
-    /// Queue an envelope for `peer`. Returns false if the link is closing
-    /// or closed. A *pending* link buffers: a committed joiner's link may
-    /// still be dialing in, and the writer thread drains the queue the
-    /// moment the link installs — so sends to a freshly-admitted rank
-    /// retry against a real queue rather than failing outright.
-    fn enqueue(&self, peer: RankId, bytes: Vec<u8>) -> bool {
-        let Some(slot) = self.slot(peer) else {
-            return false;
-        };
+    /// Queue an item for `peer`. Returns the link's `enqueued` count just
+    /// past the item (it has left once [`Link::written`] reaches that), or
+    /// `None` if the link is closing or closed. A *pending* link buffers: a
+    /// committed joiner's link may still be dialing in, and the writer
+    /// thread drains the queue the moment the link installs — so sends to a
+    /// freshly-admitted rank retry against a real queue rather than
+    /// failing outright.
+    fn enqueue(&self, slot: &PeerSlot, item: Outbound) -> Option<u64> {
         let link = &slot.link;
         let mut st = link.state.lock();
         match st.phase {
             LinkPhase::Up | LinkPhase::Pending => {
-                st.queue.push_back(bytes);
+                st.enqueued += item.stream_len() as u64;
+                st.queue.push_back(item);
                 link.cv.notify_all();
-                true
+                Some(st.enqueued)
             }
-            LinkPhase::Draining | LinkPhase::Closed => false,
+            LinkPhase::Draining | LinkPhase::Closed => None,
         }
     }
 
-    fn handle_envelope(&self, peer: RankId, env: StreamEnvelope) -> bool {
-        match env.kind {
+    /// Queue a control envelope for `peer`, if it has a slot and an open link.
+    fn enqueue_control(&self, peer: RankId, kind: StreamKind, payload: &[u8]) {
+        if let Some(slot) = self.slot(peer) {
+            self.enqueue(&slot, Outbound::Control(encode_envelope(kind, payload)));
+        }
+    }
+
+    fn handle_envelope(&self, peer: RankId, kind: StreamKind, payload: &[u8]) -> bool {
+        match kind {
             StreamKind::Data => {
-                match wire::decode_frame(&env.payload) {
+                // The one verification of this frame: decoded (checksum
+                // fused into the payload copy) straight out of the stream
+                // decoder's buffer.
+                match wire::decode_frame(payload) {
                     Err(_) => {
                         // Bit-flipped by the perturbation plan: discard
                         // without acking; the sender retransmits.
@@ -876,33 +957,24 @@ impl SocketBackend {
                         // any Bye that the delivery itself triggers. A
                         // validated frame is always held (duplicates ack
                         // too), so the early ack never lies.
-                        let mut payload = Vec::with_capacity(16);
-                        payload.extend_from_slice(&frame.tag.to_le_bytes());
-                        payload.extend_from_slice(&frame.seq.to_le_bytes());
-                        self.enqueue(peer, encode_envelope(StreamKind::Ack, &payload));
-                        match self.mailbox.accept_frame(&env.payload) {
-                            FrameAck::Corrupt(_) => {
-                                // Unreachable: decode_frame above already
-                                // validated the same bytes.
-                                self.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                                self.telem.corrupt_frames.incr();
-                            }
-                            FrameAck::Duplicate => {
-                                self.dup_suppressed.fetch_add(1, Ordering::Relaxed);
-                                self.telem.dup_suppressed.incr();
-                            }
-                            FrameAck::Accepted => {}
+                        let mut ack = [0u8; 16];
+                        ack[..8].copy_from_slice(&frame.tag.to_le_bytes());
+                        ack[8..].copy_from_slice(&frame.seq.to_le_bytes());
+                        self.enqueue_control(peer, StreamKind::Ack, &ack);
+                        if self.mailbox.accept(frame) == FrameAck::Duplicate {
+                            self.dup_suppressed.fetch_add(1, Ordering::Relaxed);
+                            self.telem.dup_suppressed.incr();
                         }
                     }
                 }
                 true
             }
             StreamKind::Ack => {
-                if env.payload.len() == 16 {
+                if payload.len() == 16 {
                     let mut tag = [0u8; 8];
                     let mut seq = [0u8; 8];
-                    tag.copy_from_slice(&env.payload[..8]);
-                    seq.copy_from_slice(&env.payload[8..]);
+                    tag.copy_from_slice(&payload[..8]);
+                    seq.copy_from_slice(&payload[8..]);
                     let mut acks = self.acks.lock();
                     if acks.len() > 100_000 {
                         // Redundant acks (duplicates of frames whose sender
@@ -917,7 +989,7 @@ impl SocketBackend {
             }
             StreamKind::Signal => {
                 if let Some(h) = self.signal_handler.read().as_ref() {
-                    h(&env.payload);
+                    h(payload);
                 }
                 true
             }
@@ -959,7 +1031,7 @@ impl SocketBackend {
             self.deaths.fetch_add(1, Ordering::Relaxed);
             self.telem.deaths.incr();
             if send_die {
-                self.enqueue(peer, encode_envelope(StreamKind::Die, b""));
+                self.enqueue_control(peer, StreamKind::Die, b"");
             }
             self.close_link(peer, send_die);
             self.wake_local();
@@ -994,10 +1066,28 @@ impl SocketBackend {
     }
 
     /// Wait until the receiver acks `(to, tag, seq)`, a liveness change
-    /// interrupts the wait, or `timeout` elapses. True iff acked.
-    fn wait_ack(&self, to: RankId, tag: u64, seq: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+    /// interrupts the wait, or the link has been silent for `timeout`. True
+    /// iff acked.
+    ///
+    /// `queued_to` is what [`SocketBackend::enqueue`] returned for the
+    /// frame's last copy. Silence is no ack *and* no byte leaving: while the
+    /// frame is still queued or partly written, every byte the writer
+    /// thread gets out restarts the clock (the peer is reading, just not
+    /// done), so the clock proper starts when the frame's last byte has
+    /// left. A peer that stops reading stops the count, and the wait ends
+    /// `timeout` later like any other silence.
+    fn wait_ack(
+        &self,
+        to: RankId,
+        tag: u64,
+        seq: u64,
+        timeout: Duration,
+        link: &Link,
+        queued_to: Option<u64>,
+    ) -> bool {
         let mut acks = self.acks.lock();
+        let mut seen = link.written.load(Ordering::SeqCst);
+        let mut deadline = Instant::now() + timeout;
         loop {
             if acks.remove(&(to, tag, seq)) {
                 return true;
@@ -1006,6 +1096,13 @@ impl SocketBackend {
                 return false;
             }
             let now = Instant::now();
+            if queued_to.is_some_and(|end| seen < end) {
+                let written = link.written.load(Ordering::SeqCst);
+                if written != seen {
+                    seen = written;
+                    deadline = now + timeout;
+                }
+            }
             if now >= deadline {
                 return acks.remove(&(to, tag, seq));
             }
@@ -1089,7 +1186,7 @@ impl Backend for SocketBackend {
             self.telem.deaths.incr();
             for p in 0..self.peers_snapshot().len() {
                 if p != self.rank.0 {
-                    self.enqueue(RankId(p), encode_envelope(StreamKind::Bye, b""));
+                    self.enqueue_control(RankId(p), StreamKind::Bye, b"");
                     self.close_link(RankId(p), true);
                 }
             }
@@ -1128,19 +1225,26 @@ impl Backend for SocketBackend {
 
     fn send(&self, to: RankId, tag: u64, data: &[u8]) -> Result<(), TransportError> {
         self.check_op_fault()?;
-        if self.slot(to).is_none() {
+        let Some(slot) = self.slot(to) else {
             return Err(TransportError::UnknownRank(to));
-        }
+        };
         if !self.alive_local(to) {
             return Err(TransportError::PeerDead(to));
         }
         let seq = self.next_tx_seq(to, tag);
-        let frame = wire::encode_frame(self.rank, tag, seq, data);
         if to == self.rank {
-            // Loopback: no socket, no perturbation — as with the fabric,
-            // a rank's path to itself is its own mailbox.
-            self.mailbox.accept_frame(&frame);
+            // Loopback: no socket, no perturbation, nothing to verify — as
+            // with the fabric, a rank's path to itself is its own mailbox.
+            self.mailbox.accept(wire::Frame {
+                src: self.rank,
+                tag,
+                seq,
+                payload: data.to_vec(),
+            });
         } else {
+            // Encoded once; every (re)transmission on a clean link queues
+            // this same buffer.
+            let frame = Arc::new(wire::encode_frame(self.rank, tag, seq, data));
             let policy = self.perturber.read().plan().retry_policy();
             let mut attempt = 0u32;
             loop {
@@ -1155,6 +1259,7 @@ impl Backend for SocketBackend {
                 if verdict.reordered {
                     self.telem.frames_reordered.incr();
                 }
+                let mut queued_to = None;
                 for d in verdict.deliveries {
                     if let Some(delay) = d.delay {
                         // Propagation delay runs on the sender thread, like
@@ -1163,11 +1268,15 @@ impl Backend for SocketBackend {
                         self.telem.delay_hist.record_duration(delay);
                         std::thread::sleep(delay);
                     }
-                    self.enqueue(to, encode_envelope(StreamKind::Data, &d.bytes));
+                    let bytes = match d.bytes {
+                        Cow::Borrowed(_) => Arc::clone(&frame),
+                        Cow::Owned(mangled) => Arc::new(mangled),
+                    };
+                    queued_to = self.enqueue(&slot, Outbound::Data(bytes)).or(queued_to);
                 }
                 let salt = perturber.backoff_salt(self.rank, to, tag, seq, attempt);
                 let backoff = policy.backoff(attempt, salt);
-                if self.wait_ack(to, tag, seq, backoff + ACK_GRACE) {
+                if self.wait_ack(to, tag, seq, backoff + ACK_GRACE, &slot.link, queued_to) {
                     break;
                 }
                 if !self.alive_local(self.rank) {
@@ -1295,7 +1404,7 @@ impl Backend for SocketBackend {
     fn broadcast_signal(&self, payload: &[u8]) {
         for (p, slot) in self.peers_snapshot().iter().enumerate() {
             if p != self.rank.0 && slot.alive.load(Ordering::SeqCst) {
-                self.enqueue(RankId(p), encode_envelope(StreamKind::Signal, payload));
+                self.enqueue_control(RankId(p), StreamKind::Signal, payload);
             }
         }
     }
@@ -1534,6 +1643,128 @@ mod tests {
             assert!(Instant::now() < deadline, "signals not delivered");
             std::thread::sleep(Duration::from_millis(2));
         }
+        teardown(&eps);
+    }
+
+    /// Regression: the ack clock used to start when a frame was *queued*, so
+    /// it ran while the writer thread was still pushing a frame larger than
+    /// the socket buffer. Here a stand-in writer gets 1000 bytes of a queued
+    /// frame out every 5 ms for 400 ms — twice the timeout — and the wait
+    /// must outlast all of it: the clock proper starts at the last byte.
+    #[test]
+    fn ack_clock_does_not_run_while_bytes_are_leaving() {
+        let backends =
+            SocketBackend::local_mesh(BackendKind::Unix, Topology::flat(), 2, FaultPlan::none())
+                .unwrap();
+        let b = &backends[0];
+        let slot = b.slot(RankId(1)).unwrap();
+        let link = &slot.link;
+        let timeout = Duration::from_millis(200);
+        let queued_to = link.written.load(Ordering::SeqCst) + 80 * 1000;
+        let t0 = Instant::now();
+        let (acked, waited) = std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let acked = b.wait_ack(RankId(1), 77, 0, timeout, link, Some(queued_to));
+                (acked, t0.elapsed())
+            });
+            for _ in 0..80 {
+                std::thread::sleep(Duration::from_millis(5));
+                link.written.fetch_add(1000, Ordering::SeqCst);
+            }
+            waiter.join().unwrap()
+        });
+        assert!(!acked, "nobody acked");
+        assert!(
+            waited >= Duration::from_millis(400) + timeout,
+            "gave up after {waited:?}, while bytes were still leaving"
+        );
+        for b in &backends {
+            b.shutdown();
+        }
+    }
+
+    /// Frames far larger than the socket buffer, both ways at once (an
+    /// allreduce step's traffic): both arrive intact and nobody is suspected.
+    /// The ack clock still has to cover the receiver reading and verifying
+    /// the frame, which on a loaded or unoptimized build takes longer than
+    /// the default policy's whole ≈ 80 ms budget once both sides have
+    /// retransmitted (a stalled CI box showed that), so this runs under the
+    /// benchmark's patient budget: same backoff, 800 retries.
+    fn large_simultaneous_exchange_suspects_nobody(kind: BackendKind) {
+        const LEN: usize = 4 << 20;
+        let eps = mesh(kind, 2);
+        for ep in &eps {
+            ep.set_perturbation(PerturbPlan::none().retry(RetryPolicy {
+                max_retries: 800,
+                ..RetryPolicy::default()
+            }));
+        }
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for (me, ep) in eps.iter().enumerate() {
+                let start = &start;
+                s.spawn(move || {
+                    let peer = RankId(1 - me);
+                    let mine: Vec<u8> = (0..LEN).map(|i| (i * 7 + me) as u8).collect();
+                    let theirs: Vec<u8> = (0..LEN).map(|i| (i * 7 + peer.0) as u8).collect();
+                    start.wait();
+                    ep.send(peer, 3, &mine)
+                        .expect("a live peer must not be given up on");
+                    assert!(ep.recv(peer, 3).expect("recv") == theirs, "payload damaged");
+                    assert_eq!(ep.backend().stats().suspicions, 0);
+                });
+            }
+        });
+        teardown(&eps);
+    }
+
+    #[test]
+    fn large_simultaneous_exchange_suspects_nobody_unix() {
+        large_simultaneous_exchange_suspects_nobody(BackendKind::Unix);
+    }
+
+    #[test]
+    fn large_simultaneous_exchange_suspects_nobody_tcp() {
+        large_simultaneous_exchange_suspects_nobody(BackendKind::Tcp);
+    }
+
+    #[test]
+    fn corrupt_frame_is_counted_once_and_healed_by_one_retransmit() {
+        let backends =
+            SocketBackend::local_mesh(BackendKind::Unix, Topology::flat(), 2, FaultPlan::none())
+                .unwrap();
+        // Every transmission is bit-flipped, and the first retransmission is
+        // ~100 ms away: time enough to see the first copy rejected and clean
+        // the link before the second leaves.
+        backends[0].set_perturbation(
+            PerturbPlan::seeded(5)
+                .link(RankId(0), RankId(1), LinkPerturb::clean().corrupt(1.0))
+                .retry(RetryPolicy {
+                    max_retries: 8,
+                    base: Duration::from_millis(200),
+                    cap: Duration::from_millis(200),
+                }),
+        );
+        let eps: Vec<Endpoint> = backends
+            .iter()
+            .map(|b| Endpoint::from_backend(Arc::clone(b) as Arc<dyn Backend>))
+            .collect();
+        std::thread::scope(|s| {
+            let sender = s.spawn(|| eps[0].send(RankId(1), 6, b"flipped once"));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while backends[1].stats().corrupt_frames == 0 {
+                assert!(Instant::now() < deadline, "corrupt frame never arrived");
+                std::thread::yield_now();
+            }
+            backends[0].set_perturbation(PerturbPlan::none());
+            sender.join().unwrap().expect("healed by retransmission");
+        });
+        assert_eq!(eps[1].recv(RankId(0), 6).unwrap(), b"flipped once");
+        // One decode per received frame: the bad copy is counted exactly
+        // once, and exactly one more transmission was needed.
+        assert_eq!(backends[1].stats().corrupt_frames, 1);
+        assert_eq!(backends[1].stats().dup_suppressed, 0);
+        assert_eq!(backends[0].stats().retransmits, 1);
         teardown(&eps);
     }
 }

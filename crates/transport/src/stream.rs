@@ -105,15 +105,25 @@ pub const MAX_ENVELOPE_LEN: u32 = 64 * 1024 * 1024;
 /// Bytes of envelope header (kind + length prefix).
 pub const ENVELOPE_HEADER: usize = 5;
 
-/// Encode one envelope.
-pub fn encode_envelope(kind: StreamKind, payload: &[u8]) -> Vec<u8> {
+/// The header that precedes a `len`-byte payload of `kind` on the stream.
+/// Writing it and then the payload is the same as writing
+/// [`encode_envelope`]'s result, without copying the payload.
+///
+/// # Panics
+/// Panics if `len` exceeds [`MAX_ENVELOPE_LEN`].
+pub(crate) fn envelope_header(kind: StreamKind, len: usize) -> [u8; ENVELOPE_HEADER] {
     assert!(
-        payload.len() <= MAX_ENVELOPE_LEN as usize,
+        len <= MAX_ENVELOPE_LEN as usize,
         "envelope payload too large"
     );
+    let [a, b, c, d] = (len as u32).to_le_bytes();
+    [kind as u8, a, b, c, d]
+}
+
+/// Encode one envelope.
+pub fn encode_envelope(kind: StreamKind, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(ENVELOPE_HEADER + payload.len());
-    out.push(kind as u8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&envelope_header(kind, payload.len()));
     out.extend_from_slice(payload);
     out
 }
@@ -156,6 +166,15 @@ impl StreamDecoder {
     /// Try to decode the next complete envelope. `Ok(None)` means "need
     /// more bytes"; errors are fatal for the connection.
     pub fn next_envelope(&mut self) -> Result<Option<StreamEnvelope>, StreamError> {
+        Ok(self.next_borrowed()?.map(|(kind, payload)| StreamEnvelope {
+            kind,
+            payload: payload.to_vec(),
+        }))
+    }
+
+    /// [`StreamDecoder::next_envelope`] without the copy: the payload is a
+    /// view into the decoder's own buffer, valid until the next `push`.
+    pub fn next_borrowed(&mut self) -> Result<Option<(StreamKind, &[u8])>, StreamError> {
         let avail = &self.buf[self.pos..];
         if avail.len() < ENVELOPE_HEADER {
             return Ok(None);
@@ -172,9 +191,9 @@ impl StreamDecoder {
         if avail.len() < total {
             return Ok(None);
         }
-        let payload = avail[ENVELOPE_HEADER..total].to_vec();
+        let start = self.pos + ENVELOPE_HEADER;
         self.pos += total;
-        Ok(Some(StreamEnvelope { kind, payload }))
+        Ok(Some((kind, &self.buf[start..self.pos])))
     }
 
     /// The connection closed: a clean close must land exactly on an

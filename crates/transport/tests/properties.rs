@@ -3,11 +3,46 @@
 //! in-order delivery over adversarially perturbed links.
 
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use transport::wire::{decode_frame, encode_frame, fnv1a64, FRAME_HEADER, FRAME_TRAILER};
 use transport::{
-    Endpoint, Fabric, LinkPerturb, PerturbPlan, RankId, RetryPolicy, Topology, TransportError, Wire,
+    Endpoint, Fabric, FrameAck, LinkPerturb, Mailbox, PerturbPlan, RankId, RetryPolicy,
+    StreamDecoder, StreamKind, Topology, TransportError, Wire,
 };
+
+/// Everything the frame decoders of the transport make of `bytes`: none of
+/// them may panic, and none may accept bytes that are not exactly the
+/// encoding of what they report.
+fn decoders_reject_or_roundtrip(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let decoded = decode_frame(bytes);
+    if let Ok(f) = &decoded {
+        prop_assert_eq!(&encode_frame(f.src, f.tag, f.seq, &f.payload)[..], bytes);
+    }
+    let mb = Mailbox::new();
+    match (&decoded, mb.accept_frame(bytes)) {
+        (Ok(f), FrameAck::Accepted) => {
+            // Delivered only once it is in order on its channel.
+            let got = mb.try_pop(f.src, f.tag);
+            prop_assert_eq!(got, (f.seq == 0).then(|| f.payload.clone()));
+        }
+        (Err(e), FrameAck::Corrupt(got)) => prop_assert_eq!(*e, got),
+        (d, ack) => prop_assert!(false, "decode {d:?} but mailbox {ack:?}"),
+    }
+    // The socket reader's path: the same bytes as a stream, every envelope
+    // decoded in place out of the stream decoder's buffer.
+    let mut dec = StreamDecoder::new();
+    dec.push(bytes);
+    while let Ok(Some((kind, payload))) = dec.next_borrowed() {
+        if kind == StreamKind::Data {
+            if let Ok(f) = decode_frame(payload) {
+                prop_assert_eq!(&encode_frame(f.src, f.tag, f.seq, &f.payload)[..], payload);
+            }
+        }
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -196,5 +231,118 @@ proptest! {
             tx.send(ranks[1], 1, b"again"),
             Err(TransportError::PeerDead(ranks[1]))
         );
+    }
+
+    /// Two buffers that differ inside exactly one aligned 8-byte word (the
+    /// partial last word included) never collide: every checksum step is a
+    /// bijection, so this is a theorem, and with it single-bit detection.
+    #[test]
+    fn checksum_separates_any_one_word_difference(
+        bytes in proptest::collection::vec(any::<u8>(), 1..300),
+        at in any::<usize>(),
+        delta in 1u64..=u64::MAX,
+    ) {
+        let word = at % bytes.len() / 8 * 8;
+        let end = (word + 8).min(bytes.len());
+        let mut other = bytes.clone();
+        let mut diff = delta.to_le_bytes();
+        if diff[..end - word].iter().all(|&b| b == 0) {
+            diff[0] = 1; // keep the difference inside the buffer
+        }
+        for (b, d) in other[word..end].iter_mut().zip(diff) {
+            *b ^= d;
+        }
+        prop_assert!(bytes != other);
+        prop_assert!(fnv1a64(&bytes) != fnv1a64(&other));
+    }
+
+    /// The length is folded in: appending zero bytes changes the checksum.
+    #[test]
+    fn checksum_changes_when_zeros_are_appended(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200),
+        extra in 1usize..100,
+    ) {
+        let mut longer = bytes.clone();
+        longer.resize(bytes.len() + extra, 0);
+        prop_assert!(fnv1a64(&bytes) != fnv1a64(&longer));
+    }
+
+    /// The checksum computed inside `encode_frame`'s copy is the checksum of
+    /// the bytes it produced, and `decode_frame`'s fused copy returns them.
+    #[test]
+    fn fused_frame_codec_agrees_with_the_plain_checksum(
+        src in 0usize..1024,
+        tag in any::<u64>(),
+        seq in any::<u64>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..5000),
+    ) {
+        let frame = encode_frame(RankId(src), tag, seq, &payload);
+        prop_assert_eq!(frame.len(), FRAME_HEADER + payload.len() + FRAME_TRAILER);
+        let (body, trailer) = frame.split_at(frame.len() - FRAME_TRAILER);
+        prop_assert_eq!(u64::read(trailer), fnv1a64(body));
+        let back = decode_frame(&frame).unwrap();
+        prop_assert_eq!((back.src, back.tag, back.seq), (RankId(src), tag, seq));
+        prop_assert_eq!(back.payload, payload);
+    }
+
+    /// Garbage never panics a decoder and is never accepted.
+    #[test]
+    fn garbage_never_panics_and_never_decodes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        decoders_reject_or_roundtrip(&bytes)?;
+    }
+
+    /// Near-frames: a valid frame cut or padded around the header and
+    /// trailer boundaries, with its length field overwritten (`u32::MAX`
+    /// included) or one byte damaged.
+    #[test]
+    fn damaged_frames_never_panic_and_never_decode_wrongly(
+        payload in proptest::collection::vec(any::<u8>(), 0..80),
+        cut in 0usize..130,
+        len_field in prop_oneof![Just(u32::MAX), Just(0u32), any::<u32>()],
+        damage in 0usize..130,
+        how in 0u8..4,
+    ) {
+        let mut frame = encode_frame(RankId(3), 11, 0, &payload);
+        match how {
+            0 => frame.truncate(cut.min(frame.len())),
+            1 => frame.resize(frame.len() + cut, 0),
+            2 => frame[28..32].copy_from_slice(&len_field.to_le_bytes()),
+            _ => {
+                let at = damage % frame.len();
+                frame[at] = frame[at].wrapping_add(1 + (cut % 255) as u8);
+            }
+        }
+        decoders_reject_or_roundtrip(&frame)?;
+        // And as the payload of a well-formed Data envelope.
+        decoders_reject_or_roundtrip(&transport::encode_envelope(StreamKind::Data, &frame))?;
+    }
+
+    /// Verify-once: handing the mailbox a frame decoded by the caller is
+    /// the same as handing it the bytes — the same ack for every arrival
+    /// and the same delivered order, under any arrival order with
+    /// duplicates on one (src, tag) channel.
+    #[test]
+    fn accept_of_decoded_frame_equals_accept_frame(
+        arrivals in proptest::collection::vec(0u64..12, 1..60),
+    ) {
+        let frames: Vec<Vec<u8>> = (0..12u64)
+            .map(|seq| encode_frame(RankId(1), 7, seq, &seq.to_le_bytes()))
+            .collect();
+        let (by_bytes, by_frame) = (Mailbox::new(), Mailbox::new());
+        for &seq in &arrivals {
+            let bytes = &frames[seq as usize];
+            let ack = by_bytes.accept_frame(bytes);
+            prop_assert_eq!(by_frame.accept(decode_frame(bytes).unwrap()), ack);
+            prop_assert!(ack.is_acked());
+        }
+        loop {
+            let got = by_bytes.try_pop(RankId(1), 7);
+            prop_assert_eq!(&by_frame.try_pop(RankId(1), 7), &got);
+            if got.is_none() {
+                break;
+            }
+        }
     }
 }
