@@ -13,7 +13,7 @@
 //! processes observe a genuine kernel-level connection reset (EOF) — not a
 //! simulated flag — and recover via revoke → agree → shrink.
 
-use elastic::{run_forward_worker, ForwardConfig, RecoveryPolicy, TrainSpec, WorkerExit};
+use elastic::{run_forward_worker, ForwardConfig, TrainSpec, WorkerExit};
 use gloo::{KvStore, NetStore, Store, StoreServer};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -299,24 +299,18 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
         Universe::for_backend_with_join(ep, group, Arc::new(join))
     };
     let fwd = ForwardConfig {
-        spec: TrainSpec {
-            total_steps: steps,
-            min_workers,
-            agree,
-            ..TrainSpec::default()
-        },
-        policy: RecoveryPolicy::DropProcess,
         accept_joiners: expect_joiners > 0,
         expected_joiners: expect_joiners,
-        renormalize_after_loss: false,
-        lr_scaling: None,
         // Bounded waits everywhere: a joiner that never gets its ticket
         // exits instead of hanging, and members give up on a joiner that
         // never announces instead of stalling the epoch boundary.
         join_wait: Some(Duration::from_secs(join_wait_secs)),
-        policy_mode: elastic::PolicyMode::default(),
-        expected_spares: 0,
-        ckpt_every: 0,
+        ..ForwardConfig::new(TrainSpec {
+            total_steps: steps,
+            min_workers,
+            agree,
+            ..TrainSpec::default()
+        })
     };
     let out = run_forward_worker(&proc, &fwd, is_joiner);
 

@@ -25,9 +25,8 @@
 use crate::config::{
     state_fingerprint, HierMode, RecoveryPolicy, TrainSpec, WorkerExit, WorkerStats,
 };
-use crate::cost_model::HierModel;
 use crate::profiler::{RecoveryBreakdown, RecoveryKind};
-use collectives::{AllreduceAlgo, NodeMap, ReduceOp};
+use collectives::{NodeMap, ReduceOp};
 use dnn::{Checkpoint, InMemoryCheckpointStore};
 use gloo::{rendezvous, Context, GlooError, KvStore, RendezvousConfig};
 use parking_lot::{Condvar, Mutex};
@@ -298,11 +297,9 @@ impl ElasticDriver {
 }
 
 /// Gradient-allreduce router for the Gloo baseline: flat (the seed
-/// behaviour) or hierarchical, decided per bucket by [`TrainSpec::hier`]
-/// against the two-tier Summit model. Mirrors the forward engine's
-/// router; the node map is the per-rendezvous-epoch one, so it is always
-/// current for `ctx`. With a size-adaptive spec the cross-node exchange
-/// resolves against the leader-count crossover.
+/// behaviour) or hierarchical, decided per bucket by
+/// [`TrainSpec::hier_route`] exactly as in the forward engine. The node map
+/// is the per-rendezvous-epoch one, so it is always current for `ctx`.
 fn gloo_grad_allreduce(
     ctx: &Context,
     map: &Option<NodeMap>,
@@ -310,21 +307,7 @@ fn gloo_grad_allreduce(
     buf: &mut [f32],
 ) -> Result<(), GlooError> {
     if let Some(map) = map {
-        let model = HierModel::summit();
-        let bytes = std::mem::size_of_val(buf);
-        if spec.hier.use_hier(
-            &model,
-            bytes,
-            ctx.size(),
-            map.n_nodes(),
-            map.max_node_size(),
-        ) {
-            telemetry::counter("elastic.hier.routed_buckets").incr();
-            let algo = if matches!(spec.algo, AllreduceAlgo::Auto { .. }) {
-                model.cross_auto_algo(map.n_nodes())
-            } else {
-                spec.algo
-            };
+        if let Some(algo) = spec.hier_route(map, ctx.size(), std::mem::size_of_val(buf)) {
             return ctx.hier_allreduce(map, buf, ReduceOp::Sum, algo);
         }
     }
@@ -367,25 +350,15 @@ pub fn run_backward_worker(
     // (used to attribute rollback phases to a Backward episode).
     let mut failure_episode: Option<RecoveryBreakdown> = None;
 
-    'config: loop {
+    // Size of the last Gloo context this worker was a member of.
+    let mut world = 0usize;
+
+    let exit: fn(WorkerStats) -> WorkerExit = 'config: loop {
         // --- configuration epoch ------------------------------------------
         let (epoch, members) = match driver.wait_for_membership(me) {
             Membership::Active { epoch, members } => (epoch, members),
-            Membership::Removed => {
-                // Evicted (e.g. healthy worker on a blacklisted node).
-                return (
-                    WorkerExit::Excluded(WorkerStats {
-                        steps_done: step,
-                        final_loss: last_loss,
-                        recoveries,
-                        final_world: 0,
-                        state_fingerprint: state_fingerprint(&model.state_flat()),
-                        final_lr: opt.current_lr(),
-                        steps_recomputed,
-                    }),
-                    breakdowns,
-                );
-            }
+            // Evicted (e.g. healthy worker on a blacklisted node).
+            Membership::Removed => break 'config WorkerExit::Excluded,
             Membership::Aborted => {
                 // The cascade dropped the world below min_workers: exit
                 // cleanly with the progress so far, leaving a traceable
@@ -395,18 +368,7 @@ pub fn run_backward_worker(
                 episode.time("below_min", || ep.retire());
                 episode.publish(me.0);
                 breakdowns.push(episode);
-                return (
-                    WorkerExit::Aborted(WorkerStats {
-                        steps_done: step,
-                        final_loss: last_loss,
-                        recoveries,
-                        final_world: 0,
-                        state_fingerprint: state_fingerprint(&model.state_flat()),
-                        final_lr: opt.current_lr(),
-                        steps_recomputed,
-                    }),
-                    breakdowns,
-                );
+                break 'config WorkerExit::Aborted;
             }
         };
 
@@ -490,9 +452,8 @@ pub fn run_backward_worker(
         breakdowns.push(episode);
 
         // --- training under this configuration ----------------------------
-        let world = ctx.size();
+        world = ctx.size();
         let my_rank = ctx.rank();
-        let mut recompute_marker = true; // first steps after rollback are recompute
         while (step as usize) < spec.total_steps {
             telemetry::counter("elastic.backward.steps").incr();
             let _step_span = telemetry::span("elastic.backward.step_ns");
@@ -516,35 +477,14 @@ pub fn run_backward_worker(
                 // Ready-queue path: scatter gradients into bucket buffers
                 // as layers finish their backward pass; launch each fused
                 // allreduce the moment its bucket fills.
-                let mut bufs = fs.bucket_buffers();
-                let mut filled = vec![0usize; fs.n_buckets()];
-                let mut fill_start: Vec<Option<std::time::Instant>> = vec![None; fs.n_buckets()];
-                let report = model.compute_gradients_with(&shard, |idx, g| {
-                    let (b, off, len) = fs.slot(idx);
-                    if fill_start[b].is_none() {
-                        fill_start[b] = Some(std::time::Instant::now());
-                    }
-                    for (d, s) in bufs[b][off..off + len].iter_mut().zip(g.data()) {
-                        *d = s * shard_weight;
-                    }
-                    filled[b] += 1;
-                    if filled[b] < fs.bucket_tensors(b) {
-                        return;
-                    }
-                    if let Some(t0) = fill_start[b].take() {
-                        telemetry::histogram("elastic.fusion.fill_latency_ns")
-                            .record(t0.elapsed().as_nanos() as u64);
-                    }
-                    collectives::observe_bucket(
-                        bufs[b].len() * std::mem::size_of::<f32>(),
-                        fs.bucket_tensors(b),
-                    );
-                    if failed.is_none() {
-                        if let Err(e) = gloo_grad_allreduce(&ctx, &hier_map, spec, &mut bufs[b]) {
-                            failed = Some(e);
+                let (report, bufs) =
+                    fs.backward_pass(&mut model, &shard, shard_weight, |_, buf| {
+                        if failed.is_none() {
+                            if let Err(e) = gloo_grad_allreduce(&ctx, &hier_map, spec, buf) {
+                                failed = Some(e);
+                            }
                         }
-                    }
-                });
+                    });
                 last_loss = report.loss;
                 fs.unpack(&bufs)
             } else {
@@ -596,7 +536,6 @@ pub fn run_backward_worker(
             model.set_grads(&grads);
             opt.step(&mut model.params_mut());
             step += 1;
-            recompute_marker = false;
 
             // Per-batch in-memory checkpoint (the paper's minimum interval).
             // Every rank passes the named fault point, so schedules can
@@ -626,21 +565,18 @@ pub fn run_backward_worker(
                 }
             }
         }
-        let _ = recompute_marker;
-
-        return (
-            WorkerExit::Completed(WorkerStats {
-                steps_done: step,
-                final_loss: last_loss,
-                recoveries,
-                final_world: world,
-                state_fingerprint: state_fingerprint(&model.state_flat()),
-                final_lr: opt.current_lr(),
-                steps_recomputed,
-            }),
-            breakdowns,
-        );
-    }
+        break 'config WorkerExit::Completed;
+    };
+    let stats = WorkerStats {
+        steps_done: step,
+        final_loss: last_loss,
+        recoveries,
+        final_world: world,
+        state_fingerprint: state_fingerprint(&model.state_flat()),
+        final_lr: opt.current_lr(),
+        steps_recomputed,
+    };
+    (exit(stats), breakdowns)
 }
 
 /// When the failed peer is unknown (timeout), consult the runtime's dead

@@ -108,6 +108,35 @@ impl HierMode {
     }
 }
 
+impl TrainSpec {
+    /// Route one gradient bucket of `n_bytes` — the flat-vs-hierarchical
+    /// decision both engines share. `Some(algo)` means take the two-level
+    /// path over `map` (the current epoch's node map) with `algo` for the
+    /// cross-node exchange; `None` means the flat allreduce. With a
+    /// size-adaptive ([`AllreduceAlgo::Auto`]) spec the cross-node exchange
+    /// resolves against the two-tier model's *leader-count* crossover
+    /// ([`crate::cost_model::HierModel::cross_auto_algo`]), not the flat
+    /// world's.
+    pub(crate) fn hier_route(
+        &self,
+        map: &collectives::NodeMap,
+        world: usize,
+        n_bytes: usize,
+    ) -> Option<AllreduceAlgo> {
+        let model = crate::cost_model::HierModel::summit();
+        let (nodes, local) = (map.n_nodes(), map.max_node_size());
+        if !self.hier.use_hier(&model, n_bytes, world, nodes, local) {
+            return None;
+        }
+        telemetry::counter("elastic.hier.routed_buckets").incr();
+        Some(if matches!(self.algo, AllreduceAlgo::Auto { .. }) {
+            model.cross_auto_algo(nodes)
+        } else {
+            self.algo
+        })
+    }
+}
+
 impl Default for TrainSpec {
     fn default() -> Self {
         Self {
@@ -155,12 +184,15 @@ pub struct WorkerStats {
     pub final_loss: f32,
     /// Recovery episodes this worker went through.
     pub recoveries: usize,
-    /// World size when the worker finished (or left).
+    /// Size of the last communicator (forward engine) or Gloo context
+    /// (backward engine) this worker was a member of — on every exit path,
+    /// so a worker that shrank 4 → 3 and later aborts reports 3. Zero for a
+    /// joiner or spare that was never admitted.
     pub final_world: usize,
     /// Flattened model state hash for cross-worker consistency checks.
     pub state_fingerprint: u64,
-    /// Learning rate in effect when the worker finished (elastic LR
-    /// scaling makes this world-size dependent).
+    /// Learning rate in effect when the worker finished or left (elastic
+    /// LR scaling makes this world-size dependent).
     pub final_lr: f32,
     /// Optimizer steps this worker re-executed because of checkpoint
     /// rollbacks. Always 0 under pure forward recovery — that is the

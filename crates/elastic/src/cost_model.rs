@@ -93,8 +93,8 @@ pub struct CommModel {
 
 impl CommModel {
     /// Summit-like constants (the paper's evaluation platform): 1.5 µs
-    /// startup, 23 GB/s injection bandwidth — matching
-    /// `simnet::ClusterModel::summit`.
+    /// startup, 23 GB/s injection bandwidth. `simnet::ClusterModel::summit`
+    /// takes its link constants from here.
     pub fn summit() -> Self {
         Self {
             alpha: 1.5e-6,

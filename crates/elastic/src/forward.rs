@@ -59,10 +59,11 @@ use crate::config::{
     policy_evictions, state_fingerprint, HierMode, RecoveryPolicy, TrainSpec, WorkerExit,
     WorkerStats,
 };
-use crate::cost_model::{HierModel, PolicyInputs};
+use crate::cost_model::PolicyInputs;
+use crate::fusion::FusionSetup;
 use crate::policy::{PolicyEngine, PolicyMode};
 use crate::profiler::{RecoveryBreakdown, RecoveryKind};
-use collectives::{AllreduceAlgo, ReduceOp};
+use collectives::ReduceOp;
 use dnn::Checkpoint;
 use transport::RankId;
 use ulfm::{
@@ -174,12 +175,18 @@ pub struct ForwardOutcome {
     pub breakdowns: Vec<RecoveryBreakdown>,
 }
 
-/// Internal: terminal conditions that abort the worker loop.
+/// Internal: terminal conditions that end the worker's run. Each
+/// propagates by `?` to the single conversion in [`Worker::exit`].
 enum Fatal {
     Died,
     Excluded,
-    /// The surviving world shrank below `TrainSpec::min_workers`.
+    /// The surviving world shrank below `TrainSpec::min_workers`, or the
+    /// run shut down before this joiner was admitted.
     Aborted,
+    /// A spare or joiner the group never needed: dismissed at completion,
+    /// or never ticketed. A clean non-event — crucially not a
+    /// below-minimum abort.
+    Unneeded,
 }
 
 /// What the op loop does after a recovery episode resolves.
@@ -192,33 +199,18 @@ enum Flow {
     Restart(u64),
 }
 
-/// What the policy round decided (relative to the already-shrunk group).
-enum PolicyAction {
-    /// Keep the forward redo.
-    Shrink,
-    /// State re-synchronized; restart the step loop here.
-    Restart(u64),
-}
-
 /// Gradient-allreduce router: flat (the seed behaviour) or hierarchical,
 /// decided per bucket by [`TrainSpec::hier`]. The cached [`Hierarchy`] is
 /// rebuilt lazily whenever the communicator epoch changed — a shrink,
 /// join, or promotion replaced `comm` — which keeps it correct at *every*
-/// comm-reassignment site in the engine (op-loop shrink, nested barrier
-/// redo, epoch joins, policy arms, checkpoint-sync recovery) without
-/// threading explicit rebuild calls through them. The rebuild itself is
-/// local and deterministic in the agreed membership, so replicas stay
-/// aligned.
-///
-/// When the hierarchical route is taken with a size-adaptive
-/// ([`AllreduceAlgo::Auto`]) spec, the cross-node exchange resolves
-/// against the two-tier model's *leader-count* crossover
-/// ([`HierModel::cross_auto_algo`]), not the flat world's.
+/// comm-reassignment site in the engine (failure arm, epoch joins, policy
+/// arms, checkpoint-sync recovery) without threading explicit rebuild
+/// calls through them. The rebuild itself is local and deterministic in
+/// the agreed membership, so replicas stay aligned.
 fn grad_allreduce(
     comm: &Communicator,
     hier: &mut Option<Hierarchy>,
     spec: &TrainSpec,
-    model: &HierModel,
     buf: &mut [f32],
 ) -> Result<(), UlfmError> {
     if spec.hier != HierMode::Off {
@@ -231,21 +223,8 @@ fn grad_allreduce(
             }
         }
         if let Some(h) = hier.as_ref() {
-            let map = h.map();
             let bytes = std::mem::size_of_val(buf);
-            if spec.hier.use_hier(
-                model,
-                bytes,
-                comm.size(),
-                map.n_nodes(),
-                map.max_node_size(),
-            ) {
-                telemetry::counter("elastic.hier.routed_buckets").incr();
-                let algo = if matches!(spec.algo, AllreduceAlgo::Auto { .. }) {
-                    model.cross_auto_algo(map.n_nodes())
-                } else {
-                    spec.algo
-                };
+            if let Some(algo) = spec.hier_route(h.map(), comm.size(), bytes) {
                 return comm.hier_allreduce(h, buf, ReduceOp::Sum, algo);
             }
         }
@@ -272,796 +251,907 @@ pub fn run_forward_worker(proc: &Proc, cfg: &ForwardConfig, is_joiner: bool) -> 
 /// round promotes them (after which they train as full members) or the run
 /// ends and dismisses them.
 pub fn run_forward_role(proc: &Proc, cfg: &ForwardConfig, role: Role) -> ForwardOutcome {
-    let mut breakdowns = Vec::new();
-    let exit = run_inner(proc, cfg, role, &mut breakdowns);
-    ForwardOutcome { exit, breakdowns }
+    let mut worker = Worker::new(proc, cfg);
+    let run = worker.run(role);
+    let exit = worker.exit(run);
+    ForwardOutcome {
+        exit,
+        breakdowns: worker.breakdowns,
+    }
 }
 
-fn run_inner(
-    proc: &Proc,
-    cfg: &ForwardConfig,
-    role: Role,
-    breakdowns: &mut Vec<RecoveryBreakdown>,
-) -> WorkerExit {
-    let spec = &cfg.spec;
-    let mut model = spec.build_model();
-    let mut opt = spec.build_optimizer();
-    let ds = spec.build_dataset();
-    let topology = proc.endpoint().topology();
-    let mut recoveries = 0usize;
-    let mut last_loss = f32::NAN;
-    let mut steps_recomputed: u64 = 0;
-    // Rollback arm's restore source (captured every `ckpt_every` steps).
-    let mut local_ckpt: Option<Checkpoint> = None;
-    // Per-step wall time estimate feeding the policy cost model.
-    let mut step_time_ema: f64 = 0.0;
+/// Everything one worker carries through a run.
+struct Worker<'a> {
+    proc: &'a Proc,
+    cfg: &'a ForwardConfig,
+    /// The communicator this worker belongs to, replaced by every shrink,
+    /// join and promotion; `None` only until a joiner or spare is admitted.
+    comm: Option<Communicator>,
+    model: dnn::Model,
+    opt: dnn::Sgd,
+    ds: dnn::SyntheticDataset,
+    /// Fusion schedule (if enabled): gradients pack into buckets in ready
+    /// order and each bucket allreduces as one resilient collective. The
+    /// per-step op sequence becomes `n_ops` bucket allreduces + the commit
+    /// barrier, instead of one allreduce per tensor + barrier; op ids and
+    /// the restart-point protocol are otherwise identical.
+    fusion: Option<FusionSetup>,
+    /// Gradient allreduces per step (buckets, or tensors when unfused).
+    n_ops: i64,
+    /// The step this worker's state is ready to compute.
+    step: u64,
+    last_loss: f32,
+    recoveries: usize,
+    steps_recomputed: u64,
+    /// Does this worker hold training state? Founding members do from
+    /// admission; a joiner or spare only once its bootstrap
+    /// [`Worker::checkpoint_sync`] commits.
+    has_state: bool,
+    /// Rollback arm's restore source (captured every `ckpt_every` steps).
+    local_ckpt: Option<Checkpoint>,
+    /// Per-step wall time estimate feeding the policy cost model.
+    step_time_ema: f64,
+    /// Per-epoch hierarchical routing state; see [`grad_allreduce`].
+    hier_cache: Option<Hierarchy>,
+    /// World size the LR schedule is currently anchored to.
+    lr_world: usize,
+    /// Recovery/join/abort episodes recorded so far.
+    breakdowns: Vec<RecoveryBreakdown>,
+}
 
-    // --- membership -----------------------------------------------------
-    let mut comm = match role {
-        Role::Member => proc.init_comm(),
-        Role::Joiner | Role::Spare => {
-            let joined = if role == Role::Spare {
-                proc.join_training_as_spare(cfg.join_wait)
-            } else {
-                proc.join_training_deadline(cfg.join_wait)
-            };
-            match joined {
-                Ok(c) => c,
-                Err(UlfmError::SelfDied) => return WorkerExit::Died,
-                Err(UlfmError::Aborted) if role == Role::Spare => {
-                    // Dismissed: the run finished (or aborted) without
-                    // needing this spare. A clean non-event — crucially not
-                    // a below-minimum abort.
-                    telemetry::counter("elastic.spare.dismissed").incr();
-                    proc.retire();
-                    return WorkerExit::Aborted(idle_stats(&model));
-                }
-                Err(UlfmError::Aborted) => {
-                    // The run shut down before this joiner was admitted.
-                    return abort_exit(proc, 0, f32::NAN, 0, 0, 0, &model, &opt, breakdowns);
-                }
-                Err(UlfmError::JoinTimeout) => {
-                    // Orphaned: the group completed, degraded to running
-                    // shrunk, or partitioned away without ever ticketing
-                    // us. Leave quietly — crucially *without* abort_joins,
-                    // which would dismiss other still-viable joiners.
-                    telemetry::counter(if role == Role::Spare {
-                        "elastic.spare.ticket_timeouts"
-                    } else {
-                        "elastic.join.ticket_timeouts"
-                    })
-                    .incr();
-                    proc.retire();
-                    return WorkerExit::Aborted(idle_stats(&model));
-                }
-                Err(e) => unreachable!("join_training failed unexpectedly: {e}"),
+/// One step attempt's collectives: what is sent, what is kept, what the
+/// eager path already did.
+struct StepOps {
+    /// The collective payloads — fused buckets (ready order) or per-tensor
+    /// gradients (declaration order).
+    bufs: Vec<Vec<f32>>,
+    /// The retained inputs of §3.2 — what makes forward recovery work.
+    saved: Vec<Vec<f32>>,
+    /// Ops already completed by the eager (ready-queue) launch path…
+    done: Vec<bool>,
+    /// …and the first error it encountered, if any.
+    pending_err: Option<(usize, UlfmError)>,
+}
+
+const ADMITTED: &str = "the worker trains only after it was admitted";
+
+impl<'a> Worker<'a> {
+    fn new(proc: &'a Proc, cfg: &'a ForwardConfig) -> Self {
+        let spec = &cfg.spec;
+        let model = spec.build_model();
+        let fusion = spec.fusion.map(|cap| FusionSetup::new(&model, cap));
+        Self {
+            proc,
+            cfg,
+            comm: None,
+            opt: spec.build_optimizer(),
+            ds: spec.build_dataset(),
+            n_ops: fusion
+                .as_ref()
+                .map_or(model.num_tensors() as i64, |f| f.n_buckets() as i64),
+            fusion,
+            model,
+            step: 0,
+            last_loss: f32::NAN,
+            recoveries: 0,
+            steps_recomputed: 0,
+            has_state: false,
+            local_ckpt: None,
+            step_time_ema: 0.0,
+            hier_cache: None,
+            lr_world: 0,
+            breakdowns: Vec::new(),
+        }
+    }
+
+    /// The current communicator. Where another field is borrowed mutably
+    /// alongside it (the model during the backward pass, the hierarchy
+    /// cache in the op loop) the field is borrowed directly instead.
+    fn comm(&self) -> &Communicator {
+        self.comm.as_ref().expect(ADMITTED)
+    }
+
+    /// The whole run: admission, then step after step with joiner
+    /// admission at the epoch boundaries.
+    fn run(&mut self, role: Role) -> Result<(), Fatal> {
+        let (proc, cfg, spec) = (self.proc, self.cfg, &self.cfg.spec);
+        self.admit(role)?;
+
+        // Warm-pool determinism: like expected_joiners, members block until
+        // every expected spare has announced itself, so the first failure
+        // already sees a warm pool instead of racing spare startup. The
+        // counter is monotone and global; `join_wait` bounds the stall.
+        if role == Role::Member && cfg.expected_spares > 0 {
+            let deadline = cfg.join_wait.map(|w| std::time::Instant::now() + w);
+            while proc.announced_spares() < cfg.expected_spares as u64
+                && deadline.is_none_or(|d| std::time::Instant::now() < d)
+            {
+                std::thread::sleep(std::time::Duration::from_micros(300));
             }
         }
-    };
-    // Select the agreement protocol for every recovery on this (and, via
-    // inheritance, every derived) communicator. A joiner's ticket cannot
-    // carry the setting, so each worker installs it from its own spec —
-    // identical across the SPMD group by construction.
-    comm.set_agree_impl(spec.agree);
-    let mut step: u64 = if role != Role::Member {
+
+        self.lr_world = self.comm().size();
+        if let Some(policy) = cfg.lr_scaling {
+            let target = spec.lr * self.lr_world as f32 / policy.base_world as f32;
+            self.opt.set_schedule(dnn::LrSchedule::PiecewiseRamp {
+                from: spec.lr,
+                to: target,
+                start: self.step,
+                ramp: policy.warmup_steps,
+            });
+        }
+
+        while (self.step as usize) < spec.total_steps {
+            telemetry::counter("elastic.forward.steps").incr();
+            let _step_span = telemetry::span("elastic.forward.step_ns");
+            self.train_step()?;
+            if cfg.accept_joiners && (self.step as usize).is_multiple_of(spec.steps_per_epoch) {
+                self.admit_joiners()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The one exit path: every way a run ends becomes a [`WorkerExit`]
+    /// here, and [`WorkerStats`] is built here and nowhere else.
+    fn exit(&mut self, run: Result<(), Fatal>) -> WorkerExit {
+        let proc = self.proc;
+        let kind: fn(WorkerStats) -> WorkerExit = match run {
+            Err(Fatal::Died) => return WorkerExit::Died,
+            Ok(()) => {
+                // Leaving the computation cleanly: dismiss spares the run
+                // never needed (idempotent — racing completers may all call
+                // it), then mark ourselves gone so that any concurrent
+                // recovery among slower workers does not wait for us.
+                proc.dismiss_spares();
+                proc.retire();
+                WorkerExit::Completed
+            }
+            // Evicted by the drop-node policy.
+            Err(Fatal::Excluded) => {
+                proc.retire();
+                WorkerExit::Excluded
+            }
+            // Leave quietly — crucially *without* abort_joins, which would
+            // dismiss other still-viable joiners.
+            Err(Fatal::Unneeded) => {
+                proc.retire();
+                WorkerExit::Aborted
+            }
+            // Graceful below-minimum shutdown: release waiting joiners,
+            // record the abort episode, and leave with the progress so far.
+            Err(Fatal::Aborted) => {
+                telemetry::counter("elastic.abort.below_min").incr();
+                let mut episode = RecoveryBreakdown::new(RecoveryKind::Abort, self.step);
+                episode.time("below_min", || {
+                    // Joiners (and spares) still blocked on the ticket
+                    // service would otherwise wait for a computation that
+                    // no longer exists; dismiss them, then leave so
+                    // concurrent recoveries observe the departure instead
+                    // of hanging on our silence.
+                    proc.abort_joins();
+                    proc.retire();
+                });
+                self.finish_episode(episode);
+                WorkerExit::Aborted
+            }
+        };
+        kind(WorkerStats {
+            steps_done: self.step,
+            final_loss: self.last_loss,
+            recoveries: self.recoveries,
+            // `recover` leaves `comm` untouched when it fails, so this is
+            // the last group the worker was a member of.
+            final_world: self.comm.as_ref().map_or(0, Communicator::size),
+            state_fingerprint: state_fingerprint(&self.model.state_flat()),
+            final_lr: self.opt.current_lr(),
+            steps_recomputed: self.steps_recomputed,
+        })
+    }
+
+    /// Close an episode: mirror it into telemetry and keep it for the
+    /// caller, always together — the two views must reconcile.
+    fn finish_episode(&mut self, episode: RecoveryBreakdown) {
+        episode.publish(self.proc.rank().0);
+        self.breakdowns.push(episode);
+    }
+
+    /// Acquire membership. Founding members start in the initial
+    /// communicator; joiners and spares wait for their ticket and then
+    /// receive the training state.
+    fn admit(&mut self, role: Role) -> Result<(), Fatal> {
+        let (proc, cfg) = (self.proc, self.cfg);
+        let comm = match role {
+            Role::Member => proc.init_comm(),
+            Role::Joiner | Role::Spare => {
+                let joined = if role == Role::Spare {
+                    proc.join_training_as_spare(cfg.join_wait)
+                } else {
+                    proc.join_training_deadline(cfg.join_wait)
+                };
+                match joined {
+                    Ok(c) => c,
+                    Err(UlfmError::SelfDied) => return Err(Fatal::Died),
+                    Err(UlfmError::Aborted) if role == Role::Spare => {
+                        // Dismissed: the run finished (or aborted) without
+                        // needing this spare.
+                        telemetry::counter("elastic.spare.dismissed").incr();
+                        return Err(Fatal::Unneeded);
+                    }
+                    // The run shut down before this joiner was admitted.
+                    Err(UlfmError::Aborted) => return Err(Fatal::Aborted),
+                    Err(UlfmError::JoinTimeout) => {
+                        // Orphaned: the group completed, degraded to running
+                        // shrunk, or partitioned away without ever ticketing
+                        // us.
+                        telemetry::counter(if role == Role::Spare {
+                            "elastic.spare.ticket_timeouts"
+                        } else {
+                            "elastic.join.ticket_timeouts"
+                        })
+                        .incr();
+                        return Err(Fatal::Unneeded);
+                    }
+                    Err(e) => unreachable!("join_training failed unexpectedly: {e}"),
+                }
+            }
+        };
+        // Select the agreement protocol for every recovery on this (and, via
+        // inheritance, every derived) communicator. A joiner's ticket cannot
+        // carry the setting, so each worker installs it from its own spec —
+        // identical across the SPMD group by construction.
+        comm.set_agree_impl(cfg.spec.agree);
+        self.comm = Some(comm);
+        if role == Role::Member {
+            self.has_state = true;
+            return Ok(());
+        }
         // Receive (state, step) from the group; the paper's "reinitializing
         // the training state for the new workers". The sync survives sender
         // deaths: it retries on the recovered group until a state-holder
         // commits the broadcast (or none survives and the run aborts). A
         // promoted spare bootstraps exactly like a joiner — the members'
         // side of its promotion is this same sync.
-        let mut episode = RecoveryBreakdown::new(RecoveryKind::Join, 0);
-        let mut has_state = false;
-        let s = checkpoint_sync(
-            proc,
-            cfg,
-            &mut comm,
-            &mut model,
-            &mut opt,
-            &mut has_state,
-            0,
-            &None,
+        match self.join_sync()? {
+            SyncOutcome::Synced(step) => self.step = step,
+            SyncOutcome::GaveUp => unreachable!("unbounded sync never gives up"),
+        }
+        Ok(())
+    }
+
+    /// The live, unbounded state sync of a join, as its own episode — run
+    /// by the newcomers (bootstrap) and by the members admitting them.
+    fn join_sync(&mut self) -> Result<SyncOutcome, Fatal> {
+        let mut episode = RecoveryBreakdown::new(RecoveryKind::Join, self.step);
+        let synced = self.checkpoint_sync(
             SyncOpts {
                 source: SyncSource::Live,
                 restore_all: false,
                 bound: SyncBound::Unbounded,
             },
             &mut episode,
-            topology,
-            &mut recoveries,
         );
-        episode.publish(proc.rank().0);
-        breakdowns.push(episode);
-        match s {
-            Ok(SyncOutcome::Synced(step)) => step,
-            Ok(SyncOutcome::GaveUp) => unreachable!("unbounded sync never gives up"),
-            Err(Fatal::Died) => return WorkerExit::Died,
-            Err(Fatal::Excluded) => {
-                return exclude_exit(proc, 0, f32::NAN, recoveries, 0, 0, &model)
-            }
-            Err(Fatal::Aborted) => {
-                return abort_exit(
-                    proc,
-                    0,
-                    f32::NAN,
-                    recoveries,
-                    0,
-                    0,
-                    &model,
-                    &opt,
-                    breakdowns,
-                )
-            }
-        }
-    } else {
-        0
-    };
-
-    // Warm-pool determinism: like expected_joiners, members block until
-    // every expected spare has announced itself, so the first failure
-    // already sees a warm pool instead of racing spare startup. The
-    // counter is monotone and global; `join_wait` bounds the stall.
-    if role == Role::Member && cfg.expected_spares > 0 {
-        let deadline = cfg.join_wait.map(|w| std::time::Instant::now() + w);
-        while proc.announced_spares() < cfg.expected_spares as u64
-            && deadline.is_none_or(|d| std::time::Instant::now() < d)
-        {
-            std::thread::sleep(std::time::Duration::from_micros(300));
-        }
+        self.finish_episode(episode);
+        synced
     }
 
-    // Fusion schedule (if enabled): gradients pack into buckets in ready
-    // order and each bucket allreduces as one resilient collective. The
-    // per-step op sequence becomes `n_ops` bucket allreduces + the commit
-    // barrier, instead of one allreduce per tensor + barrier; op ids and
-    // the restart-point protocol are otherwise identical.
-    let fusion = spec
-        .fusion
-        .map(|cap| crate::fusion::FusionSetup::new(&model, cap));
-    // Per-epoch hierarchical routing state: the two-tier cost model is
-    // static; the node map is rebuilt inside `grad_allreduce` whenever the
-    // communicator epoch changes.
-    let hier_model = HierModel::summit();
-    let mut hier_cache: Option<Hierarchy> = None;
-    let n_ops: i64 = fusion
-        .as_ref()
-        .map_or(model.num_tensors() as i64, |f| f.n_buckets() as i64);
-    // World size the LR schedule is currently anchored to.
-    let mut lr_world = comm.size();
-    if let Some(policy) = cfg.lr_scaling {
-        let target = spec.lr * lr_world as f32 / policy.base_world as f32;
-        opt.set_schedule(dnn::LrSchedule::PiecewiseRamp {
-            from: spec.lr,
-            to: target,
-            start: step,
-            ramp: policy.warmup_steps,
-        });
-    }
-
-    while (step as usize) < spec.total_steps {
-        telemetry::counter("elastic.forward.steps").incr();
-        let _step_span = telemetry::span("elastic.forward.step_ns");
+    /// One optimizer step: attempt it until its commit barrier passes, then
+    /// apply the update.
+    fn train_step(&mut self) -> Result<(), Fatal> {
+        let (cfg, spec) = (self.cfg, &self.cfg.spec);
         let step_t0 = std::time::Instant::now();
-        let recoveries_before = recoveries;
+        let recoveries_before = self.recoveries;
         // The step body may be re-attempted from scratch: if this worker had
         // raced ahead into step S+1 when a failure struck step S's commit
         // barrier, it redoes that barrier and then *recomputes* its S+1
         // gradients with the post-recovery membership (its pre-failure
         // shard was cut for the old world). A committed promotion or
         // rollback also restarts here, at the re-synchronized step.
-        let grads = 'attempt: loop {
-            // --- local gradient computation -------------------------------
-            let world = comm.size();
-            let my_rank = comm.rank();
-            let shard = ds.shard(step as usize, spec.global_batch, my_rank, world);
-            let shard_weight = shard.labels.len() as f32 / spec.global_batch as f32;
-            model.zero_grads();
+        let grads = loop {
+            if let Some(grads) = self.attempt()? {
+                break grads;
+            }
+        };
 
-            // Ops already completed by the eager (ready-queue) launch path,
-            // and the first error it encountered, if any.
-            let mut done: Vec<bool> = vec![false; n_ops as usize];
-            let mut pending_err: Option<(usize, UlfmError)> = None;
+        // --- committed: apply the update ---------------------------------
+        let cascade = (self.recoveries - recoveries_before) as u64;
+        if cascade > 0 {
+            telemetry::histogram("elastic.recovery.cascade_depth").record(cascade);
+        }
+        self.model.set_grads(&grads);
+        if let Some(policy) = cfg.lr_scaling {
+            // Re-anchor the rate whenever the world changed this step.
+            let world = self.comm().size();
+            if world != self.lr_world {
+                let target = spec.lr * world as f32 / policy.base_world as f32;
+                self.opt.set_schedule(dnn::LrSchedule::PiecewiseRamp {
+                    from: self.opt.current_lr(),
+                    to: target,
+                    start: self.step,
+                    ramp: policy.warmup_steps,
+                });
+                self.lr_world = world;
+            }
+        }
+        self.opt.step(&mut self.model.params_mut());
+        self.step += 1;
+        if cfg.ckpt_every > 0 && self.step.is_multiple_of(cfg.ckpt_every) {
+            let mut ck = Checkpoint::capture(&self.model, &self.opt);
+            // Anchor to the training step (state is ready to compute it),
+            // which the rollback arm uses for the restart point and age.
+            ck.step = self.step;
+            self.local_ckpt = Some(ck);
+        }
+        let dt = step_t0.elapsed().as_secs_f64();
+        self.step_time_ema = if self.step_time_ema > 0.0 {
+            0.8 * self.step_time_ema + 0.2 * dt
+        } else {
+            dt
+        };
+        Ok(())
+    }
 
-            // Weighted gradients: allreduce(SUM) of per-shard means ×
-            // weights equals the global-batch mean. `op_bufs` are the
-            // collective payloads — fused buckets (ready order) or
-            // per-tensor gradients (declaration order); `saved` holds the
-            // retained inputs of §3.2 — what makes forward recovery work.
-            let (report, mut op_bufs, saved) = if let Some(fs) = &fusion {
-                let mut bufs = fs.bucket_buffers();
-                let mut saved: Vec<Vec<f32>> = vec![Vec::new(); fs.n_buckets()];
-                let mut filled = vec![0usize; fs.n_buckets()];
-                let mut fill_start: Vec<Option<std::time::Instant>> = vec![None; fs.n_buckets()];
-                let report = model.compute_gradients_with(&shard, |idx, g| {
-                    let (b, off, len) = fs.slot(idx);
-                    if fill_start[b].is_none() {
-                        fill_start[b] = Some(std::time::Instant::now());
-                    }
-                    for (d, s) in bufs[b][off..off + len].iter_mut().zip(g.data()) {
-                        *d = s * shard_weight;
-                    }
-                    filled[b] += 1;
-                    if filled[b] < fs.bucket_tensors(b) {
-                        return;
-                    }
+    /// Local gradient computation for one attempt at `self.step`. Weighted
+    /// gradients: allreduce(SUM) of per-shard means × weights equals the
+    /// global-batch mean.
+    fn local_gradients(&mut self) -> StepOps {
+        let spec = &self.cfg.spec;
+        let comm = self.comm.as_ref().expect(ADMITTED);
+        let step = self.step as usize;
+        let shard = self
+            .ds
+            .shard(step, spec.global_batch, comm.rank(), comm.size());
+        let shard_weight = shard.labels.len() as f32 / spec.global_batch as f32;
+        self.model.zero_grads();
+
+        let mut done: Vec<bool> = vec![false; self.n_ops as usize];
+        let mut pending_err: Option<(usize, UlfmError)> = None;
+        let (report, bufs, saved) = if let Some(fs) = &self.fusion {
+            let mut saved: Vec<Vec<f32>> = vec![Vec::new(); fs.n_buckets()];
+            let hier = &mut self.hier_cache;
+            let (report, bufs) =
+                fs.backward_pass(&mut self.model, &shard, shard_weight, |b, buf| {
                     // Bucket filled: save its input, then launch the fused
                     // allreduce immediately — later layers are still
                     // differentiating (the ready-queue overlap).
-                    if let Some(t0) = fill_start[b].take() {
-                        telemetry::histogram("elastic.fusion.fill_latency_ns")
-                            .record(t0.elapsed().as_nanos() as u64);
-                    }
-                    collectives::observe_bucket(
-                        bufs[b].len() * std::mem::size_of::<f32>(),
-                        fs.bucket_tensors(b),
-                    );
-                    saved[b] = bufs[b].clone();
+                    saved[b] = buf.clone();
                     if pending_err.is_none() {
-                        match grad_allreduce(
-                            &comm,
-                            &mut hier_cache,
-                            spec,
-                            &hier_model,
-                            &mut bufs[b],
-                        ) {
+                        match grad_allreduce(comm, hier, spec, buf) {
                             Ok(()) => done[b] = true,
-                            // Stop launching; the op loop below drives the
-                            // recovery from this recorded error.
+                            // Stop launching; the op loop drives the recovery
+                            // from this recorded error.
                             Err(e) => pending_err = Some((b, e)),
                         }
                     }
                 });
-                (report, bufs, saved)
-            } else {
-                let report = model.compute_gradients(&shard);
-                let grads: Vec<Vec<f32>> = model
-                    .grads()
-                    .iter()
-                    .map(|g| g.data().iter().map(|v| v * shard_weight).collect())
-                    .collect();
-                let saved = grads.clone();
-                (report, grads, saved)
-            };
-            last_loss = report.loss;
-            let step_group: Vec<RankId> = comm.group().to_vec();
+            (report, bufs, saved)
+        } else {
+            let report = self.model.compute_gradients(&shard);
+            let grads: Vec<Vec<f32>> = self
+                .model
+                .grads()
+                .iter()
+                .map(|g| g.data().iter().map(|v| v * shard_weight).collect())
+                .collect();
+            let saved = grads.clone();
+            (report, grads, saved)
+        };
+        self.last_loss = report.loss;
+        StepOps {
+            bufs,
+            saved,
+            done,
+            pending_err,
+        }
+    }
 
-            // --- resilient collective phase -------------------------------
-            // local_op ∈ [0, n_ops]: gradient allreduces (per bucket or per
-            // tensor), then the commit barrier. Ops the eager path already
-            // completed are skipped; its recorded error surfaces at the op
-            // it struck, feeding the same recovery protocol.
-            let mut local_op: i64 = 0;
-            let mut redo_from: Option<usize> = None;
-            while local_op <= n_ops {
-                let lo = local_op as usize;
-                let result = if local_op < n_ops && done[lo] {
-                    Ok(())
-                } else if pending_err.as_ref().is_some_and(|(b, _)| *b == lo) {
-                    Err(pending_err.take().expect("just checked").1)
-                } else if local_op == n_ops {
-                    comm.barrier()
-                } else {
-                    grad_allreduce(&comm, &mut hier_cache, spec, &hier_model, &mut op_bufs[lo])
-                };
-                match result {
-                    Ok(()) => local_op += 1,
-                    Err(UlfmError::SelfDied) => return WorkerExit::Died,
-                    Err(UlfmError::Excluded) => unreachable!("collectives never exclude"),
-                    Err(_) => {
-                        recoveries += 1;
-                        let my_global = global_op(step, n_ops, local_op);
-                        let mut episode = RecoveryBreakdown::new(RecoveryKind::Forward, step);
-                        // Recover, then — if the policy layer is on — run
-                        // the policy round. *Every* survivor of the shrink
-                        // runs it (racing workers included: they align here
-                        // before diverging into their redo paths), so the
-                        // commit's collectives stay collective.
-                        let flow =
-                            match recover(proc, cfg, &comm, my_global, &mut episode, topology) {
-                                Ok((new_comm, restart)) => {
-                                    comm = new_comm;
-                                    if cfg.policy_active() {
-                                        policy_dispatch(
-                                            proc,
-                                            cfg,
-                                            &mut comm,
-                                            &mut model,
-                                            &mut opt,
-                                            step,
-                                            &local_ckpt,
-                                            step_time_ema,
-                                            world,
-                                            &mut episode,
-                                            topology,
-                                            &mut recoveries,
-                                        )
-                                        .map(|action| {
-                                            match action {
-                                                PolicyAction::Shrink => Flow::Redo(restart),
-                                                PolicyAction::Restart(s) => Flow::Restart(s),
-                                            }
-                                        })
-                                    } else {
-                                        Ok(Flow::Redo(restart))
-                                    }
-                                }
-                                Err(f) => Err(f),
-                            };
-                        episode.publish(proc.rank().0);
-                        breakdowns.push(breakdowns_last_fix(&mut episode));
-                        match flow {
-                            Ok(Flow::Restart(s)) => {
-                                // Promotion or rollback re-synchronized the
-                                // state; recompute from step `s` (racing
-                                // workers count their rewound applies as
-                                // recomputation).
-                                if s < step {
-                                    steps_recomputed += step - s;
-                                }
-                                step = s;
-                                continue 'attempt;
+    /// One attempt at the current step: local gradients, then the
+    /// resilient collective phase. `Ok(None)` abandons the attempt — a
+    /// committed promotion or rollback moved `self.step`, or this worker
+    /// redid the previous step's barrier — and the step is recomputed with
+    /// the post-recovery membership.
+    fn attempt(&mut self) -> Result<Option<Vec<Vec<f32>>>, Fatal> {
+        let (cfg, spec, n_ops) = (self.cfg, &self.cfg.spec, self.n_ops);
+        let world = self.comm().size();
+        let step_group: Vec<RankId> = self.comm().group().to_vec();
+        let mut ops = self.local_gradients();
+
+        // local_op ∈ [0, n_ops]: gradient allreduces (per bucket or per
+        // tensor), then the commit barrier. Ops the eager path already
+        // completed are skipped; its recorded error surfaces at the op it
+        // struck, feeding the same recovery protocol. Op −1 is the
+        // *previous* step's commit barrier, entered only when recovery
+        // finds this worker had raced ahead of it.
+        let mut local_op: i64 = 0;
+        let mut redo_from: Option<usize> = None;
+        while local_op <= n_ops {
+            let comm = self.comm.as_ref().expect(ADMITTED);
+            let lo = local_op as usize;
+            let result = if local_op < 0 || local_op == n_ops {
+                comm.barrier()
+            } else if ops.done[lo] {
+                Ok(())
+            } else if ops.pending_err.as_ref().is_some_and(|(b, _)| *b == lo) {
+                Err(ops.pending_err.take().expect("just checked").1)
+            } else {
+                grad_allreduce(comm, &mut self.hier_cache, spec, &mut ops.bufs[lo])
+            };
+            let restart = match result {
+                // The raced-over barrier is redone; recompute this step
+                // from scratch.
+                Ok(()) if local_op < 0 => return Ok(None),
+                Ok(()) => {
+                    local_op += 1;
+                    continue;
+                }
+                Err(UlfmError::SelfDied) => return Err(Fatal::Died),
+                Err(UlfmError::Excluded) => unreachable!("collectives never exclude"),
+                Err(_) => {
+                    let my_global = global_op(self.step, n_ops, local_op);
+                    match self.failure_arm(my_global, world)? {
+                        Flow::Redo(restart) => {
+                            if local_op < 0 {
+                                assert_eq!(
+                                    restart, my_global,
+                                    "nested restart must stay at the redone barrier"
+                                );
                             }
-                            Ok(Flow::Redo(restart)) => {
-                                let first_of_step = global_op(step, n_ops, 0);
-                                if restart >= first_of_step {
-                                    // Restart within this step: restore the
-                                    // retained inputs and redo from there.
-                                    // Ops the eager path completed on the
-                                    // old communicator are redone too —
-                                    // their `done` marks are void.
-                                    let rlocal = (restart - first_of_step) as usize;
-                                    assert!(rlocal as i64 <= n_ops);
-                                    for (i, s) in saved.iter().enumerate().skip(rlocal) {
-                                        op_bufs[i].copy_from_slice(s);
-                                    }
-                                    for d in done.iter_mut().skip(rlocal) {
-                                        *d = false;
-                                    }
-                                    pending_err = None;
-                                    redo_from = Some(redo_from.map_or(rlocal, |r| r.min(rlocal)));
-                                    local_op = rlocal as i64;
-                                } else {
-                                    // This worker raced ahead: the agreed
-                                    // restart is the previous step's commit
-                                    // barrier. Redo it (with nested recovery)
-                                    // and recompute this step from scratch.
-                                    assert_eq!(
-                                        restart,
-                                        first_of_step - 1,
-                                        "restart cannot reach into committed work"
-                                    );
-                                    loop {
-                                        match comm.barrier() {
-                                            Ok(()) => break,
-                                            Err(UlfmError::SelfDied) => return WorkerExit::Died,
-                                            Err(_) => {
-                                                recoveries += 1;
-                                                let mut ep = RecoveryBreakdown::new(
-                                                    RecoveryKind::Forward,
-                                                    step,
-                                                );
-                                                // The policy round runs here
-                                                // too: the slower survivors
-                                                // of this cascade run it in
-                                                // their op loops, and its
-                                                // commit must see everyone.
-                                                let flow2 = match recover(
-                                                    proc, cfg, &comm, restart, &mut ep, topology,
-                                                ) {
-                                                    Ok((c, r2)) => {
-                                                        assert_eq!(
-                                                            r2, restart,
-                                                            "nested restart must stay at the \
-                                                             redone barrier"
-                                                        );
-                                                        comm = c;
-                                                        if cfg.policy_active() {
-                                                            policy_dispatch(
-                                                                proc,
-                                                                cfg,
-                                                                &mut comm,
-                                                                &mut model,
-                                                                &mut opt,
-                                                                step,
-                                                                &local_ckpt,
-                                                                step_time_ema,
-                                                                world,
-                                                                &mut ep,
-                                                                topology,
-                                                                &mut recoveries,
-                                                            )
-                                                            .map(|action| match action {
-                                                                PolicyAction::Shrink => {
-                                                                    Flow::Redo(restart)
-                                                                }
-                                                                PolicyAction::Restart(s) => {
-                                                                    Flow::Restart(s)
-                                                                }
-                                                            })
-                                                        } else {
-                                                            Ok(Flow::Redo(restart))
-                                                        }
-                                                    }
-                                                    Err(f) => Err(f),
-                                                };
-                                                ep.publish(proc.rank().0);
-                                                breakdowns.push(breakdowns_last_fix(&mut ep));
-                                                match flow2 {
-                                                    Ok(Flow::Redo(_)) => {}
-                                                    Ok(Flow::Restart(s)) => {
-                                                        if s < step {
-                                                            steps_recomputed += step - s;
-                                                        }
-                                                        step = s;
-                                                        continue 'attempt;
-                                                    }
-                                                    Err(Fatal::Died) => return WorkerExit::Died,
-                                                    Err(Fatal::Excluded) => {
-                                                        return exclude_exit(
-                                                            proc,
-                                                            step,
-                                                            last_loss,
-                                                            recoveries,
-                                                            world,
-                                                            steps_recomputed,
-                                                            &model,
-                                                        )
-                                                    }
-                                                    Err(Fatal::Aborted) => {
-                                                        return abort_exit(
-                                                            proc,
-                                                            step,
-                                                            last_loss,
-                                                            recoveries,
-                                                            world,
-                                                            steps_recomputed,
-                                                            &model,
-                                                            &opt,
-                                                            breakdowns,
-                                                        )
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                    continue 'attempt;
-                                }
+                            restart
+                        }
+                        Flow::Restart(s) => {
+                            // Promotion or rollback re-synchronized the
+                            // state; recompute from step `s` (racing
+                            // workers count their rewound applies as
+                            // recomputation).
+                            if s < self.step {
+                                self.steps_recomputed += self.step - s;
                             }
-                            Err(Fatal::Died) => return WorkerExit::Died,
-                            Err(Fatal::Excluded) => {
-                                return exclude_exit(
-                                    proc,
-                                    step,
-                                    last_loss,
-                                    recoveries,
-                                    world,
-                                    steps_recomputed,
-                                    &model,
-                                )
-                            }
-                            Err(Fatal::Aborted) => {
-                                return abort_exit(
-                                    proc,
-                                    step,
-                                    last_loss,
-                                    recoveries,
-                                    world,
-                                    steps_recomputed,
-                                    &model,
-                                    &opt,
-                                    breakdowns,
-                                )
-                            }
+                            self.step = s;
+                            return Ok(None);
                         }
                     }
                 }
+            };
+            let first_of_step = global_op(self.step, n_ops, 0);
+            if restart >= first_of_step {
+                // Restart within this step: restore the retained inputs and
+                // redo from there. Ops the eager path completed on the old
+                // communicator are redone too — their `done` marks are void.
+                let rlocal = (restart - first_of_step) as usize;
+                assert!(rlocal as i64 <= n_ops);
+                for (i, s) in ops.saved.iter().enumerate().skip(rlocal) {
+                    ops.bufs[i].copy_from_slice(s);
+                }
+                for d in ops.done.iter_mut().skip(rlocal) {
+                    *d = false;
+                }
+                ops.pending_err = None;
+                redo_from = Some(redo_from.map_or(rlocal, |r| r.min(rlocal)));
+                local_op = rlocal as i64;
+            } else {
+                // This worker raced ahead: the agreed restart is the
+                // previous step's commit barrier. Redo it as op −1 (its own
+                // failures ride the same failure arm).
+                assert_eq!(
+                    restart,
+                    first_of_step - 1,
+                    "restart cannot reach into committed work"
+                );
+                local_op = -1;
             }
+        }
 
-            // Degraded-step renormalization: contributions of evicted
-            // workers are gone from redone tensors; optionally scale back
-            // up. The factor derives from the step's original sharding, so
-            // every survivor applies the identical scale.
-            if let (Some(rfrom), true) = (redo_from, cfg.renormalize_after_loss) {
-                let surviving: f32 = comm
+        // Degraded-step renormalization: contributions of evicted workers
+        // are gone from redone tensors; optionally scale back up. The
+        // factor derives from the step's original sharding, so every
+        // survivor applies the identical scale.
+        if let (Some(rfrom), true) = (redo_from, cfg.renormalize_after_loss) {
+            let surviving: f32 = self
+                .comm()
+                .group()
+                .iter()
+                .map(|g| {
+                    step_group
+                        .iter()
+                        .position(|&x| x == *g)
+                        .map(|idx| shard_len(idx, step_group.len(), spec.global_batch))
+                        .unwrap_or(0) as f32
+                })
+                .sum::<f32>()
+                / spec.global_batch as f32;
+            if surviving > 0.0 && surviving < 1.0 {
+                let scale = 1.0 / surviving;
+                let from = rfrom.min(ops.bufs.len());
+                for g in ops.bufs.iter_mut().skip(from) {
+                    for v in g.iter_mut() {
+                        *v *= scale;
+                    }
+                }
+            }
+        }
+        // Fused buckets scatter back to declaration-order tensors; the
+        // unfused payloads already are the per-tensor gradients.
+        Ok(Some(match &self.fusion {
+            Some(fs) => fs.unpack(&ops.bufs),
+            None => ops.bufs,
+        }))
+    }
+
+    /// The failure arm — the one place a failed operation turns back into
+    /// progress: recover, then — if the policy layer is on — run the policy
+    /// round, and record the episode. *Every* survivor of the shrink runs
+    /// the round (racing workers included: they align here before diverging
+    /// into their redo paths, and a worker redoing the previous step's
+    /// barrier passes through here like everyone else), so the commit's
+    /// collectives stay collective. This is the round's only caller, so no
+    /// failure site can forget it.
+    fn failure_arm(&mut self, my_global: u64, world_before: usize) -> Result<Flow, Fatal> {
+        self.recoveries += 1;
+        let mut episode = RecoveryBreakdown::new(RecoveryKind::Forward, self.step);
+        let flow = match self.recover(my_global, &mut episode) {
+            Ok(restart) if self.cfg.policy_active() => {
+                self.policy_round(world_before, restart, &mut episode)
+            }
+            Ok(restart) => Ok(Flow::Redo(restart)),
+            Err(f) => Err(f),
+        };
+        self.finish_episode(episode);
+        flow
+    }
+
+    /// Epoch boundary: accept joiners (scenarios II & III).
+    fn admit_joiners(&mut self) -> Result<(), Fatal> {
+        let (proc, cfg) = (self.proc, self.cfg);
+        // Scenario II/III determinism: no epoch boundary passes until every
+        // expected joiner has announced itself. The counter is monotone and
+        // global, so all members unblock on the same condition regardless
+        // of who drains the pending list when. `join_wait` bounds the
+        // stall: past the deadline the group gives up and continues shrunk
+        // rather than waiting on a joiner that crashed before announcing.
+        // Spares are a different namespace entirely: epoch boundaries never
+        // drain the pool.
+        let wait_deadline = cfg.join_wait.map(|w| std::time::Instant::now() + w);
+        while proc.announced_joiners() < cfg.expected_joiners as u64
+            && wait_deadline.is_none_or(|d| std::time::Instant::now() < d)
+        {
+            std::thread::sleep(std::time::Duration::from_micros(300));
+        }
+        // The admission itself is re-entrant: a death mid-handshake (leader
+        // included) fails the commit uniformly, the survivors shrink, and
+        // the shrunk group's new rank 0 re-proposes the still-pending
+        // joiners. The give-up hint below is only the *leader's* input —
+        // the decision every member acts on rides in the committed
+        // proposal, so deadline clocks cannot diverge the SPMD control flow.
+        loop {
+            let arrived = proc.announced_joiners() >= cfg.expected_joiners as u64;
+            let expired = wait_deadline.is_some_and(|d| std::time::Instant::now() >= d);
+            match self.comm().accept_joiners_directed(arrived || expired) {
+                Ok(JoinOutcome::Merged(merged)) => {
+                    self.comm = Some(merged);
+                    self.join_sync()?;
+                    return Ok(());
+                }
+                Ok(JoinOutcome::NoneYet) => {
+                    // Leader asked the group to keep waiting: nobody had
+                    // announced when it proposed. Poll again shortly.
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                Ok(JoinOutcome::StopWaiting) => {
+                    if expired && !arrived {
+                        // Degradation to a shrunk-but-progressing group:
+                        // the expected joiner never came and the leader
+                        // committed giving up on it.
+                        telemetry::counter("elastic.join.wait_timeouts").incr();
+                    }
+                    return Ok(());
+                }
+                Err(UlfmError::SelfDied) => return Err(Fatal::Died),
+                Err(_) => {
+                    // Failed admission commit (or a death observed on
+                    // entry): recover on the *old* communicator — the
+                    // pending joiners stayed pending — and retry. Recover
+                    // only: the policy round belongs to the step's failure
+                    // arm; here the group just needs a live communicator to
+                    // re-propose on.
+                    self.recoveries += 1;
+                    let mut episode = RecoveryBreakdown::new(RecoveryKind::Forward, self.step);
+                    let recovered = self.recover(u64::MAX, &mut episode);
+                    self.finish_episode(episode);
+                    recovered?;
+                }
+            }
+        }
+    }
+
+    /// One recovery episode: revoke → agree(min) → shrink(policy), then the
+    /// `min_workers` floor check — a group that shrank below the floor
+    /// aborts uniformly (every survivor of the same shrink sees the same
+    /// size). Installs the shrunk communicator and returns the agreed
+    /// restart operation; on any error `self.comm` is left as it was.
+    fn recover(
+        &mut self,
+        my_global_op: u64,
+        episode: &mut RecoveryBreakdown,
+    ) -> Result<u64, Fatal> {
+        let (cfg, ep) = (self.cfg, self.proc.endpoint());
+        let comm = self.comm();
+        telemetry::counter("elastic.recovery.attempts").incr();
+        episode.time("revoke", || comm.revoke());
+
+        let agreed = episode.time("agree", || comm.agree(u64::MAX, my_global_op));
+        let agreed = match agreed {
+            Ok(a) => a,
+            Err(UlfmError::SelfDied) => return Err(Fatal::Died),
+            Err(e) => unreachable!("agree only fails fatally: {e}"),
+        };
+        // How many failures this episode handles as one batch: with suspicion
+        // batching + lattice agreement a whole burst lands here at once and the
+        // eviction policy dispatches on the full set in one view change.
+        telemetry::histogram("elastic.recovery.batch_size").record(agreed.failed.len() as u64);
+
+        let (topology, total_ranks) = (ep.topology(), ep.total_ranks());
+        let shrunk = episode.time("shrink", || {
+            comm.shrink_with(|failed| policy_evictions(cfg.policy, failed, topology, total_ranks))
+        });
+        match shrunk {
+            Ok(ShrinkOutcome::Member(c)) => {
+                if c.size() < cfg.spec.min_workers {
+                    return Err(Fatal::Aborted);
+                }
+                self.comm = Some(c);
+                Ok(agreed.min)
+            }
+            Ok(ShrinkOutcome::Excluded) => Err(Fatal::Excluded),
+            Err(UlfmError::SelfDied) => Err(Fatal::Died),
+            Err(e) => unreachable!("shrink only fails fatally: {e}"),
+        }
+    }
+
+    /// The policy round: score the arms, commit one uniformly, execute it,
+    /// and fall down the deterministic fallback chain if it dies
+    /// mid-recovery. Runs on the *already-shrunk* group; `world_before` is
+    /// the size the failed attempt started with and `restart` the agreed
+    /// redo point every shrink edge resumes from.
+    fn policy_round(
+        &mut self,
+        world_before: usize,
+        restart: u64,
+        episode: &mut RecoveryBreakdown,
+    ) -> Result<Flow, Fatal> {
+        let (proc, cfg) = (self.proc, self.cfg);
+        // Live inputs, gathered locally. Only the leader's copy decides — the
+        // decision rides inside the committed proposal, so divergent local
+        // views (clocks, fabric stats, pool races) cannot split the SPMD flow.
+        let fabric = proc.endpoint().stats();
+        let world = self.comm().size();
+        let inputs = PolicyInputs {
+            world,
+            lost: world_before.saturating_sub(world).max(1),
+            spares: proc.waiting_spares(),
+            has_ckpt: self.local_ckpt.is_some(),
+            ckpt_age_steps: self
+                .local_ckpt
+                .as_ref()
+                .map_or(0, |c| self.step.saturating_sub(c.step)),
+            remaining_steps: (cfg.spec.total_steps as u64).saturating_sub(self.step),
+            step_time: self.step_time_ema.max(1e-6),
+            state_bytes: (self.model.state_flat().len() * 8) as f64,
+            perturb_rate: fabric.retransmits as f64 / fabric.messages.max(1) as f64,
+        };
+        let hint = PolicyEngine::new(cfg.policy_mode).choose(&inputs);
+        telemetry::counter(match hint {
+            RecoveryArm::Shrink => "elastic.policy.decision.shrink",
+            RecoveryArm::PromoteSpares => "elastic.policy.decision.spare",
+            RecoveryArm::Rollback => "elastic.policy.decision.rollback",
+        })
+        .incr();
+
+        let group_before: Vec<RankId> = self.comm().group().to_vec();
+        let committed = episode.time("policy_commit", || {
+            self.comm().commit_recovery_policy(hint, inputs.lost)
+        });
+        let flow = match committed {
+            Err(UlfmError::SelfDied) => Err(Fatal::Died),
+            Err(_) => {
+                // The policy round itself died (a member or spare lost during
+                // the proposal): recover once more and fall back to plain
+                // shrink — the arm with no preconditions.
+                telemetry::counter("elastic.policy.fallback.round_to_shrink").incr();
+                self.recoveries += 1;
+                self.recover(u64::MAX, episode).map(|_| {
+                    episode.policy = Some("shrink");
+                    Flow::Redo(restart)
+                })
+            }
+            Ok(PolicyCommit::Shrink) => {
+                episode.policy = Some("shrink");
+                Ok(Flow::Redo(restart))
+            }
+            Ok(PolicyCommit::Promoted(merged)) => {
+                // The spares hold their promotion tickets; synchronize them
+                // from live state. `restore_all` reconciles racing survivors
+                // (divergent by at most one optimizer apply) onto rank 0's
+                // state; the bound gives up — uniformly, since post-recovery
+                // membership is agreed — if no promoted spare survives the
+                // sync, falling back to the shrink redo.
+                let promoted: Vec<RankId> = merged
                     .group()
                     .iter()
-                    .map(|g| {
-                        step_group
-                            .iter()
-                            .position(|&x| x == *g)
-                            .map(|idx| shard_len(idx, step_group.len(), spec.global_batch))
-                            .unwrap_or(0) as f32
+                    .copied()
+                    .filter(|r| !group_before.contains(r))
+                    .collect();
+                self.comm = Some(merged);
+                let opts = SyncOpts {
+                    source: SyncSource::Live,
+                    restore_all: true,
+                    bound: SyncBound::RanksAlive(&promoted),
+                };
+                self.checkpoint_sync(opts, episode)
+                    .map(|synced| match synced {
+                        SyncOutcome::Synced(s) => {
+                            telemetry::counter("elastic.policy.outcome.promoted").incr();
+                            episode.policy = Some("spare");
+                            Flow::Restart(s)
+                        }
+                        SyncOutcome::GaveUp => {
+                            telemetry::counter("elastic.policy.fallback.spare_to_shrink").incr();
+                            episode.policy = Some("spare->shrink");
+                            Flow::Redo(restart)
+                        }
                     })
-                    .sum::<f32>()
-                    / spec.global_batch as f32;
-                if surviving > 0.0 && surviving < 1.0 {
-                    let scale = 1.0 / surviving;
-                    let from = rfrom.min(op_bufs.len());
-                    for g in op_bufs.iter_mut().skip(from) {
-                        for v in g.iter_mut() {
-                            *v *= scale;
+            }
+            Ok(PolicyCommit::Rollback) => {
+                // One shot: broadcast rank 0's local checkpoint and restore
+                // every survivor from it. Any failure inside the attempt —
+                // including the post-shrink root lacking a checkpoint — gives
+                // up and falls back to the shrink redo (retained inputs are
+                // still held).
+                let opts = SyncOpts {
+                    source: SyncSource::Ckpt,
+                    restore_all: true,
+                    bound: SyncBound::Attempts(1),
+                };
+                self.checkpoint_sync(opts, episode)
+                    .map(|synced| match synced {
+                        SyncOutcome::Synced(s) => {
+                            episode.policy = Some("rollback");
+                            Flow::Restart(s)
+                        }
+                        SyncOutcome::GaveUp => {
+                            telemetry::counter("elastic.policy.fallback.rollback_to_shrink").incr();
+                            episode.policy = Some("rollback->shrink");
+                            Flow::Redo(restart)
+                        }
+                    })
+            }
+        };
+        if matches!(flow, Err(Fatal::Aborted)) {
+            // The chain's last edge: whatever arm was running, a cascade drove
+            // the group below the floor and the run aborts.
+            telemetry::counter("elastic.policy.fallback.to_abort").incr();
+        }
+        flow
+    }
+
+    /// Resilient (step ‖ state) synchronization, shared by the joiner/spare
+    /// bootstrap, the epoch-boundary admission, and the promotion and
+    /// rollback policy arms. Group rank 0 broadcasts its state (live or
+    /// checkpointed per [`SyncOpts`]), then a uniform commit agreement
+    /// decides whether every member got it; on failure the group recovers
+    /// (revoke → agree → shrink → floor check) and — within the bound —
+    /// retries with the shrunk group's rank 0 as the new sender.
+    ///
+    /// The sender is always a state-holder while one survives: state-holders
+    /// form a prefix of the merged group (members before joiners, and shrink
+    /// preserves relative order), so rank 0 lacking state means *no* original
+    /// member survives — which the commit agreement reports uniformly; an
+    /// unbounded sync aborts on that (restoring garbage is the alternative),
+    /// a bounded one gives up and lets the caller fall back.
+    fn checkpoint_sync(
+        &mut self,
+        opts: SyncOpts<'_>,
+        episode: &mut RecoveryBreakdown,
+    ) -> Result<SyncOutcome, Fatal> {
+        let mut attempt = 0u64;
+        let mut failed_attempts = 0u32;
+        loop {
+            if attempt > 0 {
+                telemetry::counter("elastic.ckpt_sync.retries").incr();
+            }
+            attempt += 1;
+            let comm = self.comm();
+            // Named fault point: scripts can kill the sender (or any receiver)
+            // between checkpoint-broadcast attempts.
+            if comm.endpoint().fault_point("ckpt.sync").is_err() {
+                return Err(Fatal::Died);
+            }
+            let outcome = episode.time("state_sync", || {
+                let root = comm.rank() == 0;
+                let provides = match opts.source {
+                    SyncSource::Live => self.has_state,
+                    SyncSource::Ckpt => self.local_ckpt.is_some(),
+                };
+                let mut payload = if root && provides {
+                    match opts.source {
+                        SyncSource::Live => {
+                            let ck = Checkpoint::capture(&self.model, &self.opt);
+                            let mut bytes = self.step.to_le_bytes().to_vec();
+                            bytes.extend_from_slice(&ck.bytes);
+                            bytes
+                        }
+                        SyncSource::Ckpt => {
+                            let ck = self.local_ckpt.as_ref().expect("provides checked");
+                            let mut bytes = ck.step.to_le_bytes().to_vec();
+                            bytes.extend_from_slice(&ck.bytes);
+                            bytes
                         }
                     }
+                } else {
+                    Vec::new()
+                };
+                // A failed broadcast unwinds reliably (the binomial tree
+                // forwards poison frames), so every member reaches the commit
+                // agreement without any comm-wide revocation.
+                let sent = comm.bcast(0, &mut payload);
+                if matches!(sent, Err(UlfmError::SelfDied)) {
+                    return SyncAttempt::Died;
                 }
-            }
-            // Fused buckets scatter back to declaration-order tensors; the
-            // unfused payloads already are the per-tensor gradients.
-            break 'attempt match &fusion {
-                Some(fs) => fs.unpack(&op_bufs),
-                None => op_bufs,
-            };
-        };
-
-        // --- committed: apply the update ---------------------------------
-        let cascade = (recoveries - recoveries_before) as u64;
-        if cascade > 0 {
-            telemetry::histogram("elastic.recovery.cascade_depth").record(cascade);
-        }
-        model.set_grads(&grads);
-        if let Some(policy) = cfg.lr_scaling {
-            // Re-anchor the rate whenever the world changed this step.
-            let world = comm.size();
-            if world != lr_world {
-                let target = spec.lr * world as f32 / policy.base_world as f32;
-                opt.set_schedule(dnn::LrSchedule::PiecewiseRamp {
-                    from: opt.current_lr(),
-                    to: target,
-                    start: step,
-                    ramp: policy.warmup_steps,
-                });
-                lr_world = world;
-            }
-        }
-        opt.step(&mut model.params_mut());
-        step += 1;
-        if cfg.ckpt_every > 0 && step.is_multiple_of(cfg.ckpt_every) {
-            let mut ck = Checkpoint::capture(&model, &opt);
-            // Anchor to the training step (state is ready to compute it),
-            // which the rollback arm uses for the restart point and age.
-            ck.step = step;
-            local_ckpt = Some(ck);
-        }
-        let dt = step_t0.elapsed().as_secs_f64();
-        step_time_ema = if step_time_ema > 0.0 {
-            0.8 * step_time_ema + 0.2 * dt
-        } else {
-            dt
-        };
-
-        // --- epoch boundary: accept joiners (scenarios II & III) ---------
-        if cfg.accept_joiners && (step as usize).is_multiple_of(spec.steps_per_epoch) {
-            // Scenario II/III determinism: no epoch boundary passes until
-            // every expected joiner has announced itself. The counter is
-            // monotone and global, so all members unblock on the same
-            // condition regardless of who drains the pending list when.
-            // `join_wait` bounds the stall: past the deadline the group
-            // gives up and continues shrunk rather than waiting on a joiner
-            // that crashed before announcing. Spares are a different
-            // namespace entirely: epoch boundaries never drain the pool.
-            let wait_deadline = cfg.join_wait.map(|w| std::time::Instant::now() + w);
-            while proc.announced_joiners() < cfg.expected_joiners as u64
-                && wait_deadline.is_none_or(|d| std::time::Instant::now() < d)
-            {
-                std::thread::sleep(std::time::Duration::from_micros(300));
-            }
-            // The admission itself is re-entrant: a death mid-handshake
-            // (leader included) fails the commit uniformly, the survivors
-            // shrink, and the shrunk group's new rank 0 re-proposes the
-            // still-pending joiners. The give-up hint below is only the
-            // *leader's* input — the decision every member acts on rides in
-            // the committed proposal, so deadline clocks cannot diverge the
-            // SPMD control flow.
-            loop {
-                let arrived = proc.announced_joiners() >= cfg.expected_joiners as u64;
-                let expired = wait_deadline.is_some_and(|d| std::time::Instant::now() >= d);
-                match comm.accept_joiners_directed(arrived || expired) {
-                    Ok(JoinOutcome::Merged(mut merged)) => {
-                        let mut episode = RecoveryBreakdown::new(RecoveryKind::Join, step);
-                        let mut has_state = true;
-                        let res = checkpoint_sync(
-                            proc,
-                            cfg,
-                            &mut merged,
-                            &mut model,
-                            &mut opt,
-                            &mut has_state,
+                // Commit flags: bit0 = my broadcast completed; bit1 = the root
+                // holds state of the requested source (non-roots contribute 1
+                // so the AND isolates the root's claim).
+                let flags =
+                    (sent.is_ok() as u64) | if root { (provides as u64) << 1 } else { 0b10 };
+                match comm.agree(flags, u64::MAX) {
+                    Ok(v) if v.flags & 0b10 == 0 => SyncAttempt::Abort,
+                    Ok(v) if v.flags & 1 == 1 && v.failed.is_empty() => {
+                        SyncAttempt::Committed(payload)
+                    }
+                    Ok(_) => SyncAttempt::Retry,
+                    Err(UlfmError::SelfDied) => SyncAttempt::Died,
+                    Err(e) => unreachable!("agree only fails fatally: {e}"),
+                }
+            });
+            match outcome {
+                SyncAttempt::Committed(payload) => {
+                    if opts.restore_all || !self.has_state {
+                        let step = u64::from_le_bytes(payload[..8].try_into().unwrap());
+                        let ck = Checkpoint {
                             step,
-                            &None,
-                            SyncOpts {
-                                source: SyncSource::Live,
-                                restore_all: false,
-                                bound: SyncBound::Unbounded,
-                            },
-                            &mut episode,
-                            topology,
-                            &mut recoveries,
-                        );
-                        episode.publish(proc.rank().0);
-                        breakdowns.push(episode);
-                        match res {
-                            Ok(_) => {
-                                comm = merged;
-                                break;
-                            }
-                            Err(Fatal::Died) => return WorkerExit::Died,
-                            Err(Fatal::Excluded) => {
-                                return exclude_exit(
-                                    proc,
-                                    step,
-                                    last_loss,
-                                    recoveries,
-                                    lr_world,
-                                    steps_recomputed,
-                                    &model,
-                                )
-                            }
-                            Err(Fatal::Aborted) => {
-                                return abort_exit(
-                                    proc,
-                                    step,
-                                    last_loss,
-                                    recoveries,
-                                    lr_world,
-                                    steps_recomputed,
-                                    &model,
-                                    &opt,
-                                    breakdowns,
-                                )
-                            }
-                        }
+                            bytes: payload[8..].to_vec(),
+                        };
+                        ck.restore(&mut self.model, &mut self.opt);
+                        self.has_state = true;
+                        return Ok(SyncOutcome::Synced(step));
                     }
-                    Ok(JoinOutcome::NoneYet) => {
-                        // Leader asked the group to keep waiting: nobody had
-                        // announced when it proposed. Poll again shortly.
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
-                    Ok(JoinOutcome::StopWaiting) => {
-                        if expired && !arrived {
-                            // Degradation to a shrunk-but-progressing group:
-                            // the expected joiner never came and the leader
-                            // committed giving up on it.
-                            telemetry::counter("elastic.join.wait_timeouts").incr();
-                        }
-                        break;
-                    }
-                    Err(UlfmError::SelfDied) => return WorkerExit::Died,
-                    Err(_) => {
-                        // Failed admission commit (or a death observed on
-                        // entry): recover on the *old* communicator — the
-                        // pending joiners stayed pending — and retry.
-                        recoveries += 1;
-                        let mut episode = RecoveryBreakdown::new(RecoveryKind::Forward, step);
-                        let r = recover(proc, cfg, &comm, u64::MAX, &mut episode, topology);
-                        episode.publish(proc.rank().0);
-                        breakdowns.push(breakdowns_last_fix(&mut episode));
-                        match r {
-                            Ok((c, _)) => comm = c,
-                            Err(Fatal::Died) => return WorkerExit::Died,
-                            Err(Fatal::Excluded) => {
-                                return exclude_exit(
-                                    proc,
-                                    step,
-                                    last_loss,
-                                    recoveries,
-                                    lr_world,
-                                    steps_recomputed,
-                                    &model,
-                                )
-                            }
-                            Err(Fatal::Aborted) => {
-                                return abort_exit(
-                                    proc,
-                                    step,
-                                    last_loss,
-                                    recoveries,
-                                    lr_world,
-                                    steps_recomputed,
-                                    &model,
-                                    &opt,
-                                    breakdowns,
-                                )
-                            }
-                        }
+                    return Ok(SyncOutcome::Synced(self.step));
+                }
+                SyncAttempt::Died => return Err(Fatal::Died),
+                SyncAttempt::Abort => {
+                    return match opts.bound {
+                        // No state-holder left and nothing to fall back to.
+                        SyncBound::Unbounded => Err(Fatal::Aborted),
+                        // The agreement that reported it is uniform, so every
+                        // survivor gives up here together.
+                        _ => Ok(SyncOutcome::GaveUp),
+                    };
+                }
+                SyncAttempt::Retry => {
+                    self.recoveries += 1;
+                    self.recover(u64::MAX, episode)?;
+                    failed_attempts += 1;
+                    let group = self.comm().group();
+                    let give_up = match opts.bound {
+                        SyncBound::Unbounded => false,
+                        SyncBound::Attempts(n) => failed_attempts >= n,
+                        SyncBound::RanksAlive(ranks) => !ranks.iter().any(|r| group.contains(r)),
+                    };
+                    if give_up {
+                        return Ok(SyncOutcome::GaveUp);
                     }
                 }
             }
         }
     }
-
-    // Leaving the computation cleanly: dismiss spares the run never needed
-    // (idempotent — racing completers may all call it), then mark ourselves
-    // gone so that any concurrent recovery among slower workers does not
-    // wait for us.
-    let stats = WorkerStats {
-        steps_done: step,
-        final_loss: last_loss,
-        recoveries,
-        final_world: comm.size(),
-        state_fingerprint: state_fingerprint(&model.state_flat()),
-        final_lr: opt.current_lr(),
-        steps_recomputed,
-    };
-    proc.dismiss_spares();
-    proc.retire();
-    WorkerExit::Completed(stats)
-}
-
-/// Stats for a worker that never trained (dismissed or orphaned spare /
-/// joiner).
-fn idle_stats(model: &dnn::Model) -> WorkerStats {
-    WorkerStats {
-        steps_done: 0,
-        final_loss: f32::NAN,
-        recoveries: 0,
-        final_world: 0,
-        state_fingerprint: state_fingerprint(&model.state_flat()),
-        final_lr: f32::NAN,
-        steps_recomputed: 0,
-    }
-}
-
-/// Work around borrowck: move the episode out (it was filled in-place).
-fn breakdowns_last_fix(episode: &mut RecoveryBreakdown) -> RecoveryBreakdown {
-    std::mem::replace(episode, RecoveryBreakdown::new(RecoveryKind::Forward, 0))
-}
-
-/// Exit path for a worker evicted by the drop-node policy.
-fn exclude_exit(
-    proc: &Proc,
-    step: u64,
-    last_loss: f32,
-    recoveries: usize,
-    world: usize,
-    steps_recomputed: u64,
-    model: &dnn::Model,
-) -> WorkerExit {
-    proc.retire();
-    WorkerExit::Excluded(WorkerStats {
-        steps_done: step,
-        final_loss: last_loss,
-        recoveries,
-        final_world: world,
-        state_fingerprint: state_fingerprint(&model.state_flat()),
-        final_lr: f32::NAN,
-        steps_recomputed,
-    })
-}
-
-/// Exit path for a graceful below-minimum shutdown: release waiting
-/// joiners, record the abort episode, and leave with the progress so far.
-#[allow(clippy::too_many_arguments)]
-fn abort_exit(
-    proc: &Proc,
-    step: u64,
-    last_loss: f32,
-    recoveries: usize,
-    world: usize,
-    steps_recomputed: u64,
-    model: &dnn::Model,
-    opt: &dnn::Sgd,
-    breakdowns: &mut Vec<RecoveryBreakdown>,
-) -> WorkerExit {
-    telemetry::counter("elastic.abort.below_min").incr();
-    let mut episode = RecoveryBreakdown::new(RecoveryKind::Abort, step);
-    episode.time("below_min", || {
-        // Joiners (and spares) still blocked on the ticket service would
-        // otherwise wait for a computation that no longer exists; dismiss
-        // them, then leave so concurrent recoveries observe the departure
-        // instead of hanging on our silence.
-        proc.abort_joins();
-        proc.retire();
-    });
-    episode.publish(proc.rank().0);
-    breakdowns.push(episode);
-    WorkerExit::Aborted(WorkerStats {
-        steps_done: step,
-        final_loss: last_loss,
-        recoveries,
-        final_world: world,
-        state_fingerprint: state_fingerprint(&model.state_flat()),
-        final_lr: opt.current_lr(),
-        steps_recomputed,
-    })
 }
 
 fn global_op(step: u64, n_tensors: i64, local_op: i64) -> u64 {
@@ -1070,241 +1160,6 @@ fn global_op(step: u64, n_tensors: i64, local_op: i64) -> u64 {
 
 fn shard_len(rank: usize, world: usize, global: usize) -> usize {
     (rank + 1) * global / world - rank * global / world
-}
-
-/// One recovery episode: revoke → agree(min) → shrink(policy), then the
-/// `min_workers` floor check — a group that shrank below the floor aborts
-/// uniformly (every survivor of the same shrink sees the same size).
-fn recover(
-    proc: &Proc,
-    cfg: &ForwardConfig,
-    comm: &Communicator,
-    my_global_op: u64,
-    episode: &mut RecoveryBreakdown,
-    topology: transport::Topology,
-) -> Result<(Communicator, u64), Fatal> {
-    telemetry::counter("elastic.recovery.attempts").incr();
-    episode.time("revoke", || comm.revoke());
-
-    let agreed = episode.time("agree", || comm.agree(u64::MAX, my_global_op));
-    let agreed = match agreed {
-        Ok(a) => a,
-        Err(UlfmError::SelfDied) => return Err(Fatal::Died),
-        Err(e) => unreachable!("agree only fails fatally: {e}"),
-    };
-    // How many failures this episode handles as one batch: with suspicion
-    // batching + lattice agreement a whole burst lands here at once and the
-    // eviction policy dispatches on the full set in one view change.
-    telemetry::histogram("elastic.recovery.batch_size").record(agreed.failed.len() as u64);
-
-    let total_ranks = proc.endpoint().total_ranks();
-    let policy = cfg.policy;
-    let shrunk = episode.time("shrink", || {
-        comm.shrink_with(|failed| policy_evictions(policy, failed, topology, total_ranks))
-    });
-    match shrunk {
-        Ok(ShrinkOutcome::Member(c)) => {
-            if c.size() < cfg.spec.min_workers {
-                return Err(Fatal::Aborted);
-            }
-            Ok((c, agreed.min))
-        }
-        Ok(ShrinkOutcome::Excluded) => Err(Fatal::Excluded),
-        Err(UlfmError::SelfDied) => Err(Fatal::Died),
-        Err(e) => unreachable!("shrink only fails fatally: {e}"),
-    }
-}
-
-/// The policy round: score the arms, commit one uniformly, execute it, and
-/// fall down the deterministic fallback chain if it dies mid-recovery.
-/// Runs on the *already-shrunk* group; `world_before` is the size the
-/// failed attempt started with. Returns what the op loop should do next.
-#[allow(clippy::too_many_arguments)]
-fn policy_dispatch(
-    proc: &Proc,
-    cfg: &ForwardConfig,
-    comm: &mut Communicator,
-    model: &mut dnn::Model,
-    opt: &mut dnn::Sgd,
-    step: u64,
-    local_ckpt: &Option<Checkpoint>,
-    step_time_ema: f64,
-    world_before: usize,
-    episode: &mut RecoveryBreakdown,
-    topology: transport::Topology,
-    recoveries: &mut usize,
-) -> Result<PolicyAction, Fatal> {
-    let r = policy_dispatch_inner(
-        proc,
-        cfg,
-        comm,
-        model,
-        opt,
-        step,
-        local_ckpt,
-        step_time_ema,
-        world_before,
-        episode,
-        topology,
-        recoveries,
-    );
-    if matches!(r, Err(Fatal::Aborted)) {
-        // The chain's last edge: whatever arm was running, a cascade drove
-        // the group below the floor and the run aborts.
-        telemetry::counter("elastic.policy.fallback.to_abort").incr();
-    }
-    r
-}
-
-#[allow(clippy::too_many_arguments)]
-fn policy_dispatch_inner(
-    proc: &Proc,
-    cfg: &ForwardConfig,
-    comm: &mut Communicator,
-    model: &mut dnn::Model,
-    opt: &mut dnn::Sgd,
-    step: u64,
-    local_ckpt: &Option<Checkpoint>,
-    step_time_ema: f64,
-    world_before: usize,
-    episode: &mut RecoveryBreakdown,
-    topology: transport::Topology,
-    recoveries: &mut usize,
-) -> Result<PolicyAction, Fatal> {
-    // Live inputs, gathered locally. Only the leader's copy decides — the
-    // decision rides inside the committed proposal, so divergent local
-    // views (clocks, fabric stats, pool races) cannot split the SPMD flow.
-    let fabric = proc.endpoint().stats();
-    let inputs = PolicyInputs {
-        world: comm.size(),
-        lost: world_before.saturating_sub(comm.size()).max(1),
-        spares: proc.waiting_spares(),
-        has_ckpt: local_ckpt.is_some(),
-        ckpt_age_steps: local_ckpt
-            .as_ref()
-            .map_or(0, |c| step.saturating_sub(c.step)),
-        remaining_steps: (cfg.spec.total_steps as u64).saturating_sub(step),
-        step_time: step_time_ema.max(1e-6),
-        state_bytes: (model.state_flat().len() * 8) as f64,
-        perturb_rate: fabric.retransmits as f64 / fabric.messages.max(1) as f64,
-    };
-    let hint = PolicyEngine::new(cfg.policy_mode).choose(&inputs);
-    telemetry::counter(match hint {
-        RecoveryArm::Shrink => "elastic.policy.decision.shrink",
-        RecoveryArm::PromoteSpares => "elastic.policy.decision.spare",
-        RecoveryArm::Rollback => "elastic.policy.decision.rollback",
-    })
-    .incr();
-
-    let group_before: Vec<RankId> = comm.group().to_vec();
-    let committed = episode.time("policy_commit", || {
-        comm.commit_recovery_policy(hint, inputs.lost)
-    });
-    match committed {
-        Err(UlfmError::SelfDied) => Err(Fatal::Died),
-        Err(_) => {
-            // The policy round itself died (a member or spare lost during
-            // the proposal): recover once more and fall back to plain
-            // shrink — the arm with no preconditions.
-            telemetry::counter("elastic.policy.fallback.round_to_shrink").incr();
-            *recoveries += 1;
-            match recover(proc, cfg, comm, u64::MAX, episode, topology) {
-                Ok((c, _)) => {
-                    *comm = c;
-                    episode.policy = Some("shrink");
-                    Ok(PolicyAction::Shrink)
-                }
-                Err(f) => Err(f),
-            }
-        }
-        Ok(PolicyCommit::Shrink) => {
-            episode.policy = Some("shrink");
-            Ok(PolicyAction::Shrink)
-        }
-        Ok(PolicyCommit::Promoted(merged)) => {
-            // The spares hold their promotion tickets; synchronize them
-            // from live state. `restore_all` reconciles racing survivors
-            // (divergent by at most one optimizer apply) onto rank 0's
-            // state; the bound gives up — uniformly, since post-recovery
-            // membership is agreed — if no promoted spare survives the
-            // sync, falling back to the shrink redo.
-            let promoted: Vec<RankId> = merged
-                .group()
-                .iter()
-                .copied()
-                .filter(|r| !group_before.contains(r))
-                .collect();
-            *comm = merged;
-            let mut has_state = true;
-            let synced = checkpoint_sync(
-                proc,
-                cfg,
-                comm,
-                model,
-                opt,
-                &mut has_state,
-                step,
-                &None,
-                SyncOpts {
-                    source: SyncSource::Live,
-                    restore_all: true,
-                    bound: SyncBound::RanksAlive(&promoted),
-                },
-                episode,
-                topology,
-                recoveries,
-            )?;
-            match synced {
-                SyncOutcome::Synced(s) => {
-                    telemetry::counter("elastic.policy.outcome.promoted").incr();
-                    episode.policy = Some("spare");
-                    Ok(PolicyAction::Restart(s))
-                }
-                SyncOutcome::GaveUp => {
-                    telemetry::counter("elastic.policy.fallback.spare_to_shrink").incr();
-                    episode.policy = Some("spare->shrink");
-                    Ok(PolicyAction::Shrink)
-                }
-            }
-        }
-        Ok(PolicyCommit::Rollback) => {
-            // One shot: broadcast rank 0's local checkpoint and restore
-            // every survivor from it. Any failure inside the attempt —
-            // including the post-shrink root lacking a checkpoint — gives
-            // up and falls back to the shrink redo (retained inputs are
-            // still held).
-            let mut has_state = true;
-            let synced = checkpoint_sync(
-                proc,
-                cfg,
-                comm,
-                model,
-                opt,
-                &mut has_state,
-                step,
-                local_ckpt,
-                SyncOpts {
-                    source: SyncSource::Ckpt,
-                    restore_all: true,
-                    bound: SyncBound::Attempts(1),
-                },
-                episode,
-                topology,
-                recoveries,
-            )?;
-            match synced {
-                SyncOutcome::Synced(s) => {
-                    episode.policy = Some("rollback");
-                    Ok(PolicyAction::Restart(s))
-                }
-                SyncOutcome::GaveUp => {
-                    telemetry::counter("elastic.policy.fallback.rollback_to_shrink").incr();
-                    episode.policy = Some("rollback->shrink");
-                    Ok(PolicyAction::Shrink)
-                }
-            }
-        }
-    }
 }
 
 /// Outcome of one checkpoint-broadcast attempt.
@@ -1319,7 +1174,7 @@ enum SyncAttempt {
     Died,
 }
 
-/// What the sender broadcasts in [`checkpoint_sync`].
+/// What the sender broadcasts in [`Worker::checkpoint_sync`].
 enum SyncSource {
     /// Live training state, captured fresh at the root.
     Live,
@@ -1327,9 +1182,10 @@ enum SyncSource {
     Ckpt,
 }
 
-/// When a bounded [`checkpoint_sync`] stops retrying. Every variant is
-/// SPMD-uniform: per-attempt outcomes and post-recovery membership are both
-/// agreed, so all survivors count attempts and see the group identically.
+/// When a bounded [`Worker::checkpoint_sync`] stops retrying. Every variant
+/// is SPMD-uniform: per-attempt outcomes and post-recovery membership are
+/// both agreed, so all survivors count attempts and see the group
+/// identically.
 enum SyncBound<'a> {
     /// Retry until committed or no state-holder survives (legacy behavior
     /// of joiner bootstrap and epoch-boundary admission).
@@ -1342,7 +1198,7 @@ enum SyncBound<'a> {
     RanksAlive(&'a [RankId]),
 }
 
-/// How a [`checkpoint_sync`] behaves.
+/// How a [`Worker::checkpoint_sync`] behaves.
 struct SyncOpts<'a> {
     /// What the root broadcasts.
     source: SyncSource,
@@ -1354,7 +1210,7 @@ struct SyncOpts<'a> {
     bound: SyncBound<'a>,
 }
 
-/// How a bounded [`checkpoint_sync`] ended.
+/// How a bounded [`Worker::checkpoint_sync`] ended.
 enum SyncOutcome {
     /// Committed; the step the synchronized state is ready to compute.
     Synced(u64),
@@ -1362,134 +1218,6 @@ enum SyncOutcome {
     /// restore only happens on the uniform commit), so the caller can fall
     /// back safely.
     GaveUp,
-}
-
-/// Resilient (step ‖ state) synchronization, shared by the joiner/spare
-/// bootstrap, the epoch-boundary admission, and the promotion and rollback
-/// policy arms. Group rank 0 broadcasts its state (live or checkpointed
-/// per [`SyncOpts`]), then a uniform commit agreement decides whether every
-/// member got it; on failure the group recovers (revoke → agree → shrink →
-/// floor check) and — within the bound — retries with the shrunk group's
-/// rank 0 as the new sender.
-///
-/// The sender is always a state-holder while one survives: state-holders
-/// form a prefix of the merged group (members before joiners, and shrink
-/// preserves relative order), so rank 0 lacking state means *no* original
-/// member survives — which the commit agreement reports uniformly; an
-/// unbounded sync aborts on that (restoring garbage is the alternative),
-/// a bounded one gives up and lets the caller fall back.
-#[allow(clippy::too_many_arguments)]
-fn checkpoint_sync(
-    proc: &Proc,
-    cfg: &ForwardConfig,
-    comm: &mut Communicator,
-    model: &mut dnn::Model,
-    opt: &mut dnn::Sgd,
-    has_state: &mut bool,
-    my_step: u64,
-    local_ckpt: &Option<Checkpoint>,
-    opts: SyncOpts<'_>,
-    episode: &mut RecoveryBreakdown,
-    topology: transport::Topology,
-    recoveries: &mut usize,
-) -> Result<SyncOutcome, Fatal> {
-    let mut attempt = 0u64;
-    let mut failed_attempts = 0u32;
-    loop {
-        if attempt > 0 {
-            telemetry::counter("elastic.ckpt_sync.retries").incr();
-        }
-        attempt += 1;
-        // Named fault point: scripts can kill the sender (or any receiver)
-        // between checkpoint-broadcast attempts.
-        if comm.endpoint().fault_point("ckpt.sync").is_err() {
-            return Err(Fatal::Died);
-        }
-        let outcome = episode.time("state_sync", || {
-            let root = comm.rank() == 0;
-            let provides = match opts.source {
-                SyncSource::Live => *has_state,
-                SyncSource::Ckpt => local_ckpt.is_some(),
-            };
-            let mut payload = if root && provides {
-                match opts.source {
-                    SyncSource::Live => {
-                        let ck = Checkpoint::capture(model, opt);
-                        let mut bytes = my_step.to_le_bytes().to_vec();
-                        bytes.extend_from_slice(&ck.bytes);
-                        bytes
-                    }
-                    SyncSource::Ckpt => {
-                        let ck = local_ckpt.as_ref().expect("provides checked");
-                        let mut bytes = ck.step.to_le_bytes().to_vec();
-                        bytes.extend_from_slice(&ck.bytes);
-                        bytes
-                    }
-                }
-            } else {
-                Vec::new()
-            };
-            // A failed broadcast unwinds reliably (the binomial tree
-            // forwards poison frames), so every member reaches the commit
-            // agreement without any comm-wide revocation.
-            let sent = comm.bcast(0, &mut payload);
-            if matches!(sent, Err(UlfmError::SelfDied)) {
-                return SyncAttempt::Died;
-            }
-            // Commit flags: bit0 = my broadcast completed; bit1 = the root
-            // holds state of the requested source (non-roots contribute 1
-            // so the AND isolates the root's claim).
-            let flags = (sent.is_ok() as u64) | if root { (provides as u64) << 1 } else { 0b10 };
-            match comm.agree(flags, u64::MAX) {
-                Ok(v) if v.flags & 0b10 == 0 => SyncAttempt::Abort,
-                Ok(v) if v.flags & 1 == 1 && v.failed.is_empty() => SyncAttempt::Committed(payload),
-                Ok(_) => SyncAttempt::Retry,
-                Err(UlfmError::SelfDied) => SyncAttempt::Died,
-                Err(e) => unreachable!("agree only fails fatally: {e}"),
-            }
-        });
-        match outcome {
-            SyncAttempt::Committed(payload) => {
-                if opts.restore_all || !*has_state {
-                    let step = u64::from_le_bytes(payload[..8].try_into().unwrap());
-                    let ck = Checkpoint {
-                        step,
-                        bytes: payload[8..].to_vec(),
-                    };
-                    ck.restore(model, opt);
-                    *has_state = true;
-                    return Ok(SyncOutcome::Synced(step));
-                }
-                return Ok(SyncOutcome::Synced(my_step));
-            }
-            SyncAttempt::Died => return Err(Fatal::Died),
-            SyncAttempt::Abort => {
-                return match opts.bound {
-                    // No state-holder left and nothing to fall back to.
-                    SyncBound::Unbounded => Err(Fatal::Aborted),
-                    // The agreement that reported it is uniform, so every
-                    // survivor gives up here together.
-                    _ => Ok(SyncOutcome::GaveUp),
-                };
-            }
-            SyncAttempt::Retry => {
-                *recoveries += 1;
-                match recover(proc, cfg, comm, u64::MAX, episode, topology) {
-                    Ok((c, _)) => *comm = c,
-                    Err(f) => return Err(f),
-                }
-                failed_attempts += 1;
-                let give_up = match opts.bound {
-                    SyncBound::Unbounded => false,
-                    SyncBound::Attempts(n) => failed_attempts >= n,
-                    SyncBound::RanksAlive(ranks) => !ranks.iter().any(|r| comm.group().contains(r)),
-                };
-                if give_up {
-                    return Ok(SyncOutcome::GaveUp);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -82,6 +82,47 @@ impl FusionSetup {
         (b, off, self.decl_sizes[decl_idx])
     }
 
+    /// The fused backward pass both engines run: differentiate `batch`
+    /// with the ready-queue hook installed, scattering each gradient
+    /// (× `weight`) into its bucket as its layer finishes, and fire
+    /// `on_full(b, bucket)` the moment bucket `b` fills — later layers are
+    /// still differentiating, so a fused allreduce launched from there
+    /// overlaps the rest of the pass. Returns the report and the buckets.
+    pub(crate) fn backward_pass(
+        &self,
+        model: &mut dnn::Model,
+        batch: &dnn::Batch,
+        weight: f32,
+        mut on_full: impl FnMut(usize, &mut Vec<f32>),
+    ) -> (dnn::TrainReport, Vec<Vec<f32>>) {
+        let mut bufs = self.bucket_buffers();
+        let mut filled = vec![0usize; self.n_buckets()];
+        let mut fill_start: Vec<Option<std::time::Instant>> = vec![None; self.n_buckets()];
+        let report = model.compute_gradients_with(batch, |idx, g| {
+            let (b, off, len) = self.slot(idx);
+            if fill_start[b].is_none() {
+                fill_start[b] = Some(std::time::Instant::now());
+            }
+            for (d, s) in bufs[b][off..off + len].iter_mut().zip(g.data()) {
+                *d = s * weight;
+            }
+            filled[b] += 1;
+            if filled[b] < self.bucket_tensors(b) {
+                return;
+            }
+            if let Some(t0) = fill_start[b].take() {
+                telemetry::histogram("elastic.fusion.fill_latency_ns")
+                    .record(t0.elapsed().as_nanos() as u64);
+            }
+            collectives::observe_bucket(
+                bufs[b].len() * std::mem::size_of::<f32>(),
+                self.bucket_tensors(b),
+            );
+            on_full(b, &mut bufs[b]);
+        });
+        (report, bufs)
+    }
+
     /// Fresh zeroed bucket buffers.
     pub fn bucket_buffers(&self) -> Vec<Vec<f32>> {
         self.bucket_lens.iter().map(|&n| vec![0.0; n]).collect()

@@ -198,6 +198,34 @@ fn joiner_count(cfg: &ScenarioConfig) -> usize {
     }
 }
 
+/// Hold the joiners back until the scenario's trigger condition: the
+/// scripted failure has been observed (Replace), or a fixed dwell has
+/// passed (Upscale).
+fn await_join_trigger(kind: ScenarioKind, failure_seen: impl Fn() -> bool) {
+    match kind {
+        ScenarioKind::Replace => {
+            while !failure_seen() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        ScenarioKind::Upscale => std::thread::sleep(Duration::from_millis(10)),
+        ScenarioKind::Downscale => unreachable!("downscale scenarios have no joiners"),
+    }
+}
+
+/// The scenario's forward-engine settings, minus what the backends differ
+/// in (how many joiners to expect, and how long to wait for them).
+fn forward_config(cfg: &ScenarioConfig) -> ForwardConfig {
+    ForwardConfig {
+        policy: cfg.policy,
+        renormalize_after_loss: cfg.renormalize,
+        policy_mode: cfg.policy_mode,
+        expected_spares: cfg.spares,
+        ckpt_every: cfg.ckpt_every,
+        ..ForwardConfig::new(cfg.spec.clone())
+    }
+}
+
 fn run_forward_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
     if cfg.backend != BackendKind::InProc {
         return run_forward_scenario_sockets(cfg);
@@ -212,16 +240,8 @@ fn run_forward_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
         universe.set_suspicion_timeout(t);
     }
     let fwd_cfg = ForwardConfig {
-        spec: cfg.spec.clone(),
-        policy: cfg.policy,
-        accept_joiners: true,
         expected_joiners: joiner_count(cfg),
-        renormalize_after_loss: cfg.renormalize,
-        lr_scaling: None,
-        join_wait: None,
-        policy_mode: cfg.policy_mode,
-        expected_spares: cfg.spares,
-        ckpt_every: cfg.ckpt_every,
+        ..forward_config(cfg)
     };
 
     let c1 = fwd_cfg.clone();
@@ -251,20 +271,8 @@ fn run_forward_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
     // (Replace) or after a fixed dwell (Upscale).
     let joiners = joiner_count(cfg);
     let joiner_handles = if joiners > 0 {
-        match cfg.kind {
-            ScenarioKind::Replace => {
-                while universe
-                    .fabric()
-                    .expect("in-process universe")
-                    .dead_ranks()
-                    .is_empty()
-                {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-            ScenarioKind::Upscale => std::thread::sleep(Duration::from_millis(10)),
-            ScenarioKind::Downscale => unreachable!(),
-        }
+        let fabric = universe.fabric().expect("in-process universe");
+        await_join_trigger(cfg.kind, || !fabric.dead_ranks().is_empty());
         let c2 = fwd_cfg.clone();
         universe
             .spawn_joiners(joiners, move |proc| {
@@ -323,25 +331,56 @@ fn run_forward_scenario_sockets(cfg: &ScenarioConfig) -> ScenarioResult {
     let prefix = "scn/";
     let addr_prefix = format!("{prefix}addr/");
     let fwd_cfg = ForwardConfig {
-        spec: cfg.spec.clone(),
-        policy: cfg.policy,
         accept_joiners: joiners > 0,
         expected_joiners: joiners,
-        renormalize_after_loss: cfg.renormalize,
-        lr_scaling: None,
         // Bounded so a crashed joiner degrades the group to running shrunk
         // instead of wedging the epoch boundary (and an orphaned joiner
         // exits instead of polling the store forever).
         join_wait: Some(Duration::from_secs(10)),
-        policy_mode: cfg.policy_mode,
-        expected_spares: cfg.spares,
-        ckpt_every: cfg.ckpt_every,
+        ..forward_config(cfg)
     };
     let group: Vec<RankId> = (0..cfg.workers).map(RankId).collect();
-    // Joiner backends surface here for stats aggregation and shutdown.
+    // Newcomer backends surface here for stats aggregation and shutdown.
     let joined_backends: parking_lot::Mutex<Vec<Arc<SocketBackend>>> =
         parking_lot::Mutex::new(Vec::new());
-    let joined_sink = &joined_backends;
+    // Joiners and warm spares bootstrap alike, and exactly like a fresh OS
+    // process: wait until every member address is published, bind a
+    // listener, scan the addresses, dial the mesh — then run in `role`.
+    let newcomer = |rank: RankId, role: Role| {
+        while store.count_prefix(&addr_prefix) < cfg.workers {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let member_addrs: Vec<(RankId, String)> = store
+            .scan_prefix(&addr_prefix)
+            .into_iter()
+            .filter_map(|(k, v)| {
+                let rank = k.rsplit('/').next()?.parse::<usize>().ok()?;
+                Some((RankId(rank), String::from_utf8(v).ok()?))
+            })
+            .collect();
+        let listener = SocketBackend::bind(cfg.backend).expect("bind newcomer listener");
+        let contact = listener.addr().to_string();
+        let b = SocketBackend::establish_joiner(
+            rank,
+            topology,
+            listener,
+            &member_addrs,
+            FaultInjector::new(plan.clone()),
+            Duration::from_secs(10),
+        )
+        .expect("newcomer could not reach any member");
+        if let Some(plan) = &cfg.perturb {
+            b.set_perturbation(plan.clone());
+        }
+        b.set_suspicion_timeout(Some(suspicion));
+        joined_backends.lock().push(Arc::clone(&b));
+        let join = ulfm::NetJoin::new(Arc::clone(&store), prefix).with_contact(contact);
+        let ep = Endpoint::from_backend(b as Arc<dyn Backend>);
+        let (_universe, proc) = Universe::joiner_for_backend(ep, Arc::new(join));
+        let out = run_forward_role(&proc, &fwd_cfg, role);
+        (out.exit, out.breakdowns)
+    };
+    let newcomer = &newcomer;
     let (exits, breakdowns) = std::thread::scope(|s| {
         let member_handles: Vec<_> = backends
             .iter()
@@ -366,107 +405,20 @@ fn run_forward_scenario_sockets(cfg: &ScenarioConfig) -> ScenarioResult {
 
         let joiner_handles: Vec<_> = (0..joiners)
             .map(|i| {
-                let jrank = RankId(cfg.workers + i);
-                let fwd_cfg = fwd_cfg.clone();
-                let store = Arc::clone(&store);
-                let addr_prefix = addr_prefix.clone();
-                let plan = plan.clone();
                 // A surviving member's backend doubles as the failure
                 // observer triggering Replace joiners.
                 let watch = Arc::clone(&backends[(cfg.victim + 1) % cfg.workers]);
                 s.spawn(move || {
-                    match cfg.kind {
-                        ScenarioKind::Replace => {
-                            while watch.is_alive(RankId(cfg.victim)) {
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                        }
-                        ScenarioKind::Upscale => std::thread::sleep(Duration::from_millis(10)),
-                        ScenarioKind::Downscale => unreachable!(),
-                    }
-                    // Bootstrap like a fresh process: every member address
-                    // must be published before we dial the mesh.
-                    while store.count_prefix(&addr_prefix) < cfg.workers {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    let member_addrs: Vec<(RankId, String)> = store
-                        .scan_prefix(&addr_prefix)
-                        .into_iter()
-                        .filter_map(|(k, v)| {
-                            let rank = k.rsplit('/').next()?.parse::<usize>().ok()?;
-                            Some((RankId(rank), String::from_utf8(v).ok()?))
-                        })
-                        .collect();
-                    let listener = SocketBackend::bind(cfg.backend).expect("bind joiner listener");
-                    let contact = listener.addr().to_string();
-                    let b = SocketBackend::establish_joiner(
-                        jrank,
-                        topology,
-                        listener,
-                        &member_addrs,
-                        transport::FaultInjector::new(plan),
-                        Duration::from_secs(10),
-                    )
-                    .expect("joiner could not reach any member");
-                    if let Some(plan) = &cfg.perturb {
-                        b.set_perturbation(plan.clone());
-                    }
-                    b.set_suspicion_timeout(Some(suspicion));
-                    joined_sink.lock().push(Arc::clone(&b));
-                    let join = ulfm::NetJoin::new(store, prefix).with_contact(contact);
-                    let ep = Endpoint::from_backend(b as Arc<dyn Backend>);
-                    let (_universe, proc) = Universe::joiner_for_backend(ep, Arc::new(join));
-                    let out = run_forward_worker(&proc, &fwd_cfg, true);
-                    (out.exit, out.breakdowns)
+                    await_join_trigger(cfg.kind, || !watch.is_alive(RankId(cfg.victim)));
+                    newcomer(RankId(cfg.workers + i), Role::Joiner)
                 })
             })
             .collect();
 
-        // Warm spares bootstrap exactly like joiners — bind, scan member
-        // addresses, dial the mesh — but immediately (the pool must be
-        // warm before the scripted failure) and into the spare namespace.
+        // Warm spares start immediately — the pool must be warm before the
+        // scripted failure — and join the spare namespace.
         let spare_handles: Vec<_> = (0..cfg.spares)
-            .map(|i| {
-                let srank = RankId(cfg.workers + joiners + i);
-                let fwd_cfg = fwd_cfg.clone();
-                let store = Arc::clone(&store);
-                let addr_prefix = addr_prefix.clone();
-                let plan = plan.clone();
-                s.spawn(move || {
-                    while store.count_prefix(&addr_prefix) < cfg.workers {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    let member_addrs: Vec<(RankId, String)> = store
-                        .scan_prefix(&addr_prefix)
-                        .into_iter()
-                        .filter_map(|(k, v)| {
-                            let rank = k.rsplit('/').next()?.parse::<usize>().ok()?;
-                            Some((RankId(rank), String::from_utf8(v).ok()?))
-                        })
-                        .collect();
-                    let listener = SocketBackend::bind(cfg.backend).expect("bind spare listener");
-                    let contact = listener.addr().to_string();
-                    let b = SocketBackend::establish_joiner(
-                        srank,
-                        topology,
-                        listener,
-                        &member_addrs,
-                        transport::FaultInjector::new(plan),
-                        Duration::from_secs(10),
-                    )
-                    .expect("spare could not reach any member");
-                    if let Some(plan) = &cfg.perturb {
-                        b.set_perturbation(plan.clone());
-                    }
-                    b.set_suspicion_timeout(Some(suspicion));
-                    joined_sink.lock().push(Arc::clone(&b));
-                    let join = ulfm::NetJoin::new(store, prefix).with_contact(contact);
-                    let ep = Endpoint::from_backend(b as Arc<dyn Backend>);
-                    let (_universe, proc) = Universe::joiner_for_backend(ep, Arc::new(join));
-                    let out = run_forward_role(&proc, &fwd_cfg, Role::Spare);
-                    (out.exit, out.breakdowns)
-                })
-            })
+            .map(|i| s.spawn(move || newcomer(RankId(cfg.workers + joiners + i), Role::Spare)))
             .collect();
 
         let mut exits = Vec::new();
@@ -491,14 +443,7 @@ fn run_forward_scenario_sockets(cfg: &ScenarioConfig) -> ScenarioResult {
         .chain(std::mem::take(&mut *joined_backends.lock()))
         .collect();
     for b in &all_backends {
-        let st = b.stats();
-        fabric_stats.messages += st.messages;
-        fabric_stats.bytes += st.bytes;
-        fabric_stats.deaths += st.deaths;
-        fabric_stats.retransmits += st.retransmits;
-        fabric_stats.corrupt_frames += st.corrupt_frames;
-        fabric_stats.dup_suppressed += st.dup_suppressed;
-        fabric_stats.suspicions += st.suspicions;
+        fabric_stats += b.stats();
     }
     for b in &all_backends {
         b.shutdown();
@@ -554,15 +499,7 @@ fn run_backward_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
         // Joiners.
         let joiners = joiner_count(cfg);
         let joiner_handles: Vec<_> = if joiners > 0 {
-            match cfg.kind {
-                ScenarioKind::Replace => {
-                    while fabric.dead_ranks().is_empty() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-                ScenarioKind::Upscale => std::thread::sleep(Duration::from_millis(10)),
-                ScenarioKind::Downscale => unreachable!(),
-            }
+            await_join_trigger(cfg.kind, || !fabric.dead_ranks().is_empty());
             let new_ranks = fabric.register_ranks(joiners);
             new_ranks
                 .into_iter()

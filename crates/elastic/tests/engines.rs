@@ -155,6 +155,40 @@ fn forward_loss_decreases_despite_failure() {
     );
 }
 
+/// `final_world` is the size of the last communicator the worker belonged
+/// to on *every* exit path. Victim 0 dies in step 0 (4 → 3); at the step-4
+/// epoch boundary rank 1 dies inside the joiner's admission and the
+/// recovery lands below the floor, so the two members that trained steps
+/// 0–3 in a world of 3 abort — as does the never-admitted joiner.
+#[test]
+fn forward_aborted_members_report_their_last_world() {
+    let mut cfg = ScenarioConfig::quick(Engine::UlfmForward, ScenarioKind::Replace);
+    cfg.spec = TrainSpec {
+        total_steps: 8,
+        steps_per_epoch: 4,
+        min_workers: 3,
+        ..TrainSpec::default()
+    };
+    cfg.workers = 4;
+    cfg.ranks_per_node = 4;
+    cfg.victim = 0;
+    cfg.fail_at_op = 3;
+    cfg.joiners = 1;
+    cfg.extra_faults = FaultPlan::none().kill_at_point(RankId(1), "join.merge", 1);
+    let res = run_scenario(&cfg);
+    // `None`: died; `Some((final_world, steps_done))`: aborted.
+    let seen: Vec<Option<(usize, u64)>> = res
+        .exits
+        .iter()
+        .map(|e| match e {
+            WorkerExit::Died => None,
+            WorkerExit::Aborted(s) => Some((s.final_world, s.steps_done)),
+            other => panic!("nobody may complete or be excluded: {other:?}"),
+        })
+        .collect();
+    assert_eq!(seen, [None, None, Some((3, 4)), Some((3, 4)), Some((0, 0))]);
+}
+
 // --------------------------------------------------------------- backward
 
 #[test]

@@ -81,11 +81,13 @@ pub struct ClusterModel {
 
 impl Default for ClusterModel {
     fn default() -> Self {
+        // Link constants: the runtime's Summit model, not a second copy.
+        let links = elastic::HierModel::summit();
         Self {
-            alpha: 1.5e-6,
-            beta: 1.0 / 23.0e9,
-            alpha_intra: 1.0e-6,
-            beta_intra: 1.0 / 150.0e9,
+            alpha: links.cross.alpha,
+            beta: links.cross.beta,
+            alpha_intra: links.intra.alpha,
+            beta_intra: links.intra.beta,
             ranks_per_node: 6,
             kv_rtt: 1.0e-3,
             conn_setup: 2.0e-3,

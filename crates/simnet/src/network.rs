@@ -7,24 +7,18 @@
 //! per-rank start skews, e.g. stragglers re-entering after recovery).
 
 use crate::des::Simulator;
+use elastic::{CommModel, HierModel};
 
 /// Ring allreduce time: `2(w-1)·α + 2·((w-1)/w)·n·β` (reduce-scatter +
-/// allgather, bandwidth-optimal).
+/// allgather, bandwidth-optimal) — [`CommModel::ring_time`].
 pub fn ring_allreduce_time(n_bytes: f64, w: usize, alpha: f64, beta: f64) -> f64 {
-    if w <= 1 {
-        return 0.0;
-    }
-    let w_f = w as f64;
-    2.0 * (w_f - 1.0) * alpha + 2.0 * ((w_f - 1.0) / w_f) * n_bytes * beta
+    CommModel { alpha, beta }.ring_time(n_bytes, w)
 }
 
-/// Recursive-doubling allreduce time: `⌈log₂ w⌉·(α + n·β)`.
+/// Recursive-doubling allreduce time: `⌈log₂ w⌉·(α + n·β)` —
+/// [`CommModel::recursive_doubling_time`].
 pub fn recursive_doubling_allreduce_time(n_bytes: f64, w: usize, alpha: f64, beta: f64) -> f64 {
-    if w <= 1 {
-        return 0.0;
-    }
-    let rounds = (w as f64).log2().ceil();
-    rounds * (alpha + n_bytes * beta)
+    CommModel { alpha, beta }.recursive_doubling_time(n_bytes, w)
 }
 
 /// Binomial broadcast time: `⌈log₂ w⌉·(α + n·β)`.
@@ -37,10 +31,10 @@ pub fn bcast_time(n_bytes: f64, w: usize, alpha: f64, beta: f64) -> f64 {
 
 /// Best flat allreduce time: the runtime's `AllreduceAlgo::Auto` picks
 /// whichever of ring / recursive doubling is cheaper, so the flat baseline
-/// in any comparison is the min of the two closed forms.
+/// in any comparison is the min of the two closed forms —
+/// [`CommModel::best_time`].
 pub fn flat_allreduce_best_time(n_bytes: f64, w: usize, alpha: f64, beta: f64) -> f64 {
-    ring_allreduce_time(n_bytes, w, alpha, beta)
-        .min(recursive_doubling_allreduce_time(n_bytes, w, alpha, beta))
+    CommModel { alpha, beta }.best_time(n_bytes, w)
 }
 
 /// Two-level (hierarchical) allreduce time, mirroring
@@ -50,9 +44,9 @@ pub fn flat_allreduce_best_time(n_bytes: f64, w: usize, alpha: f64, beta: f64) -
 /// intra phases each cost `⌈log₂ local⌉·(α_i + n·β_i)` with
 /// `local = ⌈w/nodes⌉` (the largest node gates the phase).
 ///
-/// This is the same expression as `elastic::cost_model::HierModel` — the
-/// runtime's selection model and the simulator's sweep must agree on what
-/// "hierarchical" costs.
+/// Evaluates [`HierModel::hier_time`] — the runtime's selection model and
+/// the simulator's sweep agree on what "hierarchical" costs because they
+/// are one expression.
 pub fn hier_allreduce_time(
     n_bytes: f64,
     w: usize,
@@ -66,14 +60,17 @@ pub fn hier_allreduce_time(
         return 0.0;
     }
     let nodes = nodes.clamp(1, w);
-    let local = w.div_ceil(nodes);
-    let intra_rounds = if local > 1 {
-        (local as f64).log2().ceil()
-    } else {
-        0.0
+    let model = HierModel {
+        intra: CommModel {
+            alpha: alpha_intra,
+            beta: beta_intra,
+        },
+        cross: CommModel {
+            alpha: alpha_cross,
+            beta: beta_cross,
+        },
     };
-    let intra = 2.0 * intra_rounds * (alpha_intra + n_bytes * beta_intra);
-    intra + flat_allreduce_best_time(n_bytes, nodes, alpha_cross, beta_cross)
+    model.hier_time(n_bytes, nodes, w.div_ceil(nodes))
 }
 
 /// ERA-style agreement time: two sweeps of a binary tree, i.e.
@@ -299,24 +296,6 @@ mod tests {
             flat_allreduce_best_time(n, w, A, B)
         );
         assert_eq!(hier_allreduce_time(n, 1, 1, AI, BI, A, B), 0.0);
-    }
-
-    #[test]
-    fn simnet_and_runtime_cost_models_agree() {
-        // The elastic crate's HierModel gates the hot-path selection; the
-        // simnet closed form drives the sweep. They must be the same curve.
-        let m = elastic::HierModel::summit();
-        for &(w, nodes) in &[(192usize, 32usize), (1536, 256), (12_288, 2048)] {
-            for &n in &[1024.0, 1.0e6, 256.0e6] {
-                let local = w.div_ceil(nodes);
-                let sim = hier_allreduce_time(n, w, nodes, AI, BI, A, B);
-                let rt = m.hier_time(n, nodes, local);
-                assert!(
-                    (sim - rt).abs() <= 1e-12 + rt * 1e-9,
-                    "w={w} n={n}: simnet {sim} vs runtime {rt}"
-                );
-            }
-        }
     }
 
     #[test]

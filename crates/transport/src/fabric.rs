@@ -95,6 +95,20 @@ pub struct FabricStats {
     pub suspicions: u64,
 }
 
+/// Counter-by-counter sum — each socket backend observes only its own
+/// traffic, so a mesh total is the sum over its backends.
+impl std::ops::AddAssign for FabricStats {
+    fn add_assign(&mut self, s: Self) {
+        self.messages += s.messages;
+        self.bytes += s.bytes;
+        self.deaths += s.deaths;
+        self.retransmits += s.retransmits;
+        self.corrupt_frames += s.corrupt_frames;
+        self.dup_suppressed += s.dup_suppressed;
+        self.suspicions += s.suspicions;
+    }
+}
+
 /// Deterministic per-rank jitter for suspicion timeouts: stretches `t` by
 /// up to 25%, keyed only on the observing rank's id (a SplitMix-style hash
 /// of the rank, top byte as the jitter fraction). When a whole node dies,

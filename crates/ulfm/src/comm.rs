@@ -605,9 +605,11 @@ impl Communicator {
     /// The admission is all-or-none: the leader *snapshots* (never drains)
     /// the pending set, proposes `(epoch, joiners)` by broadcast, and the
     /// proposal only takes effect if a uniform commit agreement succeeds
-    /// with no observed failures. On commit, *every* member issues the
-    /// (identical) tickets, so a leader dying right after the decision
-    /// cannot strand a decided joiner; on a failed commit nothing changed —
+    /// with no observed failures (`uniform_commit`, shared with
+    /// [`Communicator::commit_recovery_policy`]). On commit, *every* member
+    /// issues the (identical) tickets, so a leader dying right after the
+    /// decision cannot strand a decided joiner; on a failed commit nothing
+    /// changed —
     /// the pending joiners stay pending, the caller runs its normal
     /// revoke → shrink recovery on *this* communicator and retries, and the
     /// shrunk group's new lowest rank takes over as join leader.
@@ -637,23 +639,54 @@ impl Communicator {
             .fault_point("join.merge")
             .map_err(|e| self.map_transport(e))?;
 
-        // Leader proposes (epoch, stop-flag, joiners). Dead joiners are
-        // filtered out of the snapshot so the group proceeds without them.
-        // A rank beyond the leader's table is one whose announcement raced
-        // ahead of its first inbound link (network joiners dial before they
-        // announce, but the accept thread may not have installed the stream
-        // yet) — never seen dying, so it counts as alive; post-commit sends
-        // buffer on its pending link until the stream lands.
+        // Leader proposes (stop-flag, joiners). Dead joiners are filtered
+        // out of the snapshot so the group proceeds without them.
+        let proposal = (self.my_idx == 0).then(|| {
+            let pending = self.shared.join.snapshot_pending(&|r| self.maybe_alive(r));
+            (give_up as u64, pending)
+        });
+        let (epoch, stop, joiners) = self.uniform_commit(proposal, "ulfm.join.failed_commits")?;
+        if joiners.is_empty() {
+            return Ok(if stop != 0 {
+                JoinOutcome::StopWaiting
+            } else {
+                JoinOutcome::NoneYet
+            });
+        }
+        Ok(JoinOutcome::Merged(self.admit(
+            epoch,
+            &joiners,
+            "ulfm.join.accepted",
+        )))
+    }
+
+    /// Liveness filter for a join or spare snapshot. A rank beyond the
+    /// leader's table is one whose announcement raced ahead of its first
+    /// inbound link (network joiners dial before they announce, but the
+    /// accept thread may not have installed the stream yet) — never seen
+    /// dying, so it counts as alive; post-commit sends buffer on its
+    /// pending link until the stream lands.
+    fn maybe_alive(&self, r: RankId) -> bool {
+        r.0 >= self.ep.total_ranks() || self.ep.is_peer_alive(r)
+    }
+
+    /// The commit round every membership-growing decision goes through:
+    /// the leader (group-local rank 0, the only caller passing `Some`)
+    /// proposes `(word, ranks)` under a fresh join epoch, a broadcast
+    /// delivers the proposal, and a uniform agreement decides whether it
+    /// takes effect — on *all* members or on none. Returns the committed
+    /// `(epoch, word, ranks)`; a failed commit counts under
+    /// `failed_commits` and surfaces the failure that broke it, so the
+    /// caller's recovery path (revoke → shrink → retry) takes over.
+    fn uniform_commit(
+        &self,
+        proposal: Option<(u64, Vec<RankId>)>,
+        failed_commits: &str,
+    ) -> Result<(u64, u64, Vec<RankId>), UlfmError> {
         let mut payload = Vec::new();
-        if self.my_idx == 0 {
-            let table = self.ep.total_ranks();
-            let pending = self
-                .shared
-                .join
-                .snapshot_pending(&|r| r.0 >= table || self.ep.is_peer_alive(r));
-            let epoch = self.shared.next_join_epoch();
-            let mut words = vec![epoch, give_up as u64, pending.len() as u64];
-            words.extend(pending.iter().map(|r| r.0 as u64));
+        if let Some((word, ranks)) = proposal {
+            let mut words = vec![self.shared.next_join_epoch(), word, ranks.len() as u64];
+            words.extend(ranks.iter().map(|r| r.0 as u64));
             payload = u64::encode_slice(&words);
         }
         // The broadcast tears itself down reliably on failure (poison
@@ -663,21 +696,18 @@ impl Communicator {
         // collectives into the *training* recovery path while we run the
         // commit agreement, desynchronizing the per-communicator
         // agreement streams.
-        let proposal = self.bcast(0, &mut payload);
-        if matches!(proposal, Err(UlfmError::SelfDied)) {
+        let delivered = self.bcast(0, &mut payload);
+        if matches!(delivered, Err(UlfmError::SelfDied)) {
             return Err(UlfmError::SelfDied);
         }
 
         // Uniform commit: every member contributes whether it holds the
-        // proposal; any bcast failure or member death aborts the admission
-        // on *all* members alike (no rank may act on a half-delivered
+        // proposal; any bcast failure or member death aborts the round on
+        // *all* members alike (no rank may act on a half-delivered
         // proposal while its peers retry).
-        let ok = proposal.is_ok();
-        let verdict = self.agree(ok as u64, u64::MAX)?;
+        let verdict = self.agree(delivered.is_ok() as u64, u64::MAX)?;
         if verdict.flags != 1 || !verdict.failed.is_empty() {
-            telemetry::counter("ulfm.join.failed_commits").incr();
-            // Surface the failure that broke the commit so the caller's
-            // recovery path (revoke → shrink → retry) takes over.
+            telemetry::counter(failed_commits).incr();
             if let Some(&g) = verdict.failed.first() {
                 return Err(self.map_transport(TransportError::PeerDead(g)));
             }
@@ -689,26 +719,24 @@ impl Communicator {
         }
 
         let words = u64::decode_slice(&payload);
-        let epoch = words[0];
-        let stop = words[1] != 0;
-        let joiners: Vec<RankId> = words[3..3 + words[2] as usize]
+        let ranks = words[3..3 + words[2] as usize]
             .iter()
             .map(|&w| RankId(w as usize))
             .collect();
-        if joiners.is_empty() {
-            return Ok(if stop {
-                JoinOutcome::StopWaiting
-            } else {
-                JoinOutcome::NoneYet
-            });
-        }
+        Ok((words[0], words[1], ranks))
+    }
 
+    /// Act on a committed admission of `newcomers` (joiners or promoted
+    /// spares) under join epoch `epoch`: build the merged communicator and
+    /// ticket them, counting them under `admitted`. Every member runs this
+    /// identically.
+    fn admit(&self, epoch: u64, newcomers: &[RankId], admitted: &str) -> Communicator {
         let mut merged = self.group.clone();
-        merged.extend(joiners.iter().copied());
-        // Register every joiner with the local transport *before* anyone
+        merged.extend_from_slice(newcomers);
+        // Register every newcomer with the local transport *before* anyone
         // can address it: the first collective on the merged communicator
         // must find a known (if still-connecting) rank, never UnknownRank.
-        for &j in &joiners {
+        for &j in newcomers {
             self.ep.expect_rank(j);
         }
         // Intern the merged communicator's id first so the ticket can carry
@@ -725,19 +753,19 @@ impl Communicator {
         };
         // Committed: every member confirms the identical tickets
         // (idempotent), so no single death after the decision can leave a
-        // joiner waiting forever.
-        self.shared.join.confirm_tickets(&joiners, &ticket);
-        telemetry::counter("ulfm.join.accepted").add(joiners.len() as u64);
-        Ok(JoinOutcome::Merged(self.derive(id, merged)))
+        // newcomer waiting forever.
+        self.shared.join.confirm_tickets(newcomers, &ticket);
+        telemetry::counter(admitted).add(newcomers.len() as u64);
+        self.derive(id, merged)
     }
 
     /// Commit a recovery-policy decision uniformly across the (already
     /// shrunk) group. Collective; group-local rank 0 is the policy leader
     /// and `hint` is *its* scored choice — every other member's hint is
     /// ignored, because the decision travels inside the committed proposal
-    /// (exactly the join-commit pattern: leader proposal broadcast →
-    /// uniform agreement → idempotent ticket confirmation), so SPMD
-    /// control flow cannot diverge on locally-scored inputs.
+    /// (the same `uniform_commit` round as the join handshake, and the same
+    /// idempotent ticketing on a committed promotion), so SPMD control flow
+    /// cannot diverge on locally-scored inputs.
     ///
     /// For [`RecoveryArm::PromoteSpares`] the leader snapshots up to `want`
     /// live warm spares from the join service; if the pool turns out empty
@@ -761,87 +789,30 @@ impl Communicator {
             .fault_point("policy.round")
             .map_err(|e| self.map_transport(e))?;
 
-        let mut payload = Vec::new();
-        if self.my_idx == 0 {
-            let table = self.ep.total_ranks();
-            let (arm, spares) = match hint {
-                RecoveryArm::PromoteSpares => {
-                    // Same alive filter as the join snapshot: a rank beyond
-                    // the leader's peer table raced its announce ahead of
-                    // its first inbound link and counts as alive.
-                    let mut pool = self
-                        .shared
-                        .join
-                        .snapshot_spares(&|r| r.0 >= table || self.ep.is_peer_alive(r));
-                    pool.truncate(want.max(1));
-                    if pool.is_empty() {
-                        // The pool is cold (never filled, drained, or every
-                        // spare died): commit the downgrade so all members
-                        // fall to shrink together.
-                        telemetry::counter("ulfm.policy.spare_unavailable").incr();
-                        (RecoveryArm::Shrink, Vec::new())
-                    } else {
-                        (RecoveryArm::PromoteSpares, pool)
-                    }
-                }
-                arm => (arm, Vec::new()),
-            };
-            let epoch = self.shared.next_join_epoch();
-            let mut words = vec![epoch, arm.to_wire(), spares.len() as u64];
-            words.extend(spares.iter().map(|r| r.0 as u64));
-            payload = u64::encode_slice(&words);
-        }
-        // Reliable-teardown broadcast + uniform agreement, verbatim from
-        // the join handshake (see accept_joiners_directed for why nothing
-        // here may revoke).
-        let proposal = self.bcast(0, &mut payload);
-        if matches!(proposal, Err(UlfmError::SelfDied)) {
-            return Err(UlfmError::SelfDied);
-        }
-        let ok = proposal.is_ok();
-        let verdict = self.agree(ok as u64, u64::MAX)?;
-        if verdict.flags != 1 || !verdict.failed.is_empty() {
-            telemetry::counter("ulfm.policy.failed_commits").incr();
-            if let Some(&g) = verdict.failed.first() {
-                return Err(self.map_transport(TransportError::PeerDead(g)));
-            }
-            if let Some(&g) = self.group.iter().find(|&&g| !self.ep.is_peer_alive(g)) {
-                return Err(self.map_transport(TransportError::PeerDead(g)));
-            }
-            self.revoke();
-            return Err(UlfmError::Revoked);
-        }
-
-        let words = u64::decode_slice(&payload);
-        let epoch = words[0];
-        let arm = RecoveryArm::from_wire(words[1]);
-        let spares: Vec<RankId> = words[3..3 + words[2] as usize]
-            .iter()
-            .map(|&w| RankId(w as usize))
-            .collect();
-        match arm {
-            RecoveryArm::Shrink => Ok(PolicyCommit::Shrink),
-            RecoveryArm::Rollback => Ok(PolicyCommit::Rollback),
+        let proposal = (self.my_idx == 0).then(|| match hint {
             RecoveryArm::PromoteSpares => {
-                let mut merged = self.group.clone();
-                merged.extend(spares.iter().copied());
-                for &s in &spares {
-                    self.ep.expect_rank(s);
+                let mut pool = self.shared.join.snapshot_spares(&|r| self.maybe_alive(r));
+                pool.truncate(want.max(1));
+                if pool.is_empty() {
+                    // The pool is cold (never filled, drained, or every
+                    // spare died): commit the downgrade so all members
+                    // fall to shrink together.
+                    telemetry::counter("ulfm.policy.spare_unavailable").incr();
+                    (RecoveryArm::Shrink.to_wire(), pool)
+                } else {
+                    (RecoveryArm::PromoteSpares.to_wire(), pool)
                 }
-                let id = self.shared.intern_comm(CommKey::Join {
-                    epoch,
-                    group: merged.clone(),
-                });
-                let ticket = JoinTicket {
-                    group: merged.clone(),
-                    epoch,
-                    comm_id: Some(id),
-                };
-                self.shared.join.confirm_tickets(&spares, &ticket);
-                telemetry::counter("ulfm.policy.promoted").add(spares.len() as u64);
-                Ok(PolicyCommit::Promoted(self.derive(id, merged)))
             }
-        }
+            arm => (arm.to_wire(), Vec::new()),
+        });
+        let (epoch, arm, spares) = self.uniform_commit(proposal, "ulfm.policy.failed_commits")?;
+        Ok(match RecoveryArm::from_wire(arm) {
+            RecoveryArm::Shrink => PolicyCommit::Shrink,
+            RecoveryArm::Rollback => PolicyCommit::Rollback,
+            RecoveryArm::PromoteSpares => {
+                PolicyCommit::Promoted(self.admit(epoch, &spares, "ulfm.policy.promoted"))
+            }
+        })
     }
 }
 

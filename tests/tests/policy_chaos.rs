@@ -70,11 +70,17 @@ impl Delta {
 /// The shared baseline: six workers on two nodes, victim 2 dies at its
 /// 7th `allreduce.step` hit (inside training step 0), no joiners.
 fn base(policy_mode: PolicyMode, spares: usize) -> ScenarioConfig {
-    ScenarioConfig {
+    let mut cfg = ScenarioConfig {
         spares,
         policy_mode,
         ..ScenarioConfig::quick(Engine::UlfmForward, ScenarioKind::Downscale)
-    }
+    };
+    // Each schedule kills a rank just *before* a bcast + agree. Flood-set
+    // freezes failure knowledge on entry, so an untouched corpse lets that
+    // commit pass and the scripted fallback edge legitimately never fires;
+    // lattice widens on any death seen mid-exchange, so it fires every run.
+    cfg.spec.agree = ulfm::AgreeImpl::Lattice;
+    cfg
 }
 
 /// With the default ring algorithm a 6-rank allreduce crosses the
