@@ -23,11 +23,11 @@ pub fn allgather<C: PeerComm>(
     algo: AllgatherAlgo,
     tag_base: u64,
 ) -> Result<Vec<Vec<u8>>, CollError> {
-    let metric = match algo {
-        AllgatherAlgo::Ring => "coll.allgather.ring",
-        AllgatherAlgo::Bruck => "coll.allgather.bruck",
+    let metrics = match algo {
+        AllgatherAlgo::Ring => op_metrics!("coll.allgather.ring"),
+        AllgatherAlgo::Bruck => op_metrics!("coll.allgather.bruck"),
     };
-    crate::observe(metric, || match algo {
+    metrics.observe(|| match algo {
         AllgatherAlgo::Ring => ring_allgather(comm, mine, tag_base),
         AllgatherAlgo::Bruck => bruck_allgather(comm, mine, tag_base),
     })

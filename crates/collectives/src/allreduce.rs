@@ -19,6 +19,7 @@
 use crate::comm::PeerComm;
 use crate::elem::{reduce_into, Elem, ReduceOp};
 use crate::error::CollError;
+use telemetry::{Counter, Lazy};
 
 /// Which allreduce algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -111,16 +112,23 @@ pub fn allreduce<E: Elem, C: PeerComm>(
 ) -> Result<(), CollError> {
     // Wire bytes, not in-memory bytes: the crossover models network cost.
     let resolved = algo.resolve(buf.len() * E::WIDTH, comm.size());
-    let metric = match resolved {
-        AllreduceAlgo::Ring => "coll.allreduce.ring",
-        AllreduceAlgo::RecursiveDoubling => "coll.allreduce.recursive_doubling",
-        AllreduceAlgo::Rabenseifner => "coll.allreduce.rabenseifner",
+    /// One algorithm's [`crate::OpMetrics`] and its `.auto_picked` counter.
+    macro_rules! algo_metrics {
+        ($metric:literal) => {{
+            static AUTO_PICKED: Lazy<Counter> = Lazy::counter(concat!($metric, ".auto_picked"));
+            (op_metrics!($metric), &AUTO_PICKED)
+        }};
+    }
+    let (metrics, auto_picked) = match resolved {
+        AllreduceAlgo::Ring => algo_metrics!("coll.allreduce.ring"),
+        AllreduceAlgo::RecursiveDoubling => algo_metrics!("coll.allreduce.recursive_doubling"),
+        AllreduceAlgo::Rabenseifner => algo_metrics!("coll.allreduce.rabenseifner"),
         AllreduceAlgo::Auto { .. } => unreachable!("resolve returns a concrete algorithm"),
     };
     if matches!(algo, AllreduceAlgo::Auto { .. }) {
-        telemetry::counter(&format!("{metric}.auto_picked")).incr();
+        auto_picked.incr();
     }
-    crate::observe(metric, || match resolved {
+    metrics.observe(|| match resolved {
         AllreduceAlgo::Ring => ring_allreduce(comm, buf, op, tag_base),
         AllreduceAlgo::RecursiveDoubling => recursive_doubling_allreduce(comm, buf, op, tag_base),
         AllreduceAlgo::Rabenseifner => rabenseifner_allreduce(comm, buf, op, tag_base),

@@ -9,7 +9,7 @@ use crate::error::CollError;
 /// Completion at any rank implies every rank has entered the barrier
 /// (transitively through the dissemination pattern).
 pub fn dissemination_barrier<C: PeerComm>(comm: &C, tag_base: u64) -> Result<(), CollError> {
-    crate::observe("coll.barrier", || {
+    op_metrics!("coll.barrier").observe(|| {
         let p = comm.size();
         let r = comm.rank();
         let mut dist = 1usize;

@@ -35,7 +35,7 @@ pub fn binomial_bcast<C: PeerComm>(
     buf: &mut Vec<u8>,
     tag_base: u64,
 ) -> Result<(), CollError> {
-    crate::observe("coll.bcast.binomial", || {
+    op_metrics!("coll.bcast.binomial").observe(|| {
         let p = comm.size();
         assert!(root < p, "broadcast root {root} out of range (size {p})");
         if p == 1 {

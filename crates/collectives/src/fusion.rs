@@ -37,6 +37,7 @@ use crate::comm::PeerComm;
 use crate::elem::{Elem, ReduceOp};
 use crate::error::CollError;
 use std::ops::Range;
+use telemetry::{Counter, Histogram, Lazy};
 
 /// Horovod's default fusion threshold: 64 MiB.
 pub const DEFAULT_FUSION_BYTES: usize = 64 << 20;
@@ -212,10 +213,14 @@ pub fn fused_allreduce<E: Elem, C: PeerComm>(
 
 /// Record fusion telemetry for one packed bucket.
 pub fn observe_bucket(bucket_bytes: usize, bucket_tensors: usize) {
-    telemetry::counter("coll.fusion.fused_ops").incr();
-    telemetry::counter("coll.fusion.tensors_fused").add(bucket_tensors as u64);
-    telemetry::histogram("coll.fusion.bucket_bytes").record(bucket_bytes as u64);
-    telemetry::histogram("coll.fusion.bucket_tensors").record(bucket_tensors as u64);
+    static FUSED_OPS: Lazy<Counter> = Lazy::counter("coll.fusion.fused_ops");
+    static TENSORS_FUSED: Lazy<Counter> = Lazy::counter("coll.fusion.tensors_fused");
+    static BUCKET_BYTES: Lazy<Histogram> = Lazy::histogram("coll.fusion.bucket_bytes");
+    static BUCKET_TENSORS: Lazy<Histogram> = Lazy::histogram("coll.fusion.bucket_tensors");
+    FUSED_OPS.incr();
+    TENSORS_FUSED.add(bucket_tensors as u64);
+    BUCKET_BYTES.record(bucket_bytes as u64);
+    BUCKET_TENSORS.record(bucket_tensors as u64);
 }
 
 #[cfg(test)]

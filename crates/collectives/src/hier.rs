@@ -211,7 +211,7 @@ pub fn hier_allreduce<E: Elem, C: PeerComm>(
         comm.size(),
         "node map describes a different group than the communicator"
     );
-    crate::observe("coll.allreduce.hier", || {
+    op_metrics!("coll.allreduce.hier").observe(|| {
         let me = comm.rank();
         let members = map.node_members(me);
         let my_idx = members

@@ -28,6 +28,44 @@
 
 #![warn(missing_docs)]
 
+use telemetry::{Counter, Histogram, Lazy};
+
+/// Telemetry handles of one collective, `<metric>.{ops,latency_ns,failures}`:
+/// each name is resolved in the registry once, at its first use.
+pub(crate) struct OpMetrics {
+    ops: Lazy<Counter>,
+    latency_ns: Lazy<Histogram>,
+    failures: Lazy<Counter>,
+}
+
+/// The `&'static` [`OpMetrics`] of the collective named by a literal.
+macro_rules! op_metrics {
+    ($metric:literal) => {{
+        static M: $crate::OpMetrics = $crate::OpMetrics {
+            ops: telemetry::Lazy::counter(concat!($metric, ".ops")),
+            latency_ns: telemetry::Lazy::histogram(concat!($metric, ".latency_ns")),
+            failures: telemetry::Lazy::counter(concat!($metric, ".failures")),
+        };
+        &M
+    }};
+}
+
+impl OpMetrics {
+    /// Wrap one invocation: times the call into `<metric>.latency_ns` and
+    /// bumps `<metric>.ops`, plus `<metric>.failures` when the collective
+    /// surfaces an error (peer failure, revocation, ...).
+    pub(crate) fn observe<T, E>(&self, f: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
+        self.ops.incr();
+        let start = std::time::Instant::now();
+        let out = f();
+        self.latency_ns.record_duration(start.elapsed());
+        if out.is_err() {
+            self.failures.incr();
+        }
+        out
+    }
+}
+
 mod allgather;
 mod allreduce;
 mod barrier;
@@ -59,20 +97,6 @@ pub use reduce::{binomial_reduce, gather, scatter};
 /// Callers advance their sequence numbers by at least this much between
 /// collectives on the same communicator.
 pub const TAG_SPAN: u64 = 1 << 20;
-
-/// Wrap one collective invocation with telemetry: times the call into
-/// `<metric>.latency_ns` and bumps `<metric>.ops`, plus `<metric>.failures`
-/// when the collective surfaces an error (peer failure, revocation, ...).
-pub(crate) fn observe<T, E>(metric: &str, f: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
-    telemetry::counter(&format!("{metric}.ops")).incr();
-    let span = telemetry::span(&format!("{metric}.latency_ns"));
-    let out = f();
-    drop(span);
-    if out.is_err() {
-        telemetry::counter(&format!("{metric}.failures")).incr();
-    }
-    out
-}
 
 #[cfg(test)]
 mod testutil;

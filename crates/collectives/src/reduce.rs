@@ -15,7 +15,7 @@ pub fn binomial_reduce<E: Elem, C: PeerComm>(
     op: ReduceOp,
     tag_base: u64,
 ) -> Result<(), CollError> {
-    crate::observe("coll.reduce.binomial", || {
+    op_metrics!("coll.reduce.binomial").observe(|| {
         let p = comm.size();
         assert!(root < p, "reduce root {root} out of range (size {p})");
         if p == 1 {
@@ -59,7 +59,7 @@ pub fn gather<C: PeerComm>(
     mine: &[u8],
     tag_base: u64,
 ) -> Result<Option<Vec<Vec<u8>>>, CollError> {
-    crate::observe("coll.gather.linear", || {
+    op_metrics!("coll.gather.linear").observe(|| {
         let p = comm.size();
         let r = comm.rank();
         assert!(root < p, "gather root {root} out of range (size {p})");
@@ -92,7 +92,7 @@ pub fn scatter<C: PeerComm>(
     blocks: Option<&[Vec<u8>]>,
     tag_base: u64,
 ) -> Result<Vec<u8>, CollError> {
-    crate::observe("coll.scatter.linear", || {
+    op_metrics!("coll.scatter.linear").observe(|| {
         let p = comm.size();
         let r = comm.rank();
         assert!(root < p, "scatter root {root} out of range (size {p})");

@@ -10,6 +10,8 @@
 //!   nanoseconds; byte sizes and round counts record raw values.
 //! * [`span`] — an RAII guard that times a scope into the histogram of the
 //!   same name (`drop` records). [`time`] is the closure-shaped variant.
+//! * [`Lazy`] — a `static` handle on a counter or histogram, for call sites
+//!   that cannot hold an `Arc`: resolved on first use, lock-free after.
 //! * [`Episode`] — one recovery episode (forward redo, backward rollback,
 //!   or join) with its per-phase durations; mirrors
 //!   `elastic::profiler::RecoveryBreakdown` so the two reconcile exactly.
@@ -257,6 +259,46 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
     h
 }
 
+/// A metric handle for a `static`: `static OPS: Lazy<Counter> =
+/// Lazy::counter("coll.barrier.ops")`. The name is resolved in the registry
+/// on first use — so it appears in [`snapshot`] exactly when a by-name call
+/// site's would — and every later use is one atomic load: no lock, no
+/// string. [`reset`] zeroes metrics in place, so the handle stays valid.
+pub struct Lazy<M: 'static> {
+    name: &'static str,
+    resolve: fn(&str) -> Arc<M>,
+    cell: OnceLock<Arc<M>>,
+}
+
+impl Lazy<Counter> {
+    /// A handle on the counter named `name`.
+    pub const fn counter(name: &'static str) -> Self {
+        Self {
+            name,
+            resolve: counter,
+            cell: OnceLock::new(),
+        }
+    }
+}
+
+impl Lazy<Histogram> {
+    /// A handle on the histogram named `name`.
+    pub const fn histogram(name: &'static str) -> Self {
+        Self {
+            name,
+            resolve: histogram,
+            cell: OnceLock::new(),
+        }
+    }
+}
+
+impl<M> std::ops::Deref for Lazy<M> {
+    type Target = M;
+    fn deref(&self) -> &M {
+        self.cell.get_or_init(|| (self.resolve)(self.name))
+    }
+}
+
 /// Record a completed recovery episode.
 pub fn record_episode(episode: Episode) {
     registry()
@@ -458,6 +500,24 @@ mod tests {
         // The cached Arc still reports into the registry after reset.
         c.add(2);
         assert_eq!(snapshot().counters["test.counter"], 2);
+    }
+
+    #[test]
+    fn lazy_handle_registers_on_first_use_and_survives_reset() {
+        let _g = lock();
+        static C: Lazy<Counter> = Lazy::counter("test.lazy.counter");
+        static H: Lazy<Histogram> = Lazy::histogram("test.lazy.hist");
+        reset();
+        // Declared but never used: not in the registry.
+        assert!(!snapshot().counters.contains_key("test.lazy.counter"));
+        assert!(!snapshot().histograms.contains_key("test.lazy.hist"));
+        C.add(3);
+        H.record(7);
+        assert_eq!(counter("test.lazy.counter").get(), 3);
+        assert_eq!(histogram("test.lazy.hist").sum(), 7);
+        reset();
+        C.incr();
+        assert_eq!(snapshot().counters["test.lazy.counter"], 1);
     }
 
     #[test]

@@ -355,8 +355,14 @@ impl Fabric {
     /// the perturbation plan. Returns true if the receiver acked a copy of
     /// the *current* frame (stashed flushes ack on behalf of older frames,
     /// which already retransmit independently).
-    fn transmit(&self, src: RankId, dst: RankId, frame: &[u8], mb: &Mailbox) -> bool {
-        let perturber = Arc::clone(&self.perturber.read());
+    fn transmit(
+        &self,
+        perturber: &Perturber,
+        src: RankId,
+        dst: RankId,
+        frame: &[u8],
+        mb: &Mailbox,
+    ) -> bool {
         let verdict = perturber.transmit(src, dst, frame);
         if verdict.dropped {
             self.telem.frames_dropped.incr();
@@ -396,15 +402,11 @@ impl Fabric {
         acked
     }
 
-    fn mailbox_of(&self, rank: RankId) -> Option<Arc<Mailbox>> {
-        self.slots
-            .read()
-            .get(rank.0)
-            .map(|s| Arc::clone(&s.mailbox))
-    }
-
-    fn alive_flag_of(&self, rank: RankId) -> Option<Arc<AtomicBool>> {
-        self.slots.read().get(rank.0).map(|s| Arc::clone(&s.alive))
+    /// `rank`'s mailbox and alive flag, under one hold of the slot table.
+    fn slot_of(&self, rank: RankId) -> Option<(Arc<Mailbox>, Arc<AtomicBool>)> {
+        let slots = self.slots.read();
+        let s = slots.get(rank.0)?;
+        Some((Arc::clone(&s.mailbox), Arc::clone(&s.alive)))
     }
 }
 
@@ -416,16 +418,24 @@ impl Fabric {
 pub(crate) struct InProcBackend {
     fabric: Arc<Fabric>,
     rank: RankId,
+    /// This rank's own mailbox and alive flag: slots are never replaced, so
+    /// the per-message paths reach them without the fabric-wide table lock.
+    mailbox: Arc<Mailbox>,
+    alive: Arc<AtomicBool>,
 }
 
 impl InProcBackend {
     /// The backend for `rank` (which must be registered with `fabric`).
     pub(crate) fn new(fabric: Arc<Fabric>, rank: RankId) -> Self {
-        assert!(
-            rank.0 < fabric.total_ranks(),
-            "rank {rank} not registered with the fabric"
-        );
-        Self { fabric, rank }
+        let Some((mailbox, alive)) = fabric.slot_of(rank) else {
+            panic!("rank {rank} not registered with the fabric");
+        };
+        Self {
+            fabric,
+            rank,
+            mailbox,
+            alive,
+        }
     }
 }
 
@@ -463,7 +473,7 @@ impl Backend for InProcBackend {
     }
 
     fn check_op_fault(&self) -> Result<(), TransportError> {
-        if !self.fabric.is_alive(self.rank) {
+        if !self.alive.load(Ordering::SeqCst) {
             return Err(TransportError::SelfDied);
         }
         if self.fabric.injector.hit_op(self.rank) {
@@ -475,7 +485,7 @@ impl Backend for InProcBackend {
     }
 
     fn fault_point(&self, name: &str) -> Result<(), TransportError> {
-        if !self.fabric.is_alive(self.rank) {
+        if !self.alive.load(Ordering::SeqCst) {
             return Err(TransportError::SelfDied);
         }
         self.fabric.perturber.read().notify_point(name);
@@ -489,26 +499,27 @@ impl Backend for InProcBackend {
 
     fn send(&self, to: RankId, tag: u64, data: &[u8]) -> Result<(), TransportError> {
         self.check_op_fault()?;
-        let Some(mb) = self.fabric.mailbox_of(to) else {
+        let Some((mb, to_alive)) = self.fabric.slot_of(to) else {
             return Err(TransportError::UnknownRank(to));
         };
-        if !self.fabric.is_alive(to) {
+        if !to_alive.load(Ordering::SeqCst) {
             return Err(TransportError::PeerDead(to));
         }
         let seq = self.fabric.next_tx_seq(self.rank, to, tag);
         let frame = wire::encode_frame(self.rank, tag, seq, data);
-        let policy = self.fabric.perturber.read().plan().retry_policy();
+        let mut perturber = Arc::clone(&self.fabric.perturber.read());
+        let policy = perturber.plan().retry_policy();
         let mut attempt = 0u32;
         loop {
-            if self.fabric.transmit(self.rank, to, &frame, &mb) {
+            if self.fabric.transmit(&perturber, self.rank, to, &frame, &mb) {
                 break;
             }
             // Unacked: the frame (or every copy of it) was lost. Re-check
             // liveness between attempts — death reports beat link errors.
-            if !self.fabric.is_alive(self.rank) {
+            if !self.alive.load(Ordering::SeqCst) {
                 return Err(TransportError::SelfDied);
             }
-            if !self.fabric.is_alive(to) {
+            if !to_alive.load(Ordering::SeqCst) {
                 return Err(TransportError::PeerDead(to));
             }
             if attempt >= policy.max_retries {
@@ -517,11 +528,9 @@ impl Backend for InProcBackend {
                 self.fabric.suspect(to);
                 return Err(TransportError::PeerDead(to));
             }
-            let salt = self
-                .fabric
-                .perturber
-                .read()
-                .backoff_salt(self.rank, to, tag, seq, attempt);
+            // A plan installed mid-send takes effect from the next attempt.
+            perturber = Arc::clone(&self.fabric.perturber.read());
+            let salt = perturber.backoff_salt(self.rank, to, tag, seq, attempt);
             let backoff = policy.backoff(attempt, salt);
             self.fabric.telem.backoff_hist.record_duration(backoff);
             std::thread::sleep(backoff);
@@ -546,17 +555,9 @@ impl Backend for InProcBackend {
         deadline: Option<Instant>,
     ) -> Result<Vec<u8>, TransportError> {
         self.check_op_fault()?;
-        let my_mb = self
-            .fabric
-            .mailbox_of(self.rank)
-            .expect("own mailbox must exist");
-        let Some(src_alive) = self.fabric.alive_flag_of(from) else {
+        let Some((_, src_alive)) = self.fabric.slot_of(from) else {
             return Err(TransportError::UnknownRank(from));
         };
-        let self_alive = self
-            .fabric
-            .alive_flag_of(self.rank)
-            .expect("own alive flag must exist");
         // Without an explicit deadline, an open-ended wait is bounded by the
         // suspicion timeout (when configured): a peer silent past it is
         // treated as failed, not merely slow. Per-rank jitter desynchronizes
@@ -571,11 +572,11 @@ impl Backend for InProcBackend {
         };
         let effective = deadline.or_else(|| suspicion.map(|t| Instant::now() + t));
         use crate::mailbox::RecvOutcome;
-        match my_mb.pop_matching(
+        match self.mailbox.pop_matching(
             from,
             tag,
             || src_alive.load(Ordering::SeqCst),
-            || self_alive.load(Ordering::SeqCst),
+            || self.alive.load(Ordering::SeqCst),
             should_stop,
             effective,
         ) {
@@ -601,23 +602,15 @@ impl Backend for InProcBackend {
     }
 
     fn try_recv(&self, from: RankId, tag: u64) -> Option<Vec<u8>> {
-        self.fabric
-            .mailbox_of(self.rank)
-            .and_then(|mb| mb.try_pop(from, tag))
+        self.mailbox.try_pop(from, tag)
     }
 
     fn probe(&self, from: RankId, tag: u64) -> bool {
-        self.fabric
-            .mailbox_of(self.rank)
-            .is_some_and(|mb| mb.probe(from, tag))
+        self.mailbox.probe(from, tag)
     }
 
     fn purge_tags(&self, pred: &dyn Fn(u64) -> bool) -> usize {
-        let purged = self
-            .fabric
-            .mailbox_of(self.rank)
-            .map(|mb| mb.purge_where(pred))
-            .unwrap_or(0);
+        let purged = self.mailbox.purge_where(pred);
         self.fabric.telem.purged_msgs.add(purged as u64);
         purged
     }

@@ -48,6 +48,7 @@ mod mailbox;
 mod perturb;
 pub mod socket;
 pub mod stream;
+mod wait;
 pub mod wire;
 
 pub use backend::{Backend, BackendKind, Endpoint, SignalHandler};

@@ -7,8 +7,9 @@
 //! receiver half of the retransmitting wire protocol.
 
 use crate::ids::RankId;
+use crate::wait::{WaitLock, YieldBudget};
 use crate::wire::{self, Frame, FrameError};
-use parking_lot::{Condvar, Mutex};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
 
@@ -73,12 +74,26 @@ struct ChannelRx {
 #[derive(Default)]
 struct Inner {
     /// FIFO queue per (source, tag). FIFO per channel matches MPI's
-    /// non-overtaking guarantee.
+    /// non-overtaking guarantee. An entry lives only while it holds a
+    /// message: collectives use fresh tags, so drained queues would pile up.
     queues: HashMap<(RankId, u64), VecDeque<Vec<u8>>>,
     /// Sequence tracking + reassembly per (source, tag) channel.
     channels: HashMap<(RankId, u64), ChannelRx>,
-    /// Bumped on every rank death so blocked receivers re-check liveness.
-    death_epoch: u64,
+}
+
+impl Inner {
+    /// Pop the oldest message of `(src, tag)`, dropping the queue's entry
+    /// with its last one.
+    fn pop(&mut self, src: RankId, tag: u64) -> Option<Vec<u8>> {
+        let Entry::Occupied(mut q) = self.queues.entry((src, tag)) else {
+            return None;
+        };
+        let data = q.get_mut().pop_front();
+        if q.get().is_empty() {
+            q.remove();
+        }
+        data
+    }
 }
 
 /// A rank's incoming-message buffer.
@@ -88,8 +103,7 @@ struct Inner {
 /// blocks until a matching message arrives or the waker is notified of a
 /// death event, at which point the caller re-checks the alive table.
 pub struct Mailbox {
-    inner: Mutex<Inner>,
-    cv: Condvar,
+    inner: WaitLock<Inner>,
     pushes: std::sync::Arc<telemetry::Counter>,
     death_wakes: std::sync::Arc<telemetry::Counter>,
 }
@@ -104,8 +118,7 @@ impl Mailbox {
     /// An empty mailbox.
     pub fn new() -> Self {
         Self {
-            inner: Mutex::new(Inner::default()),
-            cv: Condvar::new(),
+            inner: WaitLock::default(),
             pushes: telemetry::counter("transport.mailbox.pushes"),
             death_wakes: telemetry::counter("transport.mailbox.death_wakes"),
         }
@@ -120,9 +133,8 @@ impl Mailbox {
             .entry((env.src, env.tag))
             .or_default()
             .push_back(env.data);
-        drop(inner);
+        self.inner.notify(inner);
         self.pushes.incr();
-        self.cv.notify_all();
     }
 
     /// Accept one encoded link frame: verify the checksum
@@ -156,9 +168,8 @@ impl Mailbox {
             let n = ready.len() as u64;
             let q = inner.queues.entry(key).or_default();
             q.extend(ready);
-            drop(inner);
+            self.inner.notify(inner);
             self.pushes.add(n);
-            self.cv.notify_all();
         }
         FrameAck::Accepted
     }
@@ -171,11 +182,7 @@ impl Mailbox {
 
     /// Try to pop a matching message without blocking.
     pub fn try_pop(&self, src: RankId, tag: u64) -> Option<Vec<u8>> {
-        let mut inner = self.inner.lock();
-        inner
-            .queues
-            .get_mut(&(src, tag))
-            .and_then(|q| q.pop_front())
+        self.inner.lock().pop(src, tag)
     }
 
     /// Blocking pop with liveness and external-stop re-checks.
@@ -197,6 +204,8 @@ impl Mailbox {
     /// that observed "nothing to do" under the lock is guaranteed to be
     /// registered on the condvar before any state change can complete — no
     /// polling backstop is needed, and a deadline of 5 ms fires in ≈5 ms.
+    /// Between checks the thread blocks in `WaitLock::wait`: it yields for
+    /// one bounded budget per call, then parks.
     pub fn pop_matching(
         &self,
         src: RankId,
@@ -207,14 +216,13 @@ impl Mailbox {
         deadline: Option<Instant>,
     ) -> RecvOutcome {
         let mut inner = self.inner.lock();
+        let mut budget = YieldBudget::default();
         loop {
             if should_stop() {
                 return RecvOutcome::Stopped;
             }
-            if let Some(q) = inner.queues.get_mut(&(src, tag)) {
-                if let Some(data) = q.pop_front() {
-                    return RecvOutcome::Message(data);
-                }
+            if let Some(data) = inner.pop(src, tag) {
+                return RecvOutcome::Message(data);
             }
             if !is_self_alive() {
                 return RecvOutcome::SelfDead;
@@ -222,18 +230,10 @@ impl Mailbox {
             if !is_src_alive() {
                 return RecvOutcome::SrcDead;
             }
-            match deadline {
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return RecvOutcome::TimedOut;
-                    }
-                    self.cv.wait_for(&mut inner, d - now);
-                }
-                None => {
-                    self.cv.wait(&mut inner);
-                }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return RecvOutcome::TimedOut;
             }
+            inner = self.inner.wait(inner, &mut budget, deadline);
         }
     }
 
@@ -241,17 +241,26 @@ impl Mailbox {
     /// conditions. Called by the fabric whenever any rank dies or a
     /// communicator is revoked.
     pub fn wake_waiters(&self) {
-        let mut inner = self.inner.lock();
-        inner.death_epoch += 1;
-        drop(inner);
+        self.inner.notify(self.inner.lock());
         self.death_wakes.incr();
-        self.cv.notify_all();
     }
 
     /// Total number of buffered messages (diagnostics only).
     pub fn buffered(&self) -> usize {
         let inner = self.inner.lock();
         inner.queues.values().map(|q| q.len()).sum()
+    }
+
+    /// `(source, tag)` queues currently tracked (diagnostics only): zero
+    /// once every buffered message has been popped.
+    pub fn tracked_queues(&self) -> usize {
+        self.inner.lock().queues.len()
+    }
+
+    /// Times a blocked receiver has parked rather than yielded (diagnostics
+    /// only).
+    pub fn parks(&self) -> u64 {
+        self.inner.parks()
     }
 
     /// Drop all buffered messages carrying `tag_pred`-matching tags.
@@ -465,6 +474,234 @@ mod tests {
             elapsed < Duration::from_millis(15),
             "5 ms deadline took {elapsed:?}"
         );
+    }
+
+    // ---- the wait under `pop_matching` ----------------------------------
+    //
+    // Each outcome is delivered twice: while the waiter is still yielding
+    // (the event fires ≈ 5 µs after it went in) and after it has parked
+    // (the event fires once `parks()` says so, at least 5 ms in).
+
+    /// When the event behind an outcome fires, relative to the waiter.
+    enum Phase {
+        Yielding,
+        Parked,
+    }
+
+    /// Block a waiter on `(5, 42)`, fire `event` in `phase`, and return what
+    /// the waiter got plus whether it parked on the way.
+    fn wait_outcome(
+        phase: Phase,
+        event: impl FnOnce(&Mailbox, &AtomicBool, &AtomicBool, &AtomicBool),
+    ) -> (RecvOutcome, bool) {
+        let mb = Arc::new(Mailbox::new());
+        let flags: [Arc<AtomicBool>; 4] = std::array::from_fn(|_| Arc::new(AtomicBool::new(false)));
+        let [entered, src_dead, self_dead, stop] = flags.clone();
+        let waiter = {
+            let mb = Arc::clone(&mb);
+            std::thread::spawn(move || {
+                entered.store(true, Ordering::SeqCst);
+                mb.pop_matching(
+                    RankId(5),
+                    42,
+                    || !src_dead.load(Ordering::SeqCst),
+                    || !self_dead.load(Ordering::SeqCst),
+                    || stop.load(Ordering::SeqCst),
+                    None,
+                )
+            })
+        };
+        let [entered, src_dead, self_dead, stop] = &flags;
+        while !entered.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let t0 = Instant::now();
+        match phase {
+            Phase::Yielding => while t0.elapsed() < Duration::from_micros(5) {},
+            Phase::Parked => {
+                std::thread::sleep(Duration::from_millis(5));
+                while mb.parks() == 0 {
+                    assert!(
+                        t0.elapsed() < Duration::from_secs(30),
+                        "waiter never parked"
+                    );
+                    std::thread::yield_now();
+                }
+            }
+        }
+        event(&mb, src_dead, self_dead, stop);
+        let got = waiter.join().unwrap();
+        (got, mb.parks() > 0)
+    }
+
+    /// The four event-driven outcomes, as (name, expected, event).
+    type Event = fn(&Mailbox, &AtomicBool, &AtomicBool, &AtomicBool);
+    fn wait_cases() -> [(&'static str, RecvOutcome, Event); 4] {
+        [
+            ("message", RecvOutcome::Message(vec![77]), |mb, _, _, _| {
+                mb.push(env(5, 42, 77))
+            }),
+            ("src death", RecvOutcome::SrcDead, |mb, src_dead, _, _| {
+                src_dead.store(true, Ordering::SeqCst);
+                mb.wake_waiters();
+            }),
+            (
+                "self death",
+                RecvOutcome::SelfDead,
+                |mb, _, self_dead, _| {
+                    self_dead.store(true, Ordering::SeqCst);
+                    mb.wake_waiters();
+                },
+            ),
+            ("stop", RecvOutcome::Stopped, |mb, _, _, stop| {
+                stop.store(true, Ordering::SeqCst);
+                mb.wake_waiters();
+            }),
+        ]
+    }
+
+    #[test]
+    fn wait_delivers_every_outcome_to_a_yielding_waiter() {
+        for (name, want, event) in wait_cases() {
+            // The waiter parks only if this thread loses the core for the
+            // whole budget between `entered` and the event; over 50 tries
+            // at least one must be caught awake.
+            let mut caught_awake = false;
+            for _ in 0..50 {
+                let (got, parked) = wait_outcome(Phase::Yielding, event);
+                assert_eq!(got, want, "{name}");
+                caught_awake |= !parked;
+            }
+            assert!(caught_awake, "{name}: every waiter parked within 5 µs");
+        }
+    }
+
+    #[test]
+    fn wait_delivers_every_outcome_to_a_parked_waiter() {
+        for (name, want, event) in wait_cases() {
+            let (got, parked) = wait_outcome(Phase::Parked, event);
+            assert_eq!(got, want, "{name}");
+            assert!(parked, "{name}");
+        }
+    }
+
+    #[test]
+    fn wait_times_out_inside_the_yield_budget_and_after_parking() {
+        // 20 µs is shorter than the budget: the yield loop itself must watch
+        // the deadline. 5 ms is longer: the parked wait must carry it.
+        for (timeout, parks) in [
+            (Duration::from_micros(20), false),
+            (Duration::from_millis(5), true),
+        ] {
+            let mb = Mailbox::new();
+            let start = Instant::now();
+            let r = mb.pop_matching(
+                RankId(1),
+                1,
+                || true,
+                || true,
+                || false,
+                Some(start + timeout),
+            );
+            let elapsed = start.elapsed();
+            assert_eq!(r, RecvOutcome::TimedOut);
+            assert!(elapsed >= timeout, "{timeout:?} fired after {elapsed:?}");
+            assert!(
+                elapsed < timeout + Duration::from_millis(10),
+                "{timeout:?} deadline took {elapsed:?}"
+            );
+            if parks {
+                assert!(mb.parks() > 0, "a 5 ms wait never parked");
+            }
+        }
+    }
+
+    /// CPU time this thread has run, from the scheduler's own account.
+    #[cfg(target_os = "linux")]
+    fn thread_cpu() -> Option<Duration> {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+        Some(Duration::from_nanos(
+            stat.split_whitespace().next()?.parse().ok()?,
+        ))
+    }
+
+    #[test]
+    fn wait_parks_a_long_waiter_instead_of_burning_its_core() {
+        let mb = Mailbox::new();
+        #[cfg(target_os = "linux")]
+        let cpu0 = thread_cpu();
+        let deadline = Instant::now() + Duration::from_millis(50);
+        let r = mb.pop_matching(RankId(1), 1, || true, || true, || false, Some(deadline));
+        assert_eq!(r, RecvOutcome::TimedOut);
+        assert!(mb.parks() > 0, "blocked for 50 ms without parking");
+        #[cfg(target_os = "linux")]
+        if let (Some(a), Some(b)) = (cpu0, thread_cpu()) {
+            let burnt = b.saturating_sub(a);
+            assert!(
+                burnt < Duration::from_millis(5),
+                "50 ms blocked cost {burnt:?} of CPU"
+            );
+        }
+    }
+
+    #[test]
+    fn wait_token_ring_survives_oversubscription() {
+        // Eight threads pass one token round four mailboxes (two waiters per
+        // mailbox, so every push also wakes a waiter it is not for) on
+        // however many cores there are: yielding waiters must hand the core
+        // to whoever holds the token, never livelock.
+        const THREADS: usize = 8;
+        const LAPS: usize = 2_000;
+        let boxes: Arc<[Mailbox; 4]> = Arc::new(std::array::from_fn(|_| Mailbox::new()));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for me in 0..THREADS {
+            let (boxes, done_tx) = (Arc::clone(&boxes), done_tx.clone());
+            std::thread::spawn(move || {
+                let prev = RankId((me + THREADS - 1) % THREADS);
+                for lap in 0..LAPS {
+                    if !(me == 0 && lap == 0) {
+                        let got =
+                            boxes[me % 4].pop_matching(prev, 9, || true, || true, || false, None);
+                        assert_eq!(got, RecvOutcome::Message(vec![lap as u8]));
+                    }
+                    // Thread 0 starts each lap; the last hop closes it.
+                    let next_lap = if me == THREADS - 1 { lap + 1 } else { lap };
+                    if next_lap < LAPS {
+                        boxes[(me + 1) % 4].push(env(me, 9, next_lap as u8));
+                    }
+                }
+                done_tx.send(me).unwrap();
+            });
+        }
+        for _ in 0..THREADS {
+            done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("token ring stalled");
+        }
+        assert!(boxes.iter().all(|mb| mb.tracked_queues() == 0));
+    }
+
+    #[test]
+    fn drained_queues_are_not_tracked() {
+        // Regression: collectives use a fresh tag per operation, and every
+        // drained queue used to stay in the map for the mailbox's lifetime.
+        let mb = Mailbox::new();
+        for tag in 0..5_000u64 {
+            mb.push(env(1, tag, 1));
+            assert_eq!(mb.try_pop(RankId(1), tag), Some(vec![1]));
+            mb.accept_frame(&frame(2, tag, 0, b"x"));
+            let got = mb.pop_matching(RankId(2), tag, || true, || true, || false, None);
+            assert_eq!(got, RecvOutcome::Message(b"x".to_vec()));
+        }
+        assert_eq!(mb.tracked_queues(), 0);
+        // A queue holding several messages goes with its last one.
+        mb.push(env(1, 7, 1));
+        mb.push(env(1, 7, 2));
+        assert_eq!(mb.try_pop(RankId(1), 7), Some(vec![1]));
+        assert_eq!(mb.tracked_queues(), 1);
+        assert_eq!(mb.try_pop(RankId(1), 7), Some(vec![2]));
+        assert_eq!(mb.tracked_queues(), 0);
+        assert_eq!(mb.try_pop(RankId(1), 7), None);
     }
 
     fn frame(src: usize, tag: u64, seq: u64, payload: &[u8]) -> Vec<u8> {

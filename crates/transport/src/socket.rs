@@ -51,6 +51,7 @@ use crate::ids::{RankId, Topology};
 use crate::mailbox::{FrameAck, Mailbox, RecvOutcome};
 use crate::perturb::{PerturbPlan, Perturber};
 use crate::stream::{encode_envelope, envelope_header, StreamDecoder, StreamKind, ENVELOPE_HEADER};
+use crate::wait::{WaitLock, YieldBudget};
 use crate::wire;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::borrow::Cow;
@@ -312,8 +313,7 @@ pub struct SocketBackend {
     last_suspicion: Mutex<Option<Instant>>,
     tx_seq: Mutex<HashMap<(RankId, u64), u64>>,
     /// Acks received but not yet claimed by a waiting sender.
-    acks: Mutex<HashSet<(RankId, u64, u64)>>,
-    ack_cv: Condvar,
+    acks: WaitLock<HashSet<(RankId, u64, u64)>>,
     signal_handler: RwLock<Option<SignalHandler>>,
     shutting_down: AtomicBool,
     /// Set when this rank dies *abruptly* (scripted fault, a peer's `Die`
@@ -399,8 +399,7 @@ impl SocketBackend {
             suspicion_batch: RwLock::new(None),
             last_suspicion: Mutex::new(None),
             tx_seq: Mutex::new(HashMap::new()),
-            acks: Mutex::new(HashSet::new()),
-            ack_cv: Condvar::new(),
+            acks: WaitLock::default(),
             signal_handler: RwLock::new(None),
             shutting_down: AtomicBool::new(false),
             hard_died: AtomicBool::new(false),
@@ -860,8 +859,7 @@ impl SocketBackend {
                     if matches!(item, Outbound::Data(_)) {
                         // The frame's last byte has left: its sender's ack
                         // clock starts now.
-                        let _g = self.acks.lock();
-                        self.ack_cv.notify_all();
+                        self.acks.notify(self.acks.lock());
                     }
                 }
                 None => {
@@ -983,7 +981,7 @@ impl SocketBackend {
                         acks.clear();
                     }
                     acks.insert((peer, u64::from_le_bytes(tag), u64::from_le_bytes(seq)));
-                    self.ack_cv.notify_all();
+                    self.acks.notify(acks);
                 }
                 true
             }
@@ -1059,8 +1057,7 @@ impl SocketBackend {
 
     fn wake_local(&self) {
         self.mailbox.wake_waiters();
-        let _g = self.acks.lock();
-        self.ack_cv.notify_all();
+        self.acks.notify(self.acks.lock());
         let _r = self.ready_mx.lock();
         self.ready_cv.notify_all();
     }
@@ -1086,6 +1083,7 @@ impl SocketBackend {
         queued_to: Option<u64>,
     ) -> bool {
         let mut acks = self.acks.lock();
+        let mut budget = YieldBudget::default();
         let mut seen = link.written.load(Ordering::SeqCst);
         let mut deadline = Instant::now() + timeout;
         loop {
@@ -1106,7 +1104,7 @@ impl SocketBackend {
             if now >= deadline {
                 return acks.remove(&(to, tag, seq));
             }
-            self.ack_cv.wait_for(&mut acks, deadline - now);
+            acks = self.acks.wait(acks, &mut budget, Some(deadline));
         }
     }
 
