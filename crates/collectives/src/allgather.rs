@@ -2,7 +2,7 @@
 
 use crate::comm::PeerComm;
 use crate::error::CollError;
-use crate::framing::{decode_blocks, encode_blocks};
+use crate::framing::{decode_blocks, decode_one, encode_blocks};
 
 /// Which allgather algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -62,11 +62,7 @@ pub fn ring_allgather<C: PeerComm>(
             &encode_blocks(std::iter::once((send_idx, payload))),
         )?;
         let data = comm.recv(left, tag)?;
-        let mut blocks = decode_blocks(&data);
-        assert_eq!(blocks.len(), 1);
-        let (idx, block) = blocks.pop().unwrap();
-        assert_eq!(idx, recv_idx, "ring delivered unexpected block");
-        out[recv_idx] = Some(block);
+        out[recv_idx] = Some(decode_one(&data, left, recv_idx)?);
     }
     Ok(out.into_iter().map(Option::unwrap).collect())
 }
@@ -96,16 +92,24 @@ pub fn bruck_allgather<C: PeerComm>(
         );
         comm.send(to, tag, &payload)?;
         let data = comm.recv(from, tag)?;
-        for (idx, block) in decode_blocks(&data) {
-            have[idx].get_or_insert(block);
+        let malformed = CollError::Malformed { peer: from };
+        for (idx, block) in decode_blocks(&data, from)? {
+            have.get_mut(idx)
+                .ok_or_else(|| malformed.clone())?
+                .get_or_insert(block);
         }
+        // `from` owed us everything it had: after this round the next
+        // `2·dist` blocks from our own on (all `p`, once that wraps).
         dist <<= 1;
+        if (0..dist.min(p)).any(|j| have[(r + j) % p].is_none()) {
+            return Err(malformed);
+        }
         round += 1;
     }
     Ok(have
         .into_iter()
         .enumerate()
-        .map(|(i, b)| b.unwrap_or_else(|| panic!("block {i} missing after bruck allgather")))
+        .map(|(i, b)| b.unwrap_or_else(|| panic!("block {i} missing after a complete last round")))
         .collect())
 }
 

@@ -23,6 +23,13 @@ pub enum CollError {
     /// The context is poisoned and refuses further operations (Gloo-style
     /// behaviour after any fault).
     Aborted,
+    /// A live peer sent a message that is not well-formed for the protocol
+    /// step it arrived in (a different build, a bug). Typed, because it is
+    /// input from outside this process: it must not be able to panic us.
+    Malformed {
+        /// Group-local index of the peer whose message did not parse.
+        peer: usize,
+    },
 }
 
 impl fmt::Display for CollError {
@@ -32,6 +39,7 @@ impl fmt::Display for CollError {
             CollError::SelfDied => write!(f, "local rank died during collective"),
             CollError::Revoked => write!(f, "communicator was revoked"),
             CollError::Aborted => write!(f, "context is aborted"),
+            CollError::Malformed { peer } => write!(f, "peer #{peer} sent a malformed message"),
         }
     }
 }

@@ -3,7 +3,7 @@
 use crate::comm::PeerComm;
 use crate::elem::{reduce_into, Elem, ReduceOp};
 use crate::error::CollError;
-use crate::framing::{decode_blocks, encode_blocks};
+use crate::framing::{decode_one, encode_blocks};
 
 /// Reduce `buf` from all ranks onto `root` along a binomial tree. After the
 /// call the root's `buf` holds the reduction; other ranks' buffers hold
@@ -69,11 +69,7 @@ pub fn gather<C: PeerComm>(
             for peer in (0..p).filter(|&x| x != root) {
                 comm.fault_point("gather.step")?;
                 let data = comm.recv(peer, tag_base)?;
-                let mut blocks = decode_blocks(&data);
-                assert_eq!(blocks.len(), 1);
-                let (idx, block) = blocks.pop().unwrap();
-                assert_eq!(idx, peer);
-                out[peer] = block;
+                out[peer] = decode_one(&data, peer, peer)?;
             }
             Ok(Some(out))
         } else {

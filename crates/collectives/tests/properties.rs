@@ -5,8 +5,8 @@
 //! value).
 
 use collectives::{
-    allgather, allreduce, binomial_bcast, binomial_reduce, AllgatherAlgo, AllreduceAlgo, CollError,
-    PeerComm, ReduceOp,
+    allgather, allreduce, binomial_bcast, binomial_reduce, bruck_allgather, gather, ring_allgather,
+    AllgatherAlgo, AllreduceAlgo, CollError, PeerComm, ReduceOp,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -44,6 +44,29 @@ impl PeerComm for PropComm {
     }
     fn fault_point(&self, name: &str) -> Result<(), CollError> {
         self.ep.fault_point(name).map_err(|_| CollError::SelfDied)
+    }
+}
+
+/// A group whose every member answers every receive with the same scripted
+/// bytes: stands in for live peers of a different build.
+struct Babbler {
+    size: usize,
+    rank: usize,
+    reply: Vec<u8>,
+}
+
+impl PeerComm for Babbler {
+    fn size(&self) -> usize {
+        self.size
+    }
+    fn rank(&self) -> usize {
+        self.rank
+    }
+    fn send(&self, _peer: usize, _tag: u64, _data: &[u8]) -> Result<(), CollError> {
+        Ok(())
+    }
+    fn recv(&self, _peer: usize, _tag: u64) -> Result<Vec<u8>, CollError> {
+        Ok(self.reply.clone())
     }
 }
 
@@ -186,6 +209,48 @@ proptest! {
                 let len = sizes[r % sizes.len()];
                 let want: Vec<u8> = (0..len).map(|i| (r * 7 + i) as u8).collect();
                 prop_assert_eq!(block, &want);
+            }
+        }
+    }
+
+    /// Whatever a live peer sends — noise, length fields up to `u64::MAX`,
+    /// a well-formed message cut short — the block-framed collectives
+    /// answer `Ok` or `Malformed` naming a member; they never panic and
+    /// never allocate for a length they have not checked against the bytes.
+    #[test]
+    fn malformed_peer_framing_is_a_typed_error(
+        p in 2usize..=6,
+        rank_pick in any::<usize>(),
+        shape in 0usize..3,
+        words in proptest::collection::vec(
+            prop_oneof![0u64..4, any::<u64>(), Just(u64::MAX)], 0..8),
+        noise in proptest::collection::vec(any::<u8>(), 0..96),
+        cut in any::<usize>(),
+    ) {
+        let rank = rank_pick % p;
+        let reply = match shape {
+            0 => noise,
+            1 => words.iter().flat_map(|w| w.to_le_bytes()).chain(noise).collect(),
+            _ => {
+                // One block the way `encode_blocks` frames it, truncated.
+                let header = [1, ((rank + p - 1) % p) as u64, noise.len() as u64];
+                let mut msg: Vec<u8> = header.iter().flat_map(|w| w.to_le_bytes()).collect();
+                msg.extend_from_slice(&noise);
+                msg.truncate(cut % (msg.len() + 1));
+                msg
+            }
+        };
+        let comm = Babbler { size: p, rank, reply };
+        let outcomes = [
+            ring_allgather(&comm, b"mine", 0).map(drop),
+            bruck_allgather(&comm, b"mine", 0).map(drop),
+            gather(&comm, rank, b"mine", 0).map(drop),
+        ];
+        for out in outcomes {
+            match out {
+                Ok(()) => {}
+                Err(CollError::Malformed { peer }) => prop_assert!(peer < p),
+                Err(other) => prop_assert!(false, "unexpected error {other:?}"),
             }
         }
     }

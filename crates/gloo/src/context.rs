@@ -151,9 +151,11 @@ impl Context {
         telemetry::counter("gloo.context.poisonings").incr();
         self.poisoned.store(true, Ordering::SeqCst);
         match e {
-            CollError::PeerFailed { peer } => GlooError::PeerFailure {
-                global: self.group.get(peer).copied().unwrap_or(RankId(usize::MAX)),
-            },
+            CollError::PeerFailed { peer } | CollError::Malformed { peer } => {
+                GlooError::PeerFailure {
+                    global: self.group.get(peer).copied().unwrap_or(RankId(usize::MAX)),
+                }
+            }
             CollError::SelfDied => GlooError::SelfDied,
             CollError::Revoked | CollError::Aborted => GlooError::Poisoned,
         }

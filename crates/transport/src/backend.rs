@@ -2,17 +2,18 @@
 //!
 //! Everything above the transport (collectives, ULFM, the elastic engines)
 //! talks to an [`Endpoint`]. An endpoint is a thin handle over a
-//! [`Backend`]: the object that actually moves framed bytes between ranks,
-//! tracks liveness, and applies the fault/perturbation plans. Two backends
-//! exist:
+//! [`Backend`]: the object that moves framed bytes between ranks, tracks
+//! liveness, and applies the fault/perturbation plans. Inside this crate
+//! there is one implementation of it — the delivery engine, which owns the
+//! whole contract below — running over two links:
 //!
-//! * the in-process mailbox fabric (threads-as-ranks; see [`crate::Fabric`])
-//!   — the seed transport, still the tier-1 default;
-//! * the socket backend (one OS process per rank over TCP or Unix-domain
-//!   stream sockets; see [`crate::SocketBackend`]).
+//! * function calls into the mailboxes of a shared [`crate::Fabric`]
+//!   (threads-as-ranks) — the seed transport, still the tier-1 default;
+//! * stream sockets (one OS process per rank over TCP or Unix-domain
+//!   sockets; see [`crate::SocketBackend`]).
 //!
-//! The contract both must honor is the ULFM-flavored per-operation error
-//! model pinned by the backend-generic conformance suite
+//! The contract is the ULFM-flavored per-operation error model pinned, on
+//! every link, by the conformance suite
 //! (`tests/tests/transport_conformance.rs`):
 //!
 //! * FIFO delivery per (sender, receiver, tag) channel;
@@ -25,8 +26,9 @@
 //! * a suspected rank blocked in a receive observes
 //!   [`TransportError::SelfDied`], never a hang.
 
+use crate::delivery::FabricStats;
 use crate::error::TransportError;
-use crate::fabric::{Fabric, FabricStats, InProcBackend};
+use crate::fabric::{Fabric, InProcBackend};
 use crate::ids::{NodeId, RankId, Topology};
 use crate::perturb::PerturbPlan;
 use std::sync::Arc;

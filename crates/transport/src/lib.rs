@@ -1,45 +1,37 @@
-//! In-memory, fault-injectable message transport.
+//! Fault-injectable message transport: one delivery engine over
+//! interchangeable links.
 //!
 //! This crate is the lowest layer of the elastic-training reproduction. It
 //! plays the role that the network fabric plus the MPI runtime's failure
 //! detector play on a real machine:
 //!
 //! * every *rank* (worker process in the paper) owns a [`Mailbox`] and is
-//!   addressed by a [`RankId`];
-//! * ranks exchange tagged byte messages through a shared [`Fabric`];
+//!   addressed by a [`RankId`]; ranks exchange tagged byte messages through
+//!   an [`Endpoint`];
 //! * ranks can *fail* — abruptly, possibly in the middle of a collective —
-//!   either because a test killed them from the outside
-//!   ([`Fabric::kill_rank`] / [`Fabric::kill_node`]) or because a scripted
-//!   [`FaultPlan`] told the rank to die at a specific operation count;
+//!   because a test killed them from the outside ([`Fabric::kill_rank`] /
+//!   [`Fabric::kill_node`], or a real `SIGKILL`), or because a scripted
+//!   [`FaultPlan`] told the rank to die at a specific operation count or
+//!   named fault point;
 //! * surviving ranks observe failures exactly the way ULFM prescribes:
 //!   an operation that needs a dead peer returns an error *for that
 //!   operation*; nothing is torn down globally.
 //!
-//! The transport presents a reliable, FIFO-per-(sender, receiver, tag)
-//! channel to its users, matching MPI's ordering guarantees — but it no
-//! longer *assumes* a perfect link underneath. Every message travels as a
-//! checksummed, sequence-numbered frame (see [`wire`]); a seeded
-//! [`PerturbPlan`] can drop, delay, duplicate, reorder, or bit-flip frames
-//! per link, and the fabric heals those with receiver-side deduplication
-//! plus bounded retransmission under exponential backoff
-//! ([`RetryPolicy`]). Failure detection is likewise two-tiered:
-//!
-//! * the alive table still gives the instantaneous, "perfect-detector" view
-//!   used for clean fail-stop deaths;
-//! * timeout-based *suspicion* ([`Fabric::set_suspicion_timeout`]) covers
-//!   silent failures: a send whose retries exhaust, or a blocking receive
-//!   that stalls past the deadline, declares the unresponsive peer dead and
-//!   reports [`TransportError::PeerDead`] — the eventually-perfect detector
-//!   ULFM actually requires.
-//!
-//! All of the above sits behind the [`Backend`] trait: the in-process
-//! fabric is one implementation ([`Endpoint::new`]), and [`SocketBackend`]
-//! provides the same contract across OS processes over TCP or Unix-domain
-//! stream sockets (see [`backend`] and [`socket`]).
+//! That contract — reliable FIFO-per-(sender, receiver, tag) channels over
+//! links a seeded [`PerturbPlan`] may make lossy, healed by checksummed
+//! sequence-numbered frames ([`wire`]), deduplication and bounded
+//! retransmission ([`RetryPolicy`]); and a two-tier failure detector, the
+//! alive table for clean fail-stop deaths plus timeout-based *suspicion*
+//! for silent ones — is implemented once, by the delivery engine behind
+//! the [`Backend`] trait (see [`backend`]). What varies is the link under
+//! it: function calls between threads of one process ([`Fabric`],
+//! [`Endpoint::new`]) or TCP / Unix-domain stream sockets between OS
+//! processes ([`SocketBackend`], see [`socket`]).
 
 #![warn(missing_docs)]
 
 pub mod backend;
+mod delivery;
 mod error;
 mod fabric;
 mod fault;
@@ -52,8 +44,9 @@ mod wait;
 pub mod wire;
 
 pub use backend::{Backend, BackendKind, Endpoint, SignalHandler};
+pub use delivery::FabricStats;
 pub use error::TransportError;
-pub use fabric::{Fabric, FabricStats};
+pub use fabric::Fabric;
 pub use fault::{FaultInjector, FaultPlan, FaultTrigger};
 pub use ids::{NodeId, RankId, Topology};
 pub use mailbox::{Envelope, FrameAck, Mailbox, RecvOutcome};

@@ -1,17 +1,16 @@
-//! The multi-process socket backend: the same transport contract as the
-//! in-process fabric, carried over real TCP or Unix-domain stream sockets.
+//! The socket link: the delivery engine (`crate::delivery`) carried over
+//! real TCP or Unix-domain stream sockets.
 //!
 //! One [`SocketBackend`] instance serves one rank — normally one OS
 //! process, though tests may host several backends in a single process.
 //! Peers form a full mesh of duplex connections; each connection carries
 //! [`crate::stream`] envelopes, and the payload of every `Data` envelope is
-//! the *same* checksummed, sequence-numbered wire frame
-//! ([`crate::wire`]) the in-process fabric exchanges. Ack/retransmit and
-//! the seeded [`PerturbPlan`] apply at exactly the same layer as before:
-//! the sender perturbs the wire frame (drop / delay / duplicate / reorder /
-//! bit-flip), the receiver deduplicates by sequence number, rejects bad
-//! checksums, and acks accepted frames; unacked frames retransmit under the
-//! plan's [`crate::RetryPolicy`].
+//! the *same* checksummed, sequence-numbered wire frame ([`crate::wire`])
+//! the in-process fabric exchanges. Perturbation, retransmission and the
+//! suspicion rules are the engine's, so they apply at exactly the same
+//! layer on every link; what lives here is how a frame copy reaches a peer
+//! (a per-connection queue), how its ack comes back (an `Ack` envelope),
+//! and how deaths are learnt and carried out.
 //!
 //! ## Event loop
 //!
@@ -34,28 +33,25 @@
 //! * **EOF / connection reset** — a SIGKILLed process's kernel closes its
 //!   sockets; every peer's reader observes it immediately and marks the
 //!   rank dead (the fail-stop signal the in-process alive table modeled);
-//! * **silence** — a reachable-but-stuck peer trips the same two suspicion
-//!   rules as in-process: send-retry exhaustion, or a blocking receive
-//!   with no explicit deadline stalling past the suspicion timeout.
+//! * **silence** — a reachable-but-stuck peer trips the engine's two
+//!   suspicion rules: send-retry exhaustion, or a blocking receive with no
+//!   explicit deadline stalling past the suspicion timeout.
 //!
 //! A suspected rank is additionally sent a best-effort `Die` envelope so
 //! that — exactly as with the shared alive table — a suspected process
-//! blocked in a receive observes [`TransportError::SelfDied`] rather than
-//! hanging on peers that have already written it off.
+//! blocked in a receive observes [`crate::TransportError::SelfDied`] rather
+//! than hanging on peers that have already written it off.
 
 use crate::backend::{Backend, BackendKind, SignalHandler};
-use crate::error::TransportError;
-use crate::fabric::{FabricStats, FabricTelemetry};
+use crate::delivery::{Engine, Slot};
 use crate::fault::FaultInjector;
 use crate::ids::{RankId, Topology};
-use crate::mailbox::{FrameAck, Mailbox, RecvOutcome};
-use crate::perturb::{PerturbPlan, Perturber};
+use crate::mailbox::{FrameAck, Mailbox};
 use crate::stream::{encode_envelope, envelope_header, StreamDecoder, StreamKind, ENVELOPE_HEADER};
 use crate::wait::{WaitLock, YieldBudget};
-use crate::wire;
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -63,15 +59,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
-
-/// Debug tracing for the death/teardown paths, enabled with `SOCK_TRACE=1`.
-fn trace(msg: impl FnOnce() -> String) {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    if *ON.get_or_init(|| std::env::var("SOCK_TRACE").is_ok()) {
-        eprintln!("[sock {:?}] {}", std::time::SystemTime::now(), msg());
-    }
-}
 
 /// Extra grace added to each ack-wait beyond the retry policy's backoff:
 /// unlike the in-process fabric, where delivery is a function call, a
@@ -247,7 +234,7 @@ struct LinkState {
     stream: Option<Stream>,
 }
 
-struct Link {
+pub(crate) struct PeerLink {
     state: Mutex<LinkState>,
     cv: Condvar,
     /// Stream bytes the writer thread has handed to the socket so far. An
@@ -256,7 +243,7 @@ struct Link {
     written: AtomicU64,
 }
 
-impl Link {
+impl PeerLink {
     fn vacant() -> Self {
         Self {
             state: Mutex::new(LinkState {
@@ -271,47 +258,21 @@ impl Link {
     }
 }
 
-/// Per-peer state: the liveness flag the in-process fabric kept in its
-/// shared alive table, plus the link carrying traffic to that peer. Slots
-/// are created for the initial world at establish time and appended when a
-/// joiner is admitted (or dials in), so the peer table can *grow* while
-/// collectives are running — readers hold cheap `Arc` clones and never see
-/// a slot disappear.
-struct PeerSlot {
-    alive: AtomicBool,
-    link: Link,
-}
-
-impl PeerSlot {
-    fn vacant() -> Arc<Self> {
-        Arc::new(Self {
-            alive: AtomicBool::new(true),
-            link: Link::vacant(),
-        })
-    }
-}
-
 /// The socket implementation of [`Backend`]. See the module docs for the
 /// threading model and failure-detection semantics.
 pub struct SocketBackend {
     rank: RankId,
-    topology: Topology,
     kind: BackendKind,
     mailbox: Mailbox,
-    /// Growable peer table indexed by rank; see [`PeerSlot`].
-    peers: RwLock<Vec<Arc<PeerSlot>>>,
     /// Handle to ourselves for spawning service threads from `&self`
     /// methods (joiner dials arrive through the object-safe [`Backend`]
     /// trait, which has no `Arc<Self>` receiver).
     self_weak: Weak<SocketBackend>,
-    injector: FaultInjector,
-    perturber: RwLock<Arc<Perturber>>,
-    suspicion: RwLock<Option<Duration>>,
-    /// Suspicion batching window (see [`Backend::suspicion_batch_window`]).
-    suspicion_batch: RwLock<Option<Duration>>,
-    /// When the most recent alive→dead suspicion transition was recorded.
-    last_suspicion: Mutex<Option<Instant>>,
-    tx_seq: Mutex<HashMap<(RankId, u64), u64>>,
+    /// This backend's own delivery engine — its view of the job and its own
+    /// traffic. A peer's slot holds the [`PeerLink`] carrying traffic to it;
+    /// slots are created for the initial world at establish time and
+    /// appended when a joiner is admitted (or dials in).
+    engine: Engine<PeerLink>,
     /// Acks received but not yet claimed by a waiting sender.
     acks: WaitLock<HashSet<(RankId, u64, u64)>>,
     signal_handler: RwLock<Option<SignalHandler>>,
@@ -325,14 +286,6 @@ pub struct SocketBackend {
     ready_links: AtomicUsize,
     ready_mx: Mutex<()>,
     ready_cv: Condvar,
-    messages: AtomicU64,
-    bytes: AtomicU64,
-    deaths: AtomicU64,
-    retransmits: AtomicU64,
-    corrupt_frames: AtomicU64,
-    dup_suppressed: AtomicU64,
-    suspicions: AtomicU64,
-    telem: FabricTelemetry,
 }
 
 impl SocketBackend {
@@ -386,19 +339,16 @@ impl SocketBackend {
             ListenerInner::Tcp(_) => BackendKind::Tcp,
             ListenerInner::Unix(..) => BackendKind::Unix,
         };
+        let engine = Engine::new(topology, injector);
+        for _ in 0..slots {
+            engine.push(PeerLink::vacant());
+        }
         let backend = Arc::new_cyclic(|weak| SocketBackend {
             rank,
-            topology,
             kind,
             mailbox: Mailbox::new(),
-            peers: RwLock::new((0..slots).map(|_| PeerSlot::vacant()).collect()),
             self_weak: weak.clone(),
-            injector,
-            perturber: RwLock::new(Arc::new(Perturber::inert())),
-            suspicion: RwLock::new(None),
-            suspicion_batch: RwLock::new(None),
-            last_suspicion: Mutex::new(None),
-            tx_seq: Mutex::new(HashMap::new()),
+            engine,
             acks: WaitLock::default(),
             signal_handler: RwLock::new(None),
             shutting_down: AtomicBool::new(false),
@@ -407,14 +357,6 @@ impl SocketBackend {
             ready_links: AtomicUsize::new(0),
             ready_mx: Mutex::new(()),
             ready_cv: Condvar::new(),
-            messages: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            deaths: AtomicU64::new(0),
-            retransmits: AtomicU64::new(0),
-            corrupt_frames: AtomicU64::new(0),
-            dup_suppressed: AtomicU64::new(0),
-            suspicions: AtomicU64::new(0),
-            telem: FabricTelemetry::new(),
         });
         {
             let b = Arc::clone(&backend);
@@ -552,11 +494,11 @@ impl SocketBackend {
         if peer == self.rank {
             return true;
         }
-        let slot = self.ensure_rank_slot(peer);
-        if !slot.alive.load(Ordering::SeqCst) {
+        let slot = self.engine.ensure(peer, PeerLink::vacant);
+        if !slot.is_alive() {
             return false;
         }
-        if slot.link.state.lock().phase != LinkPhase::Pending {
+        if slot.port.state.lock().phase != LinkPhase::Pending {
             return true;
         }
         let deadline = Instant::now() + timeout;
@@ -572,7 +514,6 @@ impl SocketBackend {
                         io::ErrorKind::ConnectionRefused | io::ErrorKind::NotFound
                     ) || Instant::now() >= deadline =>
                 {
-                    trace(|| format!("rank {} dial {peer} at {addr}: {e}", self.rank));
                     self.mark_peer_dead(peer, false);
                     return false;
                 }
@@ -649,34 +590,6 @@ impl SocketBackend {
             .collect()
     }
 
-    // ---- peer table -----------------------------------------------------
-
-    fn slot(&self, rank: RankId) -> Option<Arc<PeerSlot>> {
-        self.peers.read().get(rank.0).cloned()
-    }
-
-    /// Grow the peer table so `rank` has a slot (new slots are alive with a
-    /// pending, buffering link). Idempotent; existing slots are untouched.
-    fn ensure_rank_slot(&self, rank: RankId) -> Arc<PeerSlot> {
-        if let Some(slot) = self.slot(rank) {
-            return slot;
-        }
-        let mut peers = self.peers.write();
-        while peers.len() <= rank.0 {
-            peers.push(PeerSlot::vacant());
-        }
-        Arc::clone(&peers[rank.0])
-    }
-
-    fn peers_snapshot(&self) -> Vec<Arc<PeerSlot>> {
-        self.peers.read().clone()
-    }
-
-    fn known_dead(&self, rank: RankId) -> bool {
-        self.slot(rank)
-            .is_some_and(|s| !s.alive.load(Ordering::SeqCst))
-    }
-
     // ---- connection service threads -------------------------------------
 
     fn accept_loop(self: Arc<Self>, listener: SocketListener) {
@@ -705,7 +618,9 @@ impl SocketBackend {
             // world, i.e. a joiner — but a rank we already saw die stays
             // dead (failure knowledge only grows).
             match self.read_hello(&mut stream) {
-                Some((peer, dec)) if peer != self.rank && !self.known_dead(peer) => {
+                Some((peer, dec))
+                    if peer != self.rank && self.engine.slot(peer).is_none_or(|s| s.is_alive()) =>
+                {
                     self.install_link(peer, stream, dec);
                 }
                 _ => {
@@ -766,9 +681,9 @@ impl SocketBackend {
                 return;
             }
         };
-        let slot = self.ensure_rank_slot(peer);
+        let slot = self.engine.ensure(peer, PeerLink::vacant);
         {
-            let mut st = slot.link.state.lock();
+            let mut st = slot.port.state.lock();
             if st.phase != LinkPhase::Pending {
                 // Duplicate or late connection; keep the first.
                 stream.shutdown_both();
@@ -825,10 +740,12 @@ impl SocketBackend {
     }
 
     fn writer_loop(self: Arc<Self>, peer: RankId, mut stream: Stream) {
-        let Some(slot) = self.slot(peer) else { return };
+        let Some(slot) = self.engine.slot(peer) else {
+            return;
+        };
         loop {
             let (item, drain_done) = {
-                let link = &slot.link;
+                let link = &slot.port;
                 let mut st = link.state.lock();
                 loop {
                     if let Some(item) = st.queue.pop_front() {
@@ -843,7 +760,7 @@ impl SocketBackend {
             };
             match item {
                 Some(item) => {
-                    let written = &slot.link.written;
+                    let written = &slot.port.written;
                     let res = match &item {
                         Outbound::Control(env) => stream.write_counted(env, &[], written),
                         Outbound::Data(frame) => {
@@ -877,16 +794,17 @@ impl SocketBackend {
     /// our own teardown this *is* the fail-stop failure signal.
     fn on_conn_lost(&self, peer: RankId) {
         self.close_link(peer, false);
-        if self.shutting_down.load(Ordering::SeqCst) || !self.alive_local(self.rank) {
+        if self.shutting_down.load(Ordering::SeqCst) || !self.engine.is_alive(self.rank) {
             return;
         }
-        trace(|| format!("rank {} conn lost to {peer}", self.rank));
         self.mark_peer_dead(peer, false);
     }
 
     fn close_link(&self, peer: RankId, drain_first: bool) {
-        let Some(slot) = self.slot(peer) else { return };
-        let link = &slot.link;
+        let Some(slot) = self.engine.slot(peer) else {
+            return;
+        };
+        let link = &slot.port;
         let mut st = link.state.lock();
         match st.phase {
             LinkPhase::Closed => return,
@@ -906,14 +824,14 @@ impl SocketBackend {
     }
 
     /// Queue an item for `peer`. Returns the link's `enqueued` count just
-    /// past the item (it has left once [`Link::written`] reaches that), or
+    /// past the item (it has left once [`PeerLink::written`] reaches that), or
     /// `None` if the link is closing or closed. A *pending* link buffers: a
     /// committed joiner's link may still be dialing in, and the writer
     /// thread drains the queue the moment the link installs — so sends to a
     /// freshly-admitted rank retry against a real queue rather than
     /// failing outright.
-    fn enqueue(&self, slot: &PeerSlot, item: Outbound) -> Option<u64> {
-        let link = &slot.link;
+    fn enqueue(&self, slot: &Slot<PeerLink>, item: Outbound) -> Option<u64> {
+        let link = &slot.port;
         let mut st = link.state.lock();
         match st.phase {
             LinkPhase::Up | LinkPhase::Pending => {
@@ -928,7 +846,7 @@ impl SocketBackend {
 
     /// Queue a control envelope for `peer`, if it has a slot and an open link.
     fn enqueue_control(&self, peer: RankId, kind: StreamKind, payload: &[u8]) {
-        if let Some(slot) = self.slot(peer) {
+        if let Some(slot) = self.engine.slot(peer) {
             self.enqueue(&slot, Outbound::Control(encode_envelope(kind, payload)));
         }
     }
@@ -936,35 +854,24 @@ impl SocketBackend {
     fn handle_envelope(&self, peer: RankId, kind: StreamKind, payload: &[u8]) -> bool {
         match kind {
             StreamKind::Data => {
-                // The one verification of this frame: decoded (checksum
-                // fused into the payload copy) straight out of the stream
-                // decoder's buffer.
-                match wire::decode_frame(payload) {
-                    Err(_) => {
-                        // Bit-flipped by the perturbation plan: discard
-                        // without acking; the sender retransmits.
-                        self.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                        self.telem.corrupt_frames.incr();
-                    }
-                    Ok(frame) => {
-                        // Ack BEFORE delivering to the mailbox: delivery can
-                        // wake the engine thread, which may complete its last
-                        // collective and retire — moving this link out of
-                        // `Up` — before we get another chance to enqueue.
-                        // Acking first keeps the ack FIFO-ordered ahead of
-                        // any Bye that the delivery itself triggers. A
-                        // validated frame is always held (duplicates ack
-                        // too), so the early ack never lies.
-                        let mut ack = [0u8; 16];
-                        ack[..8].copy_from_slice(&frame.tag.to_le_bytes());
-                        ack[8..].copy_from_slice(&frame.seq.to_le_bytes());
-                        self.enqueue_control(peer, StreamKind::Ack, &ack);
-                        if self.mailbox.accept(frame) == FrameAck::Duplicate {
-                            self.dup_suppressed.fetch_add(1, Ordering::Relaxed);
-                            self.telem.dup_suppressed.incr();
-                        }
-                    }
-                }
+                // The one verification of this frame, straight out of the
+                // stream decoder's buffer. A copy bit-flipped by the
+                // perturbation plan is discarded without an ack; the sender
+                // retransmits.
+                self.engine.receive(payload, &self.mailbox, |frame| {
+                    // Ack BEFORE delivering to the mailbox: delivery can
+                    // wake the engine thread, which may complete its last
+                    // collective and retire — moving this link out of `Up`
+                    // — before we get another chance to enqueue. Acking
+                    // first keeps the ack FIFO-ordered ahead of any Bye that
+                    // the delivery itself triggers. A validated frame is
+                    // always held (duplicates ack too), so the early ack
+                    // never lies.
+                    let mut ack = [0u8; 16];
+                    ack[..8].copy_from_slice(&frame.tag.to_le_bytes());
+                    ack[8..].copy_from_slice(&frame.seq.to_le_bytes());
+                    self.enqueue_control(peer, StreamKind::Ack, &ack);
+                });
                 true
             }
             StreamKind::Ack => {
@@ -995,12 +902,10 @@ impl SocketBackend {
                 // A peer suspected us dead. Honor the verdict (ULFM's
                 // failure knowledge only grows): observe our own death and
                 // go dark so the rest of the world converges on it too.
-                trace(|| format!("rank {} got Die from {peer}", self.rank));
                 self.die_abruptly();
                 false
             }
             StreamKind::Bye => {
-                trace(|| format!("rank {} got Bye from {peer}", self.rank));
                 self.mark_peer_dead(peer, false);
                 false
             }
@@ -1014,20 +919,12 @@ impl SocketBackend {
 
     // ---- liveness -------------------------------------------------------
 
-    fn alive_local(&self, rank: RankId) -> bool {
-        self.slot(rank)
-            .is_some_and(|s| s.alive.load(Ordering::SeqCst))
-    }
-
     /// Mark `peer` dead in the local view and wake every blocked local
     /// waiter. With `send_die`, a final `Die` envelope is flushed to the
     /// peer before its link closes (the suspicion path); otherwise the link
     /// is torn down immediately (the EOF path).
     fn mark_peer_dead(&self, peer: RankId, send_die: bool) {
-        let Some(slot) = self.slot(peer) else { return };
-        if slot.alive.swap(false, Ordering::SeqCst) {
-            self.deaths.fetch_add(1, Ordering::Relaxed);
-            self.telem.deaths.incr();
+        if self.engine.mark_dead(peer) {
             if send_die {
                 self.enqueue_control(peer, StreamKind::Die, b"");
             }
@@ -1036,23 +933,28 @@ impl SocketBackend {
         }
     }
 
-    /// Scripted or signaled self-death: go dark abruptly, like a crash —
+    /// The local rank leaves. A `clean` departure (voluntary retirement)
+    /// flushes a Bye on every live link so peers record the death without
+    /// an error-path teardown; otherwise go dark abruptly, like a crash —
     /// no goodbyes, peers learn from the EOF.
-    fn die_abruptly(&self) {
-        self.hard_died.store(true, Ordering::SeqCst);
-        let Some(me) = self.slot(self.rank) else {
-            return;
-        };
-        if me.alive.swap(false, Ordering::SeqCst) {
-            self.deaths.fetch_add(1, Ordering::Relaxed);
-            self.telem.deaths.incr();
-            for p in 0..self.peers_snapshot().len() {
-                if p != self.rank.0 {
-                    self.close_link(RankId(p), false);
+    fn depart(&self, clean: bool) {
+        if self.engine.mark_dead(self.rank) {
+            for p in (0..self.engine.total_ranks()).map(RankId) {
+                if p != self.rank {
+                    if clean {
+                        self.enqueue_control(p, StreamKind::Bye, b"");
+                    }
+                    self.close_link(p, clean);
                 }
             }
             self.wake_local();
         }
+    }
+
+    /// Scripted or signaled self-death.
+    fn die_abruptly(&self) {
+        self.hard_died.store(true, Ordering::SeqCst);
+        self.depart(false);
     }
 
     fn wake_local(&self) {
@@ -1079,7 +981,7 @@ impl SocketBackend {
         tag: u64,
         seq: u64,
         timeout: Duration,
-        link: &Link,
+        link: &PeerLink,
         queued_to: Option<u64>,
     ) -> bool {
         let mut acks = self.acks.lock();
@@ -1090,7 +992,7 @@ impl SocketBackend {
             if acks.remove(&(to, tag, seq)) {
                 return true;
             }
-            if !self.alive_local(to) || !self.alive_local(self.rank) {
+            if !self.engine.is_alive(to) || !self.engine.is_alive(self.rank) {
                 return false;
             }
             let now = Instant::now();
@@ -1107,301 +1009,99 @@ impl SocketBackend {
             acks = self.acks.wait(acks, &mut budget, Some(deadline));
         }
     }
-
-    fn next_tx_seq(&self, dst: RankId, tag: u64) -> u64 {
-        let mut seqs = self.tx_seq.lock();
-        let s = seqs.entry((dst, tag)).or_insert(0);
-        let seq = *s;
-        *s += 1;
-        seq
-    }
 }
 
-impl Backend for SocketBackend {
+impl crate::delivery::Link for SocketBackend {
+    type Port = PeerLink;
+    /// Shared with the writer thread that puts it on the stream.
+    type Frame = Arc<Vec<u8>>;
+    /// The link's `enqueued` count just past the attempt's last queued copy
+    /// (see [`SocketBackend::enqueue`]).
+    type Sent = Option<u64>;
+
     fn rank(&self) -> RankId {
         self.rank
     }
 
-    fn topology(&self) -> Topology {
-        self.topology
+    fn engine(&self) -> &Engine<PeerLink> {
+        &self.engine
     }
 
-    fn total_ranks(&self) -> usize {
-        self.peers.read().len()
+    fn mailbox(&self) -> &Mailbox {
+        &self.mailbox
     }
 
-    fn is_alive(&self, rank: RankId) -> bool {
-        self.alive_local(rank)
-    }
-
-    fn alive_ranks(&self) -> Vec<RankId> {
-        self.peers_snapshot()
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.alive.load(Ordering::SeqCst))
-            .map(|(r, _)| RankId(r))
-            .collect()
-    }
-
-    fn expect_rank(&self, rank: RankId) {
-        self.ensure_rank_slot(rank);
-    }
-
-    fn connect_peer(&self, rank: RankId, addr: &str) -> bool {
-        self.connect_peer_addr(rank, addr, JOIN_DIAL_TIMEOUT)
-    }
-
-    fn suspect(&self, rank: RankId) {
-        if rank == self.rank {
-            self.die_abruptly();
-            return;
+    fn hand_off(
+        &self,
+        to: RankId,
+        peer: &Slot<PeerLink>,
+        frame: &Arc<Vec<u8>>,
+        copy: Cow<'_, [u8]>,
+        sent: &mut Option<u64>,
+    ) -> Option<FrameAck> {
+        if to == self.rank {
+            // No wire to ourselves: the hand-off is a function call into
+            // our own mailbox, and its return value is the ack.
+            return Some(self.engine.receive(&copy, &self.mailbox, |_| {}));
         }
-        if self.alive_local(rank) {
-            self.suspicions.fetch_add(1, Ordering::Relaxed);
-            self.telem.suspicions.incr();
-            *self.last_suspicion.lock() = Some(Instant::now());
-            // Tell the suspect: the in-process alive table made a suspected
-            // rank observe its own death; over sockets the Die envelope
-            // carries that verdict (best effort — a truly dead process
-            // simply won't read it).
-            self.mark_peer_dead(rank, true);
+        let bytes = match copy {
+            Cow::Borrowed(_) => Arc::clone(frame),
+            Cow::Owned(mangled) => Arc::new(mangled),
+        };
+        *sent = self.enqueue(peer, Outbound::Data(bytes)).or(*sent);
+        None
+    }
+
+    fn await_ack(
+        &self,
+        to: RankId,
+        peer: &Slot<PeerLink>,
+        tag: u64,
+        seq: u64,
+        sent: Option<u64>,
+        backoff: Duration,
+    ) -> Result<(), Duration> {
+        // Over a wire the ack wait *is* the backoff: when it ends unacked
+        // the whole backoff has been spent.
+        if self.wait_ack(to, tag, seq, backoff + ACK_GRACE, &peer.port, sent) {
+            Ok(())
         } else {
-            // Re-suspicion of a known-dead peer: part of the same burst,
-            // coalesced instead of fanning out another revoke.
-            self.telem.suspicion_coalesced.incr();
+            Err(backoff)
         }
+    }
+
+    fn die(&self) {
+        self.die_abruptly();
+    }
+
+    fn condemn(&self, rank: RankId) {
+        // Tell the suspect: the in-process alive table makes a suspected
+        // rank observe its own death; over sockets the Die envelope carries
+        // that verdict (best effort — a truly dead process simply won't
+        // read it).
+        self.mark_peer_dead(rank, true);
     }
 
     fn kill_self(&self) {
-        // Voluntary, clean departure: flush a Bye on every live link so
-        // peers record the death without an error-path teardown.
-        trace(|| format!("rank {} kill_self", self.rank));
-        let Some(me) = self.slot(self.rank) else {
-            return;
-        };
-        if me.alive.swap(false, Ordering::SeqCst) {
-            self.deaths.fetch_add(1, Ordering::Relaxed);
-            self.telem.deaths.incr();
-            for p in 0..self.peers_snapshot().len() {
-                if p != self.rank.0 {
-                    self.enqueue_control(RankId(p), StreamKind::Bye, b"");
-                    self.close_link(RankId(p), true);
-                }
-            }
-            self.wake_local();
-        }
+        self.depart(true);
     }
 
     fn wake_all(&self) {
         self.wake_local();
     }
 
-    fn check_op_fault(&self) -> Result<(), TransportError> {
-        if !self.alive_local(self.rank) {
-            return Err(TransportError::SelfDied);
-        }
-        if self.injector.hit_op(self.rank) {
-            self.telem.op_fault_hits.incr();
-            self.die_abruptly();
-            return Err(TransportError::SelfDied);
-        }
-        Ok(())
+    fn expect_rank(&self, rank: RankId) {
+        self.engine.ensure(rank, PeerLink::vacant);
     }
 
-    fn fault_point(&self, name: &str) -> Result<(), TransportError> {
-        if !self.alive_local(self.rank) {
-            return Err(TransportError::SelfDied);
-        }
-        self.perturber.read().notify_point(name);
-        if self.injector.hit_point(self.rank, name) {
-            self.telem.fault_point_hits.incr();
-            self.die_abruptly();
-            return Err(TransportError::SelfDied);
-        }
-        Ok(())
-    }
-
-    fn send(&self, to: RankId, tag: u64, data: &[u8]) -> Result<(), TransportError> {
-        self.check_op_fault()?;
-        let Some(slot) = self.slot(to) else {
-            return Err(TransportError::UnknownRank(to));
-        };
-        if !self.alive_local(to) {
-            return Err(TransportError::PeerDead(to));
-        }
-        let seq = self.next_tx_seq(to, tag);
-        if to == self.rank {
-            // Loopback: no socket, no perturbation, nothing to verify — as
-            // with the fabric, a rank's path to itself is its own mailbox.
-            self.mailbox.accept(wire::Frame {
-                src: self.rank,
-                tag,
-                seq,
-                payload: data.to_vec(),
-            });
-        } else {
-            // Encoded once; every (re)transmission on a clean link queues
-            // this same buffer.
-            let frame = Arc::new(wire::encode_frame(self.rank, tag, seq, data));
-            let policy = self.perturber.read().plan().retry_policy();
-            let mut attempt = 0u32;
-            loop {
-                let perturber = Arc::clone(&self.perturber.read());
-                let verdict = perturber.transmit(self.rank, to, &frame);
-                if verdict.dropped {
-                    self.telem.frames_dropped.incr();
-                }
-                if verdict.duplicated {
-                    self.telem.frames_duplicated.incr();
-                }
-                if verdict.reordered {
-                    self.telem.frames_reordered.incr();
-                }
-                let mut queued_to = None;
-                for d in verdict.deliveries {
-                    if let Some(delay) = d.delay {
-                        // Propagation delay runs on the sender thread, like
-                        // the in-process fabric's slow-call links.
-                        self.telem.frames_delayed.incr();
-                        self.telem.delay_hist.record_duration(delay);
-                        std::thread::sleep(delay);
-                    }
-                    let bytes = match d.bytes {
-                        Cow::Borrowed(_) => Arc::clone(&frame),
-                        Cow::Owned(mangled) => Arc::new(mangled),
-                    };
-                    queued_to = self.enqueue(&slot, Outbound::Data(bytes)).or(queued_to);
-                }
-                let salt = perturber.backoff_salt(self.rank, to, tag, seq, attempt);
-                let backoff = policy.backoff(attempt, salt);
-                if self.wait_ack(to, tag, seq, backoff + ACK_GRACE, &slot.link, queued_to) {
-                    break;
-                }
-                if !self.alive_local(self.rank) {
-                    return Err(TransportError::SelfDied);
-                }
-                if !self.alive_local(to) {
-                    trace(|| {
-                        format!(
-                            "rank {} send to {to} tag {tag} seq {seq} attempt {attempt}: peer dead",
-                            self.rank
-                        )
-                    });
-                    return Err(TransportError::PeerDead(to));
-                }
-                if attempt >= policy.max_retries {
-                    // Silent past the retry budget: suspect the peer,
-                    // feeding the ULFM revoke → agree → shrink path.
-                    self.suspect(to);
-                    return Err(TransportError::PeerDead(to));
-                }
-                self.telem.backoff_hist.record_duration(backoff);
-                attempt += 1;
-                self.retransmits.fetch_add(1, Ordering::Relaxed);
-                self.telem.retransmits.incr();
-            }
-        }
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.telem.msgs_sent.incr();
-        self.telem.bytes_sent.add(data.len() as u64);
-        Ok(())
-    }
-
-    fn recv(
-        &self,
-        from: RankId,
-        tag: u64,
-        should_stop: &dyn Fn() -> bool,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<u8>, TransportError> {
-        self.check_op_fault()?;
-        if self.slot(from).is_none() {
-            return Err(TransportError::UnknownRank(from));
-        }
-        // Same two-tier rule as the in-process fabric: an explicit deadline
-        // is the caller's own timeout; an open-ended wait is bounded by the
-        // suspicion timeout when one is configured — with the same
-        // deterministic per-rank jitter desynchronizing node-level bursts.
-        let suspicion = match deadline {
-            Some(_) => None,
-            None => self
-                .suspicion
-                .read()
-                .map(|t| crate::fabric::suspicion_jitter(self.rank, t)),
-        };
-        let effective = deadline.or_else(|| suspicion.map(|t| Instant::now() + t));
-        match self.mailbox.pop_matching(
-            from,
-            tag,
-            || self.alive_local(from),
-            || self.alive_local(self.rank),
-            should_stop,
-            effective,
-        ) {
-            RecvOutcome::Message(data) => {
-                self.telem.msgs_recvd.incr();
-                self.telem.bytes_recvd.add(data.len() as u64);
-                Ok(data)
-            }
-            RecvOutcome::SrcDead => {
-                trace(|| format!("rank {} recv from {from} tag {tag}: src dead", self.rank));
-                Err(TransportError::PeerDead(from))
-            }
-            RecvOutcome::SelfDead => Err(TransportError::SelfDied),
-            RecvOutcome::Stopped => Err(TransportError::Stopped),
-            RecvOutcome::TimedOut => {
-                if suspicion.is_some() {
-                    self.suspect(from);
-                    return Err(TransportError::PeerDead(from));
-                }
-                self.telem.recv_timeouts.incr();
-                Err(TransportError::Timeout)
-            }
-        }
-    }
-
-    fn try_recv(&self, from: RankId, tag: u64) -> Option<Vec<u8>> {
-        self.mailbox.try_pop(from, tag)
-    }
-
-    fn probe(&self, from: RankId, tag: u64) -> bool {
-        self.mailbox.probe(from, tag)
-    }
-
-    fn purge_tags(&self, pred: &dyn Fn(u64) -> bool) -> usize {
-        let purged = self.mailbox.purge_where(pred);
-        self.telem.purged_msgs.add(purged as u64);
-        purged
-    }
-
-    fn set_perturbation(&self, plan: PerturbPlan) {
-        *self.perturber.write() = Arc::new(Perturber::new(plan));
-    }
-
-    fn set_suspicion_timeout(&self, timeout: Option<Duration>) {
-        *self.suspicion.write() = timeout;
-    }
-
-    fn suspicion_timeout(&self) -> Option<Duration> {
-        *self.suspicion.read()
-    }
-
-    fn last_suspicion(&self) -> Option<Instant> {
-        *self.last_suspicion.lock()
-    }
-
-    fn suspicion_batch_window(&self) -> Option<Duration> {
-        *self.suspicion_batch.read()
-    }
-
-    fn set_suspicion_batch_window(&self, window: Option<Duration>) {
-        *self.suspicion_batch.write() = window;
+    fn connect_peer(&self, rank: RankId, addr: &str) -> bool {
+        self.connect_peer_addr(rank, addr, JOIN_DIAL_TIMEOUT)
     }
 
     fn broadcast_signal(&self, payload: &[u8]) {
-        for (p, slot) in self.peers_snapshot().iter().enumerate() {
-            if p != self.rank.0 && slot.alive.load(Ordering::SeqCst) {
+        let peers = self.engine.slots().clone();
+        for (p, slot) in peers.iter().enumerate() {
+            if p != self.rank.0 && slot.is_alive() {
                 self.enqueue_control(RankId(p), StreamKind::Signal, payload);
             }
         }
@@ -1409,18 +1109,6 @@ impl Backend for SocketBackend {
 
     fn set_signal_handler(&self, handler: SignalHandler) {
         *self.signal_handler.write() = Some(handler);
-    }
-
-    fn stats(&self) -> FabricStats {
-        FabricStats {
-            messages: self.messages.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            deaths: self.deaths.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            corrupt_frames: self.corrupt_frames.load(Ordering::Relaxed),
-            dup_suppressed: self.dup_suppressed.load(Ordering::Relaxed),
-            suspicions: self.suspicions.load(Ordering::Relaxed),
-        }
     }
 
     fn shutdown(&self) {
@@ -1432,7 +1120,7 @@ impl Backend for SocketBackend {
         // Closing abruptly here would clear those queues before the writer
         // thread ever got scheduled, so peers would see a raw EOF mid-op
         // instead of an acked, clean goodbye.
-        let snapshot = self.peers_snapshot();
+        let snapshot = self.engine.slots().clone();
         for p in 0..snapshot.len() {
             if p != self.rank.0 {
                 self.close_link(RankId(p), true);
@@ -1443,7 +1131,7 @@ impl Backend for SocketBackend {
             && snapshot
                 .iter()
                 .enumerate()
-                .any(|(p, s)| p != self.rank.0 && s.link.state.lock().phase == LinkPhase::Draining)
+                .any(|(p, s)| p != self.rank.0 && s.port.state.lock().phase == LinkPhase::Draining)
         {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -1474,8 +1162,9 @@ impl Drop for SocketBackend {
 mod tests {
     use super::*;
     use crate::backend::Endpoint;
+    use crate::error::TransportError;
     use crate::fault::FaultPlan;
-    use crate::perturb::{LinkPerturb, RetryPolicy};
+    use crate::perturb::{LinkPerturb, PerturbPlan, RetryPolicy};
 
     fn mesh(kind: BackendKind, n: usize) -> Vec<Endpoint> {
         SocketBackend::local_mesh(kind, Topology::flat(), n, FaultPlan::none())
@@ -1547,57 +1236,6 @@ mod tests {
     }
 
     #[test]
-    fn lossy_socket_link_heals_via_retransmission() {
-        let backends =
-            SocketBackend::local_mesh(BackendKind::Tcp, Topology::flat(), 2, FaultPlan::none())
-                .unwrap();
-        let plan = PerturbPlan::seeded(11)
-            .all_links(LinkPerturb::clean().drop(0.4).duplicate(0.2).corrupt(0.2))
-            .retry(RetryPolicy {
-                max_retries: 32,
-                base: Duration::from_micros(200),
-                cap: Duration::from_millis(2),
-            });
-        for b in &backends {
-            b.set_perturbation(plan.clone());
-        }
-        let eps: Vec<Endpoint> = backends
-            .iter()
-            .map(|b| Endpoint::from_backend(Arc::clone(b) as Arc<dyn Backend>))
-            .collect();
-        for i in 0..50u64 {
-            eps[0].send(RankId(1), 9, &i.to_le_bytes()).unwrap();
-        }
-        for i in 0..50u64 {
-            assert_eq!(eps[1].recv(RankId(0), 9).unwrap(), i.to_le_bytes());
-        }
-        let tx = backends[0].stats();
-        let rx = backends[1].stats();
-        assert_eq!(tx.messages, 50);
-        assert!(
-            tx.retransmits > 0 || rx.dup_suppressed > 0,
-            "a 40% drop rate must force link-layer repair"
-        );
-        teardown(&eps);
-    }
-
-    #[test]
-    fn suspected_socket_rank_observes_own_death() {
-        let eps = mesh(BackendKind::Tcp, 3);
-        eps[0].set_suspicion_timeout(Some(Duration::from_millis(30)));
-        // Rank 1 blocks on a channel nobody serves; rank 0 gives up on it.
-        let e1 = eps[1].clone();
-        let t = std::thread::spawn(move || e1.recv(RankId(2), 99));
-        assert_eq!(
-            eps[0].recv(RankId(1), 3),
-            Err(TransportError::PeerDead(RankId(1)))
-        );
-        // The Die envelope makes the suspect observe its own death.
-        assert_eq!(t.join().unwrap(), Err(TransportError::SelfDied));
-        teardown(&eps);
-    }
-
-    #[test]
     fn scripted_death_goes_dark_and_peers_see_eof() {
         let plan = FaultPlan::none().kill_at_point(RankId(1), "allreduce.step", 1);
         let backends =
@@ -1655,8 +1293,8 @@ mod tests {
             SocketBackend::local_mesh(BackendKind::Unix, Topology::flat(), 2, FaultPlan::none())
                 .unwrap();
         let b = &backends[0];
-        let slot = b.slot(RankId(1)).unwrap();
-        let link = &slot.link;
+        let slot = b.engine.slot(RankId(1)).unwrap();
+        let link = &slot.port;
         let timeout = Duration::from_millis(200);
         let queued_to = link.written.load(Ordering::SeqCst) + 80 * 1000;
         let t0 = Instant::now();

@@ -246,6 +246,9 @@ impl Communicator {
             CollError::SelfDied => UlfmError::SelfDied,
             CollError::Revoked => UlfmError::Revoked,
             CollError::Aborted => unreachable!("ULFM communicators are never aborted"),
+            // A live peer that does not speak the protocol is not a failure
+            // shrink can remove; leave cleanly rather than redo forever.
+            CollError::Malformed { .. } => UlfmError::Aborted,
         }
     }
 

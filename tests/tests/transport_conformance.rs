@@ -9,9 +9,17 @@
 //! Covered contract points:
 //!  * per-channel FIFO delivery under concurrent traffic,
 //!  * checksummed-frame rejection (corrupt frames are never delivered),
-//!  * ack/retransmit healing under seeded drop/duplicate/reorder,
+//!  * ack/retransmit healing under seeded drop/duplicate/reorder, every
+//!    payload counted exactly once,
 //!  * timeout-based failure suspicion on silent peers (and the absence of
 //!    suspicion for explicit caller deadlines),
+//!  * total link loss: the retry budget spent exactly, one suspicion, later
+//!    verdicts on the same rank coalesced,
+//!  * a suspected rank blocked in an open-ended receive observes its own
+//!    death,
+//!  * scripted deaths (operation count, named fault point): `SelfDied` to
+//!    the victim, `PeerDead` to a peer blocked on it,
+//!  * self-sends run the whole frame path, perturbed or not,
 //!  * clean teardown with no spurious deaths,
 //!  * buffered messages surviving the sender's voluntary retirement,
 //!  * elastic joins surviving joiner deaths at the `join.ticket` and
@@ -183,6 +191,10 @@ fn lossy_links_heal_via_ack_retransmit() {
             total(&eps, |st| st.retransmits) > 0,
             "{flavor:?}: dropped frames must retransmit"
         );
+        // Retransmissions and duplicates never count as messages, and a
+        // lossy-but-live link never costs a rank its life.
+        assert_eq!(eps[0].stats().messages, 48, "{flavor:?}");
+        assert_eq!(total(&eps, |st| st.deaths), 0, "{flavor:?}");
         teardown(&eps);
     }
 }
@@ -208,6 +220,182 @@ fn silent_peer_is_suspected_but_explicit_deadline_is_not() {
         assert!(total(&eps, |st| st.suspicions) > 0, "{flavor:?}");
         teardown(&eps);
     }
+}
+
+/// A retry policy quick enough to exhaust in milliseconds.
+fn impatient(max_retries: u32) -> RetryPolicy {
+    RetryPolicy {
+        max_retries,
+        base: Duration::from_micros(200),
+        cap: Duration::from_millis(1),
+    }
+}
+
+/// Poll until `ep` sees `rank` dead. In process the alive table is shared,
+/// so this returns at once; over sockets the news travels as an EOF.
+fn await_death(ep: &Endpoint, rank: RankId, flavor: Flavor) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while ep.is_peer_alive(rank) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{flavor:?}: rank {} never learnt that rank {rank} died",
+            ep.rank()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn total_link_loss_spends_the_budget_then_suspects_once() {
+    let coalesced = telemetry::counter("transport.suspicion.coalesced");
+    for flavor in ALL_FLAVORS {
+        let eps = mesh(flavor, 3, FaultPlan::none());
+        let plan = PerturbPlan::seeded(5)
+            .links_into(RankId(1), 3, LinkPerturb::clean().drop(1.0))
+            .retry(impatient(4));
+        for ep in &eps {
+            ep.set_perturbation(plan.clone());
+        }
+        assert_eq!(
+            eps[0].send(RankId(1), 0, b"void"),
+            Err(TransportError::PeerDead(RankId(1))),
+            "{flavor:?}"
+        );
+        let tx = eps[0].stats();
+        assert_eq!(tx.retransmits, 4, "{flavor:?}: the budget, exactly");
+        assert_eq!(tx.suspicions, 1, "{flavor:?}");
+        assert_eq!(tx.messages, 0, "{flavor:?}: nothing was delivered");
+        assert!(!eps[0].is_peer_alive(RankId(1)), "{flavor:?}");
+
+        // A second observer of the same death: its send fails fast on the
+        // known-dead peer, and its own verdict is coalesced, not counted.
+        await_death(&eps[2], RankId(1), flavor);
+        let (suspicions, folded) = (eps[2].stats().suspicions, coalesced.get());
+        assert_eq!(
+            eps[2].send(RankId(1), 0, b"late"),
+            Err(TransportError::PeerDead(RankId(1))),
+            "{flavor:?}"
+        );
+        eps[2].backend().suspect(RankId(1));
+        assert_eq!(eps[2].stats().suspicions, suspicions, "{flavor:?}");
+        assert!(coalesced.get() > folded, "{flavor:?}: not coalesced");
+        teardown(&eps);
+    }
+}
+
+#[test]
+fn suspected_rank_blocked_in_recv_observes_its_own_death() {
+    for flavor in ALL_FLAVORS {
+        let eps = mesh(flavor, 3, FaultPlan::none());
+        let plan = PerturbPlan::seeded(5)
+            .link(RankId(0), RankId(1), LinkPerturb::clean().drop(1.0))
+            .retry(impatient(2));
+        for ep in &eps {
+            ep.set_perturbation(plan.clone());
+        }
+        std::thread::scope(|s| {
+            // Rank 1 blocks on a channel nobody serves, with no suspicion
+            // timeout: only a verdict against itself can end the wait. (If
+            // the verdict wins the race to the receive, the receive's own
+            // entry check reports the same thing.)
+            let blocked = s.spawn(|| eps[1].recv(RankId(2), 99));
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(
+                eps[0].send(RankId(1), 0, b"anyone there?"),
+                Err(TransportError::PeerDead(RankId(1))),
+                "{flavor:?}"
+            );
+            assert_eq!(
+                blocked.join().unwrap(),
+                Err(TransportError::SelfDied),
+                "{flavor:?}: the suspect must observe its death, not hang"
+            );
+        });
+        teardown(&eps);
+    }
+}
+
+#[test]
+fn scripted_death_is_selfdied_to_the_victim_and_peerdead_to_a_blocked_peer() {
+    for flavor in ALL_FLAVORS {
+        for at_point in [false, true] {
+            let plan = if at_point {
+                FaultPlan::none().kill_at_point(RankId(1), "allreduce.step", 1)
+            } else {
+                FaultPlan::none().kill_at_op(RankId(1), 2)
+            };
+            let eps = mesh(flavor, 2, plan);
+            std::thread::scope(|s| {
+                // No suspicion timeout: only the death can end this wait.
+                let peer = s.spawn(|| eps[0].recv(RankId(1), 8));
+                let died = if at_point {
+                    assert_eq!(eps[1].fault_point("some.other.point"), Ok(()));
+                    eps[1].fault_point("allreduce.step")
+                } else {
+                    eps[1].send(RankId(0), 7, b"op 1").unwrap();
+                    eps[1].send(RankId(0), 7, b"op 2")
+                };
+                let ctx = format!("{flavor:?}, at_point={at_point}");
+                assert_eq!(died, Err(TransportError::SelfDied), "{ctx}");
+                assert!(!eps[1].is_self_alive(), "{ctx}");
+                assert_eq!(
+                    peer.join().unwrap(),
+                    Err(TransportError::PeerDead(RankId(1))),
+                    "{ctx}"
+                );
+                // Dead stays dead: every later operation says so.
+                assert_eq!(
+                    eps[1].recv(RankId(0), 1),
+                    Err(TransportError::SelfDied),
+                    "{ctx}"
+                );
+            });
+            teardown(&eps);
+        }
+    }
+}
+
+#[test]
+fn self_send_runs_the_whole_frame_path() {
+    let mut healed = Vec::new();
+    for flavor in ALL_FLAVORS {
+        let eps = mesh(flavor, 2, FaultPlan::none());
+        let me = RankId(0);
+        let roundtrip = |n: u64| {
+            for i in 0..n {
+                eps[0].send(me, 4, &i.to_le_bytes()).unwrap();
+            }
+            for i in 0..n {
+                assert_eq!(eps[0].recv(me, 4).unwrap(), i.to_le_bytes(), "{flavor:?}");
+            }
+        };
+        roundtrip(4);
+        assert_eq!(eps[0].stats().retransmits, 0, "{flavor:?}");
+
+        // One rule on every backend: a rank's link to itself is a link. A
+        // spec on it perturbs self-sends, and they heal like any others.
+        eps[0].set_perturbation(
+            PerturbPlan::seeded(9)
+                .link(
+                    me,
+                    me,
+                    LinkPerturb::clean().drop(0.5).duplicate(0.3).corrupt(0.2),
+                )
+                .retry(impatient(64)),
+        );
+        roundtrip(32);
+        let st = eps[0].stats();
+        assert_eq!(st.messages, 36, "{flavor:?}");
+        assert!(
+            st.retransmits > 0,
+            "{flavor:?}: half the copies were dropped"
+        );
+        healed.push((st.retransmits, st.corrupt_frames, st.dup_suppressed));
+        teardown(&eps);
+    }
+    // Same seed, same link, same engine: the adversary's verdicts — and so
+    // the repair work — are identical whatever carries the bytes.
+    assert!(healed.iter().all(|h| *h == healed[0]), "{healed:?}");
 }
 
 #[test]
