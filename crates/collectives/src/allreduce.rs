@@ -17,7 +17,7 @@
 //! forward-recovery argument.
 
 use crate::comm::PeerComm;
-use crate::elem::{reduce_into, Elem, ReduceOp};
+use crate::elem::{decode_chunk, reduce_into, Elem, ReduceOp};
 use crate::error::CollError;
 use telemetry::{Counter, Lazy};
 
@@ -164,9 +164,9 @@ pub fn ring_allreduce<E: Elem, C: PeerComm>(
             tag,
             &E::encode_slice(&buf[chunk_range(n, p, send_chunk)]),
         )?;
-        let data = comm.recv(left, tag)?;
-        let vals = E::decode_slice(&data);
-        reduce_into(op, &mut buf[chunk_range(n, p, recv_chunk)], &vals);
+        let into = &mut buf[chunk_range(n, p, recv_chunk)];
+        let vals = decode_chunk(&comm.recv(left, tag)?, into.len(), left)?;
+        reduce_into(op, into, &vals);
     }
 
     // Phase 2: allgather ring. Rank r starts by forwarding its owned chunk.
@@ -180,9 +180,8 @@ pub fn ring_allreduce<E: Elem, C: PeerComm>(
             tag,
             &E::encode_slice(&buf[chunk_range(n, p, send_chunk)]),
         )?;
-        let data = comm.recv(left, tag)?;
-        let vals = E::decode_slice(&data);
-        buf[chunk_range(n, p, recv_chunk)].copy_from_slice(&vals);
+        let into = &mut buf[chunk_range(n, p, recv_chunk)];
+        into.copy_from_slice(&decode_chunk(&comm.recv(left, tag)?, into.len(), left)?);
     }
     Ok(())
 }
@@ -216,7 +215,7 @@ fn fold<E: Elem, C: PeerComm>(
             Ok(None)
         } else {
             let data = comm.recv(r - 1, tag)?;
-            reduce_into(op, buf, &E::decode_slice(&data));
+            reduce_into(op, buf, &decode_chunk(&data, buf.len(), r - 1)?);
             Ok(Some(r / 2))
         }
     } else {
@@ -240,7 +239,7 @@ fn unfold<E: Elem, C: PeerComm>(
             comm.send(r - 1, tag, &E::encode_slice(buf))?;
         } else {
             let data = comm.recv(r + 1, tag)?;
-            buf.copy_from_slice(&E::decode_slice(&data));
+            buf.copy_from_slice(&decode_chunk(&data, buf.len(), r + 1)?);
         }
     }
     Ok(())
@@ -273,7 +272,7 @@ pub fn recursive_doubling_allreduce<E: Elem, C: PeerComm>(
             let tag = tag_base + 1 + step;
             comm.send(partner, tag, &E::encode_slice(buf))?;
             let data = comm.recv(partner, tag)?;
-            reduce_into(op, buf, &E::decode_slice(&data));
+            reduce_into(op, buf, &decode_chunk(&data, buf.len(), partner)?);
             mask <<= 1;
             step += 1;
         }
@@ -323,13 +322,15 @@ pub fn rabenseifner_allreduce<E: Elem, C: PeerComm>(
             if v & mask == 0 {
                 // Keep the lower half, give away the upper half.
                 comm.send(partner, tag, &E::encode_slice(&buf[block(mid, hi)]))?;
-                let data = comm.recv(partner, tag)?;
-                reduce_into(op, &mut buf[block(lo, mid)], &E::decode_slice(&data));
+                let into = &mut buf[block(lo, mid)];
+                let vals = decode_chunk(&comm.recv(partner, tag)?, into.len(), partner)?;
+                reduce_into(op, into, &vals);
                 hi = mid;
             } else {
                 comm.send(partner, tag, &E::encode_slice(&buf[block(lo, mid)]))?;
-                let data = comm.recv(partner, tag)?;
-                reduce_into(op, &mut buf[block(mid, hi)], &E::decode_slice(&data));
+                let into = &mut buf[block(mid, hi)];
+                let vals = decode_chunk(&comm.recv(partner, tag)?, into.len(), partner)?;
+                reduce_into(op, into, &vals);
                 lo = mid;
             }
             mask >>= 1;
@@ -355,8 +356,12 @@ pub fn rabenseifner_allreduce<E: Elem, C: PeerComm>(
                 tag,
                 &E::encode_slice(&buf[block(my_lo, my_lo + m)]),
             )?;
-            let data = comm.recv(partner, tag)?;
-            buf[block(their_lo, their_lo + m)].copy_from_slice(&E::decode_slice(&data));
+            let into = &mut buf[block(their_lo, their_lo + m)];
+            into.copy_from_slice(&decode_chunk(
+                &comm.recv(partner, tag)?,
+                into.len(),
+                partner,
+            )?);
             m <<= 1;
             step += 1;
         }

@@ -1,5 +1,6 @@
 //! Element types and reduction operators.
 
+use crate::error::CollError;
 use transport::Wire;
 
 /// Reduction operator applied element-wise by reduce-style collectives.
@@ -64,6 +65,22 @@ macro_rules! impl_int_elem {
 impl_float_elem!(f32, f64);
 impl_int_elem!(u8, u16, u32, u64, i32, i64);
 
+/// Decode a message received from group-local `peer` that must fill a chunk
+/// of `len` elements. The transport's checksum proves these are the bytes
+/// the peer *sent*, not that a peer of another build sent the right count:
+/// a short, long or ragged message is [`CollError::Malformed`], never a
+/// panic further down.
+pub(crate) fn decode_chunk<E: Elem>(
+    data: &[u8],
+    len: usize,
+    peer: usize,
+) -> Result<Vec<E>, CollError> {
+    if data.len() != len * E::WIDTH {
+        return Err(CollError::Malformed { peer });
+    }
+    Ok(E::decode_slice(data))
+}
+
 /// Reduce `src` into `dst` element-wise: `dst[i] = combine(op, dst[i], src[i])`.
 ///
 /// # Panics
@@ -111,6 +128,16 @@ mod tests {
         let mut dst = vec![1u32, 2, 3];
         reduce_into(ReduceOp::Sum, &mut dst, &[10, 20, 30]);
         assert_eq!(dst, vec![11, 22, 33]);
+    }
+
+    #[test]
+    fn decode_chunk_checks_the_count_it_must_fill() {
+        let two = u32::encode_slice(&[7, 9]);
+        assert_eq!(decode_chunk::<u32>(&two, 2, 4), Ok(vec![7, 9]));
+        let malformed = Err(CollError::Malformed { peer: 4 });
+        assert_eq!(decode_chunk::<u32>(&two, 1, 4), malformed, "extended");
+        assert_eq!(decode_chunk::<u32>(&two, 3, 4), malformed, "truncated");
+        assert_eq!(decode_chunk::<u32>(&two[..7], 2, 4), malformed, "ragged");
     }
 
     #[test]

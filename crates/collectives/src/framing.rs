@@ -9,17 +9,16 @@ use transport::Wire;
 
 /// Encode `(index, block)` pairs into one buffer.
 pub fn encode_blocks<'a>(blocks: impl Iterator<Item = (usize, &'a [u8])>) -> Vec<u8> {
-    let mut out = Vec::new();
+    // The count slot goes first and is patched once the blocks are in.
+    let mut out = vec![0; 8];
     let mut count = 0u64;
-    let mut body = Vec::new();
     for (idx, block) in blocks {
-        (idx as u64).write(&mut body);
-        (block.len() as u64).write(&mut body);
-        body.extend_from_slice(block);
+        (idx as u64).write(&mut out);
+        (block.len() as u64).write(&mut out);
+        out.extend_from_slice(block);
         count += 1;
     }
-    count.write(&mut out);
-    out.extend_from_slice(&body);
+    out[..8].copy_from_slice(&count.to_le_bytes());
     out
 }
 

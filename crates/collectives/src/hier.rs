@@ -33,7 +33,7 @@ use std::ops::Range;
 use crate::allreduce::{allreduce, chunk_range};
 use crate::bcast::binomial_bcast;
 use crate::comm::PeerComm;
-use crate::elem::{Elem, ReduceOp};
+use crate::elem::{decode_chunk, Elem, ReduceOp};
 use crate::error::CollError;
 use crate::fusion::plan_buckets;
 use crate::reduce::binomial_reduce;
@@ -169,6 +169,20 @@ struct Subgroup<'a, C: PeerComm> {
     my_idx: usize,
 }
 
+impl<C: PeerComm> Subgroup<'_, C> {
+    /// An algorithm run over the view names the sender of a malformed
+    /// message by its index *in the view* (transport errors arrive already
+    /// carrying the parent's): translate it.
+    fn blame(&self, e: CollError) -> CollError {
+        match e {
+            CollError::Malformed { peer } => CollError::Malformed {
+                peer: self.members.get(peer).copied().unwrap_or(peer),
+            },
+            other => other,
+        }
+    }
+}
+
 impl<C: PeerComm> PeerComm for Subgroup<'_, C> {
     fn size(&self) -> usize {
         self.members.len()
@@ -226,7 +240,8 @@ pub fn hier_allreduce<E: Elem, C: PeerComm>(
                 members,
                 my_idx,
             };
-            binomial_reduce(&local, 0, buf, op, tag_base + PHASE_REDUCE)?;
+            binomial_reduce(&local, 0, buf, op, tag_base + PHASE_REDUCE)
+                .map_err(|e| local.blame(e))?;
         }
 
         // Phase 2: flat allreduce among the node leaders.
@@ -238,7 +253,7 @@ pub fn hier_allreduce<E: Elem, C: PeerComm>(
                 members: &leaders,
                 my_idx: leader_idx,
             };
-            allreduce(&cross, buf, op, algo, tag_base + PHASE_CROSS)?;
+            allreduce(&cross, buf, op, algo, tag_base + PHASE_CROSS).map_err(|e| cross.blame(e))?;
         }
 
         // Phase 3: binomial-broadcast the final values within the node.
@@ -253,9 +268,11 @@ pub fn hier_allreduce<E: Elem, C: PeerComm>(
             } else {
                 Vec::new()
             };
-            binomial_bcast(&local, 0, &mut bytes, tag_base + PHASE_BCAST)?;
+            binomial_bcast(&local, 0, &mut bytes, tag_base + PHASE_BCAST)
+                .map_err(|e| local.blame(e))?;
             if my_idx != 0 {
-                buf.copy_from_slice(&E::decode_slice(&bytes));
+                // Relays forward the leader's bytes as they came.
+                buf.copy_from_slice(&decode_chunk(&bytes, buf.len(), members[0])?);
             }
         }
         Ok(())

@@ -1,7 +1,7 @@
 //! Rooted collectives: binomial reduce, linear gather and scatter.
 
 use crate::comm::PeerComm;
-use crate::elem::{reduce_into, Elem, ReduceOp};
+use crate::elem::{decode_chunk, reduce_into, Elem, ReduceOp};
 use crate::error::CollError;
 use crate::framing::{decode_one, encode_blocks};
 
@@ -42,7 +42,7 @@ pub fn binomial_reduce<E: Elem, C: PeerComm>(
                 comm.fault_point("reduce.step")?;
                 let child = (vchild + root) % p;
                 let data = comm.recv(child, tag_base + mask.trailing_zeros() as u64)?;
-                reduce_into(op, buf, &E::decode_slice(&data));
+                reduce_into(op, buf, &decode_chunk(&data, buf.len(), child)?);
             }
             mask <<= 1;
         }

@@ -5,10 +5,11 @@
 //! value).
 
 use collectives::{
-    allgather, allreduce, binomial_bcast, binomial_reduce, bruck_allgather, gather, ring_allgather,
-    AllgatherAlgo, AllreduceAlgo, CollError, PeerComm, ReduceOp,
+    allgather, allreduce, binomial_bcast, binomial_reduce, bruck_allgather, gather, hier_allreduce,
+    ring_allgather, AllgatherAlgo, AllreduceAlgo, CollError, NodeMap, PeerComm, ReduceOp,
 };
 use proptest::prelude::*;
+use std::cell::Cell;
 use std::sync::Arc;
 use transport::{Endpoint, Fabric, FaultInjector, FaultPlan, RankId, Topology};
 
@@ -67,6 +68,57 @@ impl PeerComm for Babbler {
     }
     fn recv(&self, _peer: usize, _tag: u64) -> Result<Vec<u8>, CollError> {
         Ok(self.reply.clone())
+    }
+}
+
+/// How a [`Mangler`] gets a message's element count wrong.
+#[derive(Clone, Copy, Debug)]
+enum Mangle {
+    /// One `i64` short (one long when there is nothing to cut).
+    Truncated,
+    /// One `i64` long.
+    Extended,
+    /// One byte long: not a whole number of elements.
+    Ragged,
+}
+
+/// A live peer of another build: its `nth` send (0-based) carries the wrong
+/// number of elements; everything else passes through.
+struct Mangler {
+    inner: PropComm,
+    nth: usize,
+    how: Mangle,
+    sends: Cell<usize>,
+    /// Group-local receiver of the mangled message, once it went out.
+    mangled_to: Cell<Option<usize>>,
+}
+
+impl PeerComm for Mangler {
+    fn size(&self) -> usize {
+        self.inner.size()
+    }
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+    fn send(&self, peer: usize, tag: u64, data: &[u8]) -> Result<(), CollError> {
+        let nth = self.sends.replace(self.sends.get() + 1);
+        if nth != self.nth {
+            return self.inner.send(peer, tag, data);
+        }
+        self.mangled_to.set(Some(peer));
+        let mut bad = data.to_vec();
+        match self.how {
+            Mangle::Truncated if bad.len() >= 8 => bad.truncate(bad.len() - 8),
+            Mangle::Truncated | Mangle::Extended => bad.extend([0; 8]),
+            Mangle::Ragged => bad.push(0),
+        }
+        self.inner.send(peer, tag, &bad)
+    }
+    fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, CollError> {
+        self.inner.recv(peer, tag)
+    }
+    fn fault_point(&self, name: &str) -> Result<(), CollError> {
+        self.inner.fault_point(name)
     }
 }
 
@@ -251,6 +303,71 @@ proptest! {
                 Ok(()) => {}
                 Err(CollError::Malformed { peer }) => prop_assert!(peer < p),
                 Err(other) => prop_assert!(false, "unexpected error {other:?}"),
+            }
+        }
+    }
+
+    /// A live peer that sends the wrong element count — short, long or
+    /// ragged — at any step of any allreduce / reduce variant makes its
+    /// receiver answer `Malformed`, naming it; nobody panics, nobody hangs,
+    /// and every other rank ends `Ok` or with a typed failure.
+    #[test]
+    fn wrong_length_payload_is_a_typed_error(
+        p in 2usize..=6,
+        n in 0usize..=20,
+        culprit_pick in any::<usize>(),
+        variant in 0usize..5,
+        how in prop_oneof![
+            Just(Mangle::Truncated), Just(Mangle::Extended), Just(Mangle::Ragged)],
+    ) {
+        let culprit = culprit_pick % p;
+        // Every step in turn, until the culprit has no `nth` send left.
+        for nth in 0.. {
+            let results = run_group(p, FaultPlan::none(), move |comm| {
+                let me = comm.rank();
+                let comm = Mangler {
+                    inner: comm,
+                    nth: if me == culprit { nth } else { usize::MAX },
+                    how,
+                    sends: Cell::new(0),
+                    mangled_to: Cell::new(None),
+                };
+                let mut buf = vec![me as i64; n];
+                let out = match variant {
+                    0 => allreduce(&comm, &mut buf, ReduceOp::Sum, AllreduceAlgo::Ring, 0),
+                    1 => allreduce(
+                        &comm, &mut buf, ReduceOp::Sum, AllreduceAlgo::RecursiveDoubling, 0),
+                    2 => allreduce(&comm, &mut buf, ReduceOp::Sum, AllreduceAlgo::Rabenseifner, 0),
+                    3 => binomial_reduce(&comm, 0, &mut buf, ReduceOp::Sum, 0),
+                    _ => {
+                        // Two ranks to a node: all three phases run.
+                        let colors: Vec<u64> = (0..p).map(|r| r as u64 / 2).collect();
+                        let map = NodeMap::from_colors(&colors);
+                        hier_allreduce(&comm, &map, &mut buf, ReduceOp::Sum, AllreduceAlgo::Ring, 0)
+                    }
+                };
+                (out, comm.mangled_to.get())
+            });
+            let Some(receiver) = results[culprit].1 else {
+                // The culprit never got to its `nth` send: a clean run.
+                prop_assert!(results.iter().all(|(out, _)| out.is_ok()));
+                break;
+            };
+            for (out, _) in &results {
+                match out {
+                    Ok(()) | Err(CollError::PeerFailed { .. }) => {}
+                    Err(CollError::Malformed { peer }) => prop_assert!(*peer < p),
+                    Err(other) => prop_assert!(false, "unexpected error {other:?}"),
+                }
+            }
+            let noticed = &results[receiver].0;
+            if variant < 4 {
+                prop_assert_eq!(noticed, &Err(CollError::Malformed { peer: culprit }));
+            } else {
+                // The node-local broadcast relays the leader's bytes and
+                // reads a cut status byte as poison: blame may land on the
+                // leader or the relay, but it is typed and it is noticed.
+                prop_assert!(noticed.is_err(), "step {} went unnoticed", nth);
             }
         }
     }

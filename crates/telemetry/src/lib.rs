@@ -2,12 +2,16 @@
 //!
 //! Everything lives in one process-global [`Registry`]:
 //!
-//! * [`Counter`] — a named monotonic `AtomicU64`; the hot-path cost of an
+//! * [`Counter`] — a named monotonic count; the hot-path cost of an
 //!   increment is one relaxed atomic add. Call sites that fire per-message
 //!   cache the `Arc<Counter>` instead of re-resolving the name.
 //! * [`Histogram`] — 64 fixed log₂ buckets plus count/sum/min/max, all
 //!   atomics, no locks on the record path. Durations are recorded in
 //!   nanoseconds; byte sizes and round counts record raw values.
+//!
+//!   Both are *striped*: a thread adds into one of a few cache-line-padded
+//!   copies and a read sums them, so ranks that bump the same metric in the
+//!   same instant do not pass its cache line back and forth.
 //! * [`span`] — an RAII guard that times a scope into the histogram of the
 //!   same name (`drop` records). [`time`] is the closure-shaped variant.
 //! * [`Lazy`] — a `static` handle on a counter or histogram, for call sites
@@ -28,16 +32,38 @@
 mod json;
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 pub use json::JsonWriter;
 
+/// Stripes per metric. Every rank thread of an in-process world bumps the
+/// same few metrics in the same instant; one word per metric would make each
+/// bump a cache-line transfer between cores. A thread writes only its own
+/// stripe; reads sum (or merge) all of them.
+const STRIPES: usize = 4;
+
+/// One stripe, alone on its cache lines.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Stripe<T>(T);
+
+/// The calling thread's stripe: handed out round-robin at a thread's first
+/// metric, so threads that start together land on different stripes.
+fn stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static MINE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+    }
+    // A metric bumped from a thread-local destructor may find `MINE` gone.
+    MINE.try_with(|s| *s).unwrap_or(0)
+}
+
 /// A named monotonic counter.
 #[derive(Debug, Default)]
 pub struct Counter {
-    value: AtomicU64,
+    stripes: [Stripe<AtomicU64>; STRIPES],
 }
 
 impl Counter {
@@ -50,16 +76,19 @@ impl Counter {
     /// Increment by `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        self.stripes[stripe()].0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        let stripes = self.stripes.iter();
+        stripes.map(|s| s.0.load(Ordering::Relaxed)).sum()
     }
 
     fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
+        for s in &self.stripes {
+            s.0.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -71,20 +100,25 @@ const BUCKETS: usize = 64;
 /// value 0), i.e. bucket boundaries are powers of two. That is coarse but
 /// stable, cheap, and good enough to separate "microseconds" from
 /// "milliseconds" — the resolution the paper's breakdowns need.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Histogram {
+    stripes: [Stripe<HistogramStripe>; STRIPES],
+}
+
+/// One thread-group's share of a [`Histogram`]. The count is not stored: it
+/// is the sum of the buckets.
+#[derive(Debug)]
+struct HistogramStripe {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
 }
 
-impl Default for Histogram {
+impl Default for HistogramStripe {
     fn default() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -95,12 +129,18 @@ impl Default for Histogram {
 impl Histogram {
     /// Record one raw value.
     pub fn record(&self, value: u64) {
+        let s = &self.stripes[stripe()].0;
         let idx = (64 - value.leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        s.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        s.sum.fetch_add(value, Ordering::Relaxed);
+        // Both only ever tighten, so a stale read can only cost a retry of
+        // the update, never skip one that was needed.
+        if value < s.min.load(Ordering::Relaxed) {
+            s.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > s.max.load(Ordering::Relaxed) {
+            s.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Record a duration, in nanoseconds.
@@ -110,49 +150,55 @@ impl Histogram {
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        let buckets = self.stripes.iter().flat_map(|s| &s.0.buckets);
+        buckets.map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of recorded values.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        let sums = self.stripes.iter().map(|s| s.0.sum.load(Ordering::Relaxed));
+        sums.fold(0, u64::wrapping_add)
     }
 
-    /// Plain-data copy of the current state.
+    /// Plain-data copy of the current state: the stripes merged.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let count = self.count();
+        let mut counts = [0u64; BUCKETS];
+        let (mut sum, mut min, mut max) = (0u64, u64::MAX, 0u64);
+        for Stripe(s) in &self.stripes {
+            for (total, b) in counts.iter_mut().zip(&s.buckets) {
+                *total += b.load(Ordering::Relaxed);
+            }
+            sum = sum.wrapping_add(s.sum.load(Ordering::Relaxed));
+            min = min.min(s.min.load(Ordering::Relaxed));
+            max = max.max(s.max.load(Ordering::Relaxed));
+        }
+        let count = counts.iter().sum();
         HistogramSnapshot {
             count,
-            sum: self.sum(),
-            min: if count == 0 {
-                0
-            } else {
-                self.min.load(Ordering::Relaxed)
-            },
-            max: self.max.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
+            sum,
+            min: if count == 0 { 0 } else { min },
+            max,
+            buckets: counts
                 .iter()
                 .enumerate()
-                .filter_map(|(i, b)| {
-                    let n = b.load(Ordering::Relaxed);
-                    (n > 0).then(|| BucketCount {
-                        floor: if i == 0 { 0 } else { 1u64 << (i - 1) },
-                        count: n,
-                    })
+                .filter(|(_, &n)| n > 0)
+                .map(|(i, &n)| BucketCount {
+                    floor: if i == 0 { 0 } else { 1u64 << (i - 1) },
+                    count: n,
                 })
                 .collect(),
         }
     }
 
     fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
+        for Stripe(s) in &self.stripes {
+            for b in &s.buckets {
+                b.store(0, Ordering::Relaxed);
+            }
+            s.sum.store(0, Ordering::Relaxed);
+            s.min.store(u64::MAX, Ordering::Relaxed);
+            s.max.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 }
 
@@ -642,5 +688,58 @@ mod tests {
         }
         assert_eq!(counter("test.concurrent").get(), 8000);
         assert_eq!(histogram("test.concurrent.h").count(), 8000);
+    }
+
+    #[test]
+    fn stripes_merge_exactly_and_reset_together() {
+        let _g = lock();
+        reset();
+        let (c, h) = (counter("test.striped"), histogram("test.striped.h"));
+        // Eight fresh threads take stripes round-robin, so every stripe is
+        // written; thread `t` records `t·1000 .. t·1000 + 1000`.
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                let (c, h) = (&c, &h);
+                s.spawn(move || {
+                    for v in t * 1000..(t + 1) * 1000 {
+                        c.add(v);
+                        h.record(v);
+                    }
+                });
+            }
+        });
+        let sum: u64 = (0..8000).sum();
+        assert_eq!(c.get(), sum);
+        let snap = h.snapshot();
+        assert_eq!(
+            (snap.count, snap.sum, snap.min, snap.max),
+            (8000, sum, 0, 7999)
+        );
+        assert_eq!((h.count(), h.sum()), (8000, sum));
+        // Bucket floors 0, 1, 2, 4, …, 4096 hold 1, 1, 2, 4, …, 8000 − 4096.
+        let want: Vec<BucketCount> = std::iter::once(BucketCount { floor: 0, count: 1 })
+            .chain((0..13).map(|i| BucketCount {
+                floor: 1 << i,
+                count: (2u64 << i).min(8000) - (1 << i),
+            }))
+            .collect();
+        assert_eq!(snap.buckets, want);
+
+        reset();
+        assert_eq!(c.get(), 0);
+        let cleared = h.snapshot();
+        assert_eq!(
+            (cleared.count, cleared.sum, cleared.min, cleared.max),
+            (0, 0, 0, 0)
+        );
+        assert!(cleared.buckets.is_empty());
+        // A stripe left dirty would show through a single new value's min.
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| h.record(5000));
+            }
+        });
+        let again = h.snapshot();
+        assert_eq!((again.count, again.min, again.max), (8, 5000, 5000));
     }
 }

@@ -14,70 +14,50 @@
 
 use crate::backend::{Backend, SignalHandler};
 use crate::error::TransportError;
-use crate::fault::FaultInjector;
+use crate::fault::{FaultInjector, RankFaults};
 use crate::ids::{RankId, Topology};
 use crate::mailbox::{FrameAck, Mailbox, RecvOutcome};
-use crate::perturb::{PerturbPlan, Perturber};
+use crate::perturb::{PerturbPlan, Perturber, RetryPolicy, Verdict};
 use crate::wire;
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use parking_lot::{Mutex, RwLock};
 use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use telemetry::{Counter, Histogram};
 
-/// Cached telemetry handles — resolved once per engine so the hot
-/// send/recv paths pay one relaxed atomic add, not a registry lookup.
-/// Every backend reports under the same `transport.*` metric names.
-struct Telemetry {
-    msgs_sent: Arc<Counter>,
-    bytes_sent: Arc<Counter>,
-    msgs_recvd: Arc<Counter>,
-    bytes_recvd: Arc<Counter>,
-    deaths: Arc<Counter>,
-    fault_point_hits: Arc<Counter>,
-    op_fault_hits: Arc<Counter>,
-    purged_msgs: Arc<Counter>,
-    recv_timeouts: Arc<Counter>,
-    retransmits: Arc<Counter>,
-    corrupt_frames: Arc<Counter>,
-    dup_suppressed: Arc<Counter>,
-    frames_dropped: Arc<Counter>,
-    frames_delayed: Arc<Counter>,
-    frames_duplicated: Arc<Counter>,
-    frames_reordered: Arc<Counter>,
-    suspicions: Arc<Counter>,
-    suspicion_coalesced: Arc<Counter>,
-    delay_hist: Arc<Histogram>,
-    backoff_hist: Arc<Histogram>,
-}
-
-impl Telemetry {
-    fn new() -> Self {
-        Self {
-            msgs_sent: telemetry::counter("transport.msgs_sent"),
-            bytes_sent: telemetry::counter("transport.bytes_sent"),
-            msgs_recvd: telemetry::counter("transport.msgs_recvd"),
-            bytes_recvd: telemetry::counter("transport.bytes_recvd"),
-            deaths: telemetry::counter("transport.deaths"),
-            fault_point_hits: telemetry::counter("transport.fault_point_hits"),
-            op_fault_hits: telemetry::counter("transport.op_fault_hits"),
-            purged_msgs: telemetry::counter("transport.purged_msgs"),
-            recv_timeouts: telemetry::counter("transport.recv_timeouts"),
-            retransmits: telemetry::counter("transport.retransmits"),
-            corrupt_frames: telemetry::counter("transport.corrupt_frames"),
-            dup_suppressed: telemetry::counter("transport.dup_suppressed"),
-            frames_dropped: telemetry::counter("transport.perturb.frames_dropped"),
-            frames_delayed: telemetry::counter("transport.perturb.frames_delayed"),
-            frames_duplicated: telemetry::counter("transport.perturb.frames_duplicated"),
-            frames_reordered: telemetry::counter("transport.perturb.frames_reordered"),
-            suspicions: telemetry::counter("transport.suspicions"),
-            suspicion_coalesced: telemetry::counter("transport.suspicion.coalesced"),
-            delay_hist: telemetry::histogram("transport.perturb.delay_ns"),
-            backoff_hist: telemetry::histogram("transport.retransmit.backoff_ns"),
-        }
-    }
+/// Telemetry handles, resolved once per process (not per engine): the hot
+/// send/recv paths pay one relaxed atomic add, not a registry lookup, and
+/// building a world looks nothing up. Every backend reports under the same
+/// `transport.*` metric names.
+mod telem {
+    use telemetry::{Counter, Histogram, Lazy};
+    pub(super) static MSGS_SENT: Lazy<Counter> = Lazy::counter("transport.msgs_sent");
+    pub(super) static BYTES_SENT: Lazy<Counter> = Lazy::counter("transport.bytes_sent");
+    pub(super) static MSGS_RECVD: Lazy<Counter> = Lazy::counter("transport.msgs_recvd");
+    pub(super) static BYTES_RECVD: Lazy<Counter> = Lazy::counter("transport.bytes_recvd");
+    pub(super) static DEATHS: Lazy<Counter> = Lazy::counter("transport.deaths");
+    pub(super) static FAULT_POINT_HITS: Lazy<Counter> = Lazy::counter("transport.fault_point_hits");
+    pub(super) static OP_FAULT_HITS: Lazy<Counter> = Lazy::counter("transport.op_fault_hits");
+    pub(super) static PURGED_MSGS: Lazy<Counter> = Lazy::counter("transport.purged_msgs");
+    pub(super) static RECV_TIMEOUTS: Lazy<Counter> = Lazy::counter("transport.recv_timeouts");
+    pub(super) static RETRANSMITS: Lazy<Counter> = Lazy::counter("transport.retransmits");
+    pub(super) static CORRUPT_FRAMES: Lazy<Counter> = Lazy::counter("transport.corrupt_frames");
+    pub(super) static DUP_SUPPRESSED: Lazy<Counter> = Lazy::counter("transport.dup_suppressed");
+    pub(super) static FRAMES_DROPPED: Lazy<Counter> =
+        Lazy::counter("transport.perturb.frames_dropped");
+    pub(super) static FRAMES_DELAYED: Lazy<Counter> =
+        Lazy::counter("transport.perturb.frames_delayed");
+    pub(super) static FRAMES_DUPLICATED: Lazy<Counter> =
+        Lazy::counter("transport.perturb.frames_duplicated");
+    pub(super) static FRAMES_REORDERED: Lazy<Counter> =
+        Lazy::counter("transport.perturb.frames_reordered");
+    pub(super) static SUSPICIONS: Lazy<Counter> = Lazy::counter("transport.suspicions");
+    pub(super) static SUSPICION_COALESCED: Lazy<Counter> =
+        Lazy::counter("transport.suspicion.coalesced");
+    pub(super) static DELAY_HIST: Lazy<Histogram> = Lazy::histogram("transport.perturb.delay_ns");
+    pub(super) static BACKOFF_HIST: Lazy<Histogram> =
+        Lazy::histogram("transport.retransmit.backoff_ns");
 }
 
 /// Aggregate traffic counters (diagnostics and cost calibration).
@@ -127,13 +107,52 @@ pub(crate) fn suspicion_jitter(rank: RankId, t: Duration) -> Duration {
     t + t.mul_f64(h as f64 / 255.0 * 0.25)
 }
 
-/// One rank in an engine's peer table: the liveness flag plus whatever the
-/// link keeps per peer — its mailbox in process, its connection over
-/// sockets. Slots are only ever appended (death is a permanent state, as in
-/// ULFM), so the table can grow while collectives run and a holder of an
-/// `Arc` never sees a slot disappear.
+/// An `Option<Duration>` setting that the message path reads: whole
+/// nanoseconds in one word (`u64::MAX` is `None`), so reading it takes no
+/// lock. Durations past 584 years read back as `None`.
+pub(crate) struct AtomicTimeout(AtomicU64);
+
+impl AtomicTimeout {
+    fn none() -> Self {
+        Self(AtomicU64::new(u64::MAX))
+    }
+
+    pub(crate) fn get(&self) -> Option<Duration> {
+        let nanos = self.0.load(Ordering::SeqCst);
+        (nanos != u64::MAX).then(|| Duration::from_nanos(nanos))
+    }
+
+    pub(crate) fn set(&self, timeout: Option<Duration>) {
+        let nanos = timeout.map_or(u64::MAX, |t| {
+            u64::try_from(t.as_nanos()).unwrap_or(u64::MAX)
+        });
+        self.0.store(nanos, Ordering::SeqCst);
+    }
+}
+
+/// What only a rank's *own* sends write: its sequence numbers and traffic
+/// counts. On cache lines of its own, so a sender never invalidates a line
+/// its peers read (`alive`) or write (the mailbox in `port`).
+#[derive(Default)]
+#[repr(align(64))]
+struct Tx {
+    /// Next sequence number per (destination, tag) channel.
+    seq: Mutex<HashMap<(RankId, u64), u64>>,
+    /// Messages this rank got delivered.
+    messages: AtomicU64,
+    /// Payload bytes of those.
+    bytes: AtomicU64,
+}
+
+/// One rank in an engine's peer table: the liveness flag, the sender-side
+/// state of the rank's own traffic, plus whatever the link keeps per peer —
+/// its mailbox in process, its connection over sockets. Slots are only ever
+/// appended (death is a permanent state, as in ULFM) and never move, so the
+/// table can grow while collectives run and a `&Slot` stays good for as
+/// long as the engine does.
 pub(crate) struct Slot<P> {
     alive: AtomicBool,
+    tx: Tx,
     pub(crate) port: P,
 }
 
@@ -141,78 +160,142 @@ impl<P> Slot<P> {
     pub(crate) fn is_alive(&self) -> bool {
         self.alive.load(Ordering::SeqCst)
     }
+
+    fn next_tx_seq(&self, dst: RankId, tag: u64) -> u64 {
+        let mut seqs = self.tx.seq.lock();
+        let s = seqs.entry((dst, tag)).or_insert(0);
+        let seq = *s;
+        *s += 1;
+        seq
+    }
+}
+
+/// A run of slots, each set once when its rank is pushed.
+type Bucket<P> = Box<[OnceLock<Slot<P>>]>;
+
+/// The peer table: append-only, read without a lock. Bucket `b` holds ranks
+/// `2ᵇ − 1 .. 2ᵇ⁺¹ − 1` and is allocated when the first of them is pushed,
+/// so nothing is sized before the ranks exist and no slot is ever moved.
+struct Table<P> {
+    buckets: [OnceLock<Bucket<P>>; usize::BITS as usize],
+    /// Slots pushed so far; a slot is published before it is counted.
+    len: AtomicUsize,
+    /// Serialises `push`.
+    grow: Mutex<()>,
+}
+
+impl<P> Table<P> {
+    fn new() -> Self {
+        Self {
+            buckets: std::array::from_fn(|_| OnceLock::new()),
+            len: AtomicUsize::new(0),
+            grow: Mutex::new(()),
+        }
+    }
+
+    /// (bucket, index within it) of a rank below `usize::MAX`.
+    fn locate(rank: usize) -> (usize, usize) {
+        let bucket = (rank + 1).ilog2() as usize;
+        (bucket, rank + 1 - (1 << bucket))
+    }
+
+    fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
+    }
+
+    fn get(&self, rank: usize) -> Option<&Slot<P>> {
+        if rank >= self.len() {
+            return None;
+        }
+        let (bucket, i) = Self::locate(rank);
+        self.buckets[bucket].get()?[i].get()
+    }
+
+    fn push(&self, slot: Slot<P>) -> usize {
+        let _one_at_a_time = self.grow.lock();
+        let rank = self.len.load(Ordering::Relaxed);
+        let (bucket, i) = Self::locate(rank);
+        let bucket = self.buckets[bucket]
+            .get_or_init(|| (0..1usize << bucket).map(|_| OnceLock::new()).collect());
+        assert!(bucket[i].set(slot).is_ok(), "slot {rank} pushed twice");
+        self.len.store(rank + 1, Ordering::Release);
+        rank
+    }
 }
 
 /// The engine's state: one view of the job — who is in it and who is still
-/// alive — with the fault plans, suspicion configuration, sender sequence
-/// numbers and traffic counters that go with that view. The in-process
-/// fabric holds one, shared by all its ranks (so [`crate::Fabric::stats`]
-/// and the alive table are job-wide); a socket backend holds its own.
+/// alive — with the fault plans and suspicion configuration that go with
+/// that view. The in-process fabric holds one, shared by all its ranks (so
+/// [`crate::Fabric::stats`] and the alive table are job-wide); a socket
+/// backend holds its own.
+///
+/// The sharing rule: a message on a clean link takes no lock and writes no
+/// cache line here that another rank's `send` / `recv` also takes or writes.
+/// What a message changes lives with its one writer — sequence numbers,
+/// traffic counts ([`Slot`]) and fault counters ([`RankFaults`]) with the
+/// sending rank — and what it only reads (the table, `planned`, the
+/// suspicion timeout) is written at set-up or on a failure.
 pub(crate) struct Engine<P> {
     pub(crate) topology: Topology,
     /// Peer table indexed by rank.
-    table: RwLock<Vec<Arc<Slot<P>>>>,
+    table: Table<P>,
     pub(crate) injector: FaultInjector,
-    pub(crate) perturber: RwLock<Arc<Perturber>>,
-    /// Sender-side sequence counters per (src, dst, tag) channel.
-    tx_seq: Mutex<HashMap<(RankId, RankId, u64), u64>>,
+    /// The installed perturbation plan's executor; `None` until a plan is
+    /// installed.
+    perturber: RwLock<Option<Arc<Perturber>>>,
+    /// Raised with the first plan, never lowered: a fabric that never had
+    /// one leaves the lock above alone.
+    planned: AtomicBool,
     /// If set, a blocking receive with no explicit deadline that stalls past
     /// this duration suspects the silent peer dead (timeout-based failure
     /// detection). `None` (the default) models a perfect, hang-free network.
-    pub(crate) suspicion: RwLock<Option<Duration>>,
+    pub(crate) suspicion: AtomicTimeout,
     /// Suspicion batching window: after a suspicion lands, further
     /// suspicions within this window belong to the same burst, and
     /// recovery (via `Endpoint::settle_suspicions`) waits the window out
     /// before agreeing on the failed set. `None` disables batching.
-    pub(crate) suspicion_batch: RwLock<Option<Duration>>,
+    pub(crate) suspicion_batch: AtomicTimeout,
     /// When the most recent alive→dead suspicion transition was recorded.
     pub(crate) last_suspicion: Mutex<Option<Instant>>,
-    messages: AtomicU64,
-    bytes: AtomicU64,
     deaths: AtomicU64,
     retransmits: AtomicU64,
     corrupt_frames: AtomicU64,
     dup_suppressed: AtomicU64,
     suspicions: AtomicU64,
-    telem: Telemetry,
 }
 
 impl<P> Engine<P> {
     pub(crate) fn new(topology: Topology, injector: FaultInjector) -> Self {
         Self {
             topology,
-            table: RwLock::new(Vec::new()),
+            table: Table::new(),
             injector,
-            perturber: RwLock::new(Arc::new(Perturber::inert())),
-            tx_seq: Mutex::new(HashMap::new()),
-            suspicion: RwLock::new(None),
-            suspicion_batch: RwLock::new(None),
+            perturber: RwLock::new(None),
+            planned: AtomicBool::new(false),
+            suspicion: AtomicTimeout::none(),
+            suspicion_batch: AtomicTimeout::none(),
             last_suspicion: Mutex::new(None),
-            messages: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
             deaths: AtomicU64::new(0),
             retransmits: AtomicU64::new(0),
             corrupt_frames: AtomicU64::new(0),
             dup_suppressed: AtomicU64::new(0),
             suspicions: AtomicU64::new(0),
-            telem: Telemetry::new(),
         }
     }
 
     /// Append one rank (alive) and return its id. Ids are dense and
     /// permanent.
     pub(crate) fn push(&self, port: P) -> RankId {
-        let mut table = self.table.write();
-        table.push(Arc::new(Slot {
+        RankId(self.table.push(Slot {
             alive: AtomicBool::new(true),
+            tx: Tx::default(),
             port,
-        }));
-        RankId(table.len() - 1)
+        }))
     }
 
     /// Grow the table until `rank` has a slot (new slots are alive, with a
     /// `vacant` port). Idempotent; existing slots are untouched.
-    pub(crate) fn ensure(&self, rank: RankId, vacant: impl Fn() -> P) -> Arc<Slot<P>> {
+    pub(crate) fn ensure(&self, rank: RankId, vacant: impl Fn() -> P) -> &Slot<P> {
         loop {
             if let Some(slot) = self.slot(rank) {
                 return slot;
@@ -222,29 +305,30 @@ impl<P> Engine<P> {
     }
 
     /// `rank`'s slot; `None` if it was never part of the job.
-    pub(crate) fn slot(&self, rank: RankId) -> Option<Arc<Slot<P>>> {
-        self.table.read().get(rank.0).cloned()
+    pub(crate) fn slot(&self, rank: RankId) -> Option<&Slot<P>> {
+        self.table.get(rank.0)
     }
 
-    /// The whole table, in id order, under its read lock: clone it before
-    /// calling anything that looks slots up again.
-    pub(crate) fn slots(&self) -> RwLockReadGuard<'_, Vec<Arc<Slot<P>>>> {
-        self.table.read()
+    /// Every slot pushed so far, in id order.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = &Slot<P>> {
+        (0..self.total_ranks()).filter_map(|r| self.table.get(r))
     }
 
     pub(crate) fn total_ranks(&self) -> usize {
-        self.table.read().len()
+        self.table.len()
     }
 
     pub(crate) fn is_alive(&self, rank: RankId) -> bool {
-        self.table.read().get(rank.0).is_some_and(|s| s.is_alive())
+        self.slot(rank).is_some_and(|s| s.is_alive())
     }
 
     /// Snapshot of the ranks currently alive (or dead), in id order.
     pub(crate) fn ranks_where(&self, alive: bool) -> Vec<RankId> {
-        let table = self.table.read();
-        let ids = (0..table.len()).filter(|&r| table[r].is_alive() == alive);
-        ids.map(RankId).collect()
+        let ids = self
+            .slots()
+            .enumerate()
+            .filter(|(_, s)| s.is_alive() == alive);
+        ids.map(|(r, _)| RankId(r)).collect()
     }
 
     /// Record `rank`'s death in this view. True iff this call made the
@@ -257,19 +341,33 @@ impl<P> Engine<P> {
             .is_some_and(|s| s.alive.swap(false, Ordering::SeqCst));
         if died {
             self.deaths.fetch_add(1, Ordering::Relaxed);
-            self.telem.deaths.incr();
+            telem::DEATHS.incr();
         }
         died
     }
 
     pub(crate) fn set_perturbation(&self, plan: PerturbPlan) {
-        *self.perturber.write() = Arc::new(Perturber::new(plan));
+        *self.perturber.write() = Some(Arc::new(Perturber::new(plan)));
+        self.planned.store(true, Ordering::SeqCst);
+    }
+
+    /// The installed plan's executor, if a plan was ever installed.
+    fn perturber(&self) -> Option<Arc<Perturber>> {
+        if !self.planned.load(Ordering::SeqCst) {
+            return None;
+        }
+        self.perturber.read().clone()
     }
 
     pub(crate) fn stats(&self) -> FabricStats {
+        let (mut messages, mut bytes) = (0, 0);
+        for s in self.slots() {
+            messages += s.tx.messages.load(Ordering::Relaxed);
+            bytes += s.tx.bytes.load(Ordering::Relaxed);
+        }
         FabricStats {
-            messages: self.messages.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
+            messages,
+            bytes,
             deaths: self.deaths.load(Ordering::Relaxed),
             retransmits: self.retransmits.load(Ordering::Relaxed),
             corrupt_frames: self.corrupt_frames.load(Ordering::Relaxed),
@@ -287,11 +385,11 @@ impl<P> Engine<P> {
     pub(crate) fn suspect(&self, alive: bool, condemn: impl FnOnce()) {
         if alive {
             self.suspicions.fetch_add(1, Ordering::Relaxed);
-            self.telem.suspicions.incr();
+            telem::SUSPICIONS.incr();
             *self.last_suspicion.lock() = Some(Instant::now());
             condemn();
         } else {
-            self.telem.suspicion_coalesced.incr();
+            telem::SUSPICION_COALESCED.incr();
         }
     }
 
@@ -315,23 +413,15 @@ impl<P> Engine<P> {
         match ack {
             FrameAck::Corrupt(_) => {
                 self.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-                self.telem.corrupt_frames.incr();
+                telem::CORRUPT_FRAMES.incr();
             }
             FrameAck::Duplicate => {
                 self.dup_suppressed.fetch_add(1, Ordering::Relaxed);
-                self.telem.dup_suppressed.incr();
+                telem::DUP_SUPPRESSED.incr();
             }
             FrameAck::Accepted => {}
         }
         ack
-    }
-
-    fn next_tx_seq(&self, src: RankId, dst: RankId, tag: u64) -> u64 {
-        let mut seqs = self.tx_seq.lock();
-        let s = seqs.entry((src, dst, tag)).or_insert(0);
-        let seq = *s;
-        *s += 1;
-        seq
     }
 }
 
@@ -355,8 +445,16 @@ pub(crate) trait Link: Send + Sync {
     fn engine(&self) -> &Engine<Self::Port>;
     /// The local rank's mailbox.
     fn mailbox(&self) -> &Mailbox;
+    /// The local rank's share of the engine's fault injector.
+    fn faults(&self) -> &RankFaults;
+    /// The local rank's own slot: a link is only ever built for a rank its
+    /// engine already holds.
+    fn me(&self) -> &Slot<Self::Port> {
+        let me = self.engine().slot(self.rank());
+        me.expect("a link's own rank has a slot")
+    }
     fn self_alive(&self) -> bool {
-        self.engine().is_alive(self.rank())
+        self.me().is_alive()
     }
 
     /// Hand one copy of the frame toward `to`: `copy` is `frame` itself when
@@ -465,9 +563,8 @@ impl<L: Link> Backend for L {
         if !self.self_alive() {
             return Err(TransportError::SelfDied);
         }
-        let eng = self.engine();
-        if eng.injector.hit_op(Link::rank(self)) {
-            eng.telem.op_fault_hits.incr();
+        if self.faults().hit_op() {
+            telem::OP_FAULT_HITS.incr();
             self.die();
             return Err(TransportError::SelfDied);
         }
@@ -478,10 +575,11 @@ impl<L: Link> Backend for L {
         if !self.self_alive() {
             return Err(TransportError::SelfDied);
         }
-        let eng = self.engine();
-        eng.perturber.read().notify_point(name);
-        if eng.injector.hit_point(Link::rank(self), name) {
-            eng.telem.fault_point_hits.incr();
+        if let Some(perturber) = self.engine().perturber() {
+            perturber.notify_point(name);
+        }
+        if self.faults().hit_point(name) {
+            telem::FAULT_POINT_HITS.incr();
             self.die();
             return Err(TransportError::SelfDied);
         }
@@ -497,47 +595,57 @@ impl<L: Link> Backend for L {
         if !peer.is_alive() {
             return Err(TransportError::PeerDead(to));
         }
-        let seq = eng.next_tx_seq(me, to, tag);
+        let mine = self.me();
+        let seq = mine.next_tx_seq(to, tag);
         // Encoded once; every (re)transmission on a clean link hands off
         // this same buffer.
         let frame = L::Frame::from(wire::encode_frame(me, tag, seq, data));
-        let mut perturber = Arc::clone(&eng.perturber.read());
-        let policy = perturber.plan().retry_policy();
+        let mut perturber = eng.perturber();
+        let policy = perturber
+            .as_deref()
+            .map_or_else(RetryPolicy::default, |p| p.plan().retry_policy());
         let mut attempt = 0u32;
         loop {
-            // One physical transmission attempt under the perturbation plan.
-            let verdict = perturber.transmit(me, to, frame.borrow());
+            // One physical transmission attempt: under the perturbation
+            // plan if the fabric ever had one, else the frame as it is.
+            let verdict = match &perturber {
+                Some(p) => p.transmit(me, to, frame.borrow()),
+                None => Verdict::clean(frame.borrow()),
+            };
             if verdict.dropped {
-                eng.telem.frames_dropped.incr();
+                telem::FRAMES_DROPPED.incr();
             }
             if verdict.duplicated {
-                eng.telem.frames_duplicated.incr();
+                telem::FRAMES_DUPLICATED.incr();
             }
             if verdict.reordered {
-                eng.telem.frames_reordered.incr();
+                telem::FRAMES_REORDERED.incr();
             }
             // Only a copy of the *current* frame acks it: stashed flushes
             // ack on behalf of older frames, which already retransmit
             // independently.
             let mut acked = false;
             let mut sent = L::Sent::default();
-            for d in verdict.deliveries {
+            for d in verdict.deliveries.into_iter().flatten() {
                 if let Some(delay) = d.delay {
                     // The "propagation delay" runs on the sender thread: a
                     // slow link is a slow hand-off, whatever carries it.
-                    eng.telem.frames_delayed.incr();
-                    eng.telem.delay_hist.record_duration(delay);
+                    telem::FRAMES_DELAYED.incr();
+                    telem::DELAY_HIST.record_duration(delay);
                     std::thread::sleep(delay);
                 }
-                let ack = self.hand_off(to, &peer, &frame, d.bytes, &mut sent);
+                let ack = self.hand_off(to, peer, &frame, d.bytes, &mut sent);
                 acked |= d.current && ack.is_some_and(|a| a.is_acked());
             }
             if acked {
                 break;
             }
-            let salt = perturber.backoff_salt(me, to, tag, seq, attempt);
+            let salt = match &perturber {
+                Some(p) => p.backoff_salt(me, to, tag, seq, attempt),
+                None => Perturber::inert().backoff_salt(me, to, tag, seq, attempt),
+            };
             let backoff = policy.backoff(attempt, salt);
-            let Err(spent) = self.await_ack(to, &peer, tag, seq, sent, backoff) else {
+            let Err(spent) = self.await_ack(to, peer, tag, seq, sent, backoff) else {
                 break;
             };
             // Unacked: the frame (or every copy of it) was lost. Re-check
@@ -554,18 +662,20 @@ impl<L: Link> Backend for L {
                 Backend::suspect(self, to);
                 return Err(TransportError::PeerDead(to));
             }
-            eng.telem.backoff_hist.record_duration(backoff);
+            telem::BACKOFF_HIST.record_duration(backoff);
             std::thread::sleep(backoff.saturating_sub(spent));
             attempt += 1;
             eng.retransmits.fetch_add(1, Ordering::Relaxed);
-            eng.telem.retransmits.incr();
+            telem::RETRANSMITS.incr();
             // A plan installed mid-send takes effect from the next attempt.
-            perturber = Arc::clone(&eng.perturber.read());
+            perturber = eng.perturber();
         }
-        eng.messages.fetch_add(1, Ordering::Relaxed);
-        eng.bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
-        eng.telem.msgs_sent.incr();
-        eng.telem.bytes_sent.add(data.len() as u64);
+        mine.tx.messages.fetch_add(1, Ordering::Relaxed);
+        mine.tx
+            .bytes
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        telem::MSGS_SENT.incr();
+        telem::BYTES_SENT.add(data.len() as u64);
         Ok(())
     }
 
@@ -588,7 +698,10 @@ impl<L: Link> Backend for L {
         // coalesced everywhere else.
         let suspicion = match deadline {
             Some(_) => None,
-            None => (*eng.suspicion.read()).map(|t| suspicion_jitter(Link::rank(self), t)),
+            None => eng
+                .suspicion
+                .get()
+                .map(|t| suspicion_jitter(Link::rank(self), t)),
         };
         let effective = deadline.or_else(|| suspicion.map(|t| Instant::now() + t));
         match self.mailbox().pop_matching(
@@ -600,8 +713,8 @@ impl<L: Link> Backend for L {
             effective,
         ) {
             RecvOutcome::Message(data) => {
-                eng.telem.msgs_recvd.incr();
-                eng.telem.bytes_recvd.add(data.len() as u64);
+                telem::MSGS_RECVD.incr();
+                telem::BYTES_RECVD.add(data.len() as u64);
                 Ok(data)
             }
             RecvOutcome::SrcDead => Err(TransportError::PeerDead(from)),
@@ -614,7 +727,7 @@ impl<L: Link> Backend for L {
                 Err(TransportError::PeerDead(from))
             }
             RecvOutcome::TimedOut => {
-                eng.telem.recv_timeouts.incr();
+                telem::RECV_TIMEOUTS.incr();
                 Err(TransportError::Timeout)
             }
         }
@@ -630,7 +743,7 @@ impl<L: Link> Backend for L {
 
     fn purge_tags(&self, pred: &dyn Fn(u64) -> bool) -> usize {
         let purged = self.mailbox().purge_where(pred);
-        self.engine().telem.purged_msgs.add(purged as u64);
+        telem::PURGED_MSGS.add(purged as u64);
         purged
     }
 
@@ -639,11 +752,11 @@ impl<L: Link> Backend for L {
     }
 
     fn set_suspicion_timeout(&self, timeout: Option<Duration>) {
-        *self.engine().suspicion.write() = timeout;
+        self.engine().suspicion.set(timeout);
     }
 
     fn suspicion_timeout(&self) -> Option<Duration> {
-        *self.engine().suspicion.read()
+        self.engine().suspicion.get()
     }
 
     fn last_suspicion(&self) -> Option<Instant> {
@@ -651,11 +764,11 @@ impl<L: Link> Backend for L {
     }
 
     fn suspicion_batch_window(&self) -> Option<Duration> {
-        *self.engine().suspicion_batch.read()
+        self.engine().suspicion_batch.get()
     }
 
     fn set_suspicion_batch_window(&self, window: Option<Duration>) {
-        *self.engine().suspicion_batch.write() = window;
+        self.engine().suspicion_batch.set(window);
     }
 
     fn broadcast_signal(&self, payload: &[u8]) {

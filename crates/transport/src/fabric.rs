@@ -3,7 +3,7 @@
 //! engine ([`crate::delivery`]).
 
 use crate::delivery::{Engine, FabricStats, Link, Slot};
-use crate::fault::FaultInjector;
+use crate::fault::{FaultInjector, RankFaults};
 use crate::ids::{NodeId, RankId, Topology};
 use crate::mailbox::{FrameAck, Mailbox};
 use crate::perturb::PerturbPlan;
@@ -18,8 +18,9 @@ use std::time::{Duration, Instant};
 /// unregistered — death is a permanent state, as in ULFM.
 pub struct Fabric {
     /// One engine for the whole job: every rank's backend reports into it,
-    /// so the alive table, sequence numbers, plans and counters are
-    /// fabric-wide. A rank's slot holds its mailbox.
+    /// so the alive table, plans and failure counters are fabric-wide. A
+    /// rank's slot holds its mailbox, its sequence numbers and its traffic
+    /// counts.
     engine: Engine<Mailbox>,
 }
 
@@ -55,22 +56,22 @@ impl Fabric {
     /// Enable (`Some`) or disable (`None`) timeout-based failure suspicion
     /// for blocking receives without an explicit deadline.
     pub fn set_suspicion_timeout(&self, timeout: Option<Duration>) {
-        *self.engine.suspicion.write() = timeout;
+        self.engine.suspicion.set(timeout);
     }
 
     /// The configured suspicion timeout, if any.
     pub fn suspicion_timeout(&self) -> Option<Duration> {
-        *self.engine.suspicion.read()
+        self.engine.suspicion.get()
     }
 
     /// Enable (`Some`) or disable (`None`) the suspicion batching window.
     pub fn set_suspicion_batch_window(&self, window: Option<Duration>) {
-        *self.engine.suspicion_batch.write() = window;
+        self.engine.suspicion_batch.set(window);
     }
 
     /// The configured suspicion batching window, if any.
     pub fn suspicion_batch_window(&self) -> Option<Duration> {
-        *self.engine.suspicion_batch.read()
+        self.engine.suspicion_batch.get()
     }
 
     /// When the most recent alive→dead suspicion transition was recorded.
@@ -127,7 +128,7 @@ impl Fabric {
     /// Wake every blocked receiver so it re-checks its stop conditions.
     /// Called by the ULFM layer when a communicator is revoked.
     pub fn wake_all(&self) {
-        for s in self.engine.slots().iter() {
+        for s in self.engine.slots() {
             s.port.wake_waiters();
         }
     }
@@ -159,18 +160,23 @@ impl Fabric {
 pub(crate) struct InProcBackend {
     fabric: Arc<Fabric>,
     rank: RankId,
-    /// This rank's own slot (mailbox and alive flag): slots are never
-    /// replaced, so the per-message paths reach it without the table lock.
-    me: Arc<Slot<Mailbox>>,
+    /// This rank's fault counters and triggers.
+    faults: Arc<RankFaults>,
 }
 
 impl InProcBackend {
     /// The backend for `rank` (which must be registered with `fabric`).
     pub(crate) fn new(fabric: Arc<Fabric>, rank: RankId) -> Self {
-        let Some(me) = fabric.engine.slot(rank) else {
-            panic!("rank {rank} not registered with the fabric");
-        };
-        Self { fabric, rank, me }
+        assert!(
+            fabric.engine.slot(rank).is_some(),
+            "rank {rank} not registered with the fabric"
+        );
+        let faults = fabric.engine.injector.rank(rank);
+        Self {
+            fabric,
+            rank,
+            faults,
+        }
     }
 }
 
@@ -188,11 +194,11 @@ impl Link for InProcBackend {
     }
 
     fn mailbox(&self) -> &Mailbox {
-        &self.me.port
+        &self.me().port
     }
 
-    fn self_alive(&self) -> bool {
-        self.me.is_alive()
+    fn faults(&self) -> &RankFaults {
+        &self.faults
     }
 
     fn hand_off(

@@ -10,6 +10,8 @@
 use crate::ids::RankId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// One scripted failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -87,11 +89,72 @@ impl FaultPlan {
     }
 }
 
+/// One rank's share of a [`FaultInjector`]: its counters, absolute from
+/// world start, and the triggers that name it. Nothing here is touched by
+/// any other rank's operations — it sits on cache lines of its own — so
+/// counting costs no shared lock and no shared line; the triggers are
+/// looked at only once the rank has some.
+#[repr(align(64))]
+pub(crate) struct RankFaults {
+    ops: AtomicU64,
+    /// Set with the rank's first trigger, never cleared.
+    armed: AtomicBool,
+    state: Mutex<RankState>,
+    /// The injector's log of fired triggers.
+    fired: Arc<Mutex<Vec<FaultTrigger>>>,
+}
+
 #[derive(Default)]
-struct Counters {
-    ops: HashMap<RankId, u64>,
-    points: HashMap<(RankId, String), u64>,
-    fired: Vec<FaultTrigger>,
+struct RankState {
+    points: HashMap<String, u64>,
+    triggers: Vec<FaultTrigger>,
+}
+
+impl RankFaults {
+    fn arm(&self, trigger: FaultTrigger) {
+        self.state.lock().triggers.push(trigger);
+        self.armed.store(true, Ordering::SeqCst);
+    }
+
+    /// Record one transport operation; `true` if the rank must die at it.
+    pub(crate) fn hit_op(&self) -> bool {
+        let count = self.ops.fetch_add(1, Ordering::Relaxed) + 1;
+        self.armed.load(Ordering::SeqCst)
+            && self.fire(
+                &self.state.lock(),
+                |t| matches!(t, FaultTrigger::AtOpCount { count: k, .. } if *k == count),
+            )
+    }
+
+    /// Record a hit of the named fault point; `true` if the rank must die
+    /// here.
+    pub(crate) fn hit_point(&self, point: &str) -> bool {
+        let mut st = self.state.lock();
+        let occ = match st.points.get_mut(point) {
+            Some(c) => {
+                *c += 1;
+                *c
+            }
+            None => {
+                st.points.insert(point.to_string(), 1);
+                1
+            }
+        };
+        self.armed.load(Ordering::SeqCst)
+            && self.fire(&st, |t| {
+                matches!(t, FaultTrigger::AtPoint { point: p, occurrence, .. }
+                    if p == point && *occurrence == occ)
+            })
+    }
+
+    /// Log the first of this rank's triggers that `due` selects, if any.
+    fn fire(&self, st: &RankState, due: impl Fn(&FaultTrigger) -> bool) -> bool {
+        let hit = st.triggers.iter().find(|t| due(t));
+        if let Some(t) = hit {
+            self.fired.lock().push(t.clone());
+        }
+        hit.is_some()
+    }
 }
 
 /// Shared runtime state evaluating a [`FaultPlan`].
@@ -100,16 +163,23 @@ struct Counters {
 /// additionally call [`FaultInjector::hit_point`] at protocol-level fault
 /// points. A `true` return means "this rank dies *now*": the caller must
 /// mark the rank dead and unwind.
+///
+/// Counters and triggers are kept per rank ([`RankFaults`]); the table below
+/// is only walked to find a rank's share, which a link does once.
 pub struct FaultInjector {
-    state: Mutex<(FaultPlan, Counters)>,
+    ranks: Mutex<HashMap<RankId, Arc<RankFaults>>>,
+    fired: Arc<Mutex<Vec<FaultTrigger>>>,
 }
 
 impl FaultInjector {
     /// Build an injector for `plan`.
     pub fn new(plan: FaultPlan) -> Self {
-        Self {
-            state: Mutex::new((plan, Counters::default())),
-        }
+        let inj = Self {
+            ranks: Mutex::new(HashMap::new()),
+            fired: Arc::default(),
+        };
+        plan.triggers.into_iter().for_each(|t| inj.arm(t));
+        inj
     }
 
     /// An injector that never fires.
@@ -117,66 +187,52 @@ impl FaultInjector {
         Self::new(FaultPlan::none())
     }
 
+    /// `rank`'s share, created at its first mention.
+    pub(crate) fn rank(&self, rank: RankId) -> Arc<RankFaults> {
+        let mut ranks = self.ranks.lock();
+        let share = ranks.entry(rank).or_insert_with(|| {
+            Arc::new(RankFaults {
+                ops: AtomicU64::new(0),
+                armed: AtomicBool::new(false),
+                state: Mutex::default(),
+                fired: Arc::clone(&self.fired),
+            })
+        });
+        Arc::clone(share)
+    }
+
     /// Add more triggers while the system is running (used by elastic
-    /// drivers that script multiple failures over a training run).
+    /// drivers that script multiple failures over a training run). Counts
+    /// are absolute from world start: a trigger whose count the rank has
+    /// already passed never fires.
     pub fn arm(&self, trigger: FaultTrigger) {
-        self.state.lock().0.triggers.push(trigger);
+        let (FaultTrigger::AtOpCount { rank, .. } | FaultTrigger::AtPoint { rank, .. }) = &trigger;
+        self.rank(*rank).arm(trigger);
     }
 
     /// Record one transport operation by `rank`; returns `true` if the rank
     /// must die at this operation.
     pub fn hit_op(&self, rank: RankId) -> bool {
-        let mut st = self.state.lock();
-        let c = st.1.ops.entry(rank).or_insert(0);
-        *c += 1;
-        let count = *c;
-        let (plan, counters) = &mut *st;
-        let fired = plan
-            .triggers
-            .iter()
-            .find(|t| matches!(t, FaultTrigger::AtOpCount { rank: r, count: k } if *r == rank && *k == count))
-            .cloned();
-        if let Some(t) = fired {
-            counters.fired.push(t);
-            true
-        } else {
-            false
-        }
+        self.rank(rank).hit_op()
     }
 
     /// Record a hit of the named fault point by `rank`; returns `true` if the
     /// rank must die here.
     pub fn hit_point(&self, rank: RankId, point: &str) -> bool {
-        let mut st = self.state.lock();
-        let key = (rank, point.to_string());
-        let c = st.1.points.entry(key).or_insert(0);
-        *c += 1;
-        let occ = *c;
-        let (plan, counters) = &mut *st;
-        let fired = plan
-            .triggers
-            .iter()
-            .find(|t| matches!(t, FaultTrigger::AtPoint { rank: r, point: p, occurrence } if *r == rank && p == point && *occurrence == occ))
-            .cloned();
-        if let Some(t) = fired {
-            counters.fired.push(t);
-            true
-        } else {
-            false
-        }
+        self.rank(rank).hit_point(point)
     }
 
     /// Triggers that have fired so far (for test assertions).
     pub fn fired(&self) -> Vec<FaultTrigger> {
-        self.state.lock().1.fired.clone()
+        self.fired.lock().clone()
     }
 
     /// Does the plan contain any trigger for `rank`?
     pub fn is_armed_for(&self, rank: RankId) -> bool {
-        self.state.lock().0.triggers.iter().any(|t| match t {
-            FaultTrigger::AtOpCount { rank: r, .. } => *r == rank,
-            FaultTrigger::AtPoint { rank: r, .. } => *r == rank,
-        })
+        let ranks = self.ranks.lock();
+        ranks
+            .get(&rank)
+            .is_some_and(|r| r.armed.load(Ordering::SeqCst))
     }
 }
 

@@ -12,6 +12,7 @@ use crate::wire::{self, Frame, FrameError};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
+use telemetry::{Counter, Lazy};
 
 /// A delivered message: who sent it and the payload bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,12 +72,41 @@ struct ChannelRx {
     pending: BTreeMap<u64, Vec<u8>>,
 }
 
+/// The released messages of one (source, tag) channel, oldest first. The
+/// oldest sits inline: collectives use a fresh tag per step, so most queues
+/// hold one message in their whole life and never allocate.
+#[derive(Default)]
+struct Queue {
+    /// The oldest message; `None` only while the queue is empty.
+    head: Option<Vec<u8>>,
+    rest: VecDeque<Vec<u8>>,
+}
+
+impl Queue {
+    fn push_back(&mut self, data: Vec<u8>) {
+        match self.head {
+            Some(_) => self.rest.push_back(data),
+            None => self.head = Some(data),
+        }
+    }
+
+    fn pop_front(&mut self) -> Option<Vec<u8>> {
+        let data = self.head.take();
+        self.head = self.rest.pop_front();
+        data
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.head.is_some()) + self.rest.len()
+    }
+}
+
 #[derive(Default)]
 struct Inner {
     /// FIFO queue per (source, tag). FIFO per channel matches MPI's
     /// non-overtaking guarantee. An entry lives only while it holds a
     /// message: collectives use fresh tags, so drained queues would pile up.
-    queues: HashMap<(RankId, u64), VecDeque<Vec<u8>>>,
+    queues: HashMap<(RankId, u64), Queue>,
     /// Sequence tracking + reassembly per (source, tag) channel.
     channels: HashMap<(RankId, u64), ChannelRx>,
 }
@@ -89,7 +119,7 @@ impl Inner {
             return None;
         };
         let data = q.get_mut().pop_front();
-        if q.get().is_empty() {
+        if q.get().head.is_none() {
             q.remove();
         }
         data
@@ -102,26 +132,18 @@ impl Inner {
 /// eager-protocol MPI for the message sizes we inject). `pop_matching`
 /// blocks until a matching message arrives or the waker is notified of a
 /// death event, at which point the caller re-checks the alive table.
+#[derive(Default)]
 pub struct Mailbox {
     inner: WaitLock<Inner>,
-    pushes: std::sync::Arc<telemetry::Counter>,
-    death_wakes: std::sync::Arc<telemetry::Counter>,
 }
 
-impl Default for Mailbox {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+static PUSHES: Lazy<Counter> = Lazy::counter("transport.mailbox.pushes");
+static DEATH_WAKES: Lazy<Counter> = Lazy::counter("transport.mailbox.death_wakes");
 
 impl Mailbox {
     /// An empty mailbox.
     pub fn new() -> Self {
-        Self {
-            inner: WaitLock::default(),
-            pushes: telemetry::counter("transport.mailbox.pushes"),
-            death_wakes: telemetry::counter("transport.mailbox.death_wakes"),
-        }
+        Self::default()
     }
 
     /// Deliver a message directly, bypassing the link layer (tests and
@@ -134,7 +156,7 @@ impl Mailbox {
             .or_default()
             .push_back(env.data);
         self.inner.notify(inner);
-        self.pushes.incr();
+        PUSHES.incr();
     }
 
     /// Accept one encoded link frame: verify the checksum
@@ -151,33 +173,37 @@ impl Mailbox {
     /// out-of-order arrivals, and release every in-order payload to the
     /// matching interface. Never returns [`FrameAck::Corrupt`].
     pub fn accept(&self, frame: Frame) -> FrameAck {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let key = (frame.src, frame.tag);
         let ch = inner.channels.entry(key).or_default();
         if frame.seq < ch.next_seq || ch.pending.contains_key(&frame.seq) {
             return FrameAck::Duplicate;
         }
-        ch.pending.insert(frame.seq, frame.payload);
-        // Release the in-order prefix.
-        let mut ready = Vec::new();
+        if frame.seq != ch.next_seq {
+            // Ahead of the cursor: nothing can be released yet.
+            ch.pending.insert(frame.seq, frame.payload);
+            return FrameAck::Accepted;
+        }
+        // In order: straight to the queue, then whatever it unblocks.
+        let q = inner.queues.entry(key).or_default();
+        q.push_back(frame.payload);
+        ch.next_seq += 1;
+        let mut released = 1;
         while let Some(payload) = ch.pending.remove(&ch.next_seq) {
-            ready.push(payload);
+            q.push_back(payload);
             ch.next_seq += 1;
+            released += 1;
         }
-        if !ready.is_empty() {
-            let n = ready.len() as u64;
-            let q = inner.queues.entry(key).or_default();
-            q.extend(ready);
-            self.inner.notify(inner);
-            self.pushes.add(n);
-        }
+        self.inner.notify(guard);
+        PUSHES.add(released);
         FrameAck::Accepted
     }
 
     /// Non-blocking probe: is a message from `(src, tag)` available?
     pub fn probe(&self, src: RankId, tag: u64) -> bool {
         let inner = self.inner.lock();
-        inner.queues.get(&(src, tag)).is_some_and(|q| !q.is_empty())
+        inner.queues.contains_key(&(src, tag))
     }
 
     /// Try to pop a matching message without blocking.
@@ -242,7 +268,7 @@ impl Mailbox {
     /// communicator is revoked.
     pub fn wake_waiters(&self) {
         self.inner.notify(self.inner.lock());
-        self.death_wakes.incr();
+        DEATH_WAKES.incr();
     }
 
     /// Total number of buffered messages (diagnostics only).

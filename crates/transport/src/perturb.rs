@@ -275,8 +275,9 @@ pub struct Delivery<'a> {
 /// What the adversary decided for one transmission.
 #[derive(Default)]
 pub struct Verdict<'a> {
-    /// Deliveries to perform, in arrival order.
-    pub deliveries: Vec<Delivery<'a>>,
+    /// Deliveries to perform, in arrival order: at most the frame, its
+    /// duplicate, and an earlier frame flushed from the reorder stash.
+    pub deliveries: [Option<Delivery<'a>>; 3],
     /// The current frame was dropped.
     pub dropped: bool,
     /// The current frame had a bit flipped.
@@ -285,6 +286,24 @@ pub struct Verdict<'a> {
     pub duplicated: bool,
     /// The current frame was stashed for out-of-order delivery.
     pub reordered: bool,
+}
+
+impl<'a> Verdict<'a> {
+    /// A clean link's verdict: the caller's own bytes, once, now.
+    pub fn clean(frame: &'a [u8]) -> Self {
+        Verdict {
+            deliveries: [
+                Some(Delivery {
+                    bytes: Cow::Borrowed(frame),
+                    delay: None,
+                    current: true,
+                }),
+                None,
+                None,
+            ],
+            ..Verdict::default()
+        }
+    }
 }
 
 #[derive(Default)]
@@ -364,14 +383,7 @@ impl Perturber {
             // stashed here — a link only ever stashes under its own spec,
             // and a gated plan never goes back to inactive — so no per-link
             // state is consulted.
-            return Verdict {
-                deliveries: vec![Delivery {
-                    bytes: Cow::Borrowed(frame),
-                    delay: None,
-                    current: true,
-                }],
-                ..Verdict::default()
-            };
+            return Verdict::clean(frame);
         };
 
         let mut links = self.links.lock();
@@ -408,28 +420,25 @@ impl Perturber {
                 v.reordered = true;
             } else {
                 v.duplicated = rng.chance(spec.duplicate);
-                let copy = v.duplicated.then(|| Delivery {
+                v.deliveries[1] = v.duplicated.then(|| Delivery {
                     bytes: bytes.clone(),
                     delay: None,
                     current: true,
                 });
-                v.deliveries.push(Delivery {
+                v.deliveries[0] = Some(Delivery {
                     bytes,
                     delay,
                     current: true,
                 });
-                v.deliveries.extend(copy);
             }
         }
 
         if flush {
-            if let Some(stashed) = st.stash.take() {
-                v.deliveries.push(Delivery {
-                    bytes: Cow::Owned(stashed),
-                    delay: None,
-                    current: false,
-                });
-            }
+            v.deliveries[2] = st.stash.take().map(|stashed| Delivery {
+                bytes: Cow::Owned(stashed),
+                delay: None,
+                current: false,
+            });
         }
         v
     }
@@ -443,15 +452,20 @@ mod tests {
         crate::wire::encode_frame(RankId(0), 1, 0, b"payload")
     }
 
+    /// The deliveries a verdict schedules, in order.
+    fn sent<'v, 'a>(v: &'v Verdict<'a>) -> Vec<&'v Delivery<'a>> {
+        v.deliveries.iter().flatten().collect()
+    }
+
     #[test]
     fn inert_plan_delivers_verbatim() {
         let p = Perturber::inert();
         let f = frame();
         let v = p.transmit(RankId(0), RankId(1), &f);
-        assert_eq!(v.deliveries.len(), 1);
-        assert!(v.deliveries[0].current);
+        assert_eq!(sent(&v).len(), 1);
+        assert!(sent(&v)[0].current);
         // The caller's own bytes, not a copy of them.
-        assert!(matches!(v.deliveries[0].bytes, Cow::Borrowed(b) if std::ptr::eq(b, &f[..])));
+        assert!(matches!(sent(&v)[0].bytes, Cow::Borrowed(b) if std::ptr::eq(b, &f[..])));
         assert!(!v.dropped && !v.corrupted && !v.duplicated && !v.reordered);
     }
 
@@ -462,7 +476,7 @@ mod tests {
         for _ in 0..10 {
             let v = p.transmit(RankId(0), RankId(1), &f);
             assert!(v.dropped);
-            assert!(v.deliveries.is_empty());
+            assert!(sent(&v).is_empty());
         }
     }
 
@@ -473,8 +487,8 @@ mod tests {
         let f = frame();
         let v = p.transmit(RankId(0), RankId(1), &f);
         assert!(v.duplicated);
-        assert_eq!(v.deliveries.len(), 2);
-        assert_eq!(v.deliveries[0].bytes, v.deliveries[1].bytes);
+        assert_eq!(sent(&v).len(), 2);
+        assert_eq!(sent(&v)[0].bytes, sent(&v)[1].bytes);
     }
 
     #[test]
@@ -483,7 +497,7 @@ mod tests {
         let f = frame();
         let v = p.transmit(RankId(0), RankId(1), &f);
         assert!(v.corrupted);
-        let got = &v.deliveries[0].bytes;
+        let got = &sent(&v)[0].bytes;
         let flipped: u32 = f
             .iter()
             .zip(got.iter())
@@ -499,15 +513,15 @@ mod tests {
         let f0 = frame();
         let v0 = p.transmit(RankId(0), RankId(1), &f0);
         assert!(v0.reordered);
-        assert!(v0.deliveries.is_empty());
+        assert!(sent(&v0).is_empty());
         // Next transmit on the same link flushes the stash after itself.
         let f1 = crate::wire::encode_frame(RankId(0), 1, 1, b"next");
         let v1 = p.transmit(RankId(0), RankId(1), &f1);
-        assert_eq!(v1.deliveries.len(), 2);
-        assert!(v1.deliveries[0].current);
-        assert_eq!(v1.deliveries[0].bytes, f1);
-        assert!(!v1.deliveries[1].current);
-        assert_eq!(v1.deliveries[1].bytes, f0);
+        assert_eq!(sent(&v1).len(), 2);
+        assert!(sent(&v1)[0].current);
+        assert_eq!(sent(&v1)[0].bytes, f1);
+        assert!(!sent(&v1)[1].current);
+        assert_eq!(sent(&v1)[1].bytes, f0);
     }
 
     #[test]
@@ -527,8 +541,8 @@ mod tests {
             assert_eq!(va.corrupted, vb.corrupted);
             assert_eq!(va.duplicated, vb.duplicated);
             assert_eq!(
-                va.deliveries.iter().map(|d| &d.bytes).collect::<Vec<_>>(),
-                vb.deliveries.iter().map(|d| &d.bytes).collect::<Vec<_>>()
+                sent(&va).iter().map(|d| &d.bytes).collect::<Vec<_>>(),
+                sent(&vb).iter().map(|d| &d.bytes).collect::<Vec<_>>()
             );
         }
     }
@@ -542,9 +556,9 @@ mod tests {
         let p = Perturber::new(plan);
         let f = frame();
         let v = p.transmit(RankId(0), RankId(1), &f);
-        assert_eq!(v.deliveries.len(), 1);
+        assert_eq!(sent(&v).len(), 1);
         // An explicitly clean link inside a lossy plan copies nothing either.
-        assert!(matches!(v.deliveries[0].bytes, Cow::Borrowed(_)));
+        assert!(matches!(sent(&v)[0].bytes, Cow::Borrowed(_)));
         let v = p.transmit(RankId(1), RankId(0), &f);
         assert!(v.dropped);
     }
@@ -556,15 +570,9 @@ mod tests {
                 .all_links(LinkPerturb::clean().drop(1.0))
                 .active_from_point("warmup.done"),
         );
-        assert_eq!(
-            p.transmit(RankId(0), RankId(1), &frame()).deliveries.len(),
-            1
-        );
+        assert_eq!(sent(&p.transmit(RankId(0), RankId(1), &frame())).len(), 1);
         p.notify_point("other.point");
-        assert_eq!(
-            p.transmit(RankId(0), RankId(1), &frame()).deliveries.len(),
-            1
-        );
+        assert_eq!(sent(&p.transmit(RankId(0), RankId(1), &frame())).len(), 1);
         p.notify_point("warmup.done");
         assert!(p.transmit(RankId(0), RankId(1), &frame()).dropped);
     }
@@ -575,10 +583,7 @@ mod tests {
         let p = Perturber::new(plan);
         assert!(p.transmit(RankId(0), RankId(2), &frame()).dropped);
         assert!(p.transmit(RankId(3), RankId(2), &frame()).dropped);
-        assert_eq!(
-            p.transmit(RankId(2), RankId(0), &frame()).deliveries.len(),
-            1
-        );
+        assert_eq!(sent(&p.transmit(RankId(2), RankId(0), &frame())).len(), 1);
     }
 
     #[test]

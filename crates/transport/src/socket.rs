@@ -44,7 +44,7 @@
 
 use crate::backend::{Backend, BackendKind, SignalHandler};
 use crate::delivery::{Engine, Slot};
-use crate::fault::FaultInjector;
+use crate::fault::{FaultInjector, RankFaults};
 use crate::ids::{RankId, Topology};
 use crate::mailbox::{FrameAck, Mailbox};
 use crate::stream::{encode_envelope, envelope_header, StreamDecoder, StreamKind, ENVELOPE_HEADER};
@@ -273,6 +273,8 @@ pub struct SocketBackend {
     /// slots are created for the initial world at establish time and
     /// appended when a joiner is admitted (or dials in).
     engine: Engine<PeerLink>,
+    /// This rank's fault counters and triggers.
+    faults: Arc<RankFaults>,
     /// Acks received but not yet claimed by a waiting sender.
     acks: WaitLock<HashSet<(RankId, u64, u64)>>,
     signal_handler: RwLock<Option<SignalHandler>>,
@@ -339,6 +341,7 @@ impl SocketBackend {
             ListenerInner::Tcp(_) => BackendKind::Tcp,
             ListenerInner::Unix(..) => BackendKind::Unix,
         };
+        let faults = injector.rank(rank);
         let engine = Engine::new(topology, injector);
         for _ in 0..slots {
             engine.push(PeerLink::vacant());
@@ -349,6 +352,7 @@ impl SocketBackend {
             mailbox: Mailbox::new(),
             self_weak: weak.clone(),
             engine,
+            faults,
             acks: WaitLock::default(),
             signal_handler: RwLock::new(None),
             shutting_down: AtomicBool::new(false),
@@ -847,7 +851,7 @@ impl SocketBackend {
     /// Queue a control envelope for `peer`, if it has a slot and an open link.
     fn enqueue_control(&self, peer: RankId, kind: StreamKind, payload: &[u8]) {
         if let Some(slot) = self.engine.slot(peer) {
-            self.enqueue(&slot, Outbound::Control(encode_envelope(kind, payload)));
+            self.enqueue(slot, Outbound::Control(encode_envelope(kind, payload)));
         }
     }
 
@@ -1031,6 +1035,10 @@ impl crate::delivery::Link for SocketBackend {
         &self.mailbox
     }
 
+    fn faults(&self) -> &RankFaults {
+        &self.faults
+    }
+
     fn hand_off(
         &self,
         to: RankId,
@@ -1099,8 +1107,7 @@ impl crate::delivery::Link for SocketBackend {
     }
 
     fn broadcast_signal(&self, payload: &[u8]) {
-        let peers = self.engine.slots().clone();
-        for (p, slot) in peers.iter().enumerate() {
+        for (p, slot) in self.engine.slots().enumerate() {
             if p != self.rank.0 && slot.is_alive() {
                 self.enqueue_control(RankId(p), StreamKind::Signal, payload);
             }
@@ -1120,22 +1127,21 @@ impl crate::delivery::Link for SocketBackend {
         // Closing abruptly here would clear those queues before the writer
         // thread ever got scheduled, so peers would see a raw EOF mid-op
         // instead of an acked, clean goodbye.
-        let snapshot = self.engine.slots().clone();
-        for p in 0..snapshot.len() {
+        let world = self.engine.total_ranks();
+        for p in 0..world {
             if p != self.rank.0 {
                 self.close_link(RankId(p), true);
             }
         }
         let deadline = Instant::now() + SHUTDOWN_DRAIN;
-        while Instant::now() < deadline
-            && snapshot
-                .iter()
-                .enumerate()
-                .any(|(p, s)| p != self.rank.0 && s.port.state.lock().phase == LinkPhase::Draining)
+        let draining = |(p, s): (usize, &Slot<PeerLink>)| {
+            p != self.rank.0 && s.port.state.lock().phase == LinkPhase::Draining
+        };
+        while Instant::now() < deadline && self.engine.slots().take(world).enumerate().any(draining)
         {
             std::thread::sleep(Duration::from_millis(1));
         }
-        for p in 0..snapshot.len() {
+        for p in 0..world {
             if p != self.rank.0 {
                 self.close_link(RankId(p), false);
             }

@@ -13,6 +13,7 @@ use collectives::{
 };
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use transport::{Endpoint, RankId, TransportError, Wire};
 
@@ -39,6 +40,8 @@ pub struct Communicator {
     shared: Arc<Shared>,
     ep: Endpoint,
     id: u64,
+    /// This communicator id's flag on the universe's revocation board.
+    revoked: Arc<AtomicBool>,
     group: Vec<RankId>,
     my_idx: usize,
     seq: Cell<u64>,
@@ -65,6 +68,7 @@ impl Communicator {
             .position(|&g| g == me)
             .unwrap_or_else(|| panic!("rank {me} is not a member of communicator {id}"));
         Self {
+            revoked: shared.revocation_flag(id),
             shared,
             ep,
             id,
@@ -139,7 +143,7 @@ impl Communicator {
 
     /// Has this communicator been revoked (by any member)?
     pub fn is_revoked(&self) -> bool {
-        self.shared.is_revoked(self.id)
+        self.revoked.load(Ordering::SeqCst)
     }
 
     /// `MPIX_Comm_revoke`: permanently poison this communicator for every
@@ -215,7 +219,7 @@ impl Communicator {
         if self.is_revoked() {
             return Err(UlfmError::Revoked);
         }
-        let stop = || self.shared.is_revoked(self.id);
+        let stop = || self.is_revoked();
         self.ep
             .recv_stoppable(self.group[peer], tags::p2p(self.id, user_tag), &stop)
             .map_err(|e| self.map_transport(e))

@@ -9,12 +9,13 @@
 
 use crate::comm::Communicator;
 use crate::error::UlfmError;
-use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::{Condvar, Mutex};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use telemetry::{Counter, Histogram, Lazy};
 use transport::{Endpoint, Fabric, FaultInjector, FaultPlan, NodeId, RankId, Topology};
 
 /// Construction key for a communicator; every member derives the identical
@@ -310,7 +311,10 @@ const SIGNAL_REVOKE: u8 = 1;
 
 pub(crate) struct Shared {
     pub(crate) runtime: Runtime,
-    pub(crate) revoked: RwLock<HashSet<u64>>,
+    /// One revocation flag per communicator id, shared by every local
+    /// handle on that communicator (and by the signal handler): only a
+    /// revocation writes it, so checking it costs a message nothing shared.
+    revoked: Mutex<HashMap<u64, Arc<AtomicBool>>>,
     comm_ids: Mutex<HashMap<CommKey, u64>>,
     next_comm_id: AtomicU64,
     pub(crate) join: Arc<dyn JoinService>,
@@ -362,12 +366,15 @@ impl Shared {
         self.next_comm_id.fetch_max(id + 1, Ordering::SeqCst);
     }
 
-    pub(crate) fn is_revoked(&self, comm_id: u64) -> bool {
-        self.revoked.read().contains(&comm_id)
+    /// The revocation flag of `comm_id`, created at its first mention — by
+    /// a member constructing the communicator or by a revocation that
+    /// outran it.
+    pub(crate) fn revocation_flag(&self, comm_id: u64) -> Arc<AtomicBool> {
+        Arc::clone(self.revoked.lock().entry(comm_id).or_default())
     }
 
     pub(crate) fn revoke(&self, comm_id: u64) {
-        let newly = self.revoked.write().insert(comm_id);
+        let newly = !self.revocation_flag(comm_id).swap(true, Ordering::SeqCst);
         if newly {
             // Propagate first, then interrupt every local pending receive
             // so members observe the revocation promptly (the
@@ -394,7 +401,7 @@ impl Shared {
             let mut raw = [0u8; 8];
             raw.copy_from_slice(&payload[1..]);
             let comm_id = u64::from_le_bytes(raw);
-            let newly = self.revoked.write().insert(comm_id);
+            let newly = !self.revocation_flag(comm_id).swap(true, Ordering::SeqCst);
             if newly {
                 // Wake local receivers only; the originator already
                 // broadcast to everyone (no re-flood).
@@ -618,7 +625,7 @@ impl Universe {
         Self {
             shared: Arc::new(Shared {
                 runtime: Runtime::InProc(Fabric::new(topology, FaultInjector::new(plan))),
-                revoked: RwLock::new(HashSet::new()),
+                revoked: Mutex::new(HashMap::new()),
                 comm_ids: Mutex::new(HashMap::new()),
                 next_comm_id: AtomicU64::new(0),
                 join: Arc::new(JoinServer::new()),
@@ -669,7 +676,7 @@ impl Universe {
         );
         let shared = Arc::new(Shared {
             runtime: Runtime::Peer(ep.clone()),
-            revoked: RwLock::new(HashSet::new()),
+            revoked: Mutex::new(HashMap::new()),
             comm_ids: Mutex::new(HashMap::new()),
             next_comm_id: AtomicU64::new(0),
             join,
@@ -745,11 +752,27 @@ impl Universe {
         R: Send + 'static,
         F: Fn(Proc) -> R + Send + Sync + Clone + 'static,
     {
-        telemetry::counter("ulfm.universe.spawned_workers").add(n as u64);
-        let _span = telemetry::span("ulfm.universe.spawn_batch_ns");
-        let ranks = self.shared.fabric()?.register_ranks(n);
+        static SPAWNED_WORKERS: Lazy<Counter> = Lazy::counter("ulfm.universe.spawned_workers");
+        static SPAWN_BATCH_NS: Lazy<Histogram> = Lazy::histogram("ulfm.universe.spawn_batch_ns");
+        SPAWNED_WORKERS.add(n as u64);
+        let start = Instant::now();
+        let handles = self
+            .shared
+            .fabric()
+            .map(|fabric| self.spawn_ranks(fabric.register_ranks(n), f));
+        SPAWN_BATCH_NS.record_duration(start.elapsed());
+        handles
+    }
+
+    /// One worker thread per freshly registered rank of an in-process
+    /// universe.
+    fn spawn_ranks<R, F>(&self, ranks: Vec<RankId>, f: F) -> Vec<WorkerHandle<R>>
+    where
+        R: Send + 'static,
+        F: Fn(Proc) -> R + Send + Sync + Clone + 'static,
+    {
         let batch = self.shared.next_batch.fetch_add(1, Ordering::SeqCst);
-        Ok(ranks
+        ranks
             .iter()
             .map(|&rank| {
                 let shared = Arc::clone(&self.shared);
@@ -778,7 +801,7 @@ impl Universe {
                     .expect("failed to spawn worker thread");
                 WorkerHandle { rank, thread }
             })
-            .collect())
+            .collect()
     }
 
     /// Spawn `k` *joining* workers (replacement or upscale); they should
