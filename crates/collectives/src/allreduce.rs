@@ -17,7 +17,7 @@
 //! forward-recovery argument.
 
 use crate::comm::PeerComm;
-use crate::elem::{decode_chunk, reduce_into, Elem, ReduceOp};
+use crate::elem::{recv_elems, send_elems, Elem, ReduceOp};
 use crate::error::CollError;
 use telemetry::{Counter, Lazy};
 
@@ -63,6 +63,10 @@ impl AllreduceAlgo {
     /// intersection of the two α–β cost curves for a Summit-like network
     /// (α = 1.5 µs, β = 1/23 GB/s) at small-to-mid group sizes. The
     /// `elastic` crate cross-checks this constant against its cost model.
+    /// Measured in process at p = 2 (`collectives.auto.crossover_bytes_measured`:
+    /// first rung of a 4× ladder where Rabenseifner wins; ten runs each):
+    /// median 16 KiB before PR 24's bulk codec, 160 KiB after it (256 KiB in
+    /// five runs of ten). The constant stays; re-fitting is ROADMAP 1(c).
     pub const DEFAULT_CROSSOVER_BYTES: u32 = 256 << 10;
 
     /// Resolve `self` to a concrete (non-`Auto`) algorithm for a payload of
@@ -151,37 +155,21 @@ pub fn ring_allreduce<E: Elem, C: PeerComm>(
     let n = buf.len();
     let right = (r + 1) % p;
     let left = (r + p - 1) % p;
+    let mut scratch = Vec::new();
 
-    // Phase 1: reduce-scatter. After p-1 steps rank r holds the fully
-    // reduced chunk (r+1) mod p.
-    for step in 0..p - 1 {
+    // One walk round the ring twice: at step s rank r forwards chunk r-s and
+    // receives chunk r-s-1. The first p-1 steps reduce-scatter (rank r ends
+    // up holding the fully reduced chunk r+1), the rest allgather, each rank
+    // starting by forwarding the chunk it owns.
+    for step in 0..2 * (p - 1) {
         comm.fault_point("allreduce.step")?;
-        let send_chunk = (r + p - step) % p;
-        let recv_chunk = (r + p - step - 1) % p;
+        let send_chunk = (r + 2 * p - step) % p;
+        let recv_chunk = (r + 2 * p - step - 1) % p;
         let tag = tag_base + step as u64;
-        comm.send(
-            right,
-            tag,
-            &E::encode_slice(&buf[chunk_range(n, p, send_chunk)]),
-        )?;
+        let out = &buf[chunk_range(n, p, send_chunk)];
+        send_elems(comm, right, tag, out, &mut scratch)?;
         let into = &mut buf[chunk_range(n, p, recv_chunk)];
-        let vals = decode_chunk(&comm.recv(left, tag)?, into.len(), left)?;
-        reduce_into(op, into, &vals);
-    }
-
-    // Phase 2: allgather ring. Rank r starts by forwarding its owned chunk.
-    for step in 0..p - 1 {
-        comm.fault_point("allreduce.step")?;
-        let send_chunk = (r + 1 + p - step) % p;
-        let recv_chunk = (r + p - step) % p;
-        let tag = tag_base + (p - 1 + step) as u64;
-        comm.send(
-            right,
-            tag,
-            &E::encode_slice(&buf[chunk_range(n, p, send_chunk)]),
-        )?;
-        let into = &mut buf[chunk_range(n, p, recv_chunk)];
-        into.copy_from_slice(&decode_chunk(&comm.recv(left, tag)?, into.len(), left)?);
+        recv_elems(comm, left, tag, (step < p - 1).then_some(op), into)?;
     }
     Ok(())
 }
@@ -206,16 +194,16 @@ fn fold<E: Elem, C: PeerComm>(
     op: ReduceOp,
     rem: usize,
     tag: u64,
+    scratch: &mut Vec<u8>,
 ) -> Result<Option<usize>, CollError> {
     let r = comm.rank();
     if r < 2 * rem {
         comm.fault_point("allreduce.step")?;
         if r.is_multiple_of(2) {
-            comm.send(r + 1, tag, &E::encode_slice(buf))?;
+            send_elems(comm, r + 1, tag, buf, scratch)?;
             Ok(None)
         } else {
-            let data = comm.recv(r - 1, tag)?;
-            reduce_into(op, buf, &decode_chunk(&data, buf.len(), r - 1)?);
+            recv_elems(comm, r - 1, tag, Some(op), buf)?;
             Ok(Some(r / 2))
         }
     } else {
@@ -229,17 +217,17 @@ fn unfold<E: Elem, C: PeerComm>(
     comm: &C,
     buf: &mut [E],
     rem: usize,
-    active: bool,
+    vrank: Option<usize>,
     tag: u64,
+    scratch: &mut Vec<u8>,
 ) -> Result<(), CollError> {
     let r = comm.rank();
     if r < 2 * rem {
         comm.fault_point("allreduce.step")?;
-        if active {
-            comm.send(r - 1, tag, &E::encode_slice(buf))?;
+        if vrank.is_some() {
+            send_elems(comm, r - 1, tag, buf, scratch)?;
         } else {
-            let data = comm.recv(r + 1, tag)?;
-            buf.copy_from_slice(&decode_chunk(&data, buf.len(), r + 1)?);
+            recv_elems(comm, r + 1, tag, None, buf)?;
         }
     }
     Ok(())
@@ -260,25 +248,24 @@ pub fn recursive_doubling_allreduce<E: Elem, C: PeerComm>(
     let pof2 = p.next_power_of_two() >> usize::from(!p.is_power_of_two());
     let rem = p - pof2;
 
-    let vrank = fold(comm, buf, op, rem, tag_base)?;
+    let mut scratch = Vec::new();
+    let vrank = fold(comm, buf, op, rem, tag_base, &mut scratch)?;
 
     if let Some(v) = vrank {
         let mut mask = 1usize;
         let mut step = 0u64;
         while mask < pof2 {
             comm.fault_point("allreduce.step")?;
-            let vpartner = v ^ mask;
-            let partner = unmap_vrank(vpartner, rem);
+            let partner = unmap_vrank(v ^ mask, rem);
             let tag = tag_base + 1 + step;
-            comm.send(partner, tag, &E::encode_slice(buf))?;
-            let data = comm.recv(partner, tag)?;
-            reduce_into(op, buf, &decode_chunk(&data, buf.len(), partner)?);
+            send_elems(comm, partner, tag, buf, &mut scratch)?;
+            recv_elems(comm, partner, tag, Some(op), buf)?;
             mask <<= 1;
             step += 1;
         }
     }
 
-    unfold(comm, buf, rem, vrank.is_some(), tag_base + 100)
+    unfold(comm, buf, rem, vrank, tag_base + 100, &mut scratch)
 }
 
 /// Rabenseifner's allreduce: recursive-halving reduce-scatter followed by a
@@ -299,75 +286,46 @@ pub fn rabenseifner_allreduce<E: Elem, C: PeerComm>(
 
     // Element range covered by logical chunks [a, b) of the pof2 split;
     // empty when `n < pof2` leaves chunk [a, b) without elements.
-    let block = |a: usize, b: usize| {
-        (a as u128 * n as u128 / pof2 as u128) as usize
-            ..(b as u128 * n as u128 / pof2 as u128) as usize
-    };
+    let block = |a, b| chunk_range(n, pof2, a).start..chunk_range(n, pof2, b).start;
 
-    let vrank = fold(comm, buf, op, rem, tag_base)?;
+    let mut scratch = Vec::new();
+    let vrank = fold(comm, buf, op, rem, tag_base, &mut scratch)?;
 
     if let Some(v) = vrank {
-        // Reduce-scatter by recursive halving. The active block of chunk
-        // indices [lo, hi) narrows by half each step; after log2(pof2) steps
-        // lo == v and this rank owns the fully reduced chunk v.
-        let (mut lo, mut hi) = (0usize, pof2);
-        let mut mask = pof2 >> 1;
-        let mut step = 0u64;
-        while mask >= 1 {
+        // Reduce-scatter by recursive halving, then its mirror image, an
+        // allgather by recursive doubling. At distance `mask` the active
+        // block is the aligned run of 2·mask chunks around v, and the
+        // partner holds the other half of it: halving keeps (reduces into)
+        // my half and gives theirs away, down to the one fully reduced
+        // chunk v; doubling sends my half back out and copies theirs in.
+        let halvings = u64::from(pof2.trailing_zeros());
+        for step in 0..2 * halvings {
             comm.fault_point("allreduce.step")?;
-            let vpartner = v ^ mask;
-            let partner = unmap_vrank(vpartner, rem);
-            let mid = lo + (hi - lo) / 2;
-            let tag = tag_base + 1 + step;
-            if v & mask == 0 {
-                // Keep the lower half, give away the upper half.
-                comm.send(partner, tag, &E::encode_slice(&buf[block(mid, hi)]))?;
-                let into = &mut buf[block(lo, mid)];
-                let vals = decode_chunk(&comm.recv(partner, tag)?, into.len(), partner)?;
-                reduce_into(op, into, &vals);
-                hi = mid;
+            let halving = step < halvings;
+            let mask = if halving {
+                pof2 >> (step + 1)
             } else {
-                comm.send(partner, tag, &E::encode_slice(&buf[block(lo, mid)]))?;
-                let into = &mut buf[block(mid, hi)];
-                let vals = decode_chunk(&comm.recv(partner, tag)?, into.len(), partner)?;
-                reduce_into(op, into, &vals);
-                lo = mid;
+                1 << (step - halvings)
+            };
+            let partner = unmap_vrank(v ^ mask, rem);
+            let lo = v & !(2 * mask - 1);
+            let (mut mine, mut theirs) = (block(lo, lo + mask), block(lo + mask, lo + 2 * mask));
+            if v & mask != 0 {
+                std::mem::swap(&mut mine, &mut theirs);
             }
-            mask >>= 1;
-            step += 1;
-            if mask == 0 {
-                break;
+            if halving {
+                let tag = tag_base + 1 + step;
+                send_elems(comm, partner, tag, &buf[theirs], &mut scratch)?;
+                recv_elems(comm, partner, tag, Some(op), &mut buf[mine])?;
+            } else {
+                let tag = tag_base + 200 + step;
+                send_elems(comm, partner, tag, &buf[mine], &mut scratch)?;
+                recv_elems(comm, partner, tag, None, &mut buf[theirs])?;
             }
-        }
-        debug_assert_eq!(lo, v);
-        debug_assert_eq!(hi, v + 1);
-
-        // Allgather by recursive doubling over aligned chunk blocks.
-        let mut m = 1usize;
-        while m < pof2 {
-            comm.fault_point("allreduce.step")?;
-            let vpartner = v ^ m;
-            let partner = unmap_vrank(vpartner, rem);
-            let my_lo = (v / m) * m;
-            let their_lo = (vpartner / m) * m;
-            let tag = tag_base + 200 + step;
-            comm.send(
-                partner,
-                tag,
-                &E::encode_slice(&buf[block(my_lo, my_lo + m)]),
-            )?;
-            let into = &mut buf[block(their_lo, their_lo + m)];
-            into.copy_from_slice(&decode_chunk(
-                &comm.recv(partner, tag)?,
-                into.len(),
-                partner,
-            )?);
-            m <<= 1;
-            step += 1;
         }
     }
 
-    unfold(comm, buf, rem, vrank.is_some(), tag_base + 500)
+    unfold(comm, buf, rem, vrank, tag_base + 500, &mut scratch)
 }
 
 #[cfg(test)]

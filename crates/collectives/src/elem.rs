@@ -1,5 +1,6 @@
 //! Element types and reduction operators.
 
+use crate::comm::PeerComm;
 use crate::error::CollError;
 use transport::Wire;
 
@@ -30,6 +31,7 @@ pub trait Elem: Wire + PartialOrd + std::fmt::Debug {
 macro_rules! impl_float_elem {
     ($($t:ty),*) => {$(
         impl Elem for $t {
+            #[inline]
             fn combine(op: ReduceOp, a: Self, b: Self) -> Self {
                 match op {
                     ReduceOp::Sum => a + b,
@@ -48,6 +50,7 @@ macro_rules! impl_float_elem {
 macro_rules! impl_int_elem {
     ($($t:ty),*) => {$(
         impl Elem for $t {
+            #[inline]
             fn combine(op: ReduceOp, a: Self, b: Self) -> Self {
                 match op {
                     ReduceOp::Sum => a.wrapping_add(b),
@@ -65,30 +68,79 @@ macro_rules! impl_int_elem {
 impl_float_elem!(f32, f64);
 impl_int_elem!(u8, u16, u32, u64, i32, i64);
 
-/// Decode a message received from group-local `peer` that must fill a chunk
-/// of `len` elements. The transport's checksum proves these are the bytes
-/// the peer *sent*, not that a peer of another build sent the right count:
-/// a short, long or ragged message is [`CollError::Malformed`], never a
-/// panic further down.
-pub(crate) fn decode_chunk<E: Elem>(
-    data: &[u8],
-    len: usize,
+/// `dst[i] = f(dst[i], element i of bytes)`: the one pass under
+/// [`reduce_from_le`] and [`copy_from_le`].
+#[inline]
+fn fold_le<E: Elem>(
+    dst: &mut [E],
+    bytes: &[u8],
     peer: usize,
-) -> Result<Vec<E>, CollError> {
-    if data.len() != len * E::WIDTH {
+    f: impl Fn(E, E) -> E,
+) -> Result<(), CollError> {
+    if bytes.len() != dst.len() * E::WIDTH {
         return Err(CollError::Malformed { peer });
     }
-    Ok(E::decode_slice(data))
+    for (d, s) in dst.iter_mut().zip(bytes.chunks_exact(E::WIDTH)) {
+        *d = f(*d, E::read(s));
+    }
+    Ok(())
 }
 
-/// Reduce `src` into `dst` element-wise: `dst[i] = combine(op, dst[i], src[i])`.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub(crate) fn reduce_into<E: Elem>(op: ReduceOp, dst: &mut [E], src: &[E]) {
-    assert_eq!(dst.len(), src.len(), "reduce_into length mismatch");
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = E::combine(op, *d, *s);
+/// Reduce a received payload into `dst`: `dst[i] = combine(op, dst[i],
+/// payload[i])`, length-checked as [`copy_from_le`] is. The `op` match sits
+/// outside the loop so each arm is one vectorisable pass.
+pub fn reduce_from_le<E: Elem>(
+    op: ReduceOp,
+    dst: &mut [E],
+    bytes: &[u8],
+    peer: usize,
+) -> Result<(), CollError> {
+    use ReduceOp::*;
+    match op {
+        Sum => fold_le(dst, bytes, peer, |d, s| E::combine(Sum, d, s)),
+        Prod => fold_le(dst, bytes, peer, |d, s| E::combine(Prod, d, s)),
+        Max => fold_le(dst, bytes, peer, |d, s| E::combine(Max, d, s)),
+        Min => fold_le(dst, bytes, peer, |d, s| E::combine(Min, d, s)),
+        BitAnd => fold_le(dst, bytes, peer, |d, s| E::combine(BitAnd, d, s)),
+        BitOr => fold_le(dst, bytes, peer, |d, s| E::combine(BitOr, d, s)),
+    }
+}
+
+/// Overwrite `dst` with the payload of a message received from group-local
+/// `peer`, straight from its LE bytes, with no `Vec<E>` in between. The
+/// transport's checksum proves these are the bytes the peer *sent*, not that
+/// a peer of another build sent the right count: a short, long or ragged
+/// message is [`CollError::Malformed`] with `dst` untouched, never a panic.
+pub fn copy_from_le<E: Elem>(dst: &mut [E], bytes: &[u8], peer: usize) -> Result<(), CollError> {
+    fold_le(dst, bytes, peer, |_, s| s)
+}
+
+/// Send `vals` to group-local `peer`, encoded through the collective's one
+/// `scratch` buffer.
+pub(crate) fn send_elems<E: Elem, C: PeerComm>(
+    comm: &C,
+    peer: usize,
+    tag: u64,
+    vals: &[E],
+    scratch: &mut Vec<u8>,
+) -> Result<(), CollError> {
+    E::encode_into(vals, scratch);
+    comm.send(peer, tag, scratch)
+}
+
+/// Receive from group-local `peer` the message that must fill `into`, and
+/// fold it in under `op` — or overwrite `into` when `op` is `None`.
+pub(crate) fn recv_elems<E: Elem, C: PeerComm>(
+    comm: &C,
+    peer: usize,
+    tag: u64,
+    op: Option<ReduceOp>,
+    into: &mut [E],
+) -> Result<(), CollError> {
+    let bytes = comm.recv(peer, tag)?;
+    match op {
+        Some(op) => reduce_from_le(op, into, &bytes, peer),
+        None => copy_from_le(into, &bytes, peer),
     }
 }
 
@@ -124,26 +176,24 @@ mod tests {
     }
 
     #[test]
-    fn reduce_into_elementwise() {
+    fn reduce_from_le_elementwise() {
         let mut dst = vec![1u32, 2, 3];
-        reduce_into(ReduceOp::Sum, &mut dst, &[10, 20, 30]);
+        let bytes = u32::encode_slice(&[10, 20, 30]);
+        assert_eq!(reduce_from_le(ReduceOp::Sum, &mut dst, &bytes, 0), Ok(()));
         assert_eq!(dst, vec![11, 22, 33]);
+        assert_eq!(copy_from_le(&mut dst, &bytes, 0), Ok(()));
+        assert_eq!(dst, vec![10, 20, 30]);
     }
 
     #[test]
-    fn decode_chunk_checks_the_count_it_must_fill() {
+    fn a_payload_must_fill_exactly_the_chunk_it_is_for() {
         let two = u32::encode_slice(&[7, 9]);
-        assert_eq!(decode_chunk::<u32>(&two, 2, 4), Ok(vec![7, 9]));
         let malformed = Err(CollError::Malformed { peer: 4 });
-        assert_eq!(decode_chunk::<u32>(&two, 1, 4), malformed, "extended");
-        assert_eq!(decode_chunk::<u32>(&two, 3, 4), malformed, "truncated");
-        assert_eq!(decode_chunk::<u32>(&two[..7], 2, 4), malformed, "ragged");
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn reduce_into_checks_lengths() {
-        let mut dst = vec![1u32];
-        reduce_into(ReduceOp::Sum, &mut dst, &[1, 2]);
+        for wrong in [&two[..4], &two[..7], &[two.as_slice(), &[0; 4]].concat()] {
+            let mut dst = vec![1u32, 2];
+            assert_eq!(reduce_from_le(ReduceOp::Sum, &mut dst, wrong, 4), malformed);
+            assert_eq!(copy_from_le(&mut dst, wrong, 4), malformed);
+            assert_eq!(dst, vec![1, 2], "dst touched by a refused payload");
+        }
     }
 }

@@ -33,7 +33,7 @@ use std::ops::Range;
 use crate::allreduce::{allreduce, chunk_range};
 use crate::bcast::binomial_bcast;
 use crate::comm::PeerComm;
-use crate::elem::{decode_chunk, Elem, ReduceOp};
+use crate::elem::{copy_from_le, Elem, ReduceOp};
 use crate::error::CollError;
 use crate::fusion::plan_buckets;
 use crate::reduce::binomial_reduce;
@@ -233,13 +233,14 @@ pub fn hier_allreduce<E: Elem, C: PeerComm>(
             .position(|&r| r == me)
             .expect("rank missing from its own node");
 
+        let local = Subgroup {
+            parent: comm,
+            members,
+            my_idx,
+        };
+
         // Phase 1: binomial-reduce onto the node leader (subgroup idx 0).
         if members.len() > 1 {
-            let local = Subgroup {
-                parent: comm,
-                members,
-                my_idx,
-            };
             binomial_reduce(&local, 0, buf, op, tag_base + PHASE_REDUCE)
                 .map_err(|e| local.blame(e))?;
         }
@@ -258,21 +259,15 @@ pub fn hier_allreduce<E: Elem, C: PeerComm>(
 
         // Phase 3: binomial-broadcast the final values within the node.
         if members.len() > 1 {
-            let local = Subgroup {
-                parent: comm,
-                members,
-                my_idx,
-            };
-            let mut bytes = if my_idx == 0 {
-                E::encode_slice(buf)
-            } else {
-                Vec::new()
-            };
+            let mut bytes = Vec::new();
+            if my_idx == 0 {
+                E::encode_into(buf, &mut bytes);
+            }
             binomial_bcast(&local, 0, &mut bytes, tag_base + PHASE_BCAST)
                 .map_err(|e| local.blame(e))?;
             if my_idx != 0 {
                 // Relays forward the leader's bytes as they came.
-                buf.copy_from_slice(&decode_chunk(&bytes, buf.len(), members[0])?);
+                copy_from_le(buf, &bytes, members[0])?;
             }
         }
         Ok(())

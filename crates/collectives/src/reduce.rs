@@ -1,7 +1,7 @@
 //! Rooted collectives: binomial reduce, linear gather and scatter.
 
 use crate::comm::PeerComm;
-use crate::elem::{decode_chunk, reduce_into, Elem, ReduceOp};
+use crate::elem::{recv_elems, send_elems, Elem, ReduceOp};
 use crate::error::CollError;
 use crate::framing::{decode_one, encode_blocks};
 
@@ -27,22 +27,17 @@ pub fn binomial_reduce<E: Elem, C: PeerComm>(
         // children below its lowest set bit, then sends to its parent.
         let mut mask = 1usize;
         while mask < p {
+            let tag = tag_base + mask.trailing_zeros() as u64;
             if vrank & mask != 0 {
                 comm.fault_point("reduce.step")?;
                 let parent = ((vrank & !mask) + root) % p;
-                comm.send(
-                    parent,
-                    tag_base + mask.trailing_zeros() as u64,
-                    &E::encode_slice(buf),
-                )?;
-                return Ok(());
+                return send_elems(comm, parent, tag, buf, &mut Vec::new());
             }
             let vchild = vrank | mask;
             if vchild < p {
                 comm.fault_point("reduce.step")?;
                 let child = (vchild + root) % p;
-                let data = comm.recv(child, tag_base + mask.trailing_zeros() as u64)?;
-                reduce_into(op, buf, &decode_chunk(&data, buf.len(), child)?);
+                recv_elems(comm, child, tag, Some(op), buf)?;
             }
             mask <<= 1;
         }

@@ -5,10 +5,12 @@
 //! value).
 
 use collectives::{
-    allgather, allreduce, binomial_bcast, binomial_reduce, bruck_allgather, gather, hier_allreduce,
-    ring_allgather, AllgatherAlgo, AllreduceAlgo, CollError, NodeMap, PeerComm, ReduceOp,
+    allgather, allreduce, binomial_bcast, binomial_reduce, bruck_allgather, copy_from_le, gather,
+    hier_allreduce, reduce_from_le, ring_allgather, AllgatherAlgo, AllreduceAlgo, CollError, Elem,
+    NodeMap, PeerComm, ReduceOp,
 };
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use std::cell::Cell;
 use std::sync::Arc;
 use transport::{Endpoint, Fabric, FaultInjector, FaultPlan, RankId, Topology};
@@ -443,4 +445,143 @@ proptest! {
             }
         }
     }
+}
+
+// ---- the bulk codec is the element codec ----------------------------------
+
+/// The element-by-element encoding the bulk codec replaced: the reference.
+fn bytes_of<E: Elem>(vals: &[E]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for v in vals {
+        v.write(&mut out);
+    }
+    out
+}
+
+/// `encode_into` / `copy_from_le` / `reduce_from_le` against the per-element
+/// codec, for one element type and the reductions legal on it. `a` and `b`
+/// have independent lengths, so the scratch is reused after a longer, a
+/// shorter and an equal chunk.
+fn check_codec<E: Elem>(
+    a: Vec<E>,
+    b: Vec<E>,
+    ops: &[ReduceOp],
+    peer: usize,
+) -> Result<(), TestCaseError> {
+    let mut scratch = Vec::new();
+    E::encode_into(&a, &mut scratch);
+    prop_assert_eq!(&scratch, &bytes_of(&a));
+    E::encode_into(&b, &mut scratch);
+    prop_assert_eq!(&scratch, &bytes_of(&b), "reused after {} elements", a.len());
+
+    let n = a.len().min(b.len());
+    let (a, payload) = (&a[..n], bytes_of(&b[..n]));
+
+    let mut dst = a.to_vec();
+    prop_assert_eq!(copy_from_le(&mut dst, &payload, peer), Ok(()));
+    prop_assert_eq!(bytes_of(&dst), payload.clone(), "copy is not bit-exact");
+
+    for &op in ops {
+        let mut got = a.to_vec();
+        prop_assert_eq!(reduce_from_le(op, &mut got, &payload, peer), Ok(()));
+        let mut want = a.to_vec();
+        for (d, s) in want.iter_mut().zip(E::decode_slice(&payload)) {
+            *d = E::combine(op, *d, s);
+        }
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            // Bit for bit — except that the payload bits of a NaN an
+            // arithmetic operation *produced* are not defined by the
+            // language, so there only NaN-ness must agree.
+            #[allow(clippy::eq_op)]
+            let both_nan = g != g && w != w;
+            prop_assert!(
+                both_nan || bytes_of(&[*g]) == bytes_of(&[*w]),
+                "{op:?} element {i} of {n}: {g:?} != {w:?}"
+            );
+        }
+    }
+
+    let mut wrong = vec![
+        [payload.as_slice(), &vec![0; E::WIDTH]].concat(),
+        [payload.as_slice(), &[0]].concat(),
+    ];
+    if n > 0 {
+        wrong.push(Vec::new());
+        wrong.push(payload[..payload.len() - E::WIDTH].to_vec());
+        wrong.push(payload[..payload.len() - 1].to_vec());
+    }
+    for bad in wrong {
+        let mut dst = a.to_vec();
+        let malformed = Err(CollError::Malformed { peer });
+        prop_assert_eq!(copy_from_le(&mut dst, &bad, peer), malformed.clone());
+        prop_assert_eq!(reduce_from_le(ops[0], &mut dst, &bad, peer), malformed);
+        prop_assert_eq!(
+            bytes_of(&dst),
+            bytes_of(a),
+            "dst touched by a refused payload"
+        );
+    }
+    Ok(())
+}
+
+const FLOAT_OPS: [ReduceOp; 4] = [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Max, ReduceOp::Min];
+const INT_OPS: [ReduceOp; 6] = [
+    ReduceOp::Sum,
+    ReduceOp::Prod,
+    ReduceOp::Max,
+    ReduceOp::Min,
+    ReduceOp::BitAnd,
+    ReduceOp::BitOr,
+];
+
+/// Any bit pattern, salted with the values a float codec gets wrong first:
+/// quiet and signalling NaNs with payload bits, ±0, subnormals, ±∞.
+macro_rules! float_elems {
+    ($t:ty, $nan:expr, $snan:expr) => {
+        prop_oneof![
+            any::<$t>(),
+            any::<$t>(),
+            Just(<$t>::from_bits($nan)),
+            Just(<$t>::from_bits($snan)),
+            Just(0.0),
+            Just(-0.0),
+            Just(<$t>::from_bits(1)),
+            Just(-<$t>::MIN_POSITIVE / 2.0),
+            Just(<$t>::INFINITY),
+            Just(<$t>::NEG_INFINITY),
+        ]
+    };
+}
+
+/// One `check_codec` property per element type; lengths 0..4k land on and
+/// off every SIMD width.
+macro_rules! codec_props {
+    ($($name:ident: $t:ty, $elems:expr, $ops:expr;)*) => {
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+            $(
+                #[test]
+                fn $name(
+                    a in proptest::collection::vec($elems, 0..4096),
+                    b in proptest::collection::vec($elems, 0..4096),
+                    peer in 0usize..8,
+                ) {
+                    check_codec::<$t>(a, b, &$ops, peer)?;
+                }
+            )*
+        }
+    };
+}
+
+codec_props! {
+    bulk_codec_is_the_element_codec_f32:
+        f32, float_elems!(f32, 0x7fc0_1234, 0xff80_0001), FLOAT_OPS;
+    bulk_codec_is_the_element_codec_f64:
+        f64, float_elems!(f64, 0x7ff8_0000_dead_beef, 0xfff0_0000_0000_0001), FLOAT_OPS;
+    bulk_codec_is_the_element_codec_u8: u8, any::<u8>(), INT_OPS;
+    bulk_codec_is_the_element_codec_u16: u16, any::<u16>(), INT_OPS;
+    bulk_codec_is_the_element_codec_u32: u32, any::<u32>(), INT_OPS;
+    bulk_codec_is_the_element_codec_u64: u64, any::<u64>(), INT_OPS;
+    bulk_codec_is_the_element_codec_i32: i32, any::<i32>(), INT_OPS;
+    bulk_codec_is_the_element_codec_i64: i64, any::<i64>(), INT_OPS;
 }

@@ -13,21 +13,48 @@
 use crate::ids::RankId;
 
 /// Fixed-width little-endian encoding for primitive scalars.
+///
+/// The per-element methods are `#[inline]` in every impl: the slice codecs
+/// here and in `collectives::elem` are generic, so they are instantiated in
+/// the *calling* crate, and an element method that cannot be inlined there
+/// is one cross-crate call per element instead of a vectorised loop.
 pub trait Wire: Copy + Send + Sync + 'static {
     /// Encoded size in bytes.
     const WIDTH: usize;
     /// Append the encoding of `self` to `out`.
     fn write(&self, out: &mut Vec<u8>);
+    /// Write the encoding of `self` over `out`; panics unless `out` is
+    /// exactly [`Self::WIDTH`] bytes.
+    fn write_to(&self, out: &mut [u8]);
     /// Decode from exactly [`Self::WIDTH`] bytes.
     fn read(bytes: &[u8]) -> Self;
 
+    /// Encode a slice over `out`, which ends up exactly
+    /// `vals.len() * Self::WIDTH` long. The form for a scratch buffer reused
+    /// from message to message: every byte is overwritten, so nothing of a
+    /// previous (longer or shorter) message survives, and only growth is
+    /// paid for.
+    fn encode_into(vals: &[Self], out: &mut Vec<u8>) {
+        out.resize(vals.len() * Self::WIDTH, 0);
+        for (v, chunk) in vals.iter().zip(out.chunks_exact_mut(Self::WIDTH)) {
+            v.write_to(chunk);
+        }
+    }
+
     /// Encode a slice.
     fn encode_slice(vals: &[Self]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(vals.len() * Self::WIDTH);
-        for v in vals {
-            v.write(&mut out);
-        }
+        let mut out = vec![0; vals.len() * Self::WIDTH];
+        Self::encode_into(vals, &mut out);
         out
+    }
+
+    /// Decode a whole buffer into a vector; `None` if `bytes.len()` is not a
+    /// multiple of [`Self::WIDTH`]. The form for bytes a peer chose.
+    fn decode_checked(bytes: &[u8]) -> Option<Vec<Self>> {
+        bytes
+            .len()
+            .is_multiple_of(Self::WIDTH)
+            .then(|| bytes.chunks_exact(Self::WIDTH).map(Self::read).collect())
     }
 
     /// Decode a whole buffer into a vector.
@@ -35,13 +62,13 @@ pub trait Wire: Copy + Send + Sync + 'static {
     /// # Panics
     /// Panics if `bytes.len()` is not a multiple of [`Self::WIDTH`].
     fn decode_slice(bytes: &[u8]) -> Vec<Self> {
-        assert!(
-            bytes.len().is_multiple_of(Self::WIDTH),
-            "buffer length {} is not a multiple of element width {}",
-            bytes.len(),
-            Self::WIDTH
-        );
-        bytes.chunks_exact(Self::WIDTH).map(Self::read).collect()
+        Self::decode_checked(bytes).unwrap_or_else(|| {
+            panic!(
+                "buffer length {} is not a multiple of element width {}",
+                bytes.len(),
+                Self::WIDTH
+            )
+        })
     }
 }
 
@@ -49,11 +76,17 @@ macro_rules! impl_wire {
     ($($t:ty),*) => {$(
         impl Wire for $t {
             const WIDTH: usize = std::mem::size_of::<$t>();
+            #[inline]
             fn write(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
+            #[inline]
+            fn write_to(&self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
             fn read(bytes: &[u8]) -> Self {
-                <$t>::from_le_bytes(bytes[..Self::WIDTH].try_into().unwrap())
+                <$t>::from_le_bytes(bytes[..Self::WIDTH].try_into().expect("sliced to WIDTH"))
             }
         }
     )*};
@@ -321,6 +354,38 @@ mod tests {
         (-7i32).write(&mut buf);
         assert_eq!(u16::read(&buf[0..2]), 42);
         assert_eq!(i32::read(&buf[2..6]), -7);
+    }
+
+    #[test]
+    fn write_to_writes_what_write_appends() {
+        let mut appended = Vec::new();
+        0x0102_0304_0506_0708u64.write(&mut appended);
+        (-1.5f32).write(&mut appended);
+        let mut placed = vec![0xff; 12];
+        0x0102_0304_0506_0708u64.write_to(&mut placed[..8]);
+        (-1.5f32).write_to(&mut placed[8..]);
+        assert_eq!(placed, appended);
+    }
+
+    #[test]
+    fn a_reused_scratch_holds_only_the_last_message() {
+        let mut scratch = Vec::new();
+        u16::encode_into(&[1, 2, 3], &mut scratch);
+        u16::encode_into(&[0x0405], &mut scratch);
+        assert_eq!(scratch, vec![0x05, 0x04]);
+        u16::encode_into(&[6, 7], &mut scratch);
+        assert_eq!(scratch, u16::encode_slice(&[6, 7]));
+        u16::encode_into(&[], &mut scratch);
+        assert!(scratch.is_empty());
+    }
+
+    #[test]
+    fn decode_checked_refuses_a_ragged_buffer() {
+        let bytes = u32::encode_slice(&[7, 9]);
+        assert_eq!(u32::decode_checked(&bytes), Some(vec![7, 9]));
+        assert_eq!(u32::decode_checked(&[]), Some(vec![]));
+        assert_eq!(u32::decode_checked(&bytes[..7]), None);
+        assert_eq!(u32::decode_checked(&bytes[..1]), None);
     }
 
     #[test]

@@ -57,14 +57,22 @@ impl State {
         u64::encode_slice(&words)
     }
 
-    fn merge_bytes(&mut self, bytes: &[u8]) {
-        let words = u64::decode_slice(bytes);
-        assert_eq!(words.len(), 2 + self.bitmap.len(), "agree payload mismatch");
-        self.flags &= words[0];
-        self.min = self.min.min(words[1]);
-        for (b, w) in self.bitmap.iter_mut().zip(&words[2..]) {
+    /// Merge a peer's encoded state. These are bytes a peer chose: anything
+    /// but a state of this group's width is `None` with `self` untouched.
+    fn merge_bytes(&mut self, bytes: &[u8]) -> Option<()> {
+        let words = u64::decode_checked(bytes)?;
+        let [flags, min, bitmap @ ..] = &words[..] else {
+            return None;
+        };
+        if bitmap.len() != self.bitmap.len() {
+            return None;
+        }
+        self.flags &= flags;
+        self.min = self.min.min(*min);
+        for (b, w) in self.bitmap.iter_mut().zip(bitmap) {
             *b |= w;
         }
+        Some(())
     }
 }
 
@@ -129,7 +137,7 @@ pub(crate) fn flood_agree(
                     continue;
                 }
                 match ep.recv(peer, tag) {
-                    Ok(bytes) => state.merge_bytes(&bytes),
+                    Ok(bytes) => state.merge_bytes(&bytes).ok_or(UlfmError::Aborted)?,
                     Err(TransportError::PeerDead(_)) => {}
                     Err(TransportError::SelfDied) => return Err(UlfmError::SelfDied),
                     Err(e) => unreachable!("agree recv: {e}"),
@@ -218,6 +226,30 @@ mod tests {
             assert_eq!(r.flags, 0b110);
             assert_eq!(r.min, 10);
             assert!(r.failed.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_malformed_state_is_an_error_not_a_panic() {
+        let state = || State {
+            flags: 1,
+            min: 2,
+            bitmap: vec![0],
+        };
+        let valid = state().encode();
+        assert!(state().merge_bytes(&valid).is_some());
+        for bad in crate::malformed_variants(&valid) {
+            assert!(state().merge_bytes(&bad).is_none(), "{bad:?}");
+            // And through the protocol: rank 1 answers round 0 with `bad`.
+            let fabric = Fabric::new(Topology::flat(), FaultInjector::new(FaultPlan::none()));
+            let group = fabric.register_ranks(2);
+            let tag = tags::recovery_base(0, 0);
+            Endpoint::new(Arc::clone(&fabric), group[1])
+                .send(group[0], tag, &bad)
+                .unwrap();
+            let ep = Endpoint::new(fabric, group[0]);
+            let got = flood_agree(&ep, &group, 0, tag, 1, 2, false);
+            assert_eq!(got, Err(UlfmError::Aborted), "{bad:?}");
         }
     }
 

@@ -580,14 +580,13 @@ impl Communicator {
             return Ok(None);
         }
         // Members of my color, ordered by (key, old group index).
-        let mut members: Vec<(u64, usize)> = blocks
-            .iter()
-            .enumerate()
-            .filter_map(|(idx, b)| {
-                let words = u64::decode_slice(b);
-                (words[0] == color).then_some((words[1], idx))
-            })
-            .collect();
+        let mut members = Vec::new();
+        for (idx, b) in blocks.iter().enumerate() {
+            let (their_color, their_key) = decode_split_entry(b).ok_or(UlfmError::Aborted)?;
+            if their_color == color {
+                members.push((their_key, idx));
+            }
+        }
         members.sort_unstable();
         let group: Vec<RankId> = members.iter().map(|&(_, idx)| self.group[idx]).collect();
         let id = self.shared.intern_comm(CommKey::Split {
@@ -725,12 +724,7 @@ impl Communicator {
             return Err(UlfmError::Revoked);
         }
 
-        let words = u64::decode_slice(&payload);
-        let ranks = words[3..3 + words[2] as usize]
-            .iter()
-            .map(|&w| RankId(w as usize))
-            .collect();
-        Ok((words[0], words[1], ranks))
+        decode_commit_record(&payload).ok_or(UlfmError::Aborted)
     }
 
     /// Act on a committed admission of `newcomers` (joiners or promoted
@@ -821,6 +815,32 @@ impl Communicator {
             }
         })
     }
+}
+
+/// One member's `(color, key)` block of a [`Communicator::split`]
+/// allgather. Bytes a peer chose: anything but two words is `None`.
+fn decode_split_entry(bytes: &[u8]) -> Option<(u64, u64)> {
+    match u64::decode_checked(bytes)?[..] {
+        [color, key] => Some((color, key)),
+        _ => None,
+    }
+}
+
+/// The leader's `(epoch, word, ranks)` proposal of a
+/// [`Communicator::uniform_commit`] round. Bytes a peer chose: the rank
+/// count it declares must be exactly the ranks that follow, else `None`.
+fn decode_commit_record(bytes: &[u8]) -> Option<(u64, u64, Vec<RankId>)> {
+    let words = u64::decode_checked(bytes)?;
+    let [epoch, word, count, ranks @ ..] = &words[..] else {
+        return None;
+    };
+    (*count == ranks.len() as u64).then(|| {
+        (
+            *epoch,
+            *word,
+            ranks.iter().map(|&w| RankId(w as usize)).collect(),
+        )
+    })
 }
 
 /// Result of one [`Communicator::accept_joiners_directed`] round.
@@ -941,5 +961,37 @@ impl PeerComm for Adapter<'_> {
     }
     fn fault_point(&self, name: &str) -> Result<(), CollError> {
         self.comm.ep.fault_point(name).map_err(|e| self.map(e))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::malformed_variants;
+
+    #[test]
+    fn split_and_commit_decoders_refuse_what_a_peer_must_not_send() {
+        let entry = u64::encode_slice(&[3, 9]);
+        assert_eq!(decode_split_entry(&entry), Some((3, 9)));
+        for bad in malformed_variants(&entry) {
+            assert_eq!(decode_split_entry(&bad), None, "{bad:?}");
+        }
+
+        let record = u64::encode_slice(&[5, 1, 2, 10, 11]);
+        let ranks = vec![RankId(10), RankId(11)];
+        assert_eq!(decode_commit_record(&record), Some((5, 1, ranks)));
+        for bad in malformed_variants(&record) {
+            assert_eq!(decode_commit_record(&bad), None, "{bad:?}");
+        }
+        // A declared count the bytes cannot hold, up to one that would wrap
+        // the old `3 + count` index.
+        for count in [0, 1, 3, u64::MAX - 2, u64::MAX] {
+            let lying = u64::encode_slice(&[5, 1, count, 10, 11]);
+            assert_eq!(decode_commit_record(&lying), None, "count {count}");
+        }
+        assert_eq!(
+            decode_commit_record(&u64::encode_slice(&[5, 1, 0])),
+            Some((5, 1, vec![]))
+        );
     }
 }

@@ -122,18 +122,23 @@ impl Proposal {
         u64::encode_slice(&words)
     }
 
-    fn decode(bytes: &[u8], p: usize) -> (bool, Proposal) {
-        let words = u64::decode_slice(bytes);
-        let width = p.div_ceil(64).max(1);
-        assert_eq!(words.len(), 3 + width, "lattice payload mismatch");
-        (
-            words[0] != 0,
-            Proposal {
-                flags: words[1],
-                min: words[2],
-                bitmap: words[3..].to_vec(),
-            },
-        )
+    /// Decode a peer's `(decided, proposal)` for a group of `p`. These are
+    /// bytes a peer chose: anything but a proposal of that width is `None`.
+    fn decode(bytes: &[u8], p: usize) -> Option<(bool, Proposal)> {
+        let words = u64::decode_checked(bytes)?;
+        let [decided, flags, min, bitmap @ ..] = &words[..] else {
+            return None;
+        };
+        (bitmap.len() == p.div_ceil(64).max(1)).then(|| {
+            (
+                *decided != 0,
+                Proposal {
+                    flags: *flags,
+                    min: *min,
+                    bitmap: bitmap.to_vec(),
+                },
+            )
+        })
     }
 
     fn into_result(self, group: &[RankId]) -> AgreeResult {
@@ -232,7 +237,8 @@ pub fn lattice_agree(
             }
             match ep.recv(peer, tag) {
                 Ok(bytes) => {
-                    let (decided, theirs) = Proposal::decode(&bytes, p);
+                    let (decided, theirs) =
+                        Proposal::decode(&bytes, p).ok_or(UlfmError::Aborted)?;
                     if adopted {
                         // Already bound to a decided proposal; later
                         // traffic in this round cannot change it.
@@ -354,6 +360,28 @@ mod tests {
             assert_eq!(*o, oks[0], "non-uniform lattice agreement {results:?}");
         }
         oks[0].clone()
+    }
+
+    #[test]
+    fn a_malformed_proposal_is_an_error_not_a_panic() {
+        let _serial = test_serial();
+        let valid = Proposal::new(1, 2, 2).encode(false);
+        assert!(Proposal::decode(&valid, 2).is_some());
+        // A well-formed proposal of a group of another width is refused too.
+        let wide = Proposal::new(1, 2, 65).encode(false);
+        for bad in crate::malformed_variants(&valid).into_iter().chain([wide]) {
+            assert_eq!(Proposal::decode(&bad, 2), None, "{bad:?}");
+            // And through the protocol: rank 1 answers round 0 with `bad`.
+            let fabric = Fabric::new(Topology::flat(), FaultInjector::new(FaultPlan::none()));
+            let group = fabric.register_ranks(2);
+            let tag = tags::recovery_base(0, 0);
+            Endpoint::new(Arc::clone(&fabric), group[1])
+                .send(group[0], tag, &bad)
+                .unwrap();
+            let ep = Endpoint::new(fabric, group[0]);
+            let got = lattice_agree(&ep, &group, 0, tag, 1, 2, false);
+            assert_eq!(got, Err(UlfmError::Aborted), "{bad:?}");
+        }
     }
 
     #[test]

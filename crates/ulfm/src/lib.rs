@@ -57,3 +57,16 @@ pub use netjoin::NetJoin;
 pub use universe::{JoinService, JoinTicket, Proc, Universe, WorkerHandle};
 
 pub use transport::{NodeId, RankId, Topology};
+
+/// What a decoder of `u64` words must refuse, derived from a payload it
+/// accepts: empty, one word short, one word long, and ragged both ways.
+#[cfg(test)]
+pub(crate) fn malformed_variants(valid: &[u8]) -> Vec<Vec<u8>> {
+    vec![
+        Vec::new(),
+        valid[..valid.len() - 8].to_vec(),
+        [valid, &[0; 8]].concat(),
+        valid[..valid.len() - 1].to_vec(),
+        [valid, &[0]].concat(),
+    ]
+}
