@@ -155,7 +155,6 @@ pub fn ring_allreduce<E: Elem, C: PeerComm>(
     let n = buf.len();
     let right = (r + 1) % p;
     let left = (r + p - 1) % p;
-    let mut scratch = Vec::new();
 
     // One walk round the ring twice: at step s rank r forwards chunk r-s and
     // receives chunk r-s-1. The first p-1 steps reduce-scatter (rank r ends
@@ -167,7 +166,7 @@ pub fn ring_allreduce<E: Elem, C: PeerComm>(
         let recv_chunk = (r + 2 * p - step - 1) % p;
         let tag = tag_base + step as u64;
         let out = &buf[chunk_range(n, p, send_chunk)];
-        send_elems(comm, right, tag, out, &mut scratch)?;
+        send_elems(comm, right, tag, out)?;
         let into = &mut buf[chunk_range(n, p, recv_chunk)];
         recv_elems(comm, left, tag, (step < p - 1).then_some(op), into)?;
     }
@@ -194,13 +193,12 @@ fn fold<E: Elem, C: PeerComm>(
     op: ReduceOp,
     rem: usize,
     tag: u64,
-    scratch: &mut Vec<u8>,
 ) -> Result<Option<usize>, CollError> {
     let r = comm.rank();
     if r < 2 * rem {
         comm.fault_point("allreduce.step")?;
         if r.is_multiple_of(2) {
-            send_elems(comm, r + 1, tag, buf, scratch)?;
+            send_elems(comm, r + 1, tag, buf)?;
             Ok(None)
         } else {
             recv_elems(comm, r - 1, tag, Some(op), buf)?;
@@ -219,13 +217,12 @@ fn unfold<E: Elem, C: PeerComm>(
     rem: usize,
     vrank: Option<usize>,
     tag: u64,
-    scratch: &mut Vec<u8>,
 ) -> Result<(), CollError> {
     let r = comm.rank();
     if r < 2 * rem {
         comm.fault_point("allreduce.step")?;
         if vrank.is_some() {
-            send_elems(comm, r - 1, tag, buf, scratch)?;
+            send_elems(comm, r - 1, tag, buf)?;
         } else {
             recv_elems(comm, r + 1, tag, None, buf)?;
         }
@@ -248,8 +245,7 @@ pub fn recursive_doubling_allreduce<E: Elem, C: PeerComm>(
     let pof2 = p.next_power_of_two() >> usize::from(!p.is_power_of_two());
     let rem = p - pof2;
 
-    let mut scratch = Vec::new();
-    let vrank = fold(comm, buf, op, rem, tag_base, &mut scratch)?;
+    let vrank = fold(comm, buf, op, rem, tag_base)?;
 
     if let Some(v) = vrank {
         let mut mask = 1usize;
@@ -258,14 +254,14 @@ pub fn recursive_doubling_allreduce<E: Elem, C: PeerComm>(
             comm.fault_point("allreduce.step")?;
             let partner = unmap_vrank(v ^ mask, rem);
             let tag = tag_base + 1 + step;
-            send_elems(comm, partner, tag, buf, &mut scratch)?;
+            send_elems(comm, partner, tag, buf)?;
             recv_elems(comm, partner, tag, Some(op), buf)?;
             mask <<= 1;
             step += 1;
         }
     }
 
-    unfold(comm, buf, rem, vrank, tag_base + 100, &mut scratch)
+    unfold(comm, buf, rem, vrank, tag_base + 100)
 }
 
 /// Rabenseifner's allreduce: recursive-halving reduce-scatter followed by a
@@ -288,8 +284,7 @@ pub fn rabenseifner_allreduce<E: Elem, C: PeerComm>(
     // empty when `n < pof2` leaves chunk [a, b) without elements.
     let block = |a, b| chunk_range(n, pof2, a).start..chunk_range(n, pof2, b).start;
 
-    let mut scratch = Vec::new();
-    let vrank = fold(comm, buf, op, rem, tag_base, &mut scratch)?;
+    let vrank = fold(comm, buf, op, rem, tag_base)?;
 
     if let Some(v) = vrank {
         // Reduce-scatter by recursive halving, then its mirror image, an
@@ -315,17 +310,17 @@ pub fn rabenseifner_allreduce<E: Elem, C: PeerComm>(
             }
             if halving {
                 let tag = tag_base + 1 + step;
-                send_elems(comm, partner, tag, &buf[theirs], &mut scratch)?;
+                send_elems(comm, partner, tag, &buf[theirs])?;
                 recv_elems(comm, partner, tag, Some(op), &mut buf[mine])?;
             } else {
                 let tag = tag_base + 200 + step;
-                send_elems(comm, partner, tag, &buf[mine], &mut scratch)?;
+                send_elems(comm, partner, tag, &buf[mine])?;
                 recv_elems(comm, partner, tag, None, &mut buf[theirs])?;
             }
         }
     }
 
-    unfold(comm, buf, rem, vrank, tag_base + 500, &mut scratch)
+    unfold(comm, buf, rem, vrank, tag_base + 500)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The peer-communication abstraction algorithms are written against.
 
 use crate::error::CollError;
+use transport::wire::{self, Fill};
 
 /// A group of peers with dense local indices `0..size()`, over which an
 /// algorithm can send and receive tagged byte messages.
@@ -24,6 +25,16 @@ pub trait PeerComm {
     fn send(&self, peer: usize, tag: u64, data: &[u8]) -> Result<(), CollError>;
     /// Receive the next message from group-local `peer` under `tag`.
     fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, CollError>;
+    /// Send a `len`-byte payload that `f` writes where it travels (see
+    /// `transport::Backend::send_with`). Default: build it, then send it.
+    fn send_with(&self, peer: usize, tag: u64, len: usize, f: Fill<'_>) -> Result<(), CollError> {
+        self.send(peer, tag, &wire::fill_payload(len, f))
+    }
+    /// [`PeerComm::recv`], lending the message to `f` (once, iff `Ok`).
+    fn recv_with(&self, peer: usize, tag: u64, f: &mut dyn FnMut(&[u8])) -> Result<(), CollError> {
+        f(&self.recv(peer, tag)?);
+        Ok(())
+    }
     /// Protocol-level fault point; lets a fault plan kill this rank between
     /// steps of a collective. Default: never dies.
     fn fault_point(&self, _name: &str) -> Result<(), CollError> {
@@ -44,6 +55,12 @@ impl<C: PeerComm + ?Sized> PeerComm for &C {
     }
     fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, CollError> {
         (**self).recv(peer, tag)
+    }
+    fn send_with(&self, peer: usize, tag: u64, len: usize, f: Fill<'_>) -> Result<(), CollError> {
+        (**self).send_with(peer, tag, len, f)
+    }
+    fn recv_with(&self, peer: usize, tag: u64, f: &mut dyn FnMut(&[u8])) -> Result<(), CollError> {
+        (**self).recv_with(peer, tag, f)
     }
     fn fault_point(&self, name: &str) -> Result<(), CollError> {
         (**self).fault_point(name)

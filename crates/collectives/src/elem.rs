@@ -115,21 +115,26 @@ pub fn copy_from_le<E: Elem>(dst: &mut [E], bytes: &[u8], peer: usize) -> Result
     fold_le(dst, bytes, peer, |_, s| s)
 }
 
-/// Send `vals` to group-local `peer`, encoded through the collective's one
-/// `scratch` buffer.
+/// Send `vals` to group-local `peer`, encoded straight into the frame that
+/// carries them, a whole number of elements per chunk.
 pub(crate) fn send_elems<E: Elem, C: PeerComm>(
     comm: &C,
     peer: usize,
     tag: u64,
     vals: &[E],
-    scratch: &mut Vec<u8>,
 ) -> Result<(), CollError> {
-    E::encode_into(vals, scratch);
-    comm.send(peer, tag, scratch)
+    comm.send_with(peer, tag, vals.len() * E::WIDTH, &mut |at, chunk| {
+        debug_assert!(at.is_multiple_of(E::WIDTH) && chunk.len().is_multiple_of(E::WIDTH));
+        let vals = &vals[at / E::WIDTH..];
+        for (v, out) in vals.iter().zip(chunk.chunks_exact_mut(E::WIDTH)) {
+            v.write_to(out);
+        }
+    })
 }
 
 /// Receive from group-local `peer` the message that must fill `into`, and
-/// fold it in under `op` — or overwrite `into` when `op` is `None`.
+/// fold it in under `op` — or overwrite `into` when `op` is `None` —
+/// straight from where the transport holds it.
 pub(crate) fn recv_elems<E: Elem, C: PeerComm>(
     comm: &C,
     peer: usize,
@@ -137,11 +142,15 @@ pub(crate) fn recv_elems<E: Elem, C: PeerComm>(
     op: Option<ReduceOp>,
     into: &mut [E],
 ) -> Result<(), CollError> {
-    let bytes = comm.recv(peer, tag)?;
-    match op {
-        Some(op) => reduce_from_le(op, into, &bytes, peer),
-        None => copy_from_le(into, &bytes, peer),
-    }
+    // Stays an error unless the payload is lent and fits.
+    let mut folded = Err(CollError::Malformed { peer });
+    comm.recv_with(peer, tag, &mut |bytes| {
+        folded = match op {
+            Some(op) => reduce_from_le(op, into, bytes, peer),
+            None => copy_from_le(into, bytes, peer),
+        };
+    })?;
+    folded
 }
 
 #[cfg(test)]

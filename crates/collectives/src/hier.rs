@@ -38,6 +38,7 @@ use crate::error::CollError;
 use crate::fusion::plan_buckets;
 use crate::reduce::binomial_reduce;
 use crate::{AllreduceAlgo, TAG_SPAN};
+use transport::wire::Fill;
 
 /// Tag offset (within one `TAG_SPAN` window) for the intra-node reduce.
 /// Disjoint node subgroups share this sub-window safely: the transport
@@ -196,6 +197,12 @@ impl<C: PeerComm> PeerComm for Subgroup<'_, C> {
     fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, CollError> {
         self.parent.recv(self.members[peer], tag)
     }
+    fn send_with(&self, peer: usize, tag: u64, len: usize, f: Fill<'_>) -> Result<(), CollError> {
+        self.parent.send_with(self.members[peer], tag, len, f)
+    }
+    fn recv_with(&self, peer: usize, tag: u64, f: &mut dyn FnMut(&[u8])) -> Result<(), CollError> {
+        self.parent.recv_with(self.members[peer], tag, f)
+    }
     fn fault_point(&self, name: &str) -> Result<(), CollError> {
         self.parent.fault_point(name)
     }
@@ -261,7 +268,7 @@ pub fn hier_allreduce<E: Elem, C: PeerComm>(
         if members.len() > 1 {
             let mut bytes = Vec::new();
             if my_idx == 0 {
-                E::encode_into(buf, &mut bytes);
+                bytes = E::encode_slice(buf);
             }
             binomial_bcast(&local, 0, &mut bytes, tag_base + PHASE_BCAST)
                 .map_err(|e| local.blame(e))?;

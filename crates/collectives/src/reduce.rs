@@ -7,7 +7,7 @@ use crate::framing::{decode_one, encode_blocks};
 
 /// Reduce `buf` from all ranks onto `root` along a binomial tree. After the
 /// call the root's `buf` holds the reduction; other ranks' buffers hold
-/// intermediate partial sums (as in MPI, non-root buffers are scratch).
+/// intermediate partial sums (as in MPI, non-root buffers are clobbered).
 pub fn binomial_reduce<E: Elem, C: PeerComm>(
     comm: &C,
     root: usize,
@@ -31,7 +31,7 @@ pub fn binomial_reduce<E: Elem, C: PeerComm>(
             if vrank & mask != 0 {
                 comm.fault_point("reduce.step")?;
                 let parent = ((vrank & !mask) + root) % p;
-                return send_elems(comm, parent, tag, buf, &mut Vec::new());
+                return send_elems(comm, parent, tag, buf);
             }
             let vchild = vrank | mask;
             if vchild < p {

@@ -6,20 +6,32 @@
 
 use collectives::{
     allgather, allreduce, binomial_bcast, binomial_reduce, bruck_allgather, copy_from_le, gather,
-    hier_allreduce, reduce_from_le, ring_allgather, AllgatherAlgo, AllreduceAlgo, CollError, Elem,
-    NodeMap, PeerComm, ReduceOp,
+    hier_allreduce, recursive_doubling_allreduce, reduce_from_le, ring_allgather, AllgatherAlgo,
+    AllreduceAlgo, CollError, Elem, NodeMap, PeerComm, ReduceOp,
 };
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
-use transport::{Endpoint, Fabric, FaultInjector, FaultPlan, RankId, Topology};
+use transport::wire::{encode_frame_with, fill_payload, verify_frame, Fill};
+use transport::{Endpoint, Fabric, FaultInjector, FaultPlan, RankId, Topology, TransportError};
 
-/// Minimal PeerComm over the fabric for property runs.
+/// Minimal PeerComm over the fabric for property runs. It implements the
+/// lending methods; wrap it in [`Plain`] for the default bodies.
 struct PropComm {
     ep: Endpoint,
     group: Vec<RankId>,
     my_idx: usize,
+}
+
+impl PropComm {
+    fn map(peer: usize, e: TransportError) -> CollError {
+        match e {
+            TransportError::PeerDead(_) => CollError::PeerFailed { peer },
+            TransportError::SelfDied => CollError::SelfDied,
+            o => unreachable!("{o}"),
+        }
+    }
 }
 
 impl PeerComm for PropComm {
@@ -30,32 +42,71 @@ impl PeerComm for PropComm {
         self.my_idx
     }
     fn send(&self, peer: usize, tag: u64, data: &[u8]) -> Result<(), CollError> {
-        self.ep
-            .send(self.group[peer], tag, data)
-            .map_err(|e| match e {
-                transport::TransportError::PeerDead(_) => CollError::PeerFailed { peer },
-                transport::TransportError::SelfDied => CollError::SelfDied,
-                o => unreachable!("{o}"),
-            })
+        let to = self.group[peer];
+        self.ep.send(to, tag, data).map_err(|e| Self::map(peer, e))
     }
     fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, CollError> {
-        self.ep.recv(self.group[peer], tag).map_err(|e| match e {
-            transport::TransportError::PeerDead(_) => CollError::PeerFailed { peer },
-            transport::TransportError::SelfDied => CollError::SelfDied,
-            o => unreachable!("{o}"),
-        })
+        let from = self.group[peer];
+        self.ep.recv(from, tag).map_err(|e| Self::map(peer, e))
+    }
+    fn send_with(&self, peer: usize, tag: u64, len: usize, f: Fill<'_>) -> Result<(), CollError> {
+        let to = self.group[peer];
+        let sent = self.ep.send_with(to, tag, len, f);
+        sent.map_err(|e| Self::map(peer, e))
+    }
+    fn recv_with(&self, peer: usize, tag: u64, f: &mut dyn FnMut(&[u8])) -> Result<(), CollError> {
+        let from = self.group[peer];
+        let got = self.ep.recv_with(from, tag, &|| false, None, f);
+        got.map_err(|e| Self::map(peer, e))
     }
     fn fault_point(&self, name: &str) -> Result<(), CollError> {
         self.ep.fault_point(name).map_err(|_| CollError::SelfDied)
     }
 }
 
+/// Any comm with only the required methods passed through, so every
+/// collective on it runs `PeerComm`'s default `send_with` / `recv_with`.
+struct Plain<C>(C);
+
+impl<C: PeerComm> PeerComm for Plain<C> {
+    fn size(&self) -> usize {
+        self.0.size()
+    }
+    fn rank(&self) -> usize {
+        self.0.rank()
+    }
+    fn send(&self, peer: usize, tag: u64, data: &[u8]) -> Result<(), CollError> {
+        self.0.send(peer, tag, data)
+    }
+    fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, CollError> {
+        self.0.recv(peer, tag)
+    }
+    fn fault_point(&self, name: &str) -> Result<(), CollError> {
+        self.0.fault_point(name)
+    }
+}
+
 /// A group whose every member answers every receive with the same scripted
-/// bytes: stands in for live peers of a different build.
+/// bytes: stands in for live peers of a different build. Records what it
+/// is sent; its lending `send_with` fills a real frame and keeps the
+/// verified payload.
 struct Babbler {
     size: usize,
     rank: usize,
     reply: Vec<u8>,
+    sent: RefCell<Vec<Vec<u8>>>,
+}
+
+impl Babbler {
+    fn new(size: usize, rank: usize, reply: &[u8]) -> Self {
+        let (reply, sent) = (reply.to_vec(), RefCell::default());
+        Self {
+            size,
+            rank,
+            reply,
+            sent,
+        }
+    }
 }
 
 impl PeerComm for Babbler {
@@ -65,11 +116,27 @@ impl PeerComm for Babbler {
     fn rank(&self) -> usize {
         self.rank
     }
-    fn send(&self, _peer: usize, _tag: u64, _data: &[u8]) -> Result<(), CollError> {
+    fn send(&self, _peer: usize, _tag: u64, data: &[u8]) -> Result<(), CollError> {
+        self.sent.borrow_mut().push(data.to_vec());
         Ok(())
     }
     fn recv(&self, _peer: usize, _tag: u64) -> Result<Vec<u8>, CollError> {
         Ok(self.reply.clone())
+    }
+    fn send_with(&self, _peer: usize, tag: u64, len: usize, f: Fill<'_>) -> Result<(), CollError> {
+        let frame = encode_frame_with(RankId(self.rank), tag, 0, len, f);
+        let payload = verify_frame(frame).expect("a fresh frame verifies").payload;
+        self.sent.borrow_mut().push(payload.into_vec());
+        Ok(())
+    }
+    fn recv_with(
+        &self,
+        _peer: usize,
+        _tag: u64,
+        f: &mut dyn FnMut(&[u8]),
+    ) -> Result<(), CollError> {
+        f(&self.reply);
+        Ok(())
     }
 }
 
@@ -85,7 +152,7 @@ enum Mangle {
 }
 
 /// A live peer of another build: its `nth` send (0-based) carries the wrong
-/// number of elements; everything else passes through.
+/// number of elements; everything else passes through, lending included.
 struct Mangler {
     inner: PropComm,
     nth: usize,
@@ -93,6 +160,27 @@ struct Mangler {
     sends: Cell<usize>,
     /// Group-local receiver of the mangled message, once it went out.
     mangled_to: Cell<Option<usize>>,
+}
+
+impl Mangler {
+    /// Count a send; true if it is the one to mangle.
+    fn mangles(&self, peer: usize) -> bool {
+        let hit = self.sends.replace(self.sends.get() + 1) == self.nth;
+        if hit {
+            self.mangled_to.set(Some(peer));
+        }
+        hit
+    }
+
+    fn send_mangled(&self, peer: usize, tag: u64, data: &[u8]) -> Result<(), CollError> {
+        let mut bad = data.to_vec();
+        match self.how {
+            Mangle::Truncated if bad.len() >= 8 => bad.truncate(bad.len() - 8),
+            Mangle::Truncated | Mangle::Extended => bad.extend([0; 8]),
+            Mangle::Ragged => bad.push(0),
+        }
+        self.inner.send(peer, tag, &bad)
+    }
 }
 
 impl PeerComm for Mangler {
@@ -103,21 +191,22 @@ impl PeerComm for Mangler {
         self.inner.rank()
     }
     fn send(&self, peer: usize, tag: u64, data: &[u8]) -> Result<(), CollError> {
-        let nth = self.sends.replace(self.sends.get() + 1);
-        if nth != self.nth {
-            return self.inner.send(peer, tag, data);
+        if self.mangles(peer) {
+            return self.send_mangled(peer, tag, data);
         }
-        self.mangled_to.set(Some(peer));
-        let mut bad = data.to_vec();
-        match self.how {
-            Mangle::Truncated if bad.len() >= 8 => bad.truncate(bad.len() - 8),
-            Mangle::Truncated | Mangle::Extended => bad.extend([0; 8]),
-            Mangle::Ragged => bad.push(0),
-        }
-        self.inner.send(peer, tag, &bad)
+        self.inner.send(peer, tag, data)
     }
     fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, CollError> {
         self.inner.recv(peer, tag)
+    }
+    fn send_with(&self, peer: usize, tag: u64, len: usize, f: Fill<'_>) -> Result<(), CollError> {
+        if self.mangles(peer) {
+            return self.send_mangled(peer, tag, &fill_payload(len, f));
+        }
+        self.inner.send_with(peer, tag, len, f)
+    }
+    fn recv_with(&self, peer: usize, tag: u64, f: &mut dyn FnMut(&[u8])) -> Result<(), CollError> {
+        self.inner.recv_with(peer, tag, f)
     }
     fn fault_point(&self, name: &str) -> Result<(), CollError> {
         self.inner.fault_point(name)
@@ -294,7 +383,7 @@ proptest! {
                 msg
             }
         };
-        let comm = Babbler { size: p, rank, reply };
+        let comm = Babbler::new(p, rank, &reply);
         let outcomes = [
             ring_allgather(&comm, b"mine", 0).map(drop),
             bruck_allgather(&comm, b"mine", 0).map(drop),
@@ -323,53 +412,57 @@ proptest! {
             Just(Mangle::Truncated), Just(Mangle::Extended), Just(Mangle::Ragged)],
     ) {
         let culprit = culprit_pick % p;
-        // Every step in turn, until the culprit has no `nth` send left.
-        for nth in 0.. {
-            let results = run_group(p, FaultPlan::none(), move |comm| {
-                let me = comm.rank();
-                let comm = Mangler {
-                    inner: comm,
-                    nth: if me == culprit { nth } else { usize::MAX },
-                    how,
-                    sends: Cell::new(0),
-                    mangled_to: Cell::new(None),
+        // Through the default bodies and the lending ones; every step in
+        // turn, until the culprit has no `nth` send left.
+        for lend in [false, true] {
+            for nth in 0.. {
+                let results = run_group(p, FaultPlan::none(), move |comm| {
+                    let me = comm.rank();
+                    let comm = Mangler {
+                        inner: comm,
+                        nth: if me == culprit { nth } else { usize::MAX },
+                        how,
+                        sends: Cell::new(0),
+                        mangled_to: Cell::new(None),
+                    };
+                    let mut buf = vec![me as i64; n];
+                    let mut run = |c: &dyn PeerComm| match variant {
+                        0 => allreduce(&c, &mut buf, ReduceOp::Sum, AllreduceAlgo::Ring, 0),
+                        1 => allreduce(
+                            &c, &mut buf, ReduceOp::Sum, AllreduceAlgo::RecursiveDoubling, 0),
+                        2 => allreduce(&c, &mut buf, ReduceOp::Sum, AllreduceAlgo::Rabenseifner, 0),
+                        3 => binomial_reduce(&c, 0, &mut buf, ReduceOp::Sum, 0),
+                        _ => {
+                            // Two ranks to a node: all three phases run.
+                            let colors: Vec<u64> = (0..p).map(|r| r as u64 / 2).collect();
+                            let map = NodeMap::from_colors(&colors);
+                            hier_allreduce(&c, &map, &mut buf, ReduceOp::Sum, AllreduceAlgo::Ring, 0)
+                        }
+                    };
+                    let out = if lend { run(&comm) } else { run(&Plain(&comm)) };
+                    (out, comm.mangled_to.get())
+                });
+                let Some(receiver) = results[culprit].1 else {
+                    // The culprit never got to its `nth` send: a clean run.
+                    prop_assert!(results.iter().all(|(out, _)| out.is_ok()));
+                    break;
                 };
-                let mut buf = vec![me as i64; n];
-                let out = match variant {
-                    0 => allreduce(&comm, &mut buf, ReduceOp::Sum, AllreduceAlgo::Ring, 0),
-                    1 => allreduce(
-                        &comm, &mut buf, ReduceOp::Sum, AllreduceAlgo::RecursiveDoubling, 0),
-                    2 => allreduce(&comm, &mut buf, ReduceOp::Sum, AllreduceAlgo::Rabenseifner, 0),
-                    3 => binomial_reduce(&comm, 0, &mut buf, ReduceOp::Sum, 0),
-                    _ => {
-                        // Two ranks to a node: all three phases run.
-                        let colors: Vec<u64> = (0..p).map(|r| r as u64 / 2).collect();
-                        let map = NodeMap::from_colors(&colors);
-                        hier_allreduce(&comm, &map, &mut buf, ReduceOp::Sum, AllreduceAlgo::Ring, 0)
+                for (out, _) in &results {
+                    match out {
+                        Ok(()) | Err(CollError::PeerFailed { .. }) => {}
+                        Err(CollError::Malformed { peer }) => prop_assert!(*peer < p),
+                        Err(other) => prop_assert!(false, "unexpected error {other:?}"),
                     }
-                };
-                (out, comm.mangled_to.get())
-            });
-            let Some(receiver) = results[culprit].1 else {
-                // The culprit never got to its `nth` send: a clean run.
-                prop_assert!(results.iter().all(|(out, _)| out.is_ok()));
-                break;
-            };
-            for (out, _) in &results {
-                match out {
-                    Ok(()) | Err(CollError::PeerFailed { .. }) => {}
-                    Err(CollError::Malformed { peer }) => prop_assert!(*peer < p),
-                    Err(other) => prop_assert!(false, "unexpected error {other:?}"),
                 }
-            }
-            let noticed = &results[receiver].0;
-            if variant < 4 {
-                prop_assert_eq!(noticed, &Err(CollError::Malformed { peer: culprit }));
-            } else {
-                // The node-local broadcast relays the leader's bytes and
-                // reads a cut status byte as poison: blame may land on the
-                // leader or the relay, but it is typed and it is noticed.
-                prop_assert!(noticed.is_err(), "step {} went unnoticed", nth);
+                let noticed = &results[receiver].0;
+                if variant < 4 {
+                    prop_assert_eq!(noticed, &Err(CollError::Malformed { peer: culprit }));
+                } else {
+                    // The node-local broadcast relays the leader's bytes and
+                    // reads a cut status byte as poison: blame may land on
+                    // the leader or the relay, but it is typed and noticed.
+                    prop_assert!(noticed.is_err(), "step {} went unnoticed", nth);
+                }
             }
         }
     }
@@ -458,22 +551,31 @@ fn bytes_of<E: Elem>(vals: &[E]) -> Vec<u8> {
     out
 }
 
-/// `encode_into` / `copy_from_le` / `reduce_from_le` against the per-element
-/// codec, for one element type and the reductions legal on it. `a` and `b`
-/// have independent lengths, so the scratch is reused after a longer, a
-/// shorter and an equal chunk.
+/// Bit for bit — except that the payload bits of a NaN an arithmetic
+/// operation *produced* are not defined by the language, so there only
+/// NaN-ness must agree.
+fn same_bits<E: Elem>(got: &[E], want: &[E], what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), want.len(), "{}", what);
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        #[allow(clippy::eq_op)]
+        let both_nan = g != g && w != w;
+        prop_assert!(
+            both_nan || bytes_of(&[*g]) == bytes_of(&[*w]),
+            "{what}: element {i}: {g:?} != {w:?}"
+        );
+    }
+    Ok(())
+}
+
+/// `copy_from_le` / `reduce_from_le` against the per-element codec, for one
+/// element type and the reductions legal on it; then the same element path
+/// inside a collective, through the default bodies and the lending ones.
 fn check_codec<E: Elem>(
     a: Vec<E>,
     b: Vec<E>,
     ops: &[ReduceOp],
     peer: usize,
 ) -> Result<(), TestCaseError> {
-    let mut scratch = Vec::new();
-    E::encode_into(&a, &mut scratch);
-    prop_assert_eq!(&scratch, &bytes_of(&a));
-    E::encode_into(&b, &mut scratch);
-    prop_assert_eq!(&scratch, &bytes_of(&b), "reused after {} elements", a.len());
-
     let n = a.len().min(b.len());
     let (a, payload) = (&a[..n], bytes_of(&b[..n]));
 
@@ -488,17 +590,7 @@ fn check_codec<E: Elem>(
         for (d, s) in want.iter_mut().zip(E::decode_slice(&payload)) {
             *d = E::combine(op, *d, s);
         }
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            // Bit for bit — except that the payload bits of a NaN an
-            // arithmetic operation *produced* are not defined by the
-            // language, so there only NaN-ness must agree.
-            #[allow(clippy::eq_op)]
-            let both_nan = g != g && w != w;
-            prop_assert!(
-                both_nan || bytes_of(&[*g]) == bytes_of(&[*w]),
-                "{op:?} element {i} of {n}: {g:?} != {w:?}"
-            );
-        }
+        same_bits(&got, &want, &format!("{op:?} of {n}"))?;
     }
 
     let mut wrong = vec![
@@ -510,16 +602,79 @@ fn check_codec<E: Elem>(
         wrong.push(payload[..payload.len() - E::WIDTH].to_vec());
         wrong.push(payload[..payload.len() - 1].to_vec());
     }
-    for bad in wrong {
+    for bad in &wrong {
         let mut dst = a.to_vec();
         let malformed = Err(CollError::Malformed { peer });
-        prop_assert_eq!(copy_from_le(&mut dst, &bad, peer), malformed.clone());
-        prop_assert_eq!(reduce_from_le(ops[0], &mut dst, &bad, peer), malformed);
+        prop_assert_eq!(copy_from_le(&mut dst, bad, peer), malformed.clone());
+        prop_assert_eq!(reduce_from_le(ops[0], &mut dst, bad, peer), malformed);
         prop_assert_eq!(
             bytes_of(&dst),
             bytes_of(a),
             "dst touched by a refused payload"
         );
+    }
+
+    for lend in [false, true] {
+        let path = if lend { "lending" } else { "default" };
+        // Rank `rank` of `size` babblers answering `reply`, on this path.
+        let babble = |size, rank, reply: &[u8], f: &mut dyn FnMut(&dyn PeerComm)| {
+            let comm = Babbler::new(size, rank, reply);
+            if lend {
+                f(&comm)
+            } else {
+                f(&Plain(&comm))
+            }
+            comm.sent.into_inner()
+        };
+        // A leaf of a binomial reduce sends its buffer, and its root folds
+        // what it is sent; the folded member of a three-rank recursive
+        // doubling sends its buffer and copies the result it is sent.
+        for &op in ops {
+            let (mut got, mut out) = (a.to_vec(), Ok(()));
+            let sent = babble(2, 1, &[], &mut |c| {
+                out = binomial_reduce(&c, 0, &mut got, op, 0);
+            });
+            prop_assert_eq!(&out, &Ok(()));
+            prop_assert_eq!(sent, vec![bytes_of(a)], "{} encode", path);
+            babble(2, 0, &payload, &mut |c| {
+                out = binomial_reduce(&c, 0, &mut got, op, 0);
+            });
+            prop_assert_eq!(&out, &Ok(()));
+            let mut want = a.to_vec();
+            prop_assert_eq!(reduce_from_le(op, &mut want, &payload, 1), Ok(()));
+            same_bits(&got, &want, &format!("{path} {op:?} of {n}"))?;
+        }
+        let (mut dst, mut out) = (a.to_vec(), Ok(()));
+        let sent = babble(3, 0, &payload, &mut |c| {
+            out = recursive_doubling_allreduce(&c, &mut dst, ops[0], 0);
+        });
+        prop_assert_eq!(&out, &Ok(()));
+        prop_assert_eq!(sent, vec![bytes_of(a)], "{} encode", path);
+        prop_assert_eq!(
+            bytes_of(&dst),
+            payload.clone(),
+            "{} copy is not bit-exact",
+            path
+        );
+
+        for bad in &wrong {
+            let malformed = Err(CollError::Malformed { peer: 1 });
+            let mut dst = a.to_vec();
+            babble(2, 0, bad, &mut |c| {
+                out = binomial_reduce(&c, 0, &mut dst, ops[0], 0);
+            });
+            prop_assert_eq!(&out, &malformed, "{} fold", path);
+            babble(3, 0, bad, &mut |c| {
+                out = recursive_doubling_allreduce(&c, &mut dst, ops[0], 0);
+            });
+            prop_assert_eq!(&out, &malformed, "{} copy", path);
+            prop_assert_eq!(
+                bytes_of(&dst),
+                bytes_of(a),
+                "{} dst touched by a refused payload",
+                path
+            );
+        }
     }
     Ok(())
 }

@@ -43,40 +43,105 @@ impl Checkpoint {
         }
     }
 
-    /// Restore model + optimizer from this checkpoint.
+    /// Restore model + optimizer from this checkpoint, or say why the image
+    /// cannot be — a joiner or a rollback installs an image a peer sent, so
+    /// every count in it is checked against the bytes and the model before
+    /// anything is changed. On `Err`, `model` and `opt` are untouched.
+    pub fn try_restore(&self, model: &mut Model, opt: &mut Sgd) -> Result<(), RestoreError> {
+        let mut image = Image(&self.bytes);
+        let step = image.u64()?;
+        let n_flat = image.u64()?;
+        let n_vel = image.u64()?;
+        let flat = image.f32s(n_flat)?;
+        let sizes: Vec<usize> = model.params().iter().map(|p| p.value.len()).collect();
+        if flat.len() != sizes.iter().sum::<usize>() {
+            return Err(RestoreError::Shape);
+        }
+        // No velocity yet, or one per parameter tensor: never more tensors
+        // than the model has, whatever the count claims.
+        if n_vel != 0 && n_vel != sizes.len() as u64 {
+            return Err(RestoreError::Shape);
+        }
+        let mut velocity = Vec::with_capacity(n_vel as usize);
+        for &size in sizes.iter().take(n_vel as usize) {
+            let len = image.u64()?;
+            let vals = image.f32s(len)?;
+            if vals.len() != size {
+                return Err(RestoreError::Shape);
+            }
+            velocity.push(Tensor::from_vec(&[size], vals));
+        }
+        if !image.0.is_empty() {
+            return Err(RestoreError::Trailing);
+        }
+        model.load_state_flat(&flat);
+        opt.restore(step, velocity);
+        Ok(())
+    }
+
+    /// Restore model + optimizer from a checkpoint this run took itself.
     ///
     /// # Panics
     /// Panics if the byte image does not match the model's architecture —
-    /// checkpoints are only valid for the run that produced them.
+    /// see [`Checkpoint::try_restore`] for an image a peer sent.
     pub fn restore(&self, model: &mut Model, opt: &mut Sgd) {
-        let b = &self.bytes;
-        let mut pos = 0usize;
-        let read_u64 = |pos: &mut usize| {
-            let v = u64::read(&b[*pos..*pos + 8]);
-            *pos += 8;
-            v
-        };
-        let step = read_u64(&mut pos);
-        let n_flat = read_u64(&mut pos) as usize;
-        let n_vel = read_u64(&mut pos) as usize;
-        let flat = f32::decode_slice(&b[pos..pos + n_flat * 4]);
-        pos += n_flat * 4;
-        model.load_state_flat(&flat);
-        let mut velocity = Vec::with_capacity(n_vel);
-        for _ in 0..n_vel {
-            let len = u64::read(&b[pos..pos + 8]) as usize;
-            pos += 8;
-            let vals = f32::decode_slice(&b[pos..pos + len * 4]);
-            pos += len * 4;
-            velocity.push(Tensor::from_vec(&[len], vals));
+        if let Err(e) = self.try_restore(model, opt) {
+            panic!("checkpoint does not fit the model: {e}");
         }
-        assert_eq!(pos, b.len(), "trailing bytes in checkpoint");
-        opt.restore(step, velocity);
     }
 
     /// Size of the serialized image in bytes (drives the cost model).
     pub fn size_bytes(&self) -> usize {
         self.bytes.len()
+    }
+}
+
+/// Why a checkpoint image cannot be restored into a model.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RestoreError {
+    /// The image ends before a count in it says it should: short, ragged,
+    /// or a count larger than the bytes.
+    Truncated,
+    /// Bytes follow the last velocity tensor.
+    Trailing,
+    /// Well formed, but not shaped like the model it is restored into.
+    Shape,
+}
+
+impl std::fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            RestoreError::Truncated => "image shorter than its counts",
+            RestoreError::Trailing => "trailing bytes after the image",
+            RestoreError::Shape => "image shaped for another model",
+        })
+    }
+}
+
+/// The unread rest of a checkpoint image.
+struct Image<'a>(&'a [u8]);
+
+impl Image<'_> {
+    fn take(&mut self, n: usize) -> Result<&[u8], RestoreError> {
+        if n > self.0.len() {
+            return Err(RestoreError::Truncated);
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u64(&mut self) -> Result<u64, RestoreError> {
+        self.take(8).map(u64::read)
+    }
+
+    /// `count` f32s, the byte length checked before anything is sliced.
+    fn f32s(&mut self, count: u64) -> Result<Vec<f32>, RestoreError> {
+        let len = usize::try_from(count)
+            .ok()
+            .and_then(|c| c.checked_mul(f32::WIDTH))
+            .ok_or(RestoreError::Truncated)?;
+        f32::decode_checked(self.take(len)?).ok_or(RestoreError::Truncated)
     }
 }
 
@@ -182,6 +247,59 @@ mod tests {
         };
         store.save(c2);
         assert_eq!(store.latest_step(), Some(9));
+    }
+
+    #[test]
+    fn a_malformed_image_is_an_error_not_a_panic() {
+        let (m, o, _) = trained_pair();
+        let good = Checkpoint::capture(&m, &o).bytes;
+        let put = |at: usize, v: u64| {
+            let mut b = good.clone();
+            b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            b
+        };
+        let n_flat = u64::read(&good[8..16]);
+        // The first velocity tensor's length field follows the parameters.
+        let vel0 = 24 + n_flat as usize * 4;
+        let mut bad: Vec<(String, Vec<u8>)> = Vec::new();
+        // Empty, short and ragged: every proper prefix.
+        for cut in 0..good.len() {
+            bad.push((format!("cut to {cut}"), good[..cut].to_vec()));
+        }
+        // Long: trailing bytes of every size up to a word and past it.
+        for extra in [1, 3, 4, 8, 12] {
+            let long = [good.as_slice(), &vec![0; extra]].concat();
+            bad.push((format!("{extra} trailing"), long));
+        }
+        // Lying counts: too few, too many, and ones whose byte length wraps.
+        for lie in [0, 1, n_flat - 1, n_flat + 1, u64::MAX / 4 + 1, u64::MAX] {
+            bad.push((format!("n_flat {lie}"), put(8, lie)));
+            bad.push((format!("velocity len {lie}"), put(vel0, lie)));
+        }
+        for lie in [1, 3, 5, u64::MAX] {
+            bad.push((format!("n_vel {lie}"), put(16, lie)));
+        }
+        for (what, bytes) in bad {
+            let ck = Checkpoint { step: 0, bytes };
+            let mut m2 = Model::mlp(6, &[12], 3, 999);
+            let mut o2 = Sgd::new(0.05, 0.9);
+            let before = m2.state_flat();
+            assert!(
+                ck.try_restore(&mut m2, &mut o2).is_err(),
+                "{what}: accepted"
+            );
+            assert_eq!(m2.state_flat(), before, "{what}: model touched");
+            assert_eq!(o2.state_vec().0, 0, "{what}: optimizer touched");
+            assert!(o2.state_vec().1.is_empty(), "{what}: optimizer touched");
+        }
+        // A well-formed image of another architecture fits nothing here.
+        let other = Checkpoint::capture(&Model::mlp(6, &[11], 3, 5), &o);
+        let mut m2 = Model::mlp(6, &[12], 3, 999);
+        let mut o2 = Sgd::new(0.05, 0.9);
+        assert_eq!(
+            other.try_restore(&mut m2, &mut o2),
+            Err(RestoreError::Shape)
+        );
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod optim;
 pub mod profiles;
 pub mod tensor;
 
-pub use checkpoint::{Checkpoint, InMemoryCheckpointStore};
+pub use checkpoint::{Checkpoint, InMemoryCheckpointStore, RestoreError};
 pub use data::{Batch, SyntheticDataset};
 pub use layers::{Conv2d, Dense, Flatten, Layer, ReLU};
 pub use model::{Model, TrainReport};

@@ -435,6 +435,7 @@ pub fn run_backward_worker(
         let rolled_back = episode.time("load_checkpoint", || {
             if let Some(ck) = driver.checkpoints().load() {
                 let lost = step.saturating_sub(ck.step);
+                // Fits: this run's own store, captured from a model of this spec.
                 ck.restore(&mut model, &mut opt);
                 step = ck.step;
                 lost

@@ -180,8 +180,9 @@ pub struct ForwardOutcome {
 enum Fatal {
     Died,
     Excluded,
-    /// The surviving world shrank below `TrainSpec::min_workers`, or the
-    /// run shut down before this joiner was admitted.
+    /// The surviving world shrank below `TrainSpec::min_workers`, the run
+    /// shut down before this joiner was admitted, or the committed state a
+    /// member was to install is not a checkpoint of this model.
     Aborted,
     /// A spare or joiner the group never needed: dismissed at completion,
     /// or never ticketed. A clean non-event — crucially not a
@@ -1114,14 +1115,20 @@ impl<'a> Worker<'a> {
             match outcome {
                 SyncAttempt::Committed(payload) => {
                     if opts.restore_all || !self.has_state {
-                        let step = u64::from_le_bytes(payload[..8].try_into().unwrap());
-                        let ck = Checkpoint {
-                            step,
-                            bytes: payload[8..].to_vec(),
+                        // The payload was broadcast and agreed, so every
+                        // member refuses a malformed one alike.
+                        let Some((step, image)) = payload.split_first_chunk::<8>() else {
+                            return Err(Fatal::Aborted);
                         };
-                        ck.restore(&mut self.model, &mut self.opt);
+                        let ck = Checkpoint {
+                            step: u64::from_le_bytes(*step),
+                            bytes: image.to_vec(),
+                        };
+                        if ck.try_restore(&mut self.model, &mut self.opt).is_err() {
+                            return Err(Fatal::Aborted);
+                        }
                         self.has_state = true;
-                        return Ok(SyncOutcome::Synced(step));
+                        return Ok(SyncOutcome::Synced(ck.step));
                     }
                     return Ok(SyncOutcome::Synced(self.step));
                 }

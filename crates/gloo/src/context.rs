@@ -9,7 +9,8 @@ use collectives::{
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+use transport::wire::Fill;
 use transport::{Endpoint, RankId, TransportError};
 
 /// Traffic/operation counters for one context.
@@ -246,25 +247,48 @@ impl PeerComm for GlooAdapter<'_> {
         self.ctx
             .ep
             .send(self.ctx.group[peer], tag, data)
-            .map_err(|e| match e {
-                TransportError::PeerDead(_) => CollError::PeerFailed { peer },
-                other => map_transport_to_coll(other),
-            })
+            .map_err(|e| send_failure(peer, e))
     }
     fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, CollError> {
         let r = match self.ctx.op_timeout {
             Some(t) => self.ctx.ep.recv_timeout(self.ctx.group[peer], tag, t),
             None => self.ctx.ep.recv(self.ctx.group[peer], tag),
         };
-        r.map_err(|e| match e {
-            // A timed-out receive is a *suspected* failure of the awaited
-            // peer — exactly how Gloo turns silence into an exception.
-            TransportError::Timeout => CollError::PeerFailed { peer },
-            other => map_transport_to_coll(other),
-        })
+        r.map_err(|e| recv_failure(peer, e))
+    }
+    fn send_with(&self, peer: usize, tag: u64, len: usize, f: Fill<'_>) -> Result<(), CollError> {
+        self.ctx
+            .ep
+            .send_with(self.ctx.group[peer], tag, len, f)
+            .map_err(|e| send_failure(peer, e))
+    }
+    fn recv_with(&self, peer: usize, tag: u64, f: &mut dyn FnMut(&[u8])) -> Result<(), CollError> {
+        let deadline = self.ctx.op_timeout.map(|t| Instant::now() + t);
+        self.ctx
+            .ep
+            .recv_with(self.ctx.group[peer], tag, &|| false, deadline, f)
+            .map_err(|e| recv_failure(peer, e))
     }
     fn fault_point(&self, name: &str) -> Result<(), CollError> {
         self.ctx.ep.fault_point(name).map_err(map_transport_to_coll)
+    }
+}
+
+/// A send to `peer` failed: its death is that peer's failure.
+fn send_failure(peer: usize, e: TransportError) -> CollError {
+    match e {
+        TransportError::PeerDead(_) => CollError::PeerFailed { peer },
+        other => map_transport_to_coll(other),
+    }
+}
+
+/// A receive from `peer` failed. A timed-out receive is a *suspected*
+/// failure of the awaited peer — exactly how Gloo turns silence into an
+/// exception.
+fn recv_failure(peer: usize, e: TransportError) -> CollError {
+    match e {
+        TransportError::Timeout => CollError::PeerFailed { peer },
+        other => map_transport_to_coll(other),
     }
 }
 

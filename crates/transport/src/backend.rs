@@ -31,6 +31,7 @@ use crate::error::TransportError;
 use crate::fabric::{Fabric, InProcBackend};
 use crate::ids::{NodeId, RankId, Topology};
 use crate::perturb::PerturbPlan;
+use crate::wire::{self, Fill};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -124,6 +125,32 @@ pub trait Backend: Send + Sync {
         should_stop: &dyn Fn() -> bool,
         deadline: Option<Instant>,
     ) -> Result<Vec<u8>, TransportError>;
+
+    /// [`Backend::send`] of a `len`-byte payload that `f` writes where it
+    /// travels ([`wire::encode_frame_with`]). Default: build it, send it.
+    fn send_with(
+        &self,
+        to: RankId,
+        tag: u64,
+        len: usize,
+        f: Fill<'_>,
+    ) -> Result<(), TransportError> {
+        self.send(to, tag, &wire::fill_payload(len, f))
+    }
+
+    /// [`Backend::recv`] that lends the payload to `f` where it lies; `f`
+    /// runs once iff the result is `Ok`. Default: lend what `recv` returns.
+    fn recv_with(
+        &self,
+        from: RankId,
+        tag: u64,
+        should_stop: &dyn Fn() -> bool,
+        deadline: Option<Instant>,
+        f: &mut dyn FnMut(&[u8]),
+    ) -> Result<(), TransportError> {
+        f(&self.recv(from, tag, should_stop, deadline)?);
+        Ok(())
+    }
 
     /// Non-blocking receive.
     fn try_recv(&self, from: RankId, tag: u64) -> Option<Vec<u8>>;
@@ -281,6 +308,17 @@ impl Endpoint {
         self.backend.send(to, tag, data)
     }
 
+    /// Send a payload `f` writes into its frame ([`Backend::send_with`]).
+    pub fn send_with(
+        &self,
+        to: RankId,
+        tag: u64,
+        len: usize,
+        f: Fill<'_>,
+    ) -> Result<(), TransportError> {
+        self.backend.send_with(to, tag, len, f)
+    }
+
     /// Blocking receive of a message from `from` under `tag`.
     ///
     /// Messages the peer sent before dying are still delivered; once the
@@ -316,14 +354,16 @@ impl Endpoint {
         self.backend.recv(from, tag, should_stop, None)
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self, from: RankId, tag: u64) -> Option<Vec<u8>> {
-        self.backend.try_recv(from, tag)
-    }
-
-    /// Is a message from `(from, tag)` buffered?
-    pub fn probe(&self, from: RankId, tag: u64) -> bool {
-        self.backend.probe(from, tag)
+    /// Lend the next message to `f` where it lies ([`Backend::recv_with`]).
+    pub fn recv_with(
+        &self,
+        from: RankId,
+        tag: u64,
+        should_stop: &dyn Fn() -> bool,
+        deadline: Option<Instant>,
+        f: &mut dyn FnMut(&[u8]),
+    ) -> Result<(), TransportError> {
+        self.backend.recv_with(from, tag, should_stop, deadline, f)
     }
 
     /// Drop buffered messages whose tag matches `pred` (used on revoke).

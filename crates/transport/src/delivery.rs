@@ -18,9 +18,9 @@ use crate::fault::{FaultInjector, RankFaults};
 use crate::ids::{RankId, Topology};
 use crate::mailbox::{FrameAck, Mailbox, RecvOutcome};
 use crate::perturb::{PerturbPlan, Perturber, RetryPolicy, Verdict};
-use crate::wire;
+use crate::wire::{self, Fill, Payload};
 use parking_lot::{Mutex, RwLock};
-use std::borrow::{Borrow, Cow};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -352,7 +352,7 @@ impl<P> Engine<P> {
     }
 
     /// The installed plan's executor, if a plan was ever installed.
-    fn perturber(&self) -> Option<Arc<Perturber>> {
+    pub(crate) fn perturber(&self) -> Option<Arc<Perturber>> {
         if !self.planned.load(Ordering::SeqCst) {
             return None;
         }
@@ -410,6 +410,24 @@ impl<P> Engine<P> {
             }
             Err(e) => FrameAck::Corrupt(e),
         };
+        self.count(ack)
+    }
+
+    /// [`Engine::receive`] of a frame handed over whole: verified where it
+    /// lies, it moves into `mailbox`; refused, it stays in `frame` as it was.
+    pub(crate) fn receive_whole(&self, frame: &mut Vec<u8>, mailbox: &Mailbox) -> FrameAck {
+        let ack = match wire::verify_frame(std::mem::take(frame)) {
+            Ok(verified) => mailbox.accept(verified),
+            Err((refused, e)) => {
+                *frame = refused;
+                FrameAck::Corrupt(e)
+            }
+        };
+        self.count(ack)
+    }
+
+    /// Count a receive-side ack that is not a clean acceptance.
+    fn count(&self, ack: FrameAck) -> FrameAck {
         match ack {
             FrameAck::Corrupt(_) => {
                 self.corrupt_frames.fetch_add(1, Ordering::Relaxed);
@@ -434,8 +452,8 @@ pub(crate) trait Link: Send + Sync {
     /// What the engine's peer table keeps per rank for this link.
     type Port;
     /// The encoded frame as the link keeps it across attempts, so a clean
-    /// link never copies it again: read in place (`Vec<u8>`) or shared with
-    /// service threads (`Arc<Vec<u8>>`).
+    /// link never copies it again: owned, and so free to hand over whole
+    /// (`Vec<u8>`), or shared with service threads (`Arc<Vec<u8>>`).
     type Frame: From<Vec<u8>> + Borrow<Vec<u8>>;
     /// What one attempt's hand-offs leave behind for [`Link::await_ack`].
     type Sent: Default;
@@ -457,17 +475,18 @@ pub(crate) trait Link: Send + Sync {
         self.me().is_alive()
     }
 
-    /// Hand one copy of the frame toward `to`: `copy` is `frame` itself when
-    /// borrowed, a mangled or stashed version when owned. A link that is a
+    /// Hand one copy of the frame toward `to`: `copy` is `None` for `frame`
+    /// itself, `Some` for a mangled or stashed version. A link that is a
     /// function call (in process, or any rank to itself) delivers through
-    /// [`Engine::receive`] and returns the ack; a link with a wire in
+    /// [`Engine::receive`] — or gives `frame` away through
+    /// [`Engine::receive_whole`] — and returns the ack; a link with a wire in
     /// between queues the copy, notes it in `sent` and returns `None`.
     fn hand_off(
         &self,
         to: RankId,
         peer: &Slot<Self::Port>,
-        frame: &Self::Frame,
-        copy: Cow<'_, [u8]>,
+        frame: &mut Self::Frame,
+        copy: Option<Vec<u8>>,
         sent: &mut Self::Sent,
     ) -> Option<FrameAck>;
 
@@ -587,6 +606,18 @@ impl<L: Link> Backend for L {
     }
 
     fn send(&self, to: RankId, tag: u64, data: &[u8]) -> Result<(), TransportError> {
+        self.send_with(to, tag, data.len(), &mut |at, chunk| {
+            chunk.copy_from_slice(&data[at..at + chunk.len()]);
+        })
+    }
+
+    fn send_with(
+        &self,
+        to: RankId,
+        tag: u64,
+        len: usize,
+        f: Fill<'_>,
+    ) -> Result<(), TransportError> {
         self.check_op_fault()?;
         let (eng, me) = (self.engine(), Link::rank(self));
         let Some(peer) = eng.slot(to) else {
@@ -597,9 +628,9 @@ impl<L: Link> Backend for L {
         }
         let mine = self.me();
         let seq = mine.next_tx_seq(to, tag);
-        // Encoded once; every (re)transmission on a clean link hands off
-        // this same buffer.
-        let frame = L::Frame::from(wire::encode_frame(me, tag, seq, data));
+        // Encoded once, the payload written straight into it; every
+        // (re)transmission on a clean link hands off this same buffer.
+        let mut frame = L::Frame::from(wire::encode_frame_with(me, tag, seq, len, f));
         let mut perturber = eng.perturber();
         let policy = perturber
             .as_deref()
@@ -610,7 +641,7 @@ impl<L: Link> Backend for L {
             // plan if the fabric ever had one, else the frame as it is.
             let verdict = match &perturber {
                 Some(p) => p.transmit(me, to, frame.borrow()),
-                None => Verdict::clean(frame.borrow()),
+                None => Verdict::clean(),
             };
             if verdict.dropped {
                 telem::FRAMES_DROPPED.incr();
@@ -634,7 +665,7 @@ impl<L: Link> Backend for L {
                     telem::DELAY_HIST.record_duration(delay);
                     std::thread::sleep(delay);
                 }
-                let ack = self.hand_off(to, peer, &frame, d.bytes, &mut sent);
+                let ack = self.hand_off(to, peer, &mut frame, d.bytes, &mut sent);
                 acked |= d.current && ack.is_some_and(|a| a.is_acked());
             }
             if acked {
@@ -671,11 +702,9 @@ impl<L: Link> Backend for L {
             perturber = eng.perturber();
         }
         mine.tx.messages.fetch_add(1, Ordering::Relaxed);
-        mine.tx
-            .bytes
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        mine.tx.bytes.fetch_add(len as u64, Ordering::Relaxed);
         telem::MSGS_SENT.incr();
-        telem::BYTES_SENT.add(data.len() as u64);
+        telem::BYTES_SENT.add(len as u64);
         Ok(())
     }
 
@@ -686,51 +715,18 @@ impl<L: Link> Backend for L {
         should_stop: &dyn Fn() -> bool,
         deadline: Option<Instant>,
     ) -> Result<Vec<u8>, TransportError> {
-        self.check_op_fault()?;
-        let eng = self.engine();
-        let Some(src) = eng.slot(from) else {
-            return Err(TransportError::UnknownRank(from));
-        };
-        // Without an explicit deadline, an open-ended wait is bounded by the
-        // suspicion timeout (when configured): a peer silent past it is
-        // treated as failed, not merely slow. Per-rank jitter desynchronizes
-        // the deadlines so a node-level death is suspected once and
-        // coalesced everywhere else.
-        let suspicion = match deadline {
-            Some(_) => None,
-            None => eng
-                .suspicion
-                .get()
-                .map(|t| suspicion_jitter(Link::rank(self), t)),
-        };
-        let effective = deadline.or_else(|| suspicion.map(|t| Instant::now() + t));
-        match self.mailbox().pop_matching(
-            from,
-            tag,
-            || src.is_alive(),
-            || self.self_alive(),
-            should_stop,
-            effective,
-        ) {
-            RecvOutcome::Message(data) => {
-                telem::MSGS_RECVD.incr();
-                telem::BYTES_RECVD.add(data.len() as u64);
-                Ok(data)
-            }
-            RecvOutcome::SrcDead => Err(TransportError::PeerDead(from)),
-            RecvOutcome::SelfDead => Err(TransportError::SelfDied),
-            RecvOutcome::Stopped => Err(TransportError::Stopped),
-            RecvOutcome::TimedOut if suspicion.is_some() => {
-                // The stall exceeded the failure detector's deadline:
-                // declare the silent peer dead and report it as such.
-                Backend::suspect(self, from);
-                Err(TransportError::PeerDead(from))
-            }
-            RecvOutcome::TimedOut => {
-                telem::RECV_TIMEOUTS.incr();
-                Err(TransportError::Timeout)
-            }
-        }
+        receive(self, from, tag, should_stop, deadline).map(Payload::into_vec)
+    }
+
+    fn recv_with(
+        &self,
+        from: RankId,
+        tag: u64,
+        should_stop: &dyn Fn() -> bool,
+        deadline: Option<Instant>,
+        f: &mut dyn FnMut(&[u8]),
+    ) -> Result<(), TransportError> {
+        receive(self, from, tag, should_stop, deadline).map(|payload| f(&payload))
     }
 
     fn try_recv(&self, from: RankId, tag: u64) -> Option<Vec<u8>> {
@@ -793,5 +789,61 @@ impl<L: Link> Backend for L {
 
     fn connect_peer(&self, rank: RankId, addr: &str) -> bool {
         Link::connect_peer(self, rank, addr)
+    }
+}
+
+/// The blocking matched receive under [`Backend::recv`] and
+/// [`Backend::recv_with`]: the payload as it lies in the buffer it arrived in.
+fn receive<L: Link>(
+    link: &L,
+    from: RankId,
+    tag: u64,
+    should_stop: &dyn Fn() -> bool,
+    deadline: Option<Instant>,
+) -> Result<Payload, TransportError> {
+    link.check_op_fault()?;
+    let eng = link.engine();
+    let Some(src) = eng.slot(from) else {
+        return Err(TransportError::UnknownRank(from));
+    };
+    // Without an explicit deadline, an open-ended wait is bounded by the
+    // suspicion timeout (when configured): a peer silent past it is
+    // treated as failed, not merely slow. Per-rank jitter desynchronizes
+    // the deadlines so a node-level death is suspected once and
+    // coalesced everywhere else.
+    let suspicion = match deadline {
+        Some(_) => None,
+        None => eng
+            .suspicion
+            .get()
+            .map(|t| suspicion_jitter(Link::rank(link), t)),
+    };
+    let effective = deadline.or_else(|| suspicion.map(|t| Instant::now() + t));
+    match link.mailbox().pop_matching(
+        from,
+        tag,
+        || src.is_alive(),
+        || link.self_alive(),
+        should_stop,
+        effective,
+    ) {
+        RecvOutcome::Message(data) => {
+            telem::MSGS_RECVD.incr();
+            telem::BYTES_RECVD.add(data.len() as u64);
+            Ok(data)
+        }
+        RecvOutcome::SrcDead => Err(TransportError::PeerDead(from)),
+        RecvOutcome::SelfDead => Err(TransportError::SelfDied),
+        RecvOutcome::Stopped => Err(TransportError::Stopped),
+        RecvOutcome::TimedOut if suspicion.is_some() => {
+            // The stall exceeded the failure detector's deadline:
+            // declare the silent peer dead and report it as such.
+            Backend::suspect(link, from);
+            Err(TransportError::PeerDead(from))
+        }
+        RecvOutcome::TimedOut => {
+            telem::RECV_TIMEOUTS.incr();
+            Err(TransportError::Timeout)
+        }
     }
 }

@@ -7,9 +7,14 @@ use crate::fault::{FaultInjector, RankFaults};
 use crate::ids::{NodeId, RankId, Topology};
 use crate::mailbox::{FrameAck, Mailbox};
 use crate::perturb::PerturbPlan;
-use std::borrow::Cow;
+use crate::wire::{FRAME_HEADER, FRAME_TRAILER};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Smallest payload whose frame an in-process send gives to the receiver
+/// rather than a copy of its payload: below it the copy is cheaper (DESIGN
+/// §10, "Which buffer crosses threads").
+pub(crate) const HAND_OVER_MIN: usize = 4 << 10;
 
 /// The shared interconnect + runtime failure detector.
 ///
@@ -201,15 +206,23 @@ impl Link for InProcBackend {
         &self.faults
     }
 
+    /// Without a plan an attempt is one delivery of the frame itself, so a
+    /// large one is given to the receiver whole, verified where it lies.
     fn hand_off(
         &self,
         _to: RankId,
         peer: &Slot<Mailbox>,
-        _frame: &Vec<u8>,
-        copy: Cow<'_, [u8]>,
+        frame: &mut Vec<u8>,
+        copy: Option<Vec<u8>>,
         _sent: &mut (),
     ) -> Option<FrameAck> {
-        Some(self.fabric.engine.receive(&copy, &peer.port, |_| {}))
+        let eng = &self.fabric.engine;
+        let large = frame.len() >= FRAME_HEADER + HAND_OVER_MIN + FRAME_TRAILER;
+        Some(match copy {
+            Some(mangled) => eng.receive(&mangled, &peer.port, |_| {}),
+            None if large && eng.perturber().is_none() => eng.receive_whole(frame, &peer.port),
+            None => eng.receive(frame, &peer.port, |_| {}),
+        })
     }
 
     fn die(&self) {

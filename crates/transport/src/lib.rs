@@ -49,8 +49,8 @@ pub use error::TransportError;
 pub use fabric::Fabric;
 pub use fault::{FaultInjector, FaultPlan, FaultTrigger};
 pub use ids::{NodeId, RankId, Topology};
-pub use mailbox::{Envelope, FrameAck, Mailbox, RecvOutcome};
+pub use mailbox::{FrameAck, Mailbox, RecvOutcome};
 pub use perturb::{LinkPerturb, PerturbPlan, Perturber, RetryPolicy};
 pub use socket::{SocketBackend, SocketListener};
 pub use stream::{encode_envelope, StreamDecoder, StreamEnvelope, StreamError, StreamKind};
-pub use wire::{bytes_to_f32s, bytes_to_u64s, f32s_to_bytes, u64s_to_bytes, Wire};
+pub use wire::{bytes_to_f32s, f32s_to_bytes, Wire};

@@ -4,33 +4,22 @@
 //! [`Mailbox::accept_frame`] (encoded: verified first), which suppress
 //! duplicate sequence numbers and reassemble each (source, tag) channel
 //! into order before exposing payloads to the matching interface — the
-//! receiver half of the retransmitting wire protocol.
+//! receiver half of the retransmitting wire protocol. A message stays in
+//! the buffer it arrived in (a [`Payload`] view) until it is popped.
 
 use crate::ids::RankId;
 use crate::wait::{WaitLock, YieldBudget};
-use crate::wire::{self, Frame, FrameError};
+use crate::wire::{self, Frame, FrameError, Payload};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
 use telemetry::{Counter, Lazy};
 
-/// A delivered message: who sent it and the payload bytes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Envelope {
-    /// Sender of the message.
-    pub src: RankId,
-    /// Application tag. Upper layers encode (communicator id, collective
-    /// phase, attempt number, ...) into this, like MPI implementations do.
-    pub tag: u64,
-    /// Payload bytes.
-    pub data: Vec<u8>,
-}
-
 /// Result of a blocking [`Mailbox::pop_matching`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RecvOutcome {
-    /// A matching message was delivered.
-    Message(Vec<u8>),
+    /// A matching message was delivered, still in the buffer it arrived in.
+    Message(Payload),
     /// The source died and no matching message is buffered.
     SrcDead,
     /// The receiving rank itself was marked dead (e.g. suspected by a peer)
@@ -69,7 +58,7 @@ struct ChannelRx {
     /// Next sequence number to release in order.
     next_seq: u64,
     /// Out-of-order frames awaiting their predecessors.
-    pending: BTreeMap<u64, Vec<u8>>,
+    pending: BTreeMap<u64, Payload>,
 }
 
 /// The released messages of one (source, tag) channel, oldest first. The
@@ -78,19 +67,19 @@ struct ChannelRx {
 #[derive(Default)]
 struct Queue {
     /// The oldest message; `None` only while the queue is empty.
-    head: Option<Vec<u8>>,
-    rest: VecDeque<Vec<u8>>,
+    head: Option<Payload>,
+    rest: VecDeque<Payload>,
 }
 
 impl Queue {
-    fn push_back(&mut self, data: Vec<u8>) {
+    fn push_back(&mut self, data: Payload) {
         match self.head {
             Some(_) => self.rest.push_back(data),
             None => self.head = Some(data),
         }
     }
 
-    fn pop_front(&mut self) -> Option<Vec<u8>> {
+    fn pop_front(&mut self) -> Option<Payload> {
         let data = self.head.take();
         self.head = self.rest.pop_front();
         data
@@ -114,7 +103,7 @@ struct Inner {
 impl Inner {
     /// Pop the oldest message of `(src, tag)`, dropping the queue's entry
     /// with its last one.
-    fn pop(&mut self, src: RankId, tag: u64) -> Option<Vec<u8>> {
+    fn pop(&mut self, src: RankId, tag: u64) -> Option<Payload> {
         let Entry::Occupied(mut q) = self.queues.entry((src, tag)) else {
             return None;
         };
@@ -128,7 +117,7 @@ impl Inner {
 
 /// A rank's incoming-message buffer.
 ///
-/// `push` never blocks (the fabric is an infinite-buffer network, like an
+/// `accept` never blocks (the fabric is an infinite-buffer network, like an
 /// eager-protocol MPI for the message sizes we inject). `pop_matching`
 /// blocks until a matching message arrives or the waker is notified of a
 /// death event, at which point the caller re-checks the alive table.
@@ -144,19 +133,6 @@ impl Mailbox {
     /// An empty mailbox.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Deliver a message directly, bypassing the link layer (tests and
-    /// loopback paths). Wakes any blocked receiver.
-    pub fn push(&self, env: Envelope) {
-        let mut inner = self.inner.lock();
-        inner
-            .queues
-            .entry((env.src, env.tag))
-            .or_default()
-            .push_back(env.data);
-        self.inner.notify(inner);
-        PUSHES.incr();
     }
 
     /// Accept one encoded link frame: verify the checksum
@@ -208,7 +184,7 @@ impl Mailbox {
 
     /// Try to pop a matching message without blocking.
     pub fn try_pop(&self, src: RankId, tag: u64) -> Option<Vec<u8>> {
-        self.inner.lock().pop(src, tag)
+        self.inner.lock().pop(src, tag).map(Payload::into_vec)
     }
 
     /// Blocking pop with liveness and external-stop re-checks.
@@ -225,11 +201,11 @@ impl Mailbox {
     /// 4. source death;
     /// 5. the optional deadline.
     ///
-    /// Waits are precise: every producer path (`push`, `accept`,
-    /// `wake_waiters`) takes the inner lock before notifying, so a waiter
-    /// that observed "nothing to do" under the lock is guaranteed to be
-    /// registered on the condvar before any state change can complete — no
-    /// polling backstop is needed, and a deadline of 5 ms fires in ≈5 ms.
+    /// Waits are precise: every producer path (`accept`, `wake_waiters`)
+    /// takes the inner lock before notifying, so a waiter that observed
+    /// "nothing to do" under the lock is guaranteed to be registered on the
+    /// condvar before any state change can complete — no polling backstop
+    /// is needed, and a deadline of 5 ms fires in ≈5 ms.
     /// Between checks the thread blocks in `WaitLock::wait`: it yields for
     /// one bounded budget per call, then parks.
     pub fn pop_matching(
@@ -326,19 +302,17 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    fn env(src: usize, tag: u64, byte: u8) -> Envelope {
-        Envelope {
-            src: RankId(src),
-            tag,
-            data: vec![byte],
-        }
+    /// Deliver the one-byte message `seq` of channel `(src, tag)`.
+    fn put(mb: &Mailbox, src: usize, tag: u64, seq: u64, byte: u8) {
+        let ack = mb.accept_frame(&frame(src, tag, seq, &[byte]));
+        assert_eq!(ack, FrameAck::Accepted);
     }
 
     #[test]
     fn push_pop_fifo_per_channel() {
         let mb = Mailbox::new();
-        mb.push(env(1, 7, 0xaa));
-        mb.push(env(1, 7, 0xbb));
+        put(&mb, 1, 7, 0, 0xaa);
+        put(&mb, 1, 7, 1, 0xbb);
         assert_eq!(mb.try_pop(RankId(1), 7), Some(vec![0xaa]));
         assert_eq!(mb.try_pop(RankId(1), 7), Some(vec![0xbb]));
         assert_eq!(mb.try_pop(RankId(1), 7), None);
@@ -347,9 +321,9 @@ mod tests {
     #[test]
     fn channels_are_independent() {
         let mb = Mailbox::new();
-        mb.push(env(1, 7, 1));
-        mb.push(env(2, 7, 2));
-        mb.push(env(1, 8, 3));
+        put(&mb, 1, 7, 0, 1);
+        put(&mb, 2, 7, 0, 2);
+        put(&mb, 1, 8, 0, 3);
         assert_eq!(mb.try_pop(RankId(2), 7), Some(vec![2]));
         assert_eq!(mb.try_pop(RankId(1), 8), Some(vec![3]));
         assert_eq!(mb.try_pop(RankId(1), 7), Some(vec![1]));
@@ -358,7 +332,7 @@ mod tests {
     #[test]
     fn probe_does_not_consume() {
         let mb = Mailbox::new();
-        mb.push(env(0, 1, 9));
+        put(&mb, 0, 1, 0, 9);
         assert!(mb.probe(RankId(0), 1));
         assert!(mb.probe(RankId(0), 1));
         assert_eq!(mb.try_pop(RankId(0), 1), Some(vec![9]));
@@ -373,8 +347,8 @@ mod tests {
             mb2.pop_matching(RankId(5), 42, || true, || true, || false, None)
         });
         std::thread::sleep(Duration::from_millis(30));
-        mb.push(env(5, 42, 77));
-        assert_eq!(t.join().unwrap(), RecvOutcome::Message(vec![77]));
+        put(&mb, 5, 42, 0, 77);
+        assert_eq!(t.join().unwrap(), RecvOutcome::Message(vec![77].into()));
     }
 
     #[test]
@@ -446,7 +420,7 @@ mod tests {
     fn stop_condition_beats_buffered_message() {
         // A revoked communicator must fail even if a message is waiting.
         let mb = Mailbox::new();
-        mb.push(env(5, 1, 3));
+        put(&mb, 5, 1, 0, 3);
         let got = mb.pop_matching(RankId(5), 1, || true, || true, || true, None);
         assert_eq!(got, RecvOutcome::Stopped);
     }
@@ -454,10 +428,10 @@ mod tests {
     #[test]
     fn messages_sent_before_death_are_still_delivered() {
         let mb = Mailbox::new();
-        mb.push(env(5, 1, 3));
+        put(&mb, 5, 1, 0, 3);
         // Source is dead, but the buffered message must be drained first.
         let got = mb.pop_matching(RankId(5), 1, || false, || true, || false, None);
-        assert_eq!(got, RecvOutcome::Message(vec![3]));
+        assert_eq!(got, RecvOutcome::Message(vec![3].into()));
         let got = mb.pop_matching(RankId(5), 1, || false, || true, || false, None);
         assert_eq!(got, RecvOutcome::SrcDead);
     }
@@ -564,9 +538,11 @@ mod tests {
     type Event = fn(&Mailbox, &AtomicBool, &AtomicBool, &AtomicBool);
     fn wait_cases() -> [(&'static str, RecvOutcome, Event); 4] {
         [
-            ("message", RecvOutcome::Message(vec![77]), |mb, _, _, _| {
-                mb.push(env(5, 42, 77))
-            }),
+            (
+                "message",
+                RecvOutcome::Message(vec![77].into()),
+                |mb, _, _, _| put(mb, 5, 42, 0, 77),
+            ),
             ("src death", RecvOutcome::SrcDead, |mb, src_dead, _, _| {
                 src_dead.store(true, Ordering::SeqCst);
                 mb.wake_waiters();
@@ -684,16 +660,18 @@ mod tests {
             let (boxes, done_tx) = (Arc::clone(&boxes), done_tx.clone());
             std::thread::spawn(move || {
                 let prev = RankId((me + THREADS - 1) % THREADS);
+                let mut sent = 0;
                 for lap in 0..LAPS {
                     if !(me == 0 && lap == 0) {
                         let got =
                             boxes[me % 4].pop_matching(prev, 9, || true, || true, || false, None);
-                        assert_eq!(got, RecvOutcome::Message(vec![lap as u8]));
+                        assert_eq!(got, RecvOutcome::Message(vec![lap as u8].into()));
                     }
                     // Thread 0 starts each lap; the last hop closes it.
                     let next_lap = if me == THREADS - 1 { lap + 1 } else { lap };
                     if next_lap < LAPS {
-                        boxes[(me + 1) % 4].push(env(me, 9, next_lap as u8));
+                        put(&boxes[(me + 1) % 4], me, 9, sent, next_lap as u8);
+                        sent += 1;
                     }
                 }
                 done_tx.send(me).unwrap();
@@ -713,16 +691,16 @@ mod tests {
         // drained queue used to stay in the map for the mailbox's lifetime.
         let mb = Mailbox::new();
         for tag in 0..5_000u64 {
-            mb.push(env(1, tag, 1));
+            put(&mb, 1, tag, 0, 1);
             assert_eq!(mb.try_pop(RankId(1), tag), Some(vec![1]));
             mb.accept_frame(&frame(2, tag, 0, b"x"));
             let got = mb.pop_matching(RankId(2), tag, || true, || true, || false, None);
-            assert_eq!(got, RecvOutcome::Message(b"x".to_vec()));
+            assert_eq!(got, RecvOutcome::Message(b"x".to_vec().into()));
         }
         assert_eq!(mb.tracked_queues(), 0);
         // A queue holding several messages goes with its last one.
-        mb.push(env(1, 7, 1));
-        mb.push(env(1, 7, 2));
+        put(&mb, 1, 7, 1, 1);
+        put(&mb, 1, 7, 2, 2);
         assert_eq!(mb.try_pop(RankId(1), 7), Some(vec![1]));
         assert_eq!(mb.tracked_queues(), 1);
         assert_eq!(mb.try_pop(RankId(1), 7), Some(vec![2]));
@@ -816,9 +794,9 @@ mod tests {
     #[test]
     fn purge_drops_only_matching_tags() {
         let mb = Mailbox::new();
-        mb.push(env(0, 0x10, 1));
-        mb.push(env(0, 0x10, 2));
-        mb.push(env(0, 0x20, 3));
+        put(&mb, 0, 0x10, 0, 1);
+        put(&mb, 0, 0x10, 1, 2);
+        put(&mb, 0, 0x20, 0, 3);
         let dropped = mb.purge_where(|t| t == 0x10);
         assert_eq!(dropped, 2);
         assert_eq!(mb.buffered(), 1);

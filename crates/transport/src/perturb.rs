@@ -14,7 +14,6 @@
 //! passes that point, which lets tests perturb only the phase under study.
 
 use crate::ids::RankId;
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -149,17 +148,6 @@ impl RetryPolicy {
         let jitter = 0.5 + (salt % 1024) as f64 / 1024.0;
         capped.mul_f64(jitter)
     }
-
-    /// Worst-case total time spent backing off before suspicion fires.
-    pub fn worst_case_total(&self) -> Duration {
-        (0..=self.max_retries).fold(Duration::ZERO, |acc, n| {
-            acc + self
-                .base
-                .saturating_mul(1u32 << n.min(12))
-                .min(self.cap)
-                .mul_f64(1.5)
-        })
-    }
 }
 
 /// A seeded, reproducible schedule of link-level message perturbation.
@@ -261,10 +249,11 @@ impl PerturbPlan {
 }
 
 /// One scheduled delivery of (possibly mangled) frame bytes.
-pub struct Delivery<'a> {
-    /// Encoded frame bytes as they arrive on the wire: the caller's own
-    /// buffer unless the adversary had to mangle or hold a copy.
-    pub bytes: Cow<'a, [u8]>,
+pub struct Delivery {
+    /// Encoded frame bytes as they arrive on the wire: `None` for the
+    /// caller's own frame as it is, `Some` where the adversary had to mangle
+    /// or hold a copy.
+    pub bytes: Option<Vec<u8>>,
     /// Sender-side propagation delay to apply before delivery.
     pub delay: Option<Duration>,
     /// Is this a copy of the frame being transmitted now (as opposed to a
@@ -274,10 +263,10 @@ pub struct Delivery<'a> {
 
 /// What the adversary decided for one transmission.
 #[derive(Default)]
-pub struct Verdict<'a> {
+pub struct Verdict {
     /// Deliveries to perform, in arrival order: at most the frame, its
     /// duplicate, and an earlier frame flushed from the reorder stash.
-    pub deliveries: [Option<Delivery<'a>>; 3],
+    pub deliveries: [Option<Delivery>; 3],
     /// The current frame was dropped.
     pub dropped: bool,
     /// The current frame had a bit flipped.
@@ -288,13 +277,13 @@ pub struct Verdict<'a> {
     pub reordered: bool,
 }
 
-impl<'a> Verdict<'a> {
-    /// A clean link's verdict: the caller's own bytes, once, now.
-    pub fn clean(frame: &'a [u8]) -> Self {
+impl Verdict {
+    /// A clean link's verdict: the caller's own frame, once, now.
+    pub fn clean() -> Self {
         Verdict {
             deliveries: [
                 Some(Delivery {
-                    bytes: Cow::Borrowed(frame),
+                    bytes: None,
                     delay: None,
                     current: true,
                 }),
@@ -343,11 +332,6 @@ impl Perturber {
         &self.plan
     }
 
-    /// Nothing will ever be perturbed (fast-path check).
-    pub fn is_inert(&self) -> bool {
-        self.plan.is_inert()
-    }
-
     /// Notify that a named fault point was crossed; activates a gated plan.
     pub fn notify_point(&self, name: &str) {
         if self.plan.gate_point.as_deref() == Some(name) {
@@ -372,7 +356,7 @@ impl Perturber {
     /// Returns the deliveries to perform in order. The current frame is
     /// acknowledged only if a copy of it actually reaches the receiver (the
     /// caller learns that from the receiver's accept result, not from us).
-    pub fn transmit<'a>(&self, src: RankId, dst: RankId, frame: &'a [u8]) -> Verdict<'a> {
+    pub fn transmit(&self, src: RankId, dst: RankId, frame: &[u8]) -> Verdict {
         let Some(spec) = self
             .active
             .load(Ordering::SeqCst)
@@ -383,7 +367,7 @@ impl Perturber {
             // stashed here — a link only ever stashes under its own spec,
             // and a gated plan never goes back to inactive — so no per-link
             // state is consulted.
-            return Verdict::clean(frame);
+            return Verdict::clean();
         };
 
         let mut links = self.links.lock();
@@ -403,10 +387,10 @@ impl Perturber {
         if rng.chance(spec.drop) {
             v.dropped = true;
         } else {
-            let mut bytes = Cow::Borrowed(frame);
+            let mut bytes = None;
             if rng.chance(spec.corrupt) {
                 let bit = rng.next_u64() as usize % (frame.len() * 8);
-                bytes.to_mut()[bit / 8] ^= 1 << (bit % 8);
+                bytes.insert(frame.to_vec())[bit / 8] ^= 1 << (bit % 8);
                 v.corrupted = true;
             }
             let delay = rng.chance(spec.delay).then(|| {
@@ -416,7 +400,7 @@ impl Perturber {
             if !flush && !v.corrupted && rng.chance(spec.reorder) {
                 // Hold the frame back; it arrives after the next transmission
                 // on this link (the sender's retransmission heals the gap).
-                st.stash = Some(bytes.into_owned());
+                st.stash = Some(frame.to_vec());
                 v.reordered = true;
             } else {
                 v.duplicated = rng.chance(spec.duplicate);
@@ -435,7 +419,7 @@ impl Perturber {
 
         if flush {
             v.deliveries[2] = st.stash.take().map(|stashed| Delivery {
-                bytes: Cow::Owned(stashed),
+                bytes: Some(stashed),
                 delay: None,
                 current: false,
             });
@@ -453,7 +437,7 @@ mod tests {
     }
 
     /// The deliveries a verdict schedules, in order.
-    fn sent<'v, 'a>(v: &'v Verdict<'a>) -> Vec<&'v Delivery<'a>> {
+    fn sent(v: &Verdict) -> Vec<&Delivery> {
         v.deliveries.iter().flatten().collect()
     }
 
@@ -464,8 +448,8 @@ mod tests {
         let v = p.transmit(RankId(0), RankId(1), &f);
         assert_eq!(sent(&v).len(), 1);
         assert!(sent(&v)[0].current);
-        // The caller's own bytes, not a copy of them.
-        assert!(matches!(sent(&v)[0].bytes, Cow::Borrowed(b) if std::ptr::eq(b, &f[..])));
+        // The caller's own frame, not a copy of it.
+        assert!(sent(&v)[0].bytes.is_none());
         assert!(!v.dropped && !v.corrupted && !v.duplicated && !v.reordered);
     }
 
@@ -497,7 +481,7 @@ mod tests {
         let f = frame();
         let v = p.transmit(RankId(0), RankId(1), &f);
         assert!(v.corrupted);
-        let got = &sent(&v)[0].bytes;
+        let got = sent(&v)[0].bytes.as_ref().expect("a mangled copy");
         let flipped: u32 = f
             .iter()
             .zip(got.iter())
@@ -519,9 +503,9 @@ mod tests {
         let v1 = p.transmit(RankId(0), RankId(1), &f1);
         assert_eq!(sent(&v1).len(), 2);
         assert!(sent(&v1)[0].current);
-        assert_eq!(sent(&v1)[0].bytes, f1);
+        assert_eq!(sent(&v1)[0].bytes, None);
         assert!(!sent(&v1)[1].current);
-        assert_eq!(sent(&v1)[1].bytes, f0);
+        assert_eq!(sent(&v1)[1].bytes, Some(f0));
     }
 
     #[test]
@@ -558,7 +542,7 @@ mod tests {
         let v = p.transmit(RankId(0), RankId(1), &f);
         assert_eq!(sent(&v).len(), 1);
         // An explicitly clean link inside a lossy plan copies nothing either.
-        assert!(matches!(sent(&v)[0].bytes, Cow::Borrowed(_)));
+        assert!(sent(&v)[0].bytes.is_none());
         let v = p.transmit(RankId(1), RankId(0), &f);
         assert!(v.dropped);
     }
@@ -598,7 +582,6 @@ mod tests {
         assert!(b4 > b0);
         // Jitter is at most 1.5×cap.
         assert!(pol.backoff(30, 1023) <= Duration::from_millis(3));
-        assert!(pol.worst_case_total() < Duration::from_secs(1));
     }
 
     #[test]

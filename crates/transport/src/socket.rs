@@ -50,7 +50,6 @@ use crate::mailbox::{FrameAck, Mailbox};
 use crate::stream::{encode_envelope, envelope_header, StreamDecoder, StreamKind, ENVELOPE_HEADER};
 use crate::wait::{WaitLock, YieldBudget};
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -1043,19 +1042,17 @@ impl crate::delivery::Link for SocketBackend {
         &self,
         to: RankId,
         peer: &Slot<PeerLink>,
-        frame: &Arc<Vec<u8>>,
-        copy: Cow<'_, [u8]>,
+        frame: &mut Arc<Vec<u8>>,
+        copy: Option<Vec<u8>>,
         sent: &mut Option<u64>,
     ) -> Option<FrameAck> {
         if to == self.rank {
             // No wire to ourselves: the hand-off is a function call into
             // our own mailbox, and its return value is the ack.
-            return Some(self.engine.receive(&copy, &self.mailbox, |_| {}));
+            let bytes = copy.as_deref().unwrap_or(&frame[..]);
+            return Some(self.engine.receive(bytes, &self.mailbox, |_| {}));
         }
-        let bytes = match copy {
-            Cow::Borrowed(_) => Arc::clone(frame),
-            Cow::Owned(mangled) => Arc::new(mangled),
-        };
+        let bytes = copy.map_or_else(|| Arc::clone(frame), Arc::new);
         *sent = self.enqueue(peer, Outbound::Data(bytes)).or(*sent);
         None
     }

@@ -5,12 +5,14 @@
 //! stable little-endian encoding without pulling in a serialization
 //! framework on the hot path.
 //!
-//! The frame codec ([`encode_frame`] / [`decode_frame`]) wraps every
-//! fabric message in a checksummed, sequence-numbered envelope so the
-//! transport can detect corruption, suppress duplicates, and reassemble
-//! per-channel order under an adversarial [`crate::PerturbPlan`].
+//! The frame codec ([`encode_frame_with`] / [`decode_frame`] /
+//! [`verify_frame`]) wraps every fabric message in a checksummed,
+//! sequence-numbered envelope so the transport can detect corruption,
+//! suppress duplicates, and reassemble per-channel order under an
+//! adversarial [`crate::PerturbPlan`].
 
 use crate::ids::RankId;
+use std::ops::Deref;
 
 /// Fixed-width little-endian encoding for primitive scalars.
 ///
@@ -29,22 +31,12 @@ pub trait Wire: Copy + Send + Sync + 'static {
     /// Decode from exactly [`Self::WIDTH`] bytes.
     fn read(bytes: &[u8]) -> Self;
 
-    /// Encode a slice over `out`, which ends up exactly
-    /// `vals.len() * Self::WIDTH` long. The form for a scratch buffer reused
-    /// from message to message: every byte is overwritten, so nothing of a
-    /// previous (longer or shorter) message survives, and only growth is
-    /// paid for.
-    fn encode_into(vals: &[Self], out: &mut Vec<u8>) {
-        out.resize(vals.len() * Self::WIDTH, 0);
-        for (v, chunk) in vals.iter().zip(out.chunks_exact_mut(Self::WIDTH)) {
-            v.write_to(chunk);
-        }
-    }
-
     /// Encode a slice.
     fn encode_slice(vals: &[Self]) -> Vec<u8> {
         let mut out = vec![0; vals.len() * Self::WIDTH];
-        Self::encode_into(vals, &mut out);
+        for (v, chunk) in vals.iter().zip(out.chunks_exact_mut(Self::WIDTH)) {
+            v.write_to(chunk);
+        }
         out
     }
 
@@ -104,16 +96,6 @@ pub fn bytes_to_f32s(bytes: &[u8]) -> Vec<f32> {
     f32::decode_slice(bytes)
 }
 
-/// Encode a slice of `u64` as little-endian bytes.
-pub fn u64s_to_bytes(vals: &[u64]) -> Vec<u8> {
-    u64::encode_slice(vals)
-}
-
-/// Decode little-endian bytes into `u64`s.
-pub fn bytes_to_u64s(bytes: &[u8]) -> Vec<u64> {
-    u64::decode_slice(bytes)
-}
-
 // ---------------------------------------------------------------------------
 // Link-layer frame codec.
 // ---------------------------------------------------------------------------
@@ -146,8 +128,48 @@ pub struct Frame {
     /// Sequence number within the (src, tag) channel, starting at 0.
     pub seq: u64,
     /// Application payload.
-    pub payload: Vec<u8>,
+    pub payload: Payload,
 }
+
+/// A message payload as a view of the buffer it arrived in: all of a
+/// payload [`decode_frame`] copied out, or the body of a frame
+/// [`verify_frame`] checked where it lies. Reads as the payload bytes.
+#[derive(Clone, Debug, Default)]
+pub struct Payload {
+    buf: Vec<u8>,
+    /// Where the payload starts in `buf`; it runs to the end.
+    start: usize,
+}
+
+impl Payload {
+    /// The payload as a vector of its own: the buffer it arrived in, a
+    /// frame's header drained off the front.
+    pub fn into_vec(mut self) -> Vec<u8> {
+        self.buf.drain(..self.start);
+        self.buf
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(buf: Vec<u8>) -> Self {
+        Self { buf, start: 0 }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
 
 /// Why a byte buffer failed to decode as a frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -178,9 +200,11 @@ const CHECKSUM_BLOCK: usize = 32;
 /// Odd, so [`mix`] is a bijection of the state for a fixed word and of the
 /// word for a fixed state.
 const CHECKSUM_MUL: u64 = 0x9e37_79b1_85eb_ca87;
-/// Bytes copied between two checksum passes of a fused copy: small enough
-/// that the pass reads them back from L1, large enough for `memcpy`.
-const FUSE_CHUNK: usize = 1024;
+/// Bytes a payload is written or copied in between two checksum passes:
+/// small enough that the pass reads them back from L1, large enough for
+/// `memcpy`, and a whole number of elements of every [`Wire`] width.
+pub const FILL_CHUNK: usize = 1024;
+const _: () = assert!(FILL_CHUNK.is_multiple_of(CHECKSUM_BLOCK));
 
 /// `bytes` as its whole checksum blocks and the sub-block tail after them.
 fn split_blocks(bytes: &[u8]) -> (&[u8], &[u8]) {
@@ -227,7 +251,7 @@ impl Checksum {
     /// Returns the unabsorbed tail (shorter than one block).
     fn absorb_copy<'a>(&mut self, src: &'a [u8], out: &mut Vec<u8>) -> &'a [u8] {
         let (blocks, tail) = split_blocks(src);
-        for chunk in blocks.chunks(FUSE_CHUNK) {
+        for chunk in blocks.chunks(FILL_CHUNK) {
             out.extend_from_slice(chunk);
             self.absorb(chunk);
         }
@@ -273,55 +297,119 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     sum.finish(tail, bytes.len())
 }
 
-/// Encode one link frame. The checksum is computed inside the one copy of
-/// `payload` into the frame.
-///
-/// # Panics
-/// Panics if `payload` is longer than `u32::MAX` bytes.
-pub fn encode_frame(src: RankId, tag: u64, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let len = u32::try_from(payload.len()).expect("frame payload exceeds u32::MAX bytes");
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len() + FRAME_TRAILER);
+/// A `len`-byte payload as `fill(at, chunk)` writes it into the chunks
+/// [`encode_frame_with`] would ask for: consecutive [`FILL_CHUNK`]s (the
+/// last may be shorter) at offset `at`.
+pub fn fill_payload(len: usize, mut fill: impl FnMut(usize, &mut [u8])) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len);
+    for at in (0..len).step_by(FILL_CHUNK) {
+        out.extend_from_slice(&ZEROS[..FILL_CHUNK.min(len - at)]);
+        fill(at, &mut out[at..]);
+    }
+    out
+}
+
+/// What writes a payload in place: called as [`fill_payload`] calls it.
+pub type Fill<'a> = &'a mut dyn FnMut(usize, &mut [u8]);
+
+/// Zeroes to grow a payload by, a chunk at a time, before it is written
+/// there: cheaper than `Vec::resize`, and than `vec![0; n]`, whose `calloc`
+/// skips glibc's per-thread cache.
+static ZEROS: [u8; FILL_CHUNK] = [0; FILL_CHUNK];
+
+/// Encode one link frame whose `len`-byte payload `fill(at, chunk)` writes
+/// in place a [`FILL_CHUNK`] at a time; the checksum absorbs each chunk
+/// while it is in L1, so producing the payload and framing it are one pass.
+/// Panics if `len` exceeds `u32::MAX`.
+pub fn encode_frame_with(
+    src: RankId,
+    tag: u64,
+    seq: u64,
+    len: usize,
+    mut fill: impl FnMut(usize, &mut [u8]),
+) -> Vec<u8> {
+    let len32 = u32::try_from(len).expect("frame payload exceeds u32::MAX bytes");
+    let mut out = Vec::with_capacity(FRAME_HEADER + len + FRAME_TRAILER);
     FRAME_MAGIC.write(&mut out);
     (src.0 as u64).write(&mut out);
     tag.write(&mut out);
     seq.write(&mut out);
-    len.write(&mut out);
+    len32.write(&mut out);
     let mut sum = Checksum::new();
     sum.absorb(&out);
-    let tail = sum.absorb_copy(payload, &mut out);
-    sum.finish(tail, FRAME_HEADER + payload.len())
-        .write(&mut out);
+    for at in (0..len).step_by(FILL_CHUNK) {
+        out.extend_from_slice(&ZEROS[..FILL_CHUNK.min(len - at)]);
+        let chunk = &mut out[FRAME_HEADER + at..];
+        fill(at, chunk);
+        sum.absorb(split_blocks(chunk).0);
+    }
+    let check = sum.finish(split_blocks(&out[FRAME_HEADER..]).1, FRAME_HEADER + len);
+    check.write(&mut out);
     out
 }
 
-/// Decode and verify one link frame. The checksum is computed inside the
-/// one copy of the payload out of `bytes`.
-pub fn decode_frame(bytes: &[u8]) -> Result<Frame, FrameError> {
+/// Encode one link frame around a copy of `payload`; see
+/// [`encode_frame_with`].
+pub fn encode_frame(src: RankId, tag: u64, seq: u64, payload: &[u8]) -> Vec<u8> {
+    encode_frame_with(src, tag, seq, payload.len(), |at, chunk| {
+        chunk.copy_from_slice(&payload[at..at + chunk.len()]);
+    })
+}
+
+/// The header of an encoded frame whose size, magic and length field
+/// agree, with an empty payload: the check both decoders share.
+fn check_header(bytes: &[u8]) -> Result<Frame, FrameError> {
     if bytes.len() < FRAME_HEADER + FRAME_TRAILER {
         return Err(FrameError::TooShort);
     }
     if u32::read(&bytes[0..4]) != FRAME_MAGIC {
         return Err(FrameError::BadMagic);
     }
-    let len = bytes.len() - FRAME_HEADER - FRAME_TRAILER;
-    if u32::read(&bytes[28..32]) as usize != len {
+    if u32::read(&bytes[28..32]) as usize != bytes.len() - FRAME_HEADER - FRAME_TRAILER {
         return Err(FrameError::LengthMismatch);
-    }
-    let (header, rest) = bytes.split_at(FRAME_HEADER);
-    let (body, trailer) = rest.split_at(len);
-    let mut sum = Checksum::new();
-    sum.absorb(header);
-    let mut payload = Vec::with_capacity(len);
-    let tail = sum.absorb_copy(body, &mut payload);
-    if sum.finish(tail, FRAME_HEADER + len) != u64::read(trailer) {
-        return Err(FrameError::BadChecksum);
     }
     Ok(Frame {
         src: RankId(u64::read(&bytes[4..12]) as usize),
         tag: u64::read(&bytes[12..20]),
         seq: u64::read(&bytes[20..28]),
-        payload,
+        payload: Payload::default(),
     })
+}
+
+/// Decode and verify one link frame out of a borrowed buffer, the checksum
+/// computed inside the one copy of the payload out of `bytes`.
+pub fn decode_frame(bytes: &[u8]) -> Result<Frame, FrameError> {
+    let mut frame = check_header(bytes)?;
+    let (header, rest) = bytes.split_at(FRAME_HEADER);
+    let (body, trailer) = rest.split_at(rest.len() - FRAME_TRAILER);
+    let mut sum = Checksum::new();
+    sum.absorb(header);
+    let mut payload = Vec::with_capacity(body.len());
+    let tail = sum.absorb_copy(body, &mut payload);
+    if sum.finish(tail, FRAME_HEADER + body.len()) != u64::read(trailer) {
+        return Err(FrameError::BadChecksum);
+    }
+    frame.payload = payload.into();
+    Ok(frame)
+}
+
+/// Verify an owned link frame where it lies: no copy, the payload stays a
+/// view of `bytes`. A refused buffer comes back unchanged with the reason.
+pub fn verify_frame(mut bytes: Vec<u8>) -> Result<Frame, (Vec<u8>, FrameError)> {
+    let mut frame = match check_header(&bytes) {
+        Ok(frame) => frame,
+        Err(e) => return Err((bytes, e)),
+    };
+    let end = bytes.len() - FRAME_TRAILER;
+    if fnv1a64(&bytes[..end]) != u64::read(&bytes[end..]) {
+        return Err((bytes, FrameError::BadChecksum));
+    }
+    bytes.truncate(end);
+    frame.payload = Payload {
+        buf: bytes,
+        start: FRAME_HEADER,
+    };
+    Ok(frame)
 }
 
 #[cfg(test)]
@@ -337,7 +425,7 @@ mod tests {
     #[test]
     fn u64_roundtrip() {
         let xs = vec![0u64, 1, u64::MAX, 0xdead_beef];
-        assert_eq!(bytes_to_u64s(&u64s_to_bytes(&xs)), xs);
+        assert_eq!(u64::decode_slice(&u64::encode_slice(&xs)), xs);
     }
 
     #[test]
@@ -368,18 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn a_reused_scratch_holds_only_the_last_message() {
-        let mut scratch = Vec::new();
-        u16::encode_into(&[1, 2, 3], &mut scratch);
-        u16::encode_into(&[0x0405], &mut scratch);
-        assert_eq!(scratch, vec![0x05, 0x04]);
-        u16::encode_into(&[6, 7], &mut scratch);
-        assert_eq!(scratch, u16::encode_slice(&[6, 7]));
-        u16::encode_into(&[], &mut scratch);
-        assert!(scratch.is_empty());
-    }
-
-    #[test]
     fn decode_checked_refuses_a_ragged_buffer() {
         let bytes = u32::encode_slice(&[7, 9]);
         assert_eq!(u32::decode_checked(&bytes), Some(vec![7, 9]));
@@ -407,13 +483,15 @@ mod tests {
         assert_eq!(f.src, RankId(3));
         assert_eq!(f.tag, 0xdead);
         assert_eq!(f.seq, 42);
-        assert_eq!(f.payload, b"payload");
+        assert_eq!(&*f.payload, b"payload");
+        assert_eq!(verify_frame(enc).unwrap(), f);
     }
 
     #[test]
     fn frame_roundtrip_empty_payload() {
         let enc = encode_frame(RankId(0), 0, 0, b"");
-        assert_eq!(decode_frame(&enc).unwrap().payload, b"");
+        assert_eq!(&*decode_frame(&enc).unwrap().payload, b"");
+        assert_eq!(verify_frame(enc).unwrap().payload.into_vec(), b"");
     }
 
     /// The pattern the golden vectors and the flip sweeps are made of.
@@ -424,7 +502,9 @@ mod tests {
     #[test]
     fn frame_rejects_any_single_bit_flip() {
         // Every payload length up to three blocks: each lane, each tail
-        // word, the partial last word, and every header and trailer bit.
+        // word, the partial last word, and every header and trailer bit —
+        // through both decoders, the in-place one handing a refused buffer
+        // back exactly as it came.
         for len in 0..=96 {
             let enc = encode_frame(RankId(1), 7, 9, &pattern(len));
             for byte in 0..enc.len() {
@@ -435,6 +515,8 @@ mod tests {
                         decode_frame(&bad).is_err(),
                         "payload {len}: flip at byte {byte} bit {bit} went undetected"
                     );
+                    let (back, _) = verify_frame(bad.clone()).expect_err("flip verified in place");
+                    assert_eq!(back, bad, "payload {len}: refused buffer changed");
                 }
             }
         }
@@ -446,7 +528,33 @@ mod tests {
             let enc = encode_frame(RankId(2), 5, 3, &pattern(len));
             let (body, trailer) = enc.split_at(enc.len() - FRAME_TRAILER);
             assert_eq!(u64::read(trailer), fnv1a64(body), "payload {len}");
-            assert_eq!(decode_frame(&enc).unwrap().payload, pattern(len));
+            assert_eq!(decode_frame(&enc).unwrap().payload.into_vec(), pattern(len));
+            assert_eq!(verify_frame(enc).unwrap().payload.into_vec(), pattern(len));
+        }
+    }
+
+    #[test]
+    fn a_frame_filled_in_place_is_the_frame_of_a_copy() {
+        // Every length across three fill chunks and a ragged tail: each
+        // chunk boundary, each partial last block.
+        for len in 0..=3 * FILL_CHUNK + 33 {
+            let payload = pattern(len);
+            let mut calls = Vec::new();
+            let filled = encode_frame_with(RankId(4), 11, 2, len, |at, chunk| {
+                calls.push((at, chunk.len()));
+                chunk.copy_from_slice(&payload[at..at + chunk.len()]);
+            });
+            assert_eq!(
+                filled,
+                encode_frame(RankId(4), 11, 2, &payload),
+                "length {len}"
+            );
+            let mut plain_calls = Vec::new();
+            let plain = fill_payload(len, |at, chunk| {
+                plain_calls.push((at, chunk.len()));
+                chunk.copy_from_slice(&payload[at..at + chunk.len()]);
+            });
+            assert_eq!((calls, plain), (plain_calls, payload), "length {len}");
         }
     }
 

@@ -78,7 +78,7 @@ proptest! {
             match kind {
                 0..=6 => {
                     let payload = vec![step as u8, seq as u8];
-                    let frame = Frame { src: RankId(src), tag, seq, payload: payload.clone() };
+                    let frame = Frame { src: RankId(src), tag, seq, payload: payload.clone().into() };
                     prop_assert_eq!(
                         mb.accept(frame), model.accept(src, tag, seq, payload), "step {}", step);
                 }

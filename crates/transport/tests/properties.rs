@@ -6,7 +6,9 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use transport::wire::{decode_frame, encode_frame, fnv1a64, FRAME_HEADER, FRAME_TRAILER};
+use transport::wire::{
+    decode_frame, encode_frame, fnv1a64, verify_frame, FRAME_HEADER, FRAME_TRAILER,
+};
 use transport::{
     Endpoint, Fabric, FrameAck, LinkPerturb, Mailbox, PerturbPlan, RankId, RetryPolicy,
     StreamDecoder, StreamKind, Topology, TransportError, Wire,
@@ -20,12 +22,16 @@ fn decoders_reject_or_roundtrip(bytes: &[u8]) -> Result<(), TestCaseError> {
     if let Ok(f) = &decoded {
         prop_assert_eq!(&encode_frame(f.src, f.tag, f.seq, &f.payload)[..], bytes);
     }
+    // The in-place verifier decides exactly as the copying decoder does,
+    // and hands a refused buffer back untouched.
+    let in_place = verify_frame(bytes.to_vec()).map_err(|(back, e)| (back == bytes, e));
+    prop_assert_eq!(in_place, decoded.clone().map_err(|e| (true, e)));
     let mb = Mailbox::new();
     match (&decoded, mb.accept_frame(bytes)) {
         (Ok(f), FrameAck::Accepted) => {
             // Delivered only once it is in order on its channel.
             let got = mb.try_pop(f.src, f.tag);
-            prop_assert_eq!(got, (f.seq == 0).then(|| f.payload.clone()));
+            prop_assert_eq!(got, (f.seq == 0).then(|| f.payload.to_vec()));
         }
         (Err(e), FrameAck::Corrupt(got)) => prop_assert_eq!(*e, got),
         (d, ack) => prop_assert!(false, "decode {d:?} but mailbox {ack:?}"),
@@ -282,7 +288,8 @@ proptest! {
         prop_assert_eq!(u64::read(trailer), fnv1a64(body));
         let back = decode_frame(&frame).unwrap();
         prop_assert_eq!((back.src, back.tag, back.seq), (RankId(src), tag, seq));
-        prop_assert_eq!(back.payload, payload);
+        prop_assert_eq!(&verify_frame(frame).unwrap(), &back);
+        prop_assert_eq!(back.payload.into_vec(), payload);
     }
 
     /// Garbage never panics a decoder and is never accepted.

@@ -15,6 +15,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use transport::wire::Fill;
 use transport::{Endpoint, RankId, TransportError, Wire};
 
 /// Result of [`Communicator::shrink_with`]: either this rank is a member of
@@ -916,6 +917,11 @@ struct Adapter<'a> {
 }
 
 impl Adapter<'_> {
+    /// Must this operation fail because the communicator was revoked?
+    fn revoked(&self) -> bool {
+        self.respect_revoke && self.comm.is_revoked()
+    }
+
     fn map(&self, e: TransportError) -> CollError {
         match e {
             TransportError::PeerDead(g) => CollError::PeerFailed {
@@ -941,7 +947,7 @@ impl PeerComm for Adapter<'_> {
         self.comm.my_idx
     }
     fn send(&self, peer: usize, tag: u64, data: &[u8]) -> Result<(), CollError> {
-        if self.respect_revoke && self.comm.is_revoked() {
+        if self.revoked() {
             return Err(CollError::Revoked);
         }
         self.comm
@@ -950,13 +956,32 @@ impl PeerComm for Adapter<'_> {
             .map_err(|e| self.map(e))
     }
     fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, CollError> {
-        if self.respect_revoke && self.comm.is_revoked() {
+        if self.revoked() {
             return Err(CollError::Revoked);
         }
-        let stop = || self.respect_revoke && self.comm.is_revoked();
+        let stop = || self.revoked();
         self.comm
             .ep
             .recv_stoppable(self.comm.group[peer], tag, &stop)
+            .map_err(|e| self.map(e))
+    }
+    fn send_with(&self, peer: usize, tag: u64, len: usize, f: Fill<'_>) -> Result<(), CollError> {
+        if self.revoked() {
+            return Err(CollError::Revoked);
+        }
+        self.comm
+            .ep
+            .send_with(self.comm.group[peer], tag, len, f)
+            .map_err(|e| self.map(e))
+    }
+    fn recv_with(&self, peer: usize, tag: u64, f: &mut dyn FnMut(&[u8])) -> Result<(), CollError> {
+        if self.revoked() {
+            return Err(CollError::Revoked);
+        }
+        let stop = || self.revoked();
+        self.comm
+            .ep
+            .recv_with(self.comm.group[peer], tag, &stop, None, f)
             .map_err(|e| self.map(e))
     }
     fn fault_point(&self, name: &str) -> Result<(), CollError> {

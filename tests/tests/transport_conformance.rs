@@ -398,6 +398,123 @@ fn self_send_runs_the_whole_frame_path() {
     assert!(healed.iter().all(|h| *h == healed[0]), "{healed:?}");
 }
 
+/// Message sizes either side of the in-process hand-over threshold, and one
+/// far past it. The largest goes first: once the small ones behind it have
+/// arrived, every copy of it has been received and counted.
+const LENDING_SIZES: [usize; 6] = [8 << 20, 0, 1, 4095, 4096, 4097];
+
+/// Send every [`LENDING_SIZES`] payload from rank 0 to rank 1 — through
+/// `send_with` / `recv_with` if `lending`, else `send` / `recv` — and return
+/// what arrived plus each endpoint's settled traffic counters.
+fn exchange(
+    flavor: Flavor,
+    plan: Option<&PerturbPlan>,
+    lending: bool,
+) -> (Vec<Vec<u8>>, Vec<transport::FabricStats>) {
+    let eps = mesh(flavor, 2, FaultPlan::none());
+    if let Some(plan) = plan {
+        for ep in &eps {
+            ep.set_perturbation(plan.clone());
+        }
+    }
+    let payloads: Vec<Vec<u8>> = LENDING_SIZES
+        .iter()
+        .map(|&n| (0..n).map(|i| (i * 31 + n) as u8).collect())
+        .collect();
+    for (tag, data) in payloads.iter().enumerate() {
+        let tag = tag as u64;
+        if lending {
+            let mut fill = |at: usize, chunk: &mut [u8]| {
+                chunk.copy_from_slice(&data[at..at + chunk.len()]);
+            };
+            eps[0].send_with(RankId(1), tag, data.len(), &mut fill)
+        } else {
+            eps[0].send(RankId(1), tag, data)
+        }
+        .unwrap_or_else(|e| panic!("{flavor:?}: send of {} bytes: {e}", data.len()));
+    }
+    let got = (0..payloads.len() as u64)
+        .map(|tag| {
+            let mut got = Vec::new();
+            if lending {
+                let lend = &mut |bytes: &[u8]| got = bytes.to_vec();
+                eps[1].recv_with(RankId(0), tag, &|| false, None, lend)
+            } else {
+                eps[1].recv(RankId(0), tag).map(|bytes| got = bytes)
+            }
+            .unwrap_or_else(|e| panic!("{flavor:?}: recv of tag {tag}: {e}"));
+            got
+        })
+        .collect();
+    // A duplicate of the last message may still be on its way over a
+    // socket: wait for the counters to hold still.
+    let mut stats: Vec<_> = eps.iter().map(|ep| ep.stats()).collect();
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let now: Vec<_> = eps.iter().map(|ep| ep.stats()).collect();
+        if now == stats {
+            break;
+        }
+        stats = now;
+    }
+    teardown(&eps);
+    assert_eq!(got, payloads, "{flavor:?}, lending={lending}: bytes differ");
+    (got, stats)
+}
+
+#[test]
+fn lending_send_and_recv_move_what_send_and_recv_move() {
+    // Patient enough that a socket never retransmits a frame whose ack is
+    // merely slow (an 8 MiB frame in an unoptimised build), so repair work
+    // is the adversary's verdicts alone — identical on both paths.
+    let patient = RetryPolicy {
+        max_retries: 64,
+        base: Duration::from_millis(400),
+        cap: Duration::from_millis(400),
+    };
+    let lossy = PerturbPlan::seeded(4)
+        .all_links(
+            LinkPerturb::clean()
+                .drop(0.1)
+                .duplicate(0.2)
+                .corrupt(0.1)
+                .reorder(0.1),
+        )
+        .retry(patient);
+    for flavor in ALL_FLAVORS {
+        // In process a clean fabric has no plan at all: that is the fabric
+        // whose large frames are handed over whole.
+        let clean = (flavor != Flavor::InProc).then(|| PerturbPlan::none().retry(patient));
+        for plan in [clean.as_ref(), Some(&lossy)] {
+            let (_, plain) = exchange(flavor, plan, false);
+            let (_, lent) = exchange(flavor, plan, true);
+            let ctx = format!(
+                "{flavor:?}, perturbed={}",
+                plan.is_some_and(|p| !p.is_inert())
+            );
+            assert_eq!(lent, plain, "{ctx}: traffic counters differ");
+            let sender = lent[0];
+            assert_eq!(sender.messages, LENDING_SIZES.len() as u64, "{ctx}");
+            let bytes: usize = LENDING_SIZES.iter().sum();
+            assert_eq!(sender.bytes, bytes as u64, "{ctx}");
+            let sum = |f: fn(&transport::FabricStats) -> u64| lent.iter().map(f).sum::<u64>();
+            assert_eq!(sum(|s| s.deaths + s.suspicions), 0, "{ctx}");
+            if plan == Some(&lossy) {
+                // The seed exercises every kind of repair.
+                assert!(sum(|s| s.retransmits) > 0, "{ctx}: nothing was lost");
+                assert!(
+                    sum(|s| s.corrupt_frames) > 0,
+                    "{ctx}: nothing was corrupted"
+                );
+                assert!(
+                    sum(|s| s.dup_suppressed) > 0,
+                    "{ctx}: nothing was duplicated"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn clean_teardown_is_prompt_and_never_a_suspicion() {
     for flavor in ALL_FLAVORS {
