@@ -17,7 +17,7 @@
 //! forward-recovery argument.
 
 use crate::comm::PeerComm;
-use crate::elem::{recv_elems, send_elems, Elem, ReduceOp};
+use crate::elem::{exchange, recv_elems, send_elems, Elem, ReduceOp};
 use crate::error::CollError;
 use telemetry::{Counter, Lazy};
 
@@ -164,11 +164,10 @@ pub fn ring_allreduce<E: Elem, C: PeerComm>(
         comm.fault_point("allreduce.step")?;
         let send_chunk = (r + 2 * p - step) % p;
         let recv_chunk = (r + 2 * p - step - 1) % p;
-        let tag = tag_base + step as u64;
-        let out = &buf[chunk_range(n, p, send_chunk)];
-        send_elems(comm, right, tag, out)?;
-        let into = &mut buf[chunk_range(n, p, recv_chunk)];
-        recv_elems(comm, left, tag, (step < p - 1).then_some(op), into)?;
+        let reduce = (step < p - 1).then_some(op);
+        let send = (right, chunk_range(n, p, send_chunk));
+        let recv = (left, chunk_range(n, p, recv_chunk), reduce);
+        exchange(comm, buf, tag_base + step as u64, send, recv)?;
     }
     Ok(())
 }
@@ -253,9 +252,9 @@ pub fn recursive_doubling_allreduce<E: Elem, C: PeerComm>(
         while mask < pof2 {
             comm.fault_point("allreduce.step")?;
             let partner = unmap_vrank(v ^ mask, rem);
-            let tag = tag_base + 1 + step;
-            send_elems(comm, partner, tag, buf)?;
-            recv_elems(comm, partner, tag, Some(op), buf)?;
+            let all = 0..buf.len();
+            let recv = (partner, all.clone(), Some(op));
+            exchange(comm, buf, tag_base + 1 + step, (partner, all), recv)?;
             mask <<= 1;
             step += 1;
         }
@@ -309,13 +308,11 @@ pub fn rabenseifner_allreduce<E: Elem, C: PeerComm>(
                 std::mem::swap(&mut mine, &mut theirs);
             }
             if halving {
-                let tag = tag_base + 1 + step;
-                send_elems(comm, partner, tag, &buf[theirs])?;
-                recv_elems(comm, partner, tag, Some(op), &mut buf[mine])?;
+                let recv = (partner, mine, Some(op));
+                exchange(comm, buf, tag_base + 1 + step, (partner, theirs), recv)?;
             } else {
-                let tag = tag_base + 200 + step;
-                send_elems(comm, partner, tag, &buf[mine])?;
-                recv_elems(comm, partner, tag, None, &mut buf[theirs])?;
+                let recv = (partner, theirs, None);
+                exchange(comm, buf, tag_base + 200 + step, (partner, mine), recv)?;
             }
         }
     }

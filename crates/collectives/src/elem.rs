@@ -2,6 +2,7 @@
 
 use crate::comm::PeerComm;
 use crate::error::CollError;
+use std::ops::Range;
 use transport::Wire;
 
 /// Reduction operator applied element-wise by reduce-style collectives.
@@ -151,6 +152,44 @@ pub(crate) fn recv_elems<E: Elem, C: PeerComm>(
         };
     })?;
     folded
+}
+
+/// Bytes per message of a paired step: a larger chunk streams as segments
+/// of this size, each one's encode, hand-over and fold staying in L2
+/// (DESIGN §10, "What one payload byte touches").
+pub const SEGMENT_BYTES: usize = 256 << 10;
+
+/// One paired step under `tag`: send `buf[send]` to `to` and receive
+/// `buf[recv]` from `from`, folded in under `Some(op)`, overwritten under
+/// `None`. The ranges are disjoint or identical (recursive doubling). Each
+/// travels as ⌈bytes / [`SEGMENT_BYTES`]⌉ messages, at least one, kept in
+/// order by their `(src, tag)` channel; segment k is sent, then received,
+/// so it is sent before it is folded over. On an error the segments before
+/// the failing one are folded and it is untouched: a refused segment
+/// (`Malformed`) leaves the partial state a dead peer does.
+pub(crate) fn exchange<E: Elem, C: PeerComm>(
+    comm: &C,
+    buf: &mut [E],
+    tag: u64,
+    (to, send): (usize, Range<usize>),
+    (from, recv, op): (usize, Range<usize>, Option<ReduceOp>),
+) -> Result<(), CollError> {
+    let seg = SEGMENT_BYTES / E::WIDTH;
+    let segment = |r: &Range<usize>, k: usize| {
+        let lo = (r.start + k * seg).min(r.end);
+        lo..(lo + seg).min(r.end)
+    };
+    let count = |r: &Range<usize>| r.len().div_ceil(seg).max(1);
+    let (sends, recvs) = (count(&send), count(&recv));
+    for k in 0..sends.max(recvs) {
+        if k < sends {
+            send_elems(comm, to, tag, &buf[segment(&send, k)])?;
+        }
+        if k < recvs {
+            recv_elems(comm, from, tag, op, &mut buf[segment(&recv, k)])?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -85,7 +85,7 @@ pub use allreduce::{
 pub use barrier::dissemination_barrier;
 pub use bcast::binomial_bcast;
 pub use comm::PeerComm;
-pub use elem::{copy_from_le, reduce_from_le, Elem, ReduceOp};
+pub use elem::{copy_from_le, reduce_from_le, Elem, ReduceOp, SEGMENT_BYTES};
 pub use error::CollError;
 pub use fusion::{
     fused_allreduce, observe_bucket, plan_buckets, FusionBuffer, DEFAULT_FUSION_BYTES,

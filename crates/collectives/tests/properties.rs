@@ -7,11 +7,12 @@
 use collectives::{
     allgather, allreduce, binomial_bcast, binomial_reduce, bruck_allgather, copy_from_le, gather,
     hier_allreduce, recursive_doubling_allreduce, reduce_from_le, ring_allgather, AllgatherAlgo,
-    AllreduceAlgo, CollError, Elem, NodeMap, PeerComm, ReduceOp,
+    AllreduceAlgo, CollError, Elem, NodeMap, PeerComm, ReduceOp, SEGMENT_BYTES,
 };
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use transport::wire::{encode_frame_with, fill_payload, verify_frame, Fill};
 use transport::{Endpoint, Fabric, FaultInjector, FaultPlan, RankId, Topology, TransportError};
@@ -124,7 +125,7 @@ impl PeerComm for Babbler {
         Ok(self.reply.clone())
     }
     fn send_with(&self, _peer: usize, tag: u64, len: usize, f: Fill<'_>) -> Result<(), CollError> {
-        let frame = encode_frame_with(RankId(self.rank), tag, 0, len, f);
+        let frame = encode_frame_with(Vec::new(), RankId(self.rank), tag, 0, len, f);
         let payload = verify_frame(frame).expect("a fresh frame verifies").payload;
         self.sent.borrow_mut().push(payload.into_vec());
         Ok(())
@@ -739,4 +740,237 @@ codec_props! {
     bulk_codec_is_the_element_codec_u64: u64, any::<u64>(), INT_OPS;
     bulk_codec_is_the_element_codec_i32: i32, any::<i32>(), INT_OPS;
     bulk_codec_is_the_element_codec_i64: i64, any::<i64>(), INT_OPS;
+}
+
+// ---- the segmented exchange is the single-message exchange ----------------
+
+/// Element range of chunk `i` when `n` elements are split `k` ways, as the
+/// algorithms split them.
+fn chunk(n: usize, k: usize, i: usize) -> std::ops::Range<usize> {
+    i * n / k..(i + 1) * n / k
+}
+
+/// Every rank's result in the fold order of the single-message schedules —
+/// each received chunk folded whole as `dst = combine(op, dst, src)` —
+/// computed sequentially from the inputs.
+fn single_message_reference<E: Elem>(
+    algo: AllreduceAlgo,
+    op: ReduceOp,
+    ins: &[Vec<E>],
+) -> Vec<Vec<E>> {
+    let (p, n) = (ins.len(), ins[0].len());
+    let f = |d, s| E::combine(op, d, s);
+    if algo == AllreduceAlgo::Ring {
+        // Chunk c sets out from rank c and travels right, each rank folding
+        // the partial result it receives into its own input.
+        let mut out = ins[0].clone();
+        for c in 0..p {
+            for i in chunk(n, p, c) {
+                out[i] = (1..p).fold(ins[c][i], |acc, j| f(ins[(c + j) % p][i], acc));
+            }
+        }
+        return vec![out; p];
+    }
+    // Odd ranks among the first 2·rem fold in their even neighbour, leaving
+    // a power of two of virtual ranks; each even one gets its partner's
+    // result back at the end.
+    let pof2 = 1 << p.ilog2();
+    let rem = p - pof2;
+    let fold = |d: &[E], s: &[E]| d.iter().zip(s).map(|(&d, &s)| f(d, s)).collect::<Vec<E>>();
+    let mut b: Vec<Vec<E>> = (0..pof2)
+        .map(|v| match v < rem {
+            true => fold(&ins[2 * v + 1], &ins[2 * v]),
+            false => ins[v + rem].clone(),
+        })
+        .collect();
+    let vrank = |r: usize| if r < 2 * rem { r / 2 } else { r - rem };
+    if algo == AllreduceAlgo::RecursiveDoubling {
+        for mask in (0..pof2.ilog2()).map(|s| 1 << s) {
+            let old = b.clone();
+            for (v, mine) in b.iter_mut().enumerate() {
+                *mine = fold(&old[v], &old[v ^ mask]);
+            }
+        }
+        return (0..p).map(|r| b[vrank(r)].clone()).collect();
+    }
+    // Rabenseifner: at distance `mask` each virtual rank folds its partner's
+    // copy of the half it keeps; the doubling half only copies.
+    let block = |a, z| chunk(n, pof2, a).start..chunk(n, pof2, z).start;
+    for mask in (0..pof2.ilog2()).rev().map(|s| 1 << s) {
+        for v in 0..pof2 {
+            let lo = v & !(2 * mask - 1);
+            let keep = match v & mask {
+                0 => block(lo, lo + mask),
+                _ => block(lo + mask, lo + 2 * mask),
+            };
+            for i in keep {
+                b[v][i] = f(b[v][i], b[v ^ mask][i]);
+            }
+        }
+    }
+    let out = (0..n).map(|i| b[(0..pof2).find(|&c| chunk(n, pof2, c).contains(&i)).unwrap()][i]);
+    vec![out.collect(); p]
+}
+
+/// A comm that logs the payload bytes of every message it sends, with its
+/// tag; everything passes through, lending included.
+struct Logged {
+    inner: PropComm,
+    sent: RefCell<Vec<(u64, usize)>>,
+}
+
+impl PeerComm for Logged {
+    fn size(&self) -> usize {
+        self.inner.size()
+    }
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+    fn send(&self, peer: usize, tag: u64, data: &[u8]) -> Result<(), CollError> {
+        self.sent.borrow_mut().push((tag, data.len()));
+        self.inner.send(peer, tag, data)
+    }
+    fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, CollError> {
+        self.inner.recv(peer, tag)
+    }
+    fn send_with(&self, peer: usize, tag: u64, len: usize, f: Fill<'_>) -> Result<(), CollError> {
+        self.sent.borrow_mut().push((tag, len));
+        self.inner.send_with(peer, tag, len, f)
+    }
+    fn recv_with(&self, peer: usize, tag: u64, f: &mut dyn FnMut(&[u8])) -> Result<(), CollError> {
+        self.inner.recv_with(peer, tag, f)
+    }
+    fn fault_point(&self, name: &str) -> Result<(), CollError> {
+        self.inner.fault_point(name)
+    }
+}
+
+/// Every algorithm at p ∈ {2, 3, 4, 5}, with per-chunk lengths on each side
+/// of a segment boundary — equal chunks and chunks one element apart: each
+/// rank ends bit-identical to the single-message reference, and each paired
+/// step sends ⌈chunk bytes / SEGMENT_BYTES⌉ messages (at least one), full
+/// segments then the rest — so a chunk of at most one segment is one message,
+/// as before segmenting. Fold and unfold stay one message.
+fn check_segmented<E: Elem>(value: impl Fn(usize, usize) -> E + Sync) {
+    let seg = SEGMENT_BYTES / E::WIDTH;
+    let algos = [
+        AllreduceAlgo::Ring,
+        AllreduceAlgo::RecursiveDoubling,
+        AllreduceAlgo::Rabenseifner,
+    ];
+    for algo in algos {
+        for p in 2usize..=5 {
+            // Chunks the buffer is cut into for the paired steps.
+            let k = match algo {
+                AllreduceAlgo::Ring => p,
+                AllreduceAlgo::Rabenseifner => 1 << p.ilog2(),
+                _ => 1,
+            };
+            for len in [0, 1, seg - 1, seg, seg + 1, 3 * seg + 5] {
+                for n in [k * len, k * len + k / 2]
+                    .into_iter()
+                    .collect::<BTreeSet<_>>()
+                {
+                    let ins: Vec<Vec<E>> = (0..p)
+                        .map(|r| (0..n).map(|i| value(r, i)).collect())
+                        .collect();
+                    let want = single_message_reference(algo, ReduceOp::Sum, &ins);
+                    let results = run_group(p, FaultPlan::none(), |comm| {
+                        let r = comm.rank();
+                        let comm = Logged {
+                            inner: comm,
+                            sent: RefCell::default(),
+                        };
+                        let mut buf = ins[r].clone();
+                        allreduce(&comm, &mut buf, ReduceOp::Sum, algo, 0).unwrap();
+                        (buf, comm.sent.into_inner())
+                    });
+                    let ctx = format!("{algo:?} p={p} n={n} width={}", E::WIDTH);
+                    for (r, (got, sent)) in results.iter().enumerate() {
+                        assert!(
+                            bytes_of(got) == bytes_of(&want[r]),
+                            "{ctx} rank {r}: result"
+                        );
+                        let mut steps: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+                        for &(tag, bytes) in sent {
+                            steps.entry(tag).or_default().push(bytes);
+                        }
+                        for (tag, sizes) in steps {
+                            let ctx = format!("{ctx} rank {r} tag {tag}: {sizes:?}");
+                            let total: usize = sizes.iter().sum();
+                            if algo != AllreduceAlgo::Ring && [0, 100, 500].contains(&tag) {
+                                assert_eq!(sizes, [n * E::WIDTH], "{ctx}: fold or unfold");
+                                continue;
+                            }
+                            if algo == AllreduceAlgo::Ring {
+                                let step = tag as usize;
+                                let out = chunk(n, p, (r + 2 * p - step) % p).len();
+                                assert_eq!(total, out * E::WIDTH, "{ctx}: chunk");
+                            }
+                            let count = total.div_ceil(SEGMENT_BYTES).max(1);
+                            assert_eq!(sizes.len(), count, "{ctx}: messages");
+                            let (last, full) = sizes.split_last().unwrap();
+                            assert!(full.iter().all(|&s| s == SEGMENT_BYTES), "{ctx}");
+                            assert!(*last <= SEGMENT_BYTES, "{ctx}");
+                            if total <= SEGMENT_BYTES {
+                                assert_eq!(sizes.len(), 1, "{ctx}: one message as before");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn segments_of_f32_fold_as_the_single_message_exchange() {
+    // Sevenths: their sums round, so a changed fold order changes bits.
+    check_segmented(|r, i| ((r * 1_000_003 + i * 7919) % 2003) as f32 / 7.0 - 95.0);
+}
+
+#[test]
+fn segments_of_u64_fold_as_the_single_message_exchange() {
+    check_segmented(|r, i| (r as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i as u64);
+}
+
+/// A refused segment leaves its own elements untouched and the segments
+/// before it folded: the partial state a peer that died before sending it
+/// leaves behind.
+#[test]
+fn segments_a_refused_one_leaves_the_partial_state_of_a_dead_peer() {
+    let seg = SEGMENT_BYTES / 8;
+    let n = 2 * (3 * seg + 5);
+    let ins = inputs(2, n, 9);
+    // Rank 1's second message is segment 1 of its first ring step: cut one
+    // element short, or never sent because rank 1 dies at that third
+    // operation (send, receive, send).
+    let run = |plan: FaultPlan, mangle: bool| {
+        run_group(2, plan, |comm| {
+            let me = comm.rank();
+            let comm = Mangler {
+                inner: comm,
+                nth: if me == 1 && mangle { 1 } else { usize::MAX },
+                how: Mangle::Truncated,
+                sends: Cell::new(0),
+                mangled_to: Cell::new(None),
+            };
+            let mut buf = ins[me].clone();
+            let out = allreduce(&comm, &mut buf, ReduceOp::Sum, AllreduceAlgo::Ring, 0);
+            (out, buf)
+        })
+    };
+    let refused = run(FaultPlan::none(), true);
+    let died = run(FaultPlan::none().kill_at_op(RankId(1), 3), false);
+    assert_eq!(refused[0].0, Err(CollError::Malformed { peer: 1 }));
+    assert_eq!(died[0].0, Err(CollError::PeerFailed { peer: 1 }));
+    // Rank 0 receives chunk 1 in its first step: segment 0 is folded, the
+    // rest of the buffer is still its own input.
+    let mut want = ins[0].clone();
+    let start = chunk(n, 2, 1).start;
+    for i in start..start + seg {
+        want[i] += ins[1][i];
+    }
+    assert!(refused[0].1 == want, "refused segment: partial state");
+    assert!(died[0].1 == want, "dead peer: partial state");
 }

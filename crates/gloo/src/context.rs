@@ -142,9 +142,14 @@ impl Context {
         telemetry::counter("gloo.context.poisonings").incr();
         self.poisoned.store(true, Ordering::SeqCst);
         match e {
-            TransportError::PeerDead(g) => GlooError::PeerFailure { global: g },
+            // A rank the fabric never registered is as unreachable as a dead one.
+            TransportError::PeerDead(g) | TransportError::UnknownRank(g) => {
+                GlooError::PeerFailure { global: g }
+            }
             TransportError::SelfDied => GlooError::SelfDied,
-            other => unreachable!("unexpected transport error: {other}"),
+            // The handshake's receives pass neither a deadline nor a stop
+            // condition; were either to fire, the context is unusable.
+            TransportError::Timeout | TransportError::Stopped => GlooError::Poisoned,
         }
     }
 
@@ -292,11 +297,18 @@ fn recv_failure(peer: usize, e: TransportError) -> CollError {
     }
 }
 
+/// The transport error of one message — a whole payload or one segment of
+/// a paired step — as the collective's error.
 fn map_transport_to_coll(e: TransportError) -> CollError {
     match e {
-        TransportError::PeerDead(_) => CollError::PeerFailed { peer: usize::MAX },
+        TransportError::PeerDead(_) | TransportError::UnknownRank(_) => {
+            CollError::PeerFailed { peer: usize::MAX }
+        }
         TransportError::SelfDied => CollError::SelfDied,
-        other => unreachable!("unexpected transport error: {other}"),
+        // `recv_failure` takes a receive's timeout, and no gloo receive
+        // passes a stop condition; were either to reach here, the context
+        // is unusable, which is what `Aborted` poisons it as.
+        TransportError::Timeout | TransportError::Stopped => CollError::Aborted,
     }
 }
 
@@ -331,6 +343,27 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         })
+    }
+
+    #[test]
+    fn every_transport_error_is_a_typed_collective_error() {
+        use TransportError::*;
+        let failed = |peer| CollError::PeerFailed { peer };
+        let cases = [
+            (PeerDead(RankId(1)), failed(2), failed(usize::MAX)),
+            (
+                UnknownRank(RankId(9)),
+                failed(usize::MAX),
+                failed(usize::MAX),
+            ),
+            (SelfDied, CollError::SelfDied, CollError::SelfDied),
+            (Timeout, CollError::Aborted, failed(2)),
+            (Stopped, CollError::Aborted, CollError::Aborted),
+        ];
+        for (e, sent, received) in cases {
+            assert_eq!(send_failure(2, e.clone()), sent, "send: {e}");
+            assert_eq!(recv_failure(2, e), received, "recv");
+        }
     }
 
     #[test]

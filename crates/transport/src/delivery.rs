@@ -14,11 +14,12 @@
 
 use crate::backend::{Backend, SignalHandler};
 use crate::error::TransportError;
+use crate::fabric::HAND_OVER_MIN;
 use crate::fault::{FaultInjector, RankFaults};
 use crate::ids::{RankId, Topology};
 use crate::mailbox::{FrameAck, Mailbox, RecvOutcome};
 use crate::perturb::{PerturbPlan, Perturber, RetryPolicy, Verdict};
-use crate::wire::{self, Fill, Payload};
+use crate::wire::{self, Fill, Payload, FRAME_HEADER, FRAME_TRAILER};
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -55,6 +56,7 @@ mod telem {
     pub(super) static SUSPICIONS: Lazy<Counter> = Lazy::counter("transport.suspicions");
     pub(super) static SUSPICION_COALESCED: Lazy<Counter> =
         Lazy::counter("transport.suspicion.coalesced");
+    pub(super) static FRAMES_RECYCLED: Lazy<Counter> = Lazy::counter("transport.frames_recycled");
     pub(super) static DELAY_HIST: Lazy<Histogram> = Lazy::histogram("transport.perturb.delay_ns");
     pub(super) static BACKOFF_HIST: Lazy<Histogram> =
         Lazy::histogram("transport.retransmit.backoff_ns");
@@ -130,9 +132,9 @@ impl AtomicTimeout {
     }
 }
 
-/// What only a rank's *own* sends write: its sequence numbers and traffic
-/// counts. On cache lines of its own, so a sender never invalidates a line
-/// its peers read (`alive`) or write (the mailbox in `port`).
+/// What only a rank's *own* sends and receives write: sequence numbers,
+/// traffic counts, a spare frame. On cache lines of its own, so a sender never
+/// invalidates a line its peers read (`alive`) or write (the mailbox in `port`).
 #[derive(Default)]
 #[repr(align(64))]
 struct Tx {
@@ -142,6 +144,26 @@ struct Tx {
     messages: AtomicU64,
     /// Payload bytes of those.
     bytes: AtomicU64,
+    /// The last frame handed to this rank whole, once lent: its next large
+    /// send is encoded into it (DESIGN §10, "Which buffer crosses threads").
+    spare: Mutex<Vec<u8>>,
+}
+
+impl Tx {
+    /// The buffer to encode a `len`-byte payload into: the spare, if the
+    /// payload may be handed over and the spare fits its frame; a spare that
+    /// does not fit is dropped, never grown.
+    fn frame_buffer(&self, len: usize) -> Vec<u8> {
+        if len < HAND_OVER_MIN {
+            return Vec::new();
+        }
+        let spare = std::mem::take(&mut *self.spare.lock());
+        if spare.capacity() < FRAME_HEADER + len + FRAME_TRAILER {
+            return Vec::new();
+        }
+        telem::FRAMES_RECYCLED.incr();
+        spare
+    }
 }
 
 /// One rank in an engine's peer table: the liveness flag, the sender-side
@@ -630,7 +652,8 @@ impl<L: Link> Backend for L {
         let seq = mine.next_tx_seq(to, tag);
         // Encoded once, the payload written straight into it; every
         // (re)transmission on a clean link hands off this same buffer.
-        let mut frame = L::Frame::from(wire::encode_frame_with(me, tag, seq, len, f));
+        let buf = mine.tx.frame_buffer(len);
+        let mut frame = L::Frame::from(wire::encode_frame_with(buf, me, tag, seq, len, f));
         let mut perturber = eng.perturber();
         let policy = perturber
             .as_deref()
@@ -726,7 +749,14 @@ impl<L: Link> Backend for L {
         deadline: Option<Instant>,
         f: &mut dyn FnMut(&[u8]),
     ) -> Result<(), TransportError> {
-        receive(self, from, tag, should_stop, deadline).map(|payload| f(&payload))
+        let payload = receive(self, from, tag, should_stop, deadline)?;
+        f(&payload);
+        // A frame handed over whole, lent and done with, is this rank's next
+        // send buffer; a copied payload has no frame to give.
+        if let Some(frame) = payload.into_frame() {
+            *self.me().tx.spare.lock() = frame;
+        }
+        Ok(())
     }
 
     fn try_recv(&self, from: RankId, tag: u64) -> Option<Vec<u8>> {

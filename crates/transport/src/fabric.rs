@@ -13,7 +13,8 @@ use std::time::{Duration, Instant};
 
 /// Smallest payload whose frame an in-process send gives to the receiver
 /// rather than a copy of its payload: below it the copy is cheaper (DESIGN
-/// §10, "Which buffer crosses threads").
+/// §10, "Which buffer crosses threads"). Also the smallest send that is
+/// encoded into the last frame its rank was given.
 pub(crate) const HAND_OVER_MIN: usize = 4 << 10;
 
 /// The shared interconnect + runtime failure detector.

@@ -148,6 +148,12 @@ impl Payload {
         self.buf.drain(..self.start);
         self.buf
     }
+
+    /// The whole frame this payload was verified in, for
+    /// [`encode_frame_with`] to write over; `None` for a payload copied out.
+    pub(crate) fn into_frame(self) -> Option<Vec<u8>> {
+        (self.start == FRAME_HEADER).then_some(self.buf)
+    }
 }
 
 impl From<Vec<u8>> for Payload {
@@ -309,7 +315,8 @@ pub fn fill_payload(len: usize, mut fill: impl FnMut(usize, &mut [u8])) -> Vec<u
     out
 }
 
-/// What writes a payload in place: called as [`fill_payload`] calls it.
+/// What writes a payload in place: called as [`fill_payload`] calls it. It
+/// must write every byte of its chunk, which may hold a spent frame's bytes.
 pub type Fill<'a> = &'a mut dyn FnMut(usize, &mut [u8]);
 
 /// Zeroes to grow a payload by, a chunk at a time, before it is written
@@ -317,11 +324,22 @@ pub type Fill<'a> = &'a mut dyn FnMut(usize, &mut [u8]);
 /// skips glibc's per-thread cache.
 static ZEROS: [u8; FILL_CHUNK] = [0; FILL_CHUNK];
 
-/// Encode one link frame whose `len`-byte payload `fill(at, chunk)` writes
-/// in place a [`FILL_CHUNK`] at a time; the checksum absorbs each chunk
-/// while it is in L1, so producing the payload and framing it are one pass.
-/// Panics if `len` exceeds `u32::MAX`.
+/// `out[at..at + n]`, grown by zeroes past `out`'s end (`at <= out.len()`,
+/// `n <= FILL_CHUNK`).
+fn place(out: &mut Vec<u8>, at: usize, n: usize) -> &mut [u8] {
+    if out.len() < at + n {
+        out.extend_from_slice(&ZEROS[..at + n - out.len()]);
+    }
+    &mut out[at..at + n]
+}
+
+/// Encode one link frame into `out` (a spent frame, or `Vec::new()`) whose
+/// `len`-byte payload `fill(at, chunk)` writes in place a [`FILL_CHUNK`] at a
+/// time; the checksum absorbs each chunk while it is in L1, so producing the
+/// payload and framing it are one pass. Bytes in `out` are written over, not
+/// zeroed first. Panics if `len` exceeds `u32::MAX`.
 pub fn encode_frame_with(
+    mut out: Vec<u8>,
     src: RankId,
     tag: u64,
     seq: u64,
@@ -329,29 +347,32 @@ pub fn encode_frame_with(
     mut fill: impl FnMut(usize, &mut [u8]),
 ) -> Vec<u8> {
     let len32 = u32::try_from(len).expect("frame payload exceeds u32::MAX bytes");
-    let mut out = Vec::with_capacity(FRAME_HEADER + len + FRAME_TRAILER);
-    FRAME_MAGIC.write(&mut out);
-    (src.0 as u64).write(&mut out);
-    tag.write(&mut out);
-    seq.write(&mut out);
-    len32.write(&mut out);
+    let total = FRAME_HEADER + len + FRAME_TRAILER;
+    out.truncate(total);
+    out.reserve_exact(total - out.len());
+    let header = place(&mut out, 0, FRAME_HEADER);
+    FRAME_MAGIC.write_to(&mut header[0..4]);
+    (src.0 as u64).write_to(&mut header[4..12]);
+    tag.write_to(&mut header[12..20]);
+    seq.write_to(&mut header[20..28]);
+    len32.write_to(&mut header[28..32]);
     let mut sum = Checksum::new();
-    sum.absorb(&out);
+    sum.absorb(header);
     for at in (0..len).step_by(FILL_CHUNK) {
-        out.extend_from_slice(&ZEROS[..FILL_CHUNK.min(len - at)]);
-        let chunk = &mut out[FRAME_HEADER + at..];
+        let chunk = place(&mut out, FRAME_HEADER + at, FILL_CHUNK.min(len - at));
         fill(at, chunk);
         sum.absorb(split_blocks(chunk).0);
     }
-    let check = sum.finish(split_blocks(&out[FRAME_HEADER..]).1, FRAME_HEADER + len);
-    check.write(&mut out);
+    let tail = split_blocks(&out[FRAME_HEADER..FRAME_HEADER + len]).1;
+    let check = sum.finish(tail, FRAME_HEADER + len);
+    check.write_to(place(&mut out, FRAME_HEADER + len, FRAME_TRAILER));
     out
 }
 
 /// Encode one link frame around a copy of `payload`; see
 /// [`encode_frame_with`].
 pub fn encode_frame(src: RankId, tag: u64, seq: u64, payload: &[u8]) -> Vec<u8> {
-    encode_frame_with(src, tag, seq, payload.len(), |at, chunk| {
+    encode_frame_with(Vec::new(), src, tag, seq, payload.len(), |at, chunk| {
         chunk.copy_from_slice(&payload[at..at + chunk.len()]);
     })
 }
@@ -533,22 +554,52 @@ mod tests {
         }
     }
 
+    /// A frame as the layout above documents it, built without the encoder.
+    fn documented_frame(src: usize, tag: u64, seq: u64, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        FRAME_MAGIC.write(&mut out);
+        (src as u64).write(&mut out);
+        tag.write(&mut out);
+        seq.write(&mut out);
+        (payload.len() as u32).write(&mut out);
+        out.extend_from_slice(payload);
+        fnv1a64(&out).write(&mut out);
+        out
+    }
+
     #[test]
     fn a_frame_filled_in_place_is_the_frame_of_a_copy() {
         // Every length across three fill chunks and a ragged tail: each
-        // chunk boundary, each partial last block.
+        // chunk boundary, each partial last block — into a fresh buffer and
+        // over a spent frame that is dirty, too small or too large. A buffer
+        // that holds the frame is written where it lies.
         for len in 0..=3 * FILL_CHUNK + 33 {
             let payload = pattern(len);
+            let want = documented_frame(4, 11, 2, &payload);
+            let total = want.len();
             let mut calls = Vec::new();
-            let filled = encode_frame_with(RankId(4), 11, 2, len, |at, chunk| {
+            let filled = encode_frame_with(Vec::new(), RankId(4), 11, 2, len, |at, chunk| {
                 calls.push((at, chunk.len()));
                 chunk.copy_from_slice(&payload[at..at + chunk.len()]);
             });
+            assert_eq!(filled, want, "length {len}");
             assert_eq!(
                 filled,
                 encode_frame(RankId(4), 11, 2, &payload),
                 "length {len}"
             );
+            for (what, spent) in [
+                ("dirty", vec![0xab; total]),
+                ("too small", vec![0xcd; total / 2]),
+                ("too large", vec![0xef; total + 3 * FILL_CHUNK + 7]),
+            ] {
+                let (fits, at) = (spent.capacity() >= total, spent.as_ptr());
+                let over = encode_frame_with(spent, RankId(4), 11, 2, len, |at, chunk| {
+                    chunk.copy_from_slice(&payload[at..at + chunk.len()]);
+                });
+                assert_eq!(over, want, "length {len}, {what} buffer");
+                assert!(!fits || over.as_ptr() == at, "length {len}: {what} moved");
+            }
             let mut plain_calls = Vec::new();
             let plain = fill_payload(len, |at, chunk| {
                 plain_calls.push((at, chunk.len()));

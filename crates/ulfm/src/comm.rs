@@ -228,7 +228,9 @@ impl Communicator {
 
     fn map_transport(&self, e: TransportError) -> UlfmError {
         match e {
-            TransportError::PeerDead(g) => UlfmError::ProcFailed {
+            // A rank the endpoint never knew is dead in its alive table too,
+            // so the failure agreement removes it like any other.
+            TransportError::PeerDead(g) | TransportError::UnknownRank(g) => UlfmError::ProcFailed {
                 peer: self
                     .group
                     .iter()
@@ -238,7 +240,9 @@ impl Communicator {
             },
             TransportError::SelfDied => UlfmError::SelfDied,
             TransportError::Stopped => UlfmError::Revoked,
-            other => unreachable!("unexpected transport error: {other}"),
+            TransportError::Timeout => {
+                unreachable!("no ULFM receive passes a deadline; a suspicion stall is PeerDead")
+            }
         }
     }
 
@@ -922,9 +926,12 @@ impl Adapter<'_> {
         self.respect_revoke && self.comm.is_revoked()
     }
 
+    /// The transport error of one message — a whole payload or one segment
+    /// of a paired step — as the collective's error.
     fn map(&self, e: TransportError) -> CollError {
         match e {
-            TransportError::PeerDead(g) => CollError::PeerFailed {
+            // An unknown rank is dead in the alive table, as above.
+            TransportError::PeerDead(g) | TransportError::UnknownRank(g) => CollError::PeerFailed {
                 peer: self
                     .comm
                     .group
@@ -934,7 +941,9 @@ impl Adapter<'_> {
             },
             TransportError::SelfDied => CollError::SelfDied,
             TransportError::Stopped => CollError::Revoked,
-            other => unreachable!("unexpected transport error: {other}"),
+            TransportError::Timeout => {
+                unreachable!("adapter receives pass no deadline; a suspicion stall is PeerDead")
+            }
         }
     }
 }
@@ -993,6 +1002,26 @@ impl PeerComm for Adapter<'_> {
 mod tests {
     use super::*;
     use crate::malformed_variants;
+    use crate::universe::Universe;
+    use transport::Topology;
+
+    #[test]
+    fn a_refused_message_aborts_rather_than_shrinks() {
+        // A refused payload or segment comes from a live peer, which no
+        // shrink removes: the member leaves instead of redoing forever.
+        let u = Universe::without_faults(Topology::flat());
+        let run = |proc: crate::Proc| {
+            let comm = proc.init_comm();
+            let unknown = comm.map_transport(TransportError::UnknownRank(RankId(7)));
+            (comm.map_coll(CollError::Malformed { peer: 0 }), unknown)
+        };
+        let h = u.spawn_batch(1, run).unwrap().pop().unwrap();
+        let unknown = UlfmError::ProcFailed {
+            peer: usize::MAX,
+            global: RankId(7),
+        };
+        assert_eq!(h.join(), (UlfmError::Aborted, unknown));
+    }
 
     #[test]
     fn split_and_commit_decoders_refuse_what_a_peer_must_not_send() {
