@@ -484,7 +484,7 @@ impl<'a> Worker<'a> {
                     Err(UlfmError::JoinTimeout) => {
                         // Orphaned: the group completed, degraded to running
                         // shrunk, or partitioned away without ever ticketing
-                        // us.
+                        // us — or the join store itself was lost.
                         telemetry::counter(if role == Role::Spare {
                             "elastic.spare.ticket_timeouts"
                         } else {

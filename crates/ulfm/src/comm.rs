@@ -99,16 +99,10 @@ impl Communicator {
             epoch: ticket.epoch,
             group: ticket.group.clone(),
         };
-        let id = match ticket.comm_id {
-            // Adopt the members' interned id so this (possibly fresh)
-            // process's id sequence aligns with theirs from here on.
-            Some(id) => {
-                shared.adopt_comm_id(key, id);
-                id
-            }
-            None => shared.intern_comm(key),
-        };
-        Self::construct(shared, ep, id, ticket.group.clone())
+        // Adopt the members' interned id so this (possibly fresh)
+        // process's id sequence aligns with theirs from here on.
+        shared.adopt_comm_id(key, ticket.comm_id);
+        Self::construct(shared, ep, ticket.comm_id, ticket.group.clone())
     }
 
     /// Group-local rank of this process.
@@ -696,9 +690,7 @@ impl Communicator {
     ) -> Result<(u64, u64, Vec<RankId>), UlfmError> {
         let mut payload = Vec::new();
         if let Some((word, ranks)) = proposal {
-            let mut words = vec![self.shared.next_join_epoch(), word, ranks.len() as u64];
-            words.extend(ranks.iter().map(|r| r.0 as u64));
-            payload = u64::encode_slice(&words);
+            payload = encode_commit_record(self.shared.next_join_epoch(), word, &ranks);
         }
         // The broadcast tears itself down reliably on failure (poison
         // frames unwind the tree), so no member stays blocked and — just
@@ -755,7 +747,7 @@ impl Communicator {
         let ticket = JoinTicket {
             group: merged.clone(),
             epoch,
-            comm_id: Some(id),
+            comm_id: id,
         };
         // Committed: every member confirms the identical tickets
         // (idempotent), so no single death after the decision can leave a
@@ -832,9 +824,18 @@ fn decode_split_entry(bytes: &[u8]) -> Option<(u64, u64)> {
 }
 
 /// The leader's `(epoch, word, ranks)` proposal of a
-/// [`Communicator::uniform_commit`] round. Bytes a peer chose: the rank
-/// count it declares must be exactly the ranks that follow, else `None`.
-fn decode_commit_record(bytes: &[u8]) -> Option<(u64, u64, Vec<RankId>)> {
+/// [`Communicator::uniform_commit`] round, as LE u64 words
+/// `[epoch, word, n, ranks…]` — also the layout of a join ticket.
+pub(crate) fn encode_commit_record(epoch: u64, word: u64, ranks: &[RankId]) -> Vec<u8> {
+    let mut words = vec![epoch, word, ranks.len() as u64];
+    words.extend(ranks.iter().map(|r| r.0 as u64));
+    u64::encode_slice(&words)
+}
+
+/// Decode an [`encode_commit_record`] record. Bytes a peer chose: the
+/// rank count it declares must be exactly the ranks that follow, else
+/// `None`.
+pub(crate) fn decode_commit_record(bytes: &[u8]) -> Option<(u64, u64, Vec<RankId>)> {
     let words = u64::decode_checked(bytes)?;
     let [epoch, word, count, ranks @ ..] = &words[..] else {
         return None;

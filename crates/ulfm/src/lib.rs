@@ -54,7 +54,7 @@ pub use error::UlfmError;
 pub use hierarchy::Hierarchy;
 pub use lattice::{lattice_agree, AgreeImpl, Proposal};
 pub use netjoin::NetJoin;
-pub use universe::{JoinService, JoinTicket, Proc, Universe, WorkerHandle};
+pub use universe::{JoinTicket, Proc, Universe, WorkerHandle};
 
 pub use transport::{NodeId, RankId, Topology};
 

@@ -550,10 +550,11 @@ fn clean_teardown_is_prompt_and_never_a_suspicion() {
 
 // ---------------------------------------------------------------------------
 // Elastic-join conformance: a joiner death at either join fault point must
-// leave the group progressing, on every backend. The join rendezvous and
-// link bootstrap are exactly what differ per backend (shared JoinServer
-// in-process, store-backed NetJoin + socket dials for Tcp/Unix), so these
-// run the full scenario harness rather than raw endpoints.
+// leave the group progressing, on every backend. The join store and link
+// bootstrap are exactly what differ per backend (NetJoin over the
+// universe's private in-memory store in-process, over one shared store
+// plus socket dials for Tcp/Unix), so these run the full scenario harness
+// rather than raw endpoints.
 // ---------------------------------------------------------------------------
 
 use elastic::scenario::{Engine, ScenarioKind};
