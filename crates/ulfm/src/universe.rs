@@ -673,6 +673,61 @@ mod tests {
     }
 
     #[test]
+    fn join_server_handshake() {
+        // The universe's own join service: a joiner on another thread
+        // announces and blocks; the leader side snapshots and tickets it.
+        let u = Universe::without_faults(Topology::flat());
+        let shared = Arc::clone(u.shared());
+        let t = std::thread::spawn(move || {
+            shared.join.announce(RankId(7))?;
+            shared.join.wait_ticket(RankId(7), &|| true, None)
+        });
+        while u.pending_joiners() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Snapshots are non-destructive: repeated snapshots see the same
+        // pending joiner until an admission commits.
+        let pending = u.shared().join.snapshot_pending(&|_| true);
+        assert_eq!(pending, vec![RankId(7)]);
+        assert_eq!(u.shared().join.snapshot_pending(&|_| true), pending);
+        // A dead joiner is filtered out of the proposal set.
+        assert!(u.shared().join.snapshot_pending(&|_| false).is_empty());
+        let ticket = JoinTicket {
+            group: vec![RankId(0), RankId(7)],
+            epoch: 0,
+            comm_id: 1,
+        };
+        u.shared().join.confirm_tickets(&pending, &ticket);
+        assert_eq!(u.pending_joiners(), 0);
+        // Redundant confirmation (another surviving member re-issuing the
+        // same committed ticket) is harmless.
+        u.shared().join.confirm_tickets(&pending, &ticket);
+        assert_eq!(t.join().unwrap(), Ok(ticket));
+    }
+
+    #[test]
+    fn wait_ticket_deadline_times_out_instead_of_hanging() {
+        let u = Universe::without_faults(Topology::flat());
+        // Nobody will ever ticket rank 5: the deadline must bail it out.
+        let deadline = Some(Instant::now() + Duration::from_millis(20));
+        let got = u.shared().join.wait_ticket(RankId(5), &|| true, deadline);
+        assert_eq!(got, Err(UlfmError::JoinTimeout));
+        // A ticket issued before the deadline is consumed normally.
+        let ticket = JoinTicket {
+            group: vec![RankId(0), RankId(5)],
+            epoch: 1,
+            comm_id: 2,
+        };
+        u.shared().join.announce(RankId(5)).unwrap();
+        u.shared().join.confirm_tickets(&[RankId(5)], &ticket);
+        let deadline = Some(Instant::now() + Duration::from_secs(5));
+        assert_eq!(
+            u.shared().join.wait_ticket(RankId(5), &|| true, deadline),
+            Ok(ticket)
+        );
+    }
+
+    #[test]
     fn kill_rank_via_universe() {
         let u = Universe::without_faults(Topology::flat());
         let handles = u
