@@ -44,14 +44,19 @@ pub struct Context {
     op_timeout: Option<Duration>,
 }
 
-/// Tag layout: `[ctx_id: 23][seq: 21][offset: 20]`, with bit 63 marking
+/// Tag layout: `[ctx_id: 23][seq: 20][offset: 20]`, with bit 63 marking
 /// connection handshakes. Context ids come from the rendezvous epoch, which
-/// the elastic driver bumps on every reconfiguration.
+/// the elastic layer bumps on every reconfiguration, and are never reused;
+/// the sequence field keeps the low bits of the context's operation count,
+/// since a tag needs to be unique only among the operations in flight
+/// together and a context's collectives complete in order.
 fn tag_base(ctx_id: u64, seq: u64) -> u64 {
     assert!(ctx_id < 1 << 23, "context id space exhausted");
-    assert!(seq < 1 << 20, "context sequence space exhausted");
-    (ctx_id << 40) | (seq << 20)
+    (ctx_id << 40) | ((seq % SEQ_SPACE) << 20)
 }
+
+/// Operation counts per wrap of the tag's sequence field.
+const SEQ_SPACE: u64 = 1 << 20;
 
 const CONNECT_BIT: u64 = 1 << 63;
 
@@ -392,6 +397,23 @@ mod tests {
         for (hier, flat) in results {
             assert_eq!(hier, flat);
         }
+    }
+
+    #[test]
+    fn sequence_numbers_wrap_instead_of_running_out() {
+        // Eight collectives short of the ceiling, then sixteen.
+        let results = run_ctx(3, FaultPlan::none(), |ctx| {
+            let ctx = ctx.unwrap();
+            ctx.seq.set(SEQ_SPACE - 8);
+            for i in 0..16 {
+                let mut buf = vec![(ctx.rank() + i) as f32; 5];
+                ctx.allreduce(&mut buf, ReduceOp::Sum, AllreduceAlgo::Ring)
+                    .unwrap();
+                assert_eq!(buf, vec![(3 + 3 * i) as f32; 5], "allreduce {i}");
+            }
+            ctx.seq.get()
+        });
+        assert_eq!(results, vec![SEQ_SPACE + 8; 3]);
     }
 
     #[test]

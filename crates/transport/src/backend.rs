@@ -108,9 +108,9 @@ pub trait Backend: Send + Sync {
     /// activates gated perturbation plans.
     fn fault_point(&self, name: &str) -> Result<(), TransportError>;
 
-    /// Reliable framed send: checksummed, sequence-numbered, retransmitted
-    /// under the retry policy until acknowledged; exhaustion suspects the
-    /// peer.
+    /// Reliable framed send: checksummed; where the link can lose it, also
+    /// numbered and retransmitted under the retry policy until
+    /// acknowledged, and exhaustion suspects the peer.
     fn send(&self, to: RankId, tag: u64, data: &[u8]) -> Result<(), TransportError>;
 
     /// Blocking matched receive. `deadline` is the caller's *explicit*
@@ -296,9 +296,10 @@ impl Endpoint {
 
     /// Send `data` to `to` under `tag`.
     ///
-    /// The payload travels as a checksummed, sequence-numbered frame; if the
-    /// link perturbation drops, corrupts, or reorders it away, the frame is
-    /// retransmitted under exponential backoff with jitter until the
+    /// The payload travels as a checksummed frame. Where the link can lose
+    /// it (a perturbation plan is installed, or the link is a socket) the
+    /// frame is numbered, and if the link drops, corrupts, or reorders it
+    /// away, it is retransmitted under exponential backoff with jitter until the
     /// receiver acks a copy. A peer that never acks within the retry budget
     /// is *suspected* dead and reported as [`TransportError::PeerDead`] —
     /// the same local error ULFM raises on communication with a failed

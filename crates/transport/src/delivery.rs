@@ -1,16 +1,18 @@
 //! The delivery engine: the reliable-delivery contract of [`Backend`],
 //! written once over a small private [`Link`] trait.
 //!
-//! Everything that makes the transport *reliable and fault-aware* lives
-//! here and nowhere else: the scripted fault hooks, sequence numbering,
-//! perturbation of each transmission, the ack / retransmit / backoff loop
-//! with its retry budget, both suspicion rules (send-retry exhaustion and a
+//! Everything that makes the transport *fault-aware* lives here: the
+//! scripted fault hooks, both suspicion rules (send-retry exhaustion and a
 //! stalled open-ended receive) with their count-once-else-coalesce
 //! accounting, receive-side corrupt / duplicate accounting, and the traffic
-//! counters. A backend is only the *link* underneath — how a frame copy
-//! gets to a peer, how its ack comes back, how liveness is learnt and how a
-//! death is carried out — and gets its whole [`Backend`] implementation
-//! from the one blanket `impl` at the bottom of this file.
+//! counters. What makes it *reliable* over a lossy link — sequence numbers,
+//! dedup, reorder and the ack / retransmit / backoff loop — is
+//! [`crate::reliable`], which a send goes through only where loss exists
+//! ([`Link::lossy`]); a clean send is encoded, handed over once and done.
+//! A backend is only the *link* underneath — how a frame copy gets to a
+//! peer, how its ack comes back, how liveness is learnt and how a death is
+//! carried out — and gets its whole [`Backend`] implementation from the one
+//! blanket `impl` at the bottom of this file.
 
 use crate::backend::{Backend, SignalHandler};
 use crate::error::TransportError;
@@ -18,11 +20,11 @@ use crate::fabric::HAND_OVER_MIN;
 use crate::fault::{FaultInjector, RankFaults};
 use crate::ids::{RankId, Topology};
 use crate::mailbox::{FrameAck, Mailbox, RecvOutcome};
-use crate::perturb::{PerturbPlan, Perturber, RetryPolicy, Verdict};
+use crate::perturb::{PerturbPlan, Perturber};
+use crate::reliable::{self, Cursors};
 use crate::wire::{self, Fill, Payload, FRAME_HEADER, FRAME_TRAILER};
 use parking_lot::{Mutex, RwLock};
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -32,7 +34,7 @@ use std::time::{Duration, Instant};
 /// building a world looks nothing up. Every backend reports under the same
 /// `transport.*` metric names.
 mod telem {
-    use telemetry::{Counter, Histogram, Lazy};
+    use telemetry::{Counter, Lazy};
     pub(super) static MSGS_SENT: Lazy<Counter> = Lazy::counter("transport.msgs_sent");
     pub(super) static BYTES_SENT: Lazy<Counter> = Lazy::counter("transport.bytes_sent");
     pub(super) static MSGS_RECVD: Lazy<Counter> = Lazy::counter("transport.msgs_recvd");
@@ -42,24 +44,12 @@ mod telem {
     pub(super) static OP_FAULT_HITS: Lazy<Counter> = Lazy::counter("transport.op_fault_hits");
     pub(super) static PURGED_MSGS: Lazy<Counter> = Lazy::counter("transport.purged_msgs");
     pub(super) static RECV_TIMEOUTS: Lazy<Counter> = Lazy::counter("transport.recv_timeouts");
-    pub(super) static RETRANSMITS: Lazy<Counter> = Lazy::counter("transport.retransmits");
     pub(super) static CORRUPT_FRAMES: Lazy<Counter> = Lazy::counter("transport.corrupt_frames");
     pub(super) static DUP_SUPPRESSED: Lazy<Counter> = Lazy::counter("transport.dup_suppressed");
-    pub(super) static FRAMES_DROPPED: Lazy<Counter> =
-        Lazy::counter("transport.perturb.frames_dropped");
-    pub(super) static FRAMES_DELAYED: Lazy<Counter> =
-        Lazy::counter("transport.perturb.frames_delayed");
-    pub(super) static FRAMES_DUPLICATED: Lazy<Counter> =
-        Lazy::counter("transport.perturb.frames_duplicated");
-    pub(super) static FRAMES_REORDERED: Lazy<Counter> =
-        Lazy::counter("transport.perturb.frames_reordered");
     pub(super) static SUSPICIONS: Lazy<Counter> = Lazy::counter("transport.suspicions");
     pub(super) static SUSPICION_COALESCED: Lazy<Counter> =
         Lazy::counter("transport.suspicion.coalesced");
     pub(super) static FRAMES_RECYCLED: Lazy<Counter> = Lazy::counter("transport.frames_recycled");
-    pub(super) static DELAY_HIST: Lazy<Histogram> = Lazy::histogram("transport.perturb.delay_ns");
-    pub(super) static BACKOFF_HIST: Lazy<Histogram> =
-        Lazy::histogram("transport.retransmit.backoff_ns");
 }
 
 /// Aggregate traffic counters (diagnostics and cost calibration).
@@ -75,7 +65,7 @@ pub struct FabricStats {
     pub retransmits: u64,
     /// Frames discarded by the receiver for failing checksum validation.
     pub corrupt_frames: u64,
-    /// Duplicate frames suppressed by receiver sequence tracking.
+    /// Duplicate frames suppressed by the receiver's per-link cursors.
     pub dup_suppressed: u64,
     /// Ranks declared dead by timeout-based suspicion rather than a fault
     /// plan or an explicit kill.
@@ -132,14 +122,12 @@ impl AtomicTimeout {
     }
 }
 
-/// What only a rank's *own* sends and receives write: sequence numbers,
-/// traffic counts, a spare frame. On cache lines of its own, so a sender never
-/// invalidates a line its peers read (`alive`) or write (the mailbox in `port`).
+/// What only a rank's *own* sends and receives write: traffic counts, a
+/// spare frame. On cache lines of its own, so a sender never invalidates a
+/// line its peers read (`alive`) or write (the mailbox in `port`).
 #[derive(Default)]
 #[repr(align(64))]
 struct Tx {
-    /// Next sequence number per (destination, tag) channel.
-    seq: Mutex<HashMap<(RankId, u64), u64>>,
     /// Messages this rank got delivered.
     messages: AtomicU64,
     /// Payload bytes of those.
@@ -167,28 +155,22 @@ impl Tx {
 }
 
 /// One rank in an engine's peer table: the liveness flag, the sender-side
-/// state of the rank's own traffic, plus whatever the link keeps per peer —
-/// its mailbox in process, its connection over sockets. Slots are only ever
-/// appended (death is a permanent state, as in ULFM) and never move, so the
-/// table can grow while collectives run and a `&Slot` stays good for as
-/// long as the engine does.
+/// state of the rank's own traffic, the rank's per-link cursors for when its
+/// frames are numbered, plus whatever the link keeps per peer — its mailbox
+/// in process, its connection over sockets. Slots are only ever appended
+/// (death is a permanent state, as in ULFM) and never move, so the table
+/// can grow while collectives run and a `&Slot` stays good for as long as
+/// the engine does.
 pub(crate) struct Slot<P> {
     alive: AtomicBool,
     tx: Tx,
+    pub(crate) cursors: Cursors,
     pub(crate) port: P,
 }
 
 impl<P> Slot<P> {
     pub(crate) fn is_alive(&self) -> bool {
         self.alive.load(Ordering::SeqCst)
-    }
-
-    fn next_tx_seq(&self, dst: RankId, tag: u64) -> u64 {
-        let mut seqs = self.tx.seq.lock();
-        let s = seqs.entry((dst, tag)).or_insert(0);
-        let seq = *s;
-        *s += 1;
-        seq
     }
 }
 
@@ -253,10 +235,10 @@ impl<P> Table<P> {
 ///
 /// The sharing rule: a message on a clean link takes no lock and writes no
 /// cache line here that another rank's `send` / `recv` also takes or writes.
-/// What a message changes lives with its one writer — sequence numbers,
-/// traffic counts ([`Slot`]) and fault counters ([`RankFaults`]) with the
-/// sending rank — and what it only reads (the table, `planned`, the
-/// suspicion timeout) is written at set-up or on a failure.
+/// What a message changes lives with its one writer — traffic counts
+/// ([`Slot`]) and fault counters ([`RankFaults`]) with the sending rank —
+/// and what it only reads (the table, `planned`, the suspicion timeout) is
+/// written at set-up or on a failure.
 pub(crate) struct Engine<P> {
     pub(crate) topology: Topology,
     /// Peer table indexed by rank.
@@ -311,6 +293,7 @@ impl<P> Engine<P> {
         RankId(self.table.push(Slot {
             alive: AtomicBool::new(true),
             tx: Tx::default(),
+            cursors: Cursors::default(),
             port,
         }))
     }
@@ -373,9 +356,14 @@ impl<P> Engine<P> {
         self.planned.store(true, Ordering::SeqCst);
     }
 
+    /// Was a plan ever installed?
+    pub(crate) fn planned(&self) -> bool {
+        self.planned.load(Ordering::SeqCst)
+    }
+
     /// The installed plan's executor, if a plan was ever installed.
     pub(crate) fn perturber(&self) -> Option<Arc<Perturber>> {
-        if !self.planned.load(Ordering::SeqCst) {
+        if !self.planned() {
             return None;
         }
         self.perturber.read().clone()
@@ -415,41 +403,13 @@ impl<P> Engine<P> {
         }
     }
 
-    /// The one receive path for an encoded frame: verify it (checksum fused
-    /// into the payload copy), run `on_valid` — where a wire link sends its
-    /// ack *before* delivery can wake anyone — then hand it to `mailbox`,
-    /// counting corrupt and duplicate copies. Returns the link-layer ack.
-    pub(crate) fn receive(
-        &self,
-        bytes: &[u8],
-        mailbox: &Mailbox,
-        on_valid: impl FnOnce(&wire::Frame),
-    ) -> FrameAck {
-        let ack = match wire::decode_frame(bytes) {
-            Ok(frame) => {
-                on_valid(&frame);
-                mailbox.accept(frame)
-            }
-            Err(e) => FrameAck::Corrupt(e),
-        };
-        self.count(ack)
-    }
-
-    /// [`Engine::receive`] of a frame handed over whole: verified where it
-    /// lies, it moves into `mailbox`; refused, it stays in `frame` as it was.
-    pub(crate) fn receive_whole(&self, frame: &mut Vec<u8>, mailbox: &Mailbox) -> FrameAck {
-        let ack = match wire::verify_frame(std::mem::take(frame)) {
-            Ok(verified) => mailbox.accept(verified),
-            Err((refused, e)) => {
-                *frame = refused;
-                FrameAck::Corrupt(e)
-            }
-        };
-        self.count(ack)
+    /// Count one retransmission of a numbered frame.
+    pub(crate) fn count_retransmit(&self) {
+        self.retransmits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count a receive-side ack that is not a clean acceptance.
-    fn count(&self, ack: FrameAck) -> FrameAck {
+    pub(crate) fn count(&self, ack: FrameAck) -> FrameAck {
         match ack {
             FrameAck::Corrupt(_) => {
                 self.corrupt_frames.fetch_add(1, Ordering::Relaxed);
@@ -466,16 +426,19 @@ impl<P> Engine<P> {
 }
 
 /// What a backend actually is: one rank's link to its peers. The engine
-/// owns the contract and the view of who is alive; a link has four
-/// obligations — [`Link::hand_off`], [`Link::await_ack`], [`Link::die`] and
-/// [`Link::condemn`] — plus the control plane, which genuinely differs per
-/// fabric and passes through from [`Backend`] under the same names.
+/// owns the contract and the view of who is alive; a link says whether it
+/// can lose a frame ([`Link::lossy`]), delivers a clean one
+/// ([`Link::hand_over`]) or carries numbered copies for [`reliable::send`]
+/// ([`Link::hand_off`], [`Link::await_ack`]), and carries out deaths
+/// ([`Link::die`], [`Link::condemn`]) — plus the control plane, which
+/// genuinely differs per fabric and passes through from [`Backend`] under
+/// the same names.
 pub(crate) trait Link: Send + Sync {
     /// What the engine's peer table keeps per rank for this link.
     type Port;
-    /// The encoded frame as the link keeps it across attempts, so a clean
-    /// link never copies it again: owned, and so free to hand over whole
-    /// (`Vec<u8>`), or shared with service threads (`Arc<Vec<u8>>`).
+    /// A numbered frame as the link keeps it across attempts, so no attempt
+    /// copies it again: owned (`Vec<u8>`), or shared with service threads
+    /// (`Arc<Vec<u8>>`).
     type Frame: From<Vec<u8>> + Borrow<Vec<u8>>;
     /// What one attempt's hand-offs leave behind for [`Link::await_ack`].
     type Sent: Default;
@@ -497,12 +460,25 @@ pub(crate) trait Link: Send + Sync {
         self.me().is_alive()
     }
 
-    /// Hand one copy of the frame toward `to`: `copy` is `None` for `frame`
-    /// itself, `Some` for a mangled or stashed version. A link that is a
-    /// function call (in process, or any rank to itself) delivers through
-    /// [`Engine::receive`] — or gives `frame` away through
-    /// [`Engine::receive_whole`] — and returns the ack; a link with a wire in
-    /// between queues the copy, notes it in `sent` and returns `None`.
+    /// Can a frame on this link be lost, duplicated, corrupted or
+    /// reordered? Then every send is numbered and acked through
+    /// [`reliable::send`]. The default is a wire's: its stream keeps its
+    /// acks whether or not a plan perturbs it.
+    fn lossy(&self) -> bool {
+        true
+    }
+
+    /// Deliver the frame of a clean send to `peer`, once, and return the
+    /// receiver's verdict. Called only while [`Link::lossy`] is false.
+    fn hand_over(&self, _peer: &Slot<Self::Port>, _frame: Vec<u8>) -> FrameAck {
+        unreachable!("a lossy link sends through reliable::send")
+    }
+
+    /// Hand one copy of a numbered frame toward `to`: `copy` is `None` for
+    /// `frame` itself, `Some` for a mangled or stashed version. A link that
+    /// is a function call (in process, or any rank to itself) delivers
+    /// through [`Cursors::receive`] and returns the ack; a link with a wire
+    /// in between queues the copy, notes it in `sent` and returns `None`.
     fn hand_off(
         &self,
         to: RankId,
@@ -515,7 +491,8 @@ pub(crate) trait Link: Send + Sync {
     /// No copy of `(to, tag, seq)` was acked at hand-off: wait for its ack
     /// up to `backoff` (plus whatever grace the link's round trip needs).
     /// `Err(spent)` is "unacked, and `spent` of the backoff already went by
-    /// waiting" — the engine sleeps the remainder before it retransmits.
+    /// waiting" — [`reliable::send`] sleeps the remainder before it
+    /// retransmits.
     /// The default is the function-call link's: nothing is ever in flight,
     /// so an unacked copy is lost and none of the backoff is spent yet.
     fn await_ack(
@@ -649,80 +626,18 @@ impl<L: Link> Backend for L {
             return Err(TransportError::PeerDead(to));
         }
         let mine = self.me();
-        let seq = mine.next_tx_seq(to, tag);
-        // Encoded once, the payload written straight into it; every
-        // (re)transmission on a clean link hands off this same buffer.
+        // Encoded once, the payload written straight into it.
         let buf = mine.tx.frame_buffer(len);
-        let mut frame = L::Frame::from(wire::encode_frame_with(buf, me, tag, seq, len, f));
-        let mut perturber = eng.perturber();
-        let policy = perturber
-            .as_deref()
-            .map_or_else(RetryPolicy::default, |p| p.plan().retry_policy());
-        let mut attempt = 0u32;
-        loop {
-            // One physical transmission attempt: under the perturbation
-            // plan if the fabric ever had one, else the frame as it is.
-            let verdict = match &perturber {
-                Some(p) => p.transmit(me, to, frame.borrow()),
-                None => Verdict::clean(),
-            };
-            if verdict.dropped {
-                telem::FRAMES_DROPPED.incr();
-            }
-            if verdict.duplicated {
-                telem::FRAMES_DUPLICATED.incr();
-            }
-            if verdict.reordered {
-                telem::FRAMES_REORDERED.incr();
-            }
-            // Only a copy of the *current* frame acks it: stashed flushes
-            // ack on behalf of older frames, which already retransmit
-            // independently.
-            let mut acked = false;
-            let mut sent = L::Sent::default();
-            for d in verdict.deliveries.into_iter().flatten() {
-                if let Some(delay) = d.delay {
-                    // The "propagation delay" runs on the sender thread: a
-                    // slow link is a slow hand-off, whatever carries it.
-                    telem::FRAMES_DELAYED.incr();
-                    telem::DELAY_HIST.record_duration(delay);
-                    std::thread::sleep(delay);
-                }
-                let ack = self.hand_off(to, peer, &mut frame, d.bytes, &mut sent);
-                acked |= d.current && ack.is_some_and(|a| a.is_acked());
-            }
-            if acked {
-                break;
-            }
-            let salt = match &perturber {
-                Some(p) => p.backoff_salt(me, to, tag, seq, attempt),
-                None => Perturber::inert().backoff_salt(me, to, tag, seq, attempt),
-            };
-            let backoff = policy.backoff(attempt, salt);
-            let Err(spent) = self.await_ack(to, peer, tag, seq, sent, backoff) else {
-                break;
-            };
-            // Unacked: the frame (or every copy of it) was lost. Re-check
-            // liveness between attempts — death reports beat link errors.
-            if !self.self_alive() {
-                return Err(TransportError::SelfDied);
-            }
-            if !peer.is_alive() {
-                return Err(TransportError::PeerDead(to));
-            }
-            if attempt >= policy.max_retries {
-                // The link is silent past the retry budget: suspect the
-                // peer, feeding the ULFM revoke → agree → shrink path.
+        if self.lossy() {
+            reliable::send(self, to, peer, tag, len, f, buf)?;
+        } else {
+            let frame = wire::encode_frame_with(buf, me, tag, 0, len, f);
+            if !self.hand_over(peer, frame).is_acked() {
+                // A link that cannot lose a frame refused one: the peer is
+                // broken, and that is the failure detector's to report.
                 Backend::suspect(self, to);
                 return Err(TransportError::PeerDead(to));
             }
-            telem::BACKOFF_HIST.record_duration(backoff);
-            std::thread::sleep(backoff.saturating_sub(spent));
-            attempt += 1;
-            eng.retransmits.fetch_add(1, Ordering::Relaxed);
-            telem::RETRANSMITS.incr();
-            // A plan installed mid-send takes effect from the next attempt.
-            perturber = eng.perturber();
         }
         mine.tx.messages.fetch_add(1, Ordering::Relaxed);
         mine.tx.bytes.fetch_add(len as u64, Ordering::Relaxed);
@@ -768,7 +683,8 @@ impl<L: Link> Backend for L {
     }
 
     fn purge_tags(&self, pred: &dyn Fn(u64) -> bool) -> usize {
-        let purged = self.mailbox().purge_where(pred);
+        // Waiting frames first: one released in between is still purged.
+        let purged = self.me().cursors.purge(pred) + self.mailbox().purge_where(pred);
         telem::PURGED_MSGS.add(purged as u64);
         purged
     }

@@ -7,7 +7,7 @@ use crate::fault::{FaultInjector, RankFaults};
 use crate::ids::{NodeId, RankId, Topology};
 use crate::mailbox::{FrameAck, Mailbox};
 use crate::perturb::PerturbPlan;
-use crate::wire::{FRAME_HEADER, FRAME_TRAILER};
+use crate::wire::{self, FRAME_HEADER, FRAME_TRAILER};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -25,8 +25,8 @@ pub(crate) const HAND_OVER_MIN: usize = 4 << 10;
 pub struct Fabric {
     /// One engine for the whole job: every rank's backend reports into it,
     /// so the alive table, plans and failure counters are fabric-wide. A
-    /// rank's slot holds its mailbox, its sequence numbers and its traffic
-    /// counts.
+    /// rank's slot holds its mailbox, its traffic counts and, once a plan is
+    /// installed, its per-link cursors.
     engine: Engine<Mailbox>,
 }
 
@@ -54,7 +54,8 @@ impl Fabric {
     }
 
     /// Install a message-perturbation plan. Replaces any previous plan;
-    /// normally called once before traffic starts.
+    /// normally called once before traffic starts. From the first plan on,
+    /// every send is numbered and acked, since a link may now lose it.
     pub fn set_perturbation(&self, plan: PerturbPlan) {
         self.engine.set_perturbation(plan);
     }
@@ -161,8 +162,11 @@ impl Fabric {
 /// The in-process link: one rank's view of a shared [`Fabric`], where
 /// ranks are threads and a hand-off is a function call into the
 /// destination's mailbox on the sender's thread — so the ack is the return
-/// value and there is never anything to wait for. The [`crate::Endpoint`]
-/// wrapper constructs it via [`crate::Endpoint::new`].
+/// value and there is never anything to wait for. Such a call cannot lose a
+/// frame, so the link is lossy only once a plan is installed, and the
+/// receive side follows the sender's choice: the sender's thread runs it.
+/// The [`crate::Endpoint`] wrapper constructs it via
+/// [`crate::Endpoint::new`].
 pub(crate) struct InProcBackend {
     fabric: Arc<Fabric>,
     rank: RankId,
@@ -207,8 +211,24 @@ impl Link for InProcBackend {
         &self.faults
     }
 
-    /// Without a plan an attempt is one delivery of the frame itself, so a
-    /// large one is given to the receiver whole, verified where it lies.
+    fn lossy(&self) -> bool {
+        self.fabric.engine.planned()
+    }
+
+    /// A large frame is given to the receiver whole, verified where it lies;
+    /// a small one is copied out of it.
+    fn hand_over(&self, peer: &Slot<Mailbox>, frame: Vec<u8>) -> FrameAck {
+        let ack = if frame.len() >= FRAME_HEADER + HAND_OVER_MIN + FRAME_TRAILER {
+            match wire::verify_frame(frame) {
+                Ok(verified) => peer.port.accept(verified),
+                Err((_, e)) => FrameAck::Corrupt(e),
+            }
+        } else {
+            peer.port.accept_frame(&frame)
+        };
+        self.fabric.engine.count(ack)
+    }
+
     fn hand_off(
         &self,
         _to: RankId,
@@ -217,13 +237,8 @@ impl Link for InProcBackend {
         copy: Option<Vec<u8>>,
         _sent: &mut (),
     ) -> Option<FrameAck> {
-        let eng = &self.fabric.engine;
-        let large = frame.len() >= FRAME_HEADER + HAND_OVER_MIN + FRAME_TRAILER;
-        Some(match copy {
-            Some(mangled) => eng.receive(&mangled, &peer.port, |_| {}),
-            None if large && eng.perturber().is_none() => eng.receive_whole(frame, &peer.port),
-            None => eng.receive(frame, &peer.port, |_| {}),
-        })
+        let (eng, bytes) = (&self.fabric.engine, copy.as_deref().unwrap_or(frame));
+        Some(peer.cursors.receive(eng, &peer.port, bytes, |_| {}))
     }
 
     fn die(&self) {

@@ -17,13 +17,16 @@
 //!   an operation that needs a dead peer returns an error *for that
 //!   operation*; nothing is torn down globally.
 //!
-//! That contract — reliable FIFO-per-(sender, receiver, tag) channels over
-//! links a seeded [`PerturbPlan`] may make lossy, healed by checksummed
-//! sequence-numbered frames ([`wire`]), deduplication and bounded
-//! retransmission ([`RetryPolicy`]); and a two-tier failure detector, the
+//! That contract — reliable FIFO-per-(sender, receiver, tag) channels of
+//! checksummed frames ([`wire`]), and a two-tier failure detector, the
 //! alive table for clean fail-stop deaths plus timeout-based *suspicion*
 //! for silent ones — is implemented once, by the delivery engine behind
-//! the [`Backend`] trait (see [`backend`]). What varies is the link under
+//! the [`Backend`] trait (see [`backend`]). Reliability is a layer that
+//! exists only where loss can: once a seeded [`PerturbPlan`] may make a
+//! link lossy, and on every socket, frames are numbered per link, and
+//! deduplication, reordering and bounded retransmission ([`RetryPolicy`])
+//! heal the loss. A clean in-process send is one hand-off of an unnumbered
+//! frame into the receiver's [`Mailbox`], which only matches. What varies is the link under
 //! it: function calls between threads of one process ([`Fabric`],
 //! [`Endpoint::new`]) or TCP / Unix-domain stream sockets between OS
 //! processes ([`SocketBackend`], see [`socket`]).
@@ -38,6 +41,7 @@ mod fault;
 mod ids;
 mod mailbox;
 mod perturb;
+mod reliable;
 pub mod socket;
 pub mod stream;
 mod wait;

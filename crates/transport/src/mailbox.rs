@@ -1,17 +1,18 @@
 //! Per-rank mailboxes with MPI-style (source, tag) matching.
 //!
 //! Frames arrive through [`Mailbox::accept`] (already verified) or
-//! [`Mailbox::accept_frame`] (encoded: verified first), which suppress
-//! duplicate sequence numbers and reassemble each (source, tag) channel
-//! into order before exposing payloads to the matching interface — the
-//! receiver half of the retransmitting wire protocol. A message stays in
-//! the buffer it arrived in (a [`Payload`] view) until it is popped.
+//! [`Mailbox::accept_frame`] (encoded: verified first) in the order their
+//! link delivers them, and queue FIFO per (source, tag) until a matching
+//! receive pops them. Matching is all a mailbox does: where a link can lose,
+//! duplicate or reorder frames, the transport's reliability layer numbers
+//! them and puts them back in order before they get here. A message stays
+//! in the buffer it arrived in (a [`Payload`] view) until it is popped.
 
 use crate::ids::RankId;
 use crate::wait::{WaitLock, YieldBudget};
 use crate::wire::{self, Frame, FrameError, Payload};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 use telemetry::{Counter, Lazy};
 
@@ -31,14 +32,14 @@ pub enum RecvOutcome {
     TimedOut,
 }
 
-/// Link-layer acknowledgement for one delivered frame. Because the fabric's
-/// "network" is a function call on the sender's thread, this return value is
-/// the ack a real NIC would send back.
+/// Link-layer acknowledgement for one delivered frame. Where the "network"
+/// is a function call on the sender's thread, this return value is the ack a
+/// real NIC would send back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameAck {
     /// The frame is new; the receiver now holds it.
     Accepted,
-    /// The receiver already holds this (src, tag, seq) — a retransmission or
+    /// The receiver already holds this numbered frame — a retransmission or
     /// duplicated copy. Still an ack: the data is safe.
     Duplicate,
     /// The frame failed checksum/structure validation and was discarded.
@@ -52,18 +53,9 @@ impl FrameAck {
     }
 }
 
-/// Receiver-side state of one ordered (source, tag) channel.
-#[derive(Default)]
-struct ChannelRx {
-    /// Next sequence number to release in order.
-    next_seq: u64,
-    /// Out-of-order frames awaiting their predecessors.
-    pending: BTreeMap<u64, Payload>,
-}
-
-/// The released messages of one (source, tag) channel, oldest first. The
-/// oldest sits inline: collectives use a fresh tag per step, so most queues
-/// hold one message in their whole life and never allocate.
+/// The messages of one (source, tag) channel, oldest first. The oldest
+/// sits inline: collectives use a fresh tag per step, so most queues hold
+/// one message in their whole life and never allocate.
 #[derive(Default)]
 struct Queue {
     /// The oldest message; `None` only while the queue is empty.
@@ -96,8 +88,6 @@ struct Inner {
     /// non-overtaking guarantee. An entry lives only while it holds a
     /// message: collectives use fresh tags, so drained queues would pile up.
     queues: HashMap<(RankId, u64), Queue>,
-    /// Sequence tracking + reassembly per (source, tag) channel.
-    channels: HashMap<(RankId, u64), ChannelRx>,
 }
 
 impl Inner {
@@ -137,7 +127,7 @@ impl Mailbox {
 
     /// Accept one encoded link frame: verify the checksum
     /// ([`wire::decode_frame`]), then [`Mailbox::accept`] it. The return
-    /// value is the link-layer ack the sender's retransmission loop acts on.
+    /// value is the link-layer ack.
     pub fn accept_frame(&self, bytes: &[u8]) -> FrameAck {
         match wire::decode_frame(bytes) {
             Ok(frame) => self.accept(frame),
@@ -145,34 +135,15 @@ impl Mailbox {
         }
     }
 
-    /// Accept one already-verified frame: suppress duplicates, buffer
-    /// out-of-order arrivals, and release every in-order payload to the
-    /// matching interface. Never returns [`FrameAck::Corrupt`].
+    /// Accept one already-verified frame: queue its payload behind the
+    /// earlier messages of its (source, tag) and wake the waiters. Its
+    /// sequence number is not looked at. Always [`FrameAck::Accepted`].
     pub fn accept(&self, frame: Frame) -> FrameAck {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        let key = (frame.src, frame.tag);
-        let ch = inner.channels.entry(key).or_default();
-        if frame.seq < ch.next_seq || ch.pending.contains_key(&frame.seq) {
-            return FrameAck::Duplicate;
-        }
-        if frame.seq != ch.next_seq {
-            // Ahead of the cursor: nothing can be released yet.
-            ch.pending.insert(frame.seq, frame.payload);
-            return FrameAck::Accepted;
-        }
-        // In order: straight to the queue, then whatever it unblocks.
-        let q = inner.queues.entry(key).or_default();
-        q.push_back(frame.payload);
-        ch.next_seq += 1;
-        let mut released = 1;
-        while let Some(payload) = ch.pending.remove(&ch.next_seq) {
-            q.push_back(payload);
-            ch.next_seq += 1;
-            released += 1;
-        }
-        self.inner.notify(guard);
-        PUSHES.add(released);
+        let mut inner = self.inner.lock();
+        let queue = inner.queues.entry((frame.src, frame.tag)).or_default();
+        queue.push_back(frame.payload);
+        self.inner.notify(inner);
+        PUSHES.incr();
         FrameAck::Accepted
     }
 
@@ -267,10 +238,6 @@ impl Mailbox {
 
     /// Drop all buffered messages carrying `tag_pred`-matching tags.
     /// Used when a communicator is revoked to flush stale traffic.
-    ///
-    /// Also discards matching frames still sitting in reassembly, advancing
-    /// the channel cursor past them so a late retransmission of a purged
-    /// frame acks as a duplicate instead of wedging the channel.
     pub fn purge_where(&self, tag_pred: impl Fn(u64) -> bool) -> usize {
         let mut inner = self.inner.lock();
         let mut dropped = 0;
@@ -282,15 +249,6 @@ impl Mailbox {
                 true
             }
         });
-        for ((_, tag), ch) in inner.channels.iter_mut() {
-            if tag_pred(*tag) && !ch.pending.is_empty() {
-                dropped += ch.pending.len();
-                if let Some(&max) = ch.pending.keys().next_back() {
-                    ch.next_seq = ch.next_seq.max(max + 1);
-                }
-                ch.pending.clear();
-            }
-        }
         dropped
     }
 }
@@ -722,43 +680,13 @@ mod tests {
     }
 
     #[test]
-    fn accept_frame_suppresses_duplicates() {
-        let mb = Mailbox::new();
-        let f = frame(1, 7, 0, b"a");
-        assert_eq!(mb.accept_frame(&f), FrameAck::Accepted);
-        assert_eq!(mb.accept_frame(&f), FrameAck::Duplicate);
-        assert_eq!(mb.try_pop(RankId(1), 7), Some(b"a".to_vec()));
-        assert_eq!(mb.try_pop(RankId(1), 7), None);
-    }
-
-    #[test]
-    fn accept_frame_reassembles_out_of_order() {
-        let mb = Mailbox::new();
-        assert_eq!(mb.accept_frame(&frame(1, 7, 1, b"b")), FrameAck::Accepted);
-        assert_eq!(mb.accept_frame(&frame(1, 7, 2, b"c")), FrameAck::Accepted);
-        // Nothing visible until the gap fills.
-        assert_eq!(mb.try_pop(RankId(1), 7), None);
-        assert_eq!(mb.accept_frame(&frame(1, 7, 0, b"a")), FrameAck::Accepted);
-        assert_eq!(mb.try_pop(RankId(1), 7), Some(b"a".to_vec()));
-        assert_eq!(mb.try_pop(RankId(1), 7), Some(b"b".to_vec()));
-        assert_eq!(mb.try_pop(RankId(1), 7), Some(b"c".to_vec()));
-    }
-
-    #[test]
-    fn accept_frame_dedups_pending_out_of_order_copy() {
-        let mb = Mailbox::new();
-        assert_eq!(mb.accept_frame(&frame(1, 7, 1, b"b")), FrameAck::Accepted);
-        assert_eq!(mb.accept_frame(&frame(1, 7, 1, b"b")), FrameAck::Duplicate);
-    }
-
-    #[test]
     fn accept_frame_rejects_corruption() {
         let mb = Mailbox::new();
         let mut f = frame(1, 7, 0, b"payload");
         let n = f.len();
         f[n - 3] ^= 0x40;
         assert!(matches!(mb.accept_frame(&f), FrameAck::Corrupt(_)));
-        // Nothing was delivered, and the channel cursor did not move.
+        // Nothing was delivered; the intact copy that follows is.
         assert_eq!(mb.try_pop(RankId(1), 7), None);
         assert_eq!(
             mb.accept_frame(&frame(1, 7, 0, b"payload")),
@@ -776,19 +704,6 @@ mod tests {
         assert_eq!(mb.try_pop(RankId(2), 7), Some(b"b".to_vec()));
         assert_eq!(mb.try_pop(RankId(1), 8), Some(b"c".to_vec()));
         assert_eq!(mb.try_pop(RankId(1), 7), Some(b"a".to_vec()));
-    }
-
-    #[test]
-    fn purge_advances_channel_past_pending_frames() {
-        let mb = Mailbox::new();
-        // seq 1 waits in reassembly for seq 0 when the purge hits.
-        assert_eq!(mb.accept_frame(&frame(1, 7, 1, b"b")), FrameAck::Accepted);
-        assert_eq!(mb.purge_where(|t| t == 7), 1);
-        // A late retransmission of a purged frame acks as duplicate ...
-        assert_eq!(mb.accept_frame(&frame(1, 7, 0, b"a")), FrameAck::Duplicate);
-        // ... and the channel keeps working at the advanced cursor.
-        assert_eq!(mb.accept_frame(&frame(1, 7, 2, b"c")), FrameAck::Accepted);
-        assert_eq!(mb.try_pop(RankId(1), 7), Some(b"c".to_vec()));
     }
 
     #[test]

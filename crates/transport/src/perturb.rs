@@ -4,10 +4,14 @@
 //! [`crate::FaultPlan`] models clean fail-stop — a rank dies and every peer
 //! learns of it instantly. Real fabrics also lose, delay, duplicate, reorder,
 //! and corrupt individual messages; those are the failure modes the
-//! retransmitting wire protocol in [`crate::Fabric`] exists to heal. A
-//! [`PerturbPlan`] scripts that adversity per link (ordered rank pair) with
-//! per-message rates and an RNG seed, so every run — including every chaos
-//! failure — replays bit-identically.
+//! transport's reliability layer (per-link sequence numbers, dedup,
+//! reorder, ack and retransmit) exists to heal. Installing a plan on a
+//! [`crate::Fabric`] is what switches that layer on for its in-process
+//! links; socket links always run it, and a plan there perturbs the frames
+//! it sends and sets its [`RetryPolicy`]. A [`PerturbPlan`] scripts that
+//! adversity per link (ordered rank pair) with per-message rates and an RNG
+//! seed, so every run — including every chaos failure — replays
+//! bit-identically.
 //!
 //! The plan can also be gated on a named fault point
 //! ([`PerturbPlan::active_from_point`]): links stay clean until the protocol

@@ -5,12 +5,12 @@
 //! process, though tests may host several backends in a single process.
 //! Peers form a full mesh of duplex connections; each connection carries
 //! [`crate::stream`] envelopes, and the payload of every `Data` envelope is
-//! the *same* checksummed, sequence-numbered wire frame ([`crate::wire`])
-//! the in-process fabric exchanges. Perturbation, retransmission and the
-//! suspicion rules are the engine's, so they apply at exactly the same
-//! layer on every link; what lives here is how a frame copy reaches a peer
-//! (a per-connection queue), how its ack comes back (an `Ack` envelope),
-//! and how deaths are learnt and carried out.
+//! a checksummed wire frame ([`crate::wire`]), numbered per link: every
+//! socket send goes through the transport's reliability layer, so
+//! perturbation, retransmission and the suspicion rules apply at exactly
+//! the layer they do in process under a plan. What lives here is how a
+//! frame copy reaches a peer (a per-connection queue), how its ack comes
+//! back (an `Ack` envelope), and how deaths are learnt and carried out.
 //!
 //! ## Event loop
 //!
@@ -47,6 +47,7 @@ use crate::delivery::{Engine, Slot};
 use crate::fault::{FaultInjector, RankFaults};
 use crate::ids::{RankId, Topology};
 use crate::mailbox::{FrameAck, Mailbox};
+use crate::reliable;
 use crate::stream::{encode_envelope, envelope_header, StreamDecoder, StreamKind, ENVELOPE_HEADER};
 use crate::wait::{WaitLock, YieldBudget};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -861,7 +862,8 @@ impl SocketBackend {
                 // stream decoder's buffer. A copy bit-flipped by the
                 // perturbation plan is discarded without an ack; the sender
                 // retransmits.
-                self.engine.receive(payload, &self.mailbox, |frame| {
+                let cursors = self.cursors();
+                cursors.receive(&self.engine, &self.mailbox, payload, |frame| {
                     // Ack BEFORE delivering to the mailbox: delivery can
                     // wake the engine thread, which may complete its last
                     // collective and retire — moving this link out of `Up`
@@ -960,6 +962,13 @@ impl SocketBackend {
         self.depart(false);
     }
 
+    /// This rank's per-link cursors, which number every frame it sends and
+    /// put every frame it receives back in order.
+    fn cursors(&self) -> &reliable::Cursors {
+        let me = self.engine.slot(self.rank);
+        &me.expect("a backend's own rank has a slot").cursors
+    }
+
     fn wake_local(&self) {
         self.mailbox.wake_waiters();
         self.acks.notify(self.acks.lock());
@@ -1050,7 +1059,8 @@ impl crate::delivery::Link for SocketBackend {
             // No wire to ourselves: the hand-off is a function call into
             // our own mailbox, and its return value is the ack.
             let bytes = copy.as_deref().unwrap_or(&frame[..]);
-            return Some(self.engine.receive(bytes, &self.mailbox, |_| {}));
+            let cursors = self.cursors();
+            return Some(cursors.receive(&self.engine, &self.mailbox, bytes, |_| {}));
         }
         let bytes = copy.map_or_else(|| Arc::clone(frame), Arc::new);
         *sent = self.enqueue(peer, Outbound::Data(bytes)).or(*sent);

@@ -15,7 +15,8 @@
 //! ```
 //!
 //! For [`StreamKind::Data`] the payload is a full wire frame
-//! ([`crate::wire`]) — magic, sequence number, and checksum included. The
+//! ([`crate::wire`]) — magic, per-link sequence number, and checksum
+//! included. The
 //! outer length prefix is *trusted transport state* (a TCP/Unix stream does
 //! not corrupt bytes in practice), while the inner frame is the layer the
 //! seeded [`crate::PerturbPlan`] perturbs; keeping the two separate means a
@@ -31,7 +32,7 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum StreamKind {
-    /// A wire frame (checksummed, sequence-numbered application payload).
+    /// A wire frame (checksummed, per-link numbered application payload).
     Data = 1,
     /// Acknowledgment of a received frame: payload is `[tag u64][seq u64]`.
     Ack = 2,

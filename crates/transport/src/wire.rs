@@ -6,10 +6,11 @@
 //! framework on the hot path.
 //!
 //! The frame codec ([`encode_frame_with`] / [`decode_frame`] /
-//! [`verify_frame`]) wraps every fabric message in a checksummed,
-//! sequence-numbered envelope so the transport can detect corruption,
-//! suppress duplicates, and reassemble per-channel order under an
-//! adversarial [`crate::PerturbPlan`].
+//! [`verify_frame`]) wraps every fabric message in a checksummed envelope so
+//! the transport can detect corruption. Where a link can lose frames — under
+//! an adversarial [`crate::PerturbPlan`], and on every socket — the
+//! envelope also carries a per-link sequence number, by which the receiver
+//! suppresses duplicates and restores the link's order.
 
 use crate::ids::RankId;
 use std::ops::Deref;
@@ -106,7 +107,7 @@ pub fn bytes_to_f32s(bytes: &[u8]) -> Vec<f32> {
 /// offset  0  u32  magic  "ELFR"
 /// offset  4  u64  src rank
 /// offset 12  u64  tag
-/// offset 20  u64  per-(link, tag) sequence number
+/// offset 20  u64  per-link sequence number (0 where the link is clean)
 /// offset 28  u32  payload length
 /// offset 32  ...  payload
 /// tail       u64  checksum ([`fnv1a64`]) over every preceding byte
@@ -125,7 +126,9 @@ pub struct Frame {
     pub src: RankId,
     /// Application tag (the (src, tag) pair names the ordered channel).
     pub tag: u64,
-    /// Sequence number within the (src, tag) channel, starting at 0.
+    /// Sequence number within the ordered (src, dst) link, starting at 0,
+    /// shared by every tag the link carries. A clean in-process frame is
+    /// not numbered and carries 0.
     pub seq: u64,
     /// Application payload.
     pub payload: Payload,

@@ -184,10 +184,16 @@ impl Communicator {
 
     /// Reserve `n` consecutive collective tag windows (one per fusion
     /// bucket) and return the first. `n` is a pure function of the tensor
-    /// sizes and the cap, so every member reserves identically.
+    /// sizes and the cap, so every member reserves identically. Window `b`
+    /// is `base + b · TAG_SPAN`, which carries into the communicator id if
+    /// the span straddles the wrap, so such a span starts at the wrap.
     fn reserve_coll_span(&self, n: u64) -> u64 {
-        let s = self.seq.get();
-        self.seq.set(s + n.max(1));
+        let n = n.max(1);
+        let mut s = self.seq.get();
+        if s % tags::SEQ_SPACE + n > tags::SEQ_SPACE {
+            s = s.next_multiple_of(tags::SEQ_SPACE);
+        }
+        self.seq.set(s + n);
         tags::coll_base(self.id, s)
     }
 
@@ -1022,6 +1028,37 @@ mod tests {
             global: RankId(7),
         };
         assert_eq!(h.join(), (UlfmError::Aborted, unknown));
+    }
+
+    #[test]
+    fn sequence_numbers_wrap_instead_of_running_out() {
+        // Eight collectives and eight agreements short of the ceiling, then
+        // sixteen of each: both sequence spaces wrap mid-run.
+        let u = Universe::without_faults(Topology::flat());
+        let run = |proc: crate::Proc| {
+            let comm = proc.init_comm();
+            comm.seq.set(tags::SEQ_SPACE - 8);
+            comm.rec_seq.set(tags::SEQ_SPACE - 8);
+            for i in 0..16 {
+                let mut buf = vec![(comm.rank() + i) as f32; 5];
+                comm.allreduce(&mut buf, ReduceOp::Sum, AllreduceAlgo::Ring)
+                    .unwrap();
+                assert_eq!(buf, vec![(3 + 3 * i) as f32; 5], "allreduce {i}");
+                let agreed = comm.agree(1, (comm.rank() + i) as u64).unwrap();
+                assert_eq!((agreed.flags, agreed.min), (1, i as u64), "agree {i}");
+            }
+            // Four one-tensor buckets one window short of the ceiling: the
+            // span would straddle the wrap, so it starts at it.
+            comm.seq.set(tags::SEQ_SPACE - 1);
+            let mut tensors = vec![vec![1.0f32; 64]; 4];
+            comm.fused_allreduce(&mut tensors, ReduceOp::Sum, AllreduceAlgo::Ring, 256)
+                .unwrap();
+            assert!(tensors.iter().flatten().all(|&x| x == 3.0));
+            comm.seq.get()
+        };
+        for h in u.spawn_batch(3, run).unwrap() {
+            assert_eq!(h.join(), tags::SEQ_SPACE + 4);
+        }
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //! * communicator ids are interned consecutively by the [`crate::Universe`]
 //!   (all members derive the same id from the same construction key);
 //! * every collective call advances the communicator's sequence number —
-//!   collective calls are SPMD-ordered, so all members agree on it;
+//!   collective calls are SPMD-ordered, so all members agree on it. The
+//!   field keeps its low [`SEQ_BITS`] bits, so the number wraps instead of
+//!   running out: a tag needs to be unique only among the operations that
+//!   can be in flight together, and blocking collectives complete in order
+//!   (DESIGN §6, "Why a sequence number may wrap");
 //! * the algorithm consumes offsets below [`collectives::TAG_SPAN`];
 //! * recovery operations (`agree`, and the protocols inside `shrink`) use
 //!   their own class and an independent sequence counter, so recovery
@@ -59,9 +63,14 @@ pub fn belongs_to(tag: u64, comm_id: u64) -> bool {
     (tag >> (SEQ_BITS + OFFSET_BITS)) & ((1 << ID_BITS) - 1) == comm_id
 }
 
+/// Sequence numbers per wrap: `seq` and `seq + SEQ_SPACE` pack to one tag.
+pub const SEQ_SPACE: u64 = 1 << SEQ_BITS;
+
 fn pack(class: u64, comm_id: u64, seq: u64, offset: u64) -> u64 {
+    // Ids are never reused, so running out of them is an error; sequence
+    // numbers wrap.
     assert!(comm_id < (1 << ID_BITS), "communicator id space exhausted");
-    assert!(seq < (1 << SEQ_BITS), "sequence number space exhausted");
+    let seq = seq % SEQ_SPACE;
     (class << 62) | (comm_id << (SEQ_BITS + OFFSET_BITS)) | (seq << OFFSET_BITS) | offset
 }
 
@@ -97,6 +106,16 @@ mod tests {
         assert!(belongs_to(recovery_base(5, 0) + 17, 5));
         assert!(belongs_to(p2p(5, 3), 5));
         assert!(!belongs_to(recovery_base(5, 0), 6));
+    }
+
+    #[test]
+    fn sequence_numbers_wrap_within_their_communicator() {
+        assert_eq!(coll_base(3, SEQ_SPACE + 5), coll_base(3, 5));
+        assert_eq!(recovery_base(3, SEQ_SPACE), recovery_base(3, 0));
+        assert!(belongs_to(
+            coll_base(3, SEQ_SPACE - 1) + collectives::TAG_SPAN - 1,
+            3
+        ));
     }
 
     #[test]
