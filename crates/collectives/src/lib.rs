@@ -14,6 +14,11 @@
 //! * the non-resilient Gloo-style contexts (`gloo` crate), where the first
 //!   failure poisons the whole context (the Elastic-Horovod baseline).
 //!
+//! Both run their collectives through [`EndpointGroup`], the one
+//! `PeerComm` over a transport endpoint, which holds the one map from a
+//! transport failure to a [`CollError`]. The runtimes differ only in what
+//! they do with that error.
+//!
 //! All algorithms are deterministic: for a fixed group size and input, the
 //! result is bit-identical across runs (floating-point reduction order is
 //! fixed by the algorithm).
@@ -84,7 +89,7 @@ pub use allreduce::{
 };
 pub use barrier::dissemination_barrier;
 pub use bcast::binomial_bcast;
-pub use comm::PeerComm;
+pub use comm::{EndpointGroup, PeerComm};
 pub use elem::{copy_from_le, reduce_from_le, Elem, ReduceOp, SEGMENT_BYTES};
 pub use error::CollError;
 pub use fusion::{

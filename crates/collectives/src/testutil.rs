@@ -1,62 +1,16 @@
 //! In-crate test harness: runs a closure on `n` rank threads over the
 //! in-memory transport, with an optional fault plan.
 
-use crate::comm::PeerComm;
-use crate::error::CollError;
+use crate::comm::EndpointGroup;
 use std::sync::Arc;
-use transport::{Endpoint, Fabric, FaultInjector, FaultPlan, RankId, Topology, TransportError};
+use transport::{Endpoint, Fabric, FaultInjector, FaultPlan, Topology};
 
-/// A `PeerComm` over the raw fabric where the group is all registered ranks.
-pub struct TestComm {
-    ep: Endpoint,
-    group: Vec<RankId>,
-    my_idx: usize,
-}
-
-impl TestComm {
-    fn map_err(&self, e: TransportError) -> CollError {
-        match e {
-            TransportError::SelfDied => CollError::SelfDied,
-            TransportError::PeerDead(r) => CollError::PeerFailed {
-                peer: self
-                    .group
-                    .iter()
-                    .position(|&g| g == r)
-                    .unwrap_or(usize::MAX),
-            },
-            other => panic!("unexpected transport error in test: {other}"),
-        }
-    }
-}
-
-impl PeerComm for TestComm {
-    fn size(&self) -> usize {
-        self.group.len()
-    }
-    fn rank(&self) -> usize {
-        self.my_idx
-    }
-    fn send(&self, peer: usize, tag: u64, data: &[u8]) -> Result<(), CollError> {
-        self.ep
-            .send(self.group[peer], tag, data)
-            .map_err(|e| self.map_err(e))
-    }
-    fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, CollError> {
-        self.ep
-            .recv(self.group[peer], tag)
-            .map_err(|e| self.map_err(e))
-    }
-    fn fault_point(&self, name: &str) -> Result<(), CollError> {
-        self.ep.fault_point(name).map_err(|e| self.map_err(e))
-    }
-}
-
-/// Run `f` on `n` rank threads sharing one fabric; returns per-rank results
-/// in rank order.
+/// Run `f` on `n` rank threads sharing one fabric, each with the group of
+/// all registered ranks; returns per-rank results in rank order.
 pub fn run_group<R, F>(n: usize, plan: FaultPlan, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(TestComm) -> R + Send + Sync,
+    F: Fn(EndpointGroup<'_>) -> R + Send + Sync,
 {
     let fabric = Fabric::new(Topology::flat(), FaultInjector::new(plan));
     let group = fabric.register_ranks(n);
@@ -67,12 +21,8 @@ where
             .map(|i| {
                 let fabric = Arc::clone(&fabric);
                 s.spawn(move || {
-                    let comm = TestComm {
-                        ep: Endpoint::new(Arc::clone(&fabric), group_ref[i]),
-                        group: group_ref.clone(),
-                        my_idx: i,
-                    };
-                    let out = f(comm);
+                    let ep = Endpoint::new(Arc::clone(&fabric), group_ref[i]);
+                    let out = f(EndpointGroup::new(&ep, group_ref, i));
                     // Model process exit: a rank that returned (e.g. after
                     // observing a failure) stops participating; peers
                     // blocked on it must see PeerDead rather than hang.

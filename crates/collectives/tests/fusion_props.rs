@@ -5,72 +5,14 @@
 //! and group sizes.
 
 use collectives::{
-    allreduce, fused_allreduce, plan_buckets, AllreduceAlgo, CollError, FusionBuffer, PeerComm,
-    ReduceOp,
+    allreduce, fused_allreduce, plan_buckets, AllreduceAlgo, FusionBuffer, PeerComm, ReduceOp,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
-use transport::{Endpoint, Fabric, FaultInjector, FaultPlan, RankId, Topology};
+use transport::FaultPlan;
 
-/// Minimal PeerComm over the fabric (same shape as properties.rs).
-struct PropComm {
-    ep: Endpoint,
-    group: Vec<RankId>,
-    my_idx: usize,
-}
-
-impl PeerComm for PropComm {
-    fn size(&self) -> usize {
-        self.group.len()
-    }
-    fn rank(&self) -> usize {
-        self.my_idx
-    }
-    fn send(&self, peer: usize, tag: u64, data: &[u8]) -> Result<(), CollError> {
-        self.ep
-            .send(self.group[peer], tag, data)
-            .map_err(|e| match e {
-                transport::TransportError::PeerDead(_) => CollError::PeerFailed { peer },
-                transport::TransportError::SelfDied => CollError::SelfDied,
-                o => unreachable!("{o}"),
-            })
-    }
-    fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, CollError> {
-        self.ep.recv(self.group[peer], tag).map_err(|e| match e {
-            transport::TransportError::PeerDead(_) => CollError::PeerFailed { peer },
-            transport::TransportError::SelfDied => CollError::SelfDied,
-            o => unreachable!("{o}"),
-        })
-    }
-    fn fault_point(&self, name: &str) -> Result<(), CollError> {
-        self.ep.fault_point(name).map_err(|_| CollError::SelfDied)
-    }
-}
-
-fn run_group<R: Send>(n: usize, f: impl Fn(PropComm) -> R + Send + Sync) -> Vec<R> {
-    let fabric = Fabric::new(Topology::flat(), FaultInjector::new(FaultPlan::none()));
-    let group = fabric.register_ranks(n);
-    let f = &f;
-    let group_ref = &group;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let fabric = Arc::clone(&fabric);
-                s.spawn(move || {
-                    let comm = PropComm {
-                        ep: Endpoint::new(Arc::clone(&fabric), group_ref[i]),
-                        group: group_ref.clone(),
-                        my_idx: i,
-                    };
-                    let out = f(comm);
-                    fabric.kill_rank(group_ref[i]);
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-}
+mod common;
+use common::run_group;
 
 /// Integer-valued tensor mix: reductions are exactly associative, so
 /// fused-vs-unfused equality is exact regardless of how the algorithms
@@ -186,14 +128,14 @@ proptest! {
     ) {
         let sizes = Arc::new(sizes);
         let sz = Arc::clone(&sizes);
-        let results = run_group(p, move |comm| {
+        let results = run_group(p, FaultPlan::none(), move |comm| {
             let mut fused = tensor_mix(comm.rank(), &sz, seed);
             fused_allreduce(&comm, &mut fused, ReduceOp::Sum, algo, cap, 0)
                 .expect("fault-free fused allreduce");
             fused
         });
         let sz = Arc::clone(&sizes);
-        let reference = run_group(p, move |comm| {
+        let reference = run_group(p, FaultPlan::none(), move |comm| {
             let mut tensors = tensor_mix(comm.rank(), &sz, seed);
             for (t, buf) in tensors.iter_mut().enumerate() {
                 let base = (t as u64) << 32; // disjoint tag windows per tensor

@@ -7,71 +7,14 @@
 
 use collectives::{
     allreduce, fused_allreduce, hier_allreduce, hier_fused_allreduce, two_tier_chunk_range,
-    AllreduceAlgo, CollError, NodeMap, PeerComm, ReduceOp,
+    AllreduceAlgo, NodeMap, PeerComm, ReduceOp,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
-use transport::{Endpoint, Fabric, FaultInjector, FaultPlan, RankId, Topology};
+use transport::FaultPlan;
 
-/// Minimal PeerComm over the fabric (same shape as fusion_props.rs).
-struct PropComm {
-    ep: Endpoint,
-    group: Vec<RankId>,
-    my_idx: usize,
-}
-
-impl PeerComm for PropComm {
-    fn size(&self) -> usize {
-        self.group.len()
-    }
-    fn rank(&self) -> usize {
-        self.my_idx
-    }
-    fn send(&self, peer: usize, tag: u64, data: &[u8]) -> Result<(), CollError> {
-        self.ep
-            .send(self.group[peer], tag, data)
-            .map_err(|e| match e {
-                transport::TransportError::PeerDead(_) => CollError::PeerFailed { peer },
-                transport::TransportError::SelfDied => CollError::SelfDied,
-                o => unreachable!("{o}"),
-            })
-    }
-    fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, CollError> {
-        self.ep.recv(self.group[peer], tag).map_err(|e| match e {
-            transport::TransportError::PeerDead(_) => CollError::PeerFailed { peer },
-            transport::TransportError::SelfDied => CollError::SelfDied,
-            o => unreachable!("{o}"),
-        })
-    }
-    fn fault_point(&self, name: &str) -> Result<(), CollError> {
-        self.ep.fault_point(name).map_err(|_| CollError::SelfDied)
-    }
-}
-
-fn run_group<R: Send>(n: usize, f: impl Fn(PropComm) -> R + Send + Sync) -> Vec<R> {
-    let fabric = Fabric::new(Topology::flat(), FaultInjector::new(FaultPlan::none()));
-    let group = fabric.register_ranks(n);
-    let f = &f;
-    let group_ref = &group;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let fabric = Arc::clone(&fabric);
-                s.spawn(move || {
-                    let comm = PropComm {
-                        ep: Endpoint::new(Arc::clone(&fabric), group_ref[i]),
-                        group: group_ref.clone(),
-                        my_idx: i,
-                    };
-                    let out = f(comm);
-                    fabric.kill_rank(group_ref[i]);
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-}
+mod common;
+use common::run_group;
 
 /// Integer inputs: reductions are exactly associative, so hierarchical
 /// re-ordering cannot change a bit.
@@ -183,14 +126,14 @@ proptest! {
     ) {
         let colors = Arc::new(colors_from_shape(p, &shape));
         let c = Arc::clone(&colors);
-        let hier = run_group(p, move |comm| {
+        let hier = run_group(p, FaultPlan::none(), move |comm| {
             let map = NodeMap::from_colors(&c);
             let mut buf = input_for(comm.rank(), len, seed);
             hier_allreduce(&comm, &map, &mut buf, ReduceOp::Sum, algo, 0)
                 .expect("fault-free hier allreduce");
             buf
         });
-        let flat = run_group(p, move |comm| {
+        let flat = run_group(p, FaultPlan::none(), move |comm| {
             let mut buf = input_for(comm.rank(), len, seed);
             allreduce(&comm, &mut buf, ReduceOp::Sum, algo, 0)
                 .expect("fault-free flat allreduce");
@@ -216,7 +159,7 @@ proptest! {
         let colors = Arc::new(colors_from_shape(p, &shape));
         let sizes = Arc::new(sizes);
         let (c, sz) = (Arc::clone(&colors), Arc::clone(&sizes));
-        let hier = run_group(p, move |comm| {
+        let hier = run_group(p, FaultPlan::none(), move |comm| {
             let map = NodeMap::from_colors(&c);
             let mut tensors = tensor_mix(comm.rank(), &sz, seed);
             hier_fused_allreduce(&comm, &map, &mut tensors, ReduceOp::Sum, algo, cap, 0)
@@ -224,7 +167,7 @@ proptest! {
             tensors
         });
         let sz = Arc::clone(&sizes);
-        let flat = run_group(p, move |comm| {
+        let flat = run_group(p, FaultPlan::none(), move |comm| {
             let mut tensors = tensor_mix(comm.rank(), &sz, seed);
             fused_allreduce(&comm, &mut tensors, ReduceOp::Sum, algo, cap, 0)
                 .expect("fault-free flat fused allreduce");

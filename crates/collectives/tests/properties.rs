@@ -7,7 +7,7 @@
 use collectives::{
     allgather, allreduce, binomial_bcast, binomial_reduce, bruck_allgather, copy_from_le, gather,
     hier_allreduce, recursive_doubling_allreduce, reduce_from_le, ring_allgather, AllgatherAlgo,
-    AllreduceAlgo, CollError, Elem, NodeMap, PeerComm, ReduceOp, SEGMENT_BYTES,
+    AllreduceAlgo, CollError, Elem, EndpointGroup, NodeMap, PeerComm, ReduceOp, SEGMENT_BYTES,
 };
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -15,55 +15,10 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use transport::wire::{encode_frame_with, fill_payload, verify_frame, Fill};
-use transport::{Endpoint, Fabric, FaultInjector, FaultPlan, RankId, Topology, TransportError};
+use transport::{FaultPlan, RankId};
 
-/// Minimal PeerComm over the fabric for property runs. It implements the
-/// lending methods; wrap it in [`Plain`] for the default bodies.
-struct PropComm {
-    ep: Endpoint,
-    group: Vec<RankId>,
-    my_idx: usize,
-}
-
-impl PropComm {
-    fn map(peer: usize, e: TransportError) -> CollError {
-        match e {
-            TransportError::PeerDead(_) => CollError::PeerFailed { peer },
-            TransportError::SelfDied => CollError::SelfDied,
-            o => unreachable!("{o}"),
-        }
-    }
-}
-
-impl PeerComm for PropComm {
-    fn size(&self) -> usize {
-        self.group.len()
-    }
-    fn rank(&self) -> usize {
-        self.my_idx
-    }
-    fn send(&self, peer: usize, tag: u64, data: &[u8]) -> Result<(), CollError> {
-        let to = self.group[peer];
-        self.ep.send(to, tag, data).map_err(|e| Self::map(peer, e))
-    }
-    fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, CollError> {
-        let from = self.group[peer];
-        self.ep.recv(from, tag).map_err(|e| Self::map(peer, e))
-    }
-    fn send_with(&self, peer: usize, tag: u64, len: usize, f: Fill<'_>) -> Result<(), CollError> {
-        let to = self.group[peer];
-        let sent = self.ep.send_with(to, tag, len, f);
-        sent.map_err(|e| Self::map(peer, e))
-    }
-    fn recv_with(&self, peer: usize, tag: u64, f: &mut dyn FnMut(&[u8])) -> Result<(), CollError> {
-        let from = self.group[peer];
-        let got = self.ep.recv_with(from, tag, &|| false, None, f);
-        got.map_err(|e| Self::map(peer, e))
-    }
-    fn fault_point(&self, name: &str) -> Result<(), CollError> {
-        self.ep.fault_point(name).map_err(|_| CollError::SelfDied)
-    }
-}
+mod common;
+use common::run_group;
 
 /// Any comm with only the required methods passed through, so every
 /// collective on it runs `PeerComm`'s default `send_with` / `recv_with`.
@@ -154,8 +109,8 @@ enum Mangle {
 
 /// A live peer of another build: its `nth` send (0-based) carries the wrong
 /// number of elements; everything else passes through, lending included.
-struct Mangler {
-    inner: PropComm,
+struct Mangler<'a> {
+    inner: EndpointGroup<'a>,
     nth: usize,
     how: Mangle,
     sends: Cell<usize>,
@@ -163,7 +118,7 @@ struct Mangler {
     mangled_to: Cell<Option<usize>>,
 }
 
-impl Mangler {
+impl Mangler<'_> {
     /// Count a send; true if it is the one to mangle.
     fn mangles(&self, peer: usize) -> bool {
         let hit = self.sends.replace(self.sends.get() + 1) == self.nth;
@@ -184,7 +139,7 @@ impl Mangler {
     }
 }
 
-impl PeerComm for Mangler {
+impl PeerComm for Mangler<'_> {
     fn size(&self) -> usize {
         self.inner.size()
     }
@@ -212,35 +167,6 @@ impl PeerComm for Mangler {
     fn fault_point(&self, name: &str) -> Result<(), CollError> {
         self.inner.fault_point(name)
     }
-}
-
-fn run_group<R: Send>(
-    n: usize,
-    plan: FaultPlan,
-    f: impl Fn(PropComm) -> R + Send + Sync,
-) -> Vec<R> {
-    let fabric = Fabric::new(Topology::flat(), FaultInjector::new(plan));
-    let group = fabric.register_ranks(n);
-    let f = &f;
-    let group_ref = &group;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let fabric = Arc::clone(&fabric);
-                s.spawn(move || {
-                    let comm = PropComm {
-                        ep: Endpoint::new(Arc::clone(&fabric), group_ref[i]),
-                        group: group_ref.clone(),
-                        my_idx: i,
-                    };
-                    let out = f(comm);
-                    fabric.kill_rank(group_ref[i]);
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
 }
 
 fn inputs(p: usize, n: usize, seed: u64) -> Vec<Vec<i64>> {
@@ -814,12 +740,12 @@ fn single_message_reference<E: Elem>(
 
 /// A comm that logs the payload bytes of every message it sends, with its
 /// tag; everything passes through, lending included.
-struct Logged {
-    inner: PropComm,
+struct Logged<'a> {
+    inner: EndpointGroup<'a>,
     sent: RefCell<Vec<(u64, usize)>>,
 }
 
-impl PeerComm for Logged {
+impl PeerComm for Logged<'_> {
     fn size(&self) -> usize {
         self.inner.size()
     }

@@ -510,7 +510,7 @@ pub fn run_backward_worker(
             if matches!(failed, Some(GlooError::SelfDied)) {
                 return (WorkerExit::Died, breakdowns);
             }
-            if let Some(err) = failed {
+            if failed.is_some() {
                 // --- exception path (paper Fig. 4 phases 1–3) -------------
                 recoveries += 1;
                 let mut ep_rec = RecoveryBreakdown::new(RecoveryKind::Backward, step);
@@ -518,17 +518,8 @@ pub fn run_backward_worker(
                 ep_rec.time("shutdown", || {
                     debug_assert!(ctx.is_poisoned());
                 });
-                ep_rec.time("reinit_elastic", || match err {
-                    // A timeout only *suspects* the awaited peer; it may be
-                    // alive and simply stuck behind the real victim. Confirm
-                    // against the runtime's dead list before blacklisting —
-                    // as Horovod's driver confirms via host discovery.
-                    GlooError::PeerFailure { global }
-                        if global.0 < usize::MAX && !ep.is_peer_alive(global) =>
-                    {
-                        driver.report_failure(global, cfg.policy)
-                    }
-                    _ => report_any_death(driver, ep, ctx.group(), cfg.policy),
+                ep_rec.time("reinit_elastic", || {
+                    report_any_death(driver, ep, ctx.group(), cfg.policy)
                 });
                 failure_episode = Some(ep_rec);
                 continue 'config;
@@ -580,9 +571,11 @@ pub fn run_backward_worker(
     (exit(stats), breakdowns)
 }
 
-/// When the failed peer is unknown (timeout), consult the runtime's dead
-/// list — the moral equivalent of Horovod's driver noticing a host went
-/// silent.
+/// Report every member of `group` on the runtime's dead list — the moral
+/// equivalent of Horovod's driver confirming via host discovery. Whichever
+/// peer a failure names is not reported alone: a timeout only *suspects*
+/// the awaited peer, which may be alive and stuck behind the real victim,
+/// and a send and a receive that saw the same death must cost the same.
 fn report_any_death(
     driver: &ElasticDriver,
     ep: &Endpoint,

@@ -16,6 +16,9 @@ pub enum RecoveryPolicy {
     DropNode,
 }
 
+/// SGD momentum of every run: no workload varies it.
+const MOMENTUM: f32 = 0.9;
+
 /// The training workload both engines run: a small MLP on the synthetic
 /// dataset. Identical across all workers (deterministic seeds).
 #[derive(Clone, Debug)]
@@ -36,8 +39,6 @@ pub struct TrainSpec {
     pub total_steps: usize,
     /// Learning rate.
     pub lr: f32,
-    /// Momentum.
-    pub momentum: f32,
     /// Allreduce algorithm for gradient aggregation.
     pub algo: AllreduceAlgo,
     /// Tensor-fusion byte cap: `Some(cap)` packs gradients into fused
@@ -148,7 +149,6 @@ impl Default for TrainSpec {
             steps_per_epoch: 4,
             total_steps: 12,
             lr: 0.05,
-            momentum: 0.9,
             algo: AllreduceAlgo::Ring,
             fusion: None,
             min_workers: 1,
@@ -164,9 +164,9 @@ impl TrainSpec {
         dnn::Model::mlp(self.features, &self.hidden, self.classes, self.seed)
     }
 
-    /// Build the optimizer.
+    /// Build the optimizer: SGD at `lr` with the fixed `MOMENTUM`.
     pub fn build_optimizer(&self) -> dnn::Sgd {
-        dnn::Sgd::new(self.lr, self.momentum)
+        dnn::Sgd::new(self.lr, MOMENTUM)
     }
 
     /// Build the dataset.

@@ -4,14 +4,13 @@
 use crate::error::GlooError;
 use collectives::{
     allgather, allreduce, binomial_bcast, dissemination_barrier, hier_allreduce, AllgatherAlgo,
-    AllreduceAlgo, CollError, Elem, NodeMap, PeerComm, ReduceOp,
+    AllreduceAlgo, CollError, Elem, EndpointGroup, NodeMap, PeerComm, ReduceOp,
 };
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use transport::wire::Fill;
-use transport::{Endpoint, RankId, TransportError};
+use std::time::Duration;
+use transport::{Endpoint, RankId};
 
 /// Traffic/operation counters for one context.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -71,7 +70,7 @@ impl Context {
         my_idx: usize,
     ) -> Result<Self, GlooError> {
         assert_eq!(group[my_idx], ep.rank(), "my_idx must locate self in group");
-        let ctx = Self {
+        let mut ctx = Self {
             ep,
             group,
             my_idx,
@@ -82,29 +81,24 @@ impl Context {
             collectives: Cell::new(0),
             op_timeout: None,
         };
-        let mut ctx = ctx;
         telemetry::counter("gloo.context.connects").incr();
         let _span = telemetry::span("gloo.context.connect_ns");
-        // Full mesh: exchange a SYN with every peer and wait for theirs.
-        let tag = CONNECT_BIT | tag_base(ctx.ctx_id, 0);
-        for peer in 0..ctx.group.len() {
-            if peer == ctx.my_idx {
-                continue;
-            }
-            ctx.ep
-                .send(ctx.group[peer], tag, &[])
-                .map_err(|e| ctx.map_transport(e))?;
-        }
-        for peer in 0..ctx.group.len() {
-            if peer == ctx.my_idx {
-                continue;
-            }
-            ctx.ep
-                .recv(ctx.group[peer], tag)
-                .map_err(|e| ctx.map_transport(e))?;
-            ctx.connections += 1;
-        }
+        ctx.connections = ctx.handshake().map_err(|e| ctx.map_coll(e))?;
         Ok(ctx)
+    }
+
+    /// Full mesh: exchange a SYN with every peer and wait for theirs.
+    /// Returns the number of connections.
+    fn handshake(&self) -> Result<u64, CollError> {
+        let (peers, tag) = (self.peers(), CONNECT_BIT | tag_base(self.ctx_id, 0));
+        let others = || (0..self.group.len()).filter(|&p| p != self.my_idx);
+        for peer in others() {
+            peers.send(peer, tag, &[])?;
+        }
+        for peer in others() {
+            peers.recv(peer, tag)?;
+        }
+        Ok(others().count() as u64)
     }
 
     /// Dense rank within the context.
@@ -143,21 +137,16 @@ impl Context {
         }
     }
 
-    fn map_transport(&self, e: TransportError) -> GlooError {
-        telemetry::counter("gloo.context.poisonings").incr();
-        self.poisoned.store(true, Ordering::SeqCst);
-        match e {
-            // A rank the fabric never registered is as unreachable as a dead one.
-            TransportError::PeerDead(g) | TransportError::UnknownRank(g) => {
-                GlooError::PeerFailure { global: g }
-            }
-            TransportError::SelfDied => GlooError::SelfDied,
-            // The handshake's receives pass neither a deadline nor a stop
-            // condition; were either to fire, the context is unusable.
-            TransportError::Timeout | TransportError::Stopped => GlooError::Poisoned,
-        }
+    /// The members as a [`PeerComm`] with no stop condition and each
+    /// receive bounded by the operation timeout: a receive that outlives it
+    /// is the awaited peer's suspected failure, exactly how Gloo turns
+    /// silence into an exception.
+    fn peers(&self) -> EndpointGroup<'_> {
+        EndpointGroup::new(&self.ep, &self.group, self.my_idx).recv_timeout(self.op_timeout)
     }
 
+    /// The one map from a collective's failure to this runtime's: any
+    /// failure poisons the context for good.
     fn map_coll(&self, e: CollError) -> GlooError {
         telemetry::counter("gloo.context.poisonings").incr();
         self.poisoned.store(true, Ordering::SeqCst);
@@ -189,7 +178,7 @@ impl Context {
         algo: AllreduceAlgo,
     ) -> Result<(), GlooError> {
         let base = self.begin_op()?;
-        allreduce(&GlooAdapter { ctx: self }, buf, op, algo, base).map_err(|e| self.map_coll(e))?;
+        allreduce(&self.peers(), buf, op, algo, base).map_err(|e| self.map_coll(e))?;
         self.collectives.set(self.collectives.get() + 1);
         Ok(())
     }
@@ -209,8 +198,7 @@ impl Context {
         algo: AllreduceAlgo,
     ) -> Result<(), GlooError> {
         let base = self.begin_op()?;
-        hier_allreduce(&GlooAdapter { ctx: self }, map, buf, op, algo, base)
-            .map_err(|e| self.map_coll(e))?;
+        hier_allreduce(&self.peers(), map, buf, op, algo, base).map_err(|e| self.map_coll(e))?;
         self.collectives.set(self.collectives.get() + 1);
         Ok(())
     }
@@ -218,8 +206,7 @@ impl Context {
     /// Broadcast from dense rank `root`.
     pub fn bcast(&self, root: usize, buf: &mut Vec<u8>) -> Result<(), GlooError> {
         let base = self.begin_op()?;
-        binomial_bcast(&GlooAdapter { ctx: self }, root, buf, base)
-            .map_err(|e| self.map_coll(e))?;
+        binomial_bcast(&self.peers(), root, buf, base).map_err(|e| self.map_coll(e))?;
         self.collectives.set(self.collectives.get() + 1);
         Ok(())
     }
@@ -227,8 +214,7 @@ impl Context {
     /// Allgather byte blocks.
     pub fn allgather(&self, mine: &[u8], algo: AllgatherAlgo) -> Result<Vec<Vec<u8>>, GlooError> {
         let base = self.begin_op()?;
-        let out = allgather(&GlooAdapter { ctx: self }, mine, algo, base)
-            .map_err(|e| self.map_coll(e))?;
+        let out = allgather(&self.peers(), mine, algo, base).map_err(|e| self.map_coll(e))?;
         self.collectives.set(self.collectives.get() + 1);
         Ok(out)
     }
@@ -236,84 +222,9 @@ impl Context {
     /// Barrier.
     pub fn barrier(&self) -> Result<(), GlooError> {
         let base = self.begin_op()?;
-        dissemination_barrier(&GlooAdapter { ctx: self }, base).map_err(|e| self.map_coll(e))?;
+        dissemination_barrier(&self.peers(), base).map_err(|e| self.map_coll(e))?;
         self.collectives.set(self.collectives.get() + 1);
         Ok(())
-    }
-}
-
-struct GlooAdapter<'a> {
-    ctx: &'a Context,
-}
-
-impl PeerComm for GlooAdapter<'_> {
-    fn size(&self) -> usize {
-        self.ctx.group.len()
-    }
-    fn rank(&self) -> usize {
-        self.ctx.my_idx
-    }
-    fn send(&self, peer: usize, tag: u64, data: &[u8]) -> Result<(), CollError> {
-        self.ctx
-            .ep
-            .send(self.ctx.group[peer], tag, data)
-            .map_err(|e| send_failure(peer, e))
-    }
-    fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, CollError> {
-        let r = match self.ctx.op_timeout {
-            Some(t) => self.ctx.ep.recv_timeout(self.ctx.group[peer], tag, t),
-            None => self.ctx.ep.recv(self.ctx.group[peer], tag),
-        };
-        r.map_err(|e| recv_failure(peer, e))
-    }
-    fn send_with(&self, peer: usize, tag: u64, len: usize, f: Fill<'_>) -> Result<(), CollError> {
-        self.ctx
-            .ep
-            .send_with(self.ctx.group[peer], tag, len, f)
-            .map_err(|e| send_failure(peer, e))
-    }
-    fn recv_with(&self, peer: usize, tag: u64, f: &mut dyn FnMut(&[u8])) -> Result<(), CollError> {
-        let deadline = self.ctx.op_timeout.map(|t| Instant::now() + t);
-        self.ctx
-            .ep
-            .recv_with(self.ctx.group[peer], tag, &|| false, deadline, f)
-            .map_err(|e| recv_failure(peer, e))
-    }
-    fn fault_point(&self, name: &str) -> Result<(), CollError> {
-        self.ctx.ep.fault_point(name).map_err(map_transport_to_coll)
-    }
-}
-
-/// A send to `peer` failed: its death is that peer's failure.
-fn send_failure(peer: usize, e: TransportError) -> CollError {
-    match e {
-        TransportError::PeerDead(_) => CollError::PeerFailed { peer },
-        other => map_transport_to_coll(other),
-    }
-}
-
-/// A receive from `peer` failed. A timed-out receive is a *suspected*
-/// failure of the awaited peer — exactly how Gloo turns silence into an
-/// exception.
-fn recv_failure(peer: usize, e: TransportError) -> CollError {
-    match e {
-        TransportError::Timeout => CollError::PeerFailed { peer },
-        other => map_transport_to_coll(other),
-    }
-}
-
-/// The transport error of one message — a whole payload or one segment of
-/// a paired step — as the collective's error.
-fn map_transport_to_coll(e: TransportError) -> CollError {
-    match e {
-        TransportError::PeerDead(_) | TransportError::UnknownRank(_) => {
-            CollError::PeerFailed { peer: usize::MAX }
-        }
-        TransportError::SelfDied => CollError::SelfDied,
-        // `recv_failure` takes a receive's timeout, and no gloo receive
-        // passes a stop condition; were either to reach here, the context
-        // is unusable, which is what `Aborted` poisons it as.
-        TransportError::Timeout | TransportError::Stopped => CollError::Aborted,
     }
 }
 
@@ -348,27 +259,6 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         })
-    }
-
-    #[test]
-    fn every_transport_error_is_a_typed_collective_error() {
-        use TransportError::*;
-        let failed = |peer| CollError::PeerFailed { peer };
-        let cases = [
-            (PeerDead(RankId(1)), failed(2), failed(usize::MAX)),
-            (
-                UnknownRank(RankId(9)),
-                failed(usize::MAX),
-                failed(usize::MAX),
-            ),
-            (SelfDied, CollError::SelfDied, CollError::SelfDied),
-            (Timeout, CollError::Aborted, failed(2)),
-            (Stopped, CollError::Aborted, CollError::Aborted),
-        ];
-        for (e, sent, received) in cases {
-            assert_eq!(send_failure(2, e.clone()), sent, "send: {e}");
-            assert_eq!(recv_failure(2, e), received, "recv");
-        }
     }
 
     #[test]
@@ -458,6 +348,29 @@ mod tests {
             }
         }
         assert!(poisoned_count >= 2);
+    }
+
+    #[test]
+    fn a_peer_silent_past_the_op_timeout_is_that_peers_failure() {
+        // Rank 1 connects, then stays alive and silent until rank 0 is done:
+        // rank 0's first receive outlives its timeout.
+        let done = std::sync::Barrier::new(2);
+        let results = run_ctx(2, FaultPlan::none(), |ctx| {
+            let ctx = ctx.unwrap();
+            let mut out = None;
+            if ctx.rank() == 0 {
+                let ctx = ctx.with_op_timeout(Duration::from_millis(20));
+                let mut buf = vec![1.0f32; 4];
+                let first = ctx.allreduce(&mut buf, ReduceOp::Sum, AllreduceAlgo::Ring);
+                out = Some((first, ctx.is_poisoned(), ctx.barrier()));
+            }
+            done.wait();
+            out
+        });
+        let (first, poisoned, again) = results[0].clone().unwrap();
+        assert_eq!(first, Err(GlooError::PeerFailure { global: RankId(1) }));
+        assert!(poisoned);
+        assert_eq!(again, Err(GlooError::Poisoned));
     }
 
     #[test]

@@ -342,19 +342,6 @@ impl Endpoint {
             .recv(from, tag, &|| false, Some(Instant::now() + timeout))
     }
 
-    /// Blocking receive that can additionally be interrupted by an external
-    /// stop condition (e.g. "this communicator was revoked"). Returns
-    /// [`TransportError::Stopped`] when `should_stop` fires. Combine with
-    /// [`Endpoint::wake_all`] to make the interruption prompt.
-    pub fn recv_stoppable(
-        &self,
-        from: RankId,
-        tag: u64,
-        should_stop: &dyn Fn() -> bool,
-    ) -> Result<Vec<u8>, TransportError> {
-        self.backend.recv(from, tag, should_stop, None)
-    }
-
     /// Lend the next message to `f` where it lies ([`Backend::recv_with`]).
     pub fn recv_with(
         &self,

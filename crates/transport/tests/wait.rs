@@ -65,7 +65,10 @@ fn wait_blocked_recv_ends_every_way_early_and_late() {
 
             let got = blocked_recv(
                 after,
-                |ep, stop| ep.recv_stoppable(RankId(0), TAG, &|| stop.load(Ordering::SeqCst)),
+                |ep, stop| {
+                    let stop = || stop.load(Ordering::SeqCst);
+                    ep.backend().recv(RankId(0), TAG, &stop, None)
+                },
                 |_, eps, stop| {
                     stop.store(true, Ordering::SeqCst);
                     eps[0].wake_all();

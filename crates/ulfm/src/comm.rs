@@ -9,14 +9,13 @@ use crate::universe::{CommKey, JoinTicket, Shared};
 use collectives::{
     allgather, allreduce, binomial_bcast, binomial_reduce, dissemination_barrier, fused_allreduce,
     gather, hier_allreduce, hier_fused_allreduce, plan_buckets, scatter, AllgatherAlgo,
-    AllreduceAlgo, CollError, Elem, PeerComm, ReduceOp,
+    AllreduceAlgo, CollError, Elem, EndpointGroup, PeerComm, ReduceOp,
 };
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use transport::wire::Fill;
-use transport::{Endpoint, RankId, TransportError, Wire};
+use transport::{Endpoint, RankId, Wire};
 
 /// Result of [`Communicator::shrink_with`]: either this rank is a member of
 /// the shrunk communicator, or the recovery policy excluded it and it must
@@ -207,45 +206,27 @@ impl Communicator {
 
     /// Send bytes to a group-local peer with a user tag.
     pub fn send(&self, peer: usize, user_tag: u64, data: &[u8]) -> Result<(), UlfmError> {
-        if self.is_revoked() {
-            return Err(UlfmError::Revoked);
-        }
-        self.ep
-            .send(self.group[peer], tags::p2p(self.id, user_tag), data)
-            .map_err(|e| self.map_transport(e))
+        let tag = tags::p2p(self.id, user_tag);
+        self.peers()
+            .send(peer, tag, data)
+            .map_err(|e| self.map_coll(e))
     }
 
     /// Receive bytes from a group-local peer with a user tag.
     pub fn recv(&self, peer: usize, user_tag: u64) -> Result<Vec<u8>, UlfmError> {
-        if self.is_revoked() {
-            return Err(UlfmError::Revoked);
-        }
-        let stop = || self.is_revoked();
-        self.ep
-            .recv_stoppable(self.group[peer], tags::p2p(self.id, user_tag), &stop)
-            .map_err(|e| self.map_transport(e))
+        let tag = tags::p2p(self.id, user_tag);
+        self.peers().recv(peer, tag).map_err(|e| self.map_coll(e))
     }
 
-    fn map_transport(&self, e: TransportError) -> UlfmError {
-        match e {
-            // A rank the endpoint never knew is dead in its alive table too,
-            // so the failure agreement removes it like any other.
-            TransportError::PeerDead(g) | TransportError::UnknownRank(g) => UlfmError::ProcFailed {
-                peer: self
-                    .group
-                    .iter()
-                    .position(|&x| x == g)
-                    .unwrap_or(usize::MAX),
-                global: g,
-            },
-            TransportError::SelfDied => UlfmError::SelfDied,
-            TransportError::Stopped => UlfmError::Revoked,
-            TransportError::Timeout => {
-                unreachable!("no ULFM receive passes a deadline; a suspicion stall is PeerDead")
-            }
-        }
+    /// The members as a [`PeerComm`] that fails every send and receive with
+    /// `Revoked` once this communicator is revoked, and releases a receive
+    /// blocked when it is.
+    fn peers(&self) -> EndpointGroup<'_, impl Fn() -> bool + '_> {
+        EndpointGroup::new(&self.ep, &self.group, self.my_idx).stop_when(|| self.is_revoked())
     }
 
+    /// The one map from a collective's failure to this runtime's: a failed
+    /// peer is reported for this operation and recovery happens above.
     fn map_coll(&self, e: CollError) -> UlfmError {
         match e {
             CollError::PeerFailed { peer } => UlfmError::ProcFailed {
@@ -254,10 +235,10 @@ impl Communicator {
             },
             CollError::SelfDied => UlfmError::SelfDied,
             CollError::Revoked => UlfmError::Revoked,
-            CollError::Aborted => unreachable!("ULFM communicators are never aborted"),
             // A live peer that does not speak the protocol is not a failure
             // shrink can remove; leave cleanly rather than redo forever.
-            CollError::Malformed { .. } => UlfmError::Aborted,
+            // Nothing a communicator runs aborts; were it to, leave as well.
+            CollError::Malformed { .. } | CollError::Aborted => UlfmError::Aborted,
         }
     }
 
@@ -271,25 +252,25 @@ impl Communicator {
         algo: AllreduceAlgo,
     ) -> Result<(), UlfmError> {
         let base = self.next_coll_base();
-        allreduce(&self.adapter(), buf, op, algo, base).map_err(|e| self.map_coll(e))
+        allreduce(&self.peers(), buf, op, algo, base).map_err(|e| self.map_coll(e))
     }
 
     /// Broadcast bytes from group-local `root`.
     pub fn bcast(&self, root: usize, buf: &mut Vec<u8>) -> Result<(), UlfmError> {
         let base = self.next_coll_base();
-        binomial_bcast(&self.adapter(), root, buf, base).map_err(|e| self.map_coll(e))
+        binomial_bcast(&self.peers(), root, buf, base).map_err(|e| self.map_coll(e))
     }
 
     /// Gather every member's block to every member.
     pub fn allgather(&self, mine: &[u8], algo: AllgatherAlgo) -> Result<Vec<Vec<u8>>, UlfmError> {
         let base = self.next_coll_base();
-        allgather(&self.adapter(), mine, algo, base).map_err(|e| self.map_coll(e))
+        allgather(&self.peers(), mine, algo, base).map_err(|e| self.map_coll(e))
     }
 
     /// Synchronize all members.
     pub fn barrier(&self) -> Result<(), UlfmError> {
         let base = self.next_coll_base();
-        dissemination_barrier(&self.adapter(), base).map_err(|e| self.map_coll(e))
+        dissemination_barrier(&self.peers(), base).map_err(|e| self.map_coll(e))
     }
 
     /// Reduce onto group-local `root`.
@@ -300,19 +281,19 @@ impl Communicator {
         op: ReduceOp,
     ) -> Result<(), UlfmError> {
         let base = self.next_coll_base();
-        binomial_reduce(&self.adapter(), root, buf, op, base).map_err(|e| self.map_coll(e))
+        binomial_reduce(&self.peers(), root, buf, op, base).map_err(|e| self.map_coll(e))
     }
 
     /// Gather byte blocks to `root`.
     pub fn gather(&self, root: usize, mine: &[u8]) -> Result<Option<Vec<Vec<u8>>>, UlfmError> {
         let base = self.next_coll_base();
-        gather(&self.adapter(), root, mine, base).map_err(|e| self.map_coll(e))
+        gather(&self.peers(), root, mine, base).map_err(|e| self.map_coll(e))
     }
 
     /// Scatter byte blocks from `root`.
     pub fn scatter(&self, root: usize, blocks: Option<&[Vec<u8>]>) -> Result<Vec<u8>, UlfmError> {
         let base = self.next_coll_base();
-        scatter(&self.adapter(), root, blocks, base).map_err(|e| self.map_coll(e))
+        scatter(&self.peers(), root, blocks, base).map_err(|e| self.map_coll(e))
     }
 
     /// In-place hierarchical (two-level) allreduce: intra-node reduce onto
@@ -338,8 +319,7 @@ impl Communicator {
             "hierarchy was built for a different communicator epoch; rebuild after shrink/join"
         );
         let base = self.next_coll_base();
-        hier_allreduce(&self.adapter(), hier.map(), buf, op, algo, base)
-            .map_err(|e| self.map_coll(e))
+        hier_allreduce(&self.peers(), hier.map(), buf, op, algo, base).map_err(|e| self.map_coll(e))
     }
 
     /// Fused allreduce: greedily bucket `tensors` under `cap_bytes` and
@@ -353,7 +333,7 @@ impl Communicator {
         cap_bytes: usize,
     ) -> Result<(), UlfmError> {
         let base = self.reserve_coll_span(Self::bucket_count::<E>(tensors, cap_bytes));
-        fused_allreduce(&self.adapter(), tensors, op, algo, cap_bytes, base)
+        fused_allreduce(&self.peers(), tensors, op, algo, cap_bytes, base)
             .map_err(|e| self.map_coll(e))
     }
 
@@ -376,7 +356,7 @@ impl Communicator {
         );
         let base = self.reserve_coll_span(Self::bucket_count::<E>(tensors, cap_bytes));
         hier_fused_allreduce(
-            &self.adapter(),
+            &self.peers(),
             hier.map(),
             tensors,
             op,
@@ -396,13 +376,6 @@ impl Communicator {
 
     pub(crate) fn comm_id(&self) -> u64 {
         self.id
-    }
-
-    fn adapter(&self) -> Adapter<'_> {
-        Adapter {
-            comm: self,
-            respect_revoke: true,
-        }
     }
 
     // ---- recovery -------------------------------------------------------
@@ -517,7 +490,7 @@ impl Communicator {
             // candidate agreement observes the death and iterates.
             self.ep
                 .fault_point("shrink.attempt")
-                .map_err(|e| self.map_transport(e))?;
+                .map_err(|_| UlfmError::SelfDied)?;
             let excluded: BTreeSet<RankId> =
                 exclude(&all_failed.iter().copied().collect::<Vec<_>>())
                     .into_iter()
@@ -648,7 +621,7 @@ impl Communicator {
         // member) mid-handshake, before the proposal is broadcast.
         self.ep
             .fault_point("join.merge")
-            .map_err(|e| self.map_transport(e))?;
+            .map_err(|_| UlfmError::SelfDied)?;
 
         // Leader proposes (stop-flag, joiners). Dead joiners are filtered
         // out of the snapshot so the group proceeds without them.
@@ -717,11 +690,14 @@ impl Communicator {
         let verdict = self.agree(delivered.is_ok() as u64, u64::MAX)?;
         if verdict.flags != 1 || !verdict.failed.is_empty() {
             telemetry::counter(failed_commits).incr();
-            if let Some(&g) = verdict.failed.first() {
-                return Err(self.map_transport(TransportError::PeerDead(g)));
-            }
-            if let Some(&g) = self.group.iter().find(|&&g| !self.ep.is_peer_alive(g)) {
-                return Err(self.map_transport(TransportError::PeerDead(g)));
+            // Surface the member the round lost: the agreed one, else one
+            // this rank sees dead.
+            let mut members = self.group.iter().copied();
+            let dead = verdict.failed.first().copied();
+            if let Some(global) = dead.or_else(|| members.find(|&g| !self.ep.is_peer_alive(g))) {
+                let peer = self.group.iter().position(|&g| g == global);
+                let peer = peer.unwrap_or(usize::MAX);
+                return Err(UlfmError::ProcFailed { peer, global });
             }
             self.revoke();
             return Err(UlfmError::Revoked);
@@ -791,7 +767,7 @@ impl Communicator {
         // member) mid-round, before the decision is committed.
         self.ep
             .fault_point("policy.round")
-            .map_err(|e| self.map_transport(e))?;
+            .map_err(|_| UlfmError::SelfDied)?;
 
         let proposal = (self.my_idx == 0).then(|| match hint {
             RecoveryArm::PromoteSpares => {
@@ -920,91 +896,6 @@ pub enum PolicyCommit {
     Promoted(Communicator),
 }
 
-/// `PeerComm` adapter: maps group-local indices to global ranks, enforces
-/// revocation, and translates transport errors into collective errors.
-struct Adapter<'a> {
-    comm: &'a Communicator,
-    respect_revoke: bool,
-}
-
-impl Adapter<'_> {
-    /// Must this operation fail because the communicator was revoked?
-    fn revoked(&self) -> bool {
-        self.respect_revoke && self.comm.is_revoked()
-    }
-
-    /// The transport error of one message — a whole payload or one segment
-    /// of a paired step — as the collective's error.
-    fn map(&self, e: TransportError) -> CollError {
-        match e {
-            // An unknown rank is dead in the alive table, as above.
-            TransportError::PeerDead(g) | TransportError::UnknownRank(g) => CollError::PeerFailed {
-                peer: self
-                    .comm
-                    .group
-                    .iter()
-                    .position(|&x| x == g)
-                    .unwrap_or(usize::MAX),
-            },
-            TransportError::SelfDied => CollError::SelfDied,
-            TransportError::Stopped => CollError::Revoked,
-            TransportError::Timeout => {
-                unreachable!("adapter receives pass no deadline; a suspicion stall is PeerDead")
-            }
-        }
-    }
-}
-
-impl PeerComm for Adapter<'_> {
-    fn size(&self) -> usize {
-        self.comm.group.len()
-    }
-    fn rank(&self) -> usize {
-        self.comm.my_idx
-    }
-    fn send(&self, peer: usize, tag: u64, data: &[u8]) -> Result<(), CollError> {
-        if self.revoked() {
-            return Err(CollError::Revoked);
-        }
-        self.comm
-            .ep
-            .send(self.comm.group[peer], tag, data)
-            .map_err(|e| self.map(e))
-    }
-    fn recv(&self, peer: usize, tag: u64) -> Result<Vec<u8>, CollError> {
-        if self.revoked() {
-            return Err(CollError::Revoked);
-        }
-        let stop = || self.revoked();
-        self.comm
-            .ep
-            .recv_stoppable(self.comm.group[peer], tag, &stop)
-            .map_err(|e| self.map(e))
-    }
-    fn send_with(&self, peer: usize, tag: u64, len: usize, f: Fill<'_>) -> Result<(), CollError> {
-        if self.revoked() {
-            return Err(CollError::Revoked);
-        }
-        self.comm
-            .ep
-            .send_with(self.comm.group[peer], tag, len, f)
-            .map_err(|e| self.map(e))
-    }
-    fn recv_with(&self, peer: usize, tag: u64, f: &mut dyn FnMut(&[u8])) -> Result<(), CollError> {
-        if self.revoked() {
-            return Err(CollError::Revoked);
-        }
-        let stop = || self.revoked();
-        self.comm
-            .ep
-            .recv_with(self.comm.group[peer], tag, &stop, None, f)
-            .map_err(|e| self.map(e))
-    }
-    fn fault_point(&self, name: &str) -> Result<(), CollError> {
-        self.comm.ep.fault_point(name).map_err(|e| self.map(e))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1019,15 +910,10 @@ mod tests {
         let u = Universe::without_faults(Topology::flat());
         let run = |proc: crate::Proc| {
             let comm = proc.init_comm();
-            let unknown = comm.map_transport(TransportError::UnknownRank(RankId(7)));
-            (comm.map_coll(CollError::Malformed { peer: 0 }), unknown)
+            comm.map_coll(CollError::Malformed { peer: 0 })
         };
         let h = u.spawn_batch(1, run).unwrap().pop().unwrap();
-        let unknown = UlfmError::ProcFailed {
-            peer: usize::MAX,
-            global: RankId(7),
-        };
-        assert_eq!(h.join(), (UlfmError::Aborted, unknown));
+        assert_eq!(h.join(), UlfmError::Aborted);
     }
 
     #[test]
