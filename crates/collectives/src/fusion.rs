@@ -79,23 +79,6 @@ pub struct FusionBuffer<E: Elem> {
 }
 
 impl<E: Elem> FusionBuffer<E> {
-    /// A buffer laid out for the given tensor sizes (element counts), every
-    /// slot set to `fill`. For callers that fill tensors incrementally as
-    /// gradients become ready (the engines' ready-queue path).
-    pub fn with_layout(sizes: &[usize], fill: E) -> Self {
-        let mut offsets = Vec::with_capacity(sizes.len() + 1);
-        let mut pos = 0usize;
-        offsets.push(0);
-        for &s in sizes {
-            pos += s;
-            offsets.push(pos);
-        }
-        Self {
-            data: vec![fill; pos],
-            offsets,
-        }
-    }
-
     /// Pack `tensors` (in order) into one contiguous buffer.
     pub fn pack(tensors: &[&[E]]) -> Self {
         let mut offsets = Vec::with_capacity(tensors.len() + 1);
@@ -137,11 +120,6 @@ impl<E: Elem> FusionBuffer<E> {
     /// Tensor `i`'s slice of the payload.
     pub fn tensor(&self, i: usize) -> &[E] {
         &self.data[self.offsets[i]..self.offsets[i + 1]]
-    }
-
-    /// Mutable view of tensor `i`'s slice.
-    pub fn tensor_mut(&mut self, i: usize) -> &mut [E] {
-        &mut self.data[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// Scatter the (reduced) payload back into per-tensor buffers, in the

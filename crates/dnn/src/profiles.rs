@@ -105,11 +105,6 @@ impl ModelProfile {
             size_mb: self.size_mb / factor as f64,
         }
     }
-
-    /// Per-step allreduce bytes (gradients are f32, one per parameter).
-    pub fn gradient_bytes_per_step(&self) -> u64 {
-        self.state_bytes()
-    }
 }
 
 /// The three paper models, in Table 1 order.

@@ -361,10 +361,13 @@ impl<'a> Worker<'a> {
         // Warm-pool determinism: like expected_joiners, members block until
         // every expected spare has announced itself, so the first failure
         // already sees a warm pool instead of racing spare startup. The
-        // counter is monotone and global; `join_wait` bounds the stall.
+        // counter is monotone and global; `join_wait` bounds the stall, and
+        // a lost store ends it (nothing more can be counted).
         if role == Role::Member && cfg.expected_spares > 0 {
             let deadline = cfg.join_wait.map(|w| std::time::Instant::now() + w);
-            while proc.announced_spares() < cfg.expected_spares as u64
+            while proc
+                .announced_spares()
+                .is_some_and(|n| n < cfg.expected_spares as u64)
                 && deadline.is_none_or(|d| std::time::Instant::now() < d)
             {
                 std::thread::sleep(std::time::Duration::from_micros(300));
@@ -809,12 +812,15 @@ impl<'a> Worker<'a> {
         // of who drains the pending list when. `join_wait` bounds the
         // stall: past the deadline the group gives up and continues shrunk
         // rather than waiting on a joiner that crashed before announcing.
+        // A lost store reads as arrived: nothing more can be counted.
         // Spares are a different namespace entirely: epoch boundaries never
         // drain the pool.
         let wait_deadline = cfg.join_wait.map(|w| std::time::Instant::now() + w);
-        while proc.announced_joiners() < cfg.expected_joiners as u64
-            && wait_deadline.is_none_or(|d| std::time::Instant::now() < d)
-        {
+        let all_announced = || {
+            let expected = cfg.expected_joiners as u64;
+            proc.announced_joiners().is_none_or(|n| n >= expected)
+        };
+        while !all_announced() && wait_deadline.is_none_or(|d| std::time::Instant::now() < d) {
             std::thread::sleep(std::time::Duration::from_micros(300));
         }
         // The admission itself is re-entrant: a death mid-handshake (leader
@@ -824,7 +830,7 @@ impl<'a> Worker<'a> {
         // the decision every member acts on rides in the committed
         // proposal, so deadline clocks cannot diverge the SPMD control flow.
         loop {
-            let arrived = proc.announced_joiners() >= cfg.expected_joiners as u64;
+            let arrived = all_announced();
             let expired = wait_deadline.is_some_and(|d| std::time::Instant::now() >= d);
             match self.comm().accept_joiners_directed(arrived || expired) {
                 Ok(JoinOutcome::Merged(merged)) => {

@@ -108,3 +108,68 @@ fn a_dead_join_store_leaves_members_training_and_newcomers_exit_typed() {
         b.shutdown();
     }
 }
+
+/// Members that *expect* one joiner and one warm spare, with no join
+/// deadline, while the store is dead. Counting announcements goes through
+/// the store, so a lost count has to end both waits — for the pool before
+/// the first step and for the joiner at the epoch boundary — or the run
+/// never finishes. The newcomers' side is the case above.
+#[test]
+fn members_expecting_newcomers_stop_waiting_on_a_dead_store() {
+    let plan = FaultPlan::none().kill_at_point(RankId(VICTIM), "allreduce.step", 5);
+    let backends = SocketBackend::local_mesh(BackendKind::Unix, Topology::flat(), MEMBERS, plan)
+        .expect("mesh");
+    for b in &backends {
+        b.set_suspicion_timeout(Some(Duration::from_secs(5)));
+    }
+    let store = KvStore::shared_flaky(StoreFaults {
+        fail_rate: 1.0,
+        seed: 11,
+        max_consecutive: u32::MAX,
+    });
+    let group: Vec<RankId> = (0..MEMBERS).map(RankId).collect();
+    let cfg = ForwardConfig {
+        policy_mode: PolicyMode::Static(RecoveryArm::PromoteSpares),
+        expected_joiners: 1,
+        expected_spares: 1,
+        join_wait: None,
+        ..ForwardConfig::new(TrainSpec {
+            total_steps: 8,
+            steps_per_epoch: 8,
+            min_workers: 2,
+            ..TrainSpec::default()
+        })
+    };
+    let members: Vec<_> = backends
+        .iter()
+        .map(|b| {
+            let ep = Endpoint::from_backend(Arc::clone(b) as Arc<dyn Backend>);
+            let join = Arc::new(NetJoin::new(Arc::clone(&store), "dead/"));
+            let (group, cfg) = (group.clone(), cfg.clone());
+            std::thread::spawn(move || {
+                let (_universe, proc) = Universe::for_backend_with_join(ep, group, join);
+                run_forward_role(&proc, &cfg, Role::Member).exit
+            })
+        })
+        .collect();
+    let exits: Vec<WorkerExit> = members
+        .into_iter()
+        .map(|h| h.join().expect("member panicked"))
+        .collect();
+    assert!(matches!(exits[VICTIM], WorkerExit::Died), "{exits:?}");
+    let fingerprints: Vec<u64> = [0, 2]
+        .iter()
+        .map(|&r| match &exits[r] {
+            WorkerExit::Completed(s) => {
+                assert_eq!(s.final_world, MEMBERS - 1, "rank {r}: {s:?}");
+                assert_eq!(s.steps_done, 8, "rank {r}");
+                s.state_fingerprint
+            }
+            other => panic!("rank {r} did not complete: {other:?}"),
+        })
+        .collect();
+    assert_eq!(fingerprints[0], fingerprints[1], "replicas diverged");
+    for b in &backends {
+        b.shutdown();
+    }
+}

@@ -14,7 +14,6 @@
 //! The output is aggregate useful work (worker-seconds of training) over a
 //! fixed horizon, and the effective speedup of starting early.
 
-use crate::breakdown::Breakdown;
 use crate::constants::ClusterModel;
 use crate::network::bcast_time;
 
@@ -131,13 +130,6 @@ pub fn scenario3_sweep(
             )
         })
         .collect()
-}
-
-/// Convenience: a breakdown-style view of one outcome.
-pub fn outcome_breakdown(o: &Scenario3Outcome) -> Breakdown {
-    Breakdown::new()
-        .with("elastic_work", o.elastic_work)
-        .with("wait_for_all_work", o.wait_work)
 }
 
 #[cfg(test)]

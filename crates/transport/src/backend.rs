@@ -161,7 +161,8 @@ pub trait Backend: Send + Sync {
     /// Drop buffered messages whose tag matches `pred`; returns the count.
     fn purge_tags(&self, pred: &dyn Fn(u64) -> bool) -> usize;
 
-    /// Install a link-perturbation plan (replaces any previous one).
+    /// Install a link-perturbation plan (replaces any previous one). From
+    /// the first that perturbs a link on, every send is numbered and acked.
     fn set_perturbation(&self, plan: PerturbPlan);
 
     /// Enable (`Some`) or disable (`None`) timeout-based failure suspicion

@@ -7,8 +7,9 @@
 //! accounting, receive-side corrupt / duplicate accounting, and the traffic
 //! counters. What makes it *reliable* over a lossy link — sequence numbers,
 //! dedup, reorder and the ack / retransmit / backoff loop — is
-//! [`crate::reliable`], which a send goes through only where loss exists
-//! ([`Link::lossy`]); a clean send is encoded, handed over once and done.
+//! [`crate::reliable`], which a send goes through only where loss exists:
+//! from the first installed plan that perturbs a link ([`Engine::lossy`]),
+//! on every link alike. A clean send is encoded, handed over once and done.
 //! A backend is only the *link* underneath — how a frame copy gets to a
 //! peer, how its ack comes back, how liveness is learnt and how a death is
 //! carried out — and gets its whole [`Backend`] implementation from the one
@@ -20,7 +21,7 @@ use crate::fabric::HAND_OVER_MIN;
 use crate::fault::{FaultInjector, RankFaults};
 use crate::ids::{RankId, Topology};
 use crate::mailbox::{FrameAck, Mailbox, RecvOutcome};
-use crate::perturb::{PerturbPlan, Perturber};
+use crate::perturb::{PerturbPlan, Perturber, RetryPolicy};
 use crate::reliable::{self, Cursors};
 use crate::wire::{self, Fill, Payload, FRAME_HEADER, FRAME_TRAILER};
 use parking_lot::{Mutex, RwLock};
@@ -237,7 +238,7 @@ impl<P> Table<P> {
 /// cache line here that another rank's `send` / `recv` also takes or writes.
 /// What a message changes lives with its one writer — traffic counts
 /// ([`Slot`]) and fault counters ([`RankFaults`]) with the sending rank —
-/// and what it only reads (the table, `planned`, the suspicion timeout) is
+/// and what it only reads (the table, `lossy`, the suspicion timeout) is
 /// written at set-up or on a failure.
 pub(crate) struct Engine<P> {
     pub(crate) topology: Topology,
@@ -247,9 +248,9 @@ pub(crate) struct Engine<P> {
     /// The installed perturbation plan's executor; `None` until a plan is
     /// installed.
     perturber: RwLock<Option<Arc<Perturber>>>,
-    /// Raised with the first plan, never lowered: a fabric that never had
-    /// one leaves the lock above alone.
-    planned: AtomicBool,
+    /// Raised with the first plan that perturbs some link, never lowered;
+    /// until then the lock above is left alone.
+    lossy: AtomicBool,
     /// If set, a blocking receive with no explicit deadline that stalls past
     /// this duration suspects the silent peer dead (timeout-based failure
     /// detection). `None` (the default) models a perfect, hang-free network.
@@ -275,7 +276,7 @@ impl<P> Engine<P> {
             table: Table::new(),
             injector,
             perturber: RwLock::new(None),
-            planned: AtomicBool::new(false),
+            lossy: AtomicBool::new(false),
             suspicion: AtomicTimeout::none(),
             suspicion_batch: AtomicTimeout::none(),
             last_suspicion: Mutex::new(None),
@@ -351,19 +352,32 @@ impl<P> Engine<P> {
         died
     }
 
+    /// Install `plan`; one that perturbs no link (a retry policy alone)
+    /// leaves a clean engine clean.
     pub(crate) fn set_perturbation(&self, plan: PerturbPlan) {
+        let perturbs = !plan.is_inert();
         *self.perturber.write() = Some(Arc::new(Perturber::new(plan)));
-        self.planned.store(true, Ordering::SeqCst);
+        self.lossy.fetch_or(perturbs, Ordering::SeqCst);
     }
 
-    /// Was a plan ever installed?
-    pub(crate) fn planned(&self) -> bool {
-        self.planned.load(Ordering::SeqCst)
+    /// Can a link lose, duplicate, corrupt or reorder a frame? Only under a
+    /// plan: a stream socket and an in-process hand-off are both reliable
+    /// and ordered. Every send is then numbered and acked.
+    pub(crate) fn lossy(&self) -> bool {
+        self.lossy.load(Ordering::SeqCst)
     }
 
-    /// The installed plan's executor, if a plan was ever installed.
+    /// The installed plan's retry policy; the default without a plan.
+    pub(crate) fn retry_policy(&self) -> RetryPolicy {
+        let perturber = self.perturber.read();
+        perturber
+            .as_ref()
+            .map_or_else(RetryPolicy::default, |p| p.plan().retry_policy())
+    }
+
+    /// The installed plan's executor, once the engine is lossy.
     pub(crate) fn perturber(&self) -> Option<Arc<Perturber>> {
-        if !self.planned() {
+        if !self.lossy() {
             return None;
         }
         self.perturber.read().clone()
@@ -426,8 +440,8 @@ impl<P> Engine<P> {
 }
 
 /// What a backend actually is: one rank's link to its peers. The engine
-/// owns the contract and the view of who is alive; a link says whether it
-/// can lose a frame ([`Link::lossy`]), delivers a clean one
+/// owns the contract, the view of who is alive and whether a frame can be
+/// lost ([`Engine::lossy`]); a link delivers a clean frame
 /// ([`Link::hand_over`]) or carries numbered copies for [`reliable::send`]
 /// ([`Link::hand_off`], [`Link::await_ack`]), and carries out deaths
 /// ([`Link::die`], [`Link::condemn`]) — plus the control plane, which
@@ -460,19 +474,11 @@ pub(crate) trait Link: Send + Sync {
         self.me().is_alive()
     }
 
-    /// Can a frame on this link be lost, duplicated, corrupted or
-    /// reordered? Then every send is numbered and acked through
-    /// [`reliable::send`]. The default is a wire's: its stream keeps its
-    /// acks whether or not a plan perturbs it.
-    fn lossy(&self) -> bool {
-        true
-    }
-
-    /// Deliver the frame of a clean send to `peer`, once, and return the
-    /// receiver's verdict. Called only while [`Link::lossy`] is false.
-    fn hand_over(&self, _peer: &Slot<Self::Port>, _frame: Vec<u8>) -> FrameAck {
-        unreachable!("a lossy link sends through reliable::send")
-    }
+    /// Deliver the unnumbered frame of a clean send to `to`, once. False
+    /// if the link refused it: the receiver found it corrupt, the link is
+    /// closing or closed, or the peer never connected. Called only while
+    /// the engine is not lossy.
+    fn hand_over(&self, to: RankId, peer: &Slot<Self::Port>, frame: Vec<u8>) -> bool;
 
     /// Hand one copy of a numbered frame toward `to`: `copy` is `None` for
     /// `frame` itself, `Some` for a mangled or stashed version. A link that
@@ -628,13 +634,17 @@ impl<L: Link> Backend for L {
         let mine = self.me();
         // Encoded once, the payload written straight into it.
         let buf = mine.tx.frame_buffer(len);
-        if self.lossy() {
+        if eng.lossy() {
             reliable::send(self, to, peer, tag, len, f, buf)?;
         } else {
             let frame = wire::encode_frame_with(buf, me, tag, 0, len, f);
-            if !self.hand_over(peer, frame).is_acked() {
-                // A link that cannot lose a frame refused one: the peer is
-                // broken, and that is the failure detector's to report.
+            if !self.hand_over(to, peer, frame) {
+                // A link that cannot lose a frame refused one: this rank is
+                // leaving, or the peer is broken and the failure detector
+                // reports it (coalesced if it is known dead).
+                if !self.self_alive() {
+                    return Err(TransportError::SelfDied);
+                }
                 Backend::suspect(self, to);
                 return Err(TransportError::PeerDead(to));
             }

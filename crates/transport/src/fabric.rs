@@ -25,8 +25,8 @@ pub(crate) const HAND_OVER_MIN: usize = 4 << 10;
 pub struct Fabric {
     /// One engine for the whole job: every rank's backend reports into it,
     /// so the alive table, plans and failure counters are fabric-wide. A
-    /// rank's slot holds its mailbox, its traffic counts and, once a plan is
-    /// installed, its per-link cursors.
+    /// rank's slot holds its mailbox, its traffic counts and, once a plan
+    /// perturbs a link, its per-link cursors.
     engine: Engine<Mailbox>,
 }
 
@@ -54,8 +54,8 @@ impl Fabric {
     }
 
     /// Install a message-perturbation plan. Replaces any previous plan;
-    /// normally called once before traffic starts. From the first plan on,
-    /// every send is numbered and acked, since a link may now lose it.
+    /// normally called once before traffic starts. From the first that
+    /// perturbs a link on, every send is numbered and acked.
     pub fn set_perturbation(&self, plan: PerturbPlan) {
         self.engine.set_perturbation(plan);
     }
@@ -163,7 +163,7 @@ impl Fabric {
 /// ranks are threads and a hand-off is a function call into the
 /// destination's mailbox on the sender's thread — so the ack is the return
 /// value and there is never anything to wait for. Such a call cannot lose a
-/// frame, so the link is lossy only once a plan is installed, and the
+/// frame, so the link is lossy only once a plan perturbs one, and the
 /// receive side follows the sender's choice: the sender's thread runs it.
 /// The [`crate::Endpoint`] wrapper constructs it via
 /// [`crate::Endpoint::new`].
@@ -211,13 +211,9 @@ impl Link for InProcBackend {
         &self.faults
     }
 
-    fn lossy(&self) -> bool {
-        self.fabric.engine.planned()
-    }
-
     /// A large frame is given to the receiver whole, verified where it lies;
     /// a small one is copied out of it.
-    fn hand_over(&self, peer: &Slot<Mailbox>, frame: Vec<u8>) -> FrameAck {
+    fn hand_over(&self, _to: RankId, peer: &Slot<Mailbox>, frame: Vec<u8>) -> bool {
         let ack = if frame.len() >= FRAME_HEADER + HAND_OVER_MIN + FRAME_TRAILER {
             match wire::verify_frame(frame) {
                 Ok(verified) => peer.port.accept(verified),
@@ -226,7 +222,7 @@ impl Link for InProcBackend {
         } else {
             peer.port.accept_frame(&frame)
         };
-        self.fabric.engine.count(ack)
+        self.fabric.engine.count(ack).is_acked()
     }
 
     fn hand_off(

@@ -22,11 +22,11 @@
 //! alive table for clean fail-stop deaths plus timeout-based *suspicion*
 //! for silent ones — is implemented once, by the delivery engine behind
 //! the [`Backend`] trait (see [`backend`]). Reliability is a layer that
-//! exists only where loss can: once a seeded [`PerturbPlan`] may make a
-//! link lossy, and on every socket, frames are numbered per link, and
-//! deduplication, reordering and bounded retransmission ([`RetryPolicy`])
-//! heal the loss. A clean in-process send is one hand-off of an unnumbered
-//! frame into the receiver's [`Mailbox`], which only matches. What varies is the link under
+//! exists only where loss can: once a seeded [`PerturbPlan`] perturbs a
+//! link, frames are numbered per link, and deduplication, reordering and
+//! bounded retransmission ([`RetryPolicy`]) heal the loss. Until then a
+//! send is one hand-over of an unnumbered frame, with no ack and no
+//! retransmit, and a [`Mailbox`] only matches. What varies is the link under
 //! it: function calls between threads of one process ([`Fabric`],
 //! [`Endpoint::new`]) or TCP / Unix-domain stream sockets between OS
 //! processes ([`SocketBackend`], see [`socket`]).

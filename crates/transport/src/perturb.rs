@@ -5,10 +5,10 @@
 //! learns of it instantly. Real fabrics also lose, delay, duplicate, reorder,
 //! and corrupt individual messages; those are the failure modes the
 //! transport's reliability layer (per-link sequence numbers, dedup,
-//! reorder, ack and retransmit) exists to heal. Installing a plan on a
-//! [`crate::Fabric`] is what switches that layer on for its in-process
-//! links; socket links always run it, and a plan there perturbs the frames
-//! it sends and sets its [`RetryPolicy`]. A [`PerturbPlan`] scripts that
+//! reorder, ack and retransmit) exists to heal. Installing a plan that
+//! perturbs some link switches that layer on, in process and over sockets
+//! alike; one that perturbs nothing ([`PerturbPlan::is_inert`]) leaves
+//! clean links clean. A [`PerturbPlan`] scripts that
 //! adversity per link (ordered rank pair) with per-message rates and an RNG
 //! seed, so every run — including every chaos failure — replays
 //! bit-identically.
@@ -151,6 +151,12 @@ impl RetryPolicy {
         let capped = exp.min(self.cap);
         let jitter = 0.5 + (salt % 1024) as f64 / 1024.0;
         capped.mul_f64(jitter)
+    }
+
+    /// How long a sender waits on a silent peer before suspecting it: every
+    /// backoff of the budget, unjittered.
+    pub(crate) fn patience(&self) -> Duration {
+        (0..=self.max_retries).map(|n| self.backoff(n, 512)).sum()
     }
 }
 

@@ -7,9 +7,9 @@
 //! is a failure, and reporting it is the failure detector's job (the
 //! end-to-end argument: Saltzer, Reed and Clark, 1984). Loss, duplication,
 //! corruption and reordering come from a [`crate::PerturbPlan`], and this
-//! module is what heals them. The engine sends through it on every socket
-//! link (its stream keeps its acks) and on an in-process fabric from its
-//! first plan onward; a clean in-process send bypasses it entirely.
+//! module is what heals them. The engine sends through it from the first
+//! installed plan that perturbs a link onward, over either link; a clean
+//! send bypasses it entirely.
 //!
 //! Frames are numbered per ordered `(src, dst)` link, however many tags the
 //! link carries, so a rank keeps one cursor per peer on each side: O(p)
@@ -20,7 +20,7 @@ use crate::delivery::{Engine, Link, Slot};
 use crate::error::TransportError;
 use crate::ids::RankId;
 use crate::mailbox::{FrameAck, Mailbox};
-use crate::perturb::{Perturber, RetryPolicy, Verdict};
+use crate::perturb::{Perturber, Verdict};
 use crate::wire::{self, Fill, Frame};
 use parking_lot::Mutex;
 use std::borrow::Borrow;
@@ -135,7 +135,7 @@ impl Cursors {
 }
 
 /// Send one numbered frame to `to` and retransmit it until a copy of it is
-/// acked, the budget of the installed plan's [`RetryPolicy`] runs out (the
+/// acked, the budget of the installed plan's [`crate::RetryPolicy`] runs out (the
 /// peer is then suspected), or either end dies.
 pub(crate) fn send<L: Link>(
     link: &L,
@@ -151,9 +151,7 @@ pub(crate) fn send<L: Link>(
     // Encoded once; every (re)transmission hands off this same frame.
     let mut frame = L::Frame::from(wire::encode_frame_with(buf, me, tag, seq, len, f));
     let mut perturber = eng.perturber();
-    let policy = perturber
-        .as_deref()
-        .map_or_else(RetryPolicy::default, |p| p.plan().retry_policy());
+    let policy = eng.retry_policy();
     let mut attempt = 0u32;
     loop {
         // One physical transmission attempt, under the plan if there is one.
@@ -227,7 +225,7 @@ mod tests {
     use crate::fabric::{Fabric, InProcBackend};
     use crate::fault::FaultPlan;
     use crate::ids::Topology;
-    use crate::perturb::{LinkPerturb, PerturbPlan};
+    use crate::perturb::{LinkPerturb, PerturbPlan, RetryPolicy};
     use crate::socket::SocketBackend;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
@@ -458,6 +456,12 @@ mod tests {
         assert_eq!(in_process(None), vec![(0, 0); 2]);
     }
 
+    /// Every link duplicates half its frames: lossy, with nothing to wait
+    /// for.
+    fn duplicating() -> PerturbPlan {
+        PerturbPlan::seeded(3).all_links(LinkPerturb::clean().duplicate(0.5))
+    }
+
     #[test]
     fn an_in_process_fabric_numbers_its_sends_from_its_first_plan_on() {
         let fabric = Fabric::without_faults(Topology::flat());
@@ -469,11 +473,30 @@ mod tests {
         assert_eq!(cursor_entries(&link), vec![(0, 0); 2]);
         // A plan installed mid-run finds nothing in flight: the next frame
         // on the same channel is numbered 0 and queues behind the clean one.
-        fabric.set_perturbation(PerturbPlan::none());
+        fabric.set_perturbation(duplicating());
         a.send(ranks[1], 5, b"numbered").unwrap();
         assert_eq!(cursor_entries(&link), vec![(1, 0), (0, 1)]);
         assert_eq!(b.recv(ranks[0], 5).unwrap(), b"clean");
         assert_eq!(b.recv(ranks[0], 5).unwrap(), b"numbered");
+    }
+
+    #[test]
+    fn a_plan_that_perturbs_no_link_numbers_nothing() {
+        let fabric = Fabric::without_faults(Topology::flat());
+        let ranks = fabric.register_ranks(2);
+        let ep = |r: RankId| Endpoint::new(Arc::clone(&fabric), r);
+        let (a, b) = (ep(ranks[0]), ep(ranks[1]));
+        let link = InProcBackend::new(Arc::clone(&fabric), ranks[0]);
+        // A retry policy alone, or links set clean, cannot lose a frame.
+        let patient = RetryPolicy {
+            max_retries: 800,
+            ..RetryPolicy::default()
+        };
+        fabric.set_perturbation(PerturbPlan::none().retry(patient));
+        fabric.set_perturbation(PerturbPlan::seeded(1).all_links(LinkPerturb::clean()));
+        a.send(ranks[1], 5, b"still clean").unwrap();
+        assert_eq!(cursor_entries(&link), vec![(0, 0); 2]);
+        assert_eq!(b.recv(ranks[0], 5).unwrap(), b"still clean");
     }
 
     #[test]
@@ -491,8 +514,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bounded_state_socket_keeps_one_cursor_per_link() {
+    fn socket(plan: Option<PerturbPlan>) -> Vec<(usize, usize)> {
         let mesh =
             SocketBackend::local_mesh(BackendKind::Unix, Topology::flat(), 2, FaultPlan::none())
                 .expect("mesh");
@@ -500,16 +522,33 @@ mod tests {
             .iter()
             .map(|b| Endpoint::from_backend(Arc::clone(b) as Arc<dyn crate::Backend>))
             .collect();
+        if let Some(plan) = plan {
+            for ep in &eps {
+                ep.set_perturbation(plan.clone());
+            }
+        }
         exchange(&eps);
+        let mut entries = Vec::new();
         for b in &mesh {
             assert_eq!(Link::mailbox(&**b).tracked_queues(), 0);
-            for (send, recv) in cursor_entries(&**b) {
-                assert!(
-                    send <= 2 && recv <= 2,
-                    "{send} numbered, {recv} reassembled"
-                );
-            }
+            entries.extend(cursor_entries(&**b));
             crate::Backend::shutdown(&**b);
+        }
+        entries
+    }
+
+    #[test]
+    fn bounded_state_clean_socket_sends_are_never_numbered() {
+        assert_eq!(socket(None), vec![(0, 0); 4]);
+    }
+
+    #[test]
+    fn bounded_state_socket_keeps_one_cursor_per_link() {
+        for (send, recv) in socket(Some(duplicating())) {
+            assert!(
+                send <= 2 && recv <= 2,
+                "{send} numbered, {recv} reassembled"
+            );
         }
     }
 }

@@ -4,13 +4,14 @@
 //! One [`SocketBackend`] instance serves one rank — normally one OS
 //! process, though tests may host several backends in a single process.
 //! Peers form a full mesh of duplex connections; each connection carries
-//! [`crate::stream`] envelopes, and the payload of every `Data` envelope is
-//! a checksummed wire frame ([`crate::wire`]), numbered per link: every
-//! socket send goes through the transport's reliability layer, so
-//! perturbation, retransmission and the suspicion rules apply at exactly
-//! the layer they do in process under a plan. What lives here is how a
-//! frame copy reaches a peer (a per-connection queue), how its ack comes
-//! back (an `Ack` envelope), and how deaths are learnt and carried out.
+//! [`crate::stream`] envelopes, and a message is a checksummed wire frame
+//! ([`crate::wire`]). The kernel stream is reliable and ordered, so a clean
+//! send queues one `Clean` envelope: no number, no ack, no retransmit. From
+//! the first plan that perturbs a link on (the engine's rule, as in
+//! process) every send goes through the reliability layer as a `Data`
+//! envelope, numbered per link and acked by an `Ack` envelope. What lives
+//! here is how a frame reaches a peer (a per-connection queue), how an ack
+//! comes back, and how deaths are learnt and carried out.
 //!
 //! ## Event loop
 //!
@@ -33,9 +34,10 @@
 //! * **EOF / connection reset** — a SIGKILLed process's kernel closes its
 //!   sockets; every peer's reader observes it immediately and marks the
 //!   rank dead (the fail-stop signal the in-process alive table modeled);
-//! * **silence** — a reachable-but-stuck peer trips the engine's two
-//!   suspicion rules: send-retry exhaustion, or a blocking receive with no
-//!   explicit deadline stalling past the suspicion timeout.
+//! * **silence** — a reachable-but-stuck peer trips the suspicion timeout
+//!   of a blocking receive with no explicit deadline. A clean send waits
+//!   for no ack, so it never suspects a live peer that is slow to read;
+//!   under a plan, send-retry exhaustion is a second rule.
 //!
 //! A suspected rank is additionally sent a best-effort `Die` envelope so
 //! that — exactly as with the shared alive table — a suspected process
@@ -72,8 +74,8 @@ const ACK_GRACE: Duration = Duration::from_millis(1);
 /// How long a freshly-accepted connection gets to present its `Hello`.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// How long `shutdown` waits for writer threads to flush draining links
-/// before force-closing them.
+/// How long `shutdown` waits for a draining link that has stopped writing
+/// before force-closing it.
 const SHUTDOWN_DRAIN: Duration = Duration::from_millis(500);
 
 /// Backoff between dial attempts while a peer's listener isn't up yet.
@@ -197,9 +199,10 @@ impl Stream {
 enum Outbound {
     /// A ready-made control envelope (ack, signal, die, bye).
     Control(Vec<u8>),
-    /// A wire frame, shared with the `send` that may have to retransmit it;
-    /// the writer puts the `Data` envelope header in front.
-    Data(Arc<Vec<u8>>),
+    /// A wire frame, `Clean` or `Data`: the writer puts the envelope header
+    /// in front. A `Data` frame is shared with the `send` that may have to
+    /// retransmit it.
+    Frame(StreamKind, Arc<Vec<u8>>),
 }
 
 impl Outbound {
@@ -207,7 +210,7 @@ impl Outbound {
     fn stream_len(&self) -> usize {
         match self {
             Outbound::Control(env) => env.len(),
-            Outbound::Data(frame) => ENVELOPE_HEADER + frame.len(),
+            Outbound::Frame(_, frame) => ENVELOPE_HEADER + frame.len(),
         }
     }
 }
@@ -695,6 +698,7 @@ impl SocketBackend {
             }
             st.phase = LinkPhase::Up;
             st.stream = Some(stream);
+            slot.port.cv.notify_all();
         }
         {
             let b = Arc::clone(&this);
@@ -767,17 +771,17 @@ impl SocketBackend {
                     let written = &slot.port.written;
                     let res = match &item {
                         Outbound::Control(env) => stream.write_counted(env, &[], written),
-                        Outbound::Data(frame) => {
-                            let head = envelope_header(StreamKind::Data, frame.len());
+                        Outbound::Frame(kind, frame) => {
+                            let head = envelope_header(*kind, frame.len());
                             stream.write_counted(&head, frame, written)
                         }
                     };
                     if res.is_err() {
-                        // Connection is gone; the reader observes it too.
-                        self.close_link(peer, false);
+                        // Connection is gone: the reader's EOF verdict, early.
+                        self.on_conn_lost(peer);
                         return;
                     }
-                    if matches!(item, Outbound::Data(_)) {
+                    if matches!(item, Outbound::Frame(StreamKind::Data, _)) {
                         // The frame's last byte has left: its sender's ack
                         // clock starts now.
                         self.acks.notify(self.acks.lock());
@@ -794,14 +798,14 @@ impl SocketBackend {
         }
     }
 
-    /// The connection to `peer` dropped (EOF, reset, or desync). Outside of
-    /// our own teardown this *is* the fail-stop failure signal.
+    /// The connection to `peer` dropped (EOF, reset, write error or
+    /// desync). Outside of our own teardown this *is* the fail-stop signal,
+    /// given before the link closes: a send the closed link refuses coalesces.
     fn on_conn_lost(&self, peer: RankId) {
-        self.close_link(peer, false);
-        if self.shutting_down.load(Ordering::SeqCst) || !self.engine.is_alive(self.rank) {
-            return;
+        if !self.shutting_down.load(Ordering::SeqCst) && self.engine.is_alive(self.rank) {
+            self.mark_peer_dead(peer, false);
         }
-        self.mark_peer_dead(peer, false);
+        self.close_link(peer, false);
     }
 
     fn close_link(&self, peer: RankId, drain_first: bool) {
@@ -857,6 +861,15 @@ impl SocketBackend {
 
     fn handle_envelope(&self, peer: RankId, kind: StreamKind, payload: &[u8]) -> bool {
         match kind {
+            StreamKind::Clean => {
+                // Nothing to dedup, reorder or ack on a reliable stream; a
+                // frame that fails its checksum means the stream is broken.
+                let ack = self.engine.count(self.mailbox.accept_frame(payload));
+                if !ack.is_acked() {
+                    self.on_conn_lost(peer);
+                }
+                ack.is_acked()
+            }
             StreamKind::Data => {
                 // The one verification of this frame, straight out of the
                 // stream decoder's buffer. A copy bit-flipped by the
@@ -962,11 +975,29 @@ impl SocketBackend {
         self.depart(false);
     }
 
-    /// This rank's per-link cursors, which number every frame it sends and
-    /// put every frame it receives back in order.
+    /// This rank's per-link cursors, which number every frame it sends
+    /// under a plan and put every numbered frame it receives back in order.
     fn cursors(&self) -> &reliable::Cursors {
         let me = self.engine.slot(self.rank);
         &me.expect("a backend's own rank has a slot").cursors
+    }
+
+    /// Will a frame just queued on `link` leave? A pending link has no
+    /// stream to trust yet: wait for the peer to dial in, as long as a
+    /// sender would wait for an ack before suspecting it. False if it never
+    /// did (an admitted joiner that died first), or the link closed.
+    fn comes_up(&self, link: &PeerLink) -> bool {
+        let mut st = link.state.lock();
+        if st.phase == LinkPhase::Pending {
+            let deadline = Instant::now() + self.engine.retry_policy().patience();
+            while st.phase == LinkPhase::Pending {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if link.cv.wait_for(&mut st, left).timed_out() && st.phase == LinkPhase::Pending {
+                    return false;
+                }
+            }
+        }
+        st.phase != LinkPhase::Closed
     }
 
     fn wake_local(&self) {
@@ -1047,6 +1078,16 @@ impl crate::delivery::Link for SocketBackend {
         &self.faults
     }
 
+    fn hand_over(&self, to: RankId, peer: &Slot<PeerLink>, frame: Vec<u8>) -> bool {
+        if to == self.rank {
+            // No wire to ourselves: straight into our own mailbox.
+            let ack = self.mailbox.accept_frame(&frame);
+            return self.engine.count(ack).is_acked();
+        }
+        let frame = Outbound::Frame(StreamKind::Clean, Arc::new(frame));
+        self.enqueue(peer, frame).is_some() && self.comes_up(&peer.port)
+    }
+
     fn hand_off(
         &self,
         to: RankId,
@@ -1063,7 +1104,9 @@ impl crate::delivery::Link for SocketBackend {
             return Some(cursors.receive(&self.engine, &self.mailbox, bytes, |_| {}));
         }
         let bytes = copy.map_or_else(|| Arc::clone(frame), Arc::new);
-        *sent = self.enqueue(peer, Outbound::Data(bytes)).or(*sent);
+        *sent = self
+            .enqueue(peer, Outbound::Frame(StreamKind::Data, bytes))
+            .or(*sent);
         None
     }
 
@@ -1129,24 +1172,35 @@ impl crate::delivery::Link for SocketBackend {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Drain first: a link may still hold undelivered control traffic —
-        // the final ack and the Bye that `kill_self` enqueued moments ago.
+        // Drain first: a link may still hold undelivered traffic — the last
+        // clean frames (a clean send returns once its frame is queued), the
+        // final ack and the Bye that `kill_self` enqueued moments ago.
         // Closing abruptly here would clear those queues before the writer
-        // thread ever got scheduled, so peers would see a raw EOF mid-op
-        // instead of an acked, clean goodbye.
+        // thread ever got scheduled, so peers would lose data or see a raw
+        // EOF mid-op instead of a clean goodbye. A link still writing keeps
+        // the drain open; one silent for `SHUTDOWN_DRAIN` is closed.
         let world = self.engine.total_ranks();
         for p in 0..world {
             if p != self.rank.0 {
                 self.close_link(RankId(p), true);
             }
         }
-        let deadline = Instant::now() + SHUTDOWN_DRAIN;
         let draining = |(p, s): (usize, &Slot<PeerLink>)| {
             p != self.rank.0 && s.port.state.lock().phase == LinkPhase::Draining
         };
+        let written = || {
+            self.engine
+                .slots()
+                .map(|s| s.port.written.load(Ordering::SeqCst))
+        };
+        let (mut seen, mut deadline) = (written().sum::<u64>(), Instant::now() + SHUTDOWN_DRAIN);
         while Instant::now() < deadline && self.engine.slots().take(world).enumerate().any(draining)
         {
             std::thread::sleep(Duration::from_millis(1));
+            let now = written().sum();
+            if now != seen {
+                (seen, deadline) = (now, Instant::now() + SHUTDOWN_DRAIN);
+            }
         }
         for p in 0..world {
             if p != self.rank.0 {
@@ -1332,21 +1386,30 @@ mod tests {
         }
     }
 
+    /// A plan that can lose any frame, so every send is numbered and acked,
+    /// gated on a point no rank crosses: the ack clock runs, and nothing is
+    /// ever lost for it to heal.
+    fn lossy_but_quiet(retry: RetryPolicy) -> PerturbPlan {
+        PerturbPlan::seeded(1)
+            .all_links(LinkPerturb::clean().drop(1.0))
+            .active_from_point("never.crossed")
+            .retry(retry)
+    }
+
     /// Frames far larger than the socket buffer, both ways at once (an
     /// allreduce step's traffic): both arrive intact and nobody is suspected.
-    /// The ack clock still has to cover the receiver reading and verifying
-    /// the frame, which on a loaded or unoptimized build takes longer than
-    /// the default policy's whole ≈ 80 ms budget once both sides have
-    /// retransmitted (a stalled CI box showed that), so this runs under the
-    /// benchmark's patient budget: same backoff, 800 retries.
-    fn large_simultaneous_exchange_suspects_nobody(kind: BackendKind) {
+    /// Under a lossy plan the ack clock still has to cover the receiver
+    /// reading and verifying the frame, which on a loaded or unoptimized
+    /// build takes longer than the default policy's whole ≈ 80 ms budget
+    /// once both sides have retransmitted (a stalled CI box showed that), so
+    /// that case runs under a patient budget: same backoff, 800 retries.
+    fn large_simultaneous_exchange_suspects_nobody(kind: BackendKind, plan: Option<PerturbPlan>) {
         const LEN: usize = 4 << 20;
         let eps = mesh(kind, 2);
-        for ep in &eps {
-            ep.set_perturbation(PerturbPlan::none().retry(RetryPolicy {
-                max_retries: 800,
-                ..RetryPolicy::default()
-            }));
+        if let Some(plan) = &plan {
+            for ep in &eps {
+                ep.set_perturbation(plan.clone());
+            }
         }
         let start = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
@@ -1367,14 +1430,97 @@ mod tests {
         teardown(&eps);
     }
 
+    fn patient() -> Option<PerturbPlan> {
+        Some(lossy_but_quiet(RetryPolicy {
+            max_retries: 800,
+            ..RetryPolicy::default()
+        }))
+    }
+
     #[test]
     fn large_simultaneous_exchange_suspects_nobody_unix() {
-        large_simultaneous_exchange_suspects_nobody(BackendKind::Unix);
+        large_simultaneous_exchange_suspects_nobody(BackendKind::Unix, patient());
     }
 
     #[test]
     fn large_simultaneous_exchange_suspects_nobody_tcp() {
-        large_simultaneous_exchange_suspects_nobody(BackendKind::Tcp);
+        large_simultaneous_exchange_suspects_nobody(BackendKind::Tcp, patient());
+    }
+
+    /// The clean twin: no plan, so no ack clock, no retry budget and
+    /// nothing to be patient about.
+    #[test]
+    fn large_simultaneous_clean_exchange_suspects_nobody() {
+        for kind in [BackendKind::Unix, BackendKind::Tcp] {
+            large_simultaneous_exchange_suspects_nobody(kind, None);
+        }
+    }
+
+    /// An admitted peer that never dials in leaves its link pending: a clean
+    /// send to it waits as long as a numbered one would wait for its ack,
+    /// then suspects it.
+    #[test]
+    fn a_clean_send_to_a_peer_that_never_dials_in_suspects_it() {
+        let eps = mesh(BackendKind::Unix, 2);
+        eps[0].backend().expect_rank(RankId(2));
+        let t0 = Instant::now();
+        assert_eq!(
+            eps[0].send(RankId(2), 1, b"anyone there?"),
+            Err(TransportError::PeerDead(RankId(2)))
+        );
+        assert!(t0.elapsed() >= RetryPolicy::default().patience());
+        assert_eq!(eps[0].stats().suspicions, 1);
+        teardown(&eps);
+    }
+
+    /// N messages each way on a clean link queue exactly N `Clean`
+    /// envelopes per direction and nothing else: no ack goes back, and
+    /// nothing is retransmitted. The same exchange under a lossy plan
+    /// queues an ack for every message received.
+    #[test]
+    fn a_clean_socket_send_queues_one_envelope_and_no_ack() {
+        const N: u64 = 200;
+        const LEN: usize = 64;
+        let envelope = (ENVELOPE_HEADER + crate::wire::FRAME_HEADER + LEN) as u64
+            + crate::wire::FRAME_TRAILER as u64;
+        let ack = (ENVELOPE_HEADER + 16) as u64;
+        for plan in [None, Some(lossy_but_quiet(RetryPolicy::default()))] {
+            let backends = SocketBackend::local_mesh(
+                BackendKind::Unix,
+                Topology::flat(),
+                2,
+                FaultPlan::none(),
+            )
+            .unwrap();
+            if let Some(plan) = &plan {
+                for b in &backends {
+                    b.set_perturbation(plan.clone());
+                }
+            }
+            std::thread::scope(|s| {
+                for (me, b) in backends.iter().enumerate() {
+                    s.spawn(move || {
+                        let peer = RankId(1 - me);
+                        for i in 0..N {
+                            b.send(peer, 1, &[i as u8; LEN]).unwrap();
+                            let got = b.recv(peer, 1, &|| false, None).unwrap();
+                            assert_eq!(got, [i as u8; LEN]);
+                        }
+                    });
+                }
+            });
+            for (me, b) in backends.iter().enumerate() {
+                let link = &b.engine.slot(RankId(1 - me)).unwrap().port;
+                let queued = link.state.lock().enqueued;
+                if plan.is_some() {
+                    assert!(queued >= N * (envelope + ack), "rank {me}: {queued} bytes");
+                } else {
+                    assert_eq!(queued, N * envelope, "rank {me}: more than its data");
+                    assert_eq!(b.stats().retransmits, 0);
+                }
+                b.shutdown();
+            }
+        }
     }
 
     #[test]

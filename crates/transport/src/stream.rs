@@ -14,12 +14,12 @@
 //! └────────┴───────────┴───────────────┘
 //! ```
 //!
-//! For [`StreamKind::Data`] the payload is a full wire frame
-//! ([`crate::wire`]) — magic, per-link sequence number, and checksum
-//! included. The
-//! outer length prefix is *trusted transport state* (a TCP/Unix stream does
-//! not corrupt bytes in practice), while the inner frame is the layer the
-//! seeded [`crate::PerturbPlan`] perturbs; keeping the two separate means a
+//! For [`StreamKind::Clean`] and [`StreamKind::Data`] the payload is a full
+//! wire frame ([`crate::wire`]) — magic, sequence number and checksum
+//! included; only a `Data` frame is numbered and acked. The outer length
+//! prefix is *trusted transport state* (a TCP/Unix stream does not corrupt
+//! bytes in practice), while the inner frame is the layer the seeded
+//! [`crate::PerturbPlan`] perturbs; keeping the two separate means a
 //! simulated bit-flip can never desynchronize the stream itself, exactly
 //! like a corrupted packet payload doesn't desynchronize TCP.
 //!
@@ -32,9 +32,9 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum StreamKind {
-    /// A wire frame (checksummed, per-link numbered application payload).
+    /// A numbered wire frame, sent under a plan that may lose it; acked.
     Data = 1,
-    /// Acknowledgment of a received frame: payload is `[tag u64][seq u64]`.
+    /// Acknowledgment of a `Data` frame: payload is `[tag u64][seq u64]`.
     Ack = 2,
     /// First envelope on a dialed connection: payload is `[rank u64]`.
     Hello = 3,
@@ -44,6 +44,9 @@ pub enum StreamKind {
     Die = 5,
     /// Clean goodbye: the sender is retiring voluntarily.
     Bye = 6,
+    /// An unnumbered wire frame on a link no plan perturbs: delivered
+    /// straight to the receiver's mailbox and never acked.
+    Clean = 7,
 }
 
 impl StreamKind {
@@ -55,6 +58,7 @@ impl StreamKind {
             4 => Some(Self::Signal),
             5 => Some(Self::Die),
             6 => Some(Self::Bye),
+            7 => Some(Self::Clean),
             _ => None,
         }
     }
@@ -65,7 +69,8 @@ impl StreamKind {
 pub struct StreamEnvelope {
     /// What the payload is.
     pub kind: StreamKind,
-    /// The payload bytes (a wire frame for [`StreamKind::Data`]).
+    /// The payload bytes (a wire frame for [`StreamKind::Clean`] and
+    /// [`StreamKind::Data`]).
     pub payload: Vec<u8>,
 }
 

@@ -7,10 +7,10 @@
 //!
 //! The frame codec ([`encode_frame_with`] / [`decode_frame`] /
 //! [`verify_frame`]) wraps every fabric message in a checksummed envelope so
-//! the transport can detect corruption. Where a link can lose frames — under
-//! an adversarial [`crate::PerturbPlan`], and on every socket — the
-//! envelope also carries a per-link sequence number, by which the receiver
-//! suppresses duplicates and restores the link's order.
+//! the transport can detect corruption. Where a link can lose frames —
+//! under an adversarial [`crate::PerturbPlan`] — the envelope also carries
+//! a per-link sequence number, by which the receiver suppresses duplicates
+//! and restores the link's order.
 
 use crate::ids::RankId;
 use std::ops::Deref;

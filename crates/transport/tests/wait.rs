@@ -1,14 +1,15 @@
 //! The blocked-rank wait seen through the public API: every way a blocked
 //! `Endpoint::recv` can end arrives both while the receiver is still
-//! yielding (event ≈ 5 µs in) and after it has parked (event 5 ms in), and
-//! yielding inside the socket sender's ack wait leaves the ack clock alone.
+//! yielding (event ≈ 5 µs in) and after it has parked (event 5 ms in); and
+//! where a plan makes a socket send wait for its ack, yielding inside that
+//! wait leaves the ack clock alone.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use transport::{
-    Backend, BackendKind, Endpoint, Fabric, FaultPlan, RankId, SocketBackend, Topology,
-    TransportError,
+    Backend, BackendKind, Endpoint, Fabric, FaultPlan, LinkPerturb, PerturbPlan, RankId,
+    SocketBackend, Topology, TransportError,
 };
 
 const TAG: u64 = 7;
@@ -98,9 +99,18 @@ fn wait_ack_yield_leaves_the_ack_clock_alone() {
     // sooner ended its wait on something other than the ack clock (the
     // yield budget running out, say). On a quiet machine the count is 0;
     // a stalled one retransmits honestly, so the count is only bounded.
+    // A clean socket send waits for no ack, so the link runs under a plan
+    // that can lose frames, gated on a point nobody crosses: every send is
+    // numbered and acked, and nothing is actually lost.
     const SENDS: u64 = 10_000;
     let mesh = SocketBackend::local_mesh(BackendKind::Unix, Topology::flat(), 2, FaultPlan::none())
         .expect("unix pair");
+    let lossy = PerturbPlan::seeded(1)
+        .all_links(LinkPerturb::clean().drop(1.0))
+        .active_from_point("never.crossed");
+    for b in &mesh {
+        b.set_perturbation(lossy.clone());
+    }
     let receiver = {
         let b = Arc::clone(&mesh[1]);
         std::thread::spawn(move || {

@@ -154,8 +154,9 @@ impl NetJoin {
         self.publish(ANNOUNCE, rank)
     }
 
-    /// Total announcements ever made (monotone).
-    pub fn announced_total(&self) -> u64 {
+    /// Total announcements ever made (monotone); `None` if the store
+    /// stayed down for a whole retry budget.
+    pub fn announced_total(&self) -> Option<u64> {
         self.count(ANNOUNCE)
     }
 
@@ -252,8 +253,9 @@ impl NetJoin {
 
     /// Total spare announcements ever made (monotone, like
     /// [`NetJoin::announced_total`]) — lets members wait deterministically
-    /// for an expected spare-pool size before training.
-    pub fn spare_total(&self) -> u64 {
+    /// for an expected spare-pool size before training. `None` for a lost
+    /// store.
+    pub fn spare_total(&self) -> Option<u64> {
         self.count(SPARE)
     }
 
@@ -311,11 +313,12 @@ impl NetJoin {
         Ok(())
     }
 
-    /// Keys ever written under `namespace`; a lost store counts as none.
-    fn count(&self, namespace: &str) -> u64 {
+    /// Keys ever written under `namespace`; `None` for a lost store, which
+    /// will never count anything again.
+    fn count(&self, namespace: &str) -> Option<u64> {
         let prefix = format!("{}{namespace}/", self.prefix);
-        self.retry(namespace, || self.store.try_count_prefix(&prefix))
-            .unwrap_or(0) as u64
+        let n = self.retry(namespace, || self.store.try_count_prefix(&prefix));
+        n.ok().map(|n| n as u64)
     }
 
     /// Announced-minus-ticketed under `namespace`, filtered by `alive`.
@@ -439,7 +442,7 @@ mod tests {
         for j in [NetJoin::new(KvStore::shared(), "run/"), private()] {
             j.announce(RankId(4)).unwrap();
             j.announce(RankId(3)).unwrap();
-            assert_eq!(j.announced_total(), 2);
+            assert_eq!(j.announced_total(), Some(2));
             // Snapshots are non-destructive: repeated snapshots see the
             // same pending joiners until an admission commits.
             for _ in 0..2 {
@@ -457,7 +460,7 @@ mod tests {
             assert_eq!(j.snapshot_pending(&|_| true), vec![RankId(4)]);
             j.confirm_tickets(&[RankId(3)], &t);
             assert_eq!(j.pending_count(), 1);
-            assert_eq!(j.announced_total(), 2);
+            assert_eq!(j.announced_total(), Some(2));
             assert_eq!(j.wait_ticket(RankId(3), &|| true, None), Ok(t));
             // A forgotten (dead) joiner leaves the pending set too.
             j.forget(RankId(4));
@@ -554,7 +557,7 @@ mod tests {
         j.announce_spare(RankId(8)).unwrap();
         let bare = NetJoin::new(Arc::clone(&store), "run/");
         bare.announce_spare(RankId(6)).unwrap();
-        assert_eq!(j.spare_total(), 2);
+        assert_eq!(j.spare_total(), Some(2));
         // Spares live apart from the joiner pending set.
         assert_eq!(j.pending_count(), 0);
         assert_eq!(j.snapshot_spares(&|_| true), vec![RankId(6), RankId(8)]);
@@ -579,7 +582,7 @@ mod tests {
             Err(UlfmError::Aborted)
         );
         // Announce totals stay monotone through promote/dismiss.
-        assert_eq!(j.spare_total(), 2);
+        assert_eq!(j.spare_total(), Some(2));
     }
 
     #[test]

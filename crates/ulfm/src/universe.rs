@@ -147,9 +147,9 @@ impl Shared {
             // so members observe the revocation promptly (the
             // reliable-broadcast part of MPIX_Comm_revoke). In-process the
             // revocation board itself is shared; across processes the
-            // signal broadcast carries it, and a peer that misses the
-            // signal (sender died mid-broadcast) still converges through
-            // failure suspicion on the stalled collective.
+            // signal broadcast carries it, and every receiver forwards it
+            // once (`handle_signal`), so a revoker that dies mid-broadcast
+            // still reaches everyone some live peer reached.
             if let Runtime::Peer(ep) = &self.runtime {
                 let mut payload = [0u8; 9];
                 payload[0] = SIGNAL_REVOKE;
@@ -162,18 +162,14 @@ impl Shared {
 
     /// Handle a control-plane signal from a peer process (installed as the
     /// backend's signal handler in peer mode). Runs on a backend service
-    /// thread: record and wake, nothing blocking.
+    /// thread: record, forward and wake, nothing blocking. A revocation is
+    /// forwarded the first time it is seen: its originator may have died
+    /// with its own broadcast still queued.
     pub(crate) fn handle_signal(&self, payload: &[u8]) {
         if payload.len() == 9 && payload[0] == SIGNAL_REVOKE {
             let mut raw = [0u8; 8];
             raw.copy_from_slice(&payload[1..]);
-            let comm_id = u64::from_le_bytes(raw);
-            let newly = !self.revocation_flag(comm_id).swap(true, Ordering::SeqCst);
-            if newly {
-                // Wake local receivers only; the originator already
-                // broadcast to everyone (no re-flood).
-                self.wake_all();
-            }
+            self.revoke(u64::from_le_bytes(raw));
         }
     }
 
@@ -353,15 +349,16 @@ impl Proc {
 
     /// Total joiner announcements ever made on this universe (monotone).
     /// Lets training loops wait deterministically for expected joiners
-    /// before calling [`Communicator::accept_joiners`].
-    pub fn announced_joiners(&self) -> u64 {
+    /// before calling [`Communicator::accept_joiners`]. `None` when the join
+    /// store is lost: no count will come, so a wait on one should stop.
+    pub fn announced_joiners(&self) -> Option<u64> {
         self.shared.join.announced_total()
     }
 
     /// Total spare-pool announcements ever made on this universe (monotone).
     /// Members wait on this before training so the warm pool is actually
-    /// warm when the first failure hits.
-    pub fn announced_spares(&self) -> u64 {
+    /// warm when the first failure hits. `None` when the join store is lost.
+    pub fn announced_spares(&self) -> Option<u64> {
         self.shared.join.spare_total()
     }
 

@@ -316,7 +316,7 @@ fn joiners_merge_into_running_group() {
             // Epoch boundary: wait until *both* joiners have announced (the
             // monotone counter makes this deterministic), then everyone calls
             // accept_joiners collectively.
-            while p.announced_joiners() < 2 {
+            while p.announced_joiners() < Some(2) {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
             let merged = comm.accept_joiners().unwrap().expect("joiners pending");
@@ -515,7 +515,7 @@ fn join_leader_death_mid_handshake_reissues_tickets() {
     let old = u
         .spawn_batch(4, |p: Proc| {
             let comm = p.init_comm();
-            while p.announced_joiners() < 1 {
+            while p.announced_joiners() < Some(1) {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
             let mut cur = comm;
@@ -588,7 +588,7 @@ fn dead_joiner_is_filtered_from_admission() {
             let comm = p.init_comm();
             // Wait until both joiners have announced *and* the main thread has
             // confirmed the doomed one is dead, so the snapshot must filter it.
-            while p.announced_joiners() < 2 || !g.load(Ordering::SeqCst) {
+            while p.announced_joiners() < Some(2) || !g.load(Ordering::SeqCst) {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
             let merged = comm
