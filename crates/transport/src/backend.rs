@@ -94,10 +94,9 @@ pub trait Backend: Send + Sync {
     /// buffered messages).
     fn kill_self(&self);
 
-    /// Wake every blocked receiver *reachable from this backend* so it
-    /// re-checks liveness and stop conditions. In-process this wakes all
-    /// ranks; a socket backend wakes only its own mailbox (peers are woken
-    /// by their own backends, driven by control signals).
+    /// Wake every blocked receiver of this rank so it re-checks liveness
+    /// and stop conditions. Peers are woken by their own backends, driven
+    /// by deaths and control signals.
     fn wake_all(&self);
 
     /// Check the scripted fault plan at a transport operation; on a hit the
@@ -172,14 +171,14 @@ pub trait Backend: Send + Sync {
     /// The configured suspicion timeout, if any.
     fn suspicion_timeout(&self) -> Option<Duration>;
 
-    /// Best-effort control-plane broadcast to every peer (out-of-band with
-    /// respect to tag matching). Used by the ULFM layer to propagate
-    /// communicator revocations between processes. The in-process backend
-    /// is a no-op: its control plane *is* shared memory.
+    /// Best-effort control-plane broadcast to every other live rank, once
+    /// each, out-of-band of tag matching and not counted as a message. Used
+    /// by the ULFM layer to propagate communicator revocations.
     fn broadcast_signal(&self, payload: &[u8]);
 
-    /// Install the handler invoked (on a backend-owned thread) for every
-    /// signal received from a peer.
+    /// Install the handler invoked for every signal received from a peer:
+    /// on a reader thread over sockets, and in process synchronously on the
+    /// sender's thread — so it must not block, and it may broadcast.
     fn set_signal_handler(&self, handler: SignalHandler);
 
     /// Aggregate traffic counters for this backend's view of the job.
@@ -411,8 +410,8 @@ impl Endpoint {
         }
     }
 
-    /// Wake every blocked receiver reachable from this backend so it
-    /// re-checks liveness and stop conditions (see [`Backend::wake_all`]).
+    /// Wake every blocked receiver of this rank so it re-checks liveness
+    /// and stop conditions (see [`Backend::wake_all`]).
     pub fn wake_all(&self) {
         self.backend.wake_all();
     }

@@ -525,11 +525,10 @@ pub(crate) trait Link: Send + Sync {
     fn kill_self(&self) {
         self.die();
     }
-    fn wake_all(&self);
-    /// A control plane that *is* shared memory has nothing to send …
-    fn broadcast_signal(&self, _payload: &[u8]) {}
-    /// … and nothing will ever invoke a handler.
-    fn set_signal_handler(&self, _handler: SignalHandler) {}
+    /// Deliver a control-plane signal to every other live rank, once each.
+    fn broadcast_signal(&self, payload: &[u8]);
+    /// Install the handler this rank's signals from peers go to.
+    fn set_signal_handler(&self, handler: SignalHandler);
     /// One shared peer table already knows every rank.
     fn expect_rank(&self, _rank: RankId) {}
     /// A link that needs no connection is always up.
@@ -580,7 +579,7 @@ impl<L: Link> Backend for L {
     }
 
     fn wake_all(&self) {
-        Link::wake_all(self);
+        self.mailbox().wake_waiters();
     }
 
     fn check_op_fault(&self) -> Result<(), TransportError> {

@@ -1,13 +1,16 @@
-//! The shared fabric: the in-process job's peer table and external kill
-//! hooks — plus [`InProcBackend`], the in-process link under the delivery
-//! engine ([`crate::delivery`]).
+//! The shared fabric: the in-process job's peer table, external kill hooks
+//! and control plane — plus [`InProcBackend`], the in-process link under
+//! the delivery engine ([`crate::delivery`]).
 
+use crate::backend::SignalHandler;
 use crate::delivery::{Engine, FabricStats, Link, Slot};
 use crate::fault::{FaultInjector, RankFaults};
 use crate::ids::{NodeId, RankId, Topology};
 use crate::mailbox::{FrameAck, Mailbox};
 use crate::perturb::PerturbPlan;
 use crate::wire::{self, FRAME_HEADER, FRAME_TRAILER};
+use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,6 +31,9 @@ pub struct Fabric {
     /// rank's slot holds its mailbox, its traffic counts and, once a plan
     /// perturbs a link, its per-link cursors.
     engine: Engine<Mailbox>,
+    /// Each rank's control-plane signal handler, which a broadcast calls
+    /// where a socket link would send a `Signal` frame.
+    signals: Mutex<BTreeMap<RankId, Arc<SignalHandler>>>,
 }
 
 impl Fabric {
@@ -35,17 +41,13 @@ impl Fabric {
     pub fn new(topology: Topology, injector: FaultInjector) -> Arc<Self> {
         Arc::new(Self {
             engine: Engine::new(topology, injector),
+            signals: Mutex::new(BTreeMap::new()),
         })
     }
 
     /// A fault-free fabric (convenience for tests).
     pub fn without_faults(topology: Topology) -> Arc<Self> {
         Self::new(topology, FaultInjector::inert())
-    }
-
-    /// The node topology.
-    pub fn topology(&self) -> Topology {
-        self.engine.topology
     }
 
     /// The fault injector driving scripted failures.
@@ -66,19 +68,9 @@ impl Fabric {
         self.engine.suspicion.set(timeout);
     }
 
-    /// The configured suspicion timeout, if any.
-    pub fn suspicion_timeout(&self) -> Option<Duration> {
-        self.engine.suspicion.get()
-    }
-
     /// Enable (`Some`) or disable (`None`) the suspicion batching window.
     pub fn set_suspicion_batch_window(&self, window: Option<Duration>) {
         self.engine.suspicion_batch.set(window);
-    }
-
-    /// The configured suspicion batching window, if any.
-    pub fn suspicion_batch_window(&self) -> Option<Duration> {
-        self.engine.suspicion_batch.get()
     }
 
     /// When the most recent alive→dead suspicion transition was recorded.
@@ -128,15 +120,9 @@ impl Fabric {
     /// failure is observed promptly (this is the runtime failure detector).
     pub fn kill_rank(&self, rank: RankId) {
         if self.engine.mark_dead(rank) {
-            self.wake_all();
-        }
-    }
-
-    /// Wake every blocked receiver so it re-checks its stop conditions.
-    /// Called by the ULFM layer when a communicator is revoked.
-    pub fn wake_all(&self) {
-        for s in self.engine.slots() {
-            s.port.wake_waiters();
+            for s in self.engine.slots() {
+                s.port.wake_waiters();
+            }
         }
     }
 
@@ -165,6 +151,8 @@ impl Fabric {
 /// value and there is never anything to wait for. Such a call cannot lose a
 /// frame, so the link is lossy only once a plan perturbs one, and the
 /// receive side follows the sender's choice: the sender's thread runs it.
+/// A control-plane signal is a call too: the sender's thread runs every
+/// receiver's handler.
 /// The [`crate::Endpoint`] wrapper constructs it via
 /// [`crate::Endpoint::new`].
 pub(crate) struct InProcBackend {
@@ -246,8 +234,24 @@ impl Link for InProcBackend {
         self.fabric.kill_rank(rank);
     }
 
-    fn wake_all(&self) {
-        self.fabric.wake_all();
+    fn broadcast_signal(&self, payload: &[u8]) {
+        if !self.self_alive() {
+            return;
+        }
+        // Unlocked while a handler runs: a handler may broadcast in turn.
+        let peers: Vec<_> = (self.fabric.signals.lock().iter())
+            .filter(|&(&r, _)| r != self.rank)
+            .map(|(&r, h)| (r, Arc::clone(h)))
+            .collect();
+        for (r, handler) in peers {
+            if self.fabric.is_alive(r) {
+                handler(payload);
+            }
+        }
+    }
+
+    fn set_signal_handler(&self, handler: SignalHandler) {
+        (self.fabric.signals.lock()).insert(self.rank, Arc::new(handler));
     }
 }
 
@@ -517,6 +521,75 @@ mod tests {
         let t2 = Instant::now();
         eps[0].settle_suspicions();
         assert!(t2.elapsed() < Duration::from_millis(10));
+    }
+
+    #[test]
+    fn a_signal_reaches_every_live_peer_once_and_nobody_else() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let (f, eps) = fabric_with(4);
+        let hits: Arc<Vec<AtomicU64>> = Arc::new((0..4).map(|_| AtomicU64::new(0)).collect());
+        for (r, ep) in eps.iter().enumerate() {
+            let hits = Arc::clone(&hits);
+            ep.set_signal_handler(Box::new(move |payload| {
+                assert_eq!(payload, b"revoke:7");
+                hits[r].fetch_add(1, Ordering::SeqCst);
+            }));
+        }
+        let counts = || {
+            hits.iter()
+                .map(|h| h.load(Ordering::SeqCst))
+                .collect::<Vec<_>>()
+        };
+        f.kill_rank(RankId(3));
+        // Delivery is a call on the sender's thread: done when it returns.
+        eps[0].broadcast_signal(b"revoke:7");
+        assert_eq!(counts(), vec![0, 1, 1, 0]);
+        // A dead sender reaches nobody.
+        eps[3].broadcast_signal(b"revoke:7");
+        assert_eq!(counts(), vec![0, 1, 1, 0]);
+        assert_eq!(f.stats().messages, 0, "a signal is not a message");
+    }
+
+    #[test]
+    fn forwarding_signal_handlers_finish_without_deadlock() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::mpsc;
+        // Every rank forwards the first signal it sees, as a revocation
+        // does, from inside its handler: 7 deliveries, then 7 forwards of 7.
+        const P: usize = 8;
+        let (_f, eps) = fabric_with(P);
+        let peers = Arc::new(Mutex::new(eps.clone()));
+        let seen: Arc<Vec<AtomicBool>> = Arc::new((0..P).map(|_| AtomicBool::new(false)).collect());
+        let calls = Arc::new(AtomicU64::new(0));
+        for r in 0..P {
+            let (peers, seen, calls) = (Arc::clone(&peers), Arc::clone(&seen), Arc::clone(&calls));
+            eps[r].set_signal_handler(Box::new(move |payload| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                if !seen[r].swap(true, Ordering::SeqCst) {
+                    let me = peers.lock().get(r).cloned();
+                    if let Some(me) = me {
+                        me.broadcast_signal(payload);
+                    }
+                }
+            }));
+        }
+        let (done, finished) = mpsc::channel();
+        let origin = eps[0].clone();
+        let first = Arc::clone(&seen);
+        std::thread::spawn(move || {
+            first[0].store(true, Ordering::SeqCst);
+            origin.broadcast_signal(b"revoke");
+            done.send(()).unwrap();
+        });
+        let ended = finished.recv_timeout(Duration::from_secs(10));
+        // The handlers hold endpoints, which hold the fabric: let go.
+        peers.lock().clear();
+        assert!(ended.is_ok(), "forwarding broadcast deadlocked");
+        assert!(seen.iter().all(|s| s.load(Ordering::SeqCst)));
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            ((P - 1) + (P - 1) * (P - 1)) as u64
+        );
     }
 
     #[test]

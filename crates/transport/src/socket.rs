@@ -982,11 +982,13 @@ impl SocketBackend {
         &me.expect("a backend's own rank has a slot").cursors
     }
 
-    /// Will a frame just queued on `link` leave? A pending link has no
-    /// stream to trust yet: wait for the peer to dial in, as long as a
-    /// sender would wait for an ack before suspecting it. False if it never
-    /// did (an admitted joiner that died first), or the link closed.
-    fn comes_up(&self, link: &PeerLink) -> bool {
+    /// Will a frame just queued on `link`, up to stream position `end`,
+    /// leave? A pending link has no stream to trust yet: wait for the peer
+    /// to dial in, as long as a sender would wait for an ack before
+    /// suspecting it. False if it never did (an admitted joiner that died
+    /// first), or the link closed before the frame left — not after: the
+    /// peer may read it and depart at once.
+    fn comes_up(&self, link: &PeerLink, end: u64) -> bool {
         let mut st = link.state.lock();
         if st.phase == LinkPhase::Pending {
             let deadline = Instant::now() + self.engine.retry_policy().patience();
@@ -997,7 +999,7 @@ impl SocketBackend {
                 }
             }
         }
-        st.phase != LinkPhase::Closed
+        st.phase != LinkPhase::Closed || link.written.load(Ordering::SeqCst) >= end
     }
 
     fn wake_local(&self) {
@@ -1085,7 +1087,7 @@ impl crate::delivery::Link for SocketBackend {
             return self.engine.count(ack).is_acked();
         }
         let frame = Outbound::Frame(StreamKind::Clean, Arc::new(frame));
-        self.enqueue(peer, frame).is_some() && self.comes_up(&peer.port)
+        (self.enqueue(peer, frame)).is_some_and(|end| self.comes_up(&peer.port, end))
     }
 
     fn hand_off(
@@ -1142,10 +1144,6 @@ impl crate::delivery::Link for SocketBackend {
 
     fn kill_self(&self) {
         self.depart(true);
-    }
-
-    fn wake_all(&self) {
-        self.wake_local();
     }
 
     fn expect_rank(&self, rank: RankId) {
@@ -1381,6 +1379,26 @@ mod tests {
             waited >= Duration::from_millis(400) + timeout,
             "gave up after {waited:?}, while bytes were still leaving"
         );
+        for b in &backends {
+            b.shutdown();
+        }
+    }
+
+    /// Regression: a clean send was reported failed when its frame had left
+    /// but the peer read it and departed before the sender looked at the
+    /// link again — the last barrier round of a run, whose receiver
+    /// completes and retires at once.
+    #[test]
+    fn a_clean_send_that_left_before_its_link_closed_succeeds() {
+        let backends =
+            SocketBackend::local_mesh(BackendKind::Unix, Topology::flat(), 2, FaultPlan::none())
+                .unwrap();
+        let b = &backends[0];
+        let link = &b.engine.slot(RankId(1)).unwrap().port;
+        let left = link.written.load(Ordering::SeqCst);
+        b.close_link(RankId(1), false);
+        assert!(b.comes_up(link, left), "a frame that left before the close");
+        assert!(!b.comes_up(link, left + 1), "a frame the close dropped");
         for b in &backends {
             b.shutdown();
         }

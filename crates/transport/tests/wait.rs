@@ -72,7 +72,7 @@ fn wait_blocked_recv_ends_every_way_early_and_late() {
                 },
                 |_, eps, stop| {
                     stop.store(true, Ordering::SeqCst);
-                    eps[0].wake_all();
+                    eps[1].wake_all();
                 },
             );
             assert_eq!(got, Err(TransportError::Stopped), "{after:?}");

@@ -40,7 +40,7 @@ pub struct Communicator {
     shared: Arc<Shared>,
     ep: Endpoint,
     id: u64,
-    /// This communicator id's flag on the universe's revocation board.
+    /// This rank's revocation flag for this communicator id.
     revoked: Arc<AtomicBool>,
     group: Vec<RankId>,
     my_idx: usize,
@@ -440,11 +440,12 @@ impl Communicator {
     }
 
     /// `MPIX_Comm_shrink`: agree on the failed set and construct a new,
-    /// dense communicator of survivors.
+    /// dense communicator of survivors. With no exclusion policy nobody is
+    /// excluded; were this rank to be, it gets [`UlfmError::Excluded`].
     pub fn shrink(&self) -> Result<Communicator, UlfmError> {
         match self.shrink_with(|_| Vec::new())? {
             ShrinkOutcome::Member(c) => Ok(c),
-            ShrinkOutcome::Excluded => unreachable!("no exclusion policy was supplied"),
+            ShrinkOutcome::Excluded => Err(UlfmError::Excluded),
         }
     }
 
@@ -549,31 +550,40 @@ impl Communicator {
     /// `MPI_Comm_split`: partition the members by `color`; within a color,
     /// new ranks order by `(key, old rank)`. Members passing
     /// [`Communicator::SPLIT_UNDEFINED`] get `Ok(None)`. Collective.
+    ///
+    /// Every member interns every color's communicator, in color order —
+    /// one passing `SPLIT_UNDEFINED` too — so all members' interners stay
+    /// in step for the communicators built after this one, and distinct
+    /// colors get distinct ids: a revocation names its communicator by id
+    /// alone and reaches every rank.
     pub fn split(&self, color: u64, key: u64) -> Result<Option<Communicator>, UlfmError> {
         let call = self.split_calls.get();
         self.split_calls.set(call + 1);
         let mine = u64::encode_slice(&[color, key]);
         let blocks = self.allgather(&mine, AllgatherAlgo::Bruck)?;
-        if color == Self::SPLIT_UNDEFINED {
-            return Ok(None);
-        }
-        // Members of my color, ordered by (key, old group index).
-        let mut members = Vec::new();
+        // Every defined entry as (color, key, old group index).
+        let mut entries = Vec::with_capacity(blocks.len());
         for (idx, b) in blocks.iter().enumerate() {
             let (their_color, their_key) = decode_split_entry(b).ok_or(UlfmError::Aborted)?;
-            if their_color == color {
-                members.push((their_key, idx));
+            if their_color != Self::SPLIT_UNDEFINED {
+                entries.push((their_color, their_key, idx));
             }
         }
-        members.sort_unstable();
-        let group: Vec<RankId> = members.iter().map(|&(_, idx)| self.group[idx]).collect();
-        let id = self.shared.intern_comm(CommKey::Split {
-            parent: self.id,
-            split_seq: call,
-            color,
-            group: group.clone(),
-        });
-        Ok(Some(self.derive(id, group)))
+        entries.sort_unstable();
+        let mut split = None;
+        for members in entries.chunk_by(|a, b| a.0 == b.0) {
+            let group: Vec<RankId> = members.iter().map(|&(.., idx)| self.group[idx]).collect();
+            let id = self.shared.intern_comm(CommKey::Split {
+                parent: self.id,
+                split_seq: call,
+                color: members[0].0,
+                group: group.clone(),
+            });
+            if members[0].0 == color {
+                split = Some(self.derive(id, group));
+            }
+        }
+        Ok(split)
     }
 
     /// Color value meaning "I do not join any split communicator"

@@ -19,6 +19,9 @@
 //! reliable fabric and the (perfect) failure detector. Collective
 //! algorithms come from the `collectives` crate and surface peer death as
 //! per-operation errors, which is all the recovery machinery above needs.
+//! Each rank keeps its own revocation flags and communicator ids, as an MPI
+//! process does, and a revocation is a transport signal that every
+//! receiver forwards once — in process exactly as across processes.
 //!
 //! ## Divergences from real ULFM, and why they are harmless here
 //!
@@ -27,10 +30,6 @@
 //!   timeout. This shifts *when* recovery starts by a constant, not the
 //!   recovery protocol itself; the `simnet` crate models detection latency
 //!   explicitly for the paper-scale figures.
-//! * **Revocation propagates through shared state** (a revocation board)
-//!   rather than a reliable broadcast. Observable semantics are the same:
-//!   eventually every member's pending and future operations on the
-//!   communicator fail with `Revoked`.
 //! * **Agreement is a p-round flood-set protocol**, simple and obviously
 //!   uniform under crash faults with a perfect detector, where ULFM
 //!   implementations use the logarithmic ERA protocol. The threaded

@@ -1,5 +1,6 @@
-//! The [`Universe`]: rank threads, communicator-id interning, revocation
-//! board, and the join service for dynamic process spawn.
+//! The [`Universe`]: rank threads, each rank's own communicator-id
+//! interner and revocation flags, and the join service for dynamic process
+//! spawn.
 //!
 //! The universe plays the role of the MPI runtime environment (PRRTE on a
 //! real machine): it launches workers, assigns permanent rank ids, lets an
@@ -60,77 +61,76 @@ pub struct JoinTicket {
     pub comm_id: u64,
 }
 
-/// How this universe's process relates to the job: either it *is* the job
-/// (threads-as-ranks over one shared fabric), or it is a single rank of a
-/// multi-process job reached through a distributed backend.
-pub(crate) enum Runtime {
-    /// The classic mode: every rank is a thread over one [`Fabric`].
-    InProc(Arc<Fabric>),
-    /// This process hosts exactly one rank; the universe state (revocation
-    /// board, comm-id interner, join service) is process-local, and
-    /// revocations propagate to peer processes as control-plane signals
-    /// through the endpoint's backend.
-    Peer(Endpoint),
-}
-
 /// Signal-payload discriminant for a communicator revocation broadcast.
 const SIGNAL_REVOKE: u8 = 1;
 
+/// The communicator-id interner: every key seen so far, and the next id.
+#[derive(Default)]
+struct Interner {
+    ids: HashMap<CommKey, u64>,
+    next: u64,
+}
+
+/// One rank's runtime state — what an MPI process keeps for itself: its
+/// revocation flags, its communicator-id interner and its join-epoch
+/// counter. Every rank has its own, in process or not; it is shared only
+/// by that rank's communicators and its signal handler.
 pub(crate) struct Shared {
-    pub(crate) runtime: Runtime,
+    ep: Endpoint,
     /// One revocation flag per communicator id, shared by every local
     /// handle on that communicator (and by the signal handler): only a
     /// revocation writes it, so checking it costs a message nothing shared.
     revoked: Mutex<HashMap<u64, Arc<AtomicBool>>>,
-    comm_ids: Mutex<HashMap<CommKey, u64>>,
-    next_comm_id: AtomicU64,
+    comm_ids: Mutex<Interner>,
     pub(crate) join: Arc<NetJoin>,
-    next_batch: AtomicU64,
     join_epoch: AtomicU64,
 }
 
 impl Shared {
-    /// The in-process fabric. In peer (multi-process) mode no shared fabric
-    /// exists, so this returns [`UlfmError::NoSharedFabric`] — callers
-    /// surface the typed error (and a worker can exit cleanly) instead of
-    /// crashing the process on a misconfigured launch.
-    pub(crate) fn fabric(&self) -> Result<&Arc<Fabric>, UlfmError> {
-        match &self.runtime {
-            Runtime::InProc(f) => Ok(f),
-            Runtime::Peer(_) => Err(UlfmError::NoSharedFabric),
-        }
-    }
-
-    fn wake_all(&self) {
-        match &self.runtime {
-            Runtime::InProc(f) => f.wake_all(),
-            Runtime::Peer(ep) => ep.wake_all(),
-        }
+    /// The state of the rank behind `ep`, installed as the endpoint's signal
+    /// handler so peers' revocations reach it.
+    fn install(ep: Endpoint, join: Arc<NetJoin>) -> Arc<Self> {
+        let shared = Arc::new(Shared {
+            ep: ep.clone(),
+            revoked: Mutex::new(HashMap::new()),
+            comm_ids: Mutex::new(Interner::default()),
+            join,
+            join_epoch: AtomicU64::new(0),
+        });
+        // The handler holds a Weak: the backend must not keep the Shared
+        // (which holds the endpoint, which holds the backend) alive forever.
+        let weak = Arc::downgrade(&shared);
+        ep.set_signal_handler(Box::new(move |payload| {
+            if let Some(shared) = weak.upgrade() {
+                shared.handle_signal(payload);
+            }
+        }));
+        shared
     }
 
     /// All members calling with the same key receive the same dense id.
     ///
-    /// In peer mode every *process* runs its own interner, and the ids
-    /// still agree: communicator construction keys are derived from
-    /// SPMD-agreed protocol state (spawn batches, shrink agreements,
-    /// splits), so every surviving member interns the same sequence of
-    /// distinct keys in the same order.
+    /// Every rank runs its own interner, and the ids still agree:
+    /// communicator construction keys are derived from SPMD-agreed protocol
+    /// state (spawn batches, shrink agreements, splits), so every member
+    /// interns the same sequence of distinct keys in the same order.
     pub(crate) fn intern_comm(&self, key: CommKey) -> u64 {
-        let mut ids = self.comm_ids.lock();
-        let next = &self.next_comm_id;
-        *ids.entry(key)
-            .or_insert_with(|| next.fetch_add(1, Ordering::SeqCst))
+        let Interner { ids, next } = &mut *self.comm_ids.lock();
+        *ids.entry(key).or_insert_with(|| {
+            *next += 1;
+            *next - 1
+        })
     }
 
-    /// Adopt a communicator id decided by *other* processes (the accepting
-    /// members of a join, whose interner has been running since launch) and
-    /// advance the local interner past it, so ids this process interns
+    /// Adopt a communicator id decided by *other* ranks (the accepting
+    /// members of a join, whose interners have been running since launch)
+    /// and advance the local interner past it, so ids this rank interns
     /// afterwards continue the same SPMD sequence as everyone else's.
     pub(crate) fn adopt_comm_id(&self, key: CommKey, id: u64) {
-        let mut ids = self.comm_ids.lock();
-        let prev = ids.insert(key, id);
+        let mut interner = self.comm_ids.lock();
+        let prev = interner.ids.insert(key, id);
         debug_assert!(prev.is_none_or(|p| p == id), "comm-id adoption conflict");
-        self.next_comm_id.fetch_max(id + 1, Ordering::SeqCst);
+        interner.next = interner.next.max(id + 1);
     }
 
     /// The revocation flag of `comm_id`, created at its first mention — by
@@ -140,32 +140,25 @@ impl Shared {
         Arc::clone(self.revoked.lock().entry(comm_id).or_default())
     }
 
+    /// Revoke `comm_id` here, then tell every peer and interrupt every local
+    /// pending receive so it observes the revocation promptly (the
+    /// reliable-broadcast part of `MPIX_Comm_revoke`). Every receiver
+    /// forwards it once (`handle_signal`), so a revoker that dies
+    /// mid-broadcast still reaches everyone some live peer reached.
     pub(crate) fn revoke(&self, comm_id: u64) {
-        let newly = !self.revocation_flag(comm_id).swap(true, Ordering::SeqCst);
-        if newly {
-            // Propagate first, then interrupt every local pending receive
-            // so members observe the revocation promptly (the
-            // reliable-broadcast part of MPIX_Comm_revoke). In-process the
-            // revocation board itself is shared; across processes the
-            // signal broadcast carries it, and every receiver forwards it
-            // once (`handle_signal`), so a revoker that dies mid-broadcast
-            // still reaches everyone some live peer reached.
-            if let Runtime::Peer(ep) = &self.runtime {
-                let mut payload = [0u8; 9];
-                payload[0] = SIGNAL_REVOKE;
-                payload[1..].copy_from_slice(&comm_id.to_le_bytes());
-                ep.broadcast_signal(&payload);
-            }
-            self.wake_all();
+        if !self.revocation_flag(comm_id).swap(true, Ordering::SeqCst) {
+            let mut payload = [0u8; 9];
+            payload[0] = SIGNAL_REVOKE;
+            payload[1..].copy_from_slice(&comm_id.to_le_bytes());
+            self.ep.broadcast_signal(&payload);
+            self.ep.wake_all();
         }
     }
 
-    /// Handle a control-plane signal from a peer process (installed as the
-    /// backend's signal handler in peer mode). Runs on a backend service
-    /// thread: record, forward and wake, nothing blocking. A revocation is
-    /// forwarded the first time it is seen: its originator may have died
-    /// with its own broadcast still queued.
-    pub(crate) fn handle_signal(&self, payload: &[u8]) {
+    /// Handle a control-plane signal from a peer. Runs on a socket
+    /// backend's service thread, or in process on the sender's thread:
+    /// record, forward and wake, nothing blocking.
+    fn handle_signal(&self, payload: &[u8]) {
         if payload.len() == 9 && payload[0] == SIGNAL_REVOKE {
             let mut raw = [0u8; 8];
             raw.copy_from_slice(&payload[1..]);
@@ -196,22 +189,34 @@ impl<R> WorkerHandle<R> {
             .join()
             .expect("worker thread panicked (bug, not a simulated failure)")
     }
-
-    /// Is the worker still running?
-    pub fn is_finished(&self) -> bool {
-        self.thread.is_finished()
-    }
 }
 
 /// Per-rank context handed to a worker function.
 pub struct Proc {
-    pub(crate) ep: Endpoint,
-    pub(crate) shared: Arc<Shared>,
+    ep: Endpoint,
+    shared: Arc<Shared>,
     initial_group: Vec<RankId>,
     batch: u64,
 }
 
 impl Proc {
+    /// The rank behind `ep`, launched in spawn batch `batch` over
+    /// `initial_group`, with its own state installed on the endpoint and
+    /// `join` as its join service.
+    fn new(ep: Endpoint, initial_group: Vec<RankId>, batch: u64, join: Arc<NetJoin>) -> Self {
+        assert!(
+            initial_group.contains(&ep.rank()),
+            "rank {} not part of the initial group {initial_group:?}",
+            ep.rank()
+        );
+        Self {
+            shared: Shared::install(ep.clone(), join),
+            ep,
+            initial_group,
+            batch,
+        }
+    }
+
     /// This worker's permanent global rank.
     pub fn rank(&self) -> RankId {
         self.ep.rank()
@@ -386,24 +391,25 @@ fn private_join() -> Arc<NetJoin> {
     Arc::new(NetJoin::new(KvStore::new(), ""))
 }
 
-/// The runtime: owns the fabric and spawns worker threads.
+/// The launcher: starts ranks and holds what they share — the fabric of
+/// an in-process job (`None` for one rank of a multi-process job), the join
+/// service and the spawn-batch counter. Everything else a rank keeps for
+/// itself, as a process would: each [`Proc`] has its own revocation flags,
+/// communicator-id interner and join-epoch counter, and a revocation
+/// reaches other ranks as a transport signal, in process as over sockets.
 pub struct Universe {
-    shared: Arc<Shared>,
+    fabric: Option<Arc<Fabric>>,
+    join: Arc<NetJoin>,
+    next_batch: AtomicU64,
 }
 
 impl Universe {
     /// Create a universe over `topology` with a scripted fault plan.
     pub fn new(topology: Topology, plan: FaultPlan) -> Self {
         Self {
-            shared: Arc::new(Shared {
-                runtime: Runtime::InProc(Fabric::new(topology, FaultInjector::new(plan))),
-                revoked: Mutex::new(HashMap::new()),
-                comm_ids: Mutex::new(HashMap::new()),
-                next_comm_id: AtomicU64::new(0),
-                join: private_join(),
-                next_batch: AtomicU64::new(0),
-                join_epoch: AtomicU64::new(0),
-            }),
+            fabric: Some(Fabric::new(topology, FaultInjector::new(plan))),
+            join: private_join(),
+            next_batch: AtomicU64::new(0),
         }
     }
 
@@ -418,16 +424,18 @@ impl Universe {
     /// [`Proc`]. `group` is the job's initial world, identical on every
     /// process.
     ///
-    /// The universe state is process-local: communicator ids come out of a
-    /// per-process interner (deterministic across processes, see
-    /// [`Shared::intern_comm`]) and revocations are relayed to peers as
-    /// backend signals. The join service is a [`NetJoin`] over a private
+    /// The rank is built exactly as [`Universe::spawn_batch`] builds one:
+    /// its communicator ids come out of its own interner (deterministic
+    /// across ranks, which intern the same keys in the same order) and
+    /// revocations travel as backend signals. The join service is a [`NetJoin`] over a private
     /// in-memory store, which no other process can reach — dynamic joins
     /// in multi-process mode need a shared store; see
     /// [`Universe::for_backend_with_join`].
     /// `spawn_*`, `kill_*`, and [`Universe::fabric`] return
-    /// [`UlfmError::NoSharedFabric`], because there is no shared fabric to
-    /// operate on; real process management belongs to the launcher.
+    /// [`UlfmError::NoSharedFabric`], and the `set_*` tuners do nothing,
+    /// because there is no shared fabric to operate on: real process
+    /// management belongs to the launcher, and the rank tunes its own
+    /// endpoint ([`Proc::endpoint`]).
     pub fn for_backend(ep: Endpoint, group: Vec<RankId>) -> (Self, Proc) {
         Self::for_backend_with_join(ep, group, private_join())
     }
@@ -441,35 +449,13 @@ impl Universe {
         group: Vec<RankId>,
         join: Arc<NetJoin>,
     ) -> (Self, Proc) {
-        assert!(
-            group.contains(&ep.rank()),
-            "rank {} not part of the initial group {group:?}",
-            ep.rank()
-        );
-        let shared = Arc::new(Shared {
-            runtime: Runtime::Peer(ep.clone()),
-            revoked: Mutex::new(HashMap::new()),
-            comm_ids: Mutex::new(HashMap::new()),
-            next_comm_id: AtomicU64::new(0),
+        let proc = Proc::new(ep, group, 0, Arc::clone(&join));
+        let universe = Self {
+            fabric: None,
             join,
             next_batch: AtomicU64::new(1),
-            join_epoch: AtomicU64::new(0),
-        });
-        // The handler holds a Weak: the backend must not keep the Shared
-        // (which holds the endpoint, which holds the backend) alive forever.
-        let weak = Arc::downgrade(&shared);
-        ep.set_signal_handler(Box::new(move |payload| {
-            if let Some(shared) = weak.upgrade() {
-                shared.handle_signal(payload);
-            }
-        }));
-        let proc = Proc {
-            ep,
-            shared: Arc::clone(&shared),
-            initial_group: group,
-            batch: 0,
         };
-        (Self { shared }, proc)
+        (universe, proc)
     }
 
     /// Build the universe view for a *joining* process of a multi-process
@@ -482,38 +468,27 @@ impl Universe {
         Self::for_backend_with_join(ep, vec![rank], join)
     }
 
-    /// Install a message-perturbation plan on the underlying transport
-    /// (adversarial links healed by the retransmission layer).
+    /// Install a message-perturbation plan on the fabric (adversarial links
+    /// healed by the retransmission layer).
     pub fn set_perturbation(&self, plan: transport::PerturbPlan) {
-        match &self.shared.runtime {
-            Runtime::InProc(f) => f.set_perturbation(plan),
-            Runtime::Peer(ep) => ep.set_perturbation(plan),
+        if let Some(f) = &self.fabric {
+            f.set_perturbation(plan);
         }
     }
 
-    /// Configure timeout-based failure suspicion: a collective that stalls
-    /// on a silent peer past `timeout` treats that peer as failed
+    /// Configure the fabric's timeout-based failure suspicion: a collective
+    /// that stalls on a silent peer past `timeout` treats that peer as failed
     /// (`ProcFailed`), feeding the revoke → agree → shrink recovery path.
     pub fn set_suspicion_timeout(&self, timeout: std::time::Duration) {
-        match &self.shared.runtime {
-            Runtime::InProc(f) => f.set_suspicion_timeout(Some(timeout)),
-            Runtime::Peer(ep) => ep.set_suspicion_timeout(Some(timeout)),
-        }
-    }
-
-    /// Configure the suspicion batching window: once a failure is
-    /// suspected, recovery waits until no further suspicion has landed
-    /// within `window` before agreeing on the failed set, so a node-level
-    /// burst is reported as **one** set and resolved by one view change.
-    pub fn set_suspicion_batch_window(&self, window: std::time::Duration) {
-        match &self.shared.runtime {
-            Runtime::InProc(f) => f.set_suspicion_batch_window(Some(window)),
-            Runtime::Peer(ep) => ep.set_suspicion_batch_window(Some(window)),
+        if let Some(f) = &self.fabric {
+            f.set_suspicion_timeout(Some(timeout));
         }
     }
 
     /// Spawn `n` workers as one batch; each runs `f` and sees the whole
-    /// batch as its [`Proc::init_comm`] group.
+    /// batch as its [`Proc::init_comm`] group. Every rank's [`Proc`] is
+    /// built (and its signal handler installed) before any of them runs,
+    /// so no rank can revoke before a batch peer listens.
     ///
     /// In-process mode only: a multi-process ([`Universe::for_backend`])
     /// universe has no shared fabric to spawn threads onto, and returns
@@ -528,52 +503,37 @@ impl Universe {
         static SPAWN_BATCH_NS: Lazy<Histogram> = Lazy::histogram("ulfm.universe.spawn_batch_ns");
         SPAWNED_WORKERS.add(n as u64);
         let start = Instant::now();
-        let handles = self
-            .shared
-            .fabric()
-            .map(|fabric| self.spawn_ranks(fabric.register_ranks(n), f));
+        let handles = self.fabric().map(|fabric| {
+            let ranks = fabric.register_ranks(n);
+            let batch = self.next_batch.fetch_add(1, Ordering::SeqCst);
+            let procs: Vec<Proc> = (ranks.iter())
+                .map(|&rank| {
+                    let ep = Endpoint::new(Arc::clone(fabric), rank);
+                    Proc::new(ep, ranks.clone(), batch, Arc::clone(&self.join))
+                })
+                .collect();
+            procs
+                .into_iter()
+                .map(|proc| {
+                    let (rank, fabric, f) = (proc.rank(), Arc::clone(fabric), f.clone());
+                    let thread = std::thread::Builder::new()
+                        .name(format!("rank-{}", rank.0))
+                        .spawn(move || {
+                            let out = f(proc);
+                            // Model MPI process termination: once the worker
+                            // function returns, the rank is gone; peers
+                            // blocked on it observe the failure instead of
+                            // hanging.
+                            fabric.kill_rank(rank);
+                            out
+                        })
+                        .expect("failed to spawn worker thread");
+                    WorkerHandle { rank, thread }
+                })
+                .collect()
+        });
         SPAWN_BATCH_NS.record_duration(start.elapsed());
         handles
-    }
-
-    /// One worker thread per freshly registered rank of an in-process
-    /// universe.
-    fn spawn_ranks<R, F>(&self, ranks: Vec<RankId>, f: F) -> Vec<WorkerHandle<R>>
-    where
-        R: Send + 'static,
-        F: Fn(Proc) -> R + Send + Sync + Clone + 'static,
-    {
-        let batch = self.shared.next_batch.fetch_add(1, Ordering::SeqCst);
-        ranks
-            .iter()
-            .map(|&rank| {
-                let shared = Arc::clone(&self.shared);
-                let group = ranks.clone();
-                let f = f.clone();
-                let thread = std::thread::Builder::new()
-                    .name(format!("rank-{}", rank.0))
-                    .spawn(move || {
-                        // Checked by the outer `fabric()?` before any thread
-                        // was spawned; the runtime mode never changes.
-                        let fabric =
-                            Arc::clone(shared.fabric().expect("spawn_batch verified in-proc"));
-                        let proc = Proc {
-                            ep: Endpoint::new(Arc::clone(&fabric), rank),
-                            shared,
-                            initial_group: group,
-                            batch,
-                        };
-                        let out = f(proc);
-                        // Model MPI process termination: once the worker
-                        // function returns, the rank is gone; peers blocked
-                        // on it observe the failure instead of hanging.
-                        fabric.kill_rank(rank);
-                        out
-                    })
-                    .expect("failed to spawn worker thread");
-                WorkerHandle { rank, thread }
-            })
-            .collect()
     }
 
     /// Spawn `k` *joining* workers (replacement or upscale); they should
@@ -591,14 +551,14 @@ impl Universe {
     /// only ([`UlfmError::NoSharedFabric`] otherwise): a multi-process
     /// job's ranks die by actual process death.
     pub fn kill_rank(&self, rank: RankId) -> Result<(), UlfmError> {
-        self.shared.fabric()?.kill_rank(rank);
+        self.fabric()?.kill_rank(rank);
         Ok(())
     }
 
     /// Kill every rank on a node. In-process mode only
     /// ([`UlfmError::NoSharedFabric`] otherwise).
     pub fn kill_node(&self, node: NodeId) -> Result<(), UlfmError> {
-        self.shared.fabric()?.kill_node(node);
+        self.fabric()?.kill_node(node);
         Ok(())
     }
 
@@ -606,24 +566,7 @@ impl Universe {
     /// [`UlfmError::NoSharedFabric`] for a [`Universe::for_backend`]
     /// universe.
     pub fn fabric(&self) -> Result<&Arc<Fabric>, UlfmError> {
-        self.shared.fabric()
-    }
-
-    /// Workers currently waiting on the join service.
-    pub fn pending_joiners(&self) -> usize {
-        self.shared.join.pending_count()
-    }
-
-    /// Abort the join service from the outside (driver-initiated shutdown):
-    /// wakes every joiner still waiting for a ticket so they exit with
-    /// [`UlfmError::Aborted`] instead of hanging.
-    pub fn abort_joins(&self) {
-        self.shared.join.abort();
-    }
-
-    #[allow(dead_code)] // exercised by unit tests
-    pub(crate) fn shared(&self) -> &Arc<Shared> {
-        &self.shared
+        self.fabric.as_ref().ok_or(UlfmError::NoSharedFabric)
     }
 }
 
@@ -648,24 +591,43 @@ mod tests {
     }
 
     #[test]
-    fn separate_batches_get_separate_comm_ids() {
+    fn separate_batches_allreduce_side_by_side() {
+        // Each rank interns on its own, so two batches may well give their
+        // init communicators the same id; their traffic still never meets.
+        use collectives::{AllreduceAlgo, ReduceOp};
         let u = Universe::without_faults(Topology::flat());
-        let a = u.spawn_batch(2, |p| p.init_comm().id()).unwrap();
-        let ids_a: Vec<u64> = a.into_iter().map(|h| h.join()).collect();
-        let b = u.spawn_batch(2, |p| p.init_comm().id()).unwrap();
-        let ids_b: Vec<u64> = b.into_iter().map(|h| h.join()).collect();
-        assert_ne!(ids_a[0], ids_b[0]);
+        let run = |p: Proc| {
+            let mut buf = vec![p.rank().0 as f32; 8];
+            p.init_comm()
+                .allreduce(&mut buf, ReduceOp::Sum, AllreduceAlgo::Ring)
+                .map(|()| buf)
+        };
+        let a = u.spawn_batch(3, run).unwrap();
+        let b = u.spawn_batch(3, run).unwrap();
+        for h in a {
+            assert_eq!(h.join(), Ok(vec![3.0; 8]), "batch of ranks 0..3");
+        }
+        for h in b {
+            assert_eq!(h.join(), Ok(vec![12.0; 8]), "batch of ranks 3..6");
+        }
+    }
+
+    /// One rank of its own over a fresh fabric, for poking at its state.
+    fn lone_rank() -> Proc {
+        let fabric = Fabric::without_faults(Topology::flat());
+        let rank = fabric.register_rank();
+        Universe::for_backend(Endpoint::new(fabric, rank), vec![rank]).1
     }
 
     #[test]
     fn intern_is_idempotent() {
-        let u = Universe::without_faults(Topology::flat());
+        let shared = lone_rank().shared;
         let key = CommKey::Init {
             batch: 9,
             group: vec![RankId(0), RankId(1)],
         };
-        let a = u.shared().intern_comm(key.clone());
-        let b = u.shared().intern_comm(key);
+        let a = shared.intern_comm(key.clone());
+        let b = shared.intern_comm(key);
         assert_eq!(a, b);
     }
 
@@ -674,31 +636,31 @@ mod tests {
         // The universe's own join service: a joiner on another thread
         // announces and blocks; the leader side snapshots and tickets it.
         let u = Universe::without_faults(Topology::flat());
-        let shared = Arc::clone(u.shared());
+        let join = Arc::clone(&u.join);
         let t = std::thread::spawn(move || {
-            shared.join.announce(RankId(7))?;
-            shared.join.wait_ticket(RankId(7), &|| true, None)
+            join.announce(RankId(7))?;
+            join.wait_ticket(RankId(7), &|| true, None)
         });
-        while u.pending_joiners() == 0 {
+        while u.join.pending_count() == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         // Snapshots are non-destructive: repeated snapshots see the same
         // pending joiner until an admission commits.
-        let pending = u.shared().join.snapshot_pending(&|_| true);
+        let pending = u.join.snapshot_pending(&|_| true);
         assert_eq!(pending, vec![RankId(7)]);
-        assert_eq!(u.shared().join.snapshot_pending(&|_| true), pending);
+        assert_eq!(u.join.snapshot_pending(&|_| true), pending);
         // A dead joiner is filtered out of the proposal set.
-        assert!(u.shared().join.snapshot_pending(&|_| false).is_empty());
+        assert!(u.join.snapshot_pending(&|_| false).is_empty());
         let ticket = JoinTicket {
             group: vec![RankId(0), RankId(7)],
             epoch: 0,
             comm_id: 1,
         };
-        u.shared().join.confirm_tickets(&pending, &ticket);
-        assert_eq!(u.pending_joiners(), 0);
+        u.join.confirm_tickets(&pending, &ticket);
+        assert_eq!(u.join.pending_count(), 0);
         // Redundant confirmation (another surviving member re-issuing the
         // same committed ticket) is harmless.
-        u.shared().join.confirm_tickets(&pending, &ticket);
+        u.join.confirm_tickets(&pending, &ticket);
         assert_eq!(t.join().unwrap(), Ok(ticket));
     }
 
@@ -707,7 +669,7 @@ mod tests {
         let u = Universe::without_faults(Topology::flat());
         // Nobody will ever ticket rank 5: the deadline must bail it out.
         let deadline = Some(Instant::now() + Duration::from_millis(20));
-        let got = u.shared().join.wait_ticket(RankId(5), &|| true, deadline);
+        let got = u.join.wait_ticket(RankId(5), &|| true, deadline);
         assert_eq!(got, Err(UlfmError::JoinTimeout));
         // A ticket issued before the deadline is consumed normally.
         let ticket = JoinTicket {
@@ -715,11 +677,11 @@ mod tests {
             epoch: 1,
             comm_id: 2,
         };
-        u.shared().join.announce(RankId(5)).unwrap();
-        u.shared().join.confirm_tickets(&[RankId(5)], &ticket);
+        u.join.announce(RankId(5)).unwrap();
+        u.join.confirm_tickets(&[RankId(5)], &ticket);
         let deadline = Some(Instant::now() + Duration::from_secs(5));
         assert_eq!(
-            u.shared().join.wait_ticket(RankId(5), &|| true, deadline),
+            u.join.wait_ticket(RankId(5), &|| true, deadline),
             Ok(ticket)
         );
     }

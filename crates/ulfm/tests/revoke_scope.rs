@@ -1,14 +1,18 @@
 //! A revocation reaches exactly its communicator: a member blocked in a
 //! receive on it is released with `Revoked`, a member blocked on a sibling
 //! communicator over the same ranks is woken, finds its own flag clear and
-//! goes back to waiting. In process the members share the flag; over
-//! sockets the control-plane signal writes the flag of the receiving
-//! process.
+//! goes back to waiting. Every rank keeps its own flag, and the revoker's
+//! control-plane signal writes it: in process the revoker's thread runs
+//! each receiver's handler, over sockets the receiver's reader thread does.
+//! The same holds whether the universe spawned the ranks or each rank built
+//! its own peer-mode universe over a shared in-process fabric.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use transport::{Backend, BackendKind, Endpoint, FaultPlan, RankId, SocketBackend, Topology};
+use transport::{
+    Backend, BackendKind, Endpoint, Fabric, FaultPlan, RankId, SocketBackend, Topology,
+};
 use ulfm::{Proc, UlfmError, Universe};
 
 const N: usize = 3;
@@ -111,4 +115,28 @@ fn revoke_reaches_its_communicator_only_over_unix_sockets() {
     for b in &backends {
         b.shutdown();
     }
+}
+
+#[test]
+fn revoke_reaches_its_communicator_only_between_peer_universes_in_process() {
+    let fabric = Fabric::without_faults(Topology::flat());
+    // A revocation that never arrives would leave rank 1 blocked for good;
+    // suspicion turns that into a failed check instead of a hang.
+    fabric.set_suspicion_timeout(Some(Duration::from_secs(2)));
+    let group = fabric.register_ranks(N);
+    // Every rank listens before any of them runs, as `spawn_batch` has it.
+    let procs: Vec<Proc> = group
+        .iter()
+        .map(|&r| Universe::for_backend(Endpoint::new(Arc::clone(&fabric), r), group.clone()).1)
+        .collect();
+    let handles: Vec<_> = procs
+        .into_iter()
+        .map(|proc| std::thread::spawn(move || scenario(&proc)))
+        .collect();
+    check(
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("rank thread"))
+            .collect(),
+    );
 }
