@@ -87,11 +87,11 @@ pub struct ForwardConfig {
     pub expected_joiners: usize,
     /// Upper bound on the epoch-boundary wait for expected joiners, and on
     /// a joiner's own wait for its admission ticket. `None` (the default)
-    /// waits forever — correct in-process, where every expected joiner is a
-    /// thread that provably starts. Multi-process launches set a bound so a
-    /// crashed joiner degrades the group to running shrunk instead of
-    /// stalling it; the give-up decision travels inside the committed join
-    /// proposal, so members never diverge on local clocks.
+    /// waits forever. A bound lets a crashed joiner degrade the group to
+    /// running shrunk instead of stalling it (scripted scenarios use 10 s
+    /// on every backend, launches a configurable bound); the give-up
+    /// decision travels inside the committed join proposal, so members
+    /// never diverge on local clocks.
     pub join_wait: Option<std::time::Duration>,
     /// Rescale redone gradients by the lost contribution fraction so the
     /// degraded step keeps the same expected gradient magnitude.

@@ -2,19 +2,25 @@
 //! (§3.3) over either engine and collects per-worker outcomes and recovery
 //! breakdowns. Used by the integration tests, the examples, and the
 //! benches that regenerate the paper's figures.
+//!
+//! One runner serves every backend and both engines: each rank is a thread
+//! over its own endpoint (a peer-mode [`Universe`] for the forward engine),
+//! and only a private `Mesh` knows whether the endpoints sit on the
+//! in-process fabric or on a socket mesh.
 
 use crate::backward::{run_backward_worker, BackwardConfig, ElasticDriver};
 use crate::config::{RecoveryPolicy, TrainSpec, WorkerExit};
-use crate::forward::{run_forward_role, run_forward_worker, ForwardConfig, Role};
+use crate::forward::{run_forward_role, ForwardConfig, Role};
 use crate::policy::PolicyMode;
 use crate::profiler::{mean_breakdown, RecoveryBreakdown, RecoveryKind};
+use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use transport::{
-    Backend, BackendKind, Endpoint, Fabric, FaultInjector, FaultPlan, PerturbPlan, RankId,
-    SocketBackend, Topology,
+    Backend, BackendKind, Endpoint, Fabric, FabricStats, FaultInjector, FaultPlan, PerturbPlan,
+    RankId, SocketBackend, Topology,
 };
-use ulfm::Universe;
+use ulfm::{NetJoin, Universe};
 
 /// Which of the paper's dynamic-training scenarios to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,7 +76,9 @@ pub struct ScenarioConfig {
     pub perturb: Option<PerturbPlan>,
     /// Optional engine-level failure-detection deadline: a collective that
     /// stalls on a silent peer past this converts the hang into a peer-death
-    /// report (ULFM suspicion) instead of blocking forever.
+    /// report (ULFM suspicion) instead of blocking forever. `None` means no
+    /// deadline in process and 5 s over sockets, whose peers share no alive
+    /// table.
     pub suspicion_timeout: Option<Duration>,
     /// Extra fault triggers merged into the scripted victim's plan — lets
     /// tests and `repro` express multi-victim and during-recovery cascades
@@ -78,13 +86,15 @@ pub struct ScenarioConfig {
     pub extra_faults: FaultPlan,
     /// Transport backend the workers communicate over. `InProc` (the
     /// default) is the shared-memory fabric; `Tcp`/`Unix` run every worker
-    /// over a real socket mesh (forward engine). Socket joins rendezvous
-    /// through a shared KV store ([`ulfm::NetJoin`]), so all three
-    /// scenarios run on all backends.
+    /// over a real socket mesh. Joins rendezvous through one shared KV
+    /// store ([`ulfm::NetJoin`]) on every backend, so the forward engine
+    /// runs all three scenarios on all of them. The backward engine runs
+    /// in process only, and panics on a socket backend.
     pub backend: BackendKind,
-    /// Warm spares to pre-join the pool (forward engine): spawned at
-    /// launch, promoted only by a recovery's policy round, dismissed at
-    /// completion. Their exits append after members and joiners.
+    /// Warm spares to pre-join the pool (forward engine; the backward
+    /// engine panics on any): started at launch, promoted only by a
+    /// recovery's policy round, dismissed at completion. They are numbered
+    /// before the joiners, and their exits append after members and joiners.
     pub spares: usize,
     /// Recovery-arm selection for the forward engine's policy layer. The
     /// default (static shrink) keeps the seed behavior.
@@ -129,10 +139,10 @@ pub struct ScenarioResult {
     pub breakdowns: Vec<RecoveryBreakdown>,
     /// Wall-clock duration of the whole scenario.
     pub wall: Duration,
-    /// Transport-layer counters for this scenario's fabric (retransmits,
+    /// Transport-layer counters for this scenario's links (retransmits,
     /// corrupt frames, suspicions, ...) — per-run, unlike the process-global
-    /// telemetry registry.
-    pub fabric_stats: transport::FabricStats,
+    /// telemetry registry. Over sockets, the sum over every rank's backend.
+    pub fabric_stats: FabricStats,
 }
 
 impl ScenarioResult {
@@ -178,8 +188,8 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
     telemetry::counter(&format!("{metric}.runs")).incr();
     let _span = telemetry::span(&format!("{metric}.wall_ns"));
     match cfg.engine {
-        Engine::UlfmForward => run_forward_scenario(cfg),
-        Engine::GlooBackward => run_backward_scenario(cfg),
+        Engine::UlfmForward => run_forward(cfg),
+        Engine::GlooBackward => run_backward(cfg),
     }
 }
 
@@ -198,279 +208,71 @@ fn joiner_count(cfg: &ScenarioConfig) -> usize {
     }
 }
 
-/// Hold the joiners back until the scenario's trigger condition: the
-/// scripted failure has been observed (Replace), or a fixed dwell has
-/// passed (Upscale).
+/// Hold the joiners back until the scenario's trigger condition: a fixed
+/// dwell has passed (Upscale), or the failure has been seen (Replace).
 fn await_join_trigger(kind: ScenarioKind, failure_seen: impl Fn() -> bool) {
-    match kind {
-        ScenarioKind::Replace => {
-            while !failure_seen() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+    if kind == ScenarioKind::Upscale {
+        std::thread::sleep(Duration::from_millis(10));
+    } else {
+        while !failure_seen() {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        ScenarioKind::Upscale => std::thread::sleep(Duration::from_millis(10)),
-        ScenarioKind::Downscale => unreachable!("downscale scenarios have no joiners"),
     }
 }
 
-/// The scenario's forward-engine settings, minus what the backends differ
-/// in (how many joiners to expect, and how long to wait for them).
-fn forward_config(cfg: &ScenarioConfig) -> ForwardConfig {
-    ForwardConfig {
+/// How long members wait at a boundary for an expected joiner or spare,
+/// and a joiner or spare for its ticket: a newcomer that never comes ends
+/// in a typed exit, not a hang.
+const JOIN_WAIT: Duration = Duration::from_secs(10);
+
+/// Forward recovery: every rank is a peer-mode universe over its mesh
+/// endpoint, and all of them share one [`NetJoin`] over one in-memory store
+/// (the stand-in for a launcher's store server), so spares and joiners
+/// enter exactly as a fresh process does.
+fn run_forward(cfg: &ScenarioConfig) -> ScenarioResult {
+    let fwd_cfg = ForwardConfig {
         policy: cfg.policy,
         renormalize_after_loss: cfg.renormalize,
         policy_mode: cfg.policy_mode,
+        expected_joiners: joiner_count(cfg),
+        join_wait: Some(JOIN_WAIT),
         expected_spares: cfg.spares,
         ckpt_every: cfg.ckpt_every,
         ..ForwardConfig::new(cfg.spec.clone())
-    }
-}
-
-fn run_forward_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
-    if cfg.backend != BackendKind::InProc {
-        return run_forward_scenario_sockets(cfg);
-    }
-    let t0 = Instant::now();
-    let topology = Topology::new(cfg.ranks_per_node);
-    let universe = Universe::new(topology, fault_plan(cfg));
-    if let Some(plan) = &cfg.perturb {
-        universe.set_perturbation(plan.clone());
-    }
-    if let Some(t) = cfg.suspicion_timeout {
-        universe.set_suspicion_timeout(t);
-    }
-    let fwd_cfg = ForwardConfig {
-        expected_joiners: joiner_count(cfg),
-        ..forward_config(cfg)
     };
-
-    let c1 = fwd_cfg.clone();
-    let initial = universe
-        .spawn_batch(cfg.workers, move |proc| {
-            let out = run_forward_worker(&proc, &c1, false);
-            (out.exit, out.breakdowns)
-        })
-        .expect("in-process universe");
-
-    // Warm spares park in the pool immediately — members wait for their
-    // announcements before training, so the pool is warm before the
-    // scripted failure can hit.
-    let spare_handles = if cfg.spares > 0 {
-        let cs = fwd_cfg.clone();
-        universe
-            .spawn_joiners(cfg.spares, move |proc| {
-                let out = run_forward_role(&proc, &cs, Role::Spare);
-                (out.exit, out.breakdowns)
-            })
-            .expect("in-process universe")
-    } else {
-        Vec::new()
-    };
-
-    // Spawn joiners once the trigger condition holds: after the failure
-    // (Replace) or after a fixed dwell (Upscale).
-    let joiners = joiner_count(cfg);
-    let joiner_handles = if joiners > 0 {
-        let fabric = universe.fabric().expect("in-process universe");
-        await_join_trigger(cfg.kind, || !fabric.dead_ranks().is_empty());
-        let c2 = fwd_cfg.clone();
-        universe
-            .spawn_joiners(joiners, move |proc| {
-                let out = run_forward_worker(&proc, &c2, true);
-                (out.exit, out.breakdowns)
-            })
-            .expect("in-process universe")
-    } else {
-        Vec::new()
-    };
-
-    let mut exits = Vec::new();
-    let mut breakdowns = Vec::new();
-    for h in initial
-        .into_iter()
-        .chain(joiner_handles)
-        .chain(spare_handles)
-    {
-        let (exit, bd) = h.join();
-        exits.push(exit);
-        breakdowns.extend(bd);
-    }
-    ScenarioResult {
-        exits,
-        breakdowns,
-        wall: t0.elapsed(),
-        fabric_stats: universe.fabric().expect("in-process universe").stats(),
-    }
-}
-
-/// Forward recovery over a real socket mesh: one backend (and one
-/// `Universe`) per worker, connected only by byte streams — the same shape
-/// a multi-process launch has, minus the process boundary. All three
-/// scenarios run here: joins rendezvous through a [`gloo::KvStore`] via
-/// [`ulfm::NetJoin`] (the in-process stand-in for the launcher's TCP store
-/// server), and joiners bootstrap exactly like a fresh OS process — bind a
-/// listener, scan the members' published addresses, dial in, announce.
-fn run_forward_scenario_sockets(cfg: &ScenarioConfig) -> ScenarioResult {
-    let t0 = Instant::now();
-    let topology = Topology::new(cfg.ranks_per_node);
-    let plan = fault_plan(cfg);
-    let backends = SocketBackend::local_mesh(cfg.backend, topology, cfg.workers, plan.clone())
-        .expect("socket mesh");
-    // Socket peers have no global wakeup: a worker that never touches
-    // the dead rank's link must learn of the death by suspicion, so the
-    // scenario always runs with a detection deadline here.
-    let suspicion = cfg.suspicion_timeout.unwrap_or(Duration::from_secs(5));
-    for b in &backends {
-        if let Some(plan) = &cfg.perturb {
-            b.set_perturbation(plan.clone());
-        }
-        b.set_suspicion_timeout(Some(suspicion));
-    }
-    let joiners = joiner_count(cfg);
+    let fwd_cfg = &fwd_cfg;
     let store = gloo::KvStore::shared();
-    let prefix = "scn/";
-    let addr_prefix = format!("{prefix}addr/");
-    let fwd_cfg = ForwardConfig {
-        accept_joiners: joiners > 0,
-        expected_joiners: joiners,
-        // Bounded so a crashed joiner degrades the group to running shrunk
-        // instead of wedging the epoch boundary (and an orphaned joiner
-        // exits instead of polling the store forever).
-        join_wait: Some(Duration::from_secs(10)),
-        ..forward_config(cfg)
-    };
     let group: Vec<RankId> = (0..cfg.workers).map(RankId).collect();
-    // Newcomer backends surface here for stats aggregation and shutdown.
-    let joined_backends: parking_lot::Mutex<Vec<Arc<SocketBackend>>> =
-        parking_lot::Mutex::new(Vec::new());
-    // Joiners and warm spares bootstrap alike, and exactly like a fresh OS
-    // process: wait until every member address is published, bind a
-    // listener, scan the addresses, dial the mesh — then run in `role`.
-    let newcomer = |rank: RankId, role: Role| {
-        while store.count_prefix(&addr_prefix) < cfg.workers {
-            std::thread::sleep(Duration::from_millis(1));
+    run_ranks(cfg, move |ep, contact, role| {
+        let join = NetJoin::new(Arc::clone(&store), "scn/");
+        let join = Arc::new(match contact {
+            Some(addr) => join.with_contact(addr),
+            None => join,
+        });
+        let (_universe, proc) = if role == Role::Member {
+            join.publish_contact(ep.rank());
+            Universe::for_backend_with_join(ep, group.clone(), join)
+        } else {
+            Universe::joiner_for_backend(ep, join)
+        };
+        move || {
+            let out = run_forward_role(&proc, fwd_cfg, role);
+            (out.exit, out.breakdowns)
         }
-        let member_addrs: Vec<(RankId, String)> = store
-            .scan_prefix(&addr_prefix)
-            .into_iter()
-            .filter_map(|(k, v)| {
-                let rank = k.rsplit('/').next()?.parse::<usize>().ok()?;
-                Some((RankId(rank), String::from_utf8(v).ok()?))
-            })
-            .collect();
-        let listener = SocketBackend::bind(cfg.backend).expect("bind newcomer listener");
-        let contact = listener.addr().to_string();
-        let b = SocketBackend::establish_joiner(
-            rank,
-            topology,
-            listener,
-            &member_addrs,
-            FaultInjector::new(plan.clone()),
-            Duration::from_secs(10),
-        )
-        .expect("newcomer could not reach any member");
-        if let Some(plan) = &cfg.perturb {
-            b.set_perturbation(plan.clone());
-        }
-        b.set_suspicion_timeout(Some(suspicion));
-        joined_backends.lock().push(Arc::clone(&b));
-        let join = ulfm::NetJoin::new(Arc::clone(&store), prefix).with_contact(contact);
-        let ep = Endpoint::from_backend(b as Arc<dyn Backend>);
-        let (_universe, proc) = Universe::joiner_for_backend(ep, Arc::new(join));
-        let out = run_forward_role(&proc, &fwd_cfg, role);
-        (out.exit, out.breakdowns)
-    };
-    let newcomer = &newcomer;
-    let (exits, breakdowns) = std::thread::scope(|s| {
-        let member_handles: Vec<_> = backends
-            .iter()
-            .cloned()
-            .map(|b| {
-                let group = group.clone();
-                let fwd_cfg = fwd_cfg.clone();
-                let store = Arc::clone(&store);
-                s.spawn(move || {
-                    let rank = b.rank();
-                    let join =
-                        ulfm::NetJoin::new(store, prefix).with_contact(b.local_addr().to_string());
-                    join.publish_contact(rank);
-                    let ep = Endpoint::from_backend(b as Arc<dyn Backend>);
-                    let (_universe, proc) =
-                        Universe::for_backend_with_join(ep, group, Arc::new(join));
-                    let out = run_forward_worker(&proc, &fwd_cfg, false);
-                    (out.exit, out.breakdowns)
-                })
-            })
-            .collect();
-
-        let joiner_handles: Vec<_> = (0..joiners)
-            .map(|i| {
-                // A surviving member's backend doubles as the failure
-                // observer triggering Replace joiners.
-                let watch = Arc::clone(&backends[(cfg.victim + 1) % cfg.workers]);
-                s.spawn(move || {
-                    await_join_trigger(cfg.kind, || !watch.is_alive(RankId(cfg.victim)));
-                    newcomer(RankId(cfg.workers + i), Role::Joiner)
-                })
-            })
-            .collect();
-
-        // Warm spares start immediately — the pool must be warm before the
-        // scripted failure — and join the spare namespace.
-        let spare_handles: Vec<_> = (0..cfg.spares)
-            .map(|i| s.spawn(move || newcomer(RankId(cfg.workers + joiners + i), Role::Spare)))
-            .collect();
-
-        let mut exits = Vec::new();
-        let mut breakdowns = Vec::new();
-        for h in member_handles
-            .into_iter()
-            .chain(joiner_handles)
-            .chain(spare_handles)
-        {
-            let (exit, bd) = h.join().expect("worker thread panicked");
-            exits.push(exit);
-            breakdowns.extend(bd);
-        }
-        (exits, breakdowns)
-    });
-    // Each backend observes its own traffic; the sum is the mesh total.
-    // (Unlike the shared fabric, `deaths`/`suspicions` count per-rank
-    // observations of the same event.)
-    let mut fabric_stats = transport::FabricStats::default();
-    let all_backends: Vec<Arc<SocketBackend>> = backends
-        .into_iter()
-        .chain(std::mem::take(&mut *joined_backends.lock()))
-        .collect();
-    for b in &all_backends {
-        fabric_stats += b.stats();
-    }
-    for b in &all_backends {
-        b.shutdown();
-    }
-    ScenarioResult {
-        exits,
-        breakdowns,
-        wall: t0.elapsed(),
-        fabric_stats,
-    }
+    })
 }
 
-fn run_backward_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
+/// Backward recovery, in process only: the Gloo engine rendezvouses through
+/// its driver's in-process store and has no warm spare pool.
+fn run_backward(cfg: &ScenarioConfig) -> ScenarioResult {
     assert_eq!(
         cfg.backend,
         BackendKind::InProc,
         "the Gloo backward engine rendezvouses through the in-process store"
     );
-    let t0 = Instant::now();
-    let topology = Topology::new(cfg.ranks_per_node);
-    let fabric = Fabric::new(topology, FaultInjector::new(fault_plan(cfg)));
-    if let Some(plan) = &cfg.perturb {
-        fabric.set_perturbation(plan.clone());
-    }
-    fabric.set_suspicion_timeout(cfg.suspicion_timeout);
-    let initial_ranks = fabric.register_ranks(cfg.workers);
-    let driver = ElasticDriver::new(topology, initial_ranks.clone());
+    assert_eq!(cfg.spares, 0, "the Gloo backward engine has no spare pool");
+    let initial = (0..cfg.workers).map(RankId).collect();
+    let driver = ElasticDriver::new(Topology::new(cfg.ranks_per_node), initial);
     driver.set_min_workers(cfg.spec.min_workers);
     let bwd_cfg = BackwardConfig {
         spec: cfg.spec.clone(),
@@ -481,56 +283,187 @@ fn run_backward_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
         worker_init_delay: Duration::from_millis(5),
         expected_new_workers: joiner_count(cfg),
     };
+    let (driver, bwd_cfg) = (&*driver, &bwd_cfg);
+    run_ranks(cfg, move |ep, _, role| {
+        move || run_backward_worker(&ep, bwd_cfg, driver, role == Role::Joiner)
+    })
+}
 
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for &rank in &initial_ranks {
-            let fabric = Arc::clone(&fabric);
-            let driver = Arc::clone(&driver);
-            let bwd_cfg = bwd_cfg.clone();
-            handles.push(s.spawn(move || {
-                let ep = Endpoint::new(Arc::clone(&fabric), rank);
-                let out = run_backward_worker(&ep, &bwd_cfg, &driver, false);
-                fabric.kill_rank(rank); // model process exit
-                out
-            }));
-        }
-
-        // Joiners.
-        let joiners = joiner_count(cfg);
-        let joiner_handles: Vec<_> = if joiners > 0 {
-            await_join_trigger(cfg.kind, || !fabric.dead_ranks().is_empty());
-            let new_ranks = fabric.register_ranks(joiners);
-            new_ranks
-                .into_iter()
-                .map(|rank| {
-                    let fabric = Arc::clone(&fabric);
-                    let driver = Arc::clone(&driver);
-                    let bwd_cfg = bwd_cfg.clone();
+/// Run a scenario's ranks, one thread each, over the mesh `cfg.backend`
+/// names. `launch` prepares a rank from its endpoint, contact and role
+/// before its thread starts, and returns what the thread runs. Members and
+/// spares are all prepared before any thread runs; joiners wait for the
+/// trigger: the first death or exit among the members, as their own
+/// endpoints and threads report it (Replace), or a dwell (Upscale).
+/// Newcomers are numbered spares first, then joiners; exits come back
+/// members first, then joiners, then spares.
+fn run_ranks<J>(
+    cfg: &ScenarioConfig,
+    launch: impl Fn(Endpoint, Option<String>, Role) -> J,
+) -> ScenarioResult
+where
+    J: FnOnce() -> (WorkerExit, Vec<RecoveryBreakdown>) + Send,
+{
+    let t0 = Instant::now();
+    let mut mesh = match cfg.backend {
+        BackendKind::InProc => Mesh::in_process(cfg),
+        kind => Mesh::sockets(cfg, kind),
+    };
+    let watch: Vec<Endpoint> = mesh.members.iter().map(|(ep, _)| ep.clone()).collect();
+    let members: Vec<_> = std::mem::take(&mut mesh.members)
+        .into_iter()
+        .map(|(ep, contact)| (ep.rank(), launch(ep, contact, Role::Member)))
+        .collect();
+    let newcomers = |ranks: std::ops::Range<usize>, role| -> Vec<_> {
+        ranks
+            .map(|r| {
+                let (ep, contact) = (mesh.newcomer)(RankId(r));
+                (RankId(r), launch(ep, contact, role))
+            })
+            .collect()
+    };
+    let first_joiner = cfg.workers + cfg.spares;
+    let spares = newcomers(cfg.workers..first_joiner, Role::Spare);
+    let (exits, breakdowns): (Vec<_>, Vec<_>) = std::thread::scope(|s| {
+        let spawn = |ranks: Vec<(RankId, J)>| -> Vec<_> {
+            let exited = &mesh.exited;
+            (ranks.into_iter())
+                .map(|(rank, work)| {
                     s.spawn(move || {
-                        let ep = Endpoint::new(Arc::clone(&fabric), rank);
-                        let out = run_backward_worker(&ep, &bwd_cfg, &driver, true);
-                        fabric.kill_rank(rank); // model process exit
+                        let out = work();
+                        exited(rank);
                         out
                     })
                 })
                 .collect()
-        } else {
-            Vec::new()
         };
+        let members = spawn(members);
+        let spares = spawn(spares);
+        let joiners = match joiner_count(cfg) {
+            0 => Vec::new(),
+            n => {
+                await_join_trigger(cfg.kind, || {
+                    watch.iter().any(|ep| !ep.is_self_alive())
+                        || members.iter().any(|h| h.is_finished())
+                });
+                spawn(newcomers(first_joiner..first_joiner + n, Role::Joiner))
+            }
+        };
+        (members.into_iter().chain(joiners).chain(spares))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .unzip()
+    });
+    ScenarioResult {
+        exits,
+        breakdowns: breakdowns.into_iter().flatten().collect(),
+        wall: t0.elapsed(),
+        fabric_stats: (mesh.finish)(),
+    }
+}
 
-        let mut exits = Vec::new();
-        let mut breakdowns = Vec::new();
-        for h in handles.into_iter().chain(joiner_handles) {
-            let (exit, bd) = h.join().expect("worker thread panicked");
-            exits.push(exit);
-            breakdowns.extend(bd);
+/// The links a scenario runs over: all the code that differs between the
+/// in-process fabric and a socket mesh.
+struct Mesh {
+    /// The initial members' endpoints and dialable contacts, in rank order.
+    members: Vec<(Endpoint, Option<String>)>,
+    /// A spare's or joiner's endpoint and contact; called in rank order.
+    newcomer: Box<dyn Fn(RankId) -> (Endpoint, Option<String>) + Sync>,
+    /// Called on a rank's thread when its worker returns.
+    exited: Box<dyn Fn(RankId) + Sync>,
+    /// Tears the links down and returns the run's transport counters.
+    finish: Box<dyn FnOnce() -> FabricStats + Sync>,
+}
+
+impl Mesh {
+    /// Every rank a thread on one shared fabric, whose alive table is the
+    /// failure detector. A rank whose worker returns is killed on it, as an
+    /// exited process is gone, so peers blocked on it see a failure instead
+    /// of hanging.
+    fn in_process(cfg: &ScenarioConfig) -> Self {
+        let topology = Topology::new(cfg.ranks_per_node);
+        let fabric = Fabric::new(topology, FaultInjector::new(fault_plan(cfg)));
+        if let Some(plan) = &cfg.perturb {
+            fabric.set_perturbation(plan.clone());
         }
-        ScenarioResult {
-            exits,
-            breakdowns,
-            wall: t0.elapsed(),
-            fabric_stats: fabric.stats(),
+        fabric.set_suspicion_timeout(cfg.suspicion_timeout);
+        let members = (fabric.register_ranks(cfg.workers).into_iter())
+            .map(|rank| (Endpoint::new(Arc::clone(&fabric), rank), None))
+            .collect();
+        let (joins, exits) = (Arc::clone(&fabric), Arc::clone(&fabric));
+        Self {
+            members,
+            newcomer: Box::new(move |rank| {
+                let registered = joins.register_rank();
+                debug_assert_eq!(registered, rank, "newcomers register in rank order");
+                (Endpoint::new(Arc::clone(&joins), registered), None)
+            }),
+            exited: Box::new(move |rank| exits.kill_rank(rank)),
+            finish: Box::new(move || fabric.stats()),
         }
-    })
+    }
+
+    /// One socket backend per rank, connected only by byte streams: a
+    /// multi-process launch minus the process boundary. A newcomer binds a
+    /// listener and dials the members, as a fresh process does. Peers share
+    /// no alive table, so a rank that never touches a dead peer's link
+    /// learns of the death only by suspicion: the deadline defaults to 5 s.
+    fn sockets(cfg: &ScenarioConfig, kind: BackendKind) -> Self {
+        let (topology, plan) = (Topology::new(cfg.ranks_per_node), fault_plan(cfg));
+        let (perturb, suspicion) = (cfg.perturb.clone(), cfg.suspicion_timeout);
+        let tune = move |b: &SocketBackend| {
+            if let Some(plan) = &perturb {
+                b.set_perturbation(plan.clone());
+            }
+            b.set_suspicion_timeout(Some(suspicion.unwrap_or(Duration::from_secs(5))));
+        };
+        let backends = SocketBackend::local_mesh(kind, topology, cfg.workers, plan.clone())
+            .expect("socket mesh");
+        let addrs: Vec<(RankId, String)> = (backends.iter())
+            .map(|b| (b.rank(), b.local_addr().to_string()))
+            .collect();
+        let members = (backends.iter().zip(&addrs))
+            .map(|(b, (_, addr))| {
+                tune(b);
+                (
+                    Endpoint::from_backend(Arc::clone(b) as _),
+                    Some(addr.clone()),
+                )
+            })
+            .collect();
+        let all = Arc::new(Mutex::new(backends));
+        let joined = Arc::clone(&all);
+        Self {
+            members,
+            newcomer: Box::new(move |rank| {
+                let listener = SocketBackend::bind(kind).expect("bind newcomer listener");
+                let contact = listener.addr().to_string();
+                let injector = FaultInjector::new(plan.clone());
+                let timeout = Duration::from_secs(10);
+                let b = SocketBackend::establish_joiner(
+                    rank, topology, listener, &addrs, injector, timeout,
+                )
+                .expect("newcomer could not reach any member");
+                tune(&b);
+                joined.lock().push(Arc::clone(&b));
+                (Endpoint::from_backend(b), Some(contact))
+            }),
+            exited: Box::new(|_| {}),
+            // Each backend counts its own traffic, so `deaths` and
+            // `suspicions` count every rank's observation of one event.
+            finish: Box::new(move || {
+                let all = std::mem::take(&mut *all.lock());
+                let mut stats = FabricStats::default();
+                for b in &all {
+                    stats += b.stats();
+                }
+                for b in &all {
+                    b.shutdown();
+                }
+                stats
+            }),
+        }
+    }
 }

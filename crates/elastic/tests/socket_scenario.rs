@@ -1,7 +1,9 @@
 //! Scenario runs on the socket backends, in-process edition: every rank
 //! is a thread, but bytes travel through real TCP / Unix-domain sockets
 //! and failure detection goes through EOF/suspicion instead of the shared
-//! alive table. The multi-*process* version of the same story lives in
+//! alive table. The scenario runner is the same one the in-process fabric
+//! uses, so the last test holds every scenario kind to the in-process
+//! fingerprint. The multi-*process* version of the same story lives in
 //! `crates/bench/tests/multiproc.rs`; this test keeps the socket path in
 //! the ordinary `cargo test` loop, where it is cheap and debuggable.
 
@@ -82,28 +84,64 @@ fn unix_replace_swaps_dead_worker_for_joiner() {
     res.assert_consistent_state();
 }
 
+/// A kill point that `fail_at_op` never reaches: nobody dies.
+const NEVER: u64 = u64::MAX;
+
+/// The victim's third protocol step, inside the run's first allreduce
+/// (four steps at p = 3): no survivor can finish that op, so every survivor
+/// restarts at op 0 whatever the timing. After a later kill a slow survivor
+/// can still be an op behind the victim when the revocation reaches it, and
+/// the agreed restart op, with the fingerprint, then depends on timing on
+/// either link.
+const FIRST_OP: u64 = 3;
+
+/// Run one scenario kind over `backend` and in process, the victim dying
+/// at `fail_at_op`: both must finish with `completed` workers and the same
+/// model fingerprint.
+fn matches_inproc_fingerprint(
+    kind: ScenarioKind,
+    backend: BackendKind,
+    fail_at_op: u64,
+    completed: usize,
+) {
+    let cfg = |backend| ScenarioConfig {
+        kind,
+        joiners: 1,
+        fail_at_op,
+        ..socket_cfg(backend, true)
+    };
+    let sock = run_scenario(&cfg(backend));
+    let inproc = run_scenario(&cfg(BackendKind::InProc));
+    assert_eq!(
+        sock.completed(),
+        completed,
+        "{kind:?}: exits: {:?}",
+        sock.exits
+    );
+    assert_eq!(
+        inproc.completed(),
+        completed,
+        "{kind:?}: exits: {:?}",
+        inproc.exits
+    );
+    assert_eq!(
+        sock.assert_consistent_state(),
+        inproc.assert_consistent_state(),
+        "{kind:?} over {backend:?}: transport choice leaked into training state"
+    );
+}
+
 #[test]
 fn tcp_clean_run_matches_inproc_fingerprint() {
-    // Same seed, same membership, no faults: the model fingerprint must
-    // not depend on which transport carried the gradients.
-    let sock = run_scenario(&socket_cfg(BackendKind::Tcp, false));
-    let inproc = run_scenario(&socket_cfg(BackendKind::InProc, false));
-    assert_eq!(sock.completed(), 3, "exits: {:?}", sock.exits);
-    assert_eq!(inproc.completed(), 3);
-    sock.assert_consistent_state();
-    inproc.assert_consistent_state();
-    let fp = |r: &elastic::ScenarioResult| {
-        r.exits
-            .iter()
-            .find_map(|e| match e {
-                WorkerExit::Completed(s) => Some(s.state_fingerprint),
-                _ => None,
-            })
-            .expect("a completed worker")
-    };
-    assert_eq!(
-        fp(&sock),
-        fp(&inproc),
-        "transport choice leaked into training state"
-    );
+    // Same seed, same membership, same fault schedule: the model fingerprint
+    // must not depend on which transport carried the gradients — in a clean
+    // run, and in each scenario kind.
+    matches_inproc_fingerprint(ScenarioKind::Downscale, BackendKind::Tcp, NEVER, 3);
+    for (kind, fail_at_op, completed) in [
+        (ScenarioKind::Downscale, FIRST_OP, 2),
+        (ScenarioKind::Replace, FIRST_OP, 3),
+        (ScenarioKind::Upscale, NEVER, 4),
+    ] {
+        matches_inproc_fingerprint(kind, BackendKind::Unix, fail_at_op, completed);
+    }
 }

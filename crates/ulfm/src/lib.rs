@@ -13,7 +13,7 @@
 //! | `MPIX_Comm_agree` | [`Communicator::agree`] — fault-tolerant uniform agreement (bitwise AND of flags + union of known failures) |
 //! | `MPIX_Comm_shrink` | [`Communicator::shrink`] — agreement on the failed set, then a new, dense, working communicator of survivors |
 //! | `MPIX_Comm_failure_ack` / `get_acked` | [`Communicator::failure_ack`] / [`Communicator::get_acked`] |
-//! | `MPI_Comm_spawn` + merge (for replacement/upscale) | [`Universe::spawn_joiners`] + [`Communicator::accept_joiners`] / [`Proc::join_training`] |
+//! | `MPI_Comm_spawn` + merge (for replacement/upscale) | [`Universe::spawn_batch`] + [`Communicator::accept_joiners`] / [`Proc::join_training`] |
 //!
 //! Ranks are OS threads inside a [`Universe`]; the transport provides the
 //! reliable fabric and the (perfect) failure detector. Collective

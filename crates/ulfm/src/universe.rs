@@ -418,24 +418,22 @@ impl Universe {
         Self::new(topology, FaultPlan::none())
     }
 
-    /// Build a universe view for one rank of a *multi-process* job over an
-    /// already-established distributed backend (e.g.
-    /// `transport::SocketBackend`), returning it together with this rank's
-    /// [`Proc`]. `group` is the job's initial world, identical on every
-    /// process.
+    /// Build a peer-mode universe for one rank over an already-established
+    /// endpoint, returning it together with this rank's [`Proc`]: one rank
+    /// of a multi-process job over a `transport::SocketBackend`, or one
+    /// thread's rank over an in-process `Endpoint::new(fabric, rank)`.
+    /// `group` is the job's initial world, identical on every rank.
     ///
     /// The rank is built exactly as [`Universe::spawn_batch`] builds one:
     /// its communicator ids come out of its own interner (deterministic
     /// across ranks, which intern the same keys in the same order) and
-    /// revocations travel as backend signals. The join service is a [`NetJoin`] over a private
-    /// in-memory store, which no other process can reach — dynamic joins
-    /// in multi-process mode need a shared store; see
-    /// [`Universe::for_backend_with_join`].
-    /// `spawn_*`, `kill_*`, and [`Universe::fabric`] return
-    /// [`UlfmError::NoSharedFabric`], and the `set_*` tuners do nothing,
-    /// because there is no shared fabric to operate on: real process
-    /// management belongs to the launcher, and the rank tunes its own
-    /// endpoint ([`Proc::endpoint`]).
+    /// revocations travel as backend signals. The join service is a
+    /// [`NetJoin`] over a private in-memory store, which no other rank can
+    /// reach — dynamic joins need a shared store; see
+    /// [`Universe::for_backend_with_join`]. [`Universe::spawn_batch`],
+    /// [`Universe::kill_rank`] and [`Universe::fabric`] return
+    /// [`UlfmError::NoSharedFabric`]: whoever built the endpoint manages
+    /// the ranks and tunes the links ([`Proc::endpoint`]).
     pub fn for_backend(ep: Endpoint, group: Vec<RankId>) -> (Self, Proc) {
         Self::for_backend_with_join(ep, group, private_join())
     }
@@ -468,27 +466,12 @@ impl Universe {
         Self::for_backend_with_join(ep, vec![rank], join)
     }
 
-    /// Install a message-perturbation plan on the fabric (adversarial links
-    /// healed by the retransmission layer).
-    pub fn set_perturbation(&self, plan: transport::PerturbPlan) {
-        if let Some(f) = &self.fabric {
-            f.set_perturbation(plan);
-        }
-    }
-
-    /// Configure the fabric's timeout-based failure suspicion: a collective
-    /// that stalls on a silent peer past `timeout` treats that peer as failed
-    /// (`ProcFailed`), feeding the revoke → agree → shrink recovery path.
-    pub fn set_suspicion_timeout(&self, timeout: std::time::Duration) {
-        if let Some(f) = &self.fabric {
-            f.set_suspicion_timeout(Some(timeout));
-        }
-    }
-
     /// Spawn `n` workers as one batch; each runs `f` and sees the whole
     /// batch as its [`Proc::init_comm`] group. Every rank's [`Proc`] is
     /// built (and its signal handler installed) before any of them runs,
-    /// so no rank can revoke before a batch peer listens.
+    /// so no rank can revoke before a batch peer listens. Joiners
+    /// (replacement or upscale) are a batch too: each calls
+    /// [`Proc::join_training`] to merge into the running computation.
     ///
     /// In-process mode only: a multi-process ([`Universe::for_backend`])
     /// universe has no shared fabric to spawn threads onto, and returns
@@ -536,29 +519,11 @@ impl Universe {
         handles
     }
 
-    /// Spawn `k` *joining* workers (replacement or upscale); they should
-    /// call [`Proc::join_training`] to merge into the running computation.
-    /// In-process mode only, like [`Universe::spawn_batch`].
-    pub fn spawn_joiners<R, F>(&self, k: usize, f: F) -> Result<Vec<WorkerHandle<R>>, UlfmError>
-    where
-        R: Send + 'static,
-        F: Fn(Proc) -> R + Send + Sync + Clone + 'static,
-    {
-        self.spawn_batch(k, f)
-    }
-
     /// Kill a rank from the outside (hardware failure). In-process mode
     /// only ([`UlfmError::NoSharedFabric`] otherwise): a multi-process
     /// job's ranks die by actual process death.
     pub fn kill_rank(&self, rank: RankId) -> Result<(), UlfmError> {
         self.fabric()?.kill_rank(rank);
-        Ok(())
-    }
-
-    /// Kill every rank on a node. In-process mode only
-    /// ([`UlfmError::NoSharedFabric`] otherwise).
-    pub fn kill_node(&self, node: NodeId) -> Result<(), UlfmError> {
-        self.fabric()?.kill_node(node);
         Ok(())
     }
 

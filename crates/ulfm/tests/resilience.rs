@@ -128,7 +128,7 @@ fn silent_peer_is_suspected_and_shrunk_away() {
     let n = 4;
     let victim = 2usize;
     let u = Universe::without_faults(Topology::flat());
-    u.set_perturbation(
+    u.fabric().unwrap().set_perturbation(
         PerturbPlan::seeded(0x51_1E47)
             .links_into(RankId(victim), n, LinkPerturb::clean().drop(1.0))
             .retry(RetryPolicy {
@@ -137,7 +137,9 @@ fn silent_peer_is_suspected_and_shrunk_away() {
                 cap: std::time::Duration::from_millis(1),
             }),
     );
-    u.set_suspicion_timeout(std::time::Duration::from_millis(500));
+    u.fabric()
+        .unwrap()
+        .set_suspicion_timeout(Some(std::time::Duration::from_millis(500)));
     let handles = u
         .spawn_batch(n, move |p: Proc| {
             let comm = p.init_comm();
@@ -329,7 +331,7 @@ fn joiners_merge_into_running_group() {
         .unwrap();
     std::thread::sleep(std::time::Duration::from_millis(20));
     let new = u
-        .spawn_joiners(2, |p: Proc| {
+        .spawn_batch(2, |p: Proc| {
             let merged = p.join_training().expect("fault-free join must succeed");
             let mut buf = vec![1.0f32];
             merged
@@ -544,7 +546,7 @@ fn join_leader_death_mid_handshake_reissues_tickets() {
         .unwrap();
     std::thread::sleep(std::time::Duration::from_millis(10));
     let new = u
-        .spawn_joiners(1, |p: Proc| {
+        .spawn_batch(1, |p: Proc| {
             let merged = p
                 .join_training()
                 .expect("surviving members must re-issue the ticket");
@@ -604,7 +606,7 @@ fn dead_joiner_is_filtered_from_admission() {
         .unwrap();
     std::thread::sleep(std::time::Duration::from_millis(5));
     let new = u
-        .spawn_joiners(2, |p: Proc| match p.join_training() {
+        .spawn_batch(2, |p: Proc| match p.join_training() {
             Ok(merged) => {
                 let mut buf = vec![1.0f32];
                 merged

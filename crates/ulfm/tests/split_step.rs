@@ -20,7 +20,10 @@ const DEADLINE: Duration = Duration::from_secs(2);
 /// Run `scenario` on every rank of an in-process universe.
 fn in_process<R: Send + 'static>(scenario: fn(&Proc) -> R) -> Vec<R> {
     let universe = Universe::without_faults(Topology::flat());
-    universe.set_suspicion_timeout(DEADLINE);
+    universe
+        .fabric()
+        .unwrap()
+        .set_suspicion_timeout(Some(DEADLINE));
     let handles = universe
         .spawn_batch(N, move |proc| scenario(&proc))
         .expect("in-process universe");

@@ -120,11 +120,13 @@ fn mid_stream_perturbation_is_exact_and_recycles_nothing() {
         .duplicate(0.1)
         .corrupt(0.1)
         .reorder(0.1);
-    u.set_perturbation(PerturbPlan::seeded(28).all_links(lossy).retry(RetryPolicy {
-        max_retries: 64,
-        base: Duration::from_micros(200),
-        cap: Duration::from_millis(2),
-    }));
+    u.fabric()
+        .unwrap()
+        .set_perturbation(PerturbPlan::seeded(28).all_links(lossy).retry(RetryPolicy {
+            max_retries: 64,
+            base: Duration::from_micros(200),
+            cap: Duration::from_millis(2),
+        }));
     let handles = u.spawn_batch(3, allreduce_until_agreed).unwrap();
     let want = sum_over(&[0, 1, 2]);
     for (r, h) in handles.into_iter().enumerate() {
