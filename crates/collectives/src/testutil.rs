@@ -1,38 +1,20 @@
-//! In-crate test harness: runs a closure on `n` rank threads over the
-//! in-memory transport, with an optional fault plan.
+//! In-crate test harness: runs a closure on `n` rank threads of an
+//! in-process [`transport::Mesh`], with an optional fault plan.
 
 use crate::comm::EndpointGroup;
-use std::sync::Arc;
-use transport::{Endpoint, Fabric, FaultInjector, FaultPlan, Topology};
+use transport::{BackendKind, FaultPlan, Mesh, RankId, Topology};
 
-/// Run `f` on `n` rank threads sharing one fabric, each with the group of
-/// all registered ranks; returns per-rank results in rank order.
+/// Run `f` on `n` rank threads of one in-process mesh, each with the group
+/// of all its ranks; returns per-rank results in rank order. A rank whose
+/// `f` returned has exited: a peer still blocked on it sees it dead.
 pub fn run_group<R, F>(n: usize, plan: FaultPlan, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(EndpointGroup<'_>) -> R + Send + Sync,
 {
-    let fabric = Fabric::new(Topology::flat(), FaultInjector::new(plan));
-    let group = fabric.register_ranks(n);
-    let f = &f;
-    let group_ref = &group;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let fabric = Arc::clone(&fabric);
-                s.spawn(move || {
-                    let ep = Endpoint::new(Arc::clone(&fabric), group_ref[i]);
-                    let out = f(EndpointGroup::new(&ep, group_ref, i));
-                    // Model process exit: a rank that returned (e.g. after
-                    // observing a failure) stops participating; peers
-                    // blocked on it must see PeerDead rather than hang.
-                    fabric.kill_rank(group_ref[i]);
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
+    let mesh = Mesh::new(BackendKind::InProc, Topology::flat(), n, plan).expect("in-process mesh");
+    let group: Vec<RankId> = (0..n).map(RankId).collect();
+    mesh.run(|ep| f(EndpointGroup::new(&ep, &group, ep.rank().0)))
 }
 
 /// Deterministic pseudo-random input vector for rank `r`.

@@ -3,24 +3,20 @@
 //! breakdowns. Used by the integration tests, the examples, and the
 //! benches that regenerate the paper's figures.
 //!
-//! One runner serves every backend and both engines: each rank is a thread
-//! over its own endpoint (a peer-mode [`Universe`] for the forward engine),
-//! and only a private `Mesh` knows whether the endpoints sit on the
-//! in-process fabric or on a socket mesh.
+//! One runner serves every backend and both engines: a scenario is three
+//! [`Universe::spawn_batch`] calls — members, warm spares, joiners — on a
+//! universe over a [`Mesh`], and only the mesh knows whether the ranks sit
+//! on the in-process fabric or on a socket mesh.
 
 use crate::backward::{run_backward_worker, BackwardConfig, ElasticDriver};
 use crate::config::{RecoveryPolicy, TrainSpec, WorkerExit};
 use crate::forward::{run_forward_role, ForwardConfig, Role};
 use crate::policy::PolicyMode;
 use crate::profiler::{mean_breakdown, RecoveryBreakdown, RecoveryKind};
-use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use transport::{
-    Backend, BackendKind, Endpoint, Fabric, FabricStats, FaultInjector, FaultPlan, PerturbPlan,
-    RankId, SocketBackend, Topology,
-};
-use ulfm::{NetJoin, Universe};
+use transport::{BackendKind, FabricStats, FaultPlan, Mesh, PerturbPlan, RankId, Topology};
+use ulfm::{Proc, Universe, WorkerHandle};
 
 /// Which of the paper's dynamic-training scenarios to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,9 +72,9 @@ pub struct ScenarioConfig {
     pub perturb: Option<PerturbPlan>,
     /// Optional engine-level failure-detection deadline: a collective that
     /// stalls on a silent peer past this converts the hang into a peer-death
-    /// report (ULFM suspicion) instead of blocking forever. `None` means no
-    /// deadline in process and 5 s over sockets, whose peers share no alive
-    /// table.
+    /// report (ULFM suspicion) instead of blocking forever. `None` keeps
+    /// the [`Mesh`]'s default: no deadline in process, and 5 s over sockets,
+    /// whose peers share no alive table.
     pub suspicion_timeout: Option<Duration>,
     /// Extra fault triggers merged into the scripted victim's plan — lets
     /// tests and `repro` express multi-victim and during-recovery cascades
@@ -86,8 +82,8 @@ pub struct ScenarioConfig {
     pub extra_faults: FaultPlan,
     /// Transport backend the workers communicate over. `InProc` (the
     /// default) is the shared-memory fabric; `Tcp`/`Unix` run every worker
-    /// over a real socket mesh. Joins rendezvous through one shared KV
-    /// store ([`ulfm::NetJoin`]) on every backend, so the forward engine
+    /// over a real socket mesh. Joins rendezvous through the universe's one
+    /// KV store ([`ulfm::NetJoin`]) on every backend, so the forward engine
     /// runs all three scenarios on all of them. The backward engine runs
     /// in process only, and panics on a socket backend.
     pub backend: BackendKind,
@@ -208,29 +204,16 @@ fn joiner_count(cfg: &ScenarioConfig) -> usize {
     }
 }
 
-/// Hold the joiners back until the scenario's trigger condition: a fixed
-/// dwell has passed (Upscale), or the failure has been seen (Replace).
-fn await_join_trigger(kind: ScenarioKind, failure_seen: impl Fn() -> bool) {
-    if kind == ScenarioKind::Upscale {
-        std::thread::sleep(Duration::from_millis(10));
-    } else {
-        while !failure_seen() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-}
-
 /// How long members wait at a boundary for an expected joiner or spare,
 /// and a joiner or spare for its ticket: a newcomer that never comes ends
 /// in a typed exit, not a hang.
 const JOIN_WAIT: Duration = Duration::from_secs(10);
 
-/// Forward recovery: every rank is a peer-mode universe over its mesh
-/// endpoint, and all of them share one [`NetJoin`] over one in-memory store
-/// (the stand-in for a launcher's store server), so spares and joiners
-/// enter exactly as a fresh process does.
+/// Forward recovery: every rank is a universe rank over its mesh endpoint,
+/// and spares and joiners enter through the universe's join store exactly
+/// as a fresh process does.
 fn run_forward(cfg: &ScenarioConfig) -> ScenarioResult {
-    let fwd_cfg = ForwardConfig {
+    let fwd_cfg = Arc::new(ForwardConfig {
         policy: cfg.policy,
         renormalize_after_loss: cfg.renormalize,
         policy_mode: cfg.policy_mode,
@@ -239,24 +222,11 @@ fn run_forward(cfg: &ScenarioConfig) -> ScenarioResult {
         expected_spares: cfg.spares,
         ckpt_every: cfg.ckpt_every,
         ..ForwardConfig::new(cfg.spec.clone())
-    };
-    let fwd_cfg = &fwd_cfg;
-    let store = gloo::KvStore::shared();
-    let group: Vec<RankId> = (0..cfg.workers).map(RankId).collect();
-    run_ranks(cfg, move |ep, contact, role| {
-        let join = NetJoin::new(Arc::clone(&store), "scn/");
-        let join = Arc::new(match contact {
-            Some(addr) => join.with_contact(addr),
-            None => join,
-        });
-        let (_universe, proc) = if role == Role::Member {
-            join.publish_contact(ep.rank());
-            Universe::for_backend_with_join(ep, group.clone(), join)
-        } else {
-            Universe::joiner_for_backend(ep, join)
-        };
-        move || {
-            let out = run_forward_role(&proc, fwd_cfg, role);
+    });
+    run_batches(cfg, |role| {
+        let fwd_cfg = Arc::clone(&fwd_cfg);
+        move |proc: Proc| {
+            let out = run_forward_role(&proc, &fwd_cfg, role);
             (out.exit, out.breakdowns)
         }
     })
@@ -274,7 +244,7 @@ fn run_backward(cfg: &ScenarioConfig) -> ScenarioResult {
     let initial = (0..cfg.workers).map(RankId).collect();
     let driver = ElasticDriver::new(Topology::new(cfg.ranks_per_node), initial);
     driver.set_min_workers(cfg.spec.min_workers);
-    let bwd_cfg = BackwardConfig {
+    let bwd_cfg = Arc::new(BackwardConfig {
         spec: cfg.spec.clone(),
         policy: cfg.policy,
         checkpoint_every: 1,
@@ -282,188 +252,61 @@ fn run_backward(cfg: &ScenarioConfig) -> ScenarioResult {
         rendezvous_timeout: Duration::from_secs(30),
         worker_init_delay: Duration::from_millis(5),
         expected_new_workers: joiner_count(cfg),
-    };
-    let (driver, bwd_cfg) = (&*driver, &bwd_cfg);
-    run_ranks(cfg, move |ep, _, role| {
-        move || run_backward_worker(&ep, bwd_cfg, driver, role == Role::Joiner)
+    });
+    run_batches(cfg, |role| {
+        let (driver, bwd_cfg) = (Arc::clone(&driver), Arc::clone(&bwd_cfg));
+        move |proc: Proc| {
+            run_backward_worker(proc.endpoint(), &bwd_cfg, &driver, role == Role::Joiner)
+        }
     })
 }
 
-/// Run a scenario's ranks, one thread each, over the mesh `cfg.backend`
-/// names. `launch` prepares a rank from its endpoint, contact and role
-/// before its thread starts, and returns what the thread runs. Members and
-/// spares are all prepared before any thread runs; joiners wait for the
-/// trigger: the first death or exit among the members, as their own
-/// endpoints and threads report it (Replace), or a dwell (Upscale).
-/// Newcomers are numbered spares first, then joiners; exits come back
-/// members first, then joiners, then spares.
-fn run_ranks<J>(
-    cfg: &ScenarioConfig,
-    launch: impl Fn(Endpoint, Option<String>, Role) -> J,
-) -> ScenarioResult
+/// Run a scenario's ranks as three batches of a universe over the mesh
+/// `cfg.backend` names; `worker` gives each role its rank function. Members
+/// and spares start at once; joiners wait for the trigger: a member's
+/// worker returned (Replace — a scripted death always returns its worker)
+/// or a dwell (Upscale). Newcomers are numbered spares first, then joiners;
+/// exits come back members first, then joiners, then spares.
+fn run_batches<W>(cfg: &ScenarioConfig, worker: impl Fn(Role) -> W) -> ScenarioResult
 where
-    J: FnOnce() -> (WorkerExit, Vec<RecoveryBreakdown>) + Send,
+    W: Fn(Proc) -> (WorkerExit, Vec<RecoveryBreakdown>) + Send + Sync + Clone + 'static,
 {
     let t0 = Instant::now();
-    let mut mesh = match cfg.backend {
-        BackendKind::InProc => Mesh::in_process(cfg),
-        kind => Mesh::sockets(cfg, kind),
+    let topology = Topology::new(cfg.ranks_per_node);
+    let mesh =
+        Mesh::new(cfg.backend, topology, cfg.workers, fault_plan(cfg)).expect("scenario mesh");
+    if let Some(plan) = &cfg.perturb {
+        mesh.set_perturbation(plan.clone());
+    }
+    if cfg.suspicion_timeout.is_some() {
+        mesh.set_suspicion_timeout(cfg.suspicion_timeout);
+    }
+    let universe = Universe::over(mesh);
+    let spawn = |n, role| -> Vec<WorkerHandle<_>> {
+        (universe.spawn_batch(n, worker(role))).expect("a universe over a mesh spawns")
     };
-    let watch: Vec<Endpoint> = mesh.members.iter().map(|(ep, _)| ep.clone()).collect();
-    let members: Vec<_> = std::mem::take(&mut mesh.members)
-        .into_iter()
-        .map(|(ep, contact)| (ep.rank(), launch(ep, contact, Role::Member)))
-        .collect();
-    let newcomers = |ranks: std::ops::Range<usize>, role| -> Vec<_> {
-        ranks
-            .map(|r| {
-                let (ep, contact) = (mesh.newcomer)(RankId(r));
-                (RankId(r), launch(ep, contact, role))
-            })
-            .collect()
-    };
-    let first_joiner = cfg.workers + cfg.spares;
-    let spares = newcomers(cfg.workers..first_joiner, Role::Spare);
-    let (exits, breakdowns): (Vec<_>, Vec<_>) = std::thread::scope(|s| {
-        let spawn = |ranks: Vec<(RankId, J)>| -> Vec<_> {
-            let exited = &mesh.exited;
-            (ranks.into_iter())
-                .map(|(rank, work)| {
-                    s.spawn(move || {
-                        let out = work();
-                        exited(rank);
-                        out
-                    })
-                })
-                .collect()
-        };
-        let members = spawn(members);
-        let spares = spawn(spares);
-        let joiners = match joiner_count(cfg) {
-            0 => Vec::new(),
-            n => {
-                await_join_trigger(cfg.kind, || {
-                    watch.iter().any(|ep| !ep.is_self_alive())
-                        || members.iter().any(|h| h.is_finished())
-                });
-                spawn(newcomers(first_joiner..first_joiner + n, Role::Joiner))
+    let members = spawn(cfg.workers, Role::Member);
+    let spares = spawn(cfg.spares, Role::Spare);
+    let joiners = match joiner_count(cfg) {
+        0 => Vec::new(),
+        n if cfg.kind == ScenarioKind::Upscale => {
+            std::thread::sleep(Duration::from_millis(10));
+            spawn(n, Role::Joiner)
+        }
+        n => {
+            while !members.iter().any(WorkerHandle::is_finished) {
+                std::thread::sleep(Duration::from_millis(1));
             }
-        };
-        (members.into_iter().chain(joiners).chain(spares))
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .unzip()
-    });
+            spawn(n, Role::Joiner)
+        }
+    };
+    let (exits, breakdowns): (Vec<_>, Vec<_>) = (members.into_iter().chain(joiners).chain(spares))
+        .map(WorkerHandle::join)
+        .unzip();
     ScenarioResult {
         exits,
         breakdowns: breakdowns.into_iter().flatten().collect(),
         wall: t0.elapsed(),
-        fabric_stats: (mesh.finish)(),
-    }
-}
-
-/// The links a scenario runs over: all the code that differs between the
-/// in-process fabric and a socket mesh.
-struct Mesh {
-    /// The initial members' endpoints and dialable contacts, in rank order.
-    members: Vec<(Endpoint, Option<String>)>,
-    /// A spare's or joiner's endpoint and contact; called in rank order.
-    newcomer: Box<dyn Fn(RankId) -> (Endpoint, Option<String>) + Sync>,
-    /// Called on a rank's thread when its worker returns.
-    exited: Box<dyn Fn(RankId) + Sync>,
-    /// Tears the links down and returns the run's transport counters.
-    finish: Box<dyn FnOnce() -> FabricStats + Sync>,
-}
-
-impl Mesh {
-    /// Every rank a thread on one shared fabric, whose alive table is the
-    /// failure detector. A rank whose worker returns is killed on it, as an
-    /// exited process is gone, so peers blocked on it see a failure instead
-    /// of hanging.
-    fn in_process(cfg: &ScenarioConfig) -> Self {
-        let topology = Topology::new(cfg.ranks_per_node);
-        let fabric = Fabric::new(topology, FaultInjector::new(fault_plan(cfg)));
-        if let Some(plan) = &cfg.perturb {
-            fabric.set_perturbation(plan.clone());
-        }
-        fabric.set_suspicion_timeout(cfg.suspicion_timeout);
-        let members = (fabric.register_ranks(cfg.workers).into_iter())
-            .map(|rank| (Endpoint::new(Arc::clone(&fabric), rank), None))
-            .collect();
-        let (joins, exits) = (Arc::clone(&fabric), Arc::clone(&fabric));
-        Self {
-            members,
-            newcomer: Box::new(move |rank| {
-                let registered = joins.register_rank();
-                debug_assert_eq!(registered, rank, "newcomers register in rank order");
-                (Endpoint::new(Arc::clone(&joins), registered), None)
-            }),
-            exited: Box::new(move |rank| exits.kill_rank(rank)),
-            finish: Box::new(move || fabric.stats()),
-        }
-    }
-
-    /// One socket backend per rank, connected only by byte streams: a
-    /// multi-process launch minus the process boundary. A newcomer binds a
-    /// listener and dials the members, as a fresh process does. Peers share
-    /// no alive table, so a rank that never touches a dead peer's link
-    /// learns of the death only by suspicion: the deadline defaults to 5 s.
-    fn sockets(cfg: &ScenarioConfig, kind: BackendKind) -> Self {
-        let (topology, plan) = (Topology::new(cfg.ranks_per_node), fault_plan(cfg));
-        let (perturb, suspicion) = (cfg.perturb.clone(), cfg.suspicion_timeout);
-        let tune = move |b: &SocketBackend| {
-            if let Some(plan) = &perturb {
-                b.set_perturbation(plan.clone());
-            }
-            b.set_suspicion_timeout(Some(suspicion.unwrap_or(Duration::from_secs(5))));
-        };
-        let backends = SocketBackend::local_mesh(kind, topology, cfg.workers, plan.clone())
-            .expect("socket mesh");
-        let addrs: Vec<(RankId, String)> = (backends.iter())
-            .map(|b| (b.rank(), b.local_addr().to_string()))
-            .collect();
-        let members = (backends.iter().zip(&addrs))
-            .map(|(b, (_, addr))| {
-                tune(b);
-                (
-                    Endpoint::from_backend(Arc::clone(b) as _),
-                    Some(addr.clone()),
-                )
-            })
-            .collect();
-        let all = Arc::new(Mutex::new(backends));
-        let joined = Arc::clone(&all);
-        Self {
-            members,
-            newcomer: Box::new(move |rank| {
-                let listener = SocketBackend::bind(kind).expect("bind newcomer listener");
-                let contact = listener.addr().to_string();
-                let injector = FaultInjector::new(plan.clone());
-                let timeout = Duration::from_secs(10);
-                let b = SocketBackend::establish_joiner(
-                    rank, topology, listener, &addrs, injector, timeout,
-                )
-                .expect("newcomer could not reach any member");
-                tune(&b);
-                joined.lock().push(Arc::clone(&b));
-                (Endpoint::from_backend(b), Some(contact))
-            }),
-            exited: Box::new(|_| {}),
-            // Each backend counts its own traffic, so `deaths` and
-            // `suspicions` count every rank's observation of one event.
-            finish: Box::new(move || {
-                let all = std::mem::take(&mut *all.lock());
-                let mut stats = FabricStats::default();
-                for b in &all {
-                    stats += b.stats();
-                }
-                for b in &all {
-                    b.shutdown();
-                }
-                stats
-            }),
-        }
+        fabric_stats: universe.mesh().expect("a universe over a mesh").stats(),
     }
 }

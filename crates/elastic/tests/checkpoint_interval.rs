@@ -5,23 +5,15 @@
 use elastic::{
     run_backward_worker, BackwardConfig, ElasticDriver, RecoveryPolicy, TrainSpec, WorkerExit,
 };
-use std::sync::Arc;
 use std::time::Duration;
-use transport::{Endpoint, Fabric, FaultInjector, FaultPlan, RankId, Topology};
+use transport::{BackendKind, FaultPlan, Mesh, RankId, Topology};
 
-fn run_with_interval(checkpoint_every: u64) -> (u64, usize) {
-    let spec = TrainSpec {
-        total_steps: 10,
-        steps_per_epoch: 5,
-        ..TrainSpec::default()
-    };
+/// Train `spec` with the backward engine on four in-process ranks under
+/// `plan`, checkpointing every `checkpoint_every` steps; every rank's exit.
+fn run_backward(spec: TrainSpec, plan: FaultPlan, checkpoint_every: u64) -> Vec<WorkerExit> {
     let topology = Topology::flat();
-    // Victim dies mid-allreduce somewhere in step 3-4 (after a few
-    // checkpoints have or haven't been taken, depending on the interval).
-    let plan = FaultPlan::none().kill_at_point(RankId(2), "allreduce.step", 130);
-    let fabric = Fabric::new(topology, FaultInjector::new(plan));
-    let ranks = fabric.register_ranks(4);
-    let driver = ElasticDriver::new(topology, ranks.clone());
+    let mesh = Mesh::new(BackendKind::InProc, topology, 4, plan).expect("in-process mesh");
+    let driver = ElasticDriver::new(topology, (0..4).map(RankId).collect());
     let cfg = BackwardConfig {
         spec,
         policy: RecoveryPolicy::DropProcess,
@@ -31,27 +23,21 @@ fn run_with_interval(checkpoint_every: u64) -> (u64, usize) {
         worker_init_delay: Duration::ZERO,
         expected_new_workers: 0,
     };
-    let ranks_ref = &ranks;
-    let results: Vec<(WorkerExit, _)> = std::thread::scope(|s| {
-        let handles: Vec<_> = ranks_ref
-            .iter()
-            .map(|&rank| {
-                let fabric = Arc::clone(&fabric);
-                let driver = Arc::clone(&driver);
-                let cfg = cfg.clone();
-                s.spawn(move || {
-                    let ep = Endpoint::new(Arc::clone(&fabric), rank);
-                    let out = run_backward_worker(&ep, &cfg, &driver, false);
-                    fabric.kill_rank(rank);
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    mesh.run(|ep| run_backward_worker(&ep, &cfg, &driver, false).0)
+}
+
+fn run_with_interval(checkpoint_every: u64) -> (u64, usize) {
+    let spec = TrainSpec {
+        total_steps: 10,
+        steps_per_epoch: 5,
+        ..TrainSpec::default()
+    };
+    // Victim dies mid-allreduce somewhere in step 3-4 (after a few
+    // checkpoints have or haven't been taken, depending on the interval).
+    let plan = FaultPlan::none().kill_at_point(RankId(2), "allreduce.step", 130);
     let mut max_recomputed = 0;
     let mut completed = 0;
-    for (exit, _) in &results {
+    for exit in &run_backward(spec, plan, checkpoint_every) {
         if let WorkerExit::Completed(stats) = exit {
             completed += 1;
             max_recomputed = max_recomputed.max(stats.steps_recomputed);
@@ -82,46 +68,15 @@ fn per_batch_checkpoints_bound_rollback_to_one_step() {
             steps_per_epoch: 4,
             ..TrainSpec::default()
         };
-        let topology = Topology::flat();
         let plan = FaultPlan::none().kill_at_point(RankId(1), "allreduce.step", fail_at);
-        let fabric = Fabric::new(topology, FaultInjector::new(plan));
-        let ranks = fabric.register_ranks(4);
-        let driver = ElasticDriver::new(topology, ranks.clone());
-        let cfg = BackwardConfig {
-            spec,
-            policy: RecoveryPolicy::DropProcess,
-            checkpoint_every: 1,
-            op_timeout: Duration::from_millis(500),
-            rendezvous_timeout: Duration::from_secs(20),
-            worker_init_delay: Duration::ZERO,
-            expected_new_workers: 0,
-        };
-        let ranks_ref = &ranks;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = ranks_ref
-                .iter()
-                .map(|&rank| {
-                    let fabric = Arc::clone(&fabric);
-                    let driver = Arc::clone(&driver);
-                    let cfg = cfg.clone();
-                    s.spawn(move || {
-                        let ep = Endpoint::new(Arc::clone(&fabric), rank);
-                        let out = run_backward_worker(&ep, &cfg, &driver, false);
-                        fabric.kill_rank(rank);
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (exit, _) = h.join().unwrap();
-                if let WorkerExit::Completed(stats) = exit {
-                    assert!(
-                        stats.steps_recomputed <= 1,
-                        "fail_at {fail_at}: recomputed {}",
-                        stats.steps_recomputed
-                    );
-                }
+        for exit in run_backward(spec, plan, 1) {
+            if let WorkerExit::Completed(stats) = exit {
+                assert!(
+                    stats.steps_recomputed <= 1,
+                    "fail_at {fail_at}: recomputed {}",
+                    stats.steps_recomputed
+                );
             }
-        });
+        }
     }
 }

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use elastic::{run_forward_role, ForwardConfig, PolicyMode, Role, TrainSpec, WorkerExit};
 use gloo::{KvStore, StoreFaults};
-use transport::{Backend, BackendKind, Endpoint, FaultPlan, RankId, SocketBackend, Topology};
+use transport::{BackendKind, FaultPlan, Mesh, RankId, Topology};
 use ulfm::{NetJoin, RecoveryArm, UlfmError, Universe};
 
 const MEMBERS: usize = 3;
@@ -26,13 +26,10 @@ fn a_dead_join_store_leaves_members_training_and_newcomers_exit_typed() {
     let plan = FaultPlan::none().kill_at_point(RankId(VICTIM), "allreduce.step", 5);
     // The joiner and the spare hold links in the mesh from the start, but
     // belong to no group until admitted — and admission never comes.
-    let backends = SocketBackend::local_mesh(BackendKind::Unix, Topology::flat(), SPARE + 1, plan)
-        .expect("mesh");
-    for b in &backends {
-        // Longer than one store retry budget, so a member stalled on the
-        // store is never suspected by the peers waiting for it.
-        b.set_suspicion_timeout(Some(Duration::from_secs(5)));
-    }
+    let mesh = Mesh::new(BackendKind::Unix, Topology::flat(), SPARE + 1, plan).expect("mesh");
+    // Longer than one store retry budget, so a member stalled on the store
+    // is never suspected by the peers waiting for it.
+    mesh.set_suspicion_timeout(Some(Duration::from_secs(5)));
     let store = KvStore::shared_flaky(StoreFaults {
         fail_rate: 1.0,
         seed: 7,
@@ -53,36 +50,22 @@ fn a_dead_join_store_leaves_members_training_and_newcomers_exit_typed() {
         })
     };
 
-    let endpoint =
-        |rank: usize| Endpoint::from_backend(Arc::clone(&backends[rank]) as Arc<dyn Backend>);
-    let members: Vec<_> = (0..MEMBERS)
-        .map(|rank| {
-            let (ep, join, group, cfg) = (endpoint(rank), join(), group.clone(), cfg.clone());
-            std::thread::spawn(move || {
-                let (_universe, proc) = Universe::for_backend_with_join(ep, group, join);
-                run_forward_role(&proc, &cfg, Role::Member).exit
+    // Members return their exit, the joiner and the spare their join.
+    let mut ranks = mesh.run(|ep| {
+        let rank = ep.rank().0;
+        if rank < MEMBERS {
+            let (_universe, proc) = Universe::for_backend_with_join(ep, group.clone(), join());
+            Ok(run_forward_role(&proc, &cfg, Role::Member).exit)
+        } else {
+            let (_universe, proc) = Universe::joiner_for_backend(ep, join());
+            Err(match rank {
+                JOINER => proc.join_training().map(|c| c.size()),
+                _ => proc.join_training_as_spare(None).map(|c| c.size()),
             })
-        })
-        .collect();
-    let newcomers: Vec<_> = [JOINER, SPARE]
-        .into_iter()
-        .map(|rank| {
-            let (ep, join) = (endpoint(rank), join());
-            std::thread::spawn(move || {
-                let (_universe, proc) = Universe::joiner_for_backend(ep, join);
-                if rank == SPARE {
-                    proc.join_training_as_spare(None).map(|c| c.size())
-                } else {
-                    proc.join_training().map(|c| c.size())
-                }
-            })
-        })
-        .collect();
-
-    let exits: Vec<WorkerExit> = members
-        .into_iter()
-        .map(|h| h.join().expect("member panicked"))
-        .collect();
+        }
+    });
+    let newcomers = ranks.split_off(MEMBERS);
+    let exits: Vec<WorkerExit> = ranks.into_iter().map(|r| r.unwrap()).collect();
     assert!(matches!(exits[VICTIM], WorkerExit::Died), "{exits:?}");
     let fingerprints: Vec<u64> = [0, 2]
         .iter()
@@ -96,17 +79,14 @@ fn a_dead_join_store_leaves_members_training_and_newcomers_exit_typed() {
         })
         .collect();
     assert_eq!(fingerprints[0], fingerprints[1], "replicas diverged");
-    for (h, who) in newcomers.into_iter().zip(["joiner", "spare"]) {
-        let got = h.join().expect("newcomer panicked");
+    for (got, who) in newcomers.into_iter().zip(["joiner", "spare"]) {
+        let got = got.expect_err("a newcomer returns its join");
         assert_eq!(got, Err(UlfmError::JoinTimeout), "{who}");
     }
     assert!(
         store.denied() > 0,
         "the store must have been asked, and refused"
     );
-    for b in &backends {
-        b.shutdown();
-    }
 }
 
 /// Members that *expect* one joiner and one warm spare, with no join
@@ -117,11 +97,8 @@ fn a_dead_join_store_leaves_members_training_and_newcomers_exit_typed() {
 #[test]
 fn members_expecting_newcomers_stop_waiting_on_a_dead_store() {
     let plan = FaultPlan::none().kill_at_point(RankId(VICTIM), "allreduce.step", 5);
-    let backends = SocketBackend::local_mesh(BackendKind::Unix, Topology::flat(), MEMBERS, plan)
-        .expect("mesh");
-    for b in &backends {
-        b.set_suspicion_timeout(Some(Duration::from_secs(5)));
-    }
+    let mesh = Mesh::new(BackendKind::Unix, Topology::flat(), MEMBERS, plan).expect("mesh");
+    mesh.set_suspicion_timeout(Some(Duration::from_secs(5)));
     let store = KvStore::shared_flaky(StoreFaults {
         fail_rate: 1.0,
         seed: 11,
@@ -140,22 +117,11 @@ fn members_expecting_newcomers_stop_waiting_on_a_dead_store() {
             ..TrainSpec::default()
         })
     };
-    let members: Vec<_> = backends
-        .iter()
-        .map(|b| {
-            let ep = Endpoint::from_backend(Arc::clone(b) as Arc<dyn Backend>);
-            let join = Arc::new(NetJoin::new(Arc::clone(&store), "dead/"));
-            let (group, cfg) = (group.clone(), cfg.clone());
-            std::thread::spawn(move || {
-                let (_universe, proc) = Universe::for_backend_with_join(ep, group, join);
-                run_forward_role(&proc, &cfg, Role::Member).exit
-            })
-        })
-        .collect();
-    let exits: Vec<WorkerExit> = members
-        .into_iter()
-        .map(|h| h.join().expect("member panicked"))
-        .collect();
+    let exits: Vec<WorkerExit> = mesh.run(|ep| {
+        let join = Arc::new(NetJoin::new(Arc::clone(&store), "dead/"));
+        let (_universe, proc) = Universe::for_backend_with_join(ep, group.clone(), join);
+        run_forward_role(&proc, &cfg, Role::Member).exit
+    });
     assert!(matches!(exits[VICTIM], WorkerExit::Died), "{exits:?}");
     let fingerprints: Vec<u64> = [0, 2]
         .iter()
@@ -169,7 +135,4 @@ fn members_expecting_newcomers_stop_waiting_on_a_dead_store() {
         })
         .collect();
     assert_eq!(fingerprints[0], fingerprints[1], "replicas diverged");
-    for b in &backends {
-        b.shutdown();
-    }
 }

@@ -231,33 +231,21 @@ impl Context {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use transport::{Fabric, FaultInjector, FaultPlan, Topology};
+    use transport::{BackendKind, FaultPlan, Mesh, Topology};
+
+    fn mesh(n: usize, plan: FaultPlan) -> Mesh {
+        Mesh::new(BackendKind::InProc, Topology::flat(), n, plan).expect("in-process mesh")
+    }
 
     fn run_ctx<R, F>(n: usize, plan: FaultPlan, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Result<Context, GlooError>) -> R + Send + Sync,
     {
-        let fabric = Fabric::new(Topology::flat(), FaultInjector::new(plan));
-        let group = fabric.register_ranks(n);
-        let f = &f;
-        let group_ref = &group;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|i| {
-                    let fabric = Arc::clone(&fabric);
-                    s.spawn(move || {
-                        let ep = Endpoint::new(Arc::clone(&fabric), group_ref[i]);
-                        let out = f(Context::connect(ep, 1, group_ref.clone(), i));
-                        // Model process exit so peers blocked on this rank
-                        // observe PeerDead instead of hanging.
-                        fabric.kill_rank(group_ref[i]);
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let group: Vec<RankId> = (0..n).map(RankId).collect();
+        mesh(n, plan).run(|ep| {
+            let i = ep.rank().0;
+            f(Context::connect(ep, 1, group.clone(), i))
         })
     }
 
@@ -375,17 +363,13 @@ mod tests {
 
     #[test]
     fn connect_fails_against_dead_peer() {
-        let fabric = Fabric::without_faults(Topology::flat());
-        let group = fabric.register_ranks(3);
-        fabric.kill_rank(RankId(1));
-        let group2 = group.clone();
-        let fabric2 = Arc::clone(&fabric);
-        let t = std::thread::spawn(move || {
-            let ep = Endpoint::new(fabric2, group2[0]);
-            Context::connect(ep, 7, group2.clone(), 0).err()
-        });
+        // In process: the peer is killed on the shared fabric beforehand.
+        let mesh = mesh(3, FaultPlan::none());
+        mesh.fabric().unwrap().kill_rank(RankId(1));
+        let group: Vec<RankId> = (0..3).map(RankId).collect();
+        let ep = mesh.endpoints().remove(0);
         assert_eq!(
-            t.join().unwrap(),
+            Context::connect(ep, 7, group, 0).err(),
             Some(GlooError::PeerFailure { global: RankId(1) })
         );
     }

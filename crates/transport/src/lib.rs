@@ -30,6 +30,12 @@
 //! it: function calls between threads of one process ([`Fabric`],
 //! [`Endpoint::new`]) or TCP / Unix-domain stream sockets between OS
 //! processes ([`SocketBackend`], see [`socket`]).
+//!
+//! A job of rank threads in one process is built by [`Mesh`], the one
+//! world builder: [`Mesh::new`] names the link by [`BackendKind`], and the
+//! mesh alone answers what the links differ in — how a newcomer joins,
+//! what a rank whose worker returned means, the suspicion default, the
+//! traffic counters and teardown — so the same code runs over either.
 
 #![warn(missing_docs)]
 
@@ -40,6 +46,7 @@ mod fabric;
 mod fault;
 mod ids;
 mod mailbox;
+mod mesh;
 mod perturb;
 mod reliable;
 pub mod socket;
@@ -54,6 +61,7 @@ pub use fabric::Fabric;
 pub use fault::{FaultInjector, FaultPlan, FaultTrigger};
 pub use ids::{NodeId, RankId, Topology};
 pub use mailbox::{FrameAck, Mailbox, RecvOutcome};
+pub use mesh::Mesh;
 pub use perturb::{LinkPerturb, PerturbPlan, Perturber, RetryPolicy};
 pub use socket::{SocketBackend, SocketListener};
 pub use stream::{encode_envelope, StreamDecoder, StreamEnvelope, StreamError, StreamKind};

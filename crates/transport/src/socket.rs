@@ -282,6 +282,9 @@ pub struct SocketBackend {
     acks: WaitLock<HashSet<(RankId, u64, u64)>>,
     signal_handler: RwLock<Option<SignalHandler>>,
     shutting_down: AtomicBool,
+    /// Set when the whole job is being torn down together: a peer's
+    /// departure is then its teardown, not a death.
+    departing: AtomicBool,
     /// Set when this rank dies *abruptly* (scripted fault, a peer's `Die`
     /// verdict) as opposed to a voluntary `kill_self` retirement. Lets a
     /// host process turn simulated hard deaths into real ones.
@@ -359,6 +362,7 @@ impl SocketBackend {
             acks: WaitLock::default(),
             signal_handler: RwLock::new(None),
             shutting_down: AtomicBool::new(false),
+            departing: AtomicBool::new(false),
             hard_died: AtomicBool::new(false),
             local_addr: listener.addr.clone(),
             ready_links: AtomicUsize::new(0),
@@ -539,6 +543,12 @@ impl SocketBackend {
         }
         self.install_link(peer, stream, StreamDecoder::new());
         true
+    }
+
+    /// The whole job is about to be torn down: from now on a peer's
+    /// departure is its teardown, not a death.
+    pub(crate) fn expect_teardown(&self) {
+        self.departing.store(true, Ordering::SeqCst);
     }
 
     /// Did this rank die abruptly (scripted fault or a peer's `Die`
@@ -802,7 +812,10 @@ impl SocketBackend {
     /// desync). Outside of our own teardown this *is* the fail-stop signal,
     /// given before the link closes: a send the closed link refuses coalesces.
     fn on_conn_lost(&self, peer: RankId) {
-        if !self.shutting_down.load(Ordering::SeqCst) && self.engine.is_alive(self.rank) {
+        if !self.shutting_down.load(Ordering::SeqCst)
+            && !self.departing.load(Ordering::SeqCst)
+            && self.engine.is_alive(self.rank)
+        {
             self.mark_peer_dead(peer, false);
         }
         self.close_link(peer, false);

@@ -312,8 +312,8 @@ pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
 mod tests {
     use super::*;
     use crate::tags;
-    use std::sync::Arc;
-    use transport::{Fabric, FaultInjector, FaultPlan, Topology};
+    use std::sync::Barrier;
+    use transport::{BackendKind, FaultPlan, Mesh, Topology};
 
     fn run_lattice(
         n: usize,
@@ -322,35 +322,33 @@ mod tests {
         flag_of: impl Fn(usize) -> u64 + Send + Sync,
         min_of: impl Fn(usize) -> u64 + Send + Sync,
     ) -> Vec<Result<AgreeResult, UlfmError>> {
-        let fabric = Fabric::new(Topology::flat(), FaultInjector::new(plan));
-        let group = fabric.register_ranks(n);
+        // In process: the pre-killed members die on the shared fabric.
+        let mesh = Mesh::new(BackendKind::InProc, Topology::flat(), n, plan).unwrap();
         for &k in pre_kill {
-            fabric.kill_rank(group[k]);
+            mesh.fabric().unwrap().kill_rank(RankId(k));
         }
-        let flag_of = &flag_of;
-        let min_of = &min_of;
-        let group_ref = &group;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .filter(|i| !pre_kill.contains(i))
-                .map(|i| {
-                    let fabric = Arc::clone(&fabric);
-                    s.spawn(move || {
-                        let ep = Endpoint::new(fabric, group_ref[i]);
-                        lattice_agree(
-                            &ep,
-                            group_ref,
-                            i,
-                            tags::recovery_base(0, 0),
-                            flag_of(i),
-                            min_of(i),
-                            false,
-                        )
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
+        let group: Vec<RankId> = (0..n).map(RankId).collect();
+        // Every member stays up until all have decided: a rank that exits
+        // while a peer is still deciding is one more failure, not the one
+        // a case scripts.
+        let decided = Barrier::new(n - pre_kill.len());
+        let results = mesh.run(|ep| {
+            let i = ep.rank().0;
+            (!pre_kill.contains(&i)).then(|| {
+                let got = lattice_agree(
+                    &ep,
+                    &group,
+                    i,
+                    tags::recovery_base(0, 0),
+                    flag_of(i),
+                    min_of(i),
+                    false,
+                );
+                decided.wait();
+                got
+            })
+        });
+        results.into_iter().flatten().collect()
     }
 
     fn assert_uniform(results: &[Result<AgreeResult, UlfmError>]) -> AgreeResult {
@@ -372,14 +370,12 @@ mod tests {
         for bad in crate::malformed_variants(&valid).into_iter().chain([wide]) {
             assert_eq!(Proposal::decode(&bad, 2), None, "{bad:?}");
             // And through the protocol: rank 1 answers round 0 with `bad`.
-            let fabric = Fabric::new(Topology::flat(), FaultInjector::new(FaultPlan::none()));
-            let group = fabric.register_ranks(2);
+            let mesh = Mesh::new(BackendKind::InProc, Topology::flat(), 2, FaultPlan::none());
+            let eps = mesh.unwrap().endpoints();
+            let group = [RankId(0), RankId(1)];
             let tag = tags::recovery_base(0, 0);
-            Endpoint::new(Arc::clone(&fabric), group[1])
-                .send(group[0], tag, &bad)
-                .unwrap();
-            let ep = Endpoint::new(fabric, group[0]);
-            let got = lattice_agree(&ep, &group, 0, tag, 1, 2, false);
+            eps[1].send(group[0], tag, &bad).unwrap();
+            let got = lattice_agree(&eps[0], &group, 0, tag, 1, 2, false);
             assert_eq!(got, Err(UlfmError::Aborted), "{bad:?}");
         }
     }

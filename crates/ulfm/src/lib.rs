@@ -13,10 +13,11 @@
 //! | `MPIX_Comm_agree` | [`Communicator::agree`] — fault-tolerant uniform agreement (bitwise AND of flags + union of known failures) |
 //! | `MPIX_Comm_shrink` | [`Communicator::shrink`] — agreement on the failed set, then a new, dense, working communicator of survivors |
 //! | `MPIX_Comm_failure_ack` / `get_acked` | [`Communicator::failure_ack`] / [`Communicator::get_acked`] |
-//! | `MPI_Comm_spawn` + merge (for replacement/upscale) | [`Universe::spawn_batch`] + [`Communicator::accept_joiners`] / [`Proc::join_training`] |
+//! | `mpirun` / `MPI_Comm_spawn` + merge (for replacement/upscale) | [`Universe::spawn_batch`] over a [`transport::Mesh`] + [`Communicator::accept_joiners`] / [`Proc::join_training`] |
 //!
-//! Ranks are OS threads inside a [`Universe`]; the transport provides the
-//! reliable fabric and the (perfect) failure detector. Collective
+//! Ranks are OS threads inside a [`Universe`] over a [`transport::Mesh`],
+//! in process or over sockets alike; the transport provides the reliable
+//! links and the failure detector. Collective
 //! algorithms come from the `collectives` crate and surface peer death as
 //! per-operation errors, which is all the recovery machinery above needs.
 //! Each rank keeps its own revocation flags and communicator ids, as an MPI

@@ -140,6 +140,16 @@ impl NetJoin {
         self
     }
 
+    /// Another rank's handle onto the same store and prefix, carrying that
+    /// rank's own `contact`.
+    pub(crate) fn for_contact(&self, contact: Option<String>) -> Self {
+        Self {
+            store: Arc::clone(&self.store),
+            prefix: self.prefix.clone(),
+            contact,
+        }
+    }
+
     /// Publish this process's contact address under the member-address key
     /// for `rank`. Established members call this once after binding so
     /// late joiners can dial them (see [`NetJoin::contact`]).

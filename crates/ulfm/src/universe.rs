@@ -1,12 +1,12 @@
-//! The [`Universe`]: rank threads, each rank's own communicator-id
-//! interner and revocation flags, and the join service for dynamic process
-//! spawn.
+//! The [`Universe`]: rank threads over a [`Mesh`], each rank's own
+//! communicator-id interner and revocation flags, and the join service for
+//! dynamic process spawn.
 //!
 //! The universe plays the role of the MPI runtime environment (PRRTE on a
 //! real machine): it launches workers, assigns permanent rank ids, lets an
 //! external driver inject failures, and provides the out-of-band channel
 //! through which *new* workers join a running computation (the paper's
-//! replacement and upscaling scenarios).
+//! replacement and upscaling scenarios), the same way over any [`Mesh`].
 
 use crate::comm::Communicator;
 use crate::error::UlfmError;
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::{Counter, Histogram, Lazy};
-use transport::{Endpoint, Fabric, FaultInjector, FaultPlan, NodeId, RankId, Topology};
+use transport::{BackendKind, Endpoint, Fabric, FaultPlan, Mesh, NodeId, RankId, Topology};
 
 /// Construction key for a communicator; every member derives the identical
 /// key, so interning yields the identical id without communication.
@@ -182,12 +182,17 @@ impl<R> WorkerHandle<R> {
     /// Wait for the worker to finish and take its result.
     ///
     /// # Panics
-    /// Panics if the worker thread itself panicked (a bug, not a simulated
-    /// failure — simulated failures return normally through error values).
+    /// Raises the worker's own panic again if it panicked (a bug, not a
+    /// simulated failure — those return through error values).
     pub fn join(self) -> R {
         self.thread
             .join()
-            .expect("worker thread panicked (bug, not a simulated failure)")
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    /// Has the worker's function returned?
+    pub fn is_finished(&self) -> bool {
+        self.thread.is_finished()
     }
 }
 
@@ -391,23 +396,31 @@ fn private_join() -> Arc<NetJoin> {
     Arc::new(NetJoin::new(KvStore::new(), ""))
 }
 
-/// The launcher: starts ranks and holds what they share — the fabric of
-/// an in-process job (`None` for one rank of a multi-process job), the join
-/// service and the spawn-batch counter. Everything else a rank keeps for
+/// The launcher: starts ranks and holds what they share — the [`Mesh`]
+/// they run over (`None` for one rank of a multi-process job), the join
+/// store and the spawn-batch counter. Everything else a rank keeps for
 /// itself, as a process would: each [`Proc`] has its own revocation flags,
-/// communicator-id interner and join-epoch counter, and a revocation
-/// reaches other ranks as a transport signal, in process as over sockets.
+/// communicator-id interner, join-epoch counter and join handle, and a
+/// revocation reaches other ranks as a transport signal.
 pub struct Universe {
-    fabric: Option<Arc<Fabric>>,
+    mesh: Option<Arc<Mesh>>,
     join: Arc<NetJoin>,
     next_batch: AtomicU64,
 }
 
 impl Universe {
-    /// Create a universe over `topology` with a scripted fault plan.
+    /// Create a universe over an in-process mesh of `topology` with a
+    /// scripted fault plan.
     pub fn new(topology: Topology, plan: FaultPlan) -> Self {
+        let mesh = Mesh::new(BackendKind::InProc, topology, 0, plan);
+        Self::over(mesh.expect("an in-process mesh binds and dials nothing"))
+    }
+
+    /// A universe whose ranks are `mesh`'s, on whatever link it was built
+    /// on, sharing one private in-memory join store.
+    pub fn over(mesh: Mesh) -> Self {
         Self {
-            fabric: Some(Fabric::new(topology, FaultInjector::new(plan))),
+            mesh: Some(Arc::new(mesh)),
             join: private_join(),
             next_batch: AtomicU64::new(0),
         }
@@ -431,7 +444,7 @@ impl Universe {
     /// [`NetJoin`] over a private in-memory store, which no other rank can
     /// reach — dynamic joins need a shared store; see
     /// [`Universe::for_backend_with_join`]. [`Universe::spawn_batch`],
-    /// [`Universe::kill_rank`] and [`Universe::fabric`] return
+    /// [`Universe::mesh`] and [`Universe::fabric`] return
     /// [`UlfmError::NoSharedFabric`]: whoever built the endpoint manages
     /// the ranks and tunes the links ([`Proc::endpoint`]).
     pub fn for_backend(ep: Endpoint, group: Vec<RankId>) -> (Self, Proc) {
@@ -449,7 +462,7 @@ impl Universe {
     ) -> (Self, Proc) {
         let proc = Proc::new(ep, group, 0, Arc::clone(&join));
         let universe = Self {
-            fabric: None,
+            mesh: None,
             join,
             next_batch: AtomicU64::new(1),
         };
@@ -466,17 +479,15 @@ impl Universe {
         Self::for_backend_with_join(ep, vec![rank], join)
     }
 
-    /// Spawn `n` workers as one batch; each runs `f` and sees the whole
-    /// batch as its [`Proc::init_comm`] group. Every rank's [`Proc`] is
-    /// built (and its signal handler installed) before any of them runs,
-    /// so no rank can revoke before a batch peer listens. Joiners
-    /// (replacement or upscale) are a batch too: each calls
-    /// [`Proc::join_training`] to merge into the running computation.
-    ///
-    /// In-process mode only: a multi-process ([`Universe::for_backend`])
-    /// universe has no shared fabric to spawn threads onto, and returns
-    /// [`UlfmError::NoSharedFabric`] — real process management belongs to
-    /// the launcher.
+    /// Spawn `n` workers as one batch, the mesh's next `n` ranks; each runs
+    /// `f` and sees the whole batch as its [`Proc::init_comm`] group. Every
+    /// rank's [`Proc`] is built (its signal handler installed, its contact
+    /// published on the join store) before any of them runs. Joiners are a
+    /// batch too: each calls [`Proc::join_training`]. A rank whose `f`
+    /// returned has exited ([`Mesh::exited`]). A multi-process
+    /// ([`Universe::for_backend`]) universe has no mesh, and returns
+    /// [`UlfmError::NoSharedFabric`]; a socket newcomer that cannot bind or
+    /// dial panics.
     pub fn spawn_batch<R, F>(&self, n: usize, f: F) -> Result<Vec<WorkerHandle<R>>, UlfmError>
     where
         R: Send + 'static,
@@ -484,54 +495,55 @@ impl Universe {
     {
         static SPAWNED_WORKERS: Lazy<Counter> = Lazy::counter("ulfm.universe.spawned_workers");
         static SPAWN_BATCH_NS: Lazy<Histogram> = Lazy::histogram("ulfm.universe.spawn_batch_ns");
+        let mesh = self.mesh.as_ref().ok_or(UlfmError::NoSharedFabric)?;
         SPAWNED_WORKERS.add(n as u64);
         let start = Instant::now();
-        let handles = self.fabric().map(|fabric| {
-            let ranks = fabric.register_ranks(n);
-            let batch = self.next_batch.fetch_add(1, Ordering::SeqCst);
-            let procs: Vec<Proc> = (ranks.iter())
-                .map(|&rank| {
-                    let ep = Endpoint::new(Arc::clone(fabric), rank);
-                    Proc::new(ep, ranks.clone(), batch, Arc::clone(&self.join))
-                })
-                .collect();
-            procs
-                .into_iter()
-                .map(|proc| {
-                    let (rank, fabric, f) = (proc.rank(), Arc::clone(fabric), f.clone());
-                    let thread = std::thread::Builder::new()
-                        .name(format!("rank-{}", rank.0))
-                        .spawn(move || {
-                            let out = f(proc);
-                            // Model MPI process termination: once the worker
-                            // function returns, the rank is gone; peers
-                            // blocked on it observe the failure instead of
-                            // hanging.
-                            fabric.kill_rank(rank);
-                            out
-                        })
-                        .expect("failed to spawn worker thread");
-                    WorkerHandle { rank, thread }
-                })
-                .collect()
-        });
+        let ranks: Vec<(Endpoint, Option<String>)> = (0..n)
+            .map(|_| {
+                mesh.next_rank()
+                    .expect("mesh newcomer could not bind or dial")
+            })
+            .collect();
+        let group: Vec<RankId> = ranks.iter().map(|(ep, _)| ep.rank()).collect();
+        let batch = self.next_batch.fetch_add(1, Ordering::SeqCst);
+        let procs: Vec<Proc> = (ranks.into_iter())
+            .map(|(ep, contact)| {
+                let dialable = contact.is_some();
+                let join = self.join.for_contact(contact);
+                if dialable {
+                    join.publish_contact(ep.rank());
+                }
+                Proc::new(ep, group.clone(), batch, Arc::new(join))
+            })
+            .collect();
+        let handles = (procs.into_iter())
+            .map(|proc| {
+                let (rank, mesh, f) = (proc.rank(), Arc::clone(mesh), f.clone());
+                let thread = std::thread::Builder::new()
+                    .name(format!("rank-{}", rank.0))
+                    .spawn(move || {
+                        let out = f(proc);
+                        mesh.exited(rank);
+                        out
+                    })
+                    .expect("failed to spawn worker thread");
+                WorkerHandle { rank, thread }
+            })
+            .collect();
         SPAWN_BATCH_NS.record_duration(start.elapsed());
-        handles
+        Ok(handles)
     }
 
-    /// Kill a rank from the outside (hardware failure). In-process mode
-    /// only ([`UlfmError::NoSharedFabric`] otherwise): a multi-process
-    /// job's ranks die by actual process death.
-    pub fn kill_rank(&self, rank: RankId) -> Result<(), UlfmError> {
-        self.fabric()?.kill_rank(rank);
-        Ok(())
+    /// The mesh the ranks run over; [`UlfmError::NoSharedFabric`] for a
+    /// [`Universe::for_backend`] universe.
+    pub fn mesh(&self) -> Result<&Mesh, UlfmError> {
+        self.mesh.as_deref().ok_or(UlfmError::NoSharedFabric)
     }
 
-    /// The underlying fabric (stats, alive table). In-process mode only;
-    /// [`UlfmError::NoSharedFabric`] for a [`Universe::for_backend`]
-    /// universe.
+    /// The fabric of an in-process mesh (stats, alive table, external
+    /// kills); [`UlfmError::NoSharedFabric`] otherwise.
     pub fn fabric(&self) -> Result<&Arc<Fabric>, UlfmError> {
-        self.fabric.as_ref().ok_or(UlfmError::NoSharedFabric)
+        self.mesh()?.fabric().ok_or(UlfmError::NoSharedFabric)
     }
 }
 
@@ -559,29 +571,47 @@ mod tests {
     fn separate_batches_allreduce_side_by_side() {
         // Each rank interns on its own, so two batches may well give their
         // init communicators the same id; their traffic still never meets.
+        // Over sockets the second batch is all newcomers, dialing in.
         use collectives::{AllreduceAlgo, ReduceOp};
-        let u = Universe::without_faults(Topology::flat());
-        let run = |p: Proc| {
-            let mut buf = vec![p.rank().0 as f32; 8];
-            p.init_comm()
-                .allreduce(&mut buf, ReduceOp::Sum, AllreduceAlgo::Ring)
-                .map(|()| buf)
-        };
-        let a = u.spawn_batch(3, run).unwrap();
-        let b = u.spawn_batch(3, run).unwrap();
-        for h in a {
-            assert_eq!(h.join(), Ok(vec![3.0; 8]), "batch of ranks 0..3");
-        }
-        for h in b {
-            assert_eq!(h.join(), Ok(vec![12.0; 8]), "batch of ranks 3..6");
+        for kind in [BackendKind::InProc, BackendKind::Unix] {
+            let mesh = Mesh::new(kind, Topology::flat(), 3, FaultPlan::none()).unwrap();
+            let u = Universe::over(mesh);
+            let run = |p: Proc| {
+                let mut buf = vec![p.rank().0 as f32; 8];
+                p.init_comm()
+                    .allreduce(&mut buf, ReduceOp::Sum, AllreduceAlgo::Ring)
+                    .map(|()| buf)
+            };
+            let a = u.spawn_batch(3, run).unwrap();
+            let b = u.spawn_batch(3, run).unwrap();
+            for h in a {
+                assert_eq!(h.join(), Ok(vec![3.0; 8]), "{kind}: batch of ranks 0..3");
+            }
+            for h in b {
+                assert_eq!(h.join(), Ok(vec![12.0; 8]), "{kind}: batch of ranks 3..6");
+            }
         }
     }
 
-    /// One rank of its own over a fresh fabric, for poking at its state.
+    #[test]
+    fn join_reraises_the_workers_own_panic() {
+        let u = Universe::without_faults(Topology::flat());
+        let h = u
+            .spawn_batch(1, |_| panic!("rank gave up"))
+            .unwrap()
+            .remove(0);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.join()));
+        let payload = panic.expect_err("the worker panicked");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"rank gave up"));
+    }
+
+    /// One rank of its own over a fresh in-process mesh, for poking at its
+    /// state.
     fn lone_rank() -> Proc {
-        let fabric = Fabric::without_faults(Topology::flat());
-        let rank = fabric.register_rank();
-        Universe::for_backend(Endpoint::new(fabric, rank), vec![rank]).1
+        let mesh = Mesh::new(BackendKind::InProc, Topology::flat(), 1, FaultPlan::none()).unwrap();
+        let (ep, _) = mesh.next_rank().unwrap();
+        let rank = ep.rank();
+        Universe::for_backend(ep, vec![rank]).1
     }
 
     #[test]
@@ -651,6 +681,7 @@ mod tests {
         );
     }
 
+    /// In process only: the subject is an external kill on the shared fabric.
     #[test]
     fn kill_rank_via_universe() {
         let u = Universe::without_faults(Topology::flat());
@@ -667,7 +698,7 @@ mod tests {
                 }
             })
             .unwrap();
-        u.kill_rank(RankId(1)).unwrap();
+        u.fabric().unwrap().kill_rank(RankId(1));
         let results: Vec<&str> = handles.into_iter().map(|h| h.join()).collect();
         assert_eq!(results, vec!["fine", "killed"]);
     }

@@ -14,8 +14,8 @@
 //!    for arbitrary per-rank flag words and auxiliary values.
 
 use proptest::prelude::*;
-use std::sync::Arc;
-use transport::{Endpoint, Fabric, FaultInjector, FaultPlan, RankId, Topology};
+use std::sync::Barrier;
+use transport::{BackendKind, FaultPlan, Mesh, RankId, Topology};
 use ulfm::{lattice_agree, AgreeImpl, AgreeResult, Proc, Proposal, UlfmError, Universe};
 
 /// Fresh recovery-class tag window for a standalone fabric (no communicator
@@ -41,27 +41,25 @@ fn run_lattice(
     flag_of: impl Fn(usize) -> u64 + Send + Sync,
     min_of: impl Fn(usize) -> u64 + Send + Sync,
 ) -> Vec<Result<AgreeResult, UlfmError>> {
-    let fabric = Fabric::new(Topology::flat(), FaultInjector::new(plan));
-    let group = fabric.register_ranks(n);
+    // In process: the pre-killed members die on the shared fabric.
+    let mesh = Mesh::new(BackendKind::InProc, Topology::flat(), n, plan).expect("in-process mesh");
     for &k in pre_kill {
-        fabric.kill_rank(group[k]);
+        mesh.fabric().unwrap().kill_rank(RankId(k));
     }
-    let flag_of = &flag_of;
-    let min_of = &min_of;
-    let group_ref = &group;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .filter(|i| !pre_kill.contains(i))
-            .map(|i| {
-                let fabric = Arc::clone(&fabric);
-                s.spawn(move || {
-                    let ep = Endpoint::new(fabric, group_ref[i]);
-                    lattice_agree(&ep, group_ref, i, TAG_BASE, flag_of(i), min_of(i), false)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
+    let group: Vec<RankId> = (0..n).map(RankId).collect();
+    // Every member stays up until all have decided: a rank that exits
+    // while a peer is still deciding is one more failure, not the one a
+    // case scripts.
+    let decided = Barrier::new(n - pre_kill.len());
+    let results = mesh.run(|ep| {
+        let i = ep.rank().0;
+        (!pre_kill.contains(&i)).then(|| {
+            let got = lattice_agree(&ep, &group, i, TAG_BASE, flag_of(i), min_of(i), false);
+            decided.wait();
+            got
+        })
+    });
+    results.into_iter().flatten().collect()
 }
 
 /// Decode one scripted death from a raw word: a victim rank in `1..n`

@@ -7,12 +7,9 @@
 //! The same holds whether the universe spawned the ranks or each rank built
 //! its own peer-mode universe over a shared in-process fabric.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use transport::{
-    Backend, BackendKind, Endpoint, Fabric, FaultPlan, RankId, SocketBackend, Topology,
-};
+use transport::{BackendKind, FaultPlan, Mesh, RankId, Topology};
 use ulfm::{Proc, UlfmError, Universe};
 
 const N: usize = 3;
@@ -79,64 +76,37 @@ fn check(seen: Vec<Seen>) {
     }
 }
 
-#[test]
-fn revoke_reaches_its_communicator_only_in_process() {
-    let universe = Universe::without_faults(Topology::flat());
+/// Every rank of a universe over a fresh `kind` mesh runs [`scenario`].
+fn spawned(kind: BackendKind) -> Vec<Seen> {
+    let mesh = Mesh::new(kind, Topology::flat(), N, FaultPlan::none()).expect("mesh");
+    let universe = Universe::over(mesh);
     let handles = universe
         .spawn_batch(N, |proc| scenario(&proc))
-        .expect("in-process universe");
-    check(handles.into_iter().map(|h| h.join()).collect());
+        .expect("a universe over a mesh spawns");
+    handles.into_iter().map(|h| h.join()).collect()
+}
+
+#[test]
+fn revoke_reaches_its_communicator_only_in_process() {
+    check(spawned(BackendKind::InProc));
 }
 
 #[test]
 fn revoke_reaches_its_communicator_only_over_unix_sockets() {
-    let backends =
-        SocketBackend::local_mesh(BackendKind::Unix, Topology::flat(), N, FaultPlan::none())
-            .expect("mesh");
-    let group: Vec<RankId> = (0..N).map(RankId).collect();
-    let handles: Vec<_> = backends
-        .iter()
-        .cloned()
-        .map(|b| {
-            let group = group.clone();
-            std::thread::spawn(move || {
-                let ep = Endpoint::from_backend(b as Arc<dyn Backend>);
-                let (_universe, proc) = Universe::for_backend(ep, group);
-                scenario(&proc)
-            })
-        })
-        .collect();
-    check(
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank thread"))
-            .collect(),
-    );
-    for b in &backends {
-        b.shutdown();
-    }
+    check(spawned(BackendKind::Unix));
 }
 
+/// In process only: over sockets every universe rank is already a
+/// peer-mode rank of its own, the case above.
 #[test]
 fn revoke_reaches_its_communicator_only_between_peer_universes_in_process() {
-    let fabric = Fabric::without_faults(Topology::flat());
+    let mesh = Mesh::new(BackendKind::InProc, Topology::flat(), N, FaultPlan::none())
+        .expect("in-process mesh");
     // A revocation that never arrives would leave rank 1 blocked for good;
     // suspicion turns that into a failed check instead of a hang.
-    fabric.set_suspicion_timeout(Some(Duration::from_secs(2)));
-    let group = fabric.register_ranks(N);
-    // Every rank listens before any of them runs, as `spawn_batch` has it.
-    let procs: Vec<Proc> = group
-        .iter()
-        .map(|&r| Universe::for_backend(Endpoint::new(Arc::clone(&fabric), r), group.clone()).1)
-        .collect();
-    let handles: Vec<_> = procs
-        .into_iter()
-        .map(|proc| std::thread::spawn(move || scenario(&proc)))
-        .collect();
-    check(
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank thread"))
-            .collect(),
-    );
+    mesh.set_suspicion_timeout(Some(Duration::from_secs(2)));
+    let group: Vec<RankId> = (0..N).map(RankId).collect();
+    // Rank 0 revokes only once both peers have built their universe and
+    // said so, so every handler is installed before the revocation.
+    check(mesh.run(|ep| scenario(&Universe::for_backend(ep, group.clone()).1)));
 }

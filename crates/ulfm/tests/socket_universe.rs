@@ -1,13 +1,13 @@
-//! ULFM recovery over the socket backend: real byte-stream transports, one
-//! universe per rank, revoke propagated as a transport signal instead of
-//! shared memory. This is the in-process `resilience.rs` story replayed on
-//! `SocketBackend` — the recovery protocol itself is unchanged.
+//! ULFM recovery between hand-built peer universes over sockets: each rank
+//! builds its own `Universe` with `Universe::for_backend`, as one process of
+//! a multi-process launch would, and revoke crosses rank boundaries as a
+//! transport signal instead of shared memory. `resilience.rs` replays the
+//! same story through `spawn_batch`; the recovery protocol is unchanged.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use collectives::{AllreduceAlgo, ReduceOp};
-use transport::{Backend, BackendKind, Endpoint, FaultPlan, RankId, SocketBackend, Topology};
+use transport::{BackendKind, FaultPlan, Mesh, RankId, Topology};
 use ulfm::{UlfmError, Universe};
 
 fn input_for(rank: usize, len: usize) -> Vec<f32> {
@@ -24,55 +24,45 @@ fn sum_over(ranks: &[usize], len: usize) -> Vec<f32> {
     acc
 }
 
-/// Spawn one thread per socket backend, each running its own `Universe`.
-/// The victim dies at a fault point mid-allreduce; survivors revoke (the
-/// revoke crosses rank boundaries as a transport signal), shrink, and
-/// finish the allreduce on the smaller communicator.
+/// One thread per socket rank, each running its own `Universe`. The victim
+/// dies at a fault point mid-allreduce; survivors revoke (the revoke crosses
+/// rank boundaries as a transport signal), shrink, and finish the allreduce
+/// on the smaller communicator.
 fn recovery_over_sockets(kind: BackendKind) {
     const N: usize = 3;
     const VICTIM: usize = 1;
     const LEN: usize = 32;
     let plan = FaultPlan::none().kill_at_point(RankId(VICTIM), "allreduce.step", 2);
-    let backends = SocketBackend::local_mesh(kind, Topology::flat(), N, plan).expect("mesh");
+    let mesh = Mesh::new(kind, Topology::flat(), N, plan).expect("mesh");
     // Socket peers have no shared memory: a rank that never touches the dead
     // link must learn of the death via suspicion, not global wakeup.
-    for b in &backends {
-        b.set_suspicion_timeout(Some(Duration::from_secs(2)));
-    }
+    mesh.set_suspicion_timeout(Some(Duration::from_secs(2)));
     let group: Vec<RankId> = (0..N).map(RankId).collect();
 
-    let handles: Vec<_> = backends
-        .iter()
-        .cloned()
-        .map(|b| {
-            let group = group.clone();
-            std::thread::spawn(move || -> Option<Vec<f32>> {
-                let rank = b.rank().0;
-                let ep = Endpoint::from_backend(b as Arc<dyn Backend>);
-                let (_u, proc) = Universe::for_backend(ep, group);
-                let comm = proc.init_comm();
-                let mut buf = input_for(rank, LEN);
-                match comm.allreduce(&mut buf, ReduceOp::Sum, AllreduceAlgo::Ring) {
-                    Ok(()) => panic!("rank {rank}: allreduce must fail under the kill"),
-                    Err(UlfmError::SelfDied) => return None,
-                    Err(e) => assert!(e.is_recoverable(), "rank {rank}: unexpected {e:?}"),
-                }
-                comm.revoke();
-                let shrunk = comm.shrink().expect("survivor must shrink");
-                assert_eq!(shrunk.size(), N - 1);
-                let mut buf = input_for(rank, LEN);
-                shrunk
-                    .allreduce(&mut buf, ReduceOp::Sum, AllreduceAlgo::Ring)
-                    .expect("allreduce on shrunk communicator");
-                Some(buf)
-            })
-        })
-        .collect();
+    let results = mesh.run(|ep| -> Option<Vec<f32>> {
+        let rank = ep.rank().0;
+        let (_u, proc) = Universe::for_backend(ep, group.clone());
+        let comm = proc.init_comm();
+        let mut buf = input_for(rank, LEN);
+        match comm.allreduce(&mut buf, ReduceOp::Sum, AllreduceAlgo::Ring) {
+            Ok(()) => panic!("rank {rank}: allreduce must fail under the kill"),
+            Err(UlfmError::SelfDied) => return None,
+            Err(e) => assert!(e.is_recoverable(), "rank {rank}: unexpected {e:?}"),
+        }
+        comm.revoke();
+        let shrunk = comm.shrink().expect("survivor must shrink");
+        assert_eq!(shrunk.size(), N - 1);
+        let mut buf = input_for(rank, LEN);
+        shrunk
+            .allreduce(&mut buf, ReduceOp::Sum, AllreduceAlgo::Ring)
+            .expect("allreduce on shrunk communicator");
+        Some(buf)
+    });
 
     let expected = sum_over(&[0, 2], LEN);
     let mut survivors = 0;
-    for (rank, h) in handles.into_iter().enumerate() {
-        match h.join().expect("worker panicked") {
+    for (rank, result) in results.into_iter().enumerate() {
+        match result {
             Some(buf) => {
                 assert_eq!(buf, expected, "rank {rank} result mismatch");
                 survivors += 1;
@@ -81,9 +71,6 @@ fn recovery_over_sockets(kind: BackendKind) {
         }
     }
     assert_eq!(survivors, N - 1);
-    for b in &backends {
-        b.shutdown();
-    }
 }
 
 #[test]
@@ -102,15 +89,11 @@ fn recovery_over_unix_sockets() {
 #[test]
 fn revoke_signal_interrupts_remote_recv() {
     const N: usize = 2;
-    let backends =
-        SocketBackend::local_mesh(BackendKind::Tcp, Topology::flat(), N, FaultPlan::none())
-            .expect("mesh");
+    let mesh = Mesh::new(BackendKind::Tcp, Topology::flat(), N, FaultPlan::none()).expect("mesh");
     let group: Vec<RankId> = (0..N).map(RankId).collect();
-    let mk = |b: Arc<SocketBackend>| {
-        Universe::for_backend(Endpoint::from_backend(b as Arc<dyn Backend>), group.clone())
-    };
-    let (_u0, p0) = mk(Arc::clone(&backends[0]));
-    let (_u1, p1) = mk(Arc::clone(&backends[1]));
+    let mut eps = mesh.endpoints().into_iter();
+    let (_u0, p0) = Universe::for_backend(eps.next().expect("rank 0"), group.clone());
+    let (_u1, p1) = Universe::for_backend(eps.next().expect("rank 1"), group);
 
     let blocked = std::thread::spawn(move || {
         let comm = p1.init_comm();
@@ -128,7 +111,4 @@ fn revoke_signal_interrupts_remote_recv() {
         matches!(got, Err(UlfmError::Revoked)),
         "blocked recv must observe revocation, got {got:?}"
     );
-    for b in &backends {
-        b.shutdown();
-    }
 }

@@ -7,57 +7,24 @@
 //! process and over Unix sockets, and a suspicion deadline turns a mismatch
 //! into a failure instead of a hang.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use collectives::{AllreduceAlgo, ReduceOp};
-use transport::{Backend, BackendKind, Endpoint, FaultPlan, RankId, SocketBackend, Topology};
+use transport::{BackendKind, FaultPlan, Mesh, Topology};
 use ulfm::{Communicator, Proc, UlfmError, Universe};
 
 const N: usize = 3;
 const DEADLINE: Duration = Duration::from_secs(2);
 
-/// Run `scenario` on every rank of an in-process universe.
-fn in_process<R: Send + 'static>(scenario: fn(&Proc) -> R) -> Vec<R> {
-    let universe = Universe::without_faults(Topology::flat());
-    universe
-        .fabric()
-        .unwrap()
-        .set_suspicion_timeout(Some(DEADLINE));
+/// Run `scenario` on every rank of a universe over a fresh `kind` mesh.
+fn run<R: Send + 'static>(kind: BackendKind, scenario: fn(&Proc) -> R) -> Vec<R> {
+    let mesh = Mesh::new(kind, Topology::flat(), N, FaultPlan::none()).expect("mesh");
+    mesh.set_suspicion_timeout(Some(DEADLINE));
+    let universe = Universe::over(mesh);
     let handles = universe
         .spawn_batch(N, move |proc| scenario(&proc))
-        .expect("in-process universe");
+        .expect("a universe over a mesh spawns");
     handles.into_iter().map(|h| h.join()).collect()
-}
-
-/// Run `scenario` on every rank of a Unix-socket mesh, one peer-mode
-/// universe per rank.
-fn over_unix_sockets<R: Send + 'static>(scenario: fn(&Proc) -> R) -> Vec<R> {
-    let backends =
-        SocketBackend::local_mesh(BackendKind::Unix, Topology::flat(), N, FaultPlan::none())
-            .expect("mesh");
-    let group: Vec<RankId> = (0..N).map(RankId).collect();
-    let handles: Vec<_> = backends
-        .iter()
-        .cloned()
-        .map(|b| {
-            b.set_suspicion_timeout(Some(DEADLINE));
-            let group = group.clone();
-            std::thread::spawn(move || {
-                let ep = Endpoint::from_backend(b as Arc<dyn Backend>);
-                let (_universe, proc) = Universe::for_backend(ep, group);
-                scenario(&proc)
-            })
-        })
-        .collect();
-    let out = handles
-        .into_iter()
-        .map(|h| h.join().expect("rank thread"))
-        .collect();
-    for b in &backends {
-        b.shutdown();
-    }
-    out
 }
 
 /// Rank 2 passes `SPLIT_UNDEFINED` to the first split, then all three split
@@ -102,20 +69,20 @@ fn check_two_ids(ids: Vec<u64>) {
 
 #[test]
 fn an_undefined_member_stays_in_step_in_process() {
-    check_in_step(in_process(undefined_then_all));
+    check_in_step(run(BackendKind::InProc, undefined_then_all));
 }
 
 #[test]
 fn an_undefined_member_stays_in_step_over_unix_sockets() {
-    check_in_step(over_unix_sockets(undefined_then_all));
+    check_in_step(run(BackendKind::Unix, undefined_then_all));
 }
 
 #[test]
 fn each_color_gets_its_own_id_in_process() {
-    check_two_ids(in_process(two_colors));
+    check_two_ids(run(BackendKind::InProc, two_colors));
 }
 
 #[test]
 fn each_color_gets_its_own_id_over_unix_sockets() {
-    check_two_ids(over_unix_sockets(two_colors));
+    check_two_ids(run(BackendKind::Unix, two_colors));
 }

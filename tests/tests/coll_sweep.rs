@@ -17,8 +17,18 @@
 //! from the retained inputs on the shrunk communicator.
 
 use collectives::{AllgatherAlgo, AllreduceAlgo, ReduceOp};
-use transport::{FaultPlan, RankId, Topology};
+use transport::{BackendKind, FaultPlan, Mesh, RankId, Topology};
 use ulfm::{Proc, UlfmError, Universe};
+
+/// Every cell of both matrices runs over each link: in process, and over
+/// Unix sockets, where a death reaches the survivors as an EOF or a
+/// suspicion and a revocation as a transport signal.
+const LINKS: [BackendKind; 2] = [BackendKind::InProc, BackendKind::Unix];
+
+/// A universe over a fresh `kind` mesh of `p` ranks under `plan`.
+fn universe(kind: BackendKind, topology: Topology, p: usize, plan: FaultPlan) -> Universe {
+    Universe::over(Mesh::new(kind, topology, p, plan).expect("mesh"))
+}
 
 /// Elements per reduction buffer. Deliberately not divisible by any tested
 /// group size, so ring/Rabenseifner chunking hits uneven remainders.
@@ -174,10 +184,10 @@ impl Coll {
     }
 }
 
-/// Run one (p, victim, variant, fault index) cell of the matrix.
-fn run_case(p: usize, victim: usize, coll: Coll, fault_index: u64, case: u64) {
+/// Run one (link, p, victim, variant, fault index) cell of the matrix.
+fn run_case(kind: BackendKind, p: usize, victim: usize, coll: Coll, fault_index: u64, case: u64) {
     let plan = FaultPlan::none().kill_at_point(RankId(victim), coll.point(), fault_index);
-    let u = Universe::new(Topology::flat(), plan);
+    let u = universe(kind, Topology::flat(), p, plan);
     let handles = u
         .spawn_batch(p, move |proc: Proc| {
             let orig = proc.rank().0;
@@ -226,7 +236,7 @@ fn run_case(p: usize, victim: usize, coll: Coll, fault_index: u64, case: u64) {
         .collect();
     assert!(
         survivors.len() >= p - 1,
-        "{coll:?} p={p} victim={victim} fault_index={fault_index}: \
+        "{kind} {coll:?} p={p} victim={victim} fault_index={fault_index}: \
          more than the victim died: {survivors:?}"
     );
     // Uniform agreement forces every survivor to accept the *same* attempt,
@@ -243,7 +253,7 @@ fn run_case(p: usize, victim: usize, coll: Coll, fault_index: u64, case: u64) {
     };
     for (i, r) in results.iter().enumerate() {
         let ctx = format!(
-            "{coll:?} p={p} victim={victim} fault_index={fault_index} rank={i} world={world}"
+            "{kind} {coll:?} p={p} victim={victim} fault_index={fault_index} rank={i} world={world}"
         );
         match r {
             None => assert_eq!(i, victim, "unscripted death: {ctx}"),
@@ -264,7 +274,9 @@ fn sweep(p: usize) {
         for victim in 0..p {
             for fault_index in 1..=coll.max_fault_index(p) {
                 let case = ((vi * 1000 + p * 100 + victim * 10) as u64) + fault_index;
-                run_case(p, victim, coll, fault_index, case);
+                for kind in LINKS {
+                    run_case(kind, p, victim, coll, fault_index, case);
+                }
             }
         }
     }
@@ -331,12 +343,19 @@ impl HierPhase {
     }
 }
 
-/// One (p, ranks-per-node, victim, phase, fault index) cell: kill the
-/// victim at exactly that step of the two-level allreduce and drive the
+/// One (link, p, ranks-per-node, victim, phase, fault index) cell: kill
+/// the victim at exactly that step of the two-level allreduce and drive the
 /// survivors through rebuild-hierarchy → retry until uniform agreement.
-fn run_hier_case(p: usize, rpn: usize, victim: usize, phase: HierPhase, fault_index: u64) {
+fn run_hier_case(
+    kind: BackendKind,
+    p: usize,
+    rpn: usize,
+    victim: usize,
+    phase: HierPhase,
+    fault_index: u64,
+) {
     let plan = FaultPlan::none().kill_at_point(RankId(victim), phase.point(), fault_index);
-    let u = Universe::new(Topology::new(rpn), plan);
+    let u = universe(kind, Topology::new(rpn), p, plan);
     let handles = u
         .spawn_batch(p, move |proc: Proc| {
             let orig = proc.rank().0;
@@ -385,7 +404,7 @@ fn run_hier_case(p: usize, rpn: usize, victim: usize, phase: HierPhase, fault_in
         .collect();
     assert!(
         survivors.len() >= p - 1,
-        "{phase:?} p={p} rpn={rpn} victim={victim} fault_index={fault_index}: \
+        "{kind} {phase:?} p={p} rpn={rpn} victim={victim} fault_index={fault_index}: \
          more than the victim died: {survivors:?}"
     );
     let world = results[survivors[0]].as_ref().map(|(s, _, _)| *s).unwrap();
@@ -398,7 +417,7 @@ fn run_hier_case(p: usize, rpn: usize, victim: usize, phase: HierPhase, fault_in
     let expected = f32_bytes(&sum_over(&contributing, LEN));
     for (i, r) in results.iter().enumerate() {
         let ctx = format!(
-            "{phase:?} p={p} rpn={rpn} victim={victim} fault_index={fault_index} \
+            "{kind} {phase:?} p={p} rpn={rpn} victim={victim} fault_index={fault_index} \
              rank={i} world={world}"
         );
         match r {
@@ -416,7 +435,9 @@ fn hier_sweep(p: usize) {
         for phase in HierPhase::all() {
             for victim in 0..p {
                 for fault_index in 1..=phase.max_fault_index(p, rpn) {
-                    run_hier_case(p, rpn, victim, phase, fault_index);
+                    for kind in LINKS {
+                        run_hier_case(kind, p, rpn, victim, phase, fault_index);
+                    }
                 }
             }
         }

@@ -86,49 +86,43 @@ fn data_parallel_matches_reference() {
 #[test]
 fn gloo_and_ulfm_stacks_agree() {
     use gloo::Context;
-    use std::sync::Arc;
-    use transport::{Endpoint, Fabric};
+    use transport::{BackendKind, Mesh, RankId};
 
     let world = 3;
     let ulfm_states = distributed_run(world);
 
-    let fabric = Fabric::without_faults(Topology::flat());
-    let ranks = fabric.register_ranks(world);
-    let ranks_ref = &ranks;
-    let gloo_states: Vec<Vec<f32>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..world)
-            .map(|i| {
-                let fabric = Arc::clone(&fabric);
-                s.spawn(move || {
-                    let ep = Endpoint::new(Arc::clone(&fabric), ranks_ref[i]);
-                    let ctx = Context::connect(ep, 9, ranks_ref.clone(), i).unwrap();
-                    let mut model = Model::mlp(FEATURES, &[12], CLASSES, 11);
-                    let mut opt = Sgd::new(0.1, 0.9);
-                    let ds = SyntheticDataset::new(FEATURES, CLASSES, 5);
-                    for step in 0..STEPS {
-                        let shard = ds.shard(step, GLOBAL_BATCH, ctx.rank(), ctx.size());
-                        let weight = shard.labels.len() as f32 / GLOBAL_BATCH as f32;
-                        model.zero_grads();
-                        model.compute_gradients(&shard);
-                        let mut grads: Vec<Vec<f32>> = model
-                            .grads()
-                            .iter()
-                            .map(|g| g.data().iter().map(|v| v * weight).collect())
-                            .collect();
-                        for g in grads.iter_mut() {
-                            ctx.allreduce(g, ReduceOp::Sum, AllreduceAlgo::Ring)
-                                .unwrap();
-                        }
-                        model.set_grads(&grads);
-                        opt.step(&mut model.params_mut());
-                    }
-                    let out = model.state_flat();
-                    fabric.kill_rank(ranks_ref[i]);
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let mesh = Mesh::new(
+        BackendKind::InProc,
+        Topology::flat(),
+        world,
+        FaultPlan::none(),
+    )
+    .expect("in-process mesh");
+    let ranks: Vec<RankId> = (0..world).map(RankId).collect();
+    let gloo_states: Vec<Vec<f32>> = mesh.run(|ep| {
+        let i = ep.rank().0;
+        let ctx = Context::connect(ep, 9, ranks.clone(), i).unwrap();
+        let mut model = Model::mlp(FEATURES, &[12], CLASSES, 11);
+        let mut opt = Sgd::new(0.1, 0.9);
+        let ds = SyntheticDataset::new(FEATURES, CLASSES, 5);
+        for step in 0..STEPS {
+            let shard = ds.shard(step, GLOBAL_BATCH, ctx.rank(), ctx.size());
+            let weight = shard.labels.len() as f32 / GLOBAL_BATCH as f32;
+            model.zero_grads();
+            model.compute_gradients(&shard);
+            let mut grads: Vec<Vec<f32>> = model
+                .grads()
+                .iter()
+                .map(|g| g.data().iter().map(|v| v * weight).collect())
+                .collect();
+            for g in grads.iter_mut() {
+                ctx.allreduce(g, ReduceOp::Sum, AllreduceAlgo::Ring)
+                    .unwrap();
+            }
+            model.set_grads(&grads);
+            opt.step(&mut model.params_mut());
+        }
+        model.state_flat()
     });
 
     assert_eq!(

@@ -26,64 +26,19 @@
 //!    `join.merge` fault points (socket flavors — the join rendezvous and
 //!    link establishment are what differ per backend).
 
-use std::sync::Arc;
 use std::time::Duration;
 use transport::{
-    Backend, BackendKind, Endpoint, Fabric, FaultInjector, FaultPlan, LinkPerturb, PerturbPlan,
-    RankId, RetryPolicy, SocketBackend, Topology, TransportError,
+    BackendKind, Endpoint, FaultPlan, LinkPerturb, Mesh, PerturbPlan, RankId, RetryPolicy,
+    Topology, TransportError,
 };
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Flavor {
-    InProc,
-    Tcp,
-    Unix,
-}
-
-const ALL_FLAVORS: [Flavor; 3] = [Flavor::InProc, Flavor::Tcp, Flavor::Unix];
-
-/// Build an `n`-rank mesh of the given flavor with a fault schedule.
-fn mesh(flavor: Flavor, n: usize, plan: FaultPlan) -> Vec<Endpoint> {
-    match flavor {
-        Flavor::InProc => {
-            let fabric = Fabric::new(Topology::flat(), FaultInjector::new(plan));
-            fabric
-                .register_ranks(n)
-                .into_iter()
-                .map(|r| Endpoint::new(Arc::clone(&fabric), r))
-                .collect()
-        }
-        Flavor::Tcp | Flavor::Unix => {
-            let kind = match flavor {
-                Flavor::Tcp => BackendKind::Tcp,
-                _ => BackendKind::Unix,
-            };
-            SocketBackend::local_mesh(kind, Topology::flat(), n, plan)
-                .expect("socket mesh")
-                .into_iter()
-                .map(|b| Endpoint::from_backend(b as Arc<dyn Backend>))
-                .collect()
-        }
-    }
-}
-
-/// Socket service threads hold backend Arcs, so teardown is explicit.
-fn teardown(eps: &[Endpoint]) {
-    for ep in eps {
-        ep.backend().shutdown();
-    }
-}
-
-/// Sum a per-endpoint stat across the mesh (in-process endpoints share one
-/// fabric, so the sum over-counts there — callers only assert `> 0`).
-fn total(eps: &[Endpoint], field: impl Fn(&transport::FabricStats) -> u64) -> u64 {
-    eps.iter().map(|ep| field(&ep.stats())).sum()
-}
+const ALL_FLAVORS: [BackendKind; 3] = [BackendKind::InProc, BackendKind::Tcp, BackendKind::Unix];
 
 #[test]
 fn p2p_delivery_is_fifo_per_channel() {
     for flavor in ALL_FLAVORS {
-        let eps = mesh(flavor, 2, FaultPlan::none());
+        let mesh = Mesh::new(flavor, Topology::flat(), 2, FaultPlan::none()).expect("mesh");
+        let eps = mesh.endpoints();
         let n_msgs = 64u64;
         std::thread::scope(|s| {
             let sender = &eps[0];
@@ -107,14 +62,14 @@ fn p2p_delivery_is_fifo_per_channel() {
                 }
             });
         });
-        teardown(&eps);
     }
 }
 
 #[test]
 fn corrupt_frames_are_rejected_then_healed_by_retransmit() {
     for flavor in ALL_FLAVORS {
-        let eps = mesh(flavor, 2, FaultPlan::none());
+        let mesh = Mesh::new(flavor, Topology::flat(), 2, FaultPlan::none()).expect("mesh");
+        let eps = mesh.endpoints();
         let plan = PerturbPlan::seeded(42)
             .all_links(LinkPerturb::clean().corrupt(0.4))
             .retry(RetryPolicy {
@@ -141,21 +96,21 @@ fn corrupt_frames_are_rejected_then_healed_by_retransmit() {
             });
         });
         assert!(
-            total(&eps, |st| st.corrupt_frames) > 0,
+            mesh.stats().corrupt_frames > 0,
             "{flavor:?}: the seeded plan should have corrupted at least one frame"
         );
         assert!(
-            total(&eps, |st| st.retransmits) > 0,
+            mesh.stats().retransmits > 0,
             "{flavor:?}: rejected frames must be healed by retransmission"
         );
-        teardown(&eps);
     }
 }
 
 #[test]
 fn lossy_links_heal_via_ack_retransmit() {
     for flavor in ALL_FLAVORS {
-        let eps = mesh(flavor, 2, FaultPlan::none());
+        let mesh = Mesh::new(flavor, Topology::flat(), 2, FaultPlan::none()).expect("mesh");
+        let eps = mesh.endpoints();
         let plan = PerturbPlan::seeded(7)
             .all_links(LinkPerturb::clean().drop(0.3).duplicate(0.25).reorder(0.25))
             .retry(RetryPolicy {
@@ -188,28 +143,28 @@ fn lossy_links_heal_via_ack_retransmit() {
             });
         });
         assert!(
-            total(&eps, |st| st.retransmits) > 0,
+            mesh.stats().retransmits > 0,
             "{flavor:?}: dropped frames must retransmit"
         );
         // Retransmissions and duplicates never count as messages, and a
         // lossy-but-live link never costs a rank its life.
         assert_eq!(eps[0].stats().messages, 48, "{flavor:?}");
-        assert_eq!(total(&eps, |st| st.deaths), 0, "{flavor:?}");
-        teardown(&eps);
+        assert_eq!(mesh.stats().deaths, 0, "{flavor:?}");
     }
 }
 
 #[test]
 fn silent_peer_is_suspected_but_explicit_deadline_is_not() {
     for flavor in ALL_FLAVORS {
-        let eps = mesh(flavor, 2, FaultPlan::none());
+        let mesh = Mesh::new(flavor, Topology::flat(), 2, FaultPlan::none()).expect("mesh");
+        let eps = mesh.endpoints();
 
         // An explicit caller deadline is the caller's own timeout: it must
         // report Timeout and *not* declare the peer failed.
         let r = eps[0].recv_timeout(RankId(1), 11, Duration::from_millis(50));
         assert_eq!(r, Err(TransportError::Timeout), "{flavor:?}");
         assert!(eps[0].is_peer_alive(RankId(1)), "{flavor:?}");
-        assert_eq!(total(&eps, |st| st.suspicions), 0, "{flavor:?}");
+        assert_eq!(mesh.stats().suspicions, 0, "{flavor:?}");
 
         // An open-ended receive bounded by the suspicion timeout is the
         // failure detector: silence past it means the peer is dead.
@@ -217,8 +172,7 @@ fn silent_peer_is_suspected_but_explicit_deadline_is_not() {
         let r = eps[0].recv(RankId(1), 11);
         assert_eq!(r, Err(TransportError::PeerDead(RankId(1))), "{flavor:?}");
         assert!(!eps[0].is_peer_alive(RankId(1)), "{flavor:?}");
-        assert!(total(&eps, |st| st.suspicions) > 0, "{flavor:?}");
-        teardown(&eps);
+        assert!(mesh.stats().suspicions > 0, "{flavor:?}");
     }
 }
 
@@ -233,7 +187,7 @@ fn impatient(max_retries: u32) -> RetryPolicy {
 
 /// Poll until `ep` sees `rank` dead. In process the alive table is shared,
 /// so this returns at once; over sockets the news travels as an EOF.
-fn await_death(ep: &Endpoint, rank: RankId, flavor: Flavor) {
+fn await_death(ep: &Endpoint, rank: RankId, flavor: BackendKind) {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while ep.is_peer_alive(rank) {
         assert!(
@@ -249,7 +203,8 @@ fn await_death(ep: &Endpoint, rank: RankId, flavor: Flavor) {
 fn total_link_loss_spends_the_budget_then_suspects_once() {
     let coalesced = telemetry::counter("transport.suspicion.coalesced");
     for flavor in ALL_FLAVORS {
-        let eps = mesh(flavor, 3, FaultPlan::none());
+        let mesh = Mesh::new(flavor, Topology::flat(), 3, FaultPlan::none()).expect("mesh");
+        let eps = mesh.endpoints();
         let plan = PerturbPlan::seeded(5)
             .links_into(RankId(1), 3, LinkPerturb::clean().drop(1.0))
             .retry(impatient(4));
@@ -279,14 +234,15 @@ fn total_link_loss_spends_the_budget_then_suspects_once() {
         eps[2].backend().suspect(RankId(1));
         assert_eq!(eps[2].stats().suspicions, suspicions, "{flavor:?}");
         assert!(coalesced.get() > folded, "{flavor:?}: not coalesced");
-        teardown(&eps);
     }
 }
 
 #[test]
 fn suspected_rank_blocked_in_recv_observes_its_own_death() {
     for flavor in ALL_FLAVORS {
-        let eps = mesh(flavor, 3, FaultPlan::none());
+        let mesh = Mesh::new(flavor, Topology::flat(), 3, FaultPlan::none()).expect("mesh");
+        mesh.set_suspicion_timeout(None);
+        let eps = mesh.endpoints();
         let plan = PerturbPlan::seeded(5)
             .link(RankId(0), RankId(1), LinkPerturb::clean().drop(1.0))
             .retry(impatient(2));
@@ -311,7 +267,6 @@ fn suspected_rank_blocked_in_recv_observes_its_own_death() {
                 "{flavor:?}: the suspect must observe its death, not hang"
             );
         });
-        teardown(&eps);
     }
 }
 
@@ -324,7 +279,9 @@ fn scripted_death_is_selfdied_to_the_victim_and_peerdead_to_a_blocked_peer() {
             } else {
                 FaultPlan::none().kill_at_op(RankId(1), 2)
             };
-            let eps = mesh(flavor, 2, plan);
+            let mesh = Mesh::new(flavor, Topology::flat(), 2, plan).expect("mesh");
+            mesh.set_suspicion_timeout(None);
+            let eps = mesh.endpoints();
             std::thread::scope(|s| {
                 // No suspicion timeout: only the death can end this wait.
                 let peer = s.spawn(|| eps[0].recv(RankId(1), 8));
@@ -350,7 +307,6 @@ fn scripted_death_is_selfdied_to_the_victim_and_peerdead_to_a_blocked_peer() {
                     "{ctx}"
                 );
             });
-            teardown(&eps);
         }
     }
 }
@@ -359,7 +315,8 @@ fn scripted_death_is_selfdied_to_the_victim_and_peerdead_to_a_blocked_peer() {
 fn self_send_runs_the_whole_frame_path() {
     let mut healed = Vec::new();
     for flavor in ALL_FLAVORS {
-        let eps = mesh(flavor, 2, FaultPlan::none());
+        let mesh = Mesh::new(flavor, Topology::flat(), 2, FaultPlan::none()).expect("mesh");
+        let eps = mesh.endpoints();
         let me = RankId(0);
         let roundtrip = |n: u64| {
             for i in 0..n {
@@ -391,7 +348,6 @@ fn self_send_runs_the_whole_frame_path() {
             "{flavor:?}: half the copies were dropped"
         );
         healed.push((st.retransmits, st.corrupt_frames, st.dup_suppressed));
-        teardown(&eps);
     }
     // Same seed, same link, same engine: the adversary's verdicts — and so
     // the repair work — are identical whatever carries the bytes.
@@ -407,11 +363,12 @@ const LENDING_SIZES: [usize; 6] = [8 << 20, 0, 1, 4095, 4096, 4097];
 /// `send_with` / `recv_with` if `lending`, else `send` / `recv` — and return
 /// what arrived plus each endpoint's settled traffic counters.
 fn exchange(
-    flavor: Flavor,
+    flavor: BackendKind,
     plan: Option<&PerturbPlan>,
     lending: bool,
 ) -> (Vec<Vec<u8>>, Vec<transport::FabricStats>) {
-    let eps = mesh(flavor, 2, FaultPlan::none());
+    let mesh = Mesh::new(flavor, Topology::flat(), 2, FaultPlan::none()).expect("mesh");
+    let eps = mesh.endpoints();
     if let Some(plan) = plan {
         for ep in &eps {
             ep.set_perturbation(plan.clone());
@@ -457,7 +414,6 @@ fn exchange(
         }
         stats = now;
     }
-    teardown(&eps);
     assert_eq!(got, payloads, "{flavor:?}, lending={lending}: bytes differ");
     (got, stats)
 }
@@ -484,7 +440,7 @@ fn lending_send_and_recv_move_what_send_and_recv_move() {
     for flavor in ALL_FLAVORS {
         // In process a clean fabric has no plan at all: that is the fabric
         // whose large frames are handed over whole.
-        let clean = (flavor != Flavor::InProc).then(|| PerturbPlan::none().retry(patient));
+        let clean = (flavor != BackendKind::InProc).then(|| PerturbPlan::none().retry(patient));
         for plan in [clean.as_ref(), Some(&lossy)] {
             let (_, plain) = exchange(flavor, plan, false);
             let (_, lent) = exchange(flavor, plan, true);
@@ -518,15 +474,14 @@ fn lending_send_and_recv_move_what_send_and_recv_move() {
 #[test]
 fn clean_teardown_is_prompt_and_never_a_suspicion() {
     for flavor in ALL_FLAVORS {
-        let eps = mesh(flavor, 3, FaultPlan::none());
+        let mesh = Mesh::new(flavor, Topology::flat(), 3, FaultPlan::none()).expect("mesh");
+        let eps = mesh.endpoints();
         for ep in &eps {
             ep.set_suspicion_timeout(Some(Duration::from_secs(30)));
         }
-        // A full round of traffic, then teardown. A peer that observes a
-        // neighbor's FIN before its own shutdown flag is set may record an
-        // EOF-path death — that IS fail-stop semantics and is fine. What a
-        // clean teardown must never produce is a *suspicion* (a silence
-        // verdict) or a hang waiting for drains that cannot complete.
+        // A full round of traffic, then teardown. What a clean teardown
+        // must never produce is a *suspicion* (a silence verdict) or a hang
+        // waiting for drains that cannot complete.
         for (i, ep) in eps.iter().enumerate() {
             ep.send(RankId((i + 1) % 3), 1, b"ring").unwrap();
         }
@@ -535,13 +490,13 @@ fn clean_teardown_is_prompt_and_never_a_suspicion() {
             assert_eq!(ep.recv(from, 1).unwrap(), b"ring", "{flavor:?}");
         }
         let start = std::time::Instant::now();
-        teardown(&eps);
+        mesh.shutdown();
         assert!(
             start.elapsed() < Duration::from_secs(5),
             "{flavor:?}: teardown must not stall on drains"
         );
         assert_eq!(
-            total(&eps, |st| st.suspicions),
+            mesh.stats().suspicions,
             0,
             "{flavor:?}: clean teardown must not look like a silent failure"
         );
@@ -561,16 +516,11 @@ use elastic::scenario::{Engine, ScenarioKind};
 use elastic::{run_scenario, ScenarioConfig, TrainSpec, WorkerExit};
 
 fn join_fault_cfg(
-    flavor: Flavor,
+    flavor: BackendKind,
     joiners: usize,
     dead_joiner: usize,
     point: &str,
 ) -> ScenarioConfig {
-    let backend = match flavor {
-        Flavor::InProc => BackendKind::InProc,
-        Flavor::Tcp => BackendKind::Tcp,
-        Flavor::Unix => BackendKind::Unix,
-    };
     ScenarioConfig {
         spec: TrainSpec {
             total_steps: 12,
@@ -584,7 +534,7 @@ fn join_fault_cfg(
         // the joiner's, at the requested join fault point.
         joiners,
         extra_faults: FaultPlan::none().kill_at_point(RankId(dead_joiner), point, 1),
-        backend,
+        backend: flavor,
         ..ScenarioConfig::quick(Engine::UlfmForward, ScenarioKind::Upscale)
     }
 }
@@ -630,7 +580,8 @@ fn joiner_killed_at_merge_is_shrunk_back_out() {
 #[test]
 fn buffered_messages_survive_voluntary_retirement() {
     for flavor in ALL_FLAVORS {
-        let eps = mesh(flavor, 2, FaultPlan::none());
+        let mesh = Mesh::new(flavor, Topology::flat(), 2, FaultPlan::none()).expect("mesh");
+        let eps = mesh.endpoints();
         eps[1].send(RankId(0), 2, b"last words").unwrap();
         eps[1].retire();
         // ULFM requires already-matched traffic to complete: the buffered
@@ -645,6 +596,5 @@ fn buffered_messages_survive_voluntary_retirement() {
             Err(TransportError::PeerDead(RankId(1))),
             "{flavor:?}"
         );
-        teardown(&eps);
     }
 }
