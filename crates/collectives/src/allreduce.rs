@@ -114,30 +114,31 @@ pub fn allreduce<E: Elem, C: PeerComm>(
     algo: AllreduceAlgo,
     tag_base: u64,
 ) -> Result<(), CollError> {
-    // Wire bytes, not in-memory bytes: the crossover models network cost.
-    let resolved = algo.resolve(buf.len() * E::WIDTH, comm.size());
-    /// One algorithm's [`crate::OpMetrics`] and its `.auto_picked` counter.
-    macro_rules! algo_metrics {
-        ($metric:literal) => {{
+    let auto = matches!(algo, AllreduceAlgo::Auto { .. });
+    /// Run one algorithm under its [`crate::OpMetrics`], counting it under
+    /// its `.auto_picked` counter too when `Auto` picked it.
+    macro_rules! run {
+        ($metric:literal, $algo:ident) => {{
             static AUTO_PICKED: Lazy<Counter> = Lazy::counter(concat!($metric, ".auto_picked"));
-            (op_metrics!($metric), &AUTO_PICKED)
+            if auto {
+                AUTO_PICKED.incr();
+            }
+            op_metrics!($metric).observe(|| $algo(comm, buf, op, tag_base))
         }};
     }
-    let (metrics, auto_picked) = match resolved {
-        AllreduceAlgo::Ring => algo_metrics!("coll.allreduce.ring"),
-        AllreduceAlgo::RecursiveDoubling => algo_metrics!("coll.allreduce.recursive_doubling"),
-        AllreduceAlgo::Rabenseifner => algo_metrics!("coll.allreduce.rabenseifner"),
-        AllreduceAlgo::Auto { .. } => unreachable!("resolve returns a concrete algorithm"),
-    };
-    if matches!(algo, AllreduceAlgo::Auto { .. }) {
-        auto_picked.incr();
+    // Wire bytes, not in-memory bytes: the crossover models network cost.
+    match algo.resolve(buf.len() * E::WIDTH, comm.size()) {
+        AllreduceAlgo::Ring => run!("coll.allreduce.ring", ring_allreduce),
+        AllreduceAlgo::Rabenseifner => run!("coll.allreduce.rabenseifner", rabenseifner_allreduce),
+        // `resolve` answers `Auto` with a concrete algorithm, so only
+        // `RecursiveDoubling` itself takes this arm.
+        AllreduceAlgo::RecursiveDoubling | AllreduceAlgo::Auto { .. } => {
+            run!(
+                "coll.allreduce.recursive_doubling",
+                recursive_doubling_allreduce
+            )
+        }
     }
-    metrics.observe(|| match resolved {
-        AllreduceAlgo::Ring => ring_allreduce(comm, buf, op, tag_base),
-        AllreduceAlgo::RecursiveDoubling => recursive_doubling_allreduce(comm, buf, op, tag_base),
-        AllreduceAlgo::Rabenseifner => rabenseifner_allreduce(comm, buf, op, tag_base),
-        AllreduceAlgo::Auto { .. } => unreachable!(),
-    })
 }
 
 /// Bandwidth-optimal ring allreduce (reduce-scatter ring + allgather ring).

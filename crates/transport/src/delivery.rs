@@ -25,7 +25,6 @@ use crate::perturb::{PerturbPlan, Perturber, RetryPolicy};
 use crate::reliable::{self, Cursors};
 use crate::wire::{self, Fill, Payload, FRAME_HEADER, FRAME_TRAILER};
 use parking_lot::{Mutex, RwLock};
-use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -34,7 +33,7 @@ use std::time::{Duration, Instant};
 /// send/recv paths pay one relaxed atomic add, not a registry lookup, and
 /// building a world looks nothing up. Every backend reports under the same
 /// `transport.*` metric names.
-mod telem {
+pub(crate) mod telem {
     use telemetry::{Counter, Lazy};
     pub(super) static MSGS_SENT: Lazy<Counter> = Lazy::counter("transport.msgs_sent");
     pub(super) static BYTES_SENT: Lazy<Counter> = Lazy::counter("transport.bytes_sent");
@@ -50,7 +49,7 @@ mod telem {
     pub(super) static SUSPICIONS: Lazy<Counter> = Lazy::counter("transport.suspicions");
     pub(super) static SUSPICION_COALESCED: Lazy<Counter> =
         Lazy::counter("transport.suspicion.coalesced");
-    pub(super) static FRAMES_RECYCLED: Lazy<Counter> = Lazy::counter("transport.frames_recycled");
+    pub(crate) static FRAMES_RECYCLED: Lazy<Counter> = Lazy::counter("transport.frames_recycled");
 }
 
 /// Aggregate traffic counters (diagnostics and cost calibration).
@@ -450,10 +449,6 @@ impl<P> Engine<P> {
 pub(crate) trait Link: Send + Sync {
     /// What the engine's peer table keeps per rank for this link.
     type Port;
-    /// A numbered frame as the link keeps it across attempts, so no attempt
-    /// copies it again: owned (`Vec<u8>`), or shared with service threads
-    /// (`Arc<Vec<u8>>`).
-    type Frame: From<Vec<u8>> + Borrow<Vec<u8>>;
     /// What one attempt's hand-offs leave behind for [`Link::await_ack`].
     type Sent: Default;
 
@@ -484,12 +479,13 @@ pub(crate) trait Link: Send + Sync {
     /// `frame` itself, `Some` for a mangled or stashed version. A link that
     /// is a function call (in process, or any rank to itself) delivers
     /// through [`Cursors::receive`] and returns the ack; a link with a wire
-    /// in between queues the copy, notes it in `sent` and returns `None`.
+    /// in between writes or queues the copy, notes it in `sent` and returns
+    /// `None`.
     fn hand_off(
         &self,
         to: RankId,
         peer: &Slot<Self::Port>,
-        frame: &mut Self::Frame,
+        frame: &[u8],
         copy: Option<Vec<u8>>,
         sent: &mut Self::Sent,
     ) -> Option<FrameAck>;

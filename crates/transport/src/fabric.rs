@@ -8,7 +8,7 @@ use crate::fault::{FaultInjector, RankFaults};
 use crate::ids::{NodeId, RankId, Topology};
 use crate::mailbox::{FrameAck, Mailbox};
 use crate::perturb::PerturbPlan;
-use crate::wire::{self, FRAME_HEADER, FRAME_TRAILER};
+use crate::wire::{FRAME_HEADER, FRAME_TRAILER};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -19,6 +19,10 @@ use std::time::{Duration, Instant};
 /// §10, "Which buffer crosses threads"). Also the smallest send that is
 /// encoded into the last frame its rank was given.
 pub(crate) const HAND_OVER_MIN: usize = 4 << 10;
+
+/// The encoded length of a frame with a [`HAND_OVER_MIN`]-byte payload: a
+/// frame at least this long reaches its receiver whole, over either link.
+pub(crate) const HAND_OVER_FRAME: usize = FRAME_HEADER + HAND_OVER_MIN + FRAME_TRAILER;
 
 /// The shared interconnect + runtime failure detector.
 ///
@@ -180,7 +184,6 @@ impl InProcBackend {
 
 impl Link for InProcBackend {
     type Port = Mailbox;
-    type Frame = Vec<u8>;
     type Sent = ();
 
     fn rank(&self) -> RankId {
@@ -202,11 +205,8 @@ impl Link for InProcBackend {
     /// A large frame is given to the receiver whole, verified where it lies;
     /// a small one is copied out of it.
     fn hand_over(&self, _to: RankId, peer: &Slot<Mailbox>, frame: Vec<u8>) -> bool {
-        let ack = if frame.len() >= FRAME_HEADER + HAND_OVER_MIN + FRAME_TRAILER {
-            match wire::verify_frame(frame) {
-                Ok(verified) => peer.port.accept(verified),
-                Err((_, e)) => FrameAck::Corrupt(e),
-            }
+        let ack = if frame.len() >= HAND_OVER_FRAME {
+            peer.port.accept_whole(frame)
         } else {
             peer.port.accept_frame(&frame)
         };
@@ -217,7 +217,7 @@ impl Link for InProcBackend {
         &self,
         _to: RankId,
         peer: &Slot<Mailbox>,
-        frame: &mut Vec<u8>,
+        frame: &[u8],
         copy: Option<Vec<u8>>,
         _sent: &mut (),
     ) -> Option<FrameAck> {

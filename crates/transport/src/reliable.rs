@@ -23,7 +23,6 @@ use crate::mailbox::{FrameAck, Mailbox};
 use crate::perturb::{Perturber, Verdict};
 use crate::wire::{self, Fill, Frame};
 use parking_lot::Mutex;
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 
 mod telem {
@@ -149,14 +148,14 @@ pub(crate) fn send<L: Link>(
     let (eng, me) = (link.engine(), link.rank());
     let seq = link.me().cursors.next_seq(to);
     // Encoded once; every (re)transmission hands off this same frame.
-    let mut frame = L::Frame::from(wire::encode_frame_with(buf, me, tag, seq, len, f));
+    let frame = wire::encode_frame_with(buf, me, tag, seq, len, f);
     let mut perturber = eng.perturber();
     let policy = eng.retry_policy();
     let mut attempt = 0u32;
     loop {
         // One physical transmission attempt, under the plan if there is one.
         let verdict = match &perturber {
-            Some(p) => p.transmit(me, to, frame.borrow()),
+            Some(p) => p.transmit(me, to, &frame),
             None => Verdict::clean(),
         };
         if verdict.dropped {
@@ -180,7 +179,7 @@ pub(crate) fn send<L: Link>(
                 telem::DELAY_HIST.record_duration(delay);
                 std::thread::sleep(delay);
             }
-            let ack = link.hand_off(to, peer, &mut frame, d.bytes, &mut sent);
+            let ack = link.hand_off(to, peer, &frame, d.bytes, &mut sent);
             acked |= d.current && ack.is_some_and(|a| a.is_acked());
         }
         if acked {

@@ -2,18 +2,21 @@
 //! sequences, split and coalesced at arbitrary byte boundaries, must
 //! reassemble exactly; a stream truncated mid-envelope must yield a clean
 //! [`StreamError::TruncatedStream`] from `finish()` — never a panic, never
-//! a partial envelope.
+//! a partial envelope. The socket reader's path for a large envelope —
+//! take the payload's buffered prefix, read the rest straight from the
+//! stream — must give the same envelopes as decoding everything.
 
 use proptest::prelude::*;
 use transport::{encode_envelope, StreamDecoder, StreamEnvelope, StreamError, StreamKind};
 
-const KINDS: [StreamKind; 6] = [
+const KINDS: [StreamKind; 7] = [
     StreamKind::Data,
     StreamKind::Ack,
     StreamKind::Hello,
     StreamKind::Signal,
     StreamKind::Die,
     StreamKind::Bye,
+    StreamKind::Clean,
 ];
 
 /// Build an envelope sequence from independently generated kind indices
@@ -59,8 +62,122 @@ fn decode_chunked(bytes: &[u8], cuts: &[usize]) -> (Vec<StreamEnvelope>, StreamD
     (out, dec)
 }
 
+/// A byte stream that returns at most up to its next cut per read, as a
+/// socket returns whatever has arrived.
+struct Source<'a> {
+    bytes: &'a [u8],
+    cuts: Vec<usize>,
+    pos: usize,
+}
+
+impl<'a> Source<'a> {
+    fn new(bytes: &'a [u8], cuts: &[usize]) -> Self {
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
+        cuts.sort_unstable();
+        Self {
+            bytes,
+            cuts,
+            pos: 0,
+        }
+    }
+
+    /// 0 at the end of the stream.
+    fn read(&mut self, out: &mut [u8]) -> usize {
+        let next = self.cuts.iter().find(|&&c| c > self.pos);
+        let n = (next.copied().unwrap_or(self.bytes.len()) - self.pos).min(out.len());
+        out[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+        self.pos += n;
+        n
+    }
+}
+
+/// Read `bytes` as the socket reader does: an envelope whose payload is at
+/// least `min` bytes long is taken whole into a buffer that starts out as
+/// `junk`, and the rest of its payload read straight from the stream; any
+/// other is decoded. A stream that ends inside a taken payload delivers
+/// nothing of it.
+fn decode_taking_large(
+    bytes: &[u8],
+    cuts: &[usize],
+    min: usize,
+    junk: &[u8],
+) -> (Vec<StreamEnvelope>, StreamDecoder) {
+    let mut src = Source::new(bytes, cuts);
+    let mut dec = StreamDecoder::new();
+    let mut out = Vec::new();
+    let mut chunk = [0u8; 64];
+    'stream: loop {
+        loop {
+            let taken = dec.take_large(min, |_| junk.to_vec());
+            if let Some((kind, mut payload, mut filled)) = taken.expect("valid stream must decode")
+            {
+                while filled < payload.len() {
+                    match src.read(&mut payload[filled..]) {
+                        0 => break 'stream,
+                        n => filled += n,
+                    }
+                }
+                out.push(StreamEnvelope { kind, payload });
+                continue;
+            }
+            match dec.next_envelope().expect("valid stream must decode") {
+                Some(env) => out.push(env),
+                None => break,
+            }
+        }
+        match src.read(&mut chunk) {
+            0 => break,
+            n => dec.push(&chunk[..n]),
+        }
+    }
+    (out, dec)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Taking every envelope of at least `min` payload bytes whole, its
+    /// buffered prefix from the decoder and the rest from the stream, gives
+    /// the same envelopes, byte for byte and in order, as decoding them all
+    /// — whatever the split into reads and whatever the buffer held before.
+    #[test]
+    fn taking_large_envelopes_whole_matches_decoding(
+        kinds in proptest::collection::vec(0usize..7, 0..12),
+        payloads in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..160), 0..12),
+        cuts in proptest::collection::vec(any::<usize>(), 0..24),
+        min in 0usize..128,
+        junk in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let n = kinds.len().min(payloads.len());
+        let envs = zip_envelopes(&kinds[..n], &payloads[..n]);
+        let bytes = encode_all(&envs);
+        let (taken, dec) = decode_taking_large(&bytes, &cuts, min, &junk);
+        prop_assert_eq!(&taken, &decode_chunked(&bytes, &cuts).0);
+        prop_assert_eq!(taken, envs);
+        prop_assert_eq!(dec.finish(), Ok(()));
+    }
+
+    /// A stream cut anywhere inside its last envelope delivers every
+    /// envelope before it and nothing of the torn one, taken whole or not.
+    #[test]
+    fn a_torn_envelope_taken_whole_delivers_nothing(
+        kinds in proptest::collection::vec(0usize..7, 1..8),
+        payloads in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..160), 1..8),
+        cuts in proptest::collection::vec(any::<usize>(), 0..16),
+        cut_back in any::<usize>(),
+        min in 0usize..128,
+    ) {
+        let n = kinds.len().min(payloads.len());
+        let envs = zip_envelopes(&kinds[..n], &payloads[..n]);
+        let bytes = encode_all(&envs);
+        let last = envs.last().unwrap();
+        let last_len = encode_envelope(last.kind, &last.payload).len();
+        let torn = &bytes[..bytes.len() - (1 + cut_back % (last_len - 1))];
+        let (taken, _) = decode_taking_large(torn, &cuts, min, &[]);
+        prop_assert_eq!(taken.as_slice(), &envs[..envs.len() - 1]);
+    }
 
     /// Any envelope sequence, split/coalesced at any byte boundaries,
     /// round-trips exactly and ends on a clean boundary.
