@@ -181,8 +181,9 @@ enum Fatal {
     Died,
     Excluded,
     /// The surviving world shrank below `TrainSpec::min_workers`, the run
-    /// shut down before this joiner was admitted, or the committed state a
-    /// member was to install is not a checkpoint of this model.
+    /// shut down before this joiner was admitted, the committed state a
+    /// member was to install is not a checkpoint of this model, or a peer's
+    /// agreement proposal could not be decoded.
     Aborted,
     /// A spare or joiner the group never needed: dismissed at completion,
     /// or never ticketed. A clean non-event — crucially not a
@@ -889,7 +890,8 @@ impl<'a> Worker<'a> {
         let agreed = match agreed {
             Ok(a) => a,
             Err(UlfmError::SelfDied) => return Err(Fatal::Died),
-            Err(e) => unreachable!("agree only fails fatally: {e}"),
+            // A peer's proposal this rank cannot decode: bytes it chose.
+            Err(_) => return Err(Fatal::Aborted),
         };
         // How many failures this episode handles as one batch: with suspicion
         // batching + lattice agreement a whole burst lands here at once and the
@@ -910,7 +912,7 @@ impl<'a> Worker<'a> {
             }
             Ok(ShrinkOutcome::Excluded) => Err(Fatal::Excluded),
             Err(UlfmError::SelfDied) => Err(Fatal::Died),
-            Err(e) => unreachable!("shrink only fails fatally: {e}"),
+            Err(_) => Err(Fatal::Aborted),
         }
     }
 
@@ -1101,7 +1103,7 @@ impl<'a> Worker<'a> {
                 // agreement without any comm-wide revocation.
                 let sent = comm.bcast(0, &mut payload);
                 if matches!(sent, Err(UlfmError::SelfDied)) {
-                    return SyncAttempt::Died;
+                    return SyncAttempt::Fatal(Fatal::Died);
                 }
                 // Commit flags: bit0 = my broadcast completed; bit1 = the root
                 // holds state of the requested source (non-roots contribute 1
@@ -1114,8 +1116,9 @@ impl<'a> Worker<'a> {
                         SyncAttempt::Committed(payload)
                     }
                     Ok(_) => SyncAttempt::Retry,
-                    Err(UlfmError::SelfDied) => SyncAttempt::Died,
-                    Err(e) => unreachable!("agree only fails fatally: {e}"),
+                    Err(UlfmError::SelfDied) => SyncAttempt::Fatal(Fatal::Died),
+                    // A peer's proposal this rank cannot decode.
+                    Err(_) => SyncAttempt::Fatal(Fatal::Aborted),
                 }
             });
             match outcome {
@@ -1138,7 +1141,7 @@ impl<'a> Worker<'a> {
                     }
                     return Ok(SyncOutcome::Synced(self.step));
                 }
-                SyncAttempt::Died => return Err(Fatal::Died),
+                SyncAttempt::Fatal(fatal) => return Err(fatal),
                 SyncAttempt::Abort => {
                     return match opts.bound {
                         // No state-holder left and nothing to fall back to.
@@ -1183,8 +1186,8 @@ enum SyncAttempt {
     Retry,
     /// The root holds no state of the requested source.
     Abort,
-    /// This rank died.
-    Died,
+    /// This rank died, or cannot read the commit agreement.
+    Fatal(Fatal),
 }
 
 /// What the sender broadcasts in [`Worker::checkpoint_sync`].
@@ -1251,6 +1254,30 @@ mod tests {
     fn shard_len_tiles() {
         let total: usize = (0..5).map(|r| shard_len(r, 5, 64)).sum();
         assert_eq!(total, 64);
+    }
+
+    /// Rank 1 agrees by the lattice protocol, rank 0 by flood-set: each is
+    /// sent a proposal it cannot decode. Rank 0's recovery ends the worker
+    /// as aborted instead of panicking.
+    #[test]
+    fn an_undecodable_proposal_in_recovery_aborts_the_worker() {
+        let universe = ulfm::Universe::without_faults(transport::Topology::flat());
+        let handles = universe.spawn_batch(2, |proc| {
+            let comm = proc.init_comm();
+            if proc.endpoint().rank() == RankId(1) {
+                comm.set_agree_impl(ulfm::AgreeImpl::Lattice);
+                return comm.agree(u64::MAX, u64::MAX) == Err(UlfmError::Aborted);
+            }
+            let cfg = ForwardConfig::new(TrainSpec::default());
+            let mut worker = Worker::new(&proc, &cfg);
+            worker.comm = Some(comm);
+            let mut episode = RecoveryBreakdown::new(RecoveryKind::Forward, 0);
+            let recovered = worker.recover(u64::MAX, &mut episode);
+            matches!(worker.exit(recovered.map(|_| ())), WorkerExit::Aborted(_))
+        });
+        for h in handles.expect("in-process batch") {
+            assert!(h.join());
+        }
     }
 
     #[test]

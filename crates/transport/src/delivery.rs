@@ -11,9 +11,9 @@
 //! from the first installed plan that perturbs a link ([`Engine::lossy`]),
 //! on every link alike. A clean send is encoded, handed over once and done.
 //! A backend is only the *link* underneath — how a frame copy gets to a
-//! peer, how its ack comes back, how liveness is learnt and how a death is
-//! carried out — and gets its whole [`Backend`] implementation from the one
-//! blanket `impl` at the bottom of this file.
+//! peer, how liveness is learnt and how a death is carried out — and gets
+//! its whole [`Backend`] implementation from the one blanket `impl` at the
+//! bottom of this file.
 
 use crate::backend::{Backend, SignalHandler};
 use crate::error::TransportError;
@@ -441,16 +441,13 @@ impl<P> Engine<P> {
 /// What a backend actually is: one rank's link to its peers. The engine
 /// owns the contract, the view of who is alive and whether a frame can be
 /// lost ([`Engine::lossy`]); a link delivers a clean frame
-/// ([`Link::hand_over`]) or carries numbered copies for [`reliable::send`]
-/// ([`Link::hand_off`], [`Link::await_ack`]), and carries out deaths
-/// ([`Link::die`], [`Link::condemn`]) — plus the control plane, which
-/// genuinely differs per fabric and passes through from [`Backend`] under
-/// the same names.
+/// ([`Link::hand_over`]) or one numbered copy for [`reliable::send`]
+/// ([`Link::hand_off`]), and carries out deaths ([`Link::die`],
+/// [`Link::condemn`]) — plus the control plane, which genuinely differs per
+/// fabric and passes through from [`Backend`] under the same names.
 pub(crate) trait Link: Send + Sync {
     /// What the engine's peer table keeps per rank for this link.
     type Port;
-    /// What one attempt's hand-offs leave behind for [`Link::await_ack`].
-    type Sent: Default;
 
     fn rank(&self) -> RankId;
     /// The engine this link reports into.
@@ -475,39 +472,19 @@ pub(crate) trait Link: Send + Sync {
     /// the engine is not lossy.
     fn hand_over(&self, to: RankId, peer: &Slot<Self::Port>, frame: Vec<u8>) -> bool;
 
-    /// Hand one copy of a numbered frame toward `to`: `copy` is `None` for
-    /// `frame` itself, `Some` for a mangled or stashed version. A link that
-    /// is a function call (in process, or any rank to itself) delivers
-    /// through [`Cursors::receive`] and returns the ack; a link with a wire
-    /// in between writes or queues the copy, notes it in `sent` and returns
-    /// `None`.
+    /// Hand one copy of a numbered frame to `to`, synchronously: `copy` is
+    /// `None` for `frame` itself, `Some` for a mangled or stashed version.
+    /// True is the ack: the copy passed its checksum and reached the
+    /// receiver's [`Cursors::receive`] (a function call) or left on a stream
+    /// that delivers exactly the bytes written. False if it was corrupt or
+    /// the link refused it.
     fn hand_off(
         &self,
         to: RankId,
         peer: &Slot<Self::Port>,
         frame: &[u8],
         copy: Option<Vec<u8>>,
-        sent: &mut Self::Sent,
-    ) -> Option<FrameAck>;
-
-    /// No copy of `(to, tag, seq)` was acked at hand-off: wait for its ack
-    /// up to `backoff` (plus whatever grace the link's round trip needs).
-    /// `Err(spent)` is "unacked, and `spent` of the backoff already went by
-    /// waiting" — [`reliable::send`] sleeps the remainder before it
-    /// retransmits.
-    /// The default is the function-call link's: nothing is ever in flight,
-    /// so an unacked copy is lost and none of the backoff is spent yet.
-    fn await_ack(
-        &self,
-        _to: RankId,
-        _peer: &Slot<Self::Port>,
-        _tag: u64,
-        _seq: u64,
-        _sent: Self::Sent,
-        _backoff: Duration,
-    ) -> Result<(), Duration> {
-        Err(Duration::ZERO)
-    }
+    ) -> bool;
 
     /// Die now, like a crash: a scripted fault fired, or this rank was
     /// asked to suspect itself.

@@ -6,7 +6,7 @@ use crate::backend::SignalHandler;
 use crate::delivery::{Engine, FabricStats, Link, Slot};
 use crate::fault::{FaultInjector, RankFaults};
 use crate::ids::{NodeId, RankId, Topology};
-use crate::mailbox::{FrameAck, Mailbox};
+use crate::mailbox::Mailbox;
 use crate::perturb::PerturbPlan;
 use crate::wire::{FRAME_HEADER, FRAME_TRAILER};
 use parking_lot::Mutex;
@@ -184,7 +184,6 @@ impl InProcBackend {
 
 impl Link for InProcBackend {
     type Port = Mailbox;
-    type Sent = ();
 
     fn rank(&self) -> RankId {
         self.rank
@@ -219,10 +218,9 @@ impl Link for InProcBackend {
         peer: &Slot<Mailbox>,
         frame: &[u8],
         copy: Option<Vec<u8>>,
-        _sent: &mut (),
-    ) -> Option<FrameAck> {
+    ) -> bool {
         let (eng, bytes) = (&self.fabric.engine, copy.as_deref().unwrap_or(frame));
-        Some(peer.cursors.receive(eng, &peer.port, bytes, |_| {}))
+        peer.cursors.receive(eng, &peer.port, bytes).is_acked()
     }
 
     fn die(&self) {

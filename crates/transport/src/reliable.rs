@@ -96,22 +96,12 @@ impl Cursors {
     }
 
     /// The one receive path of a numbered frame: verify it (checksum fused
-    /// into the payload copy), run `on_valid` — where a wire link sends its
-    /// ack *before* delivery can wake anyone — then dedup and reorder it
-    /// into `mailbox`. Returns the link-layer ack, with corrupt and
-    /// duplicate copies counted in `eng`.
-    pub(crate) fn receive<P>(
-        &self,
-        eng: &Engine<P>,
-        mailbox: &Mailbox,
-        bytes: &[u8],
-        on_valid: impl FnOnce(&Frame),
-    ) -> FrameAck {
+    /// into the payload copy), then dedup and reorder it into `mailbox`.
+    /// Returns the link-layer ack, with corrupt and duplicate copies counted
+    /// in `eng`.
+    pub(crate) fn receive<P>(&self, eng: &Engine<P>, mailbox: &Mailbox, bytes: &[u8]) -> FrameAck {
         let ack = match wire::decode_frame(bytes) {
-            Ok(frame) => {
-                on_valid(&frame);
-                self.accept(frame, mailbox)
-            }
+            Ok(frame) => self.accept(frame, mailbox),
             Err(e) => FrameAck::Corrupt(e),
         };
         eng.count(ack)
@@ -169,8 +159,9 @@ pub(crate) fn send<L: Link>(
         }
         // Only a copy of the *current* frame acks it: stashed flushes ack on
         // behalf of older frames, which already retransmit independently.
+        // Every hand-off is synchronous, so an unacked attempt is lost on
+        // every link alike.
         let mut acked = false;
-        let mut sent = L::Sent::default();
         for d in verdict.deliveries.into_iter().flatten() {
             if let Some(delay) = d.delay {
                 // The "propagation delay" runs on the sender thread: a slow
@@ -179,20 +170,11 @@ pub(crate) fn send<L: Link>(
                 telem::DELAY_HIST.record_duration(delay);
                 std::thread::sleep(delay);
             }
-            let ack = link.hand_off(to, peer, &frame, d.bytes, &mut sent);
-            acked |= d.current && ack.is_some_and(|a| a.is_acked());
+            acked |= link.hand_off(to, peer, &frame, d.bytes) && d.current;
         }
         if acked {
             return Ok(());
         }
-        let salt = match &perturber {
-            Some(p) => p.backoff_salt(me, to, tag, seq, attempt),
-            None => Perturber::inert().backoff_salt(me, to, tag, seq, attempt),
-        };
-        let backoff = policy.backoff(attempt, salt);
-        let Err(spent) = link.await_ack(to, peer, tag, seq, sent, backoff) else {
-            return Ok(());
-        };
         // Unacked: the frame (or every copy of it) was lost. Re-check
         // liveness between attempts — death reports beat link errors.
         if !link.self_alive() {
@@ -207,8 +189,13 @@ pub(crate) fn send<L: Link>(
             Backend::suspect(link, to);
             return Err(TransportError::PeerDead(to));
         }
+        let salt = match &perturber {
+            Some(p) => p.backoff_salt(me, to, tag, seq, attempt),
+            None => Perturber::inert().backoff_salt(me, to, tag, seq, attempt),
+        };
+        let backoff = policy.backoff(attempt, salt);
         telem::BACKOFF_HIST.record_duration(backoff);
-        std::thread::sleep(backoff.saturating_sub(spent));
+        std::thread::sleep(backoff);
         attempt += 1;
         eng.count_retransmit();
         telem::RETRANSMITS.incr();

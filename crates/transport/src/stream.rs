@@ -17,7 +17,7 @@
 //!
 //! For [`StreamKind::Clean`] and [`StreamKind::Data`] the payload is a full
 //! wire frame ([`crate::wire`]) — magic, sequence number and checksum
-//! included; only a `Data` frame is numbered and acked. The outer length
+//! included; only a `Data` frame is numbered. The outer length
 //! prefix is *trusted transport state* (a TCP/Unix stream does not corrupt
 //! bytes in practice), while the inner frame is the layer the seeded
 //! [`crate::PerturbPlan`] perturbs; keeping the two separate means a
@@ -33,10 +33,8 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum StreamKind {
-    /// A numbered wire frame, sent under a plan that may lose it; acked.
+    /// A numbered wire frame, sent under a plan that may lose it.
     Data = 1,
-    /// Acknowledgment of a `Data` frame: payload is `[tag u64][seq u64]`.
-    Ack = 2,
     /// First envelope on a dialed connection: payload is `[rank u64]`.
     Hello = 3,
     /// Out-of-band control-plane signal (opaque to the transport).
@@ -46,7 +44,7 @@ pub enum StreamKind {
     /// Clean goodbye: the sender is retiring voluntarily.
     Bye = 6,
     /// An unnumbered wire frame on a link no plan perturbs: delivered
-    /// straight to the receiver's mailbox and never acked.
+    /// straight to the receiver's mailbox.
     Clean = 7,
 }
 
@@ -54,7 +52,6 @@ impl StreamKind {
     fn from_u8(b: u8) -> Option<Self> {
         match b {
             1 => Some(Self::Data),
-            2 => Some(Self::Ack),
             3 => Some(Self::Hello),
             4 => Some(Self::Signal),
             5 => Some(Self::Die),
@@ -255,7 +252,7 @@ mod tests {
 
     #[test]
     fn torn_and_coalesced_reads() {
-        let a = encode_envelope(StreamKind::Ack, &[1; 16]);
+        let a = encode_envelope(StreamKind::Signal, &[1; 16]);
         let b = encode_envelope(StreamKind::Data, &[2; 300]);
         let mut joined = a.clone();
         joined.extend_from_slice(&b);
@@ -285,9 +282,11 @@ mod tests {
 
     #[test]
     fn unknown_kind_is_error() {
-        let mut d = StreamDecoder::new();
-        d.push(&[99, 0, 0, 0, 0]);
-        assert_eq!(d.next_envelope(), Err(StreamError::UnknownKind(99)));
+        for kind in [2, 99] {
+            let mut d = StreamDecoder::new();
+            d.push(&[kind, 0, 0, 0, 0]);
+            assert_eq!(d.next_envelope(), Err(StreamError::UnknownKind(kind)));
+        }
     }
 
     #[test]

@@ -9,9 +9,8 @@
 use proptest::prelude::*;
 use transport::{encode_envelope, StreamDecoder, StreamEnvelope, StreamError, StreamKind};
 
-const KINDS: [StreamKind; 7] = [
+const KINDS: [StreamKind; 6] = [
     StreamKind::Data,
-    StreamKind::Ack,
     StreamKind::Hello,
     StreamKind::Signal,
     StreamKind::Die,

@@ -1,8 +1,8 @@
 //! The blocked-rank wait seen through the public API: every way a blocked
 //! `Endpoint::recv` can end arrives both while the receiver is still
 //! yielding (event ≈ 5 µs in) and after it has parked (event 5 ms in); and
-//! where a plan makes a socket send wait for its ack, yielding inside that
-//! wait leaves the ack clock alone.
+//! a numbered socket send, which waits for no ack, never retransmits while
+//! its peer's threads compete for the same cores.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -91,17 +91,12 @@ fn wait_blocked_recv_ends_every_way_early_and_late() {
 }
 
 #[test]
-fn wait_ack_yield_leaves_the_ack_clock_alone() {
-    // 10,000 small sends under the default `RetryPolicy`, the sender
-    // yielding inside its ack wait while reader and writer threads need the
-    // same cores. The first retransmission is due after 1 ms of grace plus
-    // at least 50 µs of backoff with no ack: a send that retransmitted
-    // sooner ended its wait on something other than the ack clock (the
-    // yield budget running out, say). On a quiet machine the count is 0;
-    // a stalled one retransmits honestly, so the count is only bounded.
-    // A clean socket send waits for no ack, so the link runs under a plan
-    // that can lose frames, gated on a point nobody crosses: every send is
-    // numbered and acked, and nothing is actually lost.
+fn wait_numbered_socket_sends_never_retransmit() {
+    // 10,000 small sends under the default `RetryPolicy` while reader and
+    // writer threads need the same cores. A plan that can lose frames,
+    // gated on a point nobody crosses, numbers every send and loses none:
+    // a written copy is its own ack, so however stalled the machine, no
+    // send waits for a reply and none is sent twice.
     const SENDS: u64 = 10_000;
     let mesh = SocketBackend::local_mesh(BackendKind::Unix, Topology::flat(), 2, FaultPlan::none())
         .expect("unix pair");
@@ -121,13 +116,7 @@ fn wait_ack_yield_leaves_the_ack_clock_alone() {
         })
     };
     for i in 0..SENDS {
-        let (before, t0) = (mesh[0].stats().retransmits, Instant::now());
         mesh[0].send(RankId(1), TAG, &[i as u8; 64]).expect("send");
-        let (resent, took) = (mesh[0].stats().retransmits - before, t0.elapsed());
-        assert!(
-            resent == 0 || took >= Duration::from_micros(1050),
-            "send {i} retransmitted {resent}× within {took:?}"
-        );
     }
     receiver.join().unwrap();
     let stats = mesh[0].stats();
@@ -136,9 +125,5 @@ fn wait_ack_yield_leaves_the_ack_clock_alone() {
     }
     assert_eq!(stats.messages, SENDS);
     assert_eq!(stats.suspicions, 0);
-    assert!(
-        stats.retransmits < SENDS / 2,
-        "{} retransmits in {SENDS} sends",
-        stats.retransmits
-    );
+    assert_eq!(stats.retransmits, 0);
 }

@@ -171,7 +171,6 @@ fn map_self(e: TransportError) -> UlfmError {
 mod tests {
     use super::*;
     use crate::tags;
-    use std::sync::Barrier;
     use transport::{BackendKind, FaultPlan, Mesh, Topology};
 
     fn run_agree(
@@ -187,24 +186,13 @@ mod tests {
             mesh.fabric().unwrap().kill_rank(RankId(k));
         }
         let group: Vec<RankId> = (0..n).map(RankId).collect();
-        // Every member stays up until all have decided: a rank that exits
-        // while a peer is still deciding is one more failure, not the one
-        // a case scripts.
-        let decided = Barrier::new(n - pre_kill.len());
+        // A member exits as soon as it decides, which its peers still
+        // deciding observe as a death: the result must stay uniform.
         let results = mesh.run(|ep| {
             let i = ep.rank().0;
             (!pre_kill.contains(&i)).then(|| {
-                let got = flood_agree(
-                    &ep,
-                    &group,
-                    i,
-                    tags::recovery_base(0, 0),
-                    flag_of(i),
-                    min_of(i),
-                    false,
-                );
-                decided.wait();
-                got
+                let base = tags::recovery_base(0, 0);
+                flood_agree(&ep, &group, i, base, flag_of(i), min_of(i), false)
             })
         });
         results.into_iter().flatten().collect()

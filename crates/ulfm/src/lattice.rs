@@ -29,8 +29,12 @@
 //! exchanged proposals in that round with no change, so their proposals are
 //! mutually ≤ and hence equal; a member cannot decide by stability in a
 //! later round without first receiving (and adopting) the earlier decider's
-//! echo, because the echo goes to every non-suspected peer and a failed
-//! echo delivery surfaces as a new death, which blocks stability. A death
+//! echo. The echo goes to every non-suspected peer. A failed echo delivery
+//! surfaces as a new death, which blocks stability. A delivered echo may
+//! be followed at once by its sender's exit, so a round receives from
+//! every peer not suspected when it *started*, even one its send phase
+//! found dead: a receive takes a queued message before it reports the
+//! sender's death, so the echo is read and adopted. A death
 //! that a decided proposal does not report is caught by the next agreement
 //! — the same doctrine as flood-set (see [`crate::agree::AgreeResult`]),
 //! enforced by `shrink_with`'s verify generation.
@@ -208,6 +212,7 @@ pub fn lattice_agree(
         rounds_ctr.incr();
         ep.fault_point("lattice.propose").map_err(map_self)?;
         let tag = tag_base + round;
+        let pre = prop.clone();
         let payload = prop.encode(false);
         let mut new_death = false;
         for (i, &peer) in group.iter().enumerate() {
@@ -225,13 +230,12 @@ pub fn lattice_agree(
             }
         }
         ep.fault_point("lattice.ack").map_err(map_self)?;
-        let pre = prop.clone();
         let mut adopted = false;
         for (i, &peer) in group.iter().enumerate() {
-            // Receive only from peers not already suspected when the round
-            // started (they were sent to); peers that died during the send
-            // phase still owe nothing we would block on — their mailbox
-            // reports the death immediately.
+            // Receive from every peer not suspected when the round started,
+            // even one the send phase found dead: its decide echo may
+            // already be queued here. A dead peer with nothing queued
+            // reports its death at once, so nothing blocks on it.
             if i == my_idx || pre.is_suspected(i) {
                 continue;
             }
@@ -312,7 +316,6 @@ pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
 mod tests {
     use super::*;
     use crate::tags;
-    use std::sync::Barrier;
     use transport::{BackendKind, FaultPlan, Mesh, Topology};
 
     fn run_lattice(
@@ -328,24 +331,13 @@ mod tests {
             mesh.fabric().unwrap().kill_rank(RankId(k));
         }
         let group: Vec<RankId> = (0..n).map(RankId).collect();
-        // Every member stays up until all have decided: a rank that exits
-        // while a peer is still deciding is one more failure, not the one
-        // a case scripts.
-        let decided = Barrier::new(n - pre_kill.len());
+        // A member exits as soon as it decides, which its peers still
+        // deciding observe as a death: the result must stay uniform.
         let results = mesh.run(|ep| {
             let i = ep.rank().0;
             (!pre_kill.contains(&i)).then(|| {
-                let got = lattice_agree(
-                    &ep,
-                    &group,
-                    i,
-                    tags::recovery_base(0, 0),
-                    flag_of(i),
-                    min_of(i),
-                    false,
-                );
-                decided.wait();
-                got
+                let base = tags::recovery_base(0, 0);
+                lattice_agree(&ep, &group, i, base, flag_of(i), min_of(i), false)
             })
         });
         results.into_iter().flatten().collect()

@@ -14,7 +14,6 @@
 //!    for arbitrary per-rank flag words and auxiliary values.
 
 use proptest::prelude::*;
-use std::sync::Barrier;
 use transport::{BackendKind, FaultPlan, Mesh, RankId, Topology};
 use ulfm::{lattice_agree, AgreeImpl, AgreeResult, Proc, Proposal, UlfmError, Universe};
 
@@ -47,17 +46,12 @@ fn run_lattice(
         mesh.fabric().unwrap().kill_rank(RankId(k));
     }
     let group: Vec<RankId> = (0..n).map(RankId).collect();
-    // Every member stays up until all have decided: a rank that exits
-    // while a peer is still deciding is one more failure, not the one a
-    // case scripts.
-    let decided = Barrier::new(n - pre_kill.len());
+    // A member exits as soon as it decides, which its peers still deciding
+    // observe as a death: the result must stay uniform.
     let results = mesh.run(|ep| {
         let i = ep.rank().0;
-        (!pre_kill.contains(&i)).then(|| {
-            let got = lattice_agree(&ep, &group, i, TAG_BASE, flag_of(i), min_of(i), false);
-            decided.wait();
-            got
-        })
+        (!pre_kill.contains(&i))
+            .then(|| lattice_agree(&ep, &group, i, TAG_BASE, flag_of(i), min_of(i), false))
     });
     results.into_iter().flatten().collect()
 }

@@ -10,7 +10,8 @@
 //!  * per-channel FIFO delivery under concurrent traffic,
 //!  * checksummed-frame rejection (corrupt frames are never delivered),
 //!  * ack/retransmit healing under seeded drop/duplicate/reorder, every
-//!    payload counted exactly once,
+//!    payload counted exactly once, and one seeded plan repaired the same
+//!    way on every link,
 //!  * timeout-based failure suspicion on silent peers (and the absence of
 //!    suspicion for explicit caller deadlines),
 //!  * total link loss: the retry budget spent exactly, one suspicion, later
@@ -359,6 +360,20 @@ fn self_send_runs_the_whole_frame_path() {
 /// arrived, every copy of it has been received and counted.
 const LENDING_SIZES: [usize; 6] = [8 << 20, 0, 1, 4095, 4096, 4097];
 
+/// Traffic counters once they hold still: a duplicate of the last message
+/// may still be on its way over a socket.
+fn held_still<T: PartialEq>(read: impl Fn() -> T) -> T {
+    let mut last = read();
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = read();
+        if now == last {
+            return now;
+        }
+        last = now;
+    }
+}
+
 /// Send every [`LENDING_SIZES`] payload from rank 0 to rank 1 — through
 /// `send_with` / `recv_with` if `lending`, else `send` / `recv` — and return
 /// what arrived plus each endpoint's settled traffic counters.
@@ -403,17 +418,7 @@ fn exchange(
             got
         })
         .collect();
-    // A duplicate of the last message may still be on its way over a
-    // socket: wait for the counters to hold still.
-    let mut stats: Vec<_> = eps.iter().map(|ep| ep.stats()).collect();
-    loop {
-        std::thread::sleep(Duration::from_millis(50));
-        let now: Vec<_> = eps.iter().map(|ep| ep.stats()).collect();
-        if now == stats {
-            break;
-        }
-        stats = now;
-    }
+    let stats = held_still(|| eps.iter().map(|ep| ep.stats()).collect::<Vec<_>>());
     assert_eq!(got, payloads, "{flavor:?}, lending={lending}: bytes differ");
     (got, stats)
 }
@@ -468,6 +473,58 @@ fn lending_send_and_recv_move_what_send_and_recv_move() {
                 );
             }
         }
+    }
+}
+
+/// `n` sends of `len` bytes from rank 0 to rank 1 under `plan`, received
+/// in order; the mesh's settled `(retransmits, corrupt_frames,
+/// dup_suppressed)`.
+fn repairs(flavor: BackendKind, plan: &PerturbPlan, n: u64, len: usize) -> (u64, u64, u64) {
+    let mesh = Mesh::new(flavor, Topology::flat(), 2, FaultPlan::none()).expect("mesh");
+    let eps = mesh.endpoints();
+    for ep in &eps {
+        ep.set_perturbation(plan.clone());
+    }
+    for i in 0..n {
+        eps[0].send(RankId(1), 1, &vec![i as u8; len]).unwrap();
+    }
+    for i in 0..n {
+        let got = eps[1].recv(RankId(0), 1).unwrap();
+        assert!(got == vec![i as u8; len], "{flavor:?}: message {i} damaged");
+    }
+    let stats = held_still(|| mesh.stats());
+    assert_eq!(stats.deaths + stats.suspicions, 0, "{flavor:?}");
+    (
+        stats.retransmits,
+        stats.corrupt_frames,
+        stats.dup_suppressed,
+    )
+}
+
+#[test]
+fn one_seeded_plan_repairs_the_same_way_on_every_link() {
+    // Every hand-off of a numbered copy is synchronous, so which copies a
+    // seeded plan drops, corrupts, duplicates or reorders, and what it takes
+    // to repair them, depends on the seed alone: not on the link, and not
+    // on timing.
+    let plan = PerturbPlan::seeded(4).all_links(
+        LinkPerturb::clean()
+            .drop(0.1)
+            .duplicate(0.2)
+            .corrupt(0.1)
+            .reorder(0.1),
+    );
+    for (n, len) in [(300, 64), (60, 256 << 10)] {
+        let counts: Vec<_> = ALL_FLAVORS
+            .iter()
+            .map(|&flavor| repairs(flavor, &plan, n, len))
+            .collect();
+        let (retransmits, corrupt, dups) = counts[0];
+        assert!(retransmits > 0 && corrupt > 0 && dups > 0, "{counts:?}");
+        assert!(
+            counts.iter().all(|c| *c == counts[0]),
+            "{n} × {len} B: (retransmits, corrupt, dups) per {ALL_FLAVORS:?}: {counts:?}"
+        );
     }
 }
 
