@@ -180,15 +180,36 @@ pub struct ForwardOutcome {
 enum Fatal {
     Died,
     Excluded,
-    /// The surviving world shrank below `TrainSpec::min_workers`, the run
-    /// shut down before this joiner was admitted, the committed state a
-    /// member was to install is not a checkpoint of this model, or a peer's
-    /// agreement proposal could not be decoded.
-    Aborted,
+    /// The run ends for every member alike, for the named cause.
+    Aborted(Abort),
     /// A spare or joiner the group never needed: dismissed at completion,
     /// or never ticketed. A clean non-event — crucially not a
     /// below-minimum abort.
     Unneeded,
+}
+
+/// Why a run aborts. Names the `elastic.abort.*` counter and the phase of
+/// the abort episode.
+#[derive(Clone, Copy)]
+enum Abort {
+    /// The surviving world shrank below `TrainSpec::min_workers`, or no
+    /// member holding the state survived.
+    BelowMin,
+    /// A peer's agreement proposal could not be decoded, or the committed
+    /// state a member was to install is not a checkpoint of this model.
+    Malformed,
+    /// The run shut down before this joiner was admitted.
+    ShutDown,
+}
+
+impl Abort {
+    fn name(self) -> &'static str {
+        match self {
+            Abort::BelowMin => "below_min",
+            Abort::Malformed => "malformed",
+            Abort::ShutDown => "shut_down",
+        }
+    }
 }
 
 /// What the op loop does after a recovery episode resolves.
@@ -423,12 +444,12 @@ impl<'a> Worker<'a> {
                 proc.retire();
                 WorkerExit::Aborted
             }
-            // Graceful below-minimum shutdown: release waiting joiners,
-            // record the abort episode, and leave with the progress so far.
-            Err(Fatal::Aborted) => {
-                telemetry::counter("elastic.abort.below_min").incr();
+            // Graceful shutdown: release waiting joiners, record the abort
+            // episode under its cause, and leave with the progress so far.
+            Err(Fatal::Aborted(cause)) => {
+                telemetry::counter(&format!("elastic.abort.{}", cause.name())).incr();
                 let mut episode = RecoveryBreakdown::new(RecoveryKind::Abort, self.step);
-                episode.time("below_min", || {
+                episode.time(cause.name(), || {
                     // Joiners (and spares) still blocked on the ticket
                     // service would otherwise wait for a computation that
                     // no longer exists; dismiss them, then leave so
@@ -484,7 +505,7 @@ impl<'a> Worker<'a> {
                         return Err(Fatal::Unneeded);
                     }
                     // The run shut down before this joiner was admitted.
-                    Err(UlfmError::Aborted) => return Err(Fatal::Aborted),
+                    Err(UlfmError::Aborted) => return Err(Fatal::Aborted(Abort::ShutDown)),
                     Err(UlfmError::JoinTimeout) => {
                         // Orphaned: the group completed, degraded to running
                         // shrunk, or partitioned away without ever ticketing
@@ -891,7 +912,7 @@ impl<'a> Worker<'a> {
             Ok(a) => a,
             Err(UlfmError::SelfDied) => return Err(Fatal::Died),
             // A peer's proposal this rank cannot decode: bytes it chose.
-            Err(_) => return Err(Fatal::Aborted),
+            Err(_) => return Err(Fatal::Aborted(Abort::Malformed)),
         };
         // How many failures this episode handles as one batch: with suspicion
         // batching + lattice agreement a whole burst lands here at once and the
@@ -905,14 +926,15 @@ impl<'a> Worker<'a> {
         match shrunk {
             Ok(ShrinkOutcome::Member(c)) => {
                 if c.size() < cfg.spec.min_workers {
-                    return Err(Fatal::Aborted);
+                    return Err(Fatal::Aborted(Abort::BelowMin));
                 }
                 self.comm = Some(c);
                 Ok(agreed.min)
             }
             Ok(ShrinkOutcome::Excluded) => Err(Fatal::Excluded),
             Err(UlfmError::SelfDied) => Err(Fatal::Died),
-            Err(_) => Err(Fatal::Aborted),
+            // Its agreement could not decode a peer's proposal.
+            Err(_) => Err(Fatal::Aborted(Abort::Malformed)),
         }
     }
 
@@ -1034,7 +1056,7 @@ impl<'a> Worker<'a> {
                     })
             }
         };
-        if matches!(flow, Err(Fatal::Aborted)) {
+        if matches!(flow, Err(Fatal::Aborted(_))) {
             // The chain's last edge: whatever arm was running, a cascade drove
             // the group below the floor and the run aborts.
             telemetry::counter("elastic.policy.fallback.to_abort").incr();
@@ -1118,7 +1140,7 @@ impl<'a> Worker<'a> {
                     Ok(_) => SyncAttempt::Retry,
                     Err(UlfmError::SelfDied) => SyncAttempt::Fatal(Fatal::Died),
                     // A peer's proposal this rank cannot decode.
-                    Err(_) => SyncAttempt::Fatal(Fatal::Aborted),
+                    Err(_) => SyncAttempt::Fatal(Fatal::Aborted(Abort::Malformed)),
                 }
             });
             match outcome {
@@ -1127,14 +1149,14 @@ impl<'a> Worker<'a> {
                         // The payload was broadcast and agreed, so every
                         // member refuses a malformed one alike.
                         let Some((step, image)) = payload.split_first_chunk::<8>() else {
-                            return Err(Fatal::Aborted);
+                            return Err(Fatal::Aborted(Abort::Malformed));
                         };
                         let ck = Checkpoint {
                             step: u64::from_le_bytes(*step),
                             bytes: image.to_vec(),
                         };
                         if ck.try_restore(&mut self.model, &mut self.opt).is_err() {
-                            return Err(Fatal::Aborted);
+                            return Err(Fatal::Aborted(Abort::Malformed));
                         }
                         self.has_state = true;
                         return Ok(SyncOutcome::Synced(ck.step));
@@ -1145,7 +1167,7 @@ impl<'a> Worker<'a> {
                 SyncAttempt::Abort => {
                     return match opts.bound {
                         // No state-holder left and nothing to fall back to.
-                        SyncBound::Unbounded => Err(Fatal::Aborted),
+                        SyncBound::Unbounded => Err(Fatal::Aborted(Abort::BelowMin)),
                         // The agreement that reported it is uniform, so every
                         // survivor gives up here together.
                         _ => Ok(SyncOutcome::GaveUp),
@@ -1258,9 +1280,12 @@ mod tests {
 
     /// Rank 1 agrees by the lattice protocol, rank 0 by flood-set: each is
     /// sent a proposal it cannot decode. Rank 0's recovery ends the worker
-    /// as aborted instead of panicking.
+    /// as aborted instead of panicking, and its abort is counted and
+    /// recorded as malformed input, not as a group below its floor.
     #[test]
     fn an_undecodable_proposal_in_recovery_aborts_the_worker() {
+        let malformed = telemetry::counter("elastic.abort.malformed");
+        let before = malformed.get();
         let universe = ulfm::Universe::without_faults(transport::Topology::flat());
         let handles = universe.spawn_batch(2, |proc| {
             let comm = proc.init_comm();
@@ -1273,11 +1298,19 @@ mod tests {
             worker.comm = Some(comm);
             let mut episode = RecoveryBreakdown::new(RecoveryKind::Forward, 0);
             let recovered = worker.recover(u64::MAX, &mut episode);
-            matches!(worker.exit(recovered.map(|_| ())), WorkerExit::Aborted(_))
+            let aborted = matches!(worker.exit(recovered.map(|_| ())), WorkerExit::Aborted(_));
+            let phases: Vec<_> = worker.breakdowns.iter().flat_map(|b| &b.phases).collect();
+            assert!(phases.iter().any(|p| p.name == "malformed"), "{phases:?}");
+            assert!(!phases.iter().any(|p| p.name == "below_min"), "{phases:?}");
+            aborted
         });
         for h in handles.expect("in-process batch") {
             assert!(h.join());
         }
+        assert!(
+            malformed.get() > before,
+            "the abort was not counted as malformed"
+        );
     }
 
     #[test]

@@ -177,8 +177,10 @@ pub trait Backend: Send + Sync {
     fn broadcast_signal(&self, payload: &[u8]);
 
     /// Install the handler invoked for every signal received from a peer:
-    /// on a reader thread over sockets, and in process synchronously on the
-    /// sender's thread — so it must not block, and it may broadcast.
+    /// over sockets on whichever thread reads this rank's links (a rank
+    /// thread waiting in the transport, or the rank's service thread), and
+    /// in process synchronously on the sender's thread — so it must not
+    /// block or send, and it may broadcast.
     fn set_signal_handler(&self, handler: SignalHandler);
 
     /// Aggregate traffic counters for this backend's view of the job.

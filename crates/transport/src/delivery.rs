@@ -23,6 +23,7 @@ use crate::ids::{RankId, Topology};
 use crate::mailbox::{FrameAck, Mailbox, RecvOutcome};
 use crate::perturb::{PerturbPlan, Perturber, RetryPolicy};
 use crate::reliable::{self, Cursors};
+use crate::wait::Pump;
 use crate::wire::{self, Fill, Payload, FRAME_HEADER, FRAME_TRAILER};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -448,6 +449,9 @@ impl<P> Engine<P> {
 pub(crate) trait Link: Send + Sync {
     /// What the engine's peer table keeps per rank for this link.
     type Port;
+    /// What a blocked receive does to move this link's bytes itself: `()`
+    /// where the sender's call delivers.
+    type Pump: Pump;
 
     fn rank(&self) -> RankId;
     /// The engine this link reports into.
@@ -456,6 +460,8 @@ pub(crate) trait Link: Send + Sync {
     fn mailbox(&self) -> &Mailbox;
     /// The local rank's share of the engine's fault injector.
     fn faults(&self) -> &RankFaults;
+    /// This link's [`Link::Pump`].
+    fn pump(&self) -> &Self::Pump;
     /// The local rank's own slot: a link is only ever built for a rank its
     /// engine already holds.
     fn me(&self) -> &Slot<Self::Port> {
@@ -657,10 +663,12 @@ impl<L: Link> Backend for L {
     }
 
     fn try_recv(&self, from: RankId, tag: u64) -> Option<Vec<u8>> {
+        self.pump().advance();
         self.mailbox().try_pop(from, tag)
     }
 
     fn probe(&self, from: RankId, tag: u64) -> bool {
+        self.pump().advance();
         self.mailbox().probe(from, tag)
     }
 
@@ -747,13 +755,14 @@ fn receive<L: Link>(
             .map(|t| suspicion_jitter(Link::rank(link), t)),
     };
     let effective = deadline.or_else(|| suspicion.map(|t| Instant::now() + t));
-    match link.mailbox().pop_matching(
+    match link.mailbox().pop_pumped(
         from,
         tag,
         || src.is_alive(),
         || link.self_alive(),
         should_stop,
         effective,
+        link.pump(),
     ) {
         RecvOutcome::Message(data) => {
             telem::MSGS_RECVD.incr();

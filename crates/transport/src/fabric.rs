@@ -184,6 +184,7 @@ impl InProcBackend {
 
 impl Link for InProcBackend {
     type Port = Mailbox;
+    type Pump = ();
 
     fn rank(&self) -> RankId {
         self.rank
@@ -199,6 +200,10 @@ impl Link for InProcBackend {
 
     fn faults(&self) -> &RankFaults {
         &self.faults
+    }
+
+    fn pump(&self) -> &() {
+        &()
     }
 
     /// A large frame is given to the receiver whole, verified where it lies;

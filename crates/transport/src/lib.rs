@@ -48,6 +48,7 @@ mod ids;
 mod mailbox;
 mod mesh;
 mod perturb;
+mod poll;
 mod reliable;
 pub mod socket;
 pub mod stream;

@@ -9,10 +9,11 @@
 //! in the buffer it arrived in (a [`Payload`] view) until it is popped.
 
 use crate::ids::RankId;
-use crate::wait::{WaitLock, YieldBudget};
+use crate::wait::{Bell, Pump, WaitLock, YieldBudget};
 use crate::wire::{self, Frame, FrameError, Payload};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 use telemetry::{Counter, Lazy};
 
@@ -125,6 +126,14 @@ impl Mailbox {
         Self::default()
     }
 
+    /// An empty mailbox whose changes also ring `bell`, for a receiver that
+    /// sleeps in `poll` on its own links.
+    pub(crate) fn with_bell(bell: Arc<Bell>) -> Self {
+        Self {
+            inner: WaitLock::with_bell(Inner::default(), bell),
+        }
+    }
+
     /// Accept one encoded link frame: verify the checksum
     /// ([`wire::decode_frame`]), then [`Mailbox::accept`] it. The return
     /// value is the link-layer ack.
@@ -194,8 +203,41 @@ impl Mailbox {
         should_stop: impl Fn() -> bool,
         deadline: Option<Instant>,
     ) -> RecvOutcome {
+        self.pop_pumped(
+            src,
+            tag,
+            is_src_alive,
+            is_self_alive,
+            should_stop,
+            deadline,
+            &(),
+        )
+    }
+
+    /// [`Mailbox::pop_matching`] by a receiver that moves its own link's
+    /// bytes while it waits ([`WaitLock::wait`]), and tells `pump`
+    /// when it starts and stops waiting.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn pop_pumped<P: Pump>(
+        &self,
+        src: RankId,
+        tag: u64,
+        is_src_alive: impl Fn() -> bool,
+        is_self_alive: impl Fn() -> bool,
+        should_stop: impl Fn() -> bool,
+        deadline: Option<Instant>,
+        pump: &P,
+    ) -> RecvOutcome {
+        /// Says "stopped waiting" however the wait ends.
+        struct Waiting<'a, P: Pump>(&'a P);
+        impl<P: Pump> Drop for Waiting<'_, P> {
+            fn drop(&mut self) {
+                self.0.waiting(false);
+            }
+        }
         let mut inner = self.inner.lock();
         let mut budget = YieldBudget::default();
+        let mut waiting = None;
         loop {
             if should_stop() {
                 return RecvOutcome::Stopped;
@@ -212,7 +254,15 @@ impl Mailbox {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return RecvOutcome::TimedOut;
             }
-            inner = self.inner.wait(inner, &mut budget, deadline);
+            if P::MOVES && waiting.is_none() {
+                // Outside the lock, then look again.
+                drop(inner);
+                pump.waiting(true);
+                waiting = Some(Waiting(pump));
+                inner = self.inner.lock();
+                continue;
+            }
+            inner = self.inner.wait(inner, &mut budget, deadline, pump);
         }
     }
 
@@ -220,8 +270,13 @@ impl Mailbox {
     /// conditions. Called by the fabric whenever any rank dies or a
     /// communicator is revoked.
     pub fn wake_waiters(&self) {
-        self.inner.notify(self.inner.lock());
+        self.nudge();
         DEATH_WAKES.incr();
+    }
+
+    /// Wake all blocked receivers to look again, though nothing changed.
+    pub(crate) fn nudge(&self) {
+        self.inner.notify(self.inner.lock());
     }
 
     /// Total number of buffered messages (diagnostics only).

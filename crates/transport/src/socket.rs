@@ -17,21 +17,31 @@
 //!
 //! ## Event loop
 //!
-//! The workspace builds offline with no `epoll`/`mio` binding, so the
-//! "event loop" is the poll-style decomposition of one: a per-connection
-//! reader thread blocks in `read` and runs the [`StreamDecoder`]
-//! reassembly, and one accept thread services the listener. A rank thread
-//! writes its own frames and signals under the link's write lock, after
-//! whatever is queued there, so a message leaves with no hand-off. The
-//! reader never writes (two readers blocked writing forwarded revocations
-//! to each other would deadlock): it queues those, and nothing else. A
-//! per-connection writer thread flushes the queue through the same routine
-//! under the same lock, with what waits on a pending link and a final
-//! `Die` or `Bye`. A frame of at least 4 KiB of payload is read once, into
-//! a frame this rank wrote before, and reaches the mailbox whole. Rank *r*
-//! dials every peer with a lower id (retrying until the connect timeout)
-//! and accepts from every higher one, identifying itself with a `Hello`
-//! envelope.
+//! One readiness loop per rank over non-blocking sockets, run by whichever
+//! thread needs progress, and no thread per link. A rank thread that waits
+//! in a receive, or in a write the socket cannot take, holds the rank's
+//! *read side*: it reads its own links and delivers into its own mailbox,
+//! with non-blocking reads while its yield budget lasts, then asleep in
+//! `poll(2)` on its links and a wake pair that whoever changes its mailbox
+//! or liveness rings. A writer waiting for room reads too, so two ranks
+//! writing large frames to each other both finish. One service thread per
+//! rank (`sock-<rank>`) accepts dialers and reads their `Hello`, and takes
+//! the links only while no rank thread is in the transport: a rank thread
+//! that comes and goes keeps it asleep, looking again after a nap that
+//! doubles up to [`NAP_MAX`]. So a rank that computes still has its
+//! signals, deaths and large incoming frames read, and one that exchanges
+//! has no helper thread on its path.
+//!
+//! A rank thread writes its own frames under the link's write lock, after
+//! whatever is queued there. Everything else — a signal, what waits on a
+//! pending link, a final `Die` or `Bye` — is queued and written at once as
+//! far as the socket takes it, the rest by the next thread that finds the
+//! socket writable. So the thread that is dispatching envelopes never waits
+//! on a write, and a signal handler may broadcast. A frame of at least
+//! 4 KiB of payload is read once, into a frame this rank wrote before, and
+//! reaches the mailbox whole. Rank *r* dials every peer with a lower id
+//! (retrying until the connect timeout) and accepts from every higher one,
+//! identifying itself with a `Hello` envelope.
 //!
 //! ## Failure detection: EOF vs. timeout
 //!
@@ -39,8 +49,8 @@
 //! path above:
 //!
 //! * **EOF / connection reset** — a SIGKILLed process's kernel closes its
-//!   sockets; every peer's reader observes it immediately and marks the
-//!   rank dead (the fail-stop signal the in-process alive table modeled);
+//!   sockets; whoever reads the link next observes it and marks the rank
+//!   dead (the fail-stop signal the in-process alive table modeled);
 //! * **silence** — a reachable-but-stuck peer trips the suspicion timeout
 //!   of a blocking receive with no explicit deadline, or of a write to it
 //!   that makes no progress. A send waits for no ack, so it never
@@ -58,21 +68,24 @@ use crate::fabric::HAND_OVER_FRAME;
 use crate::fault::{FaultInjector, RankFaults};
 use crate::ids::{RankId, Topology};
 use crate::mailbox::{FrameAck, Mailbox};
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::reliable;
 use crate::stream::{encode_envelope, envelope_header, StreamDecoder, StreamKind, ENVELOPE_HEADER};
-use crate::wait::{WaitLock, YieldBudget};
+use crate::wait::{Bell, Pump, WaitLock, YieldBudget};
 use crate::wire;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::borrow::Cow;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, OwnedFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use telemetry::{Counter, Lazy};
 
 /// How long a freshly-accepted connection gets to present its `Hello`.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
@@ -94,10 +107,22 @@ const POOL_FRAMES: usize = 4;
 /// The largest frame kept (a segment of a collective fits): at most 4 MiB.
 const POOL_FRAME_MAX: usize = 1 << 20;
 
-thread_local! {
-    /// Set on a connection's reader thread, which queues what it sends.
-    static IN_READER: Cell<bool> = const { Cell::new(false) };
-}
+/// Bytes one socket read takes before they are decoded.
+const READ_CHUNK: usize = 64 << 10;
+
+/// The service thread's first nap once a rank thread is in the transport;
+/// each nap in which rank threads came or went doubles the next, up to
+/// [`NAP_MAX`]. It takes the links once a whole nap has passed without one.
+const NAP_MIN: Duration = Duration::from_millis(1);
+/// The longest a rank that left the transport waits for its links to be
+/// read again: two naps, far below any suspicion timeout.
+const NAP_MAX: Duration = Duration::from_millis(16);
+
+/// Envelopes read by a rank thread in the transport, and by the service
+/// thread; and the service thread's wake-ups.
+static READ_BY_RANK: Lazy<Counter> = Lazy::counter("transport.sock.read_by_rank");
+static READ_BY_SERVICE: Lazy<Counter> = Lazy::counter("transport.sock.read_by_service");
+static SERVICE_WAKES: Lazy<Counter> = Lazy::counter("transport.sock.service_wakes");
 
 /// A bound listening socket plus its dialable address string
 /// (`tcp:127.0.0.1:PORT` or `unix:/path`). Created by
@@ -118,76 +143,86 @@ impl SocketListener {
     pub fn addr(&self) -> &str {
         &self.addr
     }
-}
 
-/// A duplex stream of either flavor.
-enum Stream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-/// `$body` on whichever socket `$stream` holds, bound to `$s`.
-macro_rules! on_socket {
-    ($stream:expr, $s:ident => $body:expr) => {
-        match $stream {
-            Stream::Tcp($s) => $body,
-            Stream::Unix($s) => $body,
-        }
-    };
-}
-
-impl Stream {
-    fn connect(addr: &str) -> io::Result<Self> {
-        if let Some(rest) = addr.strip_prefix("tcp:") {
-            let s = TcpStream::connect(rest)?;
-            s.set_nodelay(true).ok();
-            Ok(Stream::Tcp(s))
-        } else if let Some(rest) = addr.strip_prefix("unix:") {
-            Ok(Stream::Unix(UnixStream::connect(rest)?))
-        } else {
-            Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("address {addr:?} has no tcp:/unix: prefix"),
-            ))
+    fn fd(&self) -> RawFd {
+        match &self.inner {
+            ListenerInner::Tcp(l) => l.as_raw_fd(),
+            ListenerInner::Unix(l, _) => l.as_raw_fd(),
         }
     }
 
-    fn try_clone(&self) -> io::Result<Self> {
-        Ok(match self {
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-        })
+    /// The next dialer waiting, if any.
+    fn accept(&self) -> io::Result<Stream> {
+        match &self.inner {
+            ListenerInner::Tcp(l) => l.accept().map(|(s, _)| {
+                s.set_nodelay(true).ok();
+                OwnedFd::from(s).into()
+            }),
+            ListenerInner::Unix(l, _) => l.accept().map(|(s, _)| s),
+        }
     }
+}
 
-    fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        on_socket!(self, s => s.set_read_timeout(t))
+/// A connected stream socket of either family. A TCP socket is held as a
+/// `UnixStream`: every call a link makes on it — read, `writev`, shutdown,
+/// non-blocking mode — is the same system call on either.
+type Stream = UnixStream;
+
+fn connect(addr: &str) -> io::Result<Stream> {
+    if let Some(rest) = addr.strip_prefix("tcp:") {
+        let s = TcpStream::connect(rest)?;
+        s.set_nodelay(true).ok();
+        Ok(OwnedFd::from(s).into())
+    } else if let Some(rest) = addr.strip_prefix("unix:") {
+        UnixStream::connect(rest)
+    } else {
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("address {addr:?} has no tcp:/unix: prefix"),
+        ))
     }
+}
 
-    fn shutdown_both(&self) {
-        on_socket!(self, s => s.shutdown(std::net::Shutdown::Both).ok());
-    }
+fn shutdown_both(stream: &Stream) {
+    stream.shutdown(std::net::Shutdown::Both).ok();
+}
 
-    /// Write `head` then `body` as one byte sequence (one `writev` while
-    /// both have bytes left, so a small frame still leaves in one segment),
-    /// adding every byte to `written` as it leaves.
-    fn write_counted(&mut self, head: &[u8], body: &[u8], written: &AtomicU64) -> io::Result<()> {
-        let mut done = 0;
-        while done < head.len() + body.len() {
-            let bufs = [
-                IoSlice::new(&head[done.min(head.len())..]),
-                IoSlice::new(&body[done.saturating_sub(head.len())..]),
-            ];
-            match on_socket!(self, s => s.write_vectored(&bufs)) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    done += n;
-                    written.fetch_add(n as u64, Ordering::SeqCst);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+/// Write the rest of `head` then `body` — one byte sequence, of which
+/// `done` bytes have left — as far as the socket takes it now, adding every
+/// byte to `written` as it leaves; one `writev` while both have bytes left,
+/// so a small frame still leaves in one segment. True once all have left.
+fn write_some(
+    mut stream: &Stream,
+    head: &[u8],
+    body: &[u8],
+    done: &mut usize,
+    written: &AtomicU64,
+) -> io::Result<bool> {
+    while *done < head.len() + body.len() {
+        let bufs = [
+            IoSlice::new(&head[(*done).min(head.len())..]),
+            IoSlice::new(&body[done.saturating_sub(head.len())..]),
+        ];
+        match stream.write_vectored(&bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                *done += n;
+                written.fetch_add(n as u64, Ordering::SeqCst);
             }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) => return Err(e),
         }
-        Ok(())
+    }
+    Ok(true)
+}
+
+/// A poll set entry for `events` on `fd`, with nothing found yet.
+fn pollfd(fd: RawFd, events: i16) -> PollFd {
+    PollFd {
+        fd,
+        events,
+        revents: 0,
     }
 }
 
@@ -196,13 +231,66 @@ fn hello(rank: RankId) -> Vec<u8> {
     encode_envelope(StreamKind::Hello, &(rank.0 as u64).to_le_bytes())
 }
 
+/// An accepted connection whose dialer has not yet said who it is.
+struct Handshake {
+    stream: Stream,
+    dec: StreamDecoder,
+    deadline: Instant,
+}
+
+impl Handshake {
+    /// The dialer's rank once its `Hello` is here, `None` while it is on its
+    /// way, `Err` for anything else. The decoder keeps what follows the
+    /// `Hello`: a fast dialer's first frames may be coalesced behind it, and
+    /// dropping them would desync the stream.
+    fn hello(&mut self) -> Result<Option<RankId>, ()> {
+        let mut buf = [0u8; 256];
+        loop {
+            match self.dec.next_envelope() {
+                Ok(Some(env)) if env.kind == StreamKind::Hello && env.payload.len() == 8 => {
+                    let mut raw = [0u8; 8];
+                    raw.copy_from_slice(&env.payload);
+                    return Ok(Some(RankId(u64::from_le_bytes(raw) as usize)));
+                }
+                Ok(Some(_)) | Err(_) => return Err(()),
+                Ok(None) => {}
+            }
+            match (&self.stream).read(&mut buf) {
+                Ok(0) => return Err(()),
+                Ok(n) => self.dec.push(&buf[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return Err(()),
+            }
+        }
+    }
+}
+
 /// A link's write half: whoever holds it writes the stream.
 struct Writer {
-    stream: Stream,
+    stream: Arc<Stream>,
     /// The rank at the other end.
     peer: RankId,
-    /// The write timeout last set on `stream`.
-    timeout: Option<Duration>,
+    /// A queued envelope the socket has taken part of, and how much of it.
+    part: Option<(StreamKind, Vec<u8>, usize)>,
+}
+
+/// A link's read half: only the thread holding its rank's read side reads.
+struct Rx {
+    stream: Arc<Stream>,
+    dec: StreamDecoder,
+    /// A large envelope being read straight into a frame of its own: its
+    /// kind, the frame and how much of it has arrived.
+    large: Option<(StreamKind, Vec<u8>, usize)>,
+}
+
+/// What the one thread reading a rank's links works with.
+#[derive(Default)]
+struct ReadSide {
+    /// One read's bytes before they are decoded.
+    scratch: Vec<u8>,
+    /// The poll set of the current sleep.
+    set: Vec<PollFd>,
 }
 
 /// One envelope to write. An owned payload is kept for the next read.
@@ -212,7 +300,7 @@ type Outbound<'a> = (StreamKind, Cow<'a, [u8]>);
 enum LinkPhase {
     /// Not yet connected.
     Pending,
-    /// Connected; reader/writer threads running.
+    /// Connected.
     Up,
     /// Close requested after the outbound queue drains (delivers a final
     /// `Die`/`Bye` before the FIN).
@@ -226,8 +314,8 @@ struct LinkState {
     queue: VecDeque<(StreamKind, Vec<u8>)>,
     /// Stream bytes ever queued or written here (cleared items included).
     enqueued: u64,
-    /// Handle kept for shutdown; the reader thread and `out` own clones.
-    stream: Option<Stream>,
+    /// Handle kept for shutdown; `out` and `rx` share it.
+    stream: Option<Arc<Stream>>,
 }
 
 pub(crate) struct PeerLink {
@@ -235,9 +323,13 @@ pub(crate) struct PeerLink {
     cv: Condvar,
     /// The write lock, taken before `state`; `None` until the link is up.
     out: Mutex<Option<Writer>>,
+    /// The read half; `None` until the link is up and once it is done.
+    rx: Mutex<Option<Rx>>,
     /// Stream bytes handed to the socket so far. An item at `enqueued == e`
     /// has left once `written >= e`.
     written: AtomicU64,
+    /// Something queued waits for the socket, or a draining link to close.
+    backlog: AtomicBool,
 }
 
 impl PeerLink {
@@ -251,7 +343,9 @@ impl PeerLink {
             }),
             cv: Condvar::new(),
             out: Mutex::new(None),
+            rx: Mutex::new(None),
             written: AtomicU64::new(0),
+            backlog: AtomicBool::new(false),
         }
     }
 }
@@ -262,10 +356,6 @@ pub struct SocketBackend {
     rank: RankId,
     kind: BackendKind,
     mailbox: Mailbox,
-    /// Handle to ourselves for spawning service threads from `&self`
-    /// methods (joiner dials arrive through the object-safe [`Backend`]
-    /// trait, which has no `Arc<Self>` receiver).
-    self_weak: Weak<SocketBackend>,
     /// This backend's own delivery engine — its view of the job and its own
     /// traffic. A peer's slot holds the [`PeerLink`] carrying traffic to it;
     /// slots are created for the initial world at establish time and
@@ -284,10 +374,25 @@ pub struct SocketBackend {
     /// verdict) as opposed to a voluntary `kill_self` retirement. Lets a
     /// host process turn simulated hard deaths into real ones.
     hard_died: AtomicBool,
-    /// Dialable address of the local listener (for the shutdown self-wake).
+    /// Dialable address of the local listener.
     local_addr: String,
     /// Links up so far.
     ready: WaitLock<usize>,
+    /// Held by the one thread reading this rank's links.
+    read_side: Mutex<ReadSide>,
+    /// Wakes a rank thread asleep in `poll`; the mailbox rings it too.
+    bell: Arc<Bell>,
+    /// Wakes the service thread.
+    service_bell: Bell,
+    /// Rank threads waiting in a receive or for room to write.
+    active: AtomicUsize,
+    /// Times a rank thread started waiting.
+    entries: AtomicU64,
+    /// The service thread holds the read side.
+    service_owns: AtomicBool,
+    /// Tells the service thread to exit.
+    stopped: AtomicBool,
+    service: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl SocketBackend {
@@ -329,28 +434,28 @@ impl SocketBackend {
     }
 
     /// Shared constructor: a backend with `slots` vacant peer slots (all
-    /// initially alive) and its accept thread running on `listener`.
+    /// initially alive) and its service thread running on `listener`.
     fn construct(
         rank: RankId,
         topology: Topology,
         slots: usize,
         listener: SocketListener,
         injector: FaultInjector,
-    ) -> Arc<Self> {
+    ) -> io::Result<Arc<Self>> {
         let kind = match &listener.inner {
-            ListenerInner::Tcp(_) => BackendKind::Tcp,
-            ListenerInner::Unix(..) => BackendKind::Unix,
+            ListenerInner::Tcp(l) => l.set_nonblocking(true).map(|_| BackendKind::Tcp)?,
+            ListenerInner::Unix(l, _) => l.set_nonblocking(true).map(|_| BackendKind::Unix)?,
         };
         let faults = injector.rank(rank);
         let engine = Engine::new(topology, injector);
         for _ in 0..slots {
             engine.push(PeerLink::vacant());
         }
-        let backend = Arc::new_cyclic(|weak| SocketBackend {
+        let bell = Arc::new(Bell::new()?);
+        let backend = Arc::new(SocketBackend {
             rank,
             kind,
-            mailbox: Mailbox::new(),
-            self_weak: weak.clone(),
+            mailbox: Mailbox::with_bell(Arc::clone(&bell)),
             engine,
             faults,
             pool: Mutex::new(Vec::new()),
@@ -360,15 +465,21 @@ impl SocketBackend {
             hard_died: AtomicBool::new(false),
             local_addr: listener.addr.clone(),
             ready: WaitLock::default(),
+            read_side: Mutex::new(ReadSide::default()),
+            bell,
+            service_bell: Bell::new()?,
+            active: AtomicUsize::new(0),
+            entries: AtomicU64::new(0),
+            service_owns: AtomicBool::new(false),
+            stopped: AtomicBool::new(false),
+            service: Mutex::new(None),
         });
-        {
-            let b = Arc::clone(&backend);
-            std::thread::Builder::new()
-                .name(format!("sock-accept-{rank}"))
-                .spawn(move || b.accept_loop(listener))
-                .expect("spawn accept thread");
-        }
-        backend
+        let b = Arc::clone(&backend);
+        let service = std::thread::Builder::new()
+            .name(format!("sock-{rank}"))
+            .spawn(move || b.serve(listener))?;
+        *backend.service.lock() = Some(service);
+        Ok(backend)
     }
 
     /// Establish the full mesh: dial every lower-ranked peer, accept from
@@ -387,28 +498,18 @@ impl SocketBackend {
     ) -> io::Result<Arc<Self>> {
         let world = peer_addrs.len();
         assert!(rank.0 < world, "rank {rank} outside world of {world}");
-        let backend = Self::construct(rank, topology, world, listener, injector);
+        let backend = Self::construct(rank, topology, world, listener, injector)?;
 
         // Dial every lower-ranked peer (their listeners may not be up yet).
         for (p, addr) in peer_addrs.iter().enumerate().take(rank.0) {
-            let deadline = Instant::now() + connect_timeout;
-            let mut stream = loop {
-                match Stream::connect(addr) {
-                    Ok(s) => break s,
-                    Err(e) => {
-                        if Instant::now() >= deadline {
-                            backend.shutdown();
-                            return Err(io::Error::new(
-                                e.kind(),
-                                format!("dialing rank {p} at {addr}: {e}"),
-                            ));
-                        }
-                        std::thread::sleep(DIAL_RETRY);
-                    }
+            match backend.dial(addr, Instant::now() + connect_timeout, true) {
+                Ok(stream) => backend.install_link(RankId(p), stream, StreamDecoder::new()),
+                Err(e) => {
+                    backend.shutdown();
+                    let what = format!("dialing rank {p} at {addr}: {e}");
+                    return Err(io::Error::new(e.kind(), what));
                 }
-            };
-            on_socket!(&mut stream, s => s.write_all(&hello(rank)))?;
-            backend.install_link(RankId(p), stream, StreamDecoder::new());
+            }
         }
 
         // Wait for the full mesh.
@@ -427,7 +528,7 @@ impl SocketBackend {
                     ),
                 ));
             }
-            up = backend.ready.wait(up, &mut budget, Some(deadline));
+            up = backend.ready.wait(up, &mut budget, Some(deadline), &());
         }
         drop(up);
         Ok(backend)
@@ -450,7 +551,7 @@ impl SocketBackend {
         injector: FaultInjector,
         connect_timeout: Duration,
     ) -> io::Result<Arc<Self>> {
-        let backend = Self::construct(rank, topology, rank.0 + 1, listener, injector);
+        let backend = Self::construct(rank, topology, rank.0 + 1, listener, injector)?;
         let dials: Vec<_> = peer_addrs
             .iter()
             .filter(|(p, _)| *p != rank)
@@ -458,7 +559,7 @@ impl SocketBackend {
             .map(|(p, addr)| {
                 let b = Arc::clone(&backend);
                 std::thread::Builder::new()
-                    .name(format!("sock-dial-{rank}-{p}"))
+                    .name(format!("dial-{rank}-{p}"))
                     .spawn(move || b.connect_peer_addr(p, &addr, connect_timeout))
                     .expect("spawn dial thread")
             })
@@ -500,31 +601,39 @@ impl SocketBackend {
         if slot.port.state.lock().phase != LinkPhase::Pending {
             return true;
         }
-        let deadline = Instant::now() + timeout;
-        let mut stream = loop {
-            if self.shutting_down.load(Ordering::SeqCst) {
-                return false;
+        match self.dial(addr, Instant::now() + timeout, false) {
+            Ok(stream) => {
+                self.install_link(peer, stream, StreamDecoder::new());
+                true
             }
-            match Stream::connect(addr) {
-                Ok(s) => break s,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::ConnectionRefused | io::ErrorKind::NotFound
-                    ) || Instant::now() >= deadline =>
-                {
+            Err(_) => {
+                if !self.shutting_down.load(Ordering::SeqCst) {
                     self.mark_peer_dead(peer, false);
-                    return false;
                 }
-                Err(_) => std::thread::sleep(DIAL_RETRY),
+                false
             }
-        };
-        if on_socket!(&mut stream, s => s.write_all(&hello(self.rank))).is_err() {
-            self.mark_peer_dead(peer, false);
-            return false;
         }
-        self.install_link(peer, stream, StreamDecoder::new());
-        true
+    }
+
+    /// Dial `addr` and say Hello. A `patient` dialer retries every failure
+    /// until `deadline`: an initial peer's listener may not be up yet. An
+    /// impatient one gives up on a refused or missing listener at once: a
+    /// published address with nobody listening is a process that is gone.
+    fn dial(&self, addr: &str, deadline: Instant, patient: bool) -> io::Result<Stream> {
+        loop {
+            let e = match connect(addr) {
+                Ok(mut s) => return s.write_all(&hello(self.rank)).map(|()| s),
+                Err(e) => e,
+            };
+            let refused = [io::ErrorKind::ConnectionRefused, io::ErrorKind::NotFound];
+            if (refused.contains(&e.kind()) && !patient)
+                || Instant::now() >= deadline
+                || self.shutting_down.load(Ordering::SeqCst)
+            {
+                return Err(e);
+            }
+            std::thread::sleep(DIAL_RETRY);
+        }
     }
 
     /// The whole job is about to be torn down: from now on a peer's
@@ -589,39 +698,69 @@ impl SocketBackend {
             .collect()
     }
 
-    // ---- connection service threads -------------------------------------
+    // ---- the readiness loop ---------------------------------------------
 
-    fn accept_loop(self: Arc<Self>, listener: SocketListener) {
-        loop {
-            let stream = match &listener.inner {
-                ListenerInner::Tcp(l) => l.accept().map(|(s, _)| {
-                    s.set_nodelay(true).ok();
-                    Stream::Tcp(s)
-                }),
-                ListenerInner::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
-            };
-            if self.shutting_down.load(Ordering::SeqCst) {
-                break;
+    /// The service thread: accept dialers and read their `Hello` all along,
+    /// and read and flush the links while no rank thread is in the
+    /// transport, until `shutdown`.
+    fn serve(self: Arc<Self>, listener: SocketListener) {
+        let (mut hellos, mut set) = (Vec::<Handshake>::new(), Vec::new());
+        let (mut nap, mut seen) = (NAP_MIN, u64::MAX);
+        while !self.stopped.load(Ordering::SeqCst) {
+            // Take the links only when no rank thread came or went since
+            // the last look. A rank thread raises `active` before it reads
+            // `service_owns`, so one of the two sees the other; one that
+            // finds the flag up waits for the links to come free.
+            let entries = self.entries.load(Ordering::SeqCst);
+            let quiet = entries == seen && self.active.load(Ordering::SeqCst) == 0;
+            seen = entries;
+            let mut side = None;
+            if quiet {
+                self.service_owns.store(true, Ordering::SeqCst);
+                if self.active.load(Ordering::SeqCst) == 0 {
+                    side = self.read_side.try_lock();
+                }
+                if side.is_none() {
+                    self.step_aside(None);
+                }
             }
-            let Ok(mut stream) = stream else {
-                continue;
-            };
-            // Handshake: the dialer identifies itself first. The decoder
-            // comes back with it: a fast dialer's first data frames may
-            // already be coalesced behind the Hello, and dropping them
-            // would desync the stream.
-            // Any rank may dial in — including one beyond the current
-            // world, i.e. a joiner — but a rank we already saw die stays
-            // dead (failure knowledge only grows).
-            match self.read_hello(&mut stream) {
-                Some((peer, dec))
-                    if peer != self.rank && self.engine.slot(peer).is_none_or(|s| s.is_alive()) =>
-                {
-                    self.install_link(peer, stream, dec);
+            set.clear();
+            set.push(pollfd(self.service_bell.fd(), POLLIN));
+            set.push(pollfd(listener.fd(), POLLIN));
+            set.extend(hellos.iter().map(|h| pollfd(h.stream.as_raw_fd(), POLLIN)));
+            if side.is_some() {
+                self.links_into(&mut set);
+            }
+            let mut timeout = side.is_none().then_some(nap);
+            if let Some(first) = hellos.iter().map(|h| h.deadline).min() {
+                let left = first.saturating_duration_since(Instant::now());
+                timeout = Some(timeout.map_or(left, |t| t.min(left)));
+            }
+            poll::wait(&mut set, timeout);
+            SERVICE_WAKES.incr();
+            if set[0].revents != 0 {
+                self.service_bell.drain();
+            }
+            if set[1].revents != 0 {
+                while let Ok(stream) = listener.accept() {
+                    hellos.push(Handshake {
+                        stream,
+                        dec: StreamDecoder::new(),
+                        deadline: Instant::now() + HELLO_TIMEOUT,
+                    });
                 }
-                _ => {
-                    stream.shutdown_both();
+            }
+            self.greet(&mut hellos);
+            match side {
+                Some(mut held) => {
+                    // A rank thread that came in reads for itself.
+                    if self.active.load(Ordering::SeqCst) == 0 {
+                        self.read_links(&mut held, true);
+                    }
+                    self.step_aside(Some(held));
+                    nap = NAP_MIN;
                 }
+                None => nap = (nap * 2).min(NAP_MAX),
             }
         }
         if let ListenerInner::Unix(_, path) = &listener.inner {
@@ -629,152 +768,219 @@ impl SocketBackend {
         }
     }
 
-    /// Read the dialer's Hello. Returns the peer's rank together with the
-    /// decoder, which may already hold bytes read past the Hello (the
-    /// dialer is free to start sending the moment its side of the link is
-    /// up); the reader loop continues from exactly that state.
-    fn read_hello(&self, stream: &mut Stream) -> Option<(RankId, StreamDecoder)> {
-        stream.set_read_timeout(Some(HELLO_TIMEOUT)).ok()?;
-        let mut dec = StreamDecoder::new();
-        let mut buf = [0u8; 256];
-        let env = loop {
-            match dec.next_envelope() {
-                Ok(Some(env)) => break env,
-                Ok(None) => {}
-                Err(_) => return None,
-            }
-            let n = on_socket!(stream, s => s.read(&mut buf)).ok()?;
-            if n == 0 {
-                return None;
-            }
-            dec.push(&buf[..n]);
-        };
-        stream.set_read_timeout(None).ok()?;
-        if env.kind != StreamKind::Hello || env.payload.len() != 8 {
-            return None;
+    /// The service thread lets go of the read side. A rank thread that came
+    /// in meanwhile may have parked on the mailbox, and takes it now.
+    fn step_aside(&self, side: Option<MutexGuard<'_, ReadSide>>) {
+        drop(side);
+        self.service_owns.store(false, Ordering::SeqCst);
+        if self.active.load(Ordering::SeqCst) > 0 {
+            self.mailbox.nudge();
         }
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&env.payload);
-        Some((RankId(u64::from_le_bytes(raw) as usize), dec))
+    }
+
+    /// Install a link for every dialer whose `Hello` has arrived, and drop
+    /// each that sent anything else, hung up or ran out of time. Any rank
+    /// may dial in — including one beyond the current world, i.e. a joiner
+    /// — but a rank we already saw die stays dead (failure knowledge only
+    /// grows).
+    fn greet(&self, hellos: &mut Vec<Handshake>) {
+        let now = Instant::now();
+        let mut i = 0;
+        while i < hellos.len() {
+            match hellos[i].hello() {
+                Ok(None) if now < hellos[i].deadline => i += 1,
+                Ok(Some(peer))
+                    if peer != self.rank && self.engine.slot(peer).is_none_or(|s| s.is_alive()) =>
+                {
+                    let h = hellos.swap_remove(i);
+                    self.install_link(peer, h.stream, h.dec);
+                }
+                _ => shutdown_both(&hellos.swap_remove(i).stream),
+            }
+        }
     }
 
     fn install_link(&self, peer: RankId, stream: Stream, dec: StreamDecoder) {
-        let Some(this) = self.self_weak.upgrade() else {
-            stream.shutdown_both();
+        if stream.set_nonblocking(true).is_err() {
+            shutdown_both(&stream);
             return;
-        };
-        let (Ok(reader), Ok(writer)) = (stream.try_clone(), stream.try_clone()) else {
-            stream.shutdown_both();
-            return;
-        };
+        }
+        let stream = Arc::new(stream);
         let slot = self.engine.ensure(peer, PeerLink::vacant);
         {
             let mut out = slot.port.out.lock();
             let mut st = slot.port.state.lock();
             if st.phase != LinkPhase::Pending {
                 // Duplicate or late connection; keep the first.
-                stream.shutdown_both();
+                shutdown_both(&stream);
                 return;
             }
             *out = Some(Writer {
-                stream: writer,
+                stream: Arc::clone(&stream),
                 peer,
-                timeout: None,
+                part: None,
             });
             st.phase = LinkPhase::Up;
-            st.stream = Some(stream);
+            st.stream = Some(Arc::clone(&stream));
             slot.port.cv.notify_all();
         }
-        {
-            let b = Arc::clone(&this);
-            std::thread::Builder::new()
-                .name(format!("sock-rd-{}-{peer}", self.rank))
-                .spawn(move || b.reader_loop(peer, reader, dec))
-                .expect("spawn reader thread");
-        }
-        {
-            let b = this;
-            std::thread::Builder::new()
-                .name(format!("sock-wr-{}-{peer}", self.rank))
-                .spawn(move || b.writer_loop(peer))
-                .expect("spawn writer thread");
-        }
+        *slot.port.rx.lock() = Some(Rx {
+            stream,
+            dec,
+            large: None,
+        });
+        // What waited on the pending link leaves, and a rank thread asleep
+        // in `poll` adds the new link.
+        self.flush_backlog(&slot.port);
+        self.bell.ring();
         let mut up = self.ready.lock();
         *up += 1;
         self.ready.notify(up);
     }
 
-    fn reader_loop(self: Arc<Self>, peer: RankId, mut stream: Stream, mut dec: StreamDecoder) {
-        IN_READER.set(true);
-        let mut buf = vec![0u8; 64 * 1024];
-        'conn: loop {
-            // Drain before reading: the handshake may have handed us a
-            // decoder that already holds complete frames. A large envelope
-            // is read once, into a buffer of its own. A desynchronized
-            // stream is unrecoverable for this connection: a reset.
-            loop {
-                let (kind, payload) = match dec.take_large(HAND_OVER_FRAME, |n| self.spare(n)) {
-                    Ok(Some((kind, mut whole, filled))) => {
-                        match on_socket!(&mut stream, s => s.read_exact(&mut whole[filled..])) {
-                            Ok(()) => (kind, Cow::Owned(whole)),
-                            Err(_) => break 'conn,
-                        }
-                    }
-                    Ok(None) => match dec.next_borrowed() {
-                        Ok(Some((kind, payload))) => (kind, Cow::Borrowed(payload)),
-                        Ok(None) => break,
-                        Err(_) => break 'conn,
-                    },
-                    Err(_) => break 'conn,
-                };
-                if !self.handle_envelope(peer, kind, payload) {
-                    return;
-                }
-            }
-            match on_socket!(&mut stream, s => s.read(&mut buf)) {
-                Ok(0) => break 'conn,
-                Ok(n) => dec.push(&buf[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break 'conn,
+    /// Add every link this rank reads to `set`: for reading, and for writing
+    /// where something waits for the socket.
+    fn links_into(&self, set: &mut Vec<PollFd>) {
+        for slot in self.engine.slots() {
+            if let Some(rx) = slot.port.rx.lock().as_ref() {
+                let out = slot.port.backlog.load(Ordering::SeqCst);
+                set.push(pollfd(
+                    rx.stream.as_raw_fd(),
+                    POLLIN | if out { POLLOUT } else { 0 },
+                ));
             }
         }
-        self.on_conn_lost(peer);
     }
 
-    /// Flush what is queued until the link closes; close a draining link
-    /// once its queue has left.
-    fn writer_loop(self: Arc<Self>, peer: RankId) {
-        let Some(slot) = self.engine.slot(peer) else {
-            return;
-        };
-        let link = &slot.port;
-        loop {
-            {
-                let mut st = link.state.lock();
-                while st.queue.is_empty() && st.phase == LinkPhase::Up {
-                    link.cv.wait(&mut st);
+    /// Read and act on what every link holds now, without blocking, then
+    /// write what waits for the sockets. True if any envelope arrived.
+    fn read_links(&self, side: &mut ReadSide, by_service: bool) -> bool {
+        if side.scratch.is_empty() {
+            side.scratch = vec![0; READ_CHUNK];
+        }
+        let mut envelopes = 0;
+        for (p, slot) in self.engine.slots().enumerate() {
+            let mut rx = slot.port.rx.lock();
+            if let Some(link) = rx.as_mut() {
+                match self.read_link(RankId(p), link, &mut side.scratch, &mut envelopes) {
+                    Ok(()) => {}
+                    Err(()) => *rx = None,
                 }
-                if st.phase == LinkPhase::Closed {
-                    break;
-                }
-            }
-            let mut out = link.out.lock();
-            let Some(w) = out.as_mut() else {
-                break;
-            };
-            if self.flush(link, w, None).is_none() {
-                break;
-            }
-            // Under the write lock: no direct write is still under way.
-            let st = link.state.lock();
-            if st.phase == LinkPhase::Draining && st.queue.is_empty() {
-                drop((st, out));
-                self.close_link(peer, false);
-                break;
             }
         }
-        // The write half's descriptor closes with the writer thread.
-        link.out.lock().take();
+        if envelopes > 0 {
+            match by_service {
+                true => READ_BY_SERVICE.add(envelopes),
+                false => READ_BY_RANK.add(envelopes),
+            }
+        }
+        self.flush_backlogs();
+        envelopes > 0
+    }
+
+    /// Read and act on what `peer`'s link holds now, without blocking,
+    /// counting envelopes. `Err` once the link is done with (EOF, a broken
+    /// stream, a `Die` or `Bye`): its read half is dropped.
+    fn read_link(
+        &self,
+        peer: RankId,
+        rx: &mut Rx,
+        scratch: &mut [u8],
+        envelopes: &mut u64,
+    ) -> Result<(), ()> {
+        let lost = || {
+            self.on_conn_lost(peer);
+            Err(())
+        };
+        loop {
+            // A large envelope is read once, into a frame of its own. A
+            // desynchronized stream is unrecoverable for this connection.
+            if let Some((_, frame, filled)) = &mut rx.large {
+                if *filled < frame.len() {
+                    match (&*rx.stream).read(&mut frame[*filled..]) {
+                        Ok(0) => return lost(),
+                        Ok(n) => *filled += n,
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(_) => return lost(),
+                    }
+                    continue;
+                }
+                let (kind, frame, _) = rx.large.take().expect("a large envelope");
+                *envelopes += 1;
+                if !self.handle_envelope(peer, kind, Cow::Owned(frame)) {
+                    return Err(());
+                }
+                continue;
+            }
+            match rx.dec.take_large(HAND_OVER_FRAME, |n| self.spare(n)) {
+                Ok(Some(large)) => {
+                    rx.large = Some(large);
+                    continue;
+                }
+                Ok(None) => {}
+                Err(_) => return lost(),
+            }
+            match rx.dec.next_borrowed() {
+                Ok(Some((kind, payload))) => {
+                    *envelopes += 1;
+                    if !self.handle_envelope(peer, kind, Cow::Borrowed(payload)) {
+                        return Err(());
+                    }
+                    continue;
+                }
+                Ok(None) => {}
+                Err(_) => return lost(),
+            }
+            match (&*rx.stream).read(scratch) {
+                Ok(0) => return lost(),
+                Ok(n) => rx.dec.push(&scratch[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return lost(),
+            }
+        }
+    }
+
+    /// Sleep in `poll` on every link, the bell and, for room to write,
+    /// `extra`, until one is ready or `deadline`; then read and flush what
+    /// is. `woke` runs as soon as the sleep ends.
+    fn turn(
+        &self,
+        side: &mut ReadSide,
+        extra: Option<RawFd>,
+        deadline: Option<Instant>,
+        woke: &dyn Fn(),
+    ) {
+        side.set.clear();
+        side.set.push(pollfd(self.bell.fd(), POLLIN));
+        side.set.extend(extra.map(|fd| pollfd(fd, POLLOUT)));
+        self.links_into(&mut side.set);
+        let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        poll::wait(&mut side.set, timeout);
+        woke();
+        if side.set[0].revents != 0 {
+            self.bell.drain();
+        }
+        self.read_links(side, false);
+    }
+
+    /// A rank thread starts waiting in the transport: the service thread
+    /// steps aside if it holds the links.
+    fn enter(&self) {
+        self.entries.fetch_add(1, Ordering::SeqCst);
+        self.active.fetch_add(1, Ordering::SeqCst);
+        if self.service_owns.load(Ordering::SeqCst) {
+            self.service_bell.ring();
+        }
+    }
+
+    /// A rank thread stops waiting; another still waiting may have parked
+    /// on the mailbox while this one read, and takes over.
+    fn leave(&self) {
+        if self.active.fetch_sub(1, Ordering::SeqCst) > 1 {
+            self.mailbox.nudge();
+        }
     }
 
     /// The connection to `peer` dropped (EOF, reset, write error or
@@ -805,89 +1011,233 @@ impl SocketBackend {
         }
         if drain_first && st.phase == LinkPhase::Up {
             st.phase = LinkPhase::Draining;
-        } else {
-            st.phase = LinkPhase::Closed;
-            st.queue.clear();
-            if let Some(s) = st.stream.take() {
-                s.shutdown_both();
-            }
+            link.backlog.store(true, Ordering::SeqCst);
+            link.cv.notify_all();
+            drop(st);
+            // Closes it once what is queued has left.
+            self.flush_backlog(link);
+            return;
         }
+        st.phase = LinkPhase::Closed;
+        st.queue.clear();
+        if let Some(s) = st.stream.take() {
+            shutdown_both(&s);
+        }
+        link.backlog.store(false, Ordering::SeqCst);
         link.cv.notify_all();
+        drop(st);
+        // Unless a writer holds the write half: it drops it when done.
+        if let Some(mut out) = link.out.try_lock() {
+            out.take();
+        }
     }
 
-    /// Send an item to `peer` on this thread, under the link's write lock;
-    /// queue it if the link is pending or this is a reader thread. Returns
-    /// the stream position just past it, as [`SocketBackend::enqueue`] does;
-    /// `None` if it was refused or the stream failed.
+    /// Send an item to `peer` on this thread, under the link's write lock,
+    /// waiting for room as long as it takes; queue it if the link is
+    /// pending. Returns the stream position just past it, as
+    /// [`SocketBackend::enqueue`] does; `None` if it was refused or the
+    /// stream failed.
     fn post(&self, peer: RankId, slot: &Slot<PeerLink>, item: Outbound) -> Option<u64> {
-        if !IN_READER.get() {
-            if let Some(w) = slot.port.out.lock().as_mut() {
-                return self.flush(&slot.port, w, Some(item));
+        let mut out = slot.port.out.lock();
+        let Some(w) = out.as_mut() else {
+            drop(out);
+            return self.enqueue(peer, item.0, item.1.into_owned());
+        };
+        let left = self.flush(&slot.port, w, Some(item));
+        if left.is_none() {
+            Self::drop_if_closed(&slot.port, &mut out);
+        }
+        left
+    }
+
+    /// The write half of a closed link goes; its descriptor closes with the
+    /// read half, which the next read finds at EOF.
+    fn drop_if_closed(link: &PeerLink, out: &mut Option<Writer>) {
+        if link.state.lock().phase == LinkPhase::Closed {
+            out.take();
+        }
+    }
+
+    /// Write what waits on `link`, as far as its socket takes it now, unless
+    /// another thread holds the write lock: that one writes the queue after
+    /// its own item.
+    fn flush_backlog(&self, link: &PeerLink) {
+        if let Some(mut out) = link.out.try_lock() {
+            if let Some(w) = out.as_mut() {
+                self.flush(link, w, None);
+                Self::drop_if_closed(link, &mut out);
             }
         }
-        self.enqueue(peer, item.0, item.1.into_owned())
     }
 
-    /// The one routine that writes a link's stream, by a rank thread and the
-    /// writer thread alike under the write lock (`w`): everything queued,
-    /// oldest first, then `mine` if the link is still up. Returns the
-    /// position just past `mine` (or the queue); `None` as for `post`.
+    fn flush_backlogs(&self) {
+        for slot in self.engine.slots() {
+            if slot.port.backlog.load(Ordering::SeqCst) {
+                self.flush_backlog(&slot.port);
+            }
+        }
+    }
+
+    /// The one routine that writes a link's stream, under its write lock
+    /// (`w`): a part-written envelope, everything queued, oldest first, then
+    /// `mine` if the link is still up, then what was queued meanwhile. With
+    /// `mine` the socket is waited for until all has left; without, what it
+    /// cannot take now stays queued. A draining link whose queue has left
+    /// closes. Returns the position just past `mine` (or what has left);
+    /// `None` if `mine` was refused or the stream failed.
     fn flush(&self, link: &PeerLink, w: &mut Writer, mut mine: Option<Outbound>) -> Option<u64> {
+        let wait = mine.is_some();
+        let mut end = None;
         loop {
-            let (item, end) = {
-                let mut st = link.state.lock();
-                match st.queue.pop_front() {
-                    Some((kind, body)) => ((kind, Cow::Owned(body)), None),
-                    None => match mine.take() {
-                        None => return Some(st.enqueued),
-                        Some(_) if st.phase != LinkPhase::Up => return None,
-                        Some(item) => {
-                            st.enqueued += (ENVELOPE_HEADER + item.1.len()) as u64;
-                            (item, Some(st.enqueued))
-                        }
-                    },
+            if let Some((kind, body, done)) = &mut w.part {
+                let head = envelope_header(*kind, body.len());
+                match self.write_envelope(link, &w.stream, w.peer, &head, body, done, wait) {
+                    Ok(true) => {
+                        let (_, body, _) = w.part.take().expect("a part-written envelope");
+                        self.keep(body);
+                    }
+                    Ok(false) => return Some(link.written.load(Ordering::SeqCst)),
+                    Err(()) => return None,
                 }
+            }
+            let mut st = link.state.lock();
+            if let Some((kind, body)) = st.queue.pop_front() {
+                w.part = Some((kind, body, 0));
+                continue;
+            }
+            let Some((kind, body)) = mine.take() else {
+                link.backlog.store(false, Ordering::SeqCst);
+                let left = end.unwrap_or(st.enqueued);
+                if st.phase == LinkPhase::Draining {
+                    drop(st);
+                    self.close_link(w.peer, false);
+                }
+                return Some(left);
             };
-            if !self.write_item(link, w, item) {
+            if st.phase != LinkPhase::Up {
                 return None;
             }
-            if end.is_some() {
-                return end;
+            st.enqueued += (ENVELOPE_HEADER + body.len()) as u64;
+            end = Some(st.enqueued);
+            drop(st);
+            let (head, mut done) = (envelope_header(kind, body.len()), 0);
+            if self.write_envelope(link, &w.stream, w.peer, &head, &body, &mut done, true)
+                != Ok(true)
+            {
+                return None;
+            }
+            if let Cow::Owned(frame) = body {
+                self.keep(frame);
             }
         }
     }
 
-    /// Write one envelope. A write with no progress for the suspicion
-    /// timeout suspects the peer; any other failure is the EOF verdict.
-    fn write_item(&self, link: &PeerLink, w: &mut Writer, item: Outbound) -> bool {
+    /// Write the rest of one envelope to `peer` (`done` bytes of it have
+    /// left). Without `wait`, stop when the socket is full (`Ok(false)`).
+    /// With it, wait for room while reading this rank's links: a write with
+    /// no progress for the suspicion timeout suspects the peer. `Err` once
+    /// the link failed, with the verdict given.
+    #[allow(clippy::too_many_arguments)]
+    fn write_envelope(
+        &self,
+        link: &PeerLink,
+        stream: &Stream,
+        peer: RankId,
+        head: &[u8],
+        body: &[u8],
+        done: &mut usize,
+        wait: bool,
+    ) -> Result<bool, ()> {
         let timeout = self.engine.suspicion.get();
-        if w.timeout != timeout {
-            // A zero timeout is refused by the socket and leaves it blocking.
-            on_socket!(&w.stream, s => s.set_write_timeout(timeout)).ok();
-            w.timeout = timeout;
-        }
-        let (kind, body) = item;
-        let head = envelope_header(kind, body.len());
-        if let Err(e) = w.stream.write_counted(&head, &body, &link.written) {
-            let stuck = [io::ErrorKind::WouldBlock, io::ErrorKind::TimedOut].contains(&e.kind());
-            if stuck && self.engine.is_alive(w.peer) && !self.leaving() {
-                // Suspected before its link closes, or the reader's EOF
-                // would win; no `Die` can follow a torn envelope.
-                let eng = &self.engine;
-                eng.suspect(true, || self.mark_peer_dead(w.peer, false));
-            } else {
-                self.on_conn_lost(w.peer);
+        let (mut budget, mut waiting, mut stall) = (YieldBudget::default(), false, None);
+        let verdict = loop {
+            let before = *done;
+            match write_some(stream, head, body, done, &link.written) {
+                Ok(true) => break Ok(true),
+                Ok(false) if !wait => break Ok(false),
+                Ok(false) => {}
+                Err(_) => {
+                    self.read_what_is_left(peer);
+                    self.on_conn_lost(peer);
+                    break Err(());
+                }
             }
-            return false;
+            let now = Instant::now();
+            if *done != before || stall.is_none() {
+                stall = Some(timeout.map(|t| now + t));
+            }
+            let deadline = stall.flatten();
+            if deadline.is_some_and(|d| now >= d) {
+                if self.engine.is_alive(peer) && !self.leaving() {
+                    // Suspected before its link closes, or an EOF would
+                    // win; no `Die` can follow a torn envelope.
+                    let eng = &self.engine;
+                    eng.suspect(true, || self.mark_peer_dead(peer, false));
+                } else {
+                    self.on_conn_lost(peer);
+                }
+                break Err(());
+            }
+            if !waiting {
+                self.enter();
+                waiting = true;
+            }
+            self.wait_for_room(stream.as_raw_fd(), &mut budget, deadline);
+        };
+        if waiting {
+            self.leave();
         }
+        verdict
+    }
+
+    /// A write to `peer` failed: it is gone. Read what it wrote before it
+    /// went, as its EOF would have been read after that: a receive takes a
+    /// message that arrived before it reports the sender's death. A thread
+    /// reading the link already reads all of it.
+    fn read_what_is_left(&self, peer: RankId) {
+        let Some(mut rx) = self.engine.slot(peer).and_then(|s| s.port.rx.try_lock()) else {
+            return;
+        };
+        let (mut scratch, mut envelopes) = ([0u8; 4096], 0);
+        if let Some(link) = rx.as_mut() {
+            if self
+                .read_link(peer, link, &mut scratch, &mut envelopes)
+                .is_err()
+            {
+                *rx = None;
+            }
+        }
+    }
+
+    /// One wait for room to write on `fd`, reading this rank's links
+    /// meanwhile: a yield while `budget` lasts, then a sleep in `poll`.
+    fn wait_for_room(&self, fd: RawFd, budget: &mut YieldBudget, deadline: Option<Instant>) {
+        if budget.lasts() {
+            if !Pump::advance(self) {
+                std::thread::yield_now();
+            }
+        } else if let Some(mut side) = self.read_side.try_lock() {
+            self.turn(&mut side, Some(fd), deadline, &|| {});
+        } else if self.service_owns.load(Ordering::SeqCst) {
+            // It steps aside at once.
+            std::thread::yield_now();
+        } else {
+            // Another rank thread reads the links: wait for room alone.
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            let nap = Duration::from_millis(1);
+            poll::wait(
+                &mut [pollfd(fd, POLLOUT)],
+                Some(left.map_or(nap, |l| l.min(nap))),
+            );
+        }
+    }
+
+    /// Keep a written frame for a later large read, within the pool's bounds.
+    fn keep(&self, frame: Vec<u8>) {
         let mut pool = self.pool.lock();
-        let keep =
-            (HAND_OVER_FRAME..=POOL_FRAME_MAX).contains(&body.len()) && pool.len() < POOL_FRAMES;
-        match body {
-            Cow::Owned(frame) if keep => pool.push(frame),
-            _ => {}
+        if (HAND_OVER_FRAME..=POOL_FRAME_MAX).contains(&frame.len()) && pool.len() < POOL_FRAMES {
+            pool.push(frame);
         }
-        true
     }
 
     /// The buffer to read a `len`-byte payload into: a written frame that
@@ -898,22 +1248,31 @@ impl SocketBackend {
             .unwrap_or_default()
     }
 
-    /// Queue an item for `peer`. Returns the link's `enqueued` count just
-    /// past it (it has left once [`PeerLink::written`] reaches that), or
-    /// `None` if `peer` has no slot or its link is closing or closed. A
-    /// *pending* link buffers: a committed joiner may still be dialing in.
+    /// Queue an item for `peer` and write it at once as far as the socket
+    /// takes it. Returns the link's `enqueued` count just past it (it has
+    /// left once [`PeerLink::written`] reaches that), or `None` if `peer`
+    /// has no slot or its link is closing or closed. A *pending* link
+    /// buffers: a committed joiner may still be dialing in.
     fn enqueue(&self, peer: RankId, kind: StreamKind, body: Vec<u8>) -> Option<u64> {
         let link = &self.engine.slot(peer)?.port;
         let mut st = link.state.lock();
-        match st.phase {
+        let end = match st.phase {
             LinkPhase::Up | LinkPhase::Pending => {
                 st.enqueued += (ENVELOPE_HEADER + body.len()) as u64;
                 st.queue.push_back((kind, body));
-                link.cv.notify_all();
-                Some(st.enqueued)
+                link.backlog.store(true, Ordering::SeqCst);
+                st.enqueued
             }
-            LinkPhase::Draining | LinkPhase::Closed => None,
+            LinkPhase::Draining | LinkPhase::Closed => return None,
+        };
+        drop(st);
+        self.flush_backlog(link);
+        if link.backlog.load(Ordering::SeqCst) {
+            // Whoever sleeps on the links writes the rest.
+            self.bell.ring();
+            self.service_bell.ring();
         }
+        Some(end)
     }
 
     /// Act on one envelope: a frame read into a buffer of its own
@@ -1040,8 +1399,34 @@ impl SocketBackend {
     }
 }
 
+/// A receive waiting on this rank's mailbox reads the rank's links itself.
+impl Pump for SocketBackend {
+    const MOVES: bool = true;
+
+    fn waiting(&self, on: bool) {
+        match on {
+            true => self.enter(),
+            false => self.leave(),
+        }
+    }
+
+    fn advance(&self) -> bool {
+        let side = self.read_side.try_lock();
+        side.is_some_and(|mut side| self.read_links(&mut side, false))
+    }
+
+    fn park(&self, deadline: Option<Instant>, woke: &dyn Fn()) -> bool {
+        let Some(mut side) = self.read_side.try_lock() else {
+            return false;
+        };
+        self.turn(&mut side, None, deadline, woke);
+        true
+    }
+}
+
 impl crate::delivery::Link for SocketBackend {
     type Port = PeerLink;
+    type Pump = Self;
 
     fn rank(&self) -> RankId {
         self.rank
@@ -1057,6 +1442,10 @@ impl crate::delivery::Link for SocketBackend {
 
     fn faults(&self) -> &RankFaults {
         &self.faults
+    }
+
+    fn pump(&self) -> &Self {
+        self
     }
 
     fn hand_over(&self, to: RankId, peer: &Slot<PeerLink>, frame: Vec<u8>) -> bool {
@@ -1123,11 +1512,12 @@ impl crate::delivery::Link for SocketBackend {
         self.connect_peer_addr(rank, addr, JOIN_DIAL_TIMEOUT)
     }
 
+    /// Queued on every live link, so the thread dispatching envelopes —
+    /// whose handler forwards a revocation — never waits on a write.
     fn broadcast_signal(&self, payload: &[u8]) {
         for (p, slot) in self.engine.slots().enumerate() {
             if p != self.rank.0 && slot.is_alive() {
-                let signal = (StreamKind::Signal, Cow::Borrowed(payload));
-                self.post(RankId(p), slot, signal);
+                self.enqueue(RankId(p), StreamKind::Signal, payload.to_vec());
             }
         }
     }
@@ -1162,6 +1552,7 @@ impl crate::delivery::Link for SocketBackend {
         while Instant::now() < deadline && self.engine.slots().take(world).enumerate().any(draining)
         {
             std::thread::sleep(Duration::from_millis(1));
+            self.flush_backlogs();
             let now = written().sum();
             if now != seen {
                 (seen, deadline) = (now, Instant::now() + SHUTDOWN_DRAIN);
@@ -1172,15 +1563,19 @@ impl crate::delivery::Link for SocketBackend {
                 self.close_link(RankId(p), false);
             }
         }
-        // Unblock the accept thread: it re-checks the flag after every
-        // accept, so one dummy connection to ourselves releases it.
-        let _ = Stream::connect(&self.local_addr);
-        // The accept thread also unlinks on exit, but it may still be
-        // blocked in a handshake; unlink here so teardown is prompt.
+        self.stopped.store(true, Ordering::SeqCst);
+        self.service_bell.ring();
+        let service = self.service.lock().take();
+        if let Some(service) = service {
+            if service.thread().id() != std::thread::current().id() {
+                let _ = service.join();
+            }
+        }
         if let Some(path) = self.local_addr.strip_prefix("unix:") {
             let _ = std::fs::remove_file(path);
         }
         self.wake_local();
+        self.bell.ring();
     }
 }
 

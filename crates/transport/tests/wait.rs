@@ -2,7 +2,7 @@
 //! `Endpoint::recv` can end arrives both while the receiver is still
 //! yielding (event ≈ 5 µs in) and after it has parked (event 5 ms in); and
 //! a numbered socket send, which waits for no ack, never retransmits while
-//! its peer's threads compete for the same cores.
+//! its peer competes for the same cores.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -92,8 +92,8 @@ fn wait_blocked_recv_ends_every_way_early_and_late() {
 
 #[test]
 fn wait_numbered_socket_sends_never_retransmit() {
-    // 10,000 small sends under the default `RetryPolicy` while reader and
-    // writer threads need the same cores. A plan that can lose frames,
+    // 10,000 small sends under the default `RetryPolicy` while both ranks
+    // read their own links on the same cores. A plan that can lose frames,
     // gated on a point nobody crosses, numbers every send and loses none:
     // a written copy is its own ack, so however stalled the machine, no
     // send waits for a reply and none is sent twice.

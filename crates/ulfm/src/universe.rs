@@ -155,9 +155,10 @@ impl Shared {
         }
     }
 
-    /// Handle a control-plane signal from a peer. Runs on a socket
-    /// backend's service thread, or in process on the sender's thread:
-    /// record, forward and wake, nothing blocking.
+    /// Handle a control-plane signal from a peer. Runs over sockets on
+    /// whichever thread reads this rank's links (a rank thread waiting in
+    /// the transport, or the rank's service thread), in process on the
+    /// sender's thread: record, forward and wake, nothing blocking.
     fn handle_signal(&self, payload: &[u8]) {
         if payload.len() == 9 && payload[0] == SIGNAL_REVOKE {
             let mut raw = [0u8; 8];

@@ -6,14 +6,19 @@
 //!    commutative, and idempotent for arbitrary proposals; the uniformity
 //!    proof leans on merges being order-insensitive.
 //! 2. **Decide uniformity** — for arbitrary group sizes, pre-dead members,
-//!    and deaths scripted at arbitrary `lattice.*` fault points and
-//!    occurrences (on top of the thread scheduler's own interleaving),
-//!    every member that returns `Ok` must hold the *same* decided result.
+//!    deaths scripted at arbitrary `lattice.*` fault points and
+//!    occurrences (on top of the thread scheduler's own interleaving), and
+//!    any subset of members exiting the moment it decides, in process and
+//!    over Unix sockets, every member that returns `Ok` must hold the
+//!    *same* decided result.
 //! 3. **Oracle conformance** — in the failure-free case the lattice
 //!    protocol must agree on exactly what the flood-set oracle agrees on,
 //!    for arbitrary per-rank flag words and auxiliary values.
 
 use proptest::prelude::*;
+use proptest::TestCaseError;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 use transport::{BackendKind, FaultPlan, Mesh, RankId, Topology};
 use ulfm::{lattice_agree, AgreeImpl, AgreeResult, Proc, Proposal, UlfmError, Universe};
 
@@ -54,6 +59,66 @@ fn run_lattice(
             .then(|| lattice_agree(&ep, &group, i, TAG_BASE, flag_of(i), min_of(i), false))
     });
     results.into_iter().flatten().collect()
+}
+
+/// Run `lattice_agree` over `n` ranks of `kind` in which the members in
+/// `exits` (a bit per rank) leave the moment they decide, as a process that
+/// is done exits, and the rest stay until every member has finished. A
+/// peer still deciding then finds a decider gone in its send phase with the
+/// decider's echo already queued for it. Returns one result per member.
+fn run_exiting(
+    kind: BackendKind,
+    n: usize,
+    plan: FaultPlan,
+    exits: u64,
+    flag_of: impl Fn(usize) -> u64 + Send + Sync,
+) -> Vec<Result<AgreeResult, UlfmError>> {
+    let mesh = Mesh::new(kind, Topology::flat(), n, plan).expect("mesh");
+    let group: Vec<RankId> = (0..n).map(RankId).collect();
+    let finished = AtomicUsize::new(0);
+    let results = mesh.run(|ep| {
+        let i = ep.rank().0;
+        let got = lattice_agree(&ep, &group, i, TAG_BASE, flag_of(i), i as u64, false);
+        finished.fetch_add(1, Ordering::SeqCst);
+        if exits >> i & 1 == 1 {
+            ep.retire();
+        } else {
+            while finished.load(Ordering::SeqCst) < n {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        }
+        got
+    });
+    mesh.shutdown();
+    results
+}
+
+/// One case of members exiting right after deciding over `kind`, with
+/// deaths scripted by `death_words`: every `Ok` is the same decision, and
+/// every error is a scripted suicide.
+fn exiting_case(
+    kind: BackendKind,
+    n: usize,
+    exits: u64,
+    death_words: &[u64],
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut plan = FaultPlan::none();
+    for &w in death_words {
+        let (rank, point, occurrence) = decode_death(w, n);
+        plan = plan.kill_at_point(rank, point, occurrence);
+    }
+    let flag_of = |i: usize| seed.rotate_left(i as u32) | 1 << (i % 64);
+    let results = run_exiting(kind, n, plan, exits, flag_of);
+    let oks: Vec<&AgreeResult> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
+    prop_assert!(!oks.is_empty(), "rank 0 is never killed yet nobody decided");
+    for o in &oks[1..] {
+        prop_assert_eq!(*o, oks[0], "non-uniform decision");
+    }
+    for e in results.iter().filter_map(|r| r.as_ref().err()) {
+        prop_assert_eq!(e, &UlfmError::SelfDied);
+    }
+    Ok(())
 }
 
 /// Decode one scripted death from a raw word: a victim rank in `1..n`
@@ -230,5 +295,39 @@ proptest! {
         for r in &flood[1..] {
             prop_assert_eq!(r, &flood[0], "oracle itself non-uniform");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Uniformity when any subset of members exits right after deciding,
+    /// in process, with up to two deaths scripted at in-protocol fault
+    /// points: each exit is a death the members still deciding observe,
+    /// often after the exiter's decide echo reached them.
+    #[test]
+    fn decides_uniformly_when_any_subset_exits_right_after_deciding(
+        n in 3usize..8,
+        exits in any::<u64>(),
+        death_words in proptest::collection::vec(any::<u64>(), 0..3),
+        seed in any::<u64>(),
+    ) {
+        exiting_case(BackendKind::InProc, n, exits, &death_words, seed)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The same over Unix sockets, where an exit is a `Bye` behind the
+    /// exiter's last frames and a death is learnt from the stream.
+    #[test]
+    fn decides_uniformly_over_unix_when_any_subset_exits_right_after_deciding(
+        n in 3usize..7,
+        exits in any::<u64>(),
+        death_words in proptest::collection::vec(any::<u64>(), 0..3),
+        seed in any::<u64>(),
+    ) {
+        exiting_case(BackendKind::Unix, n, exits, &death_words, seed)?;
     }
 }

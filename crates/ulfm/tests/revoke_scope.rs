@@ -3,7 +3,8 @@
 //! communicator over the same ranks is woken, finds its own flag clear and
 //! goes back to waiting. Every rank keeps its own flag, and the revoker's
 //! control-plane signal writes it: in process the revoker's thread runs
-//! each receiver's handler, over sockets the receiver's reader thread does.
+//! each receiver's handler, over sockets the receiver's own thread does,
+//! reading its links while it waits.
 //! The same holds whether the universe spawned the ranks or each rank built
 //! its own peer-mode universe over a shared in-process fabric.
 

@@ -37,6 +37,16 @@ impl<T: ?Sized> Mutex<T> {
             ),
         }
     }
+
+    /// Acquire the mutex if no one holds it, ignoring poison.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        let guard = match self.inner.try_lock() {
+            Ok(guard) => guard,
+            Err(sync::TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard { inner: Some(guard) })
+    }
 }
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
