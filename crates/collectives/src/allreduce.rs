@@ -17,7 +17,7 @@
 //! forward-recovery argument.
 
 use crate::comm::PeerComm;
-use crate::elem::{exchange, recv_elems, send_elems, Elem, ReduceOp};
+use crate::elem::{exchange, recv_elems, send_elems, Elem, Leg, ReduceOp};
 use crate::error::CollError;
 use telemetry::{Counter, Lazy};
 
@@ -161,14 +161,30 @@ pub fn ring_allreduce<E: Elem, C: PeerComm>(
     // receives chunk r-s-1. The first p-1 steps reduce-scatter (rank r ends
     // up holding the fully reduced chunk r+1), the rest allgather, each rank
     // starting by forwarding the chunk it owns.
-    for step in 0..2 * (p - 1) {
-        comm.fault_point("allreduce.step")?;
-        let send_chunk = (r + 2 * p - step) % p;
-        let recv_chunk = (r + 2 * p - step - 1) % p;
-        let reduce = (step < p - 1).then_some(op);
-        let send = (right, chunk_range(n, p, send_chunk));
-        let recv = (left, chunk_range(n, p, recv_chunk), reduce);
-        exchange(comm, buf, tag_base + step as u64, send, recv)?;
+    paired_steps(comm, buf, 2 * (p as u64 - 1), |s| {
+        let step = s as usize;
+        let chunk = |i| chunk_range(n, p, (r + 2 * p - i) % p);
+        let (send, recv, op) = (chunk(step), chunk(step + 1), (step < p - 1).then_some(op));
+        (tag_base + s, (right, send), (left, recv, op))
+    })
+}
+
+/// Run paired steps `leg(0..steps)`, the first half reduce-scatter, the rest
+/// allgather; the last reduce-scatter step and the first allgather step are
+/// one turnaround in [`exchange`].
+fn paired_steps<E: Elem, C: PeerComm>(
+    comm: &C,
+    buf: &mut [E],
+    steps: u64,
+    leg: impl Fn(u64) -> Leg,
+) -> Result<(), CollError> {
+    let turn = steps / 2 - 1;
+    for step in 0..steps {
+        if step == turn {
+            exchange(comm, buf, &[leg(step), leg(step + 1)])?;
+        } else if step != turn + 1 {
+            exchange(comm, buf, &[leg(step)])?;
+        }
     }
     Ok(())
 }
@@ -251,11 +267,10 @@ pub fn recursive_doubling_allreduce<E: Elem, C: PeerComm>(
         let mut mask = 1usize;
         let mut step = 0u64;
         while mask < pof2 {
-            comm.fault_point("allreduce.step")?;
             let partner = unmap_vrank(v ^ mask, rem);
-            let all = 0..buf.len();
-            let recv = (partner, all.clone(), Some(op));
-            exchange(comm, buf, tag_base + 1 + step, (partner, all), recv)?;
+            let (tag, all) = (tag_base + 1 + step, 0..buf.len());
+            let leg = (tag, (partner, all.clone()), (partner, all, Some(op)));
+            exchange(comm, buf, &[leg])?;
             mask <<= 1;
             step += 1;
         }
@@ -292,10 +307,10 @@ pub fn rabenseifner_allreduce<E: Elem, C: PeerComm>(
         // block is the aligned run of 2·mask chunks around v, and the
         // partner holds the other half of it: halving keeps (reduces into)
         // my half and gives theirs away, down to the one fully reduced
-        // chunk v; doubling sends my half back out and copies theirs in.
+        // chunk v; doubling sends my half back out and copies theirs in. At
+        // mask 1 the last halving and the first doubling are the turnaround.
         let halvings = u64::from(pof2.trailing_zeros());
-        for step in 0..2 * halvings {
-            comm.fault_point("allreduce.step")?;
+        paired_steps(comm, buf, 2 * halvings, |step| {
             let halving = step < halvings;
             let mask = if halving {
                 pof2 >> (step + 1)
@@ -304,18 +319,14 @@ pub fn rabenseifner_allreduce<E: Elem, C: PeerComm>(
             };
             let partner = unmap_vrank(v ^ mask, rem);
             let lo = v & !(2 * mask - 1);
-            let (mut mine, mut theirs) = (block(lo, lo + mask), block(lo + mask, lo + 2 * mask));
-            if v & mask != 0 {
-                std::mem::swap(&mut mine, &mut theirs);
+            // Mine is the lower half when v & mask == 0.
+            let (mut send, mut recv) = (block(lo + mask, lo + 2 * mask), block(lo, lo + mask));
+            if (v & mask != 0) == halving {
+                std::mem::swap(&mut send, &mut recv);
             }
-            if halving {
-                let recv = (partner, mine, Some(op));
-                exchange(comm, buf, tag_base + 1 + step, (partner, theirs), recv)?;
-            } else {
-                let recv = (partner, theirs, None);
-                exchange(comm, buf, tag_base + 200 + step, (partner, mine), recv)?;
-            }
-        }
+            let tag = tag_base + step + if halving { 1 } else { 200 };
+            (tag, (partner, send), (partner, recv, halving.then_some(op)))
+        })?;
     }
 
     unfold(comm, buf, rem, vrank, tag_base + 500)

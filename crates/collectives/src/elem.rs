@@ -159,20 +159,31 @@ pub(crate) fn recv_elems<E: Elem, C: PeerComm>(
 /// (DESIGN §10, "What one payload byte touches").
 pub const SEGMENT_BYTES: usize = 256 << 10;
 
-/// One paired step under `tag`: send `buf[send]` to `to` and receive
+/// One paired step under tag `.0`: send `buf[send]` to `to` and receive
 /// `buf[recv]` from `from`, folded in under `Some(op)`, overwritten under
-/// `None`. The ranges are disjoint or identical (recursive doubling). Each
-/// travels as ⌈bytes / [`SEGMENT_BYTES`]⌉ messages, at least one, kept in
-/// order by their `(src, tag)` channel; segment k is sent, then received,
-/// so it is sent before it is folded over. On an error the segments before
-/// the failing one are folded and it is untouched: a refused segment
-/// (`Malformed`) leaves the partial state a dead peer does.
+/// `None`. The ranges are disjoint or identical (recursive doubling).
+pub(crate) type Leg = (
+    u64,
+    (usize, Range<usize>),
+    (usize, Range<usize>, Option<ReduceOp>),
+);
+
+/// Run paired steps as one segment loop, each after its `allreduce.step`
+/// fault point. A range travels as ⌈bytes / [`SEGMENT_BYTES`]⌉ messages, at
+/// least one, in order on their `(src, tag)` channel. Round k sends, then
+/// receives, each step's segment k, so a segment leaves before it is folded.
+///
+/// Two steps are the allreduce *turnaround*: the last reduce-scatter step and
+/// the first allgather step, with the same peers, the second sending what the
+/// first folds while it is still in cache. The second's fault point fires
+/// after segment 0 is folded, before the first allgather send, so one-segment
+/// ranges keep the order of the two steps run apart. An error in round k
+/// leaves earlier segments folded or overwritten and later ones untouched: a
+/// refused segment (`Malformed`) leaves the partial state a dead peer does.
 pub(crate) fn exchange<E: Elem, C: PeerComm>(
     comm: &C,
     buf: &mut [E],
-    tag: u64,
-    (to, send): (usize, Range<usize>),
-    (from, recv, op): (usize, Range<usize>, Option<ReduceOp>),
+    steps: &[Leg],
 ) -> Result<(), CollError> {
     let seg = SEGMENT_BYTES / E::WIDTH;
     let segment = |r: &Range<usize>, k: usize| {
@@ -180,13 +191,20 @@ pub(crate) fn exchange<E: Elem, C: PeerComm>(
         lo..(lo + seg).min(r.end)
     };
     let count = |r: &Range<usize>| r.len().div_ceil(seg).max(1);
-    let (sends, recvs) = (count(&send), count(&recv));
-    for k in 0..sends.max(recvs) {
-        if k < sends {
-            send_elems(comm, to, tag, &buf[segment(&send, k)])?;
-        }
-        if k < recvs {
-            recv_elems(comm, from, tag, op, &mut buf[segment(&recv, k)])?;
+    let rounds = steps
+        .iter()
+        .map(|(_, (_, s), (_, r, _))| count(s).max(count(r)));
+    for k in 0..rounds.max().unwrap_or(0) {
+        for (tag, (to, send), (from, recv, op)) in steps {
+            if k == 0 {
+                comm.fault_point("allreduce.step")?;
+            }
+            if k < count(send) {
+                send_elems(comm, *to, *tag, &buf[segment(send, k)])?;
+            }
+            if k < count(recv) {
+                recv_elems(comm, *from, *tag, *op, &mut buf[segment(recv, k)])?;
+            }
         }
     }
     Ok(())

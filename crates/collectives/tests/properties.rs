@@ -868,9 +868,10 @@ fn segments_a_refused_one_leaves_the_partial_state_of_a_dead_peer() {
     let seg = SEGMENT_BYTES / 8;
     let n = 2 * (3 * seg + 5);
     let ins = inputs(2, n, 9);
-    // Rank 1's second message is segment 1 of its first ring step: cut one
-    // element short, or never sent because rank 1 dies at that third
-    // operation (send, receive, send).
+    // At p = 2 the ring's two steps are one turnaround, so rank 1's second
+    // message is segment 0 of its allgather step: cut one element short, or
+    // never sent because rank 1 dies at that third operation (send, receive,
+    // send).
     let run = |plan: FaultPlan, mangle: bool| {
         run_group(2, plan, |comm| {
             let me = comm.rank();
@@ -890,8 +891,8 @@ fn segments_a_refused_one_leaves_the_partial_state_of_a_dead_peer() {
     let died = run(FaultPlan::none().kill_at_op(RankId(1), 3), false);
     assert_eq!(refused[0].0, Err(CollError::Malformed { peer: 1 }));
     assert_eq!(died[0].0, Err(CollError::PeerFailed { peer: 1 }));
-    // Rank 0 receives chunk 1 in its first step: segment 0 is folded, the
-    // rest of the buffer is still its own input.
+    // Rank 0 folds segment 0 of chunk 1 and is refused segment 0 of chunk 0:
+    // the rest of the buffer is still its own input.
     let mut want = ins[0].clone();
     let start = chunk(n, 2, 1).start;
     for i in start..start + seg {
@@ -899,4 +900,62 @@ fn segments_a_refused_one_leaves_the_partial_state_of_a_dead_peer() {
     }
     assert!(refused[0].1 == want, "refused segment: partial state");
     assert!(died[0].1 == want, "dead peer: partial state");
+}
+
+/// The allreduce turnaround: the last reduce-scatter step and the first
+/// allgather step run as one segment loop, so on every rank the allgather
+/// send of segment k leaves before the reduce-scatter send of segment k+1 —
+/// each reduced segment goes out while it is still in cache. Ring at p = 2..5
+/// and Rabenseifner at p ∈ {2, 4}, with chunks of two to four segments, equal
+/// and one element apart.
+#[test]
+fn segments_turnaround_sends_each_reduced_segment_before_folding_the_next() {
+    let seg = SEGMENT_BYTES / 4;
+    let cases = (2usize..=5)
+        .map(|p| (AllreduceAlgo::Ring, p))
+        .chain([2, 4].map(|p| (AllreduceAlgo::Rabenseifner, p)));
+    for (algo, p) in cases {
+        // The two tags of the turnaround.
+        let (scatter, gather) = match algo {
+            AllreduceAlgo::Ring => (p as u64 - 2, p as u64 - 1),
+            _ => {
+                let halvings = u64::from(p.ilog2());
+                (halvings, 200 + halvings)
+            }
+        };
+        for len in [seg + 1, 2 * seg, 3 * seg + 5, 4 * seg] {
+            for n in [p * len, p * len + p / 2] {
+                let ins: Vec<Vec<f32>> = (0..p)
+                    .map(|r| (0..n).map(|i| ((r * 7 + i) % 64) as f32).collect())
+                    .collect();
+                let want = single_message_reference(algo, ReduceOp::Sum, &ins);
+                let results = run_group(p, FaultPlan::none(), |comm| {
+                    let r = comm.rank();
+                    let comm = Logged {
+                        inner: comm,
+                        sent: RefCell::default(),
+                    };
+                    let mut buf = ins[r].clone();
+                    allreduce(&comm, &mut buf, ReduceOp::Sum, algo, 0).unwrap();
+                    (buf, comm.sent.into_inner())
+                });
+                for (r, (got, sent)) in results.iter().enumerate() {
+                    let ctx = format!("{algo:?} p={p} n={n} rank {r}");
+                    assert!(bytes_of(got) == bytes_of(&want[r]), "{ctx}: result");
+                    let at = |tag| (0..sent.len()).filter(move |&i| sent[i].0 == tag);
+                    let (s, g): (Vec<_>, Vec<_>) = (at(scatter).collect(), at(gather).collect());
+                    assert!(s.len() >= 2 && g.len() >= 2, "{ctx}: {s:?} {g:?}");
+                    for (k, &sent_k) in g.iter().enumerate() {
+                        if let Some(&next) = s.get(k + 1) {
+                            assert!(
+                                sent_k < next,
+                                "{ctx}: allgather segment {k} sent after reduce-scatter segment {}",
+                                k + 1
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -129,7 +129,7 @@ pub(crate) fn flood_agree(
                     Ok(()) => bytes_sent += payload.len() as u64,
                     Err(TransportError::PeerDead(_)) => {}
                     Err(TransportError::SelfDied) => return Err(UlfmError::SelfDied),
-                    Err(e) => unreachable!("agree send: {e}"),
+                    Err(_) => return Err(UlfmError::Aborted),
                 }
             }
             for (i, &peer) in group.iter().enumerate() {
@@ -140,7 +140,7 @@ pub(crate) fn flood_agree(
                     Ok(bytes) => state.merge_bytes(&bytes).ok_or(UlfmError::Aborted)?,
                     Err(TransportError::PeerDead(_)) => {}
                     Err(TransportError::SelfDied) => return Err(UlfmError::SelfDied),
-                    Err(e) => unreachable!("agree recv: {e}"),
+                    Err(_) => return Err(UlfmError::Aborted),
                 }
             }
         }
@@ -160,10 +160,12 @@ pub(crate) fn flood_agree(
     })
 }
 
+/// A fault point fails only with `SelfDied`; any other transport error
+/// the protocol cannot act on is `Aborted`, as one on a send or receive is.
 fn map_self(e: TransportError) -> UlfmError {
     match e {
         TransportError::SelfDied => UlfmError::SelfDied,
-        other => unreachable!("fault point returned {other}"),
+        _ => UlfmError::Aborted,
     }
 }
 
@@ -235,6 +237,17 @@ mod tests {
             let got = flood_agree(&eps[0], &group, 0, tag, 1, 2, false);
             assert_eq!(got, Err(UlfmError::Aborted), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn a_group_naming_an_unregistered_rank_aborts_instead_of_panicking() {
+        let mesh = Mesh::new(BackendKind::InProc, Topology::flat(), 1, FaultPlan::none()).unwrap();
+        let group = [RankId(0), RankId(7)];
+        let results = mesh.run(|ep| {
+            let base = tags::recovery_base(0, 0);
+            flood_agree(&ep, &group, 0, base, 1, 0, false)
+        });
+        assert_eq!(results, [Err(UlfmError::Aborted)]);
     }
 
     #[test]

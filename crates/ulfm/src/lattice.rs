@@ -226,7 +226,7 @@ pub fn lattice_agree(
                     new_death = true;
                 }
                 Err(TransportError::SelfDied) => return Err(UlfmError::SelfDied),
-                Err(e) => unreachable!("lattice send: {e}"),
+                Err(_) => return Err(UlfmError::Aborted),
             }
         }
         ep.fault_point("lattice.ack").map_err(map_self)?;
@@ -263,7 +263,7 @@ pub fn lattice_agree(
                     }
                 }
                 Err(TransportError::SelfDied) => return Err(UlfmError::SelfDied),
-                Err(e) => unreachable!("lattice recv: {e}"),
+                Err(_) => return Err(UlfmError::Aborted),
             }
         }
         if adopted || (!new_death && prop == pre) {
@@ -288,17 +288,19 @@ pub fn lattice_agree(
             Ok(()) => bytes_sent += payload.len() as u64,
             Err(TransportError::PeerDead(_)) => {}
             Err(TransportError::SelfDied) => return Err(UlfmError::SelfDied),
-            Err(e) => unreachable!("lattice echo: {e}"),
+            Err(_) => return Err(UlfmError::Aborted),
         }
     }
     telemetry::histogram("ulfm.agree.bytes").record(bytes_sent);
     Ok(prop.into_result(group))
 }
 
+/// A fault point fails only with `SelfDied`; any other transport error
+/// the protocol cannot act on is `Aborted`, as one on a send or receive is.
 fn map_self(e: TransportError) -> UlfmError {
     match e {
         TransportError::SelfDied => UlfmError::SelfDied,
-        other => unreachable!("fault point returned {other}"),
+        _ => UlfmError::Aborted,
     }
 }
 
@@ -386,6 +388,25 @@ mod tests {
         assert_eq!(r.flags, 0b110);
         assert_eq!(r.min, 10);
         assert!(r.failed.is_empty());
+    }
+
+    #[test]
+    fn a_group_naming_an_unregistered_rank_suspects_it_instead_of_panicking() {
+        let _serial = test_serial();
+        // An unregistered rank is not alive on entry, so it is suspected
+        // and never contacted: no transport error reaches an exit arm.
+        let mesh = Mesh::new(BackendKind::InProc, Topology::flat(), 1, FaultPlan::none()).unwrap();
+        let group = [RankId(0), RankId(7)];
+        let results = mesh.run(|ep| {
+            let base = tags::recovery_base(0, 0);
+            lattice_agree(&ep, &group, 0, base, 1, 0, false)
+        });
+        let want = AgreeResult {
+            flags: 1,
+            min: 0,
+            failed: vec![RankId(7)],
+        };
+        assert_eq!(results, [Ok(want)]);
     }
 
     #[test]

@@ -78,8 +78,10 @@ fn mid_stream_death_fails_the_collective_once_and_the_redo_is_exact() {
         chunk_bytes.div_ceil(SEGMENT_BYTES) == 3,
         "three segments a step"
     );
-    // A ring step is send, receive per segment: rank 1's ninth operation is
-    // the send of segment 1 of its second step, one segment into the stream.
+    // A ring step is send, receive per segment, and at p = 3 the second and
+    // third steps are one turnaround: send, fold, send, overwrite per
+    // segment. Rank 1's ninth operation is its first allgather send, of
+    // segment 0, one segment into the turnaround.
     let plan = FaultPlan::none().kill_at_op(RankId(1), 9);
     let u = Universe::new(Topology::flat(), plan);
     let handles = u.spawn_batch(3, allreduce_until_agreed).unwrap();
@@ -108,6 +110,38 @@ fn mid_stream_death_fails_the_collective_once_and_the_redo_is_exact() {
         );
     }
     assert!(saw_death >= 1, "nobody observed the death itself");
+}
+
+#[test]
+fn a_death_at_the_allgather_fault_point_inside_the_turnaround_fails_once_and_the_redo_is_exact() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // At p = 3 the ring's steps 1 (the last reduce-scatter) and 2 (the first
+    // allgather) are one turnaround of three segments. Rank 1's third
+    // `allreduce.step` fault point is step 2's: it fires after segment 0 of
+    // step 1 is folded, before the first allgather send.
+    let plan = FaultPlan::none().kill_at_point(RankId(1), "allreduce.step", 3);
+    let u = Universe::new(Topology::flat(), plan);
+    let handles = u.spawn_batch(3, allreduce_until_agreed).unwrap();
+    let seen: Vec<Option<Seen>> = handles.into_iter().map(|h| h.join()).collect();
+    assert!(seen[1].is_none(), "the victim survived");
+    let want = sum_over(&[0, 2]);
+    for r in [0, 2] {
+        let (errors, failed, replica) = seen[r].as_ref().expect("a survivor died");
+        assert_eq!(errors.len(), 1, "rank {r}: {errors:?}");
+        let death = UlfmError::ProcFailed {
+            peer: 1,
+            global: RankId(1),
+        };
+        assert!(
+            errors[0] == death || errors[0] == UlfmError::Revoked,
+            "rank {r}: {errors:?}"
+        );
+        assert_eq!(failed, &[vec![RankId(1)], vec![]], "rank {r}: agreements");
+        assert!(
+            replica == &want,
+            "rank {r}: the redo is not the survivors' sum"
+        );
+    }
 }
 
 #[test]
@@ -161,7 +195,7 @@ fn a_clean_stream_recycles_every_large_frame_but_each_ranks_first() {
         assert_eq!(h.join(), 2f32.powi(OPS as i32 - 1));
     }
     // Rabenseifner at p = 2: a halving and a doubling step, each 8 MiB of
-    // 256 KiB segments, per rank per op.
+    // 256 KiB segments, per rank per op, run as one turnaround.
     let frames = 2 * OPS * 2 * (N * 4 / 2).div_ceil(SEGMENT_BYTES);
     assert_eq!(u.fabric().unwrap().stats().messages, frames as u64);
     assert_eq!(recycled() - before, frames as u64 - 2);
