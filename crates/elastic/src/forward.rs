@@ -67,7 +67,8 @@ use collectives::ReduceOp;
 use dnn::Checkpoint;
 use transport::RankId;
 use ulfm::{
-    Communicator, Hierarchy, JoinOutcome, PolicyCommit, Proc, RecoveryArm, ShrinkOutcome, UlfmError,
+    Commit, Communicator, Hierarchy, JoinOutcome, PolicyCommit, Proc, RecoveryArm, ShrinkOutcome,
+    UlfmError,
 };
 
 /// Configuration of the forward-recovery engine.
@@ -538,16 +539,16 @@ impl<'a> Worker<'a> {
         // commits the broadcast (or none survives and the run aborts). A
         // promoted spare bootstraps exactly like a joiner — the members'
         // side of its promotion is this same sync.
-        match self.join_sync()? {
-            SyncOutcome::Synced(step) => self.step = step,
-            SyncOutcome::GaveUp => unreachable!("unbounded sync never gives up"),
-        }
+        self.step = self.join_sync()?;
         Ok(())
     }
 
     /// The live, unbounded state sync of a join, as its own episode — run
     /// by the newcomers (bootstrap) and by the members admitting them.
-    fn join_sync(&mut self) -> Result<SyncOutcome, Fatal> {
+    /// Returns the step the synced state is ready to compute; a sync with
+    /// no state-holder left aborts the run, as there is nothing to fall
+    /// back to.
+    fn join_sync(&mut self) -> Result<u64, Fatal> {
         let mut episode = RecoveryBreakdown::new(RecoveryKind::Join, self.step);
         let synced = self.checkpoint_sync(
             SyncOpts {
@@ -558,7 +559,10 @@ impl<'a> Worker<'a> {
             &mut episode,
         );
         self.finish_episode(episode);
-        synced
+        match synced? {
+            SyncOutcome::Synced(step) => Ok(step),
+            SyncOutcome::GaveUp => Err(Fatal::Aborted(Abort::BelowMin)),
+        }
     }
 
     /// One optimizer step: attempt it until its commit barrier passes, then
@@ -1066,18 +1070,17 @@ impl<'a> Worker<'a> {
 
     /// Resilient (step ‖ state) synchronization, shared by the joiner/spare
     /// bootstrap, the epoch-boundary admission, and the promotion and
-    /// rollback policy arms. Group rank 0 broadcasts its state (live or
-    /// checkpointed per [`SyncOpts`]), then a uniform commit agreement
-    /// decides whether every member got it; on failure the group recovers
-    /// (revoke → agree → shrink → floor check) and — within the bound —
-    /// retries with the shrunk group's rank 0 as the new sender.
+    /// rollback policy arms. Group rank 0 commits its state (live or
+    /// checkpointed per [`SyncOpts`]) through [`Communicator::commit`]; on
+    /// a lost round the group recovers (revoke → agree → shrink → floor
+    /// check) and — within the bound — retries with the shrunk group's
+    /// rank 0 as the new sender.
     ///
     /// The sender is always a state-holder while one survives: state-holders
     /// form a prefix of the merged group (members before joiners, and shrink
     /// preserves relative order), so rank 0 lacking state means *no* original
-    /// member survives — which the commit agreement reports uniformly; an
-    /// unbounded sync aborts on that (restoring garbage is the alternative),
-    /// a bounded one gives up and lets the caller fall back.
+    /// member survives — which the round reports uniformly as
+    /// [`Commit::NoHolder`], and the sync gives up under every bound.
     fn checkpoint_sync(
         &mut self,
         opts: SyncOpts<'_>,
@@ -1096,55 +1099,27 @@ impl<'a> Worker<'a> {
             if comm.endpoint().fault_point("ckpt.sync").is_err() {
                 return Err(Fatal::Died);
             }
-            let outcome = episode.time("state_sync", || {
-                let root = comm.rank() == 0;
+            let committed = episode.time("state_sync", || {
                 let provides = match opts.source {
                     SyncSource::Live => self.has_state,
                     SyncSource::Ckpt => self.local_ckpt.is_some(),
                 };
-                let mut payload = if root && provides {
-                    match opts.source {
-                        SyncSource::Live => {
-                            let ck = Checkpoint::capture(&self.model, &self.opt);
-                            let mut bytes = self.step.to_le_bytes().to_vec();
-                            bytes.extend_from_slice(&ck.bytes);
-                            bytes
-                        }
-                        SyncSource::Ckpt => {
-                            let ck = self.local_ckpt.as_ref().expect("provides checked");
-                            let mut bytes = ck.step.to_le_bytes().to_vec();
-                            bytes.extend_from_slice(&ck.bytes);
-                            bytes
-                        }
+                let payload = match opts.source {
+                    // Only a root that holds the state sends any.
+                    _ if comm.rank() != 0 || !provides => Vec::new(),
+                    SyncSource::Live => {
+                        let ck = Checkpoint::capture(&self.model, &self.opt);
+                        [&self.step.to_le_bytes()[..], &ck.bytes].concat()
                     }
-                } else {
-                    Vec::new()
+                    SyncSource::Ckpt => {
+                        let ck = self.local_ckpt.as_ref().expect("provides checked");
+                        [&ck.step.to_le_bytes()[..], &ck.bytes].concat()
+                    }
                 };
-                // A failed broadcast unwinds reliably (the binomial tree
-                // forwards poison frames), so every member reaches the commit
-                // agreement without any comm-wide revocation.
-                let sent = comm.bcast(0, &mut payload);
-                if matches!(sent, Err(UlfmError::SelfDied)) {
-                    return SyncAttempt::Fatal(Fatal::Died);
-                }
-                // Commit flags: bit0 = my broadcast completed; bit1 = the root
-                // holds state of the requested source (non-roots contribute 1
-                // so the AND isolates the root's claim).
-                let flags =
-                    (sent.is_ok() as u64) | if root { (provides as u64) << 1 } else { 0b10 };
-                match comm.agree(flags, u64::MAX) {
-                    Ok(v) if v.flags & 0b10 == 0 => SyncAttempt::Abort,
-                    Ok(v) if v.flags & 1 == 1 && v.failed.is_empty() => {
-                        SyncAttempt::Committed(payload)
-                    }
-                    Ok(_) => SyncAttempt::Retry,
-                    Err(UlfmError::SelfDied) => SyncAttempt::Fatal(Fatal::Died),
-                    // A peer's proposal this rank cannot decode.
-                    Err(_) => SyncAttempt::Fatal(Fatal::Aborted(Abort::Malformed)),
-                }
+                comm.commit(payload, provides)
             });
-            match outcome {
-                SyncAttempt::Committed(payload) => {
+            match committed {
+                Ok(Commit::Committed(payload)) => {
                     if opts.restore_all || !self.has_state {
                         // The payload was broadcast and agreed, so every
                         // member refuses a malformed one alike.
@@ -1163,17 +1138,11 @@ impl<'a> Worker<'a> {
                     }
                     return Ok(SyncOutcome::Synced(self.step));
                 }
-                SyncAttempt::Fatal(fatal) => return Err(fatal),
-                SyncAttempt::Abort => {
-                    return match opts.bound {
-                        // No state-holder left and nothing to fall back to.
-                        SyncBound::Unbounded => Err(Fatal::Aborted(Abort::BelowMin)),
-                        // The agreement that reported it is uniform, so every
-                        // survivor gives up here together.
-                        _ => Ok(SyncOutcome::GaveUp),
-                    };
-                }
-                SyncAttempt::Retry => {
+                // No state-holder of the requested source is left. The
+                // agreement that reported it is uniform, so every survivor
+                // gives up here together.
+                Ok(Commit::NoHolder) => return Ok(SyncOutcome::GaveUp),
+                Ok(Commit::Lost(_)) => {
                     self.recoveries += 1;
                     self.recover(u64::MAX, episode)?;
                     failed_attempts += 1;
@@ -1187,6 +1156,9 @@ impl<'a> Worker<'a> {
                         return Ok(SyncOutcome::GaveUp);
                     }
                 }
+                Err(UlfmError::SelfDied) => return Err(Fatal::Died),
+                // A peer's proposal this rank cannot decode.
+                Err(_) => return Err(Fatal::Aborted(Abort::Malformed)),
             }
         }
     }
@@ -1198,18 +1170,6 @@ fn global_op(step: u64, n_tensors: i64, local_op: i64) -> u64 {
 
 fn shard_len(rank: usize, world: usize, global: usize) -> usize {
     (rank + 1) * global / world - rank * global / world
-}
-
-/// Outcome of one checkpoint-broadcast attempt.
-enum SyncAttempt {
-    /// The commit agreement accepted the broadcast; payload as delivered.
-    Committed(Vec<u8>),
-    /// A failure broke the attempt; recover and retry.
-    Retry,
-    /// The root holds no state of the requested source.
-    Abort,
-    /// This rank died, or cannot read the commit agreement.
-    Fatal(Fatal),
 }
 
 /// What the sender broadcasts in [`Worker::checkpoint_sync`].
@@ -1225,8 +1185,8 @@ enum SyncSource {
 /// both agreed, so all survivors count attempts and see the group
 /// identically.
 enum SyncBound<'a> {
-    /// Retry until committed or no state-holder survives (legacy behavior
-    /// of joiner bootstrap and epoch-boundary admission).
+    /// Retry until committed or no state-holder survives (joiner
+    /// bootstrap and epoch-boundary admission).
     Unbounded,
     /// Give up after this many *failed* attempts (the rollback arm's
     /// single shot).
@@ -1248,13 +1208,13 @@ struct SyncOpts<'a> {
     bound: SyncBound<'a>,
 }
 
-/// How a bounded [`Worker::checkpoint_sync`] ended.
+/// How a [`Worker::checkpoint_sync`] ended.
 enum SyncOutcome {
     /// Committed; the step the synchronized state is ready to compute.
     Synced(u64),
-    /// The bound tripped before a commit; nobody restored anything (the
-    /// restore only happens on the uniform commit), so the caller can fall
-    /// back safely.
+    /// The bound tripped, or no state-holder was left, before a commit.
+    /// Nobody restored anything (the restore only happens on a committed
+    /// round), so the caller can fall back safely.
     GaveUp,
 }
 

@@ -7,6 +7,7 @@
 //! The tests count this process's threads and read process-wide telemetry
 //! counters, so they take turns.
 
+use std::ops::Deref;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use transport::{
@@ -19,15 +20,28 @@ fn take_turn() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn unix_mesh(p: usize) -> Vec<Arc<SocketBackend>> {
-    SocketBackend::local_mesh(BackendKind::Unix, Topology::flat(), p, FaultPlan::none())
-        .expect("unix mesh")
+/// A mesh that shuts down when dropped, so a test that fails leaves no
+/// service thread behind for the next one to count.
+struct UnixMesh(Vec<Arc<SocketBackend>>);
+
+impl Deref for UnixMesh {
+    type Target = [Arc<SocketBackend>];
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
-fn teardown(mesh: &[Arc<SocketBackend>]) {
-    for b in mesh {
-        b.shutdown();
+impl Drop for UnixMesh {
+    fn drop(&mut self) {
+        for b in &self.0 {
+            b.shutdown();
+        }
     }
+}
+
+fn unix_mesh(p: usize) -> UnixMesh {
+    let mesh = SocketBackend::local_mesh(BackendKind::Unix, Topology::flat(), p, FaultPlan::none());
+    UnixMesh(mesh.expect("unix mesh"))
 }
 
 /// Threads of this process whose name starts with `sock-`.
@@ -69,7 +83,7 @@ fn a_unix_mesh_runs_one_service_thread_per_rank() {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(service_threads(), p, "p = {p}");
-        teardown(&mesh);
+        drop(mesh);
         assert_eq!(
             service_threads(),
             0,
@@ -111,10 +125,9 @@ fn two_ranks_each_send_8_mib_before_either_receives() {
                 });
             }
         });
-        for b in &mesh {
+        for b in mesh.iter() {
             assert_eq!(b.stats().suspicions, 0);
         }
-        teardown(&mesh);
     }
 }
 
@@ -158,12 +171,13 @@ fn a_rank_out_of_the_transport_has_its_service_thread_read_for_it() {
     let got = mesh[1].recv(RankId(0), 5, &|| false, None).expect("recv");
     assert!(got == big, "payload damaged");
     assert_eq!(mesh[0].stats().suspicions + mesh[1].stats().suspicions, 0);
-    teardown(&mesh);
 }
 
 /// In a steady 256 KiB two-rank exchange the rank thread waiting for a
-/// frame reads it: at least 95 % of envelopes, and the service threads
-/// wake far less than once per message.
+/// frame reads it: at least 95 % of envelopes. Meanwhile each service
+/// thread naps, looking at most once per millisecond (the shortest nap):
+/// a bound on the elapsed time, not on the message count, since a slower
+/// build exchanges the same messages over more naps.
 #[test]
 fn a_steady_exchange_is_read_by_the_ranks_that_wait_for_it() {
     const LEN: usize = 256 << 10;
@@ -175,7 +189,7 @@ fn a_steady_exchange_is_read_by_the_ranks_that_wait_for_it() {
     let mesh = unix_mesh(2);
     // Both ranks and this thread, which reads the counters in between.
     let warm = std::sync::Barrier::new(3);
-    let at = std::thread::scope(|s| {
+    let (at, t0) = std::thread::scope(|s| {
         for (me, b) in mesh.iter().enumerate() {
             let warm = &warm;
             s.spawn(move || {
@@ -197,11 +211,12 @@ fn a_steady_exchange_is_read_by_the_ranks_that_wait_for_it() {
         warm.wait();
         let at = counters.each_ref().map(|c| c.get());
         warm.wait();
-        at
+        (at, Instant::now())
     });
+    let naps = 2 * t0.elapsed().as_millis() as u64;
     let [by_rank, by_service, wakes] = [0, 1, 2].map(|i| counters[i].get() - at[i]);
     let messages = 2 * ROUNDS;
-    println!("{by_rank} read by rank threads, {by_service} by service threads, {wakes} service wakes, {messages} messages");
+    println!("{by_rank} read by rank threads, {by_service} by service threads, {wakes} service wakes, {messages} messages, {naps} shortest naps");
     assert!(by_rank + by_service >= messages, "envelopes went unread");
     assert!(
         by_rank * 100 >= 95 * (by_rank + by_service),
@@ -209,8 +224,7 @@ fn a_steady_exchange_is_read_by_the_ranks_that_wait_for_it() {
         by_rank + by_service
     );
     assert!(
-        wakes * 4 < messages,
-        "{wakes} service wakes for {messages} messages"
+        wakes <= naps,
+        "{wakes} service wakes where two napping threads wake at most {naps} times"
     );
-    teardown(&mesh);
 }

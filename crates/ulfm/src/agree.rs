@@ -108,6 +108,10 @@ pub(crate) fn flood_agree(
             state.bitmap[i / 64] |= 1 << (i % 64);
         }
     }
+    // A member failed on entry is a dead peer whatever error the transport
+    // gives for it (a rank it never registered has no link at all).
+    let entry = state.bitmap.clone();
+    let dead_on_entry = |i: usize| entry[i / 64] >> (i % 64) & 1 == 1;
 
     if p > 1 {
         let rounds_ctr = telemetry::counter(if verify {
@@ -129,6 +133,7 @@ pub(crate) fn flood_agree(
                     Ok(()) => bytes_sent += payload.len() as u64,
                     Err(TransportError::PeerDead(_)) => {}
                     Err(TransportError::SelfDied) => return Err(UlfmError::SelfDied),
+                    Err(_) if dead_on_entry(i) => {}
                     Err(_) => return Err(UlfmError::Aborted),
                 }
             }
@@ -140,6 +145,7 @@ pub(crate) fn flood_agree(
                     Ok(bytes) => state.merge_bytes(&bytes).ok_or(UlfmError::Aborted)?,
                     Err(TransportError::PeerDead(_)) => {}
                     Err(TransportError::SelfDied) => return Err(UlfmError::SelfDied),
+                    Err(_) if dead_on_entry(i) => {}
                     Err(_) => return Err(UlfmError::Aborted),
                 }
             }
@@ -239,15 +245,22 @@ mod tests {
         }
     }
 
+    /// An unregistered rank is not alive on entry, so it is failed like a
+    /// dead member — the same outcome as lattice agreement's.
     #[test]
-    fn a_group_naming_an_unregistered_rank_aborts_instead_of_panicking() {
+    fn a_group_naming_an_unregistered_rank_fails_it_instead_of_panicking() {
         let mesh = Mesh::new(BackendKind::InProc, Topology::flat(), 1, FaultPlan::none()).unwrap();
         let group = [RankId(0), RankId(7)];
         let results = mesh.run(|ep| {
             let base = tags::recovery_base(0, 0);
             flood_agree(&ep, &group, 0, base, 1, 0, false)
         });
-        assert_eq!(results, [Err(UlfmError::Aborted)]);
+        let want = AgreeResult {
+            flags: 1,
+            min: 0,
+            failed: vec![RankId(7)],
+        };
+        assert_eq!(results, [Ok(want)]);
     }
 
     #[test]

@@ -28,6 +28,19 @@ pub enum ShrinkOutcome {
     Excluded,
 }
 
+/// Outcome of one [`Communicator::commit`] round, the same on every member
+/// that returns it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Commit {
+    /// Every member holds the root's payload and the round lost nobody.
+    Committed(Vec<u8>),
+    /// The root held no payload.
+    NoHolder,
+    /// A broadcast failed or a member died: the agreed failed set, which
+    /// may be empty when only a broadcast saw the failure.
+    Lost(Vec<RankId>),
+}
+
 /// A ULFM-style communicator: a dense group of global ranks with
 /// collectives, per-operation failure reporting, and the recovery triad
 /// (revoke / agree / shrink).
@@ -597,10 +610,9 @@ impl Communicator {
     /// `Ok(None)` if nobody is waiting. Group-local rank 0 acts as leader.
     ///
     /// The admission is all-or-none: the leader *snapshots* (never drains)
-    /// the pending set, proposes `(epoch, joiners)` by broadcast, and the
-    /// proposal only takes effect if a uniform commit agreement succeeds
-    /// with no observed failures (`uniform_commit`, shared with
-    /// [`Communicator::commit_recovery_policy`]). On commit, *every* member
+    /// the pending set and proposes `(epoch, joiners)`, which takes effect
+    /// only if its [`Communicator::commit`] round is
+    /// [`Commit::Committed`]. On commit, *every* member
     /// issues the (identical) tickets, so a leader dying right after the
     /// decision cannot strand a decided joiner; on a failed commit nothing
     /// changed —
@@ -664,56 +676,73 @@ impl Communicator {
         r.0 >= self.ep.total_ranks() || self.ep.is_peer_alive(r)
     }
 
-    /// The commit round every membership-growing decision goes through:
-    /// the leader (group-local rank 0, the only caller passing `Some`)
-    /// proposes `(word, ranks)` under a fresh join epoch, a broadcast
-    /// delivers the proposal, and a uniform agreement decides whether it
-    /// takes effect — on *all* members or on none. Returns the committed
-    /// `(epoch, word, ranks)`; a failed commit counts under
-    /// `failed_commits` and surfaces the failure that broke it, so the
-    /// caller's recovery path (revoke → shrink → retry) takes over.
+    /// The runtime's one commit round: group-local rank 0 broadcasts
+    /// `payload` (a non-root's is ignored), then every member votes on one
+    /// flag word — bit 0 "my broadcast completed", bit 1 "the root holds a
+    /// payload" (`holds` at the root, 1 elsewhere) — and the agreement
+    /// decides the same [`Commit`] everywhere, so no member acts on a
+    /// half-delivered payload while its peers retry.
+    ///
+    /// The broadcast tears itself down reliably on failure (poison frames
+    /// unwind the tree), so no member stays blocked and — just as
+    /// important — nothing here revokes the communicator: a revoke would
+    /// yank a straggler still finishing the previous step's collectives
+    /// into the *training* recovery path while the commit agreement runs,
+    /// desynchronizing the per-communicator agreement streams.
+    ///
+    /// `Err(SelfDied)` if this rank died in the broadcast; an agreement
+    /// error as it is.
+    pub fn commit(&self, mut payload: Vec<u8>, holds: bool) -> Result<Commit, UlfmError> {
+        let delivered = self.bcast(0, &mut payload);
+        if matches!(delivered, Err(UlfmError::SelfDied)) {
+            return Err(UlfmError::SelfDied);
+        }
+        let holds = holds || self.my_idx != 0;
+        let verdict = self.agree(delivered.is_ok() as u64 | (holds as u64) << 1, u64::MAX)?;
+        Ok(if verdict.flags & 0b10 == 0 {
+            Commit::NoHolder
+        } else if verdict.flags & 1 == 1 && verdict.failed.is_empty() {
+            Commit::Committed(payload)
+        } else {
+            Commit::Lost(verdict.failed)
+        })
+    }
+
+    /// The join and policy commits: the leader (group-local rank 0, the
+    /// only caller passing `Some`) proposes `(word, ranks)` under a fresh
+    /// join epoch through [`Communicator::commit`]. Returns the committed
+    /// `(epoch, word, ranks)`; a lost round counts under `failed_commits`
+    /// and surfaces the failure that broke it, so the caller's recovery
+    /// path (revoke → shrink → retry) takes over.
     fn uniform_commit(
         &self,
         proposal: Option<(u64, Vec<RankId>)>,
         failed_commits: &str,
     ) -> Result<(u64, u64, Vec<RankId>), UlfmError> {
-        let mut payload = Vec::new();
-        if let Some((word, ranks)) = proposal {
-            payload = encode_commit_record(self.shared.next_join_epoch(), word, &ranks);
-        }
-        // The broadcast tears itself down reliably on failure (poison
-        // frames unwind the tree), so no member stays blocked and — just
-        // as important — nothing here revokes the communicator: a revoke
-        // would yank a straggler still finishing the previous step's
-        // collectives into the *training* recovery path while we run the
-        // commit agreement, desynchronizing the per-communicator
-        // agreement streams.
-        let delivered = self.bcast(0, &mut payload);
-        if matches!(delivered, Err(UlfmError::SelfDied)) {
-            return Err(UlfmError::SelfDied);
-        }
-
-        // Uniform commit: every member contributes whether it holds the
-        // proposal; any bcast failure or member death aborts the round on
-        // *all* members alike (no rank may act on a half-delivered
-        // proposal while its peers retry).
-        let verdict = self.agree(delivered.is_ok() as u64, u64::MAX)?;
-        if verdict.flags != 1 || !verdict.failed.is_empty() {
-            telemetry::counter(failed_commits).incr();
-            // Surface the member the round lost: the agreed one, else one
-            // this rank sees dead.
-            let mut members = self.group.iter().copied();
-            let dead = verdict.failed.first().copied();
-            if let Some(global) = dead.or_else(|| members.find(|&g| !self.ep.is_peer_alive(g))) {
-                let peer = self.group.iter().position(|&g| g == global);
-                let peer = peer.unwrap_or(usize::MAX);
-                return Err(UlfmError::ProcFailed { peer, global });
+        let holds = proposal.is_some();
+        let payload = proposal.map_or_else(Vec::new, |(word, ranks)| {
+            encode_commit_record(self.shared.next_join_epoch(), word, &ranks)
+        });
+        let failed = match self.commit(payload, holds)? {
+            Commit::Committed(record) => {
+                return decode_commit_record(&record).ok_or(UlfmError::Aborted)
             }
-            self.revoke();
-            return Err(UlfmError::Revoked);
+            // The leader always proposes.
+            Commit::NoHolder => return Err(UlfmError::Aborted),
+            Commit::Lost(failed) => failed,
+        };
+        telemetry::counter(failed_commits).incr();
+        // Surface the member the round lost: the agreed one, else one this
+        // rank sees dead.
+        let mut members = self.group.iter().copied();
+        let dead = failed.first().copied();
+        if let Some(global) = dead.or_else(|| members.find(|&g| !self.ep.is_peer_alive(g))) {
+            let peer = self.group.iter().position(|&g| g == global);
+            let peer = peer.unwrap_or(usize::MAX);
+            return Err(UlfmError::ProcFailed { peer, global });
         }
-
-        decode_commit_record(&payload).ok_or(UlfmError::Aborted)
+        self.revoke();
+        Err(UlfmError::Revoked)
     }
 
     /// Act on a committed admission of `newcomers` (joiners or promoted
@@ -753,9 +782,9 @@ impl Communicator {
     /// shrunk) group. Collective; group-local rank 0 is the policy leader
     /// and `hint` is *its* scored choice — every other member's hint is
     /// ignored, because the decision travels inside the committed proposal
-    /// (the same `uniform_commit` round as the join handshake, and the same
-    /// idempotent ticketing on a committed promotion), so SPMD control flow
-    /// cannot diverge on locally-scored inputs.
+    /// (the same [`Communicator::commit`] round as the join handshake, and
+    /// the same idempotent ticketing on a committed promotion), so SPMD
+    /// control flow cannot diverge on locally-scored inputs.
     ///
     /// For [`RecoveryArm::PromoteSpares`] the leader snapshots up to `want`
     /// live warm spares from the join service; if the pool turns out empty

@@ -49,7 +49,7 @@ mod tags;
 mod universe;
 
 pub use agree::AgreeResult;
-pub use comm::{Communicator, JoinOutcome, PolicyCommit, RecoveryArm, ShrinkOutcome};
+pub use comm::{Commit, Communicator, JoinOutcome, PolicyCommit, RecoveryArm, ShrinkOutcome};
 pub use error::UlfmError;
 pub use hierarchy::Hierarchy;
 pub use lattice::{lattice_agree, AgreeImpl, Proposal};

@@ -10,7 +10,7 @@
 
 use collectives::{AllgatherAlgo, AllreduceAlgo, ReduceOp};
 use transport::{BackendKind, FaultPlan, LinkPerturb, Mesh, PerturbPlan, RetryPolicy};
-use ulfm::{Proc, RankId, ShrinkOutcome, Topology, UlfmError, Universe};
+use ulfm::{Commit, Proc, RankId, ShrinkOutcome, Topology, UlfmError, Universe};
 
 /// The links every case runs over.
 const LINKS: [BackendKind; 2] = [BackendKind::InProc, BackendKind::Unix];
@@ -420,6 +420,73 @@ fn agree_min_supports_restart_index() {
             let (min, flags) = h.join();
             assert_eq!(min, 10, "{kind}");
             assert_eq!(flags, u64::MAX, "{kind}");
+        }
+    }
+}
+
+/// One `commit` round over `n` members under `plan`: the root offers
+/// `payload`, holding it or not. Each member's outcome, by rank.
+fn commit_round(
+    kind: BackendKind,
+    n: usize,
+    plan: FaultPlan,
+    payload: &'static [u8],
+    holds: bool,
+) -> Vec<Result<Commit, UlfmError>> {
+    let u = universe(kind, Topology::flat(), n, plan);
+    let handles = u
+        .spawn_batch(n, move |p: Proc| {
+            let comm = p.init_comm();
+            let mine = if comm.rank() == 0 {
+                payload.to_vec()
+            } else {
+                Vec::new()
+            };
+            comm.commit(mine, holds)
+        })
+        .unwrap();
+    handles.into_iter().map(|h| h.join()).collect()
+}
+
+#[test]
+fn commit_delivers_the_roots_exact_bytes_to_every_member() {
+    for kind in LINKS {
+        let got = commit_round(kind, 5, FaultPlan::none(), b"\x00state\xff", true);
+        for (i, c) in got.into_iter().enumerate() {
+            assert_eq!(
+                c,
+                Ok(Commit::Committed(b"\x00state\xff".to_vec())),
+                "{kind}: rank {i}"
+            );
+        }
+    }
+}
+
+#[test]
+fn commit_without_a_holding_root_is_no_holder_everywhere() {
+    for kind in LINKS {
+        let got = commit_round(kind, 4, FaultPlan::none(), b"", false);
+        for (i, c) in got.into_iter().enumerate() {
+            assert_eq!(c, Ok(Commit::NoHolder), "{kind}: rank {i}");
+        }
+    }
+}
+
+/// Rank 2 dies before it receives the broadcast, so its child in the
+/// binomial tree, rank 3, never gets the payload: no survivor may commit,
+/// and all of them agree on the same loss.
+#[test]
+fn commit_that_loses_a_member_mid_broadcast_is_lost_everywhere() {
+    for kind in LINKS {
+        let plan = FaultPlan::none().kill_at_point(RankId(2), "bcast.step", 1);
+        let got = commit_round(kind, 4, plan, b"proposal", true);
+        for (i, c) in got.into_iter().enumerate() {
+            let want = if i == 2 {
+                Err(UlfmError::SelfDied)
+            } else {
+                Ok(Commit::Lost(vec![RankId(2)]))
+            };
+            assert_eq!(c, want, "{kind}: rank {i}");
         }
     }
 }
