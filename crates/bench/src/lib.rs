@@ -141,22 +141,10 @@ pub fn demonstrate_cell(row: usize, ulfm: bool) -> bool {
             steps_per_epoch: 4,
             ..TrainSpec::default()
         },
-        engine,
-        workers: 6,
-        ranks_per_node: 3,
         policy,
-        kind,
         victim: 4,
-        fail_at_op: 7,
         joiners,
-        renormalize: false,
-        perturb: None,
-        suspicion_timeout: None,
-        extra_faults: transport::FaultPlan::none(),
-        backend: transport::BackendKind::InProc,
-        spares: 0,
-        policy_mode: elastic::PolicyMode::default(),
-        ckpt_every: 0,
+        ..ScenarioConfig::quick(engine, kind)
     };
     let res = run_scenario(&cfg);
     let expected_completed = match (kind, policy) {

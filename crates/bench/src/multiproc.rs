@@ -299,7 +299,6 @@ pub fn worker_main(args: &[String]) -> Result<(), String> {
         Universe::for_backend_with_join(ep, group, Arc::new(join))
     };
     let fwd = ForwardConfig {
-        accept_joiners: expect_joiners > 0,
         expected_joiners: expect_joiners,
         // Bounded waits everywhere: a joiner that never gets its ticket
         // exits instead of hanging, and members give up on a joiner that

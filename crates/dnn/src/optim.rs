@@ -1,5 +1,6 @@
-//! SGD with momentum, plus the learning-rate schedules the scaling
-//! literature uses (linear scaling + warmup, paper §5's citations [16][22]).
+//! SGD with momentum, plus the learning-rate schedules elastic training
+//! uses: a constant rate, and the re-warming ramp after a membership change
+//! (linear scaling + warmup, paper §5's citations [16][22]).
 
 use crate::layers::Param;
 use crate::tensor::Tensor;
@@ -9,17 +10,6 @@ use crate::tensor::Tensor;
 pub enum LrSchedule {
     /// Fixed learning rate.
     Constant(f32),
-    /// Goyal-style linear scaling with warmup: the rate ramps linearly from
-    /// `base` to `base * scale` over `warmup_steps`, then stays there.
-    /// `scale` is typically the worker count relative to the reference run.
-    LinearWarmup {
-        /// Single-worker reference rate.
-        base: f32,
-        /// Target multiplier (e.g. number of workers).
-        scale: f32,
-        /// Ramp length in optimizer steps.
-        warmup_steps: u64,
-    },
     /// A ramp anchored at an absolute step: `from` until `start`, then
     /// linear to `to` over `ramp` steps, then `to`. Elastic training uses
     /// this to re-warm the rate after a membership change mid-run.
@@ -40,30 +30,14 @@ impl LrSchedule {
     pub fn at(&self, step: u64) -> f32 {
         match *self {
             LrSchedule::Constant(lr) => lr,
-            LrSchedule::LinearWarmup {
-                base,
-                scale,
-                warmup_steps,
-            } => {
-                if warmup_steps == 0 || step >= warmup_steps {
-                    base * scale
-                } else {
-                    let t = (step + 1) as f32 / warmup_steps as f32;
-                    base * (1.0 + (scale - 1.0) * t)
-                }
-            }
             LrSchedule::PiecewiseRamp {
                 from,
                 to,
                 start,
                 ramp,
             } => {
-                if step <= start || ramp == 0 {
-                    if step <= start {
-                        from
-                    } else {
-                        to
-                    }
+                if step <= start {
+                    from
                 } else if step >= start + ramp {
                     to
                 } else {
@@ -86,15 +60,11 @@ pub struct Sgd {
 }
 
 impl Sgd {
-    /// Plain SGD at a constant rate.
+    /// Plain SGD at a constant rate; [`Sgd::set_schedule`] replaces the
+    /// schedule mid-run.
     pub fn new(lr: f32, momentum: f32) -> Self {
-        Self::with_schedule(LrSchedule::Constant(lr), momentum)
-    }
-
-    /// SGD with an explicit schedule.
-    pub fn with_schedule(schedule: LrSchedule, momentum: f32) -> Self {
         Self {
-            schedule,
+            schedule: LrSchedule::Constant(lr),
             momentum,
             step: 0,
             velocity: Vec::new(),
@@ -195,19 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn warmup_ramps_then_plateaus() {
-        let s = LrSchedule::LinearWarmup {
-            base: 0.1,
-            scale: 4.0,
-            warmup_steps: 10,
-        };
-        assert!(s.at(0) < s.at(5));
-        assert!(s.at(5) < s.at(9));
-        assert!((s.at(10) - 0.4).abs() < 1e-6);
-        assert!((s.at(1000) - 0.4).abs() < 1e-6);
-    }
-
-    #[test]
     fn piecewise_ramp_anchors_at_start() {
         let s = LrSchedule::PiecewiseRamp {
             from: 0.1,
@@ -246,16 +203,6 @@ mod tests {
         opt.step(&mut [&mut p]);
         // Momentum carried over: v = 0.9, update = 0.2 * 0.9.
         assert!((p.value.data()[0] - (-0.1 - 0.18)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn zero_warmup_is_immediate() {
-        let s = LrSchedule::LinearWarmup {
-            base: 0.1,
-            scale: 2.0,
-            warmup_steps: 0,
-        };
-        assert!((s.at(0) - 0.2).abs() < 1e-6);
     }
 
     #[test]

@@ -44,15 +44,9 @@ pub struct BackwardConfig {
     /// [`RecoveryPolicy::DropNode`]; process granularity is provided for
     /// the comparison matrix).
     pub policy: RecoveryPolicy,
-    /// Save an in-memory checkpoint every N steps (the paper's minimum —
-    /// and our default — is every step).
+    /// Save an in-memory checkpoint every N steps (the paper's minimum,
+    /// and the scenario runner's setting, is every step).
     pub checkpoint_every: u64,
-    /// Gloo receive timeout (exception-catch latency for silent peers).
-    pub op_timeout: Duration,
-    /// Rendezvous timeout.
-    pub rendezvous_timeout: Duration,
-    /// Simulated new-worker initialization delay (library loading etc.).
-    pub worker_init_delay: Duration,
     /// How many new workers this run expects over its lifetime. Until that
     /// many have *registered*, workers hold at epoch boundaries so the
     /// leader can adopt them — deterministic admission, mirroring the
@@ -60,20 +54,15 @@ pub struct BackwardConfig {
     pub expected_new_workers: usize,
 }
 
-impl BackwardConfig {
-    /// Defaults mirroring the paper's setup.
-    pub fn new(spec: TrainSpec) -> Self {
-        Self {
-            spec,
-            policy: RecoveryPolicy::DropNode,
-            checkpoint_every: 1,
-            op_timeout: Duration::from_millis(800),
-            rendezvous_timeout: Duration::from_secs(20),
-            worker_init_delay: Duration::ZERO,
-            expected_new_workers: 0,
-        }
-    }
-}
+/// Gloo receive timeout: the exception-catch latency for a silent peer.
+const OP_TIMEOUT: Duration = Duration::from_millis(600);
+
+/// How long a rendezvous waits for every member of the configuration.
+const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Simulated new-worker initialization delay (library loading etc.), paid
+/// once by every worker that registers with the driver mid-run.
+const WORKER_INIT_DELAY: Duration = Duration::from_millis(5);
 
 struct DriverState {
     epoch: u64,
@@ -307,7 +296,7 @@ fn gloo_grad_allreduce(
     buf: &mut [f32],
 ) -> Result<(), GlooError> {
     if let Some(map) = map {
-        if let Some(algo) = spec.hier_route(map, ctx.size(), std::mem::size_of_val(buf)) {
+        if let Some(algo) = spec.hier_route(map, ctx.size()) {
             return ctx.hier_allreduce(map, buf, ReduceOp::Sum, algo);
         }
     }
@@ -328,7 +317,7 @@ pub fn run_backward_worker(
 
     if is_new_worker {
         // Library loading / framework init on a fresh host.
-        std::thread::sleep(cfg.worker_init_delay);
+        std::thread::sleep(WORKER_INIT_DELAY);
         driver.register_new_worker(me);
     }
 
@@ -381,7 +370,7 @@ pub fn run_backward_worker(
             run_id: "horovod".into(),
             epoch,
             expected: members.len(),
-            timeout: cfg.rendezvous_timeout,
+            timeout: RENDEZVOUS_TIMEOUT,
         };
         let rdv = episode.time("rendezvous", || {
             rendezvous(driver.store(), &rdv_cfg, me, driver.topology)
@@ -402,7 +391,7 @@ pub fn run_backward_worker(
         // --- reinit Gloo (full-mesh context) -------------------------------
         let ctx = episode.time("reinit_gloo", || {
             Context::connect(ep.clone(), epoch, rdv.members.clone(), rdv.my_rank)
-                .map(|c| c.with_op_timeout(cfg.op_timeout))
+                .map(|c| c.with_op_timeout(OP_TIMEOUT))
         });
         let ctx = match ctx {
             Ok(c) => c,

@@ -16,6 +16,10 @@ pub enum RecoveryPolicy {
     DropNode,
 }
 
+/// SGD learning rate of every run: no workload varies it. Elastic LR
+/// scaling ([`crate::LrScaling`]) ramps from this reference rate.
+pub(crate) const LR: f32 = 0.05;
+
 /// SGD momentum of every run: no workload varies it.
 const MOMENTUM: f32 = 0.9;
 
@@ -37,8 +41,6 @@ pub struct TrainSpec {
     pub steps_per_epoch: usize,
     /// Total optimizer steps to run.
     pub total_steps: usize,
-    /// Learning rate.
-    pub lr: f32,
     /// Allreduce algorithm for gradient aggregation.
     pub algo: AllreduceAlgo,
     /// Tensor-fusion byte cap: `Some(cap)` packs gradients into fused
@@ -69,17 +71,12 @@ pub struct TrainSpec {
 }
 
 /// How gradient buckets choose between the flat and the hierarchical
-/// (intra-node reduce → leader exchange → intra-node bcast) allreduce.
+/// (intra-node reduce → leader exchange → intra-node bcast) allreduce: an
+/// on/off switch, as Elastic Horovod's `HOROVOD_HIERARCHICAL_ALLREDUCE`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HierMode {
     /// Always flat collectives (the seed behaviour).
     Off,
-    /// Per-bucket selection by the two-tier α–β model
-    /// ([`crate::cost_model::HierModel`]): hierarchical exactly when the
-    /// model predicts a win for this bucket size on this topology. The
-    /// decision is a pure function of (bucket bytes, world, node shape),
-    /// so every SPMD rank picks the same route without communicating.
-    Auto,
     /// Always hierarchical whenever the topology has a multi-rank node
     /// (benchmarks and fault-injection tests that must exercise the
     /// hierarchical path regardless of scale).
@@ -90,30 +87,22 @@ impl HierMode {
     /// Route one bucket: should it take the hierarchical path? `nodes` and
     /// `local` describe the current communicator epoch's node map
     /// (`n_nodes`, `max_node_size`).
-    pub fn use_hier(
-        self,
-        model: &crate::cost_model::HierModel,
-        n_bytes: usize,
-        p: usize,
-        nodes: usize,
-        local: usize,
-    ) -> bool {
+    pub fn use_hier(self, p: usize, nodes: usize, local: usize) -> bool {
         match self {
             HierMode::Off => false,
             // A hierarchy over one-rank nodes (or a single node spanning
             // the world is fine — it degenerates to a local reduce+bcast)
             // buys nothing when every node is a singleton.
             HierMode::Force => local > 1 && nodes < p,
-            HierMode::Auto => model.use_hier(n_bytes as f64, p, nodes, local),
         }
     }
 }
 
 impl TrainSpec {
-    /// Route one gradient bucket of `n_bytes` — the flat-vs-hierarchical
-    /// decision both engines share. `Some(algo)` means take the two-level
-    /// path over `map` (the current epoch's node map) with `algo` for the
-    /// cross-node exchange; `None` means the flat allreduce. With a
+    /// Route one gradient bucket — the flat-vs-hierarchical decision both
+    /// engines share. `Some(algo)` means take the two-level path over `map`
+    /// (the current epoch's node map) with `algo` for the cross-node
+    /// exchange; `None` means the flat allreduce. With a
     /// size-adaptive ([`AllreduceAlgo::Auto`]) spec the cross-node exchange
     /// resolves against the two-tier model's *leader-count* crossover
     /// ([`crate::cost_model::HierModel::cross_auto_algo`]), not the flat
@@ -122,16 +111,14 @@ impl TrainSpec {
         &self,
         map: &collectives::NodeMap,
         world: usize,
-        n_bytes: usize,
     ) -> Option<AllreduceAlgo> {
-        let model = crate::cost_model::HierModel::summit();
         let (nodes, local) = (map.n_nodes(), map.max_node_size());
-        if !self.hier.use_hier(&model, n_bytes, world, nodes, local) {
+        if !self.hier.use_hier(world, nodes, local) {
             return None;
         }
         telemetry::counter("elastic.hier.routed_buckets").incr();
         Some(if matches!(self.algo, AllreduceAlgo::Auto { .. }) {
-            model.cross_auto_algo(nodes)
+            crate::cost_model::HierModel::summit().cross_auto_algo(nodes)
         } else {
             self.algo
         })
@@ -148,7 +135,6 @@ impl Default for TrainSpec {
             global_batch: 64,
             steps_per_epoch: 4,
             total_steps: 12,
-            lr: 0.05,
             algo: AllreduceAlgo::Ring,
             fusion: None,
             min_workers: 1,
@@ -164,9 +150,9 @@ impl TrainSpec {
         dnn::Model::mlp(self.features, &self.hidden, self.classes, self.seed)
     }
 
-    /// Build the optimizer: SGD at `lr` with the fixed `MOMENTUM`.
+    /// Build the optimizer: SGD at the fixed rate 0.05 and momentum 0.9.
     pub fn build_optimizer(&self) -> dnn::Sgd {
-        dnn::Sgd::new(self.lr, MOMENTUM)
+        dnn::Sgd::new(LR, MOMENTUM)
     }
 
     /// Build the dataset.

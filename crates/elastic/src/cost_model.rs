@@ -152,10 +152,11 @@ impl CommModel {
 }
 
 /// Two-tier α–β model: separate constants for intra-node (NVLink-class)
-/// and cross-node (injection-network) links, so the allreduce route —
+/// and cross-node (injection-network) links, so the allreduce routes —
 /// flat over all `p` ranks vs. hierarchical (intra-node reduce → exchange
-/// among node leaders → intra-node bcast) — can be chosen per bucket size
-/// *and* per topology.
+/// among node leaders → intra-node bcast) — can be compared per bucket
+/// size *and* per topology (`simnet`'s sweep does; the engines route by
+/// [`crate::HierMode`], an on/off switch).
 ///
 /// Predicted hierarchical time for `p` ranks on nodes of (at most)
 /// `local` ranks, with `nodes` leaders:
@@ -210,17 +211,6 @@ impl HierModel {
         };
         let intra = 2.0 * rounds * (self.intra.alpha + n_bytes * self.intra.beta);
         intra + self.cross.best_time(n_bytes, nodes)
-    }
-
-    /// Should a bucket of `n_bytes` route through the hierarchy on this
-    /// topology? Deterministic in its arguments, so every SPMD rank makes
-    /// the same choice without communicating. Degenerate topologies
-    /// (one node, or one rank per node) always answer `false`.
-    pub fn use_hier(&self, n_bytes: f64, p: usize, nodes: usize, local: usize) -> bool {
-        if local <= 1 || nodes <= 1 || nodes >= p {
-            return false;
-        }
-        self.hier_time(n_bytes, nodes, local) < self.flat_time(n_bytes, p)
     }
 
     /// The size-adaptive selection for the cross-node exchange among
@@ -485,42 +475,6 @@ mod tests {
             collectives::AllreduceAlgo::Rabenseifner
         );
         assert_eq!(algo.resolve(x * 2, 5), collectives::AllreduceAlgo::Ring);
-    }
-
-    /// Summit nodes hold 6 ranks; `nodes_for` rounding.
-    fn summit_shape(p: usize) -> (usize, usize) {
-        (p.div_ceil(6), 6.min(p))
-    }
-
-    #[test]
-    fn hier_selection_flips_with_topology() {
-        let m = HierModel::summit();
-        let big = 256.0 * (1 << 20) as f64;
-        // One rank per node: the hierarchy buys nothing, at any size.
-        for p in [2usize, 192, 12288] {
-            assert!(!m.use_hier(big, p, p, 1), "p={p} flat topology");
-            assert!(!m.use_hier(64.0, p, p, 1));
-        }
-        // Same bucket, same node shape, different scale: at the paper's
-        // 192 workers the flat ring's latency term is still negligible and
-        // the intra-node rounds are pure overhead — flat wins. At O(10k)
-        // workers the 2(p−1)α cross latency dominates and hierarchy wins.
-        let (n192, l192) = summit_shape(192);
-        let (n12k, l12k) = summit_shape(12288);
-        assert!(!m.use_hier(big, 192, n192, l192), "flat still wins at 192");
-        assert!(m.use_hier(big, 12288, n12k, l12k), "hier wins at O(10k)");
-    }
-
-    #[test]
-    fn hier_selection_flips_with_bucket_size() {
-        let m = HierModel::summit();
-        let (nodes, local) = summit_shape(12288);
-        // Tiny buckets: flat recursive doubling (⌈log₂ p⌉ rounds) beats
-        // paying the intra-node reduce+bcast on top of the leader exchange.
-        assert!(!m.use_hier(1024.0, 12288, nodes, local));
-        // Large buckets: the saved cross-node latency dwarfs the NVLink
-        // rounds.
-        assert!(m.use_hier(256.0 * (1 << 20) as f64, 12288, nodes, local));
     }
 
     #[test]

@@ -57,7 +57,7 @@
 
 use crate::config::{
     policy_evictions, state_fingerprint, HierMode, RecoveryPolicy, TrainSpec, WorkerExit,
-    WorkerStats,
+    WorkerStats, LR,
 };
 use crate::cost_model::PolicyInputs;
 use crate::fusion::FusionSetup;
@@ -78,8 +78,6 @@ pub struct ForwardConfig {
     pub spec: TrainSpec,
     /// Eviction policy on failure.
     pub policy: RecoveryPolicy,
-    /// Accept joiners (replacement/upscale) at epoch boundaries.
-    pub accept_joiners: bool,
     /// How many joiners this run *expects* over its lifetime. Until that
     /// many have been admitted, workers block at epoch boundaries for
     /// pending announcements — making replacement/upscale admission
@@ -99,7 +97,7 @@ pub struct ForwardConfig {
     pub renormalize_after_loss: bool,
     /// Optional Goyal-style learning-rate re-scaling on membership change:
     /// after a shrink or join, ramp the rate to
-    /// `spec.lr × world / base_world` over `warmup_steps` (paper §5's
+    /// `0.05 × world / base_world` over `warmup_steps` (paper §5's
     /// convergence techniques [16][22], applied elastically).
     pub lr_scaling: Option<LrScaling>,
     /// How the recovery arm is picked at each failure. The default —
@@ -120,20 +118,20 @@ pub struct ForwardConfig {
 /// Elastic learning-rate policy.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LrScaling {
-    /// World size at which `spec.lr` is the reference rate.
+    /// World size at which the fixed rate, 0.05, is the reference rate.
     pub base_world: usize,
     /// Ramp length after each membership change.
     pub warmup_steps: u64,
 }
 
 impl ForwardConfig {
-    /// Defaults: drop-process policy, joins enabled, no renormalization,
-    /// static forward-shrink (no policy layer).
+    /// Defaults: drop-process policy, no expected joiners or spares, no
+    /// renormalization, static forward-shrink (no policy layer). Joiners are
+    /// always admitted at epoch boundaries, as in the paper's engine.
     pub fn new(spec: TrainSpec) -> Self {
         Self {
             spec,
             policy: RecoveryPolicy::DropProcess,
-            accept_joiners: true,
             expected_joiners: 0,
             join_wait: None,
             renormalize_after_loss: false,
@@ -247,8 +245,7 @@ fn grad_allreduce(
             }
         }
         if let Some(h) = hier.as_ref() {
-            let bytes = std::mem::size_of_val(buf);
-            if let Some(algo) = spec.hier_route(h.map(), comm.size(), bytes) {
+            if let Some(algo) = spec.hier_route(h.map(), comm.size()) {
                 return comm.hier_allreduce(h, buf, ReduceOp::Sum, algo);
             }
         }
@@ -399,9 +396,9 @@ impl<'a> Worker<'a> {
 
         self.lr_world = self.comm().size();
         if let Some(policy) = cfg.lr_scaling {
-            let target = spec.lr * self.lr_world as f32 / policy.base_world as f32;
+            let target = LR * self.lr_world as f32 / policy.base_world as f32;
             self.opt.set_schedule(dnn::LrSchedule::PiecewiseRamp {
-                from: spec.lr,
+                from: LR,
                 to: target,
                 start: self.step,
                 ramp: policy.warmup_steps,
@@ -412,7 +409,7 @@ impl<'a> Worker<'a> {
             telemetry::counter("elastic.forward.steps").incr();
             let _step_span = telemetry::span("elastic.forward.step_ns");
             self.train_step()?;
-            if cfg.accept_joiners && (self.step as usize).is_multiple_of(spec.steps_per_epoch) {
+            if (self.step as usize).is_multiple_of(spec.steps_per_epoch) {
                 self.admit_joiners()?;
             }
         }
@@ -568,7 +565,7 @@ impl<'a> Worker<'a> {
     /// One optimizer step: attempt it until its commit barrier passes, then
     /// apply the update.
     fn train_step(&mut self) -> Result<(), Fatal> {
-        let (cfg, spec) = (self.cfg, &self.cfg.spec);
+        let cfg = self.cfg;
         let step_t0 = std::time::Instant::now();
         let recoveries_before = self.recoveries;
         // The step body may be re-attempted from scratch: if this worker had
@@ -593,7 +590,7 @@ impl<'a> Worker<'a> {
             // Re-anchor the rate whenever the world changed this step.
             let world = self.comm().size();
             if world != self.lr_world {
-                let target = spec.lr * world as f32 / policy.base_world as f32;
+                let target = LR * world as f32 / policy.base_world as f32;
                 self.opt.set_schedule(dnn::LrSchedule::PiecewiseRamp {
                     from: self.opt.current_lr(),
                     to: target,

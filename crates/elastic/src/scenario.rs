@@ -248,9 +248,6 @@ fn run_backward(cfg: &ScenarioConfig) -> ScenarioResult {
         spec: cfg.spec.clone(),
         policy: cfg.policy,
         checkpoint_every: 1,
-        op_timeout: Duration::from_millis(600),
-        rendezvous_timeout: Duration::from_secs(30),
-        worker_init_delay: Duration::from_millis(5),
         expected_new_workers: joiner_count(cfg),
     });
     run_batches(cfg, |role| {

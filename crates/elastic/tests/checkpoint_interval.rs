@@ -5,7 +5,6 @@
 use elastic::{
     run_backward_worker, BackwardConfig, ElasticDriver, RecoveryPolicy, TrainSpec, WorkerExit,
 };
-use std::time::Duration;
 use transport::{BackendKind, FaultPlan, Mesh, RankId, Topology};
 
 /// Train `spec` with the backward engine on four in-process ranks under
@@ -18,9 +17,6 @@ fn run_backward(spec: TrainSpec, plan: FaultPlan, checkpoint_every: u64) -> Vec<
         spec,
         policy: RecoveryPolicy::DropProcess,
         checkpoint_every,
-        op_timeout: Duration::from_millis(500),
-        rendezvous_timeout: Duration::from_secs(20),
-        worker_init_delay: Duration::ZERO,
         expected_new_workers: 0,
     };
     mesh.run(|ep| run_backward_worker(&ep, &cfg, &driver, false).0)

@@ -9,7 +9,6 @@ fn spec() -> TrainSpec {
     TrainSpec {
         total_steps: 12,
         steps_per_epoch: 4,
-        lr: 0.04,
         ..TrainSpec::default()
     }
 }
@@ -17,13 +16,12 @@ fn spec() -> TrainSpec {
 #[test]
 fn lr_tracks_world_size_after_downscale() {
     let mut cfg = ForwardConfig::new(spec());
-    cfg.accept_joiners = false;
     cfg.lr_scaling = Some(LrScaling {
         base_world: 4,
         warmup_steps: 2,
     });
-    // 8 workers → base target lr = 0.04 × 8/4 = 0.08; after losing one,
-    // 0.04 × 7/4 = 0.07.
+    // 8 workers → base target lr = 0.05 × 8/4 = 0.1; after losing one,
+    // 0.05 × 7/4 = 0.0875.
     let plan = FaultPlan::none().kill_at_point(RankId(3), "allreduce.step", 5);
     let u = Universe::new(Topology::flat(), plan);
     let c = cfg.clone();
@@ -37,8 +35,8 @@ fn lr_tracks_world_size_after_downscale() {
                 survivors += 1;
                 assert_eq!(s.final_world, 7);
                 assert!(
-                    (s.final_lr - 0.07).abs() < 1e-6,
-                    "lr should settle at 0.07, got {}",
+                    (s.final_lr - 0.0875).abs() < 1e-6,
+                    "lr should settle at 0.0875, got {}",
                     s.final_lr
                 );
             }
@@ -51,8 +49,7 @@ fn lr_tracks_world_size_after_downscale() {
 
 #[test]
 fn lr_constant_without_policy() {
-    let mut cfg = ForwardConfig::new(spec());
-    cfg.accept_joiners = false;
+    let cfg = ForwardConfig::new(spec());
     let u = Universe::without_faults(Topology::flat());
     let c = cfg.clone();
     let handles = u
@@ -63,7 +60,7 @@ fn lr_constant_without_policy() {
             WorkerExit::Completed(s) => s,
             other => panic!("{other:?}"),
         };
-        assert!((s.final_lr - 0.04).abs() < 1e-7);
+        assert!((s.final_lr - 0.05).abs() < 1e-7);
     }
 }
 
@@ -71,8 +68,7 @@ fn lr_constant_without_policy() {
 /// twice, survivors stay consistent.
 #[test]
 fn survives_two_sequential_failures() {
-    let mut cfg = ForwardConfig::new(spec());
-    cfg.accept_joiners = false;
+    let cfg = ForwardConfig::new(spec());
     // Victim 1 dies in the first step's allreduces; victim 5 a couple of
     // hundred protocol steps later (well into a later step).
     let plan = FaultPlan::none()
@@ -110,8 +106,7 @@ fn survives_two_sequential_failures() {
 /// dying during another's recovery window (agreement round).
 #[test]
 fn survives_overlapping_failure_storm() {
-    let mut cfg = ForwardConfig::new(spec());
-    cfg.accept_joiners = false;
+    let cfg = ForwardConfig::new(spec());
     let plan = FaultPlan::none()
         .kill_at_point(RankId(0), "allreduce.step", 8)
         .kill_at_point(RankId(2), "agree.round", 2)
@@ -137,7 +132,6 @@ fn survives_overlapping_failure_storm() {
 #[test]
 fn drop_node_with_two_failed_nodes() {
     let mut cfg = ForwardConfig::new(spec());
-    cfg.accept_joiners = false;
     cfg.policy = elastic::RecoveryPolicy::DropNode;
     let plan = FaultPlan::none()
         .kill_at_point(RankId(1), "allreduce.step", 5) // node 0

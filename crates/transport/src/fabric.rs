@@ -265,6 +265,7 @@ mod tests {
     use crate::delivery::suspicion_jitter;
     use crate::error::TransportError;
     use crate::fault::FaultPlan;
+    use crate::mailbox::tests::assert_best_under;
 
     fn fabric_with(n: usize) -> (Arc<Fabric>, Vec<Endpoint>) {
         let f = Fabric::without_faults(Topology::flat());
@@ -508,22 +509,21 @@ mod tests {
     #[test]
     fn settle_suspicions_waits_out_the_batch_window() {
         let (f, eps) = fabric_with(3);
+        let settle = || {
+            let t = Instant::now();
+            eps[0].settle_suspicions();
+            t.elapsed()
+        };
         // No window configured: settle is a no-op even after a suspicion.
         f.suspect(RankId(1));
-        let t0 = Instant::now();
-        eps[0].settle_suspicions();
-        assert!(t0.elapsed() < Duration::from_millis(10));
+        assert_best_under(Duration::from_millis(10), "settle without a window", settle);
         // With a window, settling blocks until the last suspicion is at
         // least a window old.
         f.set_suspicion_batch_window(Some(Duration::from_millis(25)));
         f.suspect(RankId(2));
-        let t1 = Instant::now();
-        eps[0].settle_suspicions();
-        assert!(t1.elapsed() >= Duration::from_millis(20));
-        // Already settled: a second call returns immediately.
-        let t2 = Instant::now();
-        eps[0].settle_suspicions();
-        assert!(t2.elapsed() < Duration::from_millis(10));
+        assert!(settle() >= Duration::from_millis(20));
+        // Already settled: a further call returns immediately.
+        assert_best_under(Duration::from_millis(10), "settle once settled", settle);
     }
 
     #[test]

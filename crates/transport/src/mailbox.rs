@@ -315,11 +315,35 @@ impl Mailbox {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
+
+    /// Attempts a wall-clock upper bound gets.
+    const ATTEMPTS: usize = 5;
+
+    /// Assert that the fastest of up to [`ATTEMPTS`] runs of `attempt`, each
+    /// returning its own elapsed time, comes in under `bound`. One
+    /// descheduling of the test thread on a busy host cannot fail the bound,
+    /// while a wait that ignores or quantizes its deadline is late on every
+    /// attempt. Each run makes its own assertions (outcome, "never early",
+    /// parking), so those hold on every attempt.
+    pub(crate) fn assert_best_under(
+        bound: Duration,
+        what: &str,
+        mut attempt: impl FnMut() -> Duration,
+    ) {
+        let mut best = Duration::MAX;
+        for _ in 0..ATTEMPTS {
+            best = best.min(attempt());
+            if best < bound {
+                return;
+            }
+        }
+        panic!("{what}: the best of {ATTEMPTS} attempts took {best:?}, over {bound:?}");
+    }
 
     /// Deliver the one-byte message `seq` of channel `(src, tag)`.
     fn put(mb: &Mailbox, src: usize, tag: u64, seq: u64, byte: u8) {
@@ -473,26 +497,25 @@ mod tests {
     fn short_deadline_is_not_quantized() {
         // Regression: waits used to be chunked into 20 ms polls; a 5 ms
         // deadline must fire in ≈5 ms, not a scheduler quantum multiple.
-        let mb = Mailbox::new();
-        let start = Instant::now();
-        let r = mb.pop_matching(
-            RankId(1),
-            1,
-            || true,
-            || true,
-            || false,
-            Some(start + Duration::from_millis(5)),
-        );
-        let elapsed = start.elapsed();
-        assert_eq!(r, RecvOutcome::TimedOut);
-        assert!(
-            elapsed >= Duration::from_millis(5),
-            "woke before the deadline: {elapsed:?}"
-        );
-        assert!(
-            elapsed < Duration::from_millis(15),
-            "5 ms deadline took {elapsed:?}"
-        );
+        assert_best_under(Duration::from_millis(15), "5 ms deadline", || {
+            let mb = Mailbox::new();
+            let start = Instant::now();
+            let r = mb.pop_matching(
+                RankId(1),
+                1,
+                || true,
+                || true,
+                || false,
+                Some(start + Duration::from_millis(5)),
+            );
+            let elapsed = start.elapsed();
+            assert_eq!(r, RecvOutcome::TimedOut);
+            assert!(
+                elapsed >= Duration::from_millis(5),
+                "woke before the deadline: {elapsed:?}"
+            );
+            elapsed
+        });
     }
 
     // ---- the wait under `pop_matching` ----------------------------------
@@ -614,26 +637,26 @@ mod tests {
             (Duration::from_micros(20), false),
             (Duration::from_millis(5), true),
         ] {
-            let mb = Mailbox::new();
-            let start = Instant::now();
-            let r = mb.pop_matching(
-                RankId(1),
-                1,
-                || true,
-                || true,
-                || false,
-                Some(start + timeout),
-            );
-            let elapsed = start.elapsed();
-            assert_eq!(r, RecvOutcome::TimedOut);
-            assert!(elapsed >= timeout, "{timeout:?} fired after {elapsed:?}");
-            assert!(
-                elapsed < timeout + Duration::from_millis(10),
-                "{timeout:?} deadline took {elapsed:?}"
-            );
-            if parks {
-                assert!(mb.parks() > 0, "a 5 ms wait never parked");
-            }
+            let bound = timeout + Duration::from_millis(10);
+            assert_best_under(bound, &format!("{timeout:?} deadline"), || {
+                let mb = Mailbox::new();
+                let start = Instant::now();
+                let r = mb.pop_matching(
+                    RankId(1),
+                    1,
+                    || true,
+                    || true,
+                    || false,
+                    Some(start + timeout),
+                );
+                let elapsed = start.elapsed();
+                assert_eq!(r, RecvOutcome::TimedOut);
+                assert!(elapsed >= timeout, "{timeout:?} fired after {elapsed:?}");
+                if parks {
+                    assert!(mb.parks() > 0, "a 5 ms wait never parked");
+                }
+                elapsed
+            });
         }
     }
 

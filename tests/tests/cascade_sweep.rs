@@ -19,7 +19,7 @@
 //! an error.
 
 use elastic::scenario::{Engine, ScenarioKind};
-use elastic::{run_scenario, RecoveryKind, RecoveryPolicy, ScenarioConfig, TrainSpec, WorkerExit};
+use elastic::{run_scenario, RecoveryKind, ScenarioConfig, TrainSpec, WorkerExit};
 use std::sync::mpsc;
 use std::time::Duration;
 use transport::{FaultPlan, RankId};
@@ -110,7 +110,6 @@ fn cascade_config(engine: Engine, point: &'static str, p: usize) -> ScenarioConf
         ulfm::AgreeImpl::Flood
     };
     ScenarioConfig {
-        engine,
         spec: TrainSpec {
             total_steps: 6,
             steps_per_epoch: 3,
@@ -120,19 +119,11 @@ fn cascade_config(engine: Engine, point: &'static str, p: usize) -> ScenarioConf
         },
         workers: p,
         ranks_per_node: 1,
-        policy: RecoveryPolicy::DropProcess,
-        kind,
         victim: 0,
         fail_at_op: 3,
         joiners,
-        renormalize: false,
-        perturb: None,
-        suspicion_timeout: None,
-        backend: transport::BackendKind::InProc,
         extra_faults: FaultPlan::none().kill_at_point(RankId(second), point, occurrence),
-        spares: 0,
-        policy_mode: elastic::PolicyMode::default(),
-        ckpt_every: 0,
+        ..ScenarioConfig::quick(engine, kind)
     }
 }
 
@@ -232,7 +223,6 @@ fn backward_lattice_cascade_sweep() {
 /// `WorkerExit::Aborted` — no hang, no degenerate training.
 fn below_floor_config(engine: Engine, second_point: &'static str) -> ScenarioConfig {
     ScenarioConfig {
-        engine,
         spec: TrainSpec {
             total_steps: 6,
             steps_per_epoch: 3,
@@ -242,19 +232,11 @@ fn below_floor_config(engine: Engine, second_point: &'static str) -> ScenarioCon
         },
         workers: 4,
         ranks_per_node: 1,
-        policy: RecoveryPolicy::DropProcess,
-        kind: ScenarioKind::Downscale,
         victim: 0,
         fail_at_op: 3,
         joiners: 0,
-        renormalize: false,
-        perturb: None,
-        suspicion_timeout: None,
-        backend: transport::BackendKind::InProc,
         extra_faults: FaultPlan::none().kill_at_point(RankId(1), second_point, 1),
-        spares: 0,
-        policy_mode: elastic::PolicyMode::default(),
-        ckpt_every: 0,
+        ..ScenarioConfig::quick(engine, ScenarioKind::Downscale)
     }
 }
 

@@ -85,7 +85,6 @@ fn chaos_config(engine: Engine, case: u64) -> ScenarioConfig {
         ScenarioKind::Upscale => pick(3) as usize,
     };
     ScenarioConfig {
-        engine,
         spec: TrainSpec {
             total_steps: 6,
             steps_per_epoch: 3,
@@ -95,18 +94,10 @@ fn chaos_config(engine: Engine, case: u64) -> ScenarioConfig {
         workers,
         ranks_per_node: rpn,
         policy,
-        kind,
         victim,
         fail_at_op,
         joiners,
-        renormalize: false,
-        perturb: None,
-        suspicion_timeout: None,
-        backend: transport::BackendKind::InProc,
-        extra_faults: FaultPlan::none(),
-        spares: 0,
-        policy_mode: elastic::PolicyMode::default(),
-        ckpt_every: 0,
+        ..ScenarioConfig::quick(engine, kind)
     }
 }
 
@@ -230,28 +221,17 @@ fn backward_chaos_second_half() {
 /// fabric: every worker must finish, replicas must stay bit-identical.
 fn perturbed_config(engine: Engine, plan: PerturbPlan) -> ScenarioConfig {
     ScenarioConfig {
-        engine,
         spec: TrainSpec {
             total_steps: 6,
             steps_per_epoch: 3,
             seed: 4242,
             ..TrainSpec::default()
         },
-        workers: 6,
-        ranks_per_node: 3,
-        policy: RecoveryPolicy::DropProcess,
-        kind: ScenarioKind::Upscale,
         victim: 0,
         fail_at_op: u64::MAX,
         joiners: 0,
-        renormalize: false,
         perturb: Some(plan),
-        suspicion_timeout: None,
-        backend: transport::BackendKind::InProc,
-        extra_faults: FaultPlan::none(),
-        spares: 0,
-        policy_mode: elastic::PolicyMode::default(),
-        ckpt_every: 0,
+        ..ScenarioConfig::quick(engine, ScenarioKind::Upscale)
     }
 }
 
@@ -444,7 +424,6 @@ fn total_link_loss_becomes_suspicion_recovery() {
             cap: Duration::from_millis(2),
         });
     let cfg = ScenarioConfig {
-        engine: Engine::UlfmForward,
         spec: TrainSpec {
             total_steps: 6,
             steps_per_epoch: 3,
@@ -453,19 +432,12 @@ fn total_link_loss_becomes_suspicion_recovery() {
         },
         workers,
         ranks_per_node: 2,
-        policy: RecoveryPolicy::DropProcess,
-        kind: ScenarioKind::Downscale,
         victim,
         fail_at_op: u64::MAX, // the scripted fault never fires: death comes from suspicion
         joiners: 0,
-        renormalize: false,
         perturb: Some(plan),
         suspicion_timeout: Some(Duration::from_millis(500)),
-        backend: transport::BackendKind::InProc,
-        extra_faults: FaultPlan::none(),
-        spares: 0,
-        policy_mode: elastic::PolicyMode::default(),
-        ckpt_every: 0,
+        ..ScenarioConfig::quick(Engine::UlfmForward, ScenarioKind::Downscale)
     };
     let res = run_with_watchdog(cfg, "suspicion/total-loss");
     let died = res
@@ -497,7 +469,6 @@ fn total_link_loss_becomes_suspicion_recovery() {
 
 fn cascade_base(engine: Engine, kind: ScenarioKind, workers: usize) -> ScenarioConfig {
     ScenarioConfig {
-        engine,
         spec: TrainSpec {
             total_steps: 6,
             steps_per_epoch: 3,
@@ -506,8 +477,6 @@ fn cascade_base(engine: Engine, kind: ScenarioKind, workers: usize) -> ScenarioC
         },
         workers,
         ranks_per_node: 1,
-        policy: RecoveryPolicy::DropProcess,
-        kind,
         victim: 0,
         fail_at_op: 3,
         joiners: if kind == ScenarioKind::Downscale {
@@ -515,14 +484,7 @@ fn cascade_base(engine: Engine, kind: ScenarioKind, workers: usize) -> ScenarioC
         } else {
             1
         },
-        renormalize: false,
-        perturb: None,
-        suspicion_timeout: None,
-        backend: transport::BackendKind::InProc,
-        extra_faults: FaultPlan::none(),
-        spares: 0,
-        policy_mode: elastic::PolicyMode::default(),
-        ckpt_every: 0,
+        ..ScenarioConfig::quick(engine, kind)
     }
 }
 
@@ -629,7 +591,6 @@ fn cascade_shrink_to_floor_aborts() {
 
 fn hier_chaos_base(engine: Engine) -> ScenarioConfig {
     ScenarioConfig {
-        engine,
         spec: TrainSpec {
             total_steps: 6,
             steps_per_epoch: 3,
@@ -637,21 +598,10 @@ fn hier_chaos_base(engine: Engine) -> ScenarioConfig {
             hier: HierMode::Force,
             ..TrainSpec::default()
         },
-        workers: 6,
-        ranks_per_node: 3,
-        policy: RecoveryPolicy::DropProcess,
-        kind: ScenarioKind::Downscale,
         victim: 3,
         fail_at_op: 3 + seed_offset() % 5,
         joiners: 0,
-        renormalize: false,
-        perturb: None,
-        suspicion_timeout: None,
-        backend: transport::BackendKind::InProc,
-        extra_faults: FaultPlan::none(),
-        spares: 0,
-        policy_mode: elastic::PolicyMode::default(),
-        ckpt_every: 0,
+        ..ScenarioConfig::quick(engine, ScenarioKind::Downscale)
     }
 }
 
